@@ -75,7 +75,7 @@ def robin_solve(mesh, data, order=1):
     """State solve; returns the ScalarField u."""
     space = FeSpace(mesh, order=order)
     A = _robin_matrix(space, data)
-    u = fem.solve(A, _robin_rhs(space, data), symmetric=True)
+    u = fem.solve(A, _robin_rhs(space, data))
     return ScalarField(space, u)
 
 
@@ -94,7 +94,7 @@ def robin_cost_gradient_vector(u):
 def robin_adjoint(data, u):
     """Adjoint solve A p = -B (A symmetric, so no transpose is needed)."""
     A = _robin_matrix(u.space, data)
-    p = fem.solve(A, -robin_cost_gradient_vector(u), symmetric=True)
+    p = fem.solve(A, -robin_cost_gradient_vector(u))
     return ScalarField(u.space, p)
 
 
@@ -130,7 +130,7 @@ def robin_material(data, u, theta=None, samples=None):
     if samples is None:
         samples = theta_samples(u.space, theta, "interpolated")
     A = _robin_matrix(u.space, data)
-    udot = fem.solve(A, -robin_L_vector(data, u, samples), symmetric=True)
+    udot = fem.solve(A, -robin_L_vector(data, u, samples))
     return ScalarField(u.space, udot)
 
 
@@ -191,7 +191,7 @@ class RobinProblem:
         self.order = order
         self.space = FeSpace(mesh, order=order)
         self._A = _robin_matrix(self.space, data)
-        self._fact = fem.Factorized(self._A, symmetric=True)
+        self._fact = fem.Factorized(self._A)
         self._KI = fem.assemble_diffusion(self.space, _I2)
         self.u = ScalarField(self.space, self._fact.solve(_robin_rhs(self.space, data)))
         self.p = ScalarField(self.space, self._fact.solve(-(self._KI @ self.u.coefficients)))
@@ -329,7 +329,7 @@ def quasilinear_solve(mesh, data, order=1, rel_tol=1e-11, abs_tol=1e-13, max_ite
         if rn <= max(rel_tol * r0, abs_tol):
             return field, history
         J = _ql_jacobian(space, data, field)
-        delta = fem.solve(J, -R, symmetric=False)
+        delta = fem.solve(J, -R)
         field = ScalarField(space, field.coefficients + delta)
     raise fem.NewtonError(
         f"Newton did not converge in {max_iter} iterations "
@@ -353,8 +353,7 @@ def quasilinear_cost_gradient_vector(data, u):
 def quasilinear_adjoint(data, u):
     """Solve A(u)^T p = -B with the transposed exact Jacobian."""
     A = _ql_jacobian(u.space, data, u)
-    p = fem.solve(A.T.tocsr(), -quasilinear_cost_gradient_vector(data, u),
-                  symmetric=False)
+    p = fem.solve(A.T.tocsr(), -quasilinear_cost_gradient_vector(data, u))
     return ScalarField(u.space, p)
 
 
@@ -381,7 +380,7 @@ def quasilinear_material(data, u, theta=None, samples=None):
     if samples is None:
         samples = theta_samples(u.space, theta, "interpolated")
     A = _ql_jacobian(u.space, data, u)
-    udot = fem.solve(A, -quasilinear_L_vector(data, u, samples), symmetric=False)
+    udot = fem.solve(A, -quasilinear_L_vector(data, u, samples))
     return ScalarField(u.space, udot)
 
 
@@ -431,8 +430,8 @@ class QuasilinearProblem:
         self.u, self.newton_history = quasilinear_solve(mesh, data, order=order)
         self.space = self.u.space
         self._A = _ql_jacobian(self.space, data, self.u)
-        self._fact = fem.Factorized(self._A, symmetric=False)
-        self._factT = fem.Factorized(self._A.T.tocsr(), symmetric=False)
+        self._fact = fem.Factorized(self._A)
+        self._factT = fem.Factorized(self._A.T.tocsr())
         self.p = ScalarField(self.space,
                              self._factT.solve(-quasilinear_cost_gradient_vector(data, self.u)))
         self._tensors = None
@@ -498,7 +497,7 @@ def dirichlet_energy_solve(mesh, data, order=1):
     b = fem.assemble_load(space, data.f.value)
     bd = space.boundary_dofs()
     A2, b2 = fem.apply_dirichlet(K, b, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2, symmetric=True))
+    return ScalarField(space, fem.solve(A2, b2))
 
 
 def dirichlet_energy_cost(u):
@@ -514,7 +513,7 @@ def dirichlet_energy_adjoint(data, u):
     B = 2.0 * (K @ u.coefficients)
     bd = space.boundary_dofs()
     A2, b2 = fem.apply_dirichlet(K, -B, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2, symmetric=True))
+    return ScalarField(space, fem.solve(A2, b2))
 
 
 def dirichlet_energy_L_vector(data, u, samples):
@@ -537,7 +536,7 @@ def dirichlet_energy_material(data, u, theta=None, samples=None):
     L = dirichlet_energy_L_vector(data, u, samples)
     bd = space.boundary_dofs()
     A2, b2 = fem.apply_dirichlet(K, -L, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2, symmetric=True))
+    return ScalarField(space, fem.solve(A2, b2))
 
 
 def dirichlet_energy_tensors(data, u):
@@ -621,7 +620,7 @@ class DirichletEnergyProblem:
         self._keep = np.ones(self.space.dof_count)
         self._keep[bd] = 0.0
         A2, _ = fem.apply_dirichlet(self._K, np.zeros(self.space.dof_count), bd, 0.0)
-        self._fact = fem.Factorized(A2, symmetric=True)
+        self._fact = fem.Factorized(A2)
         self._tensors = None
 
     @property

@@ -10,10 +10,18 @@ is what makes the discrete identities in the rest of the package exact.
 
 Assembly is vectorized over elements (local matrices by einsum, scattered
 through COO duplicate summation), which is deterministic run to run.
+
+Every linear solve goes through one :class:`Factorized` path: a reverse
+Cuthill-McKee renumbering followed by SuperLU with its ``MMD_AT_PLUS_A``
+ordering.  The renumbering matters because MMD is sensitive to the input
+numbering: on the Robin matrix in ``gen_disk``'s native node order,
+ordering plus factoring took 1.47 s at 12,481 dofs and about 145 s at
+49,537 dofs, against 0.08 s and 0.28 s after RCM, with less fill.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
@@ -389,14 +397,13 @@ def _scalar_at(f, P):
 
 def assemble_diffusion(space, coeff):
     """Stiffness matrix with matrix coefficient: A_ij = int (coeff grad phi_j) . grad phi_i."""
-    C = _mat_at(coeff, space.qpoints)
-    local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, space.grads, C, space.grads)
-    return _scatter_matrix(space, local)
+    return assemble_diffusion_values(space, _mat_at(coeff, space.qpoints))
 
 
 def assemble_diffusion_values(space, C):
     """Stiffness matrix from coefficient values already at quadrature points."""
-    local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, space.grads, C, space.grads)
+    local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, space.grads, C, space.grads,
+                      optimize=True)
     return _scatter_matrix(space, local)
 
 
@@ -471,17 +478,6 @@ def assemble_boundary_load_values(space, edges, vals):
 
 # ------------------------------------------------------------ constraints
 
-class LinearSystem:
-    """Sparse system with (already applied) Dirichlet constraints recorded."""
-
-    def __init__(self, matrix, rhs, constrained=None, values=None, symmetric=False):
-        self.matrix = matrix.tocsr()
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.constrained = np.asarray([] if constrained is None else constrained, dtype=np.int64)
-        self.values = np.asarray([] if values is None else values, dtype=float)
-        self.symmetric = bool(symmetric)
-
-
 def apply_dirichlet(A, b, dofs, values):
     """Symmetric elimination of Dirichlet dofs.
 
@@ -508,38 +504,62 @@ def apply_dirichlet(A, b, dofs, values):
     return A2, b2
 
 
-def solve(A, b, symmetric=False):
-    """Direct sparse solve with a residual check.
-
-    Uses SuperLU (MMD ordering on the symmetric path, COLAMD otherwise)
-    and verifies ``|Ax - b| <= 1e-10 (|b| + 1)``.
-    """
-    A = A.tocsc()
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if symmetric else "COLAMD")
-    except RuntimeError as exc:
-        raise SolverError(f"singular system: {exc}") from exc
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("singular system: factorization produced non-finite solution")
-    res = np.linalg.norm(A @ x - b)
-    if res > 1e-10 * (np.linalg.norm(b) + 1.0):
-        raise SolverError(f"solver residual {res:.3e} exceeds tolerance")
-    return x
+def solve(A, b):
+    """Direct sparse solve with the residual check of :class:`Factorized`."""
+    return Factorized(A).solve(b)
 
 
 class Factorized:
-    """Reusable LU factorization with the same residual check as :func:`solve`."""
+    """Sparse LU factorization, reused across right-hand sides.
 
-    def __init__(self, A, symmetric=False):
+    The unknowns are first renumbered by reverse Cuthill-McKee (RCM), then
+    SuperLU factors the renumbered matrix with its ``MMD_AT_PLUS_A``
+    column ordering.  MMD alone is very sensitive to the input numbering:
+    on the Robin matrix in ``gen_disk``'s node order, ordering plus
+    factoring took 1.47 s at 12,481 dofs and about 145 s at 49,537,
+    against 0.08 s and 0.28 s after the RCM renumbering, with less fill.
+    COLAMD is no substitute: it also avoids the cliff but more than
+    doubles the fill of the parabolic step matrices.  The RCM pass uses
+    the pattern of ``A`` as given, which the finite-element matrices
+    here have symmetric also when their values are not (Newton Jacobians
+    and their transposes).
+
+    Every solve is checked against the original matrix:
+    ``|Ax - b| <= 1e-10 (|b| + 1)``.
+
+    Attributes
+    ----------
+    n : int
+        Matrix size.
+    fill : int
+        nnz(L) + nnz(U) of the factors.
+    ordering : str
+        The fill-reducing ordering used.
+    """
+
+    ordering = "RCM+MMD_AT_PLUS_A"
+
+    def __init__(self, A):
         self.A = A.tocsc()
+        self._perm = csgraph.reverse_cuthill_mckee(self.A, symmetric_mode=True)
+        permuted = self.A[self._perm][:, self._perm]
         try:
-            self._lu = spla.splu(self.A, permc_spec="MMD_AT_PLUS_A" if symmetric else "COLAMD")
+            self._lu = spla.splu(permuted, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"singular system: {exc}") from exc
 
+    @property
+    def n(self):
+        return self.A.shape[0]
+
+    @property
+    def fill(self):
+        return self._lu.L.nnz + self._lu.U.nnz
+
     def solve(self, b):
-        x = self._lu.solve(b)
+        b = np.asarray(b, dtype=float)
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
         if not np.all(np.isfinite(x)):
             raise SolverError("singular system: factorization produced non-finite solution")
         res = np.linalg.norm(self.A @ x - b)

@@ -231,9 +231,19 @@ def _axis_cutoff(x, lo, hi, w):
     return g, dg, d2g
 
 
+def _axis_value(x, lo, hi, w):
+    """The value of :func:`_axis_cutoff` alone, by the same expression."""
+    return _smoothstep((x - lo) / w) * _smoothstep((hi - x) / w)
+
+
 def _cutoff(box, ramp):
+    """Value-only evaluator and (value, gradient, Hessian) evaluator of the cutoff."""
     lo, hi = np.asarray(box, dtype=float)
     w = ramp * (hi - lo)
+
+    def value(P):
+        return (_axis_value(P[..., 0], lo[0], hi[0], w[0])
+                * _axis_value(P[..., 1], lo[1], hi[1], w[1]))
 
     def rho(P):
         gx, dgx, d2gx = _axis_cutoff(P[..., 0], lo[0], hi[0], w[0])
@@ -246,15 +256,15 @@ def _cutoff(box, ramp):
         hess[..., 1, 1] = gx * d2gy
         return val, grad, hess
 
-    return rho
+    return value, rho
 
 
 def _apply_cutoff(val, jac, hess, box, ramp):
-    rho = _cutoff(box, ramp)
+    value, rho = _cutoff(box, ramp)
 
     def v(P):
-        r, _, _ = rho(P)
-        return val(P) * r[..., None]
+        # RK4 transport calls only this: skip the cutoff's derivatives
+        return val(P) * value(P)[..., None]
 
     def j(P):
         r, dr, _ = rho(P)
@@ -333,11 +343,14 @@ def _bump_field(a, c, r):
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
 
-    def parts(P):
+    def radial(P):
         d = (P - c) / r
         u = np.einsum('...i,...i->...', d, d)
         inside = u < 1.0
-        om = np.where(inside, 1.0 - u, 0.0)
+        return inside, np.where(inside, 1.0 - u, 0.0)
+
+    def parts(P):
+        inside, om = radial(P)
         w = om ** 3
         wp = np.where(inside, -3.0 * om ** 2, 0.0)
         wpp = np.where(inside, 6.0 * om, 0.0)
@@ -345,8 +358,8 @@ def _bump_field(a, c, r):
         return w, wp, wpp, du
 
     def val(P):
-        w, _, _, _ = parts(P)
-        return np.einsum('...,i->...i', w, a)
+        _, om = radial(P)
+        return np.einsum('...,i->...i', om ** 3, a)
 
     def jac(P):
         _, wp, _, du = parts(P)

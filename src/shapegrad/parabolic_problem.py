@@ -132,7 +132,7 @@ class _March:
     def fact(self, k):
         key = self._key(k)
         if key not in self._facts:
-            self._facts[key] = fem.Factorized(self.A2(key), symmetric=True)
+            self._facts[key] = fem.Factorized(self.A2(key))
         return self._facts[key]
 
     def load(self, k):

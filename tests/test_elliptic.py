@@ -166,7 +166,7 @@ def test_quasilinear_reduces_to_linear(disk4):
     space = u.space
     A = fem.assemble_diffusion(space, 2.0 * np.eye(2)) + fem.assemble_mass(space)
     G = fem.assemble_load(space, data.g.value)
-    direct = fem.solve(A, G, symmetric=True)
+    direct = fem.solve(A, G)
     assert np.abs(u.coefficients - direct).max() <= 1e-11
     assert len(history) <= 3
 

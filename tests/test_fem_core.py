@@ -1,8 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from shapegrad import fem_core as fem
+from shapegrad.data_catalog import parse_rfunction
+from shapegrad.elliptic_problems import QuasilinearData, _ql_jacobian
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
 # frozen by hand: P1 stiffness of the reference triangle (0,0),(1,0),(0,1)
@@ -147,7 +152,7 @@ def test_patch_test_linear_exact(order):
     b = np.zeros(space.dof_count)
     dofs = space.boundary_dofs(1)
     A1, b1 = fem.apply_dirichlet(A, b, dofs, uex(space.dof_coords[dofs]))
-    x = fem.solve(A1, b1, symmetric=True)
+    x = fem.solve(A1, b1)
     assert np.abs(x - uex(space.dof_coords)).max() <= 1e-12
 
 
@@ -162,7 +167,7 @@ def test_p2_exact_for_harmonic_quadratic():
     A = fem.assemble_diffusion(space, np.eye(2))
     dofs = space.boundary_dofs(1)
     A1, b1 = fem.apply_dirichlet(A, np.zeros(space.dof_count), dofs, uex(space.dof_coords[dofs]))
-    x = fem.solve(A1, b1, symmetric=True)
+    x = fem.solve(A1, b1)
     assert np.abs(x - uex(space.dof_coords)).max() <= 1e-10
 
 
@@ -177,9 +182,55 @@ def test_factorized_matches_solve():
     space = fem.FeSpace(m, order=1)
     A = fem.assemble_diffusion(space, np.eye(2)) + fem.assemble_mass(space)
     b = fem.assemble_load(space, lambda P: P[..., 1])
-    x1 = fem.solve(A, b, symmetric=True)
-    x2 = fem.Factorized(A, symmetric=True).solve(b)
+    x1 = fem.solve(A, b)
+    x2 = fem.Factorized(A).solve(b)
     assert np.abs(x1 - x2).max() <= 1e-12
+
+
+def _robin_system(refine):
+    """Robin matrix (M = diag(2, 1), beta = 1) and load on the unit disk."""
+    space = fem.FeSpace(gen_disk((0.0, 0.0), 1.0, refine), order=1)
+    A = fem.assemble_diffusion(space, np.diag([2.0, 1.0])) + fem.assemble_boundary_mass(space, None)
+    b = fem.assemble_load(space, lambda P: 1.0 + P[..., 0] * P[..., 1])
+    return A, b
+
+
+def test_factorized_no_ordering_cliff_at_refine7():
+    # MMD without the RCM renumbering took about 145 s on this matrix
+    # (49,537 dofs in gen_disk's node order); COLAMD gave 6.68M fill.
+    A, b = _robin_system(7)
+    t0 = time.perf_counter()
+    fact = fem.Factorized(A)
+    x = fact.solve(b)
+    elapsed = time.perf_counter() - t0
+    assert elapsed <= 10.0
+    assert fact.n == 49537
+    assert fact.fill <= 5.0e6
+    assert fact.ordering == "RCM+MMD_AT_PLUS_A"
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * (np.linalg.norm(b) + 1.0)
+
+
+def test_factorized_numbering_invariant():
+    A, b = _robin_system(5)
+    x = fem.Factorized(A).solve(b)
+    perm = np.random.default_rng(11).permutation(A.shape[0])
+    Ap = A.tocsr()[perm][:, perm]
+    xp = fem.Factorized(Ap).solve(b[perm])
+    assert np.linalg.norm(xp - x[perm]) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
+    data = QuasilinearData(m=parse_rfunction("saturating"), f=parse_rfunction("affine_r 1 0.1"),
+                           g=None, u_d=None)
+    space = fem.FeSpace(disk4, order=1)
+    u = space.interpolate(lambda P: 1.0 + np.sin(2.0 * P[..., 0]) * P[..., 1])
+    J = _ql_jacobian(space, data, u)
+    assert abs(J - J.T).max() > 1e-8
+    b = fem.assemble_load(space, lambda P: 1.0 + P[..., 0])
+    for M in (J, J.T.tocsr()):
+        x = fem.Factorized(M).solve(b)
+        ref = spla.splu(M.tocsc(), permc_spec="COLAMD").solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # ------------------------------------------------------------- interpolation
@@ -251,7 +302,7 @@ def _dirichlet_poisson_error(nx, order):
     b = fem.assemble_load(space, f)
     dofs = space.boundary_dofs(1)
     A1, b1 = fem.apply_dirichlet(A, b, dofs, np.zeros(len(dofs)))
-    x = fem.solve(A1, b1, symmetric=True)
+    x = fem.solve(A1, b1)
     uh = fem.field_qvalues(fem.ScalarField(space, x))
     diff = uh - uex(space.qpoints)
     return np.sqrt(np.sum(space.qweights * diff * diff))

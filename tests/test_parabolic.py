@@ -121,7 +121,7 @@ def test_steady_state_monotone_decay(rect_unit):
     F = fem.assemble_load(space, lambda P: data.f.value(0.0, P))
     bd = space.boundary_dofs()
     A2, b2 = fem.apply_dirichlet(K, F, bd, 0.0)
-    u_inf = fem.solve(A2, b2, symmetric=True)
+    u_inf = fem.solve(A2, b2)
     en = []
     for k in range(u.nt + 1):
         e = u.values[k] - u_inf
@@ -190,7 +190,7 @@ def test_time_reversal_oracle(rect_unit):
         k = data.nt + 1 - j
         K = fem.assemble_diffusion(space, lambda P: data.M.value(times[k], P))
         A2, b2 = fem.apply_dirichlet(Mu + dt * K, Mu @ v - B[k], bd, 0.0)
-        v = fem.solve(A2, b2, symmetric=True)
+        v = fem.solve(A2, b2)
         vhat[j] = v
     scale = np.abs(p.values).max()
     for k in range(1, data.nt + 1):
