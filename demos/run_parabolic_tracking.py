@@ -6,11 +6,8 @@ flavors share the state: j1 integrates the misfit over all time steps, j2
 only looks at the final time.  The adjoint runs backwards reusing the same
 factorized step matrix, and the assembled derivative picks up an extra
 breakdown term ("dt_pairing") from differentiating the time-difference
-quadrature -- everything else is the familiar S0/S1 contraction.
-
-Note the linear initial value: the derivative of the interpolated initial
-condition is exact only when grad(g) is constant, so shipped time-dependent
-configs keep g linear.
+quadrature, and the interpolated initial value contributes the nodal
+"ic_pairing" term -- everything else is the familiar S0/S1 contraction.
 """
 
 import numpy as np

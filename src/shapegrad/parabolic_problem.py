@@ -8,6 +8,12 @@ on a fixed time grid t_k = k t0 / nt.  Two cost functionals are carried:
 * ``j1``: time-distributed tracking  J = sum_k dt 1/2 int (u_k - u_d(t_k))^2
 * ``j2``: final-time tracking        J = 1/2 int (u_nt - u_d(t0))^2
 
+The coefficients are separable: M(t, x) = a_M(t) M(x) and
+f(t, x) = a_f(t) f(x) (``TimeMatrixData`` and ``TimeScalarData``); other
+data is rejected with a ``ValueError``.  The march therefore assembles
+the stiffness matrix and the load vector once and rescales them per
+step.  The tracked field u_d may be any time-scalar entry.
+
 The adjoint marches backward with the transposed step operator (the step
 matrices are symmetric here, which the tests exploit through an
 independent time-reversal oracle), and the initial-condition multiplier
@@ -15,19 +21,26 @@ is q = p_1 with no extra solve.  The material derivative marches forward
 with right-hand sides assembled from the same transported-coefficient
 rates as the stationary problems, plus the mass-rate pairing
 ``Mdot (u_k - u_{k-1})`` whose contribution to the derivative is reported
-separately as the ``dt_pairing`` term.
+separately as the ``dt_pairing`` term.  Separability makes the rate
+matrix and the load rate step-independent, so every right-hand side is
+built in one batched expression and the march only solves.
 
-The initial-condition slot of the shape-derivative tensor uses the
-analytic gradient of g (term -q grad g . theta).  The discrete derivative
-actually contains the interpolant I_h(grad g . theta); the two coincide
-exactly when g is affine, which the shipped configurations use.
+The shape-derivative tensors are time sums of products of p_k and u_k.
+Because each coefficient is a(t) s(x), those sums collapse to per-element
+Gram matrices sum_k w_k p_k^e (u_k^e)^T, accumulated one step at a time
+and contracted once with the basis gradients.  The initial condition
+enters through the nodal ``ic_pairing`` term -(M_u q) . I_h(grad g . theta),
+the same interpolant the material derivative starts from, so the
+derivative is exact for any initial datum g.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from . import fem_core as fem
 from . import tensor_calc as tc
-from .data_catalog import check_spd
+from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeTensors, assemble_dJ,
                              material_tensor_rate, theta_samples)
@@ -42,8 +55,9 @@ def _dot(a, b):
 class ParabolicData:
     """Coefficients of the parabolic problem.
 
-    ``M`` is a time-matrix entry (uniformly SPD, with the spatial
-    derivative tensor DM); ``f`` and ``u_d`` are time-scalar entries;
+    ``M`` is a separable time-matrix entry a_M(t) M(x) (uniformly SPD,
+    with the spatial derivative tensor DM) and ``f`` a separable
+    time-scalar entry a_f(t) f(x); ``u_d`` is any time-scalar entry;
     ``g`` is the (stationary) initial datum with analytic gradient.
     """
 
@@ -52,6 +66,11 @@ class ParabolicData:
             raise ValueError("parabolic data needs nt >= 1 time steps")
         if t0 <= 0:
             raise ValueError("parabolic data needs a positive final time")
+        if not (isinstance(M, TimeMatrixData) and isinstance(f, TimeScalarData)):
+            raise ValueError(
+                "parabolic data needs separable coefficients a(t)*s(x): M must be "
+                f"a TimeMatrixData and f a TimeScalarData, got {type(M).__name__} "
+                f"and {type(f).__name__}")
         self.M = M
         self.f = f
         self.g = g
@@ -93,10 +112,11 @@ class TimeSeriesField:
 
 
 class _March:
-    """Step operators (M_u + dt K(t_k)) with Dirichlet rows eliminated.
+    """Step operators (M_u + dt a_M(t_k) K) with Dirichlet rows eliminated.
 
-    A time-independent diffusion matrix is factorized once and shared by
-    every step; otherwise each step keeps its own factorization.
+    K and the load vector F of the spatial coefficient parts are assembled
+    once.  A time-independent diffusion matrix is factorized once and
+    shared by every step; otherwise each step keeps its own factorization.
     """
 
     def __init__(self, mesh, data, order=1):
@@ -117,9 +137,16 @@ class _March:
     def _key(self, k):
         return 1 if self.data.m_static else k
 
+    @cached_property
+    def K(self):
+        return fem.assemble_diffusion(self.space, self.data.M.spatial.value)
+
+    @cached_property
+    def F(self):
+        return fem.assemble_load(self.space, self.data.f.spatial.value)
+
     def stiffness(self, k):
-        t = self.times[k]
-        return fem.assemble_diffusion(self.space, lambda P: self.data.M.value(t, P))
+        return self.data.M.profile.value(self.times[k]) * self.K
 
     def A2(self, k):
         key = self._key(k)
@@ -136,8 +163,7 @@ class _March:
         return self._facts[key]
 
     def load(self, k):
-        t = self.times[k]
-        return fem.assemble_load(self.space, lambda P: self.data.f.value(t, P))
+        return self.data.f.profile.value(self.times[k]) * self.F
 
     def step(self, k, b):
         try:
@@ -161,43 +187,42 @@ def parabolic_solve(mesh, data, order=1, march=None):
 
 
 def _tracking_misfits(data, series, which):
-    """Quadrature values of u_k - u_d(t_k) for the steps the cost uses."""
-    space = series.space
-    P = space.qpoints
-    times = series.times
-    out = {}
+    """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
+
+    One step's misfit is alive at a time, so callers stay at O(1) memory
+    in the number of steps.
+    """
     if which == "j1":
-        for k in range(1, series.nt + 1):
-            out[k] = fem.field_qvalues(series.field(k)) - data.u_d.value(times[k], P)
+        steps = range(1, series.nt + 1)
     elif which == "j2":
-        out[series.nt] = fem.field_qvalues(series.field(series.nt)) \
-            - data.u_d.value(data.t0, P)
+        steps = (series.nt,)
     else:
         raise ValueError(f"unknown parabolic cost {which!r}; use 'j1' or 'j2'")
-    return out
+    P = series.space.qpoints
+    times = series.times
+    for k in steps:
+        yield k, fem.field_qvalues(series.field(k)) - data.u_d.value(times[k], P)
+
+
+def _misfit_scale(data, which):
+    """Time weight of one misfit term: dt for j1, 1 for the final-time j2."""
+    return data.t0 / data.nt if which == "j1" else 1.0
 
 
 def parabolic_cost(data, series, which):
     """Evaluate the selected tracking cost on a state series."""
-    space = series.space
-    w = space.qweights
-    d = _tracking_misfits(data, series, which)
-    if which == "j1":
-        dt = data.t0 / data.nt
-        return float(sum(dt * 0.5 * np.sum(w * dk * dk) for dk in d.values()))
-    dk = d[series.nt]
-    return 0.5 * float(np.sum(w * dk * dk))
+    w = series.space.qweights
+    scale = _misfit_scale(data, which)
+    return float(sum(scale * 0.5 * np.sum(w * dk * dk)
+                     for _, dk in _tracking_misfits(data, series, which)))
 
 
 def _cost_gradients(data, series, which):
     """Blocks B_k with B_k,i = dJ/du_k,i; index 0 is always zero."""
-    space = series.space
     B = np.zeros_like(series.values)
-    d = _tracking_misfits(data, series, which)
-    dt = data.t0 / data.nt
-    for k, dk in d.items():
-        scale = dt if which == "j1" else 1.0
-        B[k] = scale * fem.assemble_load_values(space, dk)
+    scale = _misfit_scale(data, which)
+    for k, dk in _tracking_misfits(data, series, which):
+        B[k] = scale * fem.assemble_load_values(series.space, dk)
     return B
 
 
@@ -244,127 +269,139 @@ def initial_rate(space, data, theta):
     return _dot(data.g.grad(space.dof_coords), vel)
 
 
+def _profile_values(entry, times):
+    """The time factor a(t) of a separable entry at each time."""
+    return np.array([entry.profile.value(t) for t in times], dtype=float)
+
+
 def parabolic_material(mesh, data, series, theta, which=None, march=None,
                        samples=None):
     """Forward march for the material derivative of the state series.
 
     Returns (udot, ell) where ``ell`` stacks the per-step right-hand-side
-    blocks (index 0 unused) for duality pairing.
+    blocks (index 0 unused) for duality pairing.  With separable data the
+    coefficient rates are a_M(t_k) R and a_f(t_k) fdot for fixed spatial
+    R and fdot, so one rate matrix and one load rate serve every step.
     """
     march = march or _March(mesh, data, order=series.space.order)
     space = march.space
     if samples is None:
         samples = theta_samples(space, theta, "interpolated")
     P = space.qpoints
-    dt = march.dt
+    Mx, fx = data.M.spatial, data.f.spatial
+    rate = material_tensor_rate(Mx.value(P), samples) \
+        + tc.matvec3(Mx.dspace(P), samples.vol_val)
+    K_R = fem.assemble_diffusion_values(space, rate)
+    Fdot = fem.assemble_load_values(
+        space, fx.value(P) * samples.vol_div + _dot(fx.grad(P), samples.vol_val))
     Mdot = fem.assemble_mass_values(space, samples.vol_div)
-    ell = np.zeros_like(series.values)
-    vals = np.empty_like(series.values)
+    w_M = march.dt * _profile_values(data.M, march.times[1:])
+    w_f = march.dt * _profile_values(data.f, march.times[1:])
+    U = series.values
+    ell = np.zeros_like(U)
+    ell[1:] = march.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
+                            + w_M[:, None] * (K_R @ U[1:].T).T
+                            - w_f[:, None] * Fdot)
+    vals = np.empty_like(U)
     vals[0] = initial_rate(space, data, theta)
     udot = vals[0]
     for k in range(1, data.nt + 1):
-        t = march.times[k]
-        uk = series.field(k)
-        gu = fem.field_qgrads(uk)
-        Mk = data.M.value(t, P)
-        rate = material_tensor_rate(Mk, samples) \
-            + tc.matvec3(data.M.dspace(t, P), samples.vol_val)
-        W = np.einsum('mqij,mqj->mqi', rate, gu)
-        fdot = data.f.value(t, P) * samples.vol_div + _dot(data.f.grad(t, P), samples.vol_val)
-        lk = Mdot @ (series.values[k] - series.values[k - 1]) \
-            + dt * fem.assemble_grad_load_values(space, W) \
-            - dt * fem.assemble_load_values(space, fdot)
-        ell[k] = march.keep * lk
-        b = march.keep * (march.Mu @ udot) - ell[k]
-        udot = march.step(k, b)
+        udot = march.step(k, march.keep * (march.Mu @ udot) - ell[k])
         vals[k] = udot
     return TimeSeriesField(space, vals, data.t0), ell
 
 
 def parabolic_partial_cost(data, series, samples, which):
     """Transport derivative of the cost with the state snapshots frozen."""
-    space = series.space
-    P = space.qpoints
-    w = space.qweights
-    d = _tracking_misfits(data, series, which)
-    dt = data.t0 / data.nt
+    P = series.space.qpoints
+    w = series.space.qweights
+    scale = _misfit_scale(data, which)
     times = series.times
     total = 0.0
-    for k, dk in d.items():
-        scale = dt if which == "j1" else 1.0
-        gud = data.u_d.grad(times[k] if which == "j1" else data.t0, P)
+    for k, dk in _tracking_misfits(data, series, which):
+        gud = data.u_d.grad(times[k], P)
         total += scale * float(np.sum(
             w * (0.5 * dk * dk * samples.vol_div - dk * _dot(gud, samples.vol_val))))
     return total
 
 
 class ParabolicShapeTensors:
-    """Volume tensors plus the separately-reported mass-rate density."""
+    """Volume tensors plus the separately-reported mass-rate density and
+    the initial-condition weights."""
 
-    def __init__(self, tensors, dt_density):
+    def __init__(self, tensors, dt_density, ic_weights, data):
         self.tensors = tensors
         self.dt_density = dt_density  # (M, nq): sum_k p_k (u_k - u_{k-1})
+        self.ic_weights = ic_weights  # (ndof,): M_u q
+        self.data = data
+
+
+def _element_gram(space, a, b):
+    """Per-element outer products a^e (b^e)^T of two dof vectors, (M, nloc, nloc)."""
+    dofs = space.element_dofs
+    return a[dofs][:, :, None] * b[dofs][:, None, :]
 
 
 def parabolic_shape_tensors(data, series, adjoint, which):
     """Accumulate the distributed tensors of the selected cost.
 
-    S0 = -q grad g + sum_k dt [ DM(t_k)-contraction(grad p_k, grad u_k)
-                                - p_k grad f(t_k) ]  (+ tracking terms)
-    S1 = sum_k dt [ -grad p_k x M grad u_k - grad u_k x M^T grad p_k
-                    + (M grad u_k . grad p_k - p_k f(t_k)) I ]  (+ tracking)
-    plus the mass-rate density sum_k p_k (u_k - u_{k-1}).
+    With T = sum_k dt a_M(t_k) grad p_k x grad u_k and the spatial parts
+    M, DM and f of the coefficients:
+
+    S0 = sum_jk DM_jki T_jk - (sum_k dt a_f(t_k) p_k) grad f  (+ tracking)
+    S1 = -T M^T - T^T M + (M : T - (sum_k dt a_f(t_k) p_k) f) I  (+ tracking)
+
+    plus the mass-rate density sum_k p_k (u_k - u_{k-1}).  T and the
+    density come from per-element Gram matrices of the dof vectors,
+    accumulated step by step and contracted with the basis once.  The
+    initial condition is paired at the dofs (see ``assemble_parabolic_dJ``).
     """
     space = series.space
     P = space.qpoints
     M, nq = space.qweights.shape
+    nloc = space.element_dofs.shape[1]
     dt = data.t0 / data.nt
     times = series.times
-    d = _tracking_misfits(data, series, which)
+    w_M = dt * _profile_values(data.M, times)
+    w_f = dt * _profile_values(data.f, times)
 
-    qv = fem.field_qvalues(adjoint.field(0))
-    S0 = np.zeros((M, nq, 2))
-    S0 -= qv[..., None] * data.g.grad(P)
-    S1 = np.zeros((M, nq, 2, 2))
-    dtp = np.zeros((M, nq))
+    G_pu = np.zeros((M, nloc, nloc))
+    G_d = np.zeros((M, nloc, nloc))
+    pf = np.zeros(space.dof_count)
     for k in range(1, data.nt + 1):
-        t = times[k]
-        uk = series.field(k)
-        pk = adjoint.field(k)
-        gu = fem.field_qgrads(uk)
-        gp = fem.field_qgrads(pk)
-        pv = fem.field_qvalues(pk)
-        Mk = data.M.value(t, P)
-        DM = data.M.dspace(t, P)
-        fv = data.f.value(t, P)
-        Mgu = np.einsum('mqij,mqj->mqi', Mk, gu)
-        Mtgp = np.einsum('mqji,mqj->mqi', Mk, gp)
-        S0 += dt * (tc.apply3(tc.transpose3(tc.transpose3(DM)), gp, gu)
-                    - pv[..., None] * data.f.grad(t, P))
-        scal = _dot(Mgu, gp) - pv * fv
-        S1 += dt * (-np.einsum('...i,...j->...ij', gp, Mgu)
-                    - np.einsum('...i,...j->...ij', gu, Mtgp)
-                    + scal[..., None, None] * _I2)
-        uq = fem.field_qvalues(uk)
-        um = fem.field_qvalues(series.field(k - 1))
-        dtp += pv * (uq - um)
-    for k, dk in d.items():
-        scale = dt if which == "j1" else 1.0
-        t = times[k] if which == "j1" else data.t0
-        S0 -= scale * dk[..., None] * data.u_d.grad(t, P)
-        S1 += scale * (0.5 * dk * dk)[..., None, None] * _I2
-    return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp)
+        p, u = adjoint.values[k], series.values[k]
+        G_pu += w_M[k] * _element_gram(space, p, u)
+        G_d += _element_gram(space, p, u - series.values[k - 1])
+        pf += w_f[k] * p
+
+    Mx, fx = data.M.spatial, data.f.spatial
+    Mv = Mx.value(P)
+    T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
+    pfv = fem.field_qvalues(ScalarField(space, pf))
+    S0 = np.einsum('mqjki,mqjk->mqi', Mx.dspace(P), T) - pfv[..., None] * fx.grad(P)
+    scal = tc.double_dot(Mv, T) - pfv * fx.value(P)
+    scale = _misfit_scale(data, which)
+    for k, dk in _tracking_misfits(data, series, which):
+        S0 -= scale * dk[..., None] * data.u_d.grad(times[k], P)
+        scal += scale * 0.5 * dk * dk
+    S1 = -np.einsum('mqil,mqjl->mqij', T, Mv) - np.einsum('mqli,mqlj->mqij', T, Mv) \
+        + scal[..., None, None] * _I2
+    dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
+    ic_weights = fem.assemble_load_values(space, fem.field_qvalues(adjoint.field(0)))
+    return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights, data)
 
 
 def assemble_parabolic_dJ(mesh, ptensors, theta, theta_mode="interpolated",
                           samples=None):
-    """Tensor evaluation plus the dt-pairing term, as one breakdown."""
+    """Tensor evaluation plus the dt- and initial-condition pairings, as one
+    breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
+    space = ptensors.tensors.space
     if samples is None:
-        samples = theta_samples(ptensors.tensors.space, theta, theta_mode)
+        samples = theta_samples(space, theta, theta_mode)
     base = assemble_dJ(mesh, ptensors.tensors, theta, samples=samples)
     terms = dict(base.terms)
-    terms["dt_pairing"] = float(np.sum(
-        ptensors.tensors.space.qweights * ptensors.dt_density * samples.vol_div))
+    terms["dt_pairing"] = float(np.sum(space.qweights * ptensors.dt_density * samples.vol_div))
+    terms["ic_pairing"] = -float(ptensors.ic_weights @ initial_rate(space, ptensors.data, theta))
     return AssembledDerivative(terms)
 
 
