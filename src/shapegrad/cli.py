@@ -27,7 +27,7 @@ from .mesh import MeshFormatError, gen_disk, gen_rectangle, load_mesh, save_mesh
 from .parabolic_problem import ParabolicData, ParabolicProblem
 from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
                       fd_table_json, mesh_hash, save_field, taylor_csv_rows,
-                      write_csv, write_json)
+                      taylor_table_json, write_csv, write_json)
 from .shape_assembly import ManufacturedProblem
 from .validation import (AreaProblem, duality_check, fd_shape_check,
                          fd_transport_check, material_taylor_check)
@@ -246,7 +246,7 @@ def cmd_solve(args):
     cfg = RunConfig(args.config)
     mesh = build_mesh(cfg)
     problem = build_problem(cfg, mesh)
-    if not hasattr(problem, "u"):
+    if not problem.has_state:
         raise ConfigError(f"problem {problem.name!r} has no state to solve")
     out = _outdir(args, cfg)
     theta = build_theta(cfg)
@@ -309,13 +309,13 @@ def _run_fd(cfg, problem, theta):
     if any(s <= 0 for s in s_list) or sorted(s_list, reverse=True) != s_list:
         raise ConfigError("[validation] s_list must be positive and decreasing")
     steps = cfg.get_int("validation", "steps", "32")
-    if isinstance(problem, ManufacturedProblem):
-        if not problem.has_transport_cost:
-            return None
+    if problem.fd_cost == "transport":
         return fd_transport_check(problem.fields, problem.mesh, theta, s_list,
                                   steps=steps, space=problem.space,
                                   name=problem.name)
-    return fd_shape_check(problem, theta, s_list, steps=steps)
+    if problem.fd_cost == "resolve":
+        return fd_shape_check(problem, theta, s_list, steps=steps)
+    return None
 
 
 def _report_base(cfg, problem, theta):
@@ -339,23 +339,28 @@ def _print_checks(checks):
         print(f"{verdict} {name}: value {value} vs limit {c['op']} {c['limit']:.3e}")
 
 
-def cmd_derive(args):
+def cmd_check(args):
+    """``derive`` and ``validate``: one pipeline, whose oracles are the ones
+    the problem's capability flags name.  ``derive`` adds the assembled
+    derivative, ``validate`` the Taylor check of the material derivative."""
     cfg = RunConfig(args.config)
     mesh = build_mesh(cfg)
     problem = build_problem(cfg, mesh)
     theta = build_theta(cfg, required=True)
     out = _outdir(args, cfg)
+    derive = args.command == "derive"
     timings = {}
-
-    t0 = time.perf_counter()
-    bd = problem.breakdown(theta)
-    timings["assemble"] = time.perf_counter() - t0
     report = _report_base(cfg, problem, theta)
-    report["command"] = "derive"
-    report["cost"] = problem.cost()
-    report["dJ"] = bd.total
-    report["terms"] = {k: float(v) for k, v in bd.terms.items()}
+    report["command"] = args.command
     checks = {}
+
+    if derive:
+        t0 = time.perf_counter()
+        bd = problem.breakdown(theta)
+        timings["assemble"] = time.perf_counter() - t0
+        report["cost"] = problem.cost()
+        report["dJ"] = bd.total
+        report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
     t0 = time.perf_counter()
     table = _run_fd(cfg, problem, theta)
@@ -364,81 +369,26 @@ def cmd_derive(args):
         report["fd"] = fd_table_json(table)
         checks.update(_fd_checks(cfg, table))
 
-    if hasattr(problem, "duality_pair"):
-        rep = duality_check(problem, theta)
-        report["duality"] = {"lhs": rep.lhs, "rhs": rep.rhs,
-                             "abs_gap": rep.abs_gap, "rel_gap": rep.rel_gap}
-        checks["duality_rel_gap"] = _check(
-            rep.rel_gap, cfg.get_float("validation", "duality_rel_max", "1e-9"), "<=")
-    if isinstance(problem, ManufacturedProblem):
-        gap = problem.dual_form_gap(theta)
-        report["dual_form_gap"] = gap
-        checks["dual_form_gap"] = _check(
-            gap, cfg.get_float("validation", "dual_form_max", "1e-12"), "<=")
-
-    report["checks"] = checks
-    report["passed"] = all(c["pass"] for c in checks.values())
-
-    write_json(os.path.join(out, f"{problem.name}-report.json"), report)
-    if table is not None:
-        rel_max = cfg.get_float("validation", "fd_rel_max", "1e-5")
-        write_csv(os.path.join(out, f"{problem.name}-fd.csv"), FD_CSV_HEADER,
-                  fd_csv_rows(table, rel_max=rel_max))
-    write_json(os.path.join(out, f"{problem.name}-timings.json"),
-               {"command": "derive", "seconds": timings})
-    print(f"{problem.name}: dJ = {bd.total!r}")
-    _print_checks(checks)
-    return EXIT_OK if report["passed"] else EXIT_VALIDATION
-
-
-def cmd_validate(args):
-    cfg = RunConfig(args.config)
-    mesh = build_mesh(cfg)
-    problem = build_problem(cfg, mesh)
-    theta = build_theta(cfg, required=True)
-    out = _outdir(args, cfg)
-    timings = {}
-    report = _report_base(cfg, problem, theta)
-    report["command"] = "validate"
-    checks = {}
-
-    t0 = time.perf_counter()
-    table = _run_fd(cfg, problem, theta)
-    timings["fd"] = time.perf_counter() - t0
-    if table is not None:
-        report["fd"] = fd_table_json(table)
-        checks.update(_fd_checks(cfg, table))
-        rel_max = cfg.get_float("validation", "fd_rel_max", "1e-5")
-        write_csv(os.path.join(out, f"{problem.name}-fd.csv"), FD_CSV_HEADER,
-                  fd_csv_rows(table, rel_max=rel_max))
-
-    if hasattr(problem, "material"):
+    ttable = None
+    if not derive and problem.taylor:
         t0 = time.perf_counter()
         ts = cfg.get_floats("validation", "taylor_s_list", "0.16 0.08 0.04")
         ttable = material_taylor_check(problem, theta, ts,
                                        steps=cfg.get_int("validation", "steps", "32"))
         timings["taylor"] = time.perf_counter() - t0
-        def _jf(v):
-            return None if not np.isfinite(v) else float(v)
-        report["taylor"] = {"metadata": ttable.metadata,
-                            "rows": [{"s": r.s, "remainder": _jf(r.remainder),
-                                      "observed_order": _jf(r.order),
-                                      "flagged": r.flagged}
-                                     for r in ttable.rows]}
-        write_csv(os.path.join(out, f"{problem.name}-taylor.csv"),
-                  TAYLOR_CSV_HEADER, taylor_csv_rows(ttable))
+        report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
             _order_value(ttable),
             cfg.get_float("validation", "taylor_order_min", "1.9"), ">=")
 
-    if hasattr(problem, "duality_pair"):
+    if problem.duality:
         rep = duality_check(problem, theta)
         report["duality"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                              "abs_gap": rep.abs_gap, "rel_gap": rep.rel_gap}
         checks["duality_rel_gap"] = _check(
             rep.rel_gap, cfg.get_float("validation", "duality_rel_max", "1e-9"), "<=")
 
-    if isinstance(problem, ManufacturedProblem):
+    if problem.dual_form:
         gap = problem.dual_form_gap(theta)
         report["dual_form_gap"] = gap
         checks["dual_form_gap"] = _check(
@@ -446,11 +396,23 @@ def cmd_validate(args):
 
     report["checks"] = checks
     report["passed"] = all(c["pass"] for c in checks.values())
-    write_json(os.path.join(out, f"{problem.name}-validate.json"), report)
+
+    kind = "report" if derive else "validate"
+    write_json(os.path.join(out, f"{problem.name}-{kind}.json"), report)
+    if table is not None:
+        rel_max = cfg.get_float("validation", "fd_rel_max", "1e-5")
+        write_csv(os.path.join(out, f"{problem.name}-fd.csv"), FD_CSV_HEADER,
+                  fd_csv_rows(table, rel_max=rel_max))
+    if ttable is not None:
+        write_csv(os.path.join(out, f"{problem.name}-taylor.csv"),
+                  TAYLOR_CSV_HEADER, taylor_csv_rows(ttable))
     write_json(os.path.join(out, f"{problem.name}-timings.json"),
-               {"command": "validate", "seconds": timings})
+               {"command": args.command, "seconds": timings})
+    if derive:
+        print(f"{problem.name}: dJ = {bd.total!r}")
     _print_checks(checks)
-    print(f"{problem.name}: {'all checks passed' if report['passed'] else 'checks FAILED'}")
+    if not derive:
+        print(f"{problem.name}: {'all checks passed' if report['passed'] else 'checks FAILED'}")
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -460,10 +422,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
     common.add_argument("--out", help="output directory (overrides [output] dir)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is single-threaded")
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; all computations are deterministic")
 
     p = argparse.ArgumentParser(prog="shapegrad",
                                 description="distributed shape derivatives on triangular meshes")
@@ -481,8 +439,8 @@ def _parser():
     pm.set_defaults(func=cmd_mesh)
 
     for name, func, blurb in (("solve", cmd_solve, "solve state and adjoint, write field files"),
-                              ("derive", cmd_derive, "assemble dJ and run the FD check"),
-                              ("validate", cmd_validate, "run the full validation suite")):
+                              ("derive", cmd_check, "assemble dJ and run the FD check"),
+                              ("validate", cmd_check, "run the full validation suite")):
         sp = sub.add_parser(name, parents=[common], help=blurb)
         sp.set_defaults(func=func)
     return p
@@ -497,8 +455,6 @@ def main(argv=None):
         _setup_logging()
         if args.command != "mesh" and not args.config:
             raise ConfigError(f"{args.command} needs --config PATH")
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         log.info("command %s starting", args.command)
         return args.func(args)
     except ConfigError as exc:

@@ -20,12 +20,15 @@ against nodally interpolated velocities reproduces the derivative of the
 transported-mesh cost exactly (up to the s^2 finite-difference error).
 """
 
+from functools import cached_property
+from types import SimpleNamespace
+
 import numpy as np
 
 from . import fem_core as fem
 from .data_catalog import check_positive
 from .fem_core import FeSpace, ScalarField
-from .shape_assembly import (ShapeTensors, assemble_dJ, material_tensor_rate,
+from .shape_assembly import (ShapeProblem, ShapeTensors, material_tensor_rate,
                              theta_samples)
 
 _I2 = np.eye(2)
@@ -37,6 +40,44 @@ def _outer(a, b):
 
 def _dot(a, b):
     return np.einsum('...i,...i->...', a, b)
+
+
+class _EllipticProblem(ShapeProblem):
+    """Shared body of the stationary problems.
+
+    A subclass solves its state in the constructor (setting ``space``,
+    ``u`` and the factorized operator ``_fact``) and supplies L(u) as
+    ``_L(samples)``, the cost gradient ``B`` and, for eliminated Dirichlet
+    dofs ``_bd``, the row mask ``_keep``.  Then A udot = -keep L,
+    A^T p = -B with zero Dirichlet rows, and <keep L, p> = <keep B, udot>.
+    The adjoint is solved on first use: a rebuilt problem only solves u.
+    """
+
+    _bd = np.zeros(0, dtype=np.int64)
+    _keep = 1.0
+
+    @cached_property
+    def _fact_T(self):
+        # symmetric operators share the factorization
+        return self._fact
+
+    @cached_property
+    def p(self):
+        rhs = -self.B
+        rhs[self._bd] = 0.0
+        return ScalarField(self.space, self._fact_T.solve(rhs))
+
+    def _material_rhs(self, theta):
+        samples = theta_samples(self.space, theta, "interpolated")
+        return self._L(samples) * self._keep
+
+    def material(self, theta):
+        return ScalarField(self.space, self._fact.solve(-self._material_rhs(theta)))
+
+    def duality_pair(self, theta):
+        L = self._material_rhs(theta)
+        udot = self._fact.solve(-L)
+        return float(L @ self.p.coefficients), float((self.B * self._keep) @ udot)
 
 
 # ========================================================================= Robin
@@ -71,33 +112,6 @@ def _robin_rhs(space, data):
         + fem.assemble_boundary_load(space, None, data.g.value)
 
 
-def robin_solve(mesh, data, order=1):
-    """State solve; returns the ScalarField u."""
-    space = FeSpace(mesh, order=order)
-    A = _robin_matrix(space, data)
-    u = fem.solve(A, _robin_rhs(space, data))
-    return ScalarField(space, u)
-
-
-def robin_cost(u):
-    """J = 1/2 int |grad u|^2 evaluated through the stiffness matrix."""
-    K = fem.assemble_diffusion(u.space, _I2)
-    return 0.5 * float(u.coefficients @ (K @ u.coefficients))
-
-
-def robin_cost_gradient_vector(u):
-    """B with B_i = d J / d u_i = (K_I u)_i, the adjoint right-hand side."""
-    K = fem.assemble_diffusion(u.space, _I2)
-    return K @ u.coefficients
-
-
-def robin_adjoint(data, u):
-    """Adjoint solve A p = -B (A symmetric, so no transpose is needed)."""
-    A = _robin_matrix(u.space, data)
-    p = fem.solve(A, -robin_cost_gradient_vector(u))
-    return ScalarField(u.space, p)
-
-
 def robin_L_vector(data, u, samples):
     """Shape-Lagrangian linear form L(u) evaluated on the test basis.
 
@@ -123,15 +137,6 @@ def robin_L_vector(data, u, samples):
         + _dot(ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), samples.edge_val)
     vec += fem.assemble_boundary_load_values(space, edges, vals)
     return vec
-
-
-def robin_material(data, u, theta=None, samples=None):
-    """Material derivative: solve A udot = -L(u)."""
-    if samples is None:
-        samples = theta_samples(u.space, theta, "interpolated")
-    A = _robin_matrix(u.space, data)
-    udot = fem.solve(A, -robin_L_vector(data, u, samples))
-    return ScalarField(u.space, udot)
 
 
 def robin_partial_cost(u, samples):
@@ -180,64 +185,35 @@ def robin_shape_tensors(data, u, p):
                         boundary_pairing="tangential")
 
 
-class RobinProblem:
-    """Adapter bundling the Robin pipeline for validation and the CLI."""
+class RobinProblem(_EllipticProblem):
+    """The Robin problem on one mesh."""
 
     name = "robin"
 
     def __init__(self, mesh, data, order=1):
-        self.mesh = mesh
+        super().__init__(mesh, data, order)
         self.data = data
-        self.order = order
         self.space = FeSpace(mesh, order=order)
-        self._A = _robin_matrix(self.space, data)
-        self._fact = fem.Factorized(self._A)
+        # K_I before the LU: its assembly temporaries interleaved with live
+        # factors fragment the heap, and repeated re-solves then grow the peak RSS
         self._KI = fem.assemble_diffusion(self.space, _I2)
+        self._fact = fem.Factorized(_robin_matrix(self.space, data))
         self.u = ScalarField(self.space, self._fact.solve(_robin_rhs(self.space, data)))
-        self.p = ScalarField(self.space, self._fact.solve(-(self._KI @ self.u.coefficients)))
-        self._tensors = None
 
-    @property
-    def dof_count(self):
-        return self.space.dof_count
+    @cached_property
+    def B(self):
+        """B_i = dJ/du_i = (K_I u)_i."""
+        return self._KI @ self.u.coefficients
 
     def cost(self):
-        return 0.5 * float(self.u.coefficients @ (self._KI @ self.u.coefficients))
+        """J = 1/2 int |grad u|^2 evaluated through the stiffness matrix."""
+        return 0.5 * float(self.u.coefficients @ self.B)
 
-    def resolve_cost(self, mesh_s):
-        return robin_cost(robin_solve(mesh_s, self.data, order=self.order))
+    def _L(self, samples):
+        return robin_L_vector(self.data, self.u, samples)
 
-    def state_vector(self, mesh_s=None):
-        if mesh_s is None:
-            return self.u.coefficients.copy()
-        return robin_solve(mesh_s, self.data, order=self.order).coefficients
-
-    def state_norm(self, vec):
-        return fem.l2_norm(self.space, vec)
-
-    def material(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = robin_L_vector(self.data, self.u, samples)
-        return ScalarField(self.space, self._fact.solve(-L))
-
-    def tensors(self):
-        if self._tensors is None:
-            self._tensors = robin_shape_tensors(self.data, self.u, self.p)
-        return self._tensors
-
-    def breakdown(self, theta, theta_mode="interpolated"):
-        return assemble_dJ(self.mesh, self.tensors(), theta, theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
-
-    def duality_pair(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = robin_L_vector(self.data, self.u, samples)
-        udot = self._fact.solve(-L)
-        lhs = float(L @ self.p.coefficients)
-        rhs = float(robin_cost_gradient_vector(self.u) @ udot)
-        return lhs, rhs
+    def _build_tensors(self):
+        return robin_shape_tensors(self.data, self.u, self.p)
 
 
 # =================================================================== semilinear
@@ -350,13 +326,6 @@ def quasilinear_cost_gradient_vector(data, u):
         space, fem.field_qvalues(u) - data.u_d.value(space.qpoints))
 
 
-def quasilinear_adjoint(data, u):
-    """Solve A(u)^T p = -B with the transposed exact Jacobian."""
-    A = _ql_jacobian(u.space, data, u)
-    p = fem.solve(A.T.tocsr(), -quasilinear_cost_gradient_vector(data, u))
-    return ScalarField(u.space, p)
-
-
 def quasilinear_L_vector(data, u, samples):
     """L(u) psi = int m rate(I) grad u . grad psi + (grad_x m . theta) grad u . grad psi
     + [f div theta + grad_x f . theta] psi - [grad g . theta + g div theta] psi."""
@@ -373,15 +342,6 @@ def quasilinear_L_vector(data, u, samples):
         - _dot(data.g.grad(P), samples.vol_val) - data.g.value(P) * samples.vol_div
     vec += fem.assemble_load_values(space, scal)
     return vec
-
-
-def quasilinear_material(data, u, theta=None, samples=None):
-    """Material derivative: A(u) udot = -L(u) (no transpose)."""
-    if samples is None:
-        samples = theta_samples(u.space, theta, "interpolated")
-    A = _ql_jacobian(u.space, data, u)
-    udot = fem.solve(A, -quasilinear_L_vector(data, u, samples))
-    return ScalarField(u.space, udot)
 
 
 def quasilinear_partial_cost(data, u, samples):
@@ -418,67 +378,42 @@ def quasilinear_shape_tensors(data, u, p):
     return ShapeTensors(space, S0=S0, S1=S1)
 
 
-class QuasilinearProblem:
-    """Adapter bundling the semilinear pipeline."""
+class QuasilinearProblem(_EllipticProblem):
+    """The semilinear problem on one mesh; the Jacobian at the solution and
+    its factorizations are built on first use."""
 
     name = "quasilinear"
 
     def __init__(self, mesh, data, order=1):
-        self.mesh = mesh
+        super().__init__(mesh, data, order)
         self.data = data
-        self.order = order
         self.u, self.newton_history = quasilinear_solve(mesh, data, order=order)
         self.space = self.u.space
-        self._A = _ql_jacobian(self.space, data, self.u)
-        self._fact = fem.Factorized(self._A)
-        self._factT = fem.Factorized(self._A.T.tocsr())
-        self.p = ScalarField(self.space,
-                             self._factT.solve(-quasilinear_cost_gradient_vector(data, self.u)))
-        self._tensors = None
 
-    @property
-    def dof_count(self):
-        return self.space.dof_count
+    @cached_property
+    def _A(self):
+        return _ql_jacobian(self.space, self.data, self.u)
+
+    @cached_property
+    def _fact(self):
+        return fem.Factorized(self._A)
+
+    @cached_property
+    def _fact_T(self):
+        return fem.Factorized(self._A.T.tocsr())
+
+    @cached_property
+    def B(self):
+        return quasilinear_cost_gradient_vector(self.data, self.u)
 
     def cost(self):
         return quasilinear_cost(self.data, self.u)
 
-    def resolve_cost(self, mesh_s):
-        u_s, _ = quasilinear_solve(mesh_s, self.data, order=self.order)
-        return quasilinear_cost(self.data, u_s)
+    def _L(self, samples):
+        return quasilinear_L_vector(self.data, self.u, samples)
 
-    def state_vector(self, mesh_s=None):
-        if mesh_s is None:
-            return self.u.coefficients.copy()
-        u_s, _ = quasilinear_solve(mesh_s, self.data, order=self.order)
-        return u_s.coefficients
-
-    def state_norm(self, vec):
-        return fem.l2_norm(self.space, vec)
-
-    def material(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = quasilinear_L_vector(self.data, self.u, samples)
-        return ScalarField(self.space, self._fact.solve(-L))
-
-    def tensors(self):
-        if self._tensors is None:
-            self._tensors = quasilinear_shape_tensors(self.data, self.u, self.p)
-        return self._tensors
-
-    def breakdown(self, theta, theta_mode="interpolated"):
-        return assemble_dJ(self.mesh, self.tensors(), theta, theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
-
-    def duality_pair(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = quasilinear_L_vector(self.data, self.u, samples)
-        udot = self._fact.solve(-L)
-        lhs = float(L @ self.p.coefficients)
-        rhs = float(quasilinear_cost_gradient_vector(self.data, self.u) @ udot)
-        return lhs, rhs
+    def _build_tensors(self):
+        return quasilinear_shape_tensors(self.data, self.u, self.p)
 
 
 # ============================================================ Dirichlet energy
@@ -488,32 +423,6 @@ class DirichletEnergyData:
 
     def __init__(self, f):
         self.f = f
-
-
-def dirichlet_energy_solve(mesh, data, order=1):
-    """Solve -lap u = f with homogeneous Dirichlet conditions."""
-    space = FeSpace(mesh, order=order)
-    K = fem.assemble_diffusion(space, _I2)
-    b = fem.assemble_load(space, data.f.value)
-    bd = space.boundary_dofs()
-    A2, b2 = fem.apply_dirichlet(K, b, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2))
-
-
-def dirichlet_energy_cost(u):
-    """J = int |grad u|^2 (no half)."""
-    K = fem.assemble_diffusion(u.space, _I2)
-    return float(u.coefficients @ (K @ u.coefficients))
-
-
-def dirichlet_energy_adjoint(data, u):
-    """Adjoint solve; analytically (and discretely) p = -2u."""
-    space = u.space
-    K = fem.assemble_diffusion(space, _I2)
-    B = 2.0 * (K @ u.coefficients)
-    bd = space.boundary_dofs()
-    A2, b2 = fem.apply_dirichlet(K, -B, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2))
 
 
 def dirichlet_energy_L_vector(data, u, samples):
@@ -526,17 +435,6 @@ def dirichlet_energy_L_vector(data, u, samples):
     vec -= fem.assemble_load_values(
         space, data.f.value(P) * samples.vol_div + _dot(data.f.grad(P), samples.vol_val))
     return vec
-
-
-def dirichlet_energy_material(data, u, theta=None, samples=None):
-    if samples is None:
-        samples = theta_samples(u.space, theta, "interpolated")
-    space = u.space
-    K = fem.assemble_diffusion(space, _I2)
-    L = dirichlet_energy_L_vector(data, u, samples)
-    bd = space.boundary_dofs()
-    A2, b2 = fem.apply_dirichlet(K, -L, bd, 0.0)
-    return ScalarField(space, fem.solve(A2, b2))
 
 
 def dirichlet_energy_tensors(data, u):
@@ -572,95 +470,46 @@ def dirichlet_energy_boundary_dJ(data, u, samples):
     return float(np.sum(space.edge_qweights * s1nn * thn))
 
 
-class DirichletEnergyResult:
-    """Everything the Dirichlet-energy pipeline produces for one velocity."""
-
-    def __init__(self, u, p, udot, tensors, dJ_volume, dJ_boundary, duality):
-        self.u = u
-        self.p = p
-        self.udot = udot
-        self.tensors = tensors
-        self.dJ_volume = dJ_volume
-        self.dJ_boundary = dJ_boundary
-        self.duality = duality
-
-
-def dirichlet_energy_suite(mesh, data, theta, order=1):
-    """State, adjoint, material derivative, and both derivative forms."""
-    u = dirichlet_energy_solve(mesh, data, order=order)
-    p = dirichlet_energy_adjoint(data, u)
-    samples = theta_samples(u.space, theta, "interpolated")
-    udot = dirichlet_energy_material(data, u, samples=samples)
-    tensors = dirichlet_energy_tensors(data, u)
-    dJ_volume = assemble_dJ(mesh, tensors, theta, samples=samples).total
-    dJ_boundary = dirichlet_energy_boundary_dJ(data, u, samples)
-    L = dirichlet_energy_L_vector(data, u, samples)
-    keep = np.ones(u.space.dof_count)
-    keep[u.space.boundary_dofs()] = 0.0
-    K = fem.assemble_diffusion(u.space, _I2)
-    lhs = float((L * keep) @ p.coefficients)
-    rhs = float((2.0 * (K @ u.coefficients) * keep) @ udot.coefficients)
-    return DirichletEnergyResult(u, p, udot, tensors, dJ_volume, dJ_boundary, (lhs, rhs))
-
-
-class DirichletEnergyProblem:
-    """Adapter bundling the Dirichlet-energy pipeline."""
+class DirichletEnergyProblem(_EllipticProblem):
+    """-lap u = f with homogeneous Dirichlet data; K is assembled and the
+    eliminated operator factorized once, for the state and the adjoint."""
 
     name = "dirichlet_energy"
 
     def __init__(self, mesh, data, order=1):
-        self.mesh = mesh
+        super().__init__(mesh, data, order)
         self.data = data
-        self.order = order
-        self.u = dirichlet_energy_solve(mesh, data, order=order)
-        self.space = self.u.space
-        self.p = dirichlet_energy_adjoint(data, self.u)
+        self.space = FeSpace(mesh, order=order)
         self._K = fem.assemble_diffusion(self.space, _I2)
-        bd = self.space.boundary_dofs()
+        self._bd = self.space.boundary_dofs()
         self._keep = np.ones(self.space.dof_count)
-        self._keep[bd] = 0.0
-        A2, _ = fem.apply_dirichlet(self._K, np.zeros(self.space.dof_count), bd, 0.0)
+        self._keep[self._bd] = 0.0
+        A2, b2 = fem.apply_dirichlet(self._K, fem.assemble_load(self.space, data.f.value),
+                                     self._bd, 0.0)
         self._fact = fem.Factorized(A2)
-        self._tensors = None
+        self.u = ScalarField(self.space, self._fact.solve(b2))
 
-    @property
-    def dof_count(self):
-        return self.space.dof_count
+    @cached_property
+    def B(self):
+        return 2.0 * (self._K @ self.u.coefficients)
 
     def cost(self):
+        """J = int |grad u|^2 (no half)."""
         return float(self.u.coefficients @ (self._K @ self.u.coefficients))
 
-    def resolve_cost(self, mesh_s):
-        return dirichlet_energy_cost(dirichlet_energy_solve(mesh_s, self.data, order=self.order))
+    def _L(self, samples):
+        return dirichlet_energy_L_vector(self.data, self.u, samples)
 
-    def state_vector(self, mesh_s=None):
-        if mesh_s is None:
-            return self.u.coefficients.copy()
-        return dirichlet_energy_solve(mesh_s, self.data, order=self.order).coefficients
+    def _build_tensors(self):
+        return dirichlet_energy_tensors(self.data, self.u)
 
-    def state_norm(self, vec):
-        return fem.l2_norm(self.space, vec)
 
-    def material(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = dirichlet_energy_L_vector(self.data, self.u, samples)
-        return ScalarField(self.space, self._fact.solve(-(L * self._keep)))
-
-    def tensors(self):
-        if self._tensors is None:
-            self._tensors = dirichlet_energy_tensors(self.data, self.u)
-        return self._tensors
-
-    def breakdown(self, theta, theta_mode="interpolated"):
-        return assemble_dJ(self.mesh, self.tensors(), theta, theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
-
-    def duality_pair(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        L = dirichlet_energy_L_vector(self.data, self.u, samples)
-        udot = self._fact.solve(-(L * self._keep))
-        lhs = float((L * self._keep) @ self.p.coefficients)
-        rhs = float((2.0 * (self._K @ self.u.coefficients) * self._keep) @ udot)
-        return lhs, rhs
+def dirichlet_energy_suite(mesh, data, theta, order=1):
+    """State, adjoint, material derivative, and both derivative forms."""
+    problem = DirichletEnergyProblem(mesh, data, order=order)
+    samples = theta_samples(problem.space, theta, "interpolated")
+    return SimpleNamespace(
+        u=problem.u, p=problem.p, udot=problem.material(theta), tensors=problem.tensors(),
+        dJ_volume=problem.derivative(theta),
+        dJ_boundary=dirichlet_energy_boundary_dJ(data, problem.u, samples),
+        duality=problem.duality_pair(theta))

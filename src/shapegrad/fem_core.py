@@ -409,9 +409,7 @@ def assemble_diffusion_values(space, C):
 
 def assemble_mass(space, weight=None):
     """Mass matrix int w phi_i phi_j (w defaults to 1)."""
-    w = _scalar_at(weight, space.qpoints)
-    local = np.einsum('mq,qi,qj->mij', space.qweights * w, space.basis, space.basis)
-    return _scatter_matrix(space, local)
+    return assemble_mass_values(space, _scalar_at(weight, space.qpoints))
 
 
 def assemble_mass_values(space, vals):
@@ -432,8 +430,7 @@ def assemble_gradscalar_values(space, W, vals):
 
 def assemble_load(space, f):
     """Load vector int f phi_i."""
-    vals = _scalar_at(f, space.qpoints)
-    return _scatter_vector(space, np.einsum('mq,qi->mi', space.qweights * vals, space.basis))
+    return assemble_load_values(space, _scalar_at(f, space.qpoints))
 
 
 def assemble_load_values(space, vals):

@@ -16,10 +16,9 @@ File format (``shapegrad-mesh v1``)::
     <i> <j> <marker> (B lines, 0-based, oriented with the domain on the left)
 """
 
-import os
-import tempfile
-
 import numpy as np
+
+from .reports import atomic_write_text
 
 
 class MeshFormatError(Exception):
@@ -188,11 +187,6 @@ def outward_normal(mesh, edge_index):
     return n
 
 
-def outward_normals(mesh):
-    """Outward normals of all boundary edges, shape (B, 2)."""
-    return np.array([outward_normal(mesh, e) for e in range(len(mesh.boundary_edges))])
-
-
 # ------------------------------------------------------------------ generators
 
 def gen_rectangle(x0, y0, x1, y1, nx, ny, marker=1):
@@ -299,23 +293,7 @@ def save_mesh(mesh, path):
     lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles]
     lines.append(f"boundary {len(mesh.boundary_edges)}")
     lines += [f"{a} {b} {m}" for a, b, m in mesh.boundary_edges]
-    data = "\n".join(lines) + "\n"
-    _atomic_write_text(path, data)
-
-
-def _atomic_write_text(path, data):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_mesh(path):

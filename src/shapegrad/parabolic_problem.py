@@ -42,8 +42,8 @@ from . import fem_core as fem
 from . import tensor_calc as tc
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
-from .shape_assembly import (AssembledDerivative, ShapeTensors, assemble_dJ,
-                             material_tensor_rate, theta_samples)
+from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors,
+                             assemble_dJ, material_tensor_rate, theta_samples)
 
 _I2 = np.eye(2)
 
@@ -106,6 +106,11 @@ class TimeSeriesField:
     @property
     def times(self):
         return np.linspace(0.0, self.t0, self.nt + 1)
+
+    @property
+    def coefficients(self):
+        """All snapshots as one flat vector (a view of ``values``)."""
+        return self.values.ravel()
 
     def field(self, k):
         return ScalarField(self.space, self.values[k])
@@ -226,15 +231,17 @@ def _cost_gradients(data, series, which):
     return B
 
 
-def parabolic_adjoint(mesh, data, series, which, march=None):
+def parabolic_adjoint(mesh, data, series, which, march=None, B=None):
     """Backward march with the transposed step operators.
 
     Slot 0 of the returned series is the initial-condition multiplier
-    q = p_1; slots 1..nt are the adjoint states.
+    q = p_1; slots 1..nt are the adjoint states.  ``B`` reuses cost
+    gradient blocks already built from ``series``.
     """
     march = march or _March(mesh, data, order=series.space.order)
     space = march.space
-    B = _cost_gradients(data, series, which)
+    if B is None:
+        B = _cost_gradients(data, series, which)
     vals = np.zeros((data.nt + 1, space.dof_count))
     p = np.zeros(space.dof_count)
     for k in range(data.nt, 0, -1):
@@ -274,8 +281,7 @@ def _profile_values(entry, times):
     return np.array([entry.profile.value(t) for t in times], dtype=float)
 
 
-def parabolic_material(mesh, data, series, theta, which=None, march=None,
-                       samples=None):
+def parabolic_material(mesh, data, series, theta, march=None, samples=None):
     """Forward march for the material derivative of the state series.
 
     Returns (udot, ell) where ``ell`` stacks the per-step right-hand-side
@@ -437,69 +443,56 @@ class ParabolicOperator:
         return out
 
 
-class ParabolicProblem:
-    """Adapter bundling the parabolic pipeline for one cost flavor."""
+class ParabolicProblem(ShapeProblem):
+    """The parabolic pipeline for one cost flavor; the adjoint marches on
+    first use."""
 
     def __init__(self, mesh, data, which="j1", order=1):
         if which not in ("j1", "j2"):
             raise ValueError(f"unknown parabolic cost {which!r}; use 'j1' or 'j2'")
+        super().__init__(mesh, data, which, order)
         self.name = f"parabolic_{which}"
-        self.mesh = mesh
         self.data = data
         self.which = which
-        self.order = order
         self.march = _March(mesh, data, order=order)
         self.space = self.march.space
         self.u = parabolic_solve(mesh, data, march=self.march)
-        self.p = parabolic_adjoint(mesh, data, self.u, which, march=self.march)
-        self._tensors = None
 
-    @property
-    def dof_count(self):
-        return self.space.dof_count
+    @cached_property
+    def B(self):
+        """Cost-gradient blocks, shared by the adjoint march and ``duality_pair``."""
+        return _cost_gradients(self.data, self.u, self.which)
+
+    @cached_property
+    def p(self):
+        return parabolic_adjoint(self.mesh, self.data, self.u, self.which,
+                                 march=self.march, B=self.B)
 
     def cost(self):
         return parabolic_cost(self.data, self.u, self.which)
 
-    def resolve_cost(self, mesh_s):
-        u_s = parabolic_solve(mesh_s, self.data, order=self.order)
-        return parabolic_cost(self.data, u_s, self.which)
-
-    def state_vector(self, mesh_s=None):
-        if mesh_s is None:
-            return self.u.values.ravel().copy()
-        return parabolic_solve(mesh_s, self.data, order=self.order).values.ravel()
-
     def state_norm(self, vec):
         vals = vec.reshape(self.u.values.shape)
-        dt = self.data.t0 / self.data.nt
         acc = sum(fem.l2_norm(self.space, vals[k]) ** 2 for k in range(vals.shape[0]))
-        return float(np.sqrt(dt * acc))
+        return float(np.sqrt(self.march.dt * acc))
 
     def material(self, theta):
         udot, _ = parabolic_material(self.mesh, self.data, self.u, theta,
                                      march=self.march)
         return udot
 
-    def tensors(self):
-        if self._tensors is None:
-            self._tensors = parabolic_shape_tensors(self.data, self.u, self.p,
-                                                    self.which)
-        return self._tensors
+    def _build_tensors(self):
+        return parabolic_shape_tensors(self.data, self.u, self.p, self.which)
 
-    def breakdown(self, theta, theta_mode="interpolated"):
+    def breakdown(self, theta, theta_mode=None):
         return assemble_parabolic_dJ(self.mesh, self.tensors(), theta,
-                                     theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
+                                     theta_mode=theta_mode or self.theta_mode)
 
     def duality_pair(self, theta):
         samples = theta_samples(self.space, theta, "interpolated")
         udot, ell = parabolic_material(self.mesh, self.data, self.u, theta,
                                        march=self.march, samples=samples)
-        B = _cost_gradients(self.data, self.u, self.which)
         lhs = float(np.sum(ell[1:] * self.p.values[1:])) \
             - float(self.p.values[1] @ (self.march.Mu @ udot.values[0]))
-        rhs = float(np.sum(B[1:] * udot.values[1:]))
+        rhs = float(np.sum(self.B[1:] * udot.values[1:]))
         return lhs, rhs

@@ -57,7 +57,7 @@ def save_field(path, field):
     lines = ["shapegrad-field v1",
              f"order {space.order}",
              f"mesh {mesh_hash(space.mesh)}"]
-    if hasattr(field, "coefficients"):
+    if isinstance(field, ScalarField):
         values = np.asarray(field.coefficients)
         lines.append(f"coefficients {values.size}")
         lines += [repr(float(v)) for v in values]
@@ -174,6 +174,14 @@ def fd_table_json(table):
             "flagged": r.flagged, "note": r.note,
         } for r in table.rows],
     }
+
+
+def taylor_table_json(table):
+    return {"metadata": table.metadata,
+            "rows": [{"s": r.s, "remainder": _json_float(r.remainder),
+                      "observed_order": _json_float(r.order),
+                      "flagged": r.flagged}
+                     for r in table.rows]}
 
 
 def _json_float(v):

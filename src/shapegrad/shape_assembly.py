@@ -24,8 +24,11 @@ Two sampling modes for theta are supported:
     S2 term is zero in this mode.
 """
 
+from functools import cached_property
+
 import numpy as np
 
+from . import fem_core as fem
 from . import tensor_calc as tc
 from .fem_core import FeSpace
 
@@ -189,6 +192,68 @@ def assemble_dJ(mesh, tensors, theta, theta_mode=None, samples=None):
         G = samples.edge_jac if tensors.boundary_pairing == "full" else samples.edge_tangential
         terms["S1_gamma"] = float(np.sum(we * tc.double_dot(tensors.S1_gamma, G)))
     return AssembledDerivative(terms)
+
+
+# -------------------------------------------------------------------- protocol
+
+class ShapeProblem:
+    """One cost functional on one mesh: the protocol every problem implements.
+
+    A subclass hands its constructor arguments after the mesh to
+    ``ShapeProblem.__init__``, so re-solving on a transported mesh is the
+    same problem on new nodes (``rebuilt``).  It sets ``space`` (and a
+    state ``u``) and supplies its physics: ``cost()``, ``_build_tensors()``
+    and, with a state, ``p``, ``material(theta)`` and ``duality_pair(theta)``.
+
+    Capability flags name the oracles a problem supports: ``fd_cost`` is
+    ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
+    frozen-state transport cost) or None; ``taylor``, ``duality`` and
+    ``dual_form`` select the Taylor remainder of ``material``, the pairing
+    ``duality_pair`` and ``dual_form_gap``; ``has_state``: u and p to write.
+    """
+
+    name = None
+    fd_cost = "resolve"
+    taylor = duality = has_state = True
+    dual_form = False
+    theta_mode = "interpolated"
+
+    def __init__(self, mesh, *params):
+        self.mesh = mesh
+        self.params = params
+
+    def rebuilt(self, mesh_s):
+        """The same problem, with the same data and order, on ``mesh_s``."""
+        return type(self)(mesh_s, *self.params)
+
+    @property
+    def dof_count(self):
+        return self.space.dof_count
+
+    @cached_property
+    def _tensors(self):
+        return self._build_tensors()
+
+    def tensors(self):
+        return self._tensors
+
+    def breakdown(self, theta, theta_mode=None):
+        return assemble_dJ(self.mesh, self.tensors(), theta,
+                           theta_mode=theta_mode or self.theta_mode)
+
+    def derivative(self, theta):
+        return self.breakdown(theta).total
+
+    def resolve_cost(self, mesh_s):
+        return self.rebuilt(mesh_s).cost()
+
+    def state_vector(self, mesh_s=None):
+        if mesh_s is not None:
+            return self.rebuilt(mesh_s).state_vector()
+        return self.u.coefficients.copy()
+
+    def state_norm(self, vec):
+        return fem.l2_norm(self.space, vec)
 
 
 # ---------------------------------------------------------------- manufactured
@@ -509,8 +574,14 @@ def cost_transport_value(fields, mesh, theta, s, steps=32, space=None):
     return float(np.sum(w * Fv * det))
 
 
-class ManufacturedProblem:
-    """Closed-form fields wired into the problem-adapter protocol.
+# variant -> (catalog, tensor form, raw form, FD oracle); the Hessian-squared
+# variant carries no tracking density F, so it has no FD check
+_MANUFACTURED = {"prop5": ("disk", prop5_tensors, prop5_raw_dJ, "transport"),
+                 "prop6": ("disk-higher", prop6_tensors, prop6_raw_dJ, None)}
+
+
+class ManufacturedProblem(ShapeProblem):
+    """Closed-form fields wired into the problem protocol.
 
     The state and adjoint are analytic, so there is nothing to re-solve:
     ``derivative`` evaluates the tensor representation, ``raw_derivative``
@@ -519,46 +590,29 @@ class ManufacturedProblem:
     is the geometric part checked by ``fd_transport_check``.
     """
 
+    taylor = duality = has_state = False
+    dual_form = True
+    theta_mode = "analytic"
+
     def __init__(self, mesh, variant="prop5", order=1):
-        if variant not in ("prop5", "prop6"):
+        if variant not in _MANUFACTURED:
             raise ValueError(f"unknown manufactured variant {variant!r}")
+        super().__init__(mesh, variant, order)
         self.name = f"{variant}_manufactured"
-        self.variant = variant
-        self.mesh = mesh
+        catalog, self._tensor_form, self._raw_form, self.fd_cost = _MANUFACTURED[variant]
         self.space = FeSpace(mesh, order=order)
-        self.fields = make_manufactured("disk" if variant == "prop5" else "disk-higher")
-        if variant == "prop5":
-            self._tensors = prop5_tensors(self.fields, mesh, space=self.space)
-            self._raw = prop5_raw_dJ
-        else:
-            self._tensors = prop6_tensors(self.fields, mesh, space=self.space)
-            self._raw = prop6_raw_dJ
-
-    @property
-    def dof_count(self):
-        return self.space.dof_count
-
-    @property
-    def has_transport_cost(self):
-        # the Hessian-squared variant carries no tracking density F
-        return self.variant == "prop5"
+        self.fields = make_manufactured(catalog)
 
     def cost(self):
         P = self.space.qpoints
         return float(np.sum(self.space.qweights
                             * self.fields.F(P, self.fields.u(P))))
 
-    def tensors(self):
-        return self._tensors
-
-    def breakdown(self, theta, theta_mode="analytic"):
-        return assemble_dJ(self.mesh, self._tensors, theta, theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
+    def _build_tensors(self):
+        return self._tensor_form(self.fields, self.mesh, space=self.space)
 
     def raw_derivative(self, theta):
-        return self._raw(self.fields, self.mesh, theta, space=self.space)
+        return self._raw_form(self.fields, self.mesh, theta, space=self.space)
 
     def dual_form_gap(self, theta):
         """|tensorized - raw| relative to the raw magnitude."""

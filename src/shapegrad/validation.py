@@ -11,10 +11,9 @@ reproduce tables bit for bit.
 
 import numpy as np
 
-from . import fem_core as fem
 from .fem_core import FeSpace
 from .flow import FlowDegeneracyError, transport_mesh
-from .shape_assembly import ShapeTensors, assemble_dJ
+from .shape_assembly import ShapeProblem, ShapeTensors
 
 
 def estimate_order(errors):
@@ -73,18 +72,12 @@ def _extrapolate_to_zero(s, q):
     return float(T[-1][0])
 
 
-class FdTable:
-    """Central/forward FD quotients of a cost against the assembled dJ."""
+class _StudyTable:
+    """Rows of a convergence study in decreasing s; flagged rows are degenerate."""
 
-    def __init__(self, metadata, dJ, rows, extrapolated=np.nan):
+    def __init__(self, metadata, rows):
         self.metadata = dict(metadata)
-        self.dJ = float(dJ)
         self.rows = list(rows)
-        self.extrapolated = float(extrapolated)
-
-    @property
-    def extrapolated_error(self):
-        return abs(self.extrapolated - self.dJ)
 
     def clean_rows(self):
         return [r for r in self.rows if not r.flagged]
@@ -92,9 +85,29 @@ class FdTable:
     def orders(self):
         return np.array([r.order for r in self.clean_rows()[1:]])
 
+
+def _set_pair_orders(rows, error):
+    """Observed order of each clean row against the previous clean row."""
+    clean = [r for r in rows if not r.flagged]
+    for prev, row in zip(clean, clean[1:]):
+        row.order = _pair_order(prev.s, error(prev), row.s, error(row))
+    return clean
+
+
+class FdTable(_StudyTable):
+    """Central/forward FD quotients of a cost against the assembled dJ."""
+
+    def __init__(self, metadata, dJ, rows, extrapolated=np.nan):
+        super().__init__(metadata, rows)
+        self.dJ = float(dJ)
+        self.extrapolated = float(extrapolated)
+
+    @property
+    def extrapolated_error(self):
+        return abs(self.extrapolated - self.dJ)
+
     def observed_order(self):
-        rows = self.clean_rows()
-        return estimate_order([(r.s, r.error) for r in rows])
+        return estimate_order([(r.s, r.error) for r in self.clean_rows()])
 
 
 def _mesh_id(mesh):
@@ -119,9 +132,7 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
         forward = (jp - j0) / s
         rows.append(FdRow(s, jp, jm, central, abs(central - dJ),
                           forward=forward, forward_error=abs(forward - dJ)))
-    clean = [r for r in rows if not r.flagged]
-    for prev, row in zip(clean, clean[1:]):
-        row.order = _pair_order(prev.s, prev.error, row.s, row.error)
+    clean = _set_pair_orders(rows, lambda r: r.error)
     extrapolated = np.nan
     if len(clean) >= 2:
         extrapolated = _extrapolate_to_zero([r.s for r in clean],
@@ -176,28 +187,9 @@ class TaylorRow:
         self.note = note
 
 
-class TaylorTable:
-    def __init__(self, metadata, rows):
-        self.metadata = dict(metadata)
-        self.rows = list(rows)
-
-    def clean_rows(self):
-        return [r for r in self.rows if not r.flagged]
-
-    def orders(self):
-        return np.array([r.order for r in self.clean_rows()[1:]])
-
+class TaylorTable(_StudyTable):
     def observed_order(self):
         return estimate_order([(r.s, r.remainder) for r in self.clean_rows()])
-
-
-def _material_vector(problem, theta):
-    mv = problem.material(theta)
-    if hasattr(mv, "coefficients"):
-        return np.asarray(mv.coefficients, dtype=float)
-    if hasattr(mv, "values"):
-        return np.asarray(mv.values, dtype=float).ravel()
-    return np.asarray(mv, dtype=float)
 
 
 def material_taylor_check(problem, theta, s_list, steps=32):
@@ -208,7 +200,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     """
     s_list = sorted((float(s) for s in s_list), reverse=True)
     u0 = problem.state_vector()
-    udot = _material_vector(problem, theta)
+    udot = problem.material(theta).coefficients
     rows = []
     for s in s_list:
         try:
@@ -217,9 +209,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue
         rows.append(TaylorRow(s, problem.state_norm(us - u0 - s * udot)))
-    clean = [r for r in rows if not r.flagged]
-    for prev, row in zip(clean, clean[1:]):
-        row.order = _pair_order(prev.s, prev.remainder, row.s, row.remainder)
+    _set_pair_orders(rows, lambda r: r.remainder)
     meta = {"problem": problem.name, "theta": theta.name,
             "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count}
     return TaylorTable(meta, rows)
@@ -250,7 +240,7 @@ def duality_check(problem, theta):
     return DualityReport(lhs, rhs)
 
 
-class AreaProblem:
+class AreaProblem(ShapeProblem):
     """Pure-geometry cost J = |Omega|: dJ = int div(theta).
 
     No PDE is involved; this is the gating check for the transport and
@@ -259,29 +249,15 @@ class AreaProblem:
     """
 
     name = "area"
+    taylor = duality = has_state = False
 
     def __init__(self, mesh, order=1):
-        self.mesh = mesh
-        self.order = order
+        super().__init__(mesh, order)
         self.space = FeSpace(mesh, order=order)
-        eye = np.broadcast_to(np.eye(2), self.space.qweights.shape + (2, 2)).copy()
-        self._tensors = ShapeTensors(self.space, S1=eye)
-
-    @property
-    def dof_count(self):
-        return self.space.dof_count
 
     def cost(self):
         return float(np.sum(self.space.qweights))
 
-    def resolve_cost(self, mesh_s):
-        return float(np.sum(FeSpace(mesh_s, order=self.order).qweights))
-
-    def tensors(self):
-        return self._tensors
-
-    def breakdown(self, theta, theta_mode="interpolated"):
-        return assemble_dJ(self.mesh, self._tensors, theta, theta_mode=theta_mode)
-
-    def derivative(self, theta):
-        return self.breakdown(theta).total
+    def _build_tensors(self):
+        eye = np.broadcast_to(np.eye(2), self.space.qweights.shape + (2, 2)).copy()
+        return ShapeTensors(self.space, S1=eye)

@@ -82,6 +82,14 @@ def test_missing_config_flag_exits_2():
     assert main(["derive"]) == 2
 
 
+def test_removed_threads_flag_exits_2(tmp_path, capsys):
+    path = _cfg(tmp_path, ROBIN_CFG)
+    assert main(["derive", "--config", path, "--threads", "2",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_not_found_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -12,15 +12,11 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
                                          QuasilinearData, QuasilinearProblem,
                                          RobinData, RobinProblem,
                                          check_quasilinear_bounds,
-                                         dirichlet_energy_adjoint,
-                                         dirichlet_energy_solve,
                                          dirichlet_energy_suite,
-                                         quasilinear_adjoint,
                                          quasilinear_cost_gradient_vector,
                                          quasilinear_partial_cost,
-                                         quasilinear_solve, robin_cost,
-                                         robin_L_vector, robin_partial_cost,
-                                         robin_solve, _robin_matrix,
+                                         quasilinear_solve, robin_L_vector,
+                                         robin_partial_cost, _robin_matrix,
                                          _ql_jacobian)
 from shapegrad.fem_core import FeSpace, ScalarField
 from shapegrad.flow import transport_mesh
@@ -50,7 +46,7 @@ def _ql_data():
 
 def test_robin_constant_state(disk4):
     data = RobinData(M=np.eye(2), beta=_const(1.0), f=_const(0.0), g=_const(1.0))
-    u = robin_solve(disk4, data)
+    u = RobinProblem(disk4, data).u
     assert np.abs(u.coefficients - 1.0).max() <= 1e-10
 
 
@@ -78,7 +74,7 @@ def test_robin_rejects_nonpositive_beta(disk4):
     data = RobinData(M=np.eye(2), beta=parse_scalar("linear -2 1 0"),
                      f=_const(0.0), g=_const(0.0))
     with pytest.raises(ValueError, match="not positive"):
-        robin_solve(disk4, data)
+        RobinProblem(disk4, data)
 
 
 def test_robin_manufactured_convergence():
@@ -94,7 +90,7 @@ def test_robin_manufactured_convergence():
     errs, hs = [], []
     for n in (8, 16, 32):
         mesh = gen_rectangle(0.0, 0.0, 1.0, 1.0, n, n)
-        u = robin_solve(mesh, data)
+        u = RobinProblem(mesh, data).u
         P = u.space.qpoints
         d = fem.field_qvalues(u) - (1.0 + P[..., 0] ** 2)
         errs.append(np.sqrt(np.sum(u.space.qweights * d * d)))
@@ -216,14 +212,6 @@ def test_quasilinear_jacobian_transpose_adjoint(disk4):
     assert np.linalg.norm(res) <= 1e-10 * (np.linalg.norm(B) + 1.0)
 
 
-def test_quasilinear_adjoint_free_function(disk4):
-    data = _ql_data()
-    u, _ = quasilinear_solve(disk4, data)
-    p = quasilinear_adjoint(data, u)
-    problem = QuasilinearProblem(disk4, data)
-    assert np.abs(p.coefficients - problem.p.coefficients).max() <= 1e-11
-
-
 def test_quasilinear_tensor_symmetry(disk4):
     problem = QuasilinearProblem(disk4, _ql_data())
     S1 = problem.tensors().S1
@@ -278,8 +266,8 @@ def test_quasilinear_spatial_m_term(disk4):
 
 def test_dirichlet_adjoint_is_minus_two_u(disk4):
     data = DirichletEnergyData(f=_const(1.0))
-    u = dirichlet_energy_solve(disk4, data)
-    p = dirichlet_energy_adjoint(data, u)
+    problem = DirichletEnergyProblem(disk4, data)
+    u, p = problem.u, problem.p
     assert np.abs(p.coefficients + 2.0 * u.coefficients).max() <= 1e-10
 
 
