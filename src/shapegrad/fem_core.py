@@ -165,27 +165,15 @@ class FeSpace:
         mesh = self.mesh
         if self.order == 1:
             self.dof_count = mesh.n_nodes
-            self.element_dofs = mesh.triangles.copy()
+            self.element_dofs = mesh.triangles
             self.dof_coords = mesh.nodes.copy()
-            self._edge_index = None
             return
-        edge_index = {}
-        tri_edges = np.empty((mesh.n_triangles, 3), dtype=np.int64)
-        for t, tri in enumerate(mesh.triangles):
-            for k, (a, b) in enumerate(((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))):
-                key = (min(a, b), max(a, b))
-                idx = edge_index.get(key)
-                if idx is None:
-                    edge_index[key] = idx = len(edge_index)
-                tri_edges[t, k] = idx
-        self._edge_index = edge_index
+        topo = mesh.topology
         n = mesh.n_nodes
-        self.dof_count = n + len(edge_index)
-        self.element_dofs = np.concatenate([mesh.triangles, n + tri_edges], axis=1)
-        mids = np.empty((len(edge_index), 2))
-        for (a, b), idx in edge_index.items():
-            mids[idx] = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        self.dof_coords = np.vstack([mesh.nodes, mids])
+        e = topo.edges
+        self.dof_count = n + len(e)
+        self.element_dofs = np.concatenate([mesh.triangles, n + topo.triangle_edges], axis=1)
+        self.dof_coords = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]])])
 
     def _build_geometry(self):
         mesh = self.mesh
@@ -201,7 +189,6 @@ class FeSpace:
         self.invJT = np.swapaxes(invJ, 1, 2)
 
         lmb = self.vol_rule.points
-        self.qpoints = np.einsum('qk,mkd->mqd', lmb, tri)
         self.qweights = 0.5 * self.detJ[:, None] * self.vol_rule.weights[None, :]
         if self.order == 1:
             self.basis = _basis_p1(lmb)
@@ -209,16 +196,26 @@ class FeSpace:
         else:
             self.basis = _basis_p2(lmb)
             gref = _grad_p2(lmb)
-        # physical gradients: invJ^T applied to reference gradients
-        self.grads = np.einsum('mdr,qar->mqad', self.invJT, gref)
+        # quadrature points, and physical gradients (invJ^T applied to the
+        # reference gradients), one coordinate at a time and term by term:
+        # 2-3x faster than einsum and the same bits (einsum accumulates onto
+        # +0.0, so a sum of zero products is +0.0; "+= 0.0" does the same)
+        self.qpoints = np.empty((len(tri), len(lmb), 2))
+        self.grads = np.empty((len(tri),) + gref.shape)
+        for d in range(2):
+            x = tri[:, :, d, None]
+            self.qpoints[..., d] = x[:, 0] * lmb[:, 0] + x[:, 1] * lmb[:, 1] + x[:, 2] * lmb[:, 2]
+            r = self.invJT[:, d, :, None, None]
+            self.grads[..., d] = r[:, 0] * gref[..., 0] + r[:, 1] * gref[..., 1]
+        self.qpoints += 0.0
+        self.grads += 0.0
 
     def _build_boundary(self):
         mesh = self.mesh
         be = mesh.boundary_edges
-        B = len(be)
         t = self.edg_rule.points
         self.edge_markers = be[:, 2].copy()
-        self.edge_owner = np.array([mesh.boundary_edge_owner(e) for e in range(B)], dtype=np.int64)
+        self.edge_owner = mesh.topology.boundary_owner
         a = mesh.nodes[be[:, 0]]
         b = mesh.nodes[be[:, 1]]
         tv = b - a
@@ -238,8 +235,7 @@ class FeSpace:
             self.edge_basis = np.column_stack([(1.0 - t) * (1.0 - 2.0 * t),
                                                t * (2.0 * t - 1.0),
                                                4.0 * t * (1.0 - t)])
-            mid = np.array([self.mesh.n_nodes + self._edge_index[(min(x, y), max(x, y))]
-                            for x, y, _ in be], dtype=np.int64)
+            mid = mesh.n_nodes + mesh.topology.boundary_edge_ids
             self.edge_dofs = np.column_stack([be[:, :2], mid])
 
     # -------------------------------------------------------------- utilities
@@ -332,19 +328,16 @@ def edge_qgrads(field, edges):
     """
     space = field.space
     mesh = space.mesh
-    out = np.empty((len(edges), space.edg_rule.points.shape[0], 2))
-    for row, e in enumerate(edges):
-        owner = space.edge_owner[e]
-        tri = mesh.triangles[owner]
-        v = mesh.nodes[tri]
-        T = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
-        pts = space.edge_qpoints[e]
-        loc = np.linalg.solve(T, (pts - v[0]).T).T
-        lmb = np.column_stack([1.0 - loc.sum(axis=1), loc])
-        g = (_grad_p1 if space.order == 1 else _grad_p2)(lmb)
-        gphys = np.einsum('dr,qar->qad', space.invJT[owner], g)
-        out[row] = np.einsum('qad,a->qd', gphys, field.coefficients[space.element_dofs[owner]])
-    return out
+    owner = space.edge_owner[edges]
+    v = mesh.nodes[mesh.triangles[owner]]                  # (E, 3, 2)
+    T = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    pts = space.edge_qpoints[edges]                        # (E, nqe, 2)
+    loc = np.swapaxes(np.linalg.solve(T, np.swapaxes(pts - v[:, None, 0], 1, 2)), 1, 2)
+    lmb = np.concatenate([1.0 - loc.sum(axis=2, keepdims=True), loc], axis=2)
+    g = (_grad_p1 if space.order == 1 else _grad_p2)(lmb.reshape(-1, 3))
+    g = g.reshape(lmb.shape[:2] + g.shape[1:])             # (E, nqe, a, 2)
+    gphys = np.einsum('edr,eqar->eqad', space.invJT[owner], g)
+    return np.einsum('eqad,ea->eqd', gphys, field.coefficients[space.element_dofs[owner]])
 
 
 def l2_norm(space, values):
@@ -501,6 +494,13 @@ def apply_dirichlet(A, b, dofs, values):
     return A2, b2
 
 
+def _norm(v):
+    # Euclidean norm without BLAS: np.linalg.norm's BLAS dot, with two
+    # OpenBLAS threads gone cold, took about 15 ms at 12,481 entries on a
+    # 2-vCPU VM, against 0.1 ms for this sum
+    return np.sqrt(np.sum(v * v))
+
+
 def solve(A, b):
     """Direct sparse solve with the residual check of :class:`Factorized`."""
     return Factorized(A).solve(b)
@@ -559,7 +559,7 @@ class Factorized:
         x[self._perm] = self._lu.solve(b[self._perm])
         if not np.all(np.isfinite(x)):
             raise SolverError("singular system: factorization produced non-finite solution")
-        res = np.linalg.norm(self.A @ x - b)
-        if res > 1e-10 * (np.linalg.norm(b) + 1.0):
+        res = _norm(self.A @ x - b)
+        if res > 1e-10 * (_norm(b) + 1.0):
             raise SolverError(f"solver residual {res:.3e} exceeds tolerance")
         return x

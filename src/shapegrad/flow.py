@@ -78,8 +78,25 @@ def _inv2(J):
     return inv / det[..., None, None]
 
 
+def _matmul2(A, B):
+    """Stacked 2x2 products A @ B, term by term: the bits of the einsum
+    ``'...ij,...jk->...ik'`` (sums start from +0.0), several times faster."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = A[..., i, 0] * B[..., 0, k] + A[..., i, 1] * B[..., 1, k]
+    out += 0.0
+    return out
+
+
 def advect_batch(theta, s, x0, steps=32, want_jac=True):
     """RK4-transport many points (and flow Jacobians) at once.
+
+    Points where theta vanishes at the start are exact fixed points of every
+    RK4 stage (each stage evaluates theta where the previous one left the
+    point), so only the others are integrated.  With Jacobians a point is
+    fixed only if Dtheta vanishes there too; its Jacobian stays the
+    identity.  Compactly supported fields leave many mesh nodes fixed.
 
     Parameters
     ----------
@@ -101,13 +118,27 @@ def advect_batch(theta, s, x0, steps=32, want_jac=True):
     J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy() if want_jac else None
     if s == 0.0:
         return X, J
-    h = s / steps
+    moving = (theta.eval(X) != 0.0).any(axis=-1)
+    if want_jac:
+        moving |= (theta.jac(X) != 0.0).any(axis=(-2, -1))
+    if moving.all():
+        return _rk4(theta, s / steps, steps, X, J)
+    if not moving.any():
+        return X, J
+    idx = np.nonzero(moving)[0]
+    Xm, Jm = _rk4(theta, s / steps, steps, X[idx], None if J is None else J[idx])
+    X[idx] = Xm
+    if J is not None:
+        J[idx] = Jm
+    return X, J
 
+
+def _rk4(theta, h, steps, X, J):
     def rhs(Xc, Jc):
         v = theta.eval(Xc)
         if Jc is None:
             return v, None
-        return v, np.einsum('...ij,...jk->...ik', theta.jac(Xc), Jc)
+        return v, _matmul2(theta.jac(Xc), Jc)
 
     for _ in range(steps):
         k1x, k1j = rhs(X, J)
@@ -201,9 +232,16 @@ def transport_mesh(theta, s, mesh, steps=32):
 
 def _smoothstep(t):
     # C^2 quintic ramp: value/slope/curvature vanish at t=0, value 1 with
-    # zero slope/curvature at t=1.
-    t = np.clip(t, 0.0, 1.0)
-    return t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
+    # zero slope/curvature at t=1.  The polynomial is evaluated on the ramp
+    # only: at the clipped ends it gives exactly 0 and 1, which clipping
+    # already holds, and most points lie on the plateau.
+    out = np.clip(t, 0.0, 1.0)
+    ramp = (out > 0.0) & (out < 1.0)
+    if ramp.any():
+        out = np.array(out)
+        r = out[ramp]
+        out[ramp] = r ** 3 * (10.0 - 15.0 * r + 6.0 * r * r)
+    return out
 
 
 def _smoothstep_d1(t):

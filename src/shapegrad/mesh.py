@@ -5,6 +5,15 @@ A mesh is nodes + CCW triangles + marked boundary edges.  The hold-all box
 is the node bounding box inflated by 25% per axis; transported meshes are
 expected to stay inside it and vector fields of interest are supported there.
 
+Topology and geometry are separate.  A :class:`MeshTopology` holds the
+connectivity (triangles, boundary edges, the table of triangulation edges
+with their owners and the P2 edge numbering); it is built and checked once,
+when a :class:`Mesh` is constructed, and its arrays are read-only.  The
+geometry is the node array.  :meth:`Mesh.with_nodes`, which every
+transported mesh goes through, shares the reference topology and re-runs
+only the checks that depend on node positions: finite coordinates, positive
+triangle orientation and nodes strictly inside the hold-all box.
+
 File format (``shapegrad-mesh v1``)::
 
     shapegrad-mesh v1
@@ -36,6 +45,128 @@ def _signed_areas(nodes, triangles):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# ------------------------------------------------------------------ topology
+
+def _edge_keys(pairs, n):
+    """One integer per undirected vertex pair: min * n + max."""
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
+class MeshTopology:
+    """Connectivity of a mesh, shared by every mesh transported from it.
+
+    The edge table is found by sorting, and building it checks the
+    connectivity invariants: every boundary edge is listed once and is an
+    edge of exactly one triangle, every edge of exactly one triangle is
+    listed, and the boundary edges form closed loops.  The index arrays
+    must already have the right shapes and lie in range (see
+    :class:`Mesh`).  All arrays are read-only.
+
+    Attributes
+    ----------
+    triangles : (M, 3) int array
+    boundary_edges : (B, 3) int array
+    edges : (E, 2) int array
+        Every triangulation edge as ``(min, max)``, numbered by first
+        appearance when the triangles are walked in order, each through its
+        local edges (0, 1), (1, 2), (2, 0).  This is the P2 numbering (the
+        midpoint dof of edge ``i`` is ``n_nodes + i``) and the order in
+        which refinement adds midpoints.
+    triangle_edges : (M, 3) int array
+        Edge number of each local edge of each triangle.
+    boundary_edge_ids : (B,) int array
+        Edge number of each boundary edge.
+    boundary_owner : (B,) int array
+        The triangle containing each boundary edge.
+    """
+
+    def __init__(self, triangles, boundary_edges, n_nodes):
+        self.triangles = _read_only(triangles)
+        self.boundary_edges = _read_only(boundary_edges)
+        be = boundary_edges
+        n = max(n_nodes, 1)
+        local = _edge_keys(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), n)
+        # sorted distinct edges, the first local edge and the number of
+        # triangles of each; edges are numbered in order of first appearance
+        keys, first, inverse, counts = np.unique(
+            local, return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        bkeys = _edge_keys(be, n)
+        pos = np.searchsorted(keys, bkeys)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == bkeys[found]
+
+        _, bfirst, binverse = np.unique(bkeys, return_index=True, return_inverse=True)
+        bfirst = bfirst[binverse]
+        dup = np.nonzero(bfirst != np.arange(len(be)))[0]
+        if len(dup):
+            e = dup[0]
+            raise MeshValidationError(f"boundary edges listed once: edge {e} duplicates edge {bfirst[e]}")
+        owners = np.zeros(len(be), dtype=np.int64)
+        owners[found] = counts[pos[found]]
+        bad = np.nonzero(owners != 1)[0]
+        if len(bad):
+            e = bad[0]
+            if owners[e] == 0:
+                raise MeshValidationError(
+                    f"boundary edges belong to one triangle: edge {e} matches no triangle edge")
+            raise MeshValidationError(
+                f"boundary edges belong to one triangle: edge {e} is shared by {owners[e]} triangles")
+        listed = np.zeros(len(keys), dtype=bool)
+        listed[pos] = True
+        missing = np.nonzero((counts == 1) & ~listed)[0]
+        if len(missing):
+            a, b = divmod(keys[missing[0]], n)
+            raise MeshValidationError(
+                f"boundary edges cover the mesh boundary: hull edge ({a}, {b}) is not listed")
+
+        # closed loops: every touched node has exactly two incident boundary edges
+        if len(be):
+            deg = np.zeros(n_nodes, dtype=int)
+            np.add.at(deg, be[:, 0], 1)
+            np.add.at(deg, be[:, 1], 1)
+            touched = np.nonzero(deg)[0]
+            odd = touched[deg[touched] != 2]
+            if len(odd):
+                raise MeshValidationError(
+                    f"boundary edges form closed loops: node {odd[0]} has boundary degree {deg[odd[0]]}")
+
+        by_number = keys[order]
+        self.edges = _read_only(np.column_stack([by_number // n, by_number % n]))
+        self.triangle_edges = _read_only(number[inverse].reshape(-1, 3))
+        self.boundary_edge_ids = _read_only(number[pos])
+        self.boundary_owner = _read_only(first[pos] // 3)
+
+
+# ---------------------------------------------------------------- validation
+
+def _check_finite(nodes):
+    if not np.all(np.isfinite(nodes)):
+        raise MeshValidationError("finite node coordinates: non-finite entry")
+
+
+def _positive_areas(nodes, triangles):
+    areas = _signed_areas(nodes, triangles)
+    bad = np.nonzero(areas <= 0.0)[0]
+    if len(bad):
+        raise MeshValidationError(
+            f"positive triangle orientation: triangle {bad[0]} has signed area {areas[bad[0]]:.3e}")
+    return areas
+
+
+def _check_inside(nodes, box):
+    lo, hi = box
+    if (nodes <= lo).any() or (nodes >= hi).any():
+        raise MeshValidationError("nodes strictly inside the hold-all box")
+
+
 class Mesh:
     """Validated triangular mesh.
 
@@ -50,88 +181,47 @@ class Mesh:
     holdall_box : (2, 2) float array, optional
         ``[[xlo, ylo], [xhi, yhi]]``.  Defaults to the node bounding box
         inflated by 25% of each extent per side.
+
+    ``triangles`` and ``boundary_edges`` are copied into the read-only
+    arrays of the mesh's :attr:`topology`.
     """
 
     def __init__(self, nodes, triangles, boundary_edges, holdall_box=None):
-        self.nodes = np.ascontiguousarray(nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
+        nodes = np.ascontiguousarray(nodes, dtype=float)
+        triangles = np.array(triangles, dtype=np.int64)
+        boundary_edges = np.array(boundary_edges, dtype=np.int64)
         if holdall_box is None:
-            lo = self.nodes.min(axis=0)
-            hi = self.nodes.max(axis=0)
+            lo = nodes.min(axis=0)
+            hi = nodes.max(axis=0)
             margin = 0.25 * np.maximum(hi - lo, 1e-12)
             holdall_box = np.array([lo - margin, hi + margin])
-        self.holdall_box = np.asarray(holdall_box, dtype=float)
-        self._owner_of_boundary_edge = None
-        self._validate()
+        holdall_box = np.asarray(holdall_box, dtype=float)
 
-    # ------------------------------------------------------------ validation
-
-    def _validate(self):
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise MeshValidationError("node array shape: expected (N, 2)")
-        if not np.all(np.isfinite(self.nodes)):
-            raise MeshValidationError("finite node coordinates: non-finite entry")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        _check_finite(nodes)
+        if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshValidationError("triangle array shape: expected (M, 3)")
-        if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 3:
+        if boundary_edges.ndim != 2 or boundary_edges.shape[1] != 3:
             raise MeshValidationError("boundary array shape: expected (B, 3)")
-        n = len(self.nodes)
-        if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= n:
+        n = len(nodes)
+        if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= n:
             raise MeshValidationError("triangle vertex indices in range")
-        if len(self.boundary_edges) and (
-                self.boundary_edges[:, :2].min() < 0 or self.boundary_edges[:, :2].max() >= n):
+        if len(boundary_edges) and (
+                boundary_edges[:, :2].min() < 0 or boundary_edges[:, :2].max() >= n):
             raise MeshValidationError("boundary vertex indices in range")
+        areas = _positive_areas(nodes, triangles)
+        topology = MeshTopology(triangles, boundary_edges, n)
+        _check_inside(nodes, holdall_box)
+        self._adopt(nodes, holdall_box, topology, areas)
 
-        areas = _signed_areas(self.nodes, self.triangles)
-        bad = np.nonzero(areas <= 0.0)[0]
-        if len(bad):
-            raise MeshValidationError(
-                f"positive triangle orientation: triangle {bad[0]} has signed area {areas[bad[0]]:.3e}")
-
-        # every triangulation edge with a single owner must be listed exactly once
-        owners = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                owners.setdefault(key, []).append(t)
-        listed = {}
-        for e, (a, b, _m) in enumerate(self.boundary_edges):
-            key = (min(a, b), max(a, b))
-            if key in listed:
-                raise MeshValidationError(f"boundary edges listed once: edge {e} duplicates edge {listed[key]}")
-            listed[key] = e
-        hull = {k for k, v in owners.items() if len(v) == 1}
-        for key, e in listed.items():
-            if key not in owners:
-                raise MeshValidationError(
-                    f"boundary edges belong to one triangle: edge {e} matches no triangle edge")
-            if len(owners[key]) != 1:
-                raise MeshValidationError(
-                    f"boundary edges belong to one triangle: edge {e} is shared by {len(owners[key])} triangles")
-        missing = hull - set(listed)
-        if missing:
-            a, b = sorted(missing)[0]
-            raise MeshValidationError(
-                f"boundary edges cover the mesh boundary: hull edge ({a}, {b}) is not listed")
-
-        # closed loops: every touched node has exactly two incident boundary edges
-        if len(self.boundary_edges):
-            deg = np.zeros(n, dtype=int)
-            np.add.at(deg, self.boundary_edges[:, 0], 1)
-            np.add.at(deg, self.boundary_edges[:, 1], 1)
-            touched = np.nonzero(deg)[0]
-            odd = touched[deg[touched] != 2]
-            if len(odd):
-                raise MeshValidationError(
-                    f"boundary edges form closed loops: node {odd[0]} has boundary degree {deg[odd[0]]}")
-
-        lo, hi = self.holdall_box
-        if (self.nodes <= lo).any() or (self.nodes >= hi).any():
-            raise MeshValidationError("nodes strictly inside the hold-all box")
-
+    def _adopt(self, nodes, holdall_box, topology, areas):
+        self.nodes = nodes
+        self.holdall_box = holdall_box
+        self.topology = topology
+        self.triangles = topology.triangles
+        self.boundary_edges = topology.boundary_edges
         self._areas = areas
-        self._edge_owner = {k: v[0] for k, v in owners.items() if len(v) == 1}
 
     # ------------------------------------------------------------- accessors
 
@@ -153,12 +243,24 @@ class Mesh:
 
     def boundary_edge_owner(self, edge_index):
         """Index of the unique triangle containing boundary edge ``edge_index``."""
-        a, b, _ = self.boundary_edges[edge_index]
-        return self._edge_owner[(min(a, b), max(a, b))]
+        return int(self.topology.boundary_owner[edge_index])
 
     def with_nodes(self, nodes):
-        """Same connectivity on new node positions (keeps this mesh's hold-all)."""
-        return Mesh(nodes, self.triangles, self.boundary_edges, holdall_box=self.holdall_box)
+        """Same topology on new node positions (keeps this mesh's hold-all).
+
+        The topology object is shared, not rebuilt: only finite coordinates,
+        positive orientation and the hold-all box are checked again.  A node
+        array of another shape goes through the full constructor.
+        """
+        nodes = np.ascontiguousarray(nodes, dtype=float)
+        if nodes.shape != self.nodes.shape:
+            return Mesh(nodes, self.triangles, self.boundary_edges, holdall_box=self.holdall_box)
+        _check_finite(nodes)
+        areas = _positive_areas(nodes, self.triangles)
+        _check_inside(nodes, self.holdall_box)
+        mesh = object.__new__(Mesh)
+        mesh._adopt(nodes, self.holdall_box, self.topology, areas)
+        return mesh
 
 
 def outward_normal(mesh, edge_index):
@@ -242,41 +344,35 @@ def gen_disk(center, radius, refinement, marker=1):
     center = np.asarray(center, dtype=float)
     ang = np.arange(6) * (np.pi / 3.0)
     ring = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    nodes = [center] + list(ring)
-    tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
-    bnd = [(1 + k, 1 + (k + 1) % 6, marker) for k in range(6)]
+    nodes = np.vstack([center, ring])
+    tris = np.array([(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)])
+    bnd = np.array([(1 + k, 1 + (k + 1) % 6, marker) for k in range(6)])
 
     for _ in range(refinement):
         nodes, tris, bnd = _refine_once(nodes, tris, bnd, center, radius)
-    return Mesh(np.array(nodes), np.array(tris), np.array(bnd))
+    return Mesh(nodes, tris, bnd)
 
 
 def _refine_once(nodes, tris, bnd, center, radius):
-    nodes = list(nodes)
-    midpoint = {}
-    boundary_keys = {(min(a, b), max(a, b)) for a, b, _ in bnd}
+    """Split every triangle into four at its edge midpoints.
 
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        m = midpoint.get(key)
-        if m is None:
-            p = 0.5 * (nodes[a] + nodes[b])
-            if key in boundary_keys:
-                v = p - center
-                p = center + radius * v / np.hypot(v[0], v[1])
-            midpoint[key] = m = len(nodes)
-            nodes.append(p)
-        return m
-
-    new_tris = []
-    for v0, v1, v2 in tris:
-        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
-        new_tris += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-    new_bnd = []
-    for a, b, mk in bnd:
-        m = mid(a, b)
-        new_bnd += [(a, m, mk), (m, b, mk)]
-    return nodes, new_tris, new_bnd
+    The midpoint of edge number ``i`` (:attr:`MeshTopology.edges`) becomes
+    node ``n + i``; midpoints of boundary edges are projected onto the circle.
+    """
+    n = len(nodes)
+    topo = MeshTopology(tris, bnd, n)
+    e = topo.edges
+    mids = 0.5 * (nodes[e[:, 0]] + nodes[e[:, 1]])
+    on_circle = topo.boundary_edge_ids
+    v = mids[on_circle] - center
+    mids[on_circle] = center + radius * v / np.hypot(v[:, 0], v[:, 1])[:, None]
+    v0, v1, v2 = tris.T
+    m01, m12, m20 = (n + topo.triangle_edges).T
+    new_tris = np.column_stack([v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20])
+    a, b, mk = bnd.T
+    m = n + on_circle
+    new_bnd = np.column_stack([a, m, mk, m, b, mk])
+    return np.vstack([nodes, mids]), new_tris.reshape(-1, 3), new_bnd.reshape(-1, 3)
 
 
 # -------------------------------------------------------------------------- IO

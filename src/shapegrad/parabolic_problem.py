@@ -262,12 +262,8 @@ def dof_velocities(space, theta):
     v = theta.eval(space.mesh.nodes)
     if space.order == 1:
         return v
-    out = np.empty((space.dof_count, 2))
-    n = space.mesh.n_nodes
-    out[:n] = v
-    for (a, b), idx in space._edge_index.items():
-        out[n + idx] = 0.5 * (v[a] + v[b])
-    return out
+    e = space.mesh.topology.edges
+    return np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
 
 
 def initial_rate(space, data, theta):

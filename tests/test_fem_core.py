@@ -286,6 +286,32 @@ def test_edge_traces():
     assert np.abs(grads - exact).max() <= 1e-11
 
 
+def _edge_qgrads_per_edge(field, edges):
+    # edge_qgrads as a loop over edges, one 2x2 solve each: the reference
+    space = field.space
+    mesh = space.mesh
+    out = np.empty((len(edges), space.edg_rule.points.shape[0], 2))
+    for row, e in enumerate(edges):
+        owner = space.edge_owner[e]
+        v = mesh.nodes[mesh.triangles[owner]]
+        T = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
+        loc = np.linalg.solve(T, (space.edge_qpoints[e] - v[0]).T).T
+        lmb = np.column_stack([1.0 - loc.sum(axis=1), loc])
+        g = (fem._grad_p1 if space.order == 1 else fem._grad_p2)(lmb)
+        gphys = np.einsum('dr,qar->qad', space.invJT[owner], g)
+        out[row] = np.einsum('qad,a->qd', gphys, field.coefficients[space.element_dofs[owner]])
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_edge_qgrads_matches_per_edge_loop(order):
+    m = gen_disk((0.2, -0.1), 1.0, 3)
+    space = fem.FeSpace(m.with_nodes(m.nodes + 0.01 * np.cos(5.0 * m.nodes)), order=order)
+    u = space.interpolate(lambda P: np.cos(3.0 * P[..., 0]) * np.exp(P[..., 1]))
+    for edges in (np.arange(len(m.boundary_edges)), np.arange(len(m.boundary_edges))[1::4]):
+        assert fem.edge_qgrads(u, edges).tobytes() == _edge_qgrads_per_edge(u, edges).tobytes()
+
+
 # ---------------------------------------------------------------- convergence
 
 def _dirichlet_poisson_error(nx, order):

@@ -179,6 +179,56 @@ def test_transport_mesh_inversion_reports_triangle():
         transport_mesh(theta, 0.5, m, steps=1)
 
 
+def test_transport_mesh_shares_topology():
+    m = gen_disk((0, 0), 1.0, 3)
+    theta = make_field("bump", (0.3, -0.1, 0.2, 0.0, 0.7), support_box=BOX)
+    assert transport_mesh(theta, 0.1, m).topology is m.topology
+
+
+def _advect_every_point(theta, s, x0, steps, want_jac):
+    # advect_batch before fixed points were skipped: every point through
+    # every stage, Jacobian products by einsum
+    X = np.array(x0, dtype=float)
+    J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy() if want_jac else None
+    h = s / steps
+
+    def rhs(Xc, Jc):
+        v = theta.eval(Xc)
+        if Jc is None:
+            return v, None
+        return v, np.einsum('...ij,...jk->...ik', theta.jac(Xc), Jc)
+
+    for _ in range(steps):
+        k1x, k1j = rhs(X, J)
+        k2x, k2j = rhs(X + 0.5 * h * k1x, None if J is None else J + 0.5 * h * k1j)
+        k3x, k3j = rhs(X + 0.5 * h * k2x, None if J is None else J + 0.5 * h * k2j)
+        k4x, k4j = rhs(X + h * k3x, None if J is None else J + h * k3j)
+        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        if J is not None:
+            J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    return X, J
+
+
+@pytest.mark.parametrize("theta", [
+    make_field("bump", (0.6, -0.4, 0.25, 0.5, 0.5), support_box=BOX),
+    make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
+    make_field("rotation", (0.7, 0.1, -0.2), support_box=[[-0.6, -0.9], [0.8, 0.5]]),
+    make_field("poly2", (0.1, 0.2, -0.1, 0.3, 0, 0.15, -0.2, 0.1, 0.05, 0.0, 0.2, -0.1)),
+], ids=lambda t: t.name)
+def test_advect_skips_fixed_points_bit_for_bit(theta):
+    rng = np.random.default_rng(5)
+    # inside, exactly on (|x - c| = r) and outside the bump support, plus
+    # the rotation centre, where theta vanishes but Dtheta does not
+    on = np.array([0.25, 0.5]) + 0.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    pts = np.vstack([rng.uniform(-1.45, 1.45, (600, 2)), on, [[0.1, -0.2]], gen_disk((0, 0), 1.0, 3).nodes])
+    for want_jac in (False, True):
+        for s in (0.3, -0.05):
+            X, J = advect_batch(theta, s, pts, steps=8, want_jac=want_jac)
+            Xr, Jr = _advect_every_point(theta, s, pts, 8, want_jac)
+            assert X.tobytes() == Xr.tobytes()
+            assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
+
+
 def test_xi_matches_triangle_area_ratios():
     theta = make_field("bump", (0.25, -0.15, 0.1, 0.0, 0.8), support_box=BOX)
     s = 0.05

@@ -177,3 +177,124 @@ def test_with_nodes_keeps_holdall():
     shifted = m.with_nodes(m.nodes + 0.1)
     assert np.array_equal(shifted.holdall_box, m.holdall_box)
     assert shifted.n_triangles == m.n_triangles
+
+
+# ------------------------------------------------- topology versus geometry
+
+def _refine_dict_loop(nodes, tris, bnd, center, radius):
+    # the midpoint-dict refinement gen_disk used before the edge table:
+    # the oracle for node numbering, node bits and triangle/boundary order
+    nodes = list(nodes)
+    midpoint = {}
+    boundary_keys = {(min(a, b), max(a, b)) for a, b, _ in bnd}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        m = midpoint.get(key)
+        if m is None:
+            p = 0.5 * (nodes[a] + nodes[b])
+            if key in boundary_keys:
+                v = p - center
+                p = center + radius * v / np.hypot(v[0], v[1])
+            midpoint[key] = m = len(nodes)
+            nodes.append(p)
+        return m
+
+    new_tris = []
+    for v0, v1, v2 in tris:
+        m01, m12, m20 = mid(v0, v1), mid(v1, v2), mid(v2, v0)
+        new_tris += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
+    new_bnd = []
+    for a, b, mk in bnd:
+        m = mid(a, b)
+        new_bnd += [(a, m, mk), (m, b, mk)]
+    return nodes, new_tris, new_bnd
+
+
+def test_gen_disk_matches_dict_refinement():
+    center, radius = np.array([0.3, -0.2]), 1.1
+    ang = np.arange(6) * (np.pi / 3.0)
+    ring = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    nodes = [center] + list(ring)
+    tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
+    bnd = [(1 + k, 1 + (k + 1) % 6, 1) for k in range(6)]
+    for k in range(7):
+        m = gen_disk(center, radius, k)
+        assert np.array(nodes).tobytes() == m.nodes.tobytes(), k
+        assert np.array_equal(np.array(tris), m.triangles), k
+        assert np.array_equal(np.array(bnd), m.boundary_edges), k
+        nodes, tris, bnd = _refine_dict_loop(nodes, tris, bnd, center, radius)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_disk((0.1, 0.0), 1.0, 3),
+                                  lambda: gen_rectangle(0.0, -1.0, 2.0, 0.5, 5, 3)],
+                         ids=["disk3", "rectangle"])
+def test_with_nodes_matches_fresh_mesh(make):
+    from shapegrad.fem_core import FeSpace
+    m = make()
+    X = m.nodes + 0.02 * np.sin(3.0 * m.nodes[:, ::-1])
+    moved = m.with_nodes(X)
+    fresh = Mesh(X, m.triangles, m.boundary_edges, holdall_box=m.holdall_box)
+    assert moved.topology is m.topology
+    assert moved.triangles is m.triangles and moved.boundary_edges is m.boundary_edges
+    assert not moved.triangles.flags.writeable and not moved.topology.edges.flags.writeable
+    assert np.array_equal(moved.areas(), fresh.areas())
+    nb = len(m.boundary_edges)
+    assert [moved.boundary_edge_owner(e) for e in range(nb)] == \
+        [fresh.boundary_edge_owner(e) for e in range(nb)]
+    for order in (1, 2):
+        a, b = FeSpace(moved, order=order), FeSpace(fresh, order=order)
+        assert a.dof_count == b.dof_count
+        for attr in ("element_dofs", "edge_dofs", "edge_owner", "dof_coords", "grads",
+                     "qpoints", "edge_normal"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), (order, attr)
+
+
+def test_with_nodes_rechecks_geometry():
+    m = gen_rectangle(0, 0, 1, 1, 3, 2)
+    X = m.nodes.copy()
+    X[3] = [np.inf, 0.0]
+    with pytest.raises(MeshValidationError, match="^finite node coordinates: non-finite entry$"):
+        m.with_nodes(X)
+    X = m.nodes.copy()
+    a, b = m.triangles[4, :2]
+    X[[a, b]] = X[[b, a]]
+    with pytest.raises(MeshValidationError) as exc:
+        m.with_nodes(X)
+    assert str(exc.value) == "positive triangle orientation: triangle 1 has signed area 0.000e+00"
+    with pytest.raises(MeshValidationError, match="^nodes strictly inside the hold-all box$"):
+        m.with_nodes(1.3 * m.nodes)
+
+
+def _corrupt(kind):
+    m = gen_rectangle(0, 0, 1, 1, 3, 2)
+    N, T, B = m.nodes, m.triangles, m.boundary_edges
+    if kind == "duplicated boundary edge":
+        return N, T, np.vstack([B[:5], B[2:3, [1, 0, 2]], B[5:]])
+    if kind == "interior edge listed":
+        return N, T, np.vstack([B, [[T[12, 0], T[12, 1], 1]]])
+    if kind == "missing hull edge":
+        return N, T, np.delete(B, [2, 7], axis=0)
+    if kind == "odd boundary degree":
+        # three triangles on edge (0, 1): node 0 ends three hull edges
+        N = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, 2], [0.5, -1.0]])
+        T = np.array([[0, 1, 2], [0, 1, 3], [0, 4, 1]])
+        return N, T, np.array([[1, 2, 1], [2, 0, 1], [1, 3, 1], [3, 0, 1], [0, 4, 1], [4, 1, 1]])
+    # bow tie: two triangles meeting at node 0
+    N = np.array([[0, 0], [1, 0], [1, 1], [-1, 0], [-1, -1.0]])
+    T = np.array([[0, 1, 2], [0, 3, 4]])
+    return N, T, np.array([[0, 1, 1], [1, 2, 1], [2, 0, 1], [0, 3, 1], [3, 4, 1], [4, 0, 1]])
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("duplicated boundary edge", "boundary edges listed once: edge 5 duplicates edge 2"),
+    ("interior edge listed",
+     "boundary edges belong to one triangle: edge 10 is shared by 2 triangles"),
+    ("missing hull edge", "boundary edges cover the mesh boundary: hull edge (2, 5) is not listed"),
+    ("odd boundary degree", "boundary edges form closed loops: node 0 has boundary degree 3"),
+    ("bow tie", "boundary edges form closed loops: node 0 has boundary degree 4"),
+])
+def test_corrupted_topology_messages(kind, message):
+    with pytest.raises(MeshValidationError) as exc:
+        Mesh(*_corrupt(kind))
+    assert str(exc.value) == message

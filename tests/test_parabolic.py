@@ -244,7 +244,7 @@ def test_dof_velocities_p2_midpoints(rect_unit):
     n = rect_unit.n_nodes
     nodal = theta.eval(rect_unit.nodes)
     assert np.array_equal(vel[:n], nodal)
-    for (a, b), idx in space._edge_index.items():
+    for idx, (a, b) in enumerate(space.mesh.topology.edges):
         assert np.allclose(vel[n + idx], 0.5 * (nodal[a] + nodal[b]))
 
 
