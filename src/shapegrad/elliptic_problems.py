@@ -12,12 +12,45 @@ derivative of its cost functional:
   with the exact quadrature-consistent Jacobian.
 * ``dirichlet_energy``: -lap u = f with homogeneous Dirichlet data,
   cost J = int |grad u|^2, whose adjoint is p = -2u exactly (also at the
-  discrete level, which the suite verifies).
+  discrete level, which the tests verify).
 
-The material-derivative right-hand sides and the tensors are assembled
-with the same quadrature as the state equation, so evaluating the tensors
-against nodally interpolated velocities reproduces the derivative of the
-transported-mesh cost exactly (up to the s^2 finite-difference error).
+One Lagrangian per problem
+--------------------------
+A problem gives only its Lagrangian density at the quadrature points,
+
+    G(x, u, grad u; p, grad p) = F + a . grad p + b p   (+ b_G p on the boundary)
+
+with the cost part F(x, u, grad u), the p-linear part given by the flux
+a(x, u, grad u) and the source b(x, u, grad u), and, for Robin, the
+boundary part b_G(x, u) = beta u - g.  Alongside come the partials
+d_u F, d_x F, d_grad u F, d_x a, d_grad u a, d_x b, d_grad u b and d_x b_G
+(``a_x[i, k] = d a_i / d x_k``); a partial that is zero is None.  Everything
+else is derived from the density once, in :class:`_EllipticProblem`:
+
+* the cost J = int F and its gradient B_i = int d_u F phi_i + d_grad u F . grad phi_i;
+* the volume tensors, with G_gu = d_grad u F + (d_grad u a)^T grad p + p d_grad u b,
+
+      S0 = d_x F + (d_x a)^T grad p + p d_x b,
+      S1 = G I - grad u x G_gu - grad p x a;
+
+* the boundary tensors S0_G = p d_x b_G and S1_G = b_G p I, paired with the
+  tangential Jacobian;
+* the material right-hand side L(u) psi, the s-derivative of the
+  transported p-linear part with p replaced by the basis, which with
+  rate = -Dtheta^T grad u is one gradient load, one load and one boundary load:
+
+      int [d_x a theta + a div theta + d_grad u a rate - Dtheta a] . grad psi
+        + [d_x b . theta + b div theta + d_grad u b . rate] psi
+        + int_G [d_x b_G . theta + b_G div_G theta] psi.
+
+The distributed form follows Laurain and Sturm, ESAIM: M2AN 50(4), 2016.
+Dirichlet energy evaluates its tensors at the eliminated adjoint p = -2u,
+so the tensors need no adjoint solve.
+
+Everything is assembled with the same quadrature as the state equation, so
+evaluating the tensors against nodally interpolated velocities reproduces
+the derivative of the transported-mesh cost exactly (up to the s^2
+finite-difference error).
 """
 
 from functools import cached_property
@@ -28,10 +61,23 @@ import numpy as np
 from . import fem_core as fem
 from .data_catalog import check_positive
 from .fem_core import FeSpace, ScalarField
-from .shape_assembly import (ShapeProblem, ShapeTensors, material_tensor_rate,
-                             theta_samples)
+from .shape_assembly import ShapeProblem, ShapeTensors, theta_samples
 
 _I2 = np.eye(2)
+_COST_PARTS = ("F", "F_u", "F_x", "F_gu")
+_PDE_PARTS = ("a", "a_x", "a_gu", "b", "b_x", "b_gu", "bg", "bg_x")
+
+
+def _parts(names, **given):
+    """Density parts by name: those given, and None (a zero partial) for the
+    other ``names``."""
+    return SimpleNamespace(**{**dict.fromkeys(names), **given})
+
+
+def _sum(*terms):
+    """Sum of the terms that are not None; None if there are none."""
+    terms = [t for t in terms if t is not None]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def _outer(a, b):
@@ -39,16 +85,35 @@ def _outer(a, b):
 
 
 def _dot(a, b):
-    return np.einsum('...i,...i->...', a, b)
+    """Pointwise a . b; None when a is a zero partial."""
+    return None if a is None else np.einsum('...i,...i->...', a, b)
+
+
+def _mv(A, v):
+    """Pointwise A v; None when A is a zero partial."""
+    return None if A is None else np.einsum('...ij,...j->...i', A, v)
+
+
+def _mtv(A, v):
+    """Pointwise A^T v; None when A is a zero partial."""
+    return None if A is None else np.einsum('...ji,...j->...i', A, v)
+
+
+def _scaled(s, v):
+    """Pointwise s v for a scalar s; None when v is a zero partial."""
+    return None if v is None else s[..., None] * v
 
 
 class _EllipticProblem(ShapeProblem):
-    """Shared body of the stationary problems.
+    """Shared body of the stationary problems: the density kernel.
 
     A subclass solves its state in the constructor (setting ``space``,
-    ``u`` and the factorized operator ``_fact``) and supplies L(u) as
-    ``_L(samples)``, the cost gradient ``B`` and, for eliminated Dirichlet
-    dofs ``_bd``, the row mask ``_keep``.  Then A udot = -keep L,
+    ``u`` and the factorized operator ``_fact``) and gives its Lagrangian
+    density from the state's values ``uq`` and gradients ``gu`` at the
+    quadrature points (see the module docstring): the cost part
+    ``_cost_density(uq, gu)`` and the p-linear part ``_pde_density(uq, gu)``,
+    kept apart so that a re-solved cost evaluates only F.  With eliminated
+    Dirichlet dofs ``_bd`` and the row mask ``_keep``, A udot = -keep L,
     A^T p = -B with zero Dirichlet rows, and <keep L, p> = <keep B, udot>.
     The adjoint is solved on first use: a rebuilt problem only solves u.
     """
@@ -56,16 +121,67 @@ class _EllipticProblem(ShapeProblem):
     _bd = np.zeros(0, dtype=np.int64)
     _keep = 1.0
 
-    @cached_property
-    def _fact_T(self):
-        # symmetric operators share the factorization
-        return self._fact
+    def _state_qpoints(self):
+        return fem.field_qvalues(self.u), fem.field_qgrads(self.u)
+
+    def _tensor_adjoint(self):
+        return self.p
 
     @cached_property
     def p(self):
         rhs = -self.B
         rhs[self._bd] = 0.0
-        return ScalarField(self.space, self._fact_T.solve(rhs))
+        return ScalarField(self.space, self._fact.solve_transposed(rhs))
+
+    def cost(self):
+        """J = int F."""
+        return float(np.sum(self.space.qweights * self._cost_density(*self._state_qpoints()).F))
+
+    @cached_property
+    def B(self):
+        """B_i = dJ/du_i = int d_u F phi_i + d_grad u F . grad phi_i."""
+        c = self._cost_density(*self._state_qpoints())
+        B = np.zeros(self.space.dof_count)
+        if c.F_u is not None:
+            B += fem.assemble_load_values(self.space, c.F_u)
+        if c.F_gu is not None:
+            B += fem.assemble_grad_load_values(self.space, c.F_gu)
+        return B
+
+    def _L(self, samples):
+        uq, gu = self._state_qpoints()
+        e = self._pde_density(uq, gu)
+        J, div, th = samples.vol_jac, samples.vol_div, samples.vol_val
+        rate = -np.einsum('mqji,mqj->mqi', J, gu)          # d/ds of the transported grad u
+        W = _sum(div[..., None] * e.a - _mv(J, e.a), _mv(e.a_x, th), _mv(e.a_gu, rate))
+        vec = fem.assemble_grad_load_values(self.space, W)
+        vec += fem.assemble_load_values(
+            self.space, _sum(e.b * div, _dot(e.b_x, th), _dot(e.b_gu, rate)))
+        if e.bg is not None:
+            vals = _sum(e.bg * samples.edge_divg, _dot(e.bg_x, samples.edge_val))
+            vec += fem.assemble_boundary_load_values(
+                self.space, self.space.edges_of_marker(None), vals)
+        return vec
+
+    def _build_tensors(self):
+        uq, gu = self._state_qpoints()
+        c = self._cost_density(uq, gu)
+        e = self._pde_density(uq, gu)
+        p = self._tensor_adjoint()
+        pv = fem.field_qvalues(p)
+        gp = fem.field_qgrads(p)
+        G = c.F + _dot(e.a, gp) + e.b * pv
+        S0 = _sum(c.F_x, _mtv(e.a_x, gp), _scaled(pv, e.b_x))
+        G_gu = _sum(c.F_gu, _mtv(e.a_gu, gp), _scaled(pv, e.b_gu))
+        S1 = G[..., None, None] * _I2 - _outer(gp, e.a)
+        if G_gu is not None:
+            S1 -= _outer(gu, G_gu)
+        if e.bg is None:
+            return ShapeTensors(self.space, S0=S0, S1=S1)
+        pe = fem.edge_qvalues(p, self.space.edges_of_marker(None))
+        return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=_scaled(pe, e.bg_x),
+                            S1_gamma=(e.bg * pe)[..., None, None] * _I2,
+                            boundary_pairing="tangential")
 
     def _material_rhs(self, theta):
         samples = theta_samples(self.space, theta, "interpolated")
@@ -112,81 +228,9 @@ def _robin_rhs(space, data):
         + fem.assemble_boundary_load(space, None, data.g.value)
 
 
-def robin_L_vector(data, u, samples):
-    """Shape-Lagrangian linear form L(u) evaluated on the test basis.
-
-    L(u) psi = int rate(M) grad u . grad psi - div(f theta) psi
-             + int_G (beta u - g) div_G(theta) psi + (u grad beta - grad g) . theta psi
-    with div(f theta) expanded analytically as grad f . theta + f div theta.
-    """
-    space = u.space
-    P = space.qpoints
-    gu = fem.field_qgrads(u)
-    W = np.einsum('mqij,mqj->mqi', material_tensor_rate(data.M, samples), gu)
-    vec = fem.assemble_grad_load_values(space, W)
-    fv = data.f.value(P)
-    vec -= fem.assemble_load_values(
-        space, fv * samples.vol_div + _dot(data.f.grad(P), samples.vol_val))
-
-    edges = np.arange(len(space.edge_markers))
-    Pe = space.edge_qpoints
-    ue = fem.edge_qvalues(u, edges)
-    bv = data.beta.value(Pe)
-    gv = data.g.value(Pe)
-    vals = (bv * ue - gv) * samples.edge_divg \
-        + _dot(ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), samples.edge_val)
-    vec += fem.assemble_boundary_load_values(space, edges, vals)
-    return vec
-
-
-def robin_partial_cost(u, samples):
-    """Transport derivative of the cost with the state frozen.
-
-    d/ds [ 1/2 int rate(I) grad u . grad u ] = int 1/2 |grad u|^2 div theta
-    - grad u . Dtheta grad u.
-    """
-    gu = fem.field_qgrads(u)
-    term = 0.5 * samples.vol_div * _dot(gu, gu) \
-        - np.einsum('mqi,mqij,mqj->mq', gu, samples.vol_jac, gu)
-    return float(np.sum(u.space.qweights * term))
-
-
-def robin_shape_tensors(data, u, p):
-    """Distributed tensors of the Robin energy cost.
-
-    S0   = -p grad f
-    S1   = -grad p x M grad u - grad u x M grad p - grad u x grad u
-           + [M grad u . grad p - f p + 1/2 |grad u|^2] I
-    S0_G = p (u grad beta - grad g)
-    S1_G = [(beta u - g) p] I, paired with the tangential Jacobian.
-    """
-    space = u.space
-    P = space.qpoints
-    gu = fem.field_qgrads(u)
-    gp = fem.field_qgrads(p)
-    pv = fem.field_qvalues(p)
-    fv = data.f.value(P)
-    Mgu = np.einsum('ij,mqj->mqi', data.M, gu)
-    Mgp = np.einsum('ij,mqj->mqi', data.M, gp)
-    S0 = -pv[..., None] * data.f.grad(P)
-    scal = _dot(Mgu, gp) - fv * pv + 0.5 * _dot(gu, gu)
-    S1 = -_outer(gp, Mgu) - _outer(gu, Mgp) - _outer(gu, gu) \
-        + scal[..., None, None] * _I2
-
-    edges = np.arange(len(space.edge_markers))
-    Pe = space.edge_qpoints
-    ue = fem.edge_qvalues(u, edges)
-    pe = fem.edge_qvalues(p, edges)
-    bv = data.beta.value(Pe)
-    gv = data.g.value(Pe)
-    S0g = pe[..., None] * (ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
-    S1g = ((bv * ue - gv) * pe)[..., None, None] * _I2
-    return ShapeTensors(space, S0=S0, S1=S1, S0_gamma=S0g, S1_gamma=S1g,
-                        boundary_pairing="tangential")
-
-
 class RobinProblem(_EllipticProblem):
-    """The Robin problem on one mesh."""
+    """The Robin problem on one mesh: F = 1/2 |grad u|^2, a = M grad u,
+    b = -f and b_G = beta u - g."""
 
     name = "robin"
 
@@ -194,26 +238,20 @@ class RobinProblem(_EllipticProblem):
         super().__init__(mesh, data, order)
         self.data = data
         self.space = FeSpace(mesh, order=order)
-        # K_I before the LU: its assembly temporaries interleaved with live
-        # factors fragment the heap, and repeated re-solves then grow the peak RSS
-        self._KI = fem.assemble_diffusion(self.space, _I2)
         self._fact = fem.Factorized(_robin_matrix(self.space, data))
         self.u = ScalarField(self.space, self._fact.solve(_robin_rhs(self.space, data)))
 
-    @cached_property
-    def B(self):
-        """B_i = dJ/du_i = (K_I u)_i."""
-        return self._KI @ self.u.coefficients
+    def _cost_density(self, uq, gu):
+        return _parts(_COST_PARTS, F=0.5 * _dot(gu, gu), F_gu=gu)
 
-    def cost(self):
-        """J = 1/2 int |grad u|^2 evaluated through the stiffness matrix."""
-        return 0.5 * float(self.u.coefficients @ self.B)
-
-    def _L(self, samples):
-        return robin_L_vector(self.data, self.u, samples)
-
-    def _build_tensors(self):
-        return robin_shape_tensors(self.data, self.u, self.p)
+    def _pde_density(self, uq, gu):
+        data, P = self.data, self.space.qpoints
+        Pe = self.space.edge_qpoints
+        ue = fem.edge_qvalues(self.u, self.space.edges_of_marker(None))
+        return _parts(_PDE_PARTS, a=_mv(data.M, gu), a_gu=data.M,
+                      b=-data.f.value(P), b_x=-data.f.grad(P),
+                      bg=data.beta.value(Pe) * ue - data.g.value(Pe),
+                      bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
 
 
 # =================================================================== semilinear
@@ -312,75 +350,10 @@ def quasilinear_solve(mesh, data, order=1, rel_tol=1e-11, abs_tol=1e-13, max_ite
         f"(last residual {history[-1]:.3e})", history)
 
 
-def quasilinear_cost(data, u):
-    """J = 1/2 int (u - u_d)^2 with u_d evaluated at the quadrature points."""
-    space = u.space
-    d = fem.field_qvalues(u) - data.u_d.value(space.qpoints)
-    return 0.5 * float(np.sum(space.qweights * d * d))
-
-
-def quasilinear_cost_gradient_vector(data, u):
-    """B_i = int (u - u_d) phi_i."""
-    space = u.space
-    return fem.assemble_load_values(
-        space, fem.field_qvalues(u) - data.u_d.value(space.qpoints))
-
-
-def quasilinear_L_vector(data, u, samples):
-    """L(u) psi = int m rate(I) grad u . grad psi + (grad_x m . theta) grad u . grad psi
-    + [f div theta + grad_x f . theta] psi - [grad g . theta + g div theta] psi."""
-    space = u.space
-    P = space.qpoints
-    uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
-    mv = data.m.value(P, uq)
-    rate = material_tensor_rate(_I2, samples)
-    W = mv[..., None] * np.einsum('mqij,mqj->mqi', rate, gu) \
-        + _dot(data.m.dx(P, uq), samples.vol_val)[..., None] * gu
-    vec = fem.assemble_grad_load_values(space, W)
-    scal = data.f.value(P, uq) * samples.vol_div + _dot(data.f.dx(P, uq), samples.vol_val) \
-        - _dot(data.g.grad(P), samples.vol_val) - data.g.value(P) * samples.vol_div
-    vec += fem.assemble_load_values(space, scal)
-    return vec
-
-
-def quasilinear_partial_cost(data, u, samples):
-    """d/ds of the transported cost with the state frozen:
-    int 1/2 (u - u_d)^2 div theta - (u - u_d) grad u_d . theta."""
-    space = u.space
-    P = space.qpoints
-    d = fem.field_qvalues(u) - data.u_d.value(P)
-    term = 0.5 * d * d * samples.vol_div - d * _dot(data.u_d.grad(P), samples.vol_val)
-    return float(np.sum(space.qweights * term))
-
-
-def quasilinear_shape_tensors(data, u, p):
-    """S0 = (grad u . grad p) grad_x m + p grad_x f - p grad g - (u - u_d) grad u_d
-    S1 = -m (grad p x grad u + grad u x grad p)
-         + [m grad u . grad p + f p - g p + 1/2 (u - u_d)^2] I."""
-    space = u.space
-    P = space.qpoints
-    uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
-    gp = fem.field_qgrads(p)
-    pv = fem.field_qvalues(p)
-    mv = data.m.value(P, uq)
-    fv = data.f.value(P, uq)
-    gv = data.g.value(P)
-    d = uq - data.u_d.value(P)
-    S0 = _dot(gu, gp)[..., None] * data.m.dx(P, uq) \
-        + pv[..., None] * data.f.dx(P, uq) \
-        - pv[..., None] * data.g.grad(P) \
-        - d[..., None] * data.u_d.grad(P)
-    scal = mv * _dot(gu, gp) + fv * pv - gv * pv + 0.5 * d * d
-    S1 = -mv[..., None, None] * (_outer(gp, gu) + _outer(gu, gp)) \
-        + scal[..., None, None] * _I2
-    return ShapeTensors(space, S0=S0, S1=S1)
-
-
 class QuasilinearProblem(_EllipticProblem):
-    """The semilinear problem on one mesh; the Jacobian at the solution and
-    its factorizations are built on first use."""
+    """The semilinear problem on one mesh: F = 1/2 (u - u_d)^2,
+    a = m(x, u) grad u and b = f(x, u) - g.  The Jacobian at the solution
+    and its factorization are built on first use."""
 
     name = "quasilinear"
 
@@ -391,29 +364,22 @@ class QuasilinearProblem(_EllipticProblem):
         self.space = self.u.space
 
     @cached_property
-    def _A(self):
-        return _ql_jacobian(self.space, self.data, self.u)
-
-    @cached_property
     def _fact(self):
-        return fem.Factorized(self._A)
+        return fem.Factorized(_ql_jacobian(self.space, self.data, self.u))
 
-    @cached_property
-    def _fact_T(self):
-        return fem.Factorized(self._A.T.tocsr())
+    def _cost_density(self, uq, gu):
+        P = self.space.qpoints
+        d = uq - self.data.u_d.value(P)
+        return _parts(_COST_PARTS, F=0.5 * d * d, F_u=d,
+                      F_x=-d[..., None] * self.data.u_d.grad(P))
 
-    @cached_property
-    def B(self):
-        return quasilinear_cost_gradient_vector(self.data, self.u)
-
-    def cost(self):
-        return quasilinear_cost(self.data, self.u)
-
-    def _L(self, samples):
-        return quasilinear_L_vector(self.data, self.u, samples)
-
-    def _build_tensors(self):
-        return quasilinear_shape_tensors(self.data, self.u, self.p)
+    def _pde_density(self, uq, gu):
+        data, P = self.data, self.space.qpoints
+        mv = data.m.value(P, uq)
+        return _parts(_PDE_PARTS, a=mv[..., None] * gu, a_x=_outer(gu, data.m.dx(P, uq)),
+                      a_gu=mv[..., None, None] * _I2,
+                      b=data.f.value(P, uq) - data.g.value(P),
+                      b_x=data.f.dx(P, uq) - data.g.grad(P))
 
 
 # ============================================================ Dirichlet energy
@@ -425,31 +391,37 @@ class DirichletEnergyData:
         self.f = f
 
 
-def dirichlet_energy_L_vector(data, u, samples):
-    """L(u) psi = int rate(I) grad u . grad psi - div(f theta) psi."""
-    space = u.space
-    P = space.qpoints
-    gu = fem.field_qgrads(u)
-    W = np.einsum('mqij,mqj->mqi', material_tensor_rate(_I2, samples), gu)
-    vec = fem.assemble_grad_load_values(space, W)
-    vec -= fem.assemble_load_values(
-        space, data.f.value(P) * samples.vol_div + _dot(data.f.grad(P), samples.vol_val))
-    return vec
+class DirichletEnergyProblem(_EllipticProblem):
+    """-lap u = f with homogeneous Dirichlet data: F = |grad u|^2,
+    a = grad u and b = -f.  K is assembled and the eliminated operator
+    factorized once, for the state and the adjoint."""
 
+    name = "dirichlet_energy"
 
-def dirichlet_energy_tensors(data, u):
-    """Volume tensors with the adjoint eliminated through p = -2u:
+    def __init__(self, mesh, data, order=1):
+        super().__init__(mesh, data, order)
+        self.data = data
+        self.space = FeSpace(mesh, order=order)
+        self._bd = self.space.boundary_dofs()
+        self._keep = np.ones(self.space.dof_count)
+        self._keep[self._bd] = 0.0
+        A2, b2 = fem.apply_dirichlet(fem.assemble_diffusion(self.space, _I2),
+                                     fem.assemble_load(self.space, data.f.value),
+                                     self._bd, 0.0)
+        self._fact = fem.Factorized(A2)
+        self.u = ScalarField(self.space, self._fact.solve(b2))
 
-    S0 = 2 u grad f,  S1 = 2 grad u x grad u + (2 f u - |grad u|^2) I.
-    """
-    space = u.space
-    P = space.qpoints
-    uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
-    fv = data.f.value(P)
-    S0 = 2.0 * uq[..., None] * data.f.grad(P)
-    S1 = 2.0 * _outer(gu, gu) + (2.0 * fv * uq - _dot(gu, gu))[..., None, None] * _I2
-    return ShapeTensors(space, S0=S0, S1=S1)
+    def _cost_density(self, uq, gu):
+        return _parts(_COST_PARTS, F=_dot(gu, gu), F_gu=2.0 * gu)
+
+    def _pde_density(self, uq, gu):
+        P = self.space.qpoints
+        return _parts(_PDE_PARTS, a=gu, a_gu=_I2,
+                      b=-self.data.f.value(P), b_x=-self.data.f.grad(P))
+
+    def _tensor_adjoint(self):
+        # eliminated: on the free dofs A^T p = -2 K u = -2 A u, so p = -2u
+        return ScalarField(self.space, -2.0 * self.u.coefficients)
 
 
 def dirichlet_energy_boundary_dJ(data, u, samples):
@@ -468,48 +440,3 @@ def dirichlet_energy_boundary_dJ(data, u, samples):
     s1nn = 2.0 * dn * dn + 2.0 * fe * ue - _dot(gue, gue)
     thn = _dot(samples.edge_val, np.broadcast_to(n, samples.edge_val.shape))
     return float(np.sum(space.edge_qweights * s1nn * thn))
-
-
-class DirichletEnergyProblem(_EllipticProblem):
-    """-lap u = f with homogeneous Dirichlet data; K is assembled and the
-    eliminated operator factorized once, for the state and the adjoint."""
-
-    name = "dirichlet_energy"
-
-    def __init__(self, mesh, data, order=1):
-        super().__init__(mesh, data, order)
-        self.data = data
-        self.space = FeSpace(mesh, order=order)
-        self._K = fem.assemble_diffusion(self.space, _I2)
-        self._bd = self.space.boundary_dofs()
-        self._keep = np.ones(self.space.dof_count)
-        self._keep[self._bd] = 0.0
-        A2, b2 = fem.apply_dirichlet(self._K, fem.assemble_load(self.space, data.f.value),
-                                     self._bd, 0.0)
-        self._fact = fem.Factorized(A2)
-        self.u = ScalarField(self.space, self._fact.solve(b2))
-
-    @cached_property
-    def B(self):
-        return 2.0 * (self._K @ self.u.coefficients)
-
-    def cost(self):
-        """J = int |grad u|^2 (no half)."""
-        return float(self.u.coefficients @ (self._K @ self.u.coefficients))
-
-    def _L(self, samples):
-        return dirichlet_energy_L_vector(self.data, self.u, samples)
-
-    def _build_tensors(self):
-        return dirichlet_energy_tensors(self.data, self.u)
-
-
-def dirichlet_energy_suite(mesh, data, theta, order=1):
-    """State, adjoint, material derivative, and both derivative forms."""
-    problem = DirichletEnergyProblem(mesh, data, order=order)
-    samples = theta_samples(problem.space, theta, "interpolated")
-    return SimpleNamespace(
-        u=problem.u, p=problem.p, udot=problem.material(theta), tensors=problem.tensors(),
-        dJ_volume=problem.derivative(theta),
-        dJ_boundary=dirichlet_energy_boundary_dJ(data, problem.u, samples),
-        duality=problem.duality_pair(theta))

@@ -521,8 +521,10 @@ class Factorized:
     here have symmetric also when their values are not (Newton Jacobians
     and their transposes).
 
-    Every solve is checked against the original matrix:
-    ``|Ax - b| <= 1e-10 (|b| + 1)``.
+    ``solve_transposed`` solves with A^T from the same factors, so an
+    adjoint needs no second factorization.  Every solve is checked against
+    the original matrix: ``|Ax - b| <= 1e-10 (|b| + 1)``, with A^T for a
+    transposed solve.
 
     Attributes
     ----------
@@ -554,12 +556,21 @@ class Factorized:
         return self._lu.L.nnz + self._lu.U.nnz
 
     def solve(self, b):
+        """x with A x = b."""
+        return self._solve(b, "N")
+
+    def solve_transposed(self, b):
+        """x with A^T x = b, by SuperLU's transposed solve on the same factors."""
+        return self._solve(b, "T")
+
+    def _solve(self, b, trans):
         b = np.asarray(b, dtype=float)
         x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
+        x[self._perm] = self._lu.solve(b[self._perm], trans=trans)
         if not np.all(np.isfinite(x)):
             raise SolverError("singular system: factorization produced non-finite solution")
-        res = _norm(self.A @ x - b)
+        A = self.A if trans == "N" else self.A.T
+        res = _norm(A @ x - b)
         if res > 1e-10 * (_norm(b) + 1.0):
             raise SolverError(f"solver residual {res:.3e} exceeds tolerance")
         return x

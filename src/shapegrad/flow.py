@@ -19,7 +19,7 @@ made compactly supported without losing analytic derivatives.
 
 import numpy as np
 
-from .mesh import _signed_areas
+from .mesh import InvertedTriangleError
 
 
 class FlowDegeneracyError(Exception):
@@ -217,15 +217,15 @@ def transport_mesh(theta, s, mesh, steps=32):
     ------
     FlowDegeneracyError
         If any transported triangle has non-positive signed area (the
-        message reports the first offending triangle index).
+        message reports the first offending triangle index).  The areas
+        are those ``Mesh.with_nodes`` computes for its orientation check.
     """
     X, _ = advect_batch(theta, s, mesh.nodes, steps=steps, want_jac=False)
-    areas = _signed_areas(X, mesh.triangles)
-    bad = np.nonzero(areas <= 0.0)[0]
-    if len(bad):
+    try:
+        return mesh.with_nodes(X)
+    except InvertedTriangleError as exc:
         raise FlowDegeneracyError(
-            f"transport inverts triangle {bad[0]} (signed area {areas[bad[0]]:.3e}) at s={s}")
-    return mesh.with_nodes(X)
+            f"transport inverts triangle {exc.index} (signed area {exc.area:.3e}) at s={s}") from None
 
 
 # ------------------------------------------------------------------- catalog

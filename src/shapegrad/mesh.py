@@ -38,6 +38,16 @@ class MeshValidationError(Exception):
     """Raised when mesh data violates a structural invariant; message names it."""
 
 
+class InvertedTriangleError(MeshValidationError):
+    """Positive orientation fails; carries the first offending triangle and its area."""
+
+    def __init__(self, index, area):
+        super().__init__(
+            f"positive triangle orientation: triangle {index} has signed area {area:.3e}")
+        self.index = index
+        self.area = area
+
+
 def _signed_areas(nodes, triangles):
     p = nodes[triangles]
     d1 = p[:, 1] - p[:, 0]
@@ -156,8 +166,7 @@ def _positive_areas(nodes, triangles):
     areas = _signed_areas(nodes, triangles)
     bad = np.nonzero(areas <= 0.0)[0]
     if len(bad):
-        raise MeshValidationError(
-            f"positive triangle orientation: triangle {bad[0]} has signed area {areas[bad[0]]:.3e}")
+        raise InvertedTriangleError(int(bad[0]), float(areas[bad[0]]))
     return areas
 
 

@@ -1,0 +1,79 @@
+"""Every catalog entry in every data slot of the stationary problems: the
+assembled derivative must match FD quotients of re-solved costs, so each
+density partial the entry reaches is checked; an entry outside a problem's
+assumptions must raise its named error instead."""
+
+import numpy as np
+import pytest
+
+from shapegrad.data_catalog import (RFUNC_CATALOG, SCALAR_CATALOG, parse_rfunction,
+                                    parse_scalar)
+from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyProblem,
+                                         QuasilinearData, QuasilinearProblem,
+                                         RobinData, RobinProblem)
+from shapegrad.validation import fd_shape_check
+
+from conftest import bump_theta
+
+S_LIST = (0.04, 0.02, 0.01)
+
+# one entry per catalog name, each varying in space (or in r) where it can
+SCALARS = {"const": "const 1.3",
+           "linear": "linear 1.5 0.2 -0.1",
+           "poly2": "poly2 1 0.2 -0.3 0.5 0.1 -0.2",
+           "sine2": "sine2 0.7 1 0.5",
+           "gauss": "gauss 1.5 0.3 -0.2 0.6"}
+RFUNCTIONS = {"const_r": "const_r 2",
+              "affine_r": "affine_r 1 0.1",
+              "saturating": "saturating",
+              "saturating_sine": "saturating_sine 0.25"}
+assert set(SCALARS) == set(SCALAR_CATALOG) and set(RFUNCTIONS) == set(RFUNC_CATALOG)
+
+
+def _robin(mesh, slot, spec):
+    data = dict(beta="const 1", f="const 1", g="const 0")
+    data[slot] = spec
+    return RobinProblem(mesh, RobinData(M=np.array([[2.0, 0.3], [0.3, 1.0]]),
+                                        **{k: parse_scalar(v) for k, v in data.items()}))
+
+
+def _quasilinear(mesh, slot, spec):
+    data = dict(m=parse_rfunction("saturating"), f=parse_rfunction("affine_r 1 0.1"),
+                g=parse_scalar("const 2"), u_d=parse_scalar("linear 0 1 0"))
+    data[slot] = parse_rfunction(spec) if slot in ("m", "f") else parse_scalar(spec)
+    # the envelope of saturating_sine 0.25: m >= 0.755 and m <= 3.25
+    return QuasilinearProblem(mesh, QuasilinearData(**data, c1=0.7, c3=3.5))
+
+
+def _dirichlet(mesh, slot, spec):
+    return DirichletEnergyProblem(mesh, DirichletEnergyData(f=parse_scalar(spec)))
+
+
+# inputs outside a problem's assumptions, and the error they must raise
+REJECTED = {("robin", "beta", "sine2"): "not positive",
+            ("quasilinear", "m", "const_r"): "quasilinear bound violated",
+            ("quasilinear", "f", "const_r"): "quasilinear bound violated",
+            ("quasilinear", "m", "affine_r"): "quasilinear bound violated"}
+
+PROBLEMS = {"robin": _robin, "quasilinear": _quasilinear, "dirichlet_energy": _dirichlet}
+# every data slot of every problem, with the catalog its entries come from
+SLOTS = {("robin", "beta"): SCALARS, ("robin", "f"): SCALARS, ("robin", "g"): SCALARS,
+         ("quasilinear", "g"): SCALARS, ("quasilinear", "u_d"): SCALARS,
+         ("quasilinear", "m"): RFUNCTIONS, ("quasilinear", "f"): RFUNCTIONS,
+         ("dirichlet_energy", "f"): SCALARS}
+CASES = [(problem, slot, name) for (problem, slot), entries in SLOTS.items() for name in entries]
+
+
+@pytest.mark.parametrize("problem,slot,name", CASES)
+def test_catalog_entry_fd(problem, slot, name, disk3):
+    spec = SLOTS[problem, slot][name]
+    build = PROBLEMS[problem]
+    if (problem, slot, name) in REJECTED:
+        with pytest.raises(ValueError, match=REJECTED[problem, slot, name]):
+            build(disk3, slot, spec)
+        return
+    table = fd_shape_check(build(disk3, slot, spec), bump_theta(), S_LIST)
+    assert table.observed_order() >= 1.9
+    # relative as in fd_rel_gap and the duality gap: a missing or wrong
+    # partial moves dJ by far more than this
+    assert table.extrapolated_error <= 1e-9 * (1.0 + abs(table.dJ))

@@ -12,11 +12,8 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
                                          QuasilinearData, QuasilinearProblem,
                                          RobinData, RobinProblem,
                                          check_quasilinear_bounds,
-                                         dirichlet_energy_suite,
-                                         quasilinear_cost_gradient_vector,
-                                         quasilinear_partial_cost,
-                                         quasilinear_solve, robin_L_vector,
-                                         robin_partial_cost, _robin_matrix,
+                                         dirichlet_energy_boundary_dJ,
+                                         quasilinear_solve, _robin_matrix,
                                          _ql_jacobian)
 from shapegrad.fem_core import FeSpace, ScalarField
 from shapegrad.flow import transport_mesh
@@ -24,6 +21,7 @@ from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.shape_assembly import theta_samples
 
 from conftest import bump_theta, catalog_thetas
+import elliptic_references as refs
 
 
 def _const(c):
@@ -114,7 +112,7 @@ def test_robin_duality_and_tensor_consistency(disk4):
         lhs, rhs = problem.duality_pair(theta)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
         samples = theta_samples(problem.space, theta, "interpolated")
-        partial = robin_partial_cost(problem.u, samples)
+        partial = refs.robin_partial_cost(problem.u, samples)
         total = problem.derivative(theta)
         assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
 
@@ -207,7 +205,7 @@ def test_quasilinear_jacobian_transpose_adjoint(disk4):
     problem = QuasilinearProblem(disk4, data)
     A = _ql_jacobian(problem.space, data, problem.u)
     assert abs(A - A.T).max() > 1e-8  # genuinely non-symmetric linearization
-    B = quasilinear_cost_gradient_vector(data, problem.u)
+    B = refs.quasilinear_cost_gradient_vector(data, problem.u)
     res = A.T @ problem.p.coefficients + B
     assert np.linalg.norm(res) <= 1e-10 * (np.linalg.norm(B) + 1.0)
 
@@ -225,7 +223,7 @@ def test_quasilinear_duality_and_tensor_consistency(disk4):
     lhs, rhs = problem.duality_pair(theta)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
     samples = theta_samples(problem.space, theta, "interpolated")
-    partial = quasilinear_partial_cost(data, problem.u, samples)
+    partial = refs.quasilinear_partial_cost(data, problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
 
@@ -257,7 +255,7 @@ def test_quasilinear_spatial_m_term(disk4):
     lhs, rhs = problem.duality_pair(theta)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
     samples = theta_samples(problem.space, theta, "interpolated")
-    partial = quasilinear_partial_cost(data, problem.u, samples)
+    partial = refs.quasilinear_partial_cost(data, problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
 
@@ -273,10 +271,10 @@ def test_dirichlet_adjoint_is_minus_two_u(disk4):
 
 def test_dirichlet_suite_duality(disk4):
     data = DirichletEnergyData(f=parse_scalar("linear 1 0.5 -0.3"))
-    res = dirichlet_energy_suite(disk4, data, bump_theta())
-    lhs, rhs = res.duality
+    problem = DirichletEnergyProblem(disk4, data)
+    lhs, rhs = problem.duality_pair(bump_theta())
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-    assert np.abs(res.p.coefficients + 2.0 * res.u.coefficients).max() <= 1e-10
+    assert np.abs(problem.p.coefficients + 2.0 * problem.u.coefficients).max() <= 1e-10
 
 
 def test_dirichlet_tensor_consistency(disk4):
@@ -286,7 +284,7 @@ def test_dirichlet_tensor_consistency(disk4):
     theta = bump_theta()
     lhs, _ = problem.duality_pair(theta)
     samples = theta_samples(problem.space, theta, "interpolated")
-    partial = 2.0 * robin_partial_cost(problem.u, samples)
+    partial = 2.0 * refs.robin_partial_cost(problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-11 * (1.0 + abs(total))
 
@@ -297,8 +295,10 @@ def test_dirichlet_volume_vs_boundary_convergence():
     diffs, hs = [], []
     for ref in (3, 4, 5):
         mesh = gen_disk((0.0, 0.0), 1.0, ref)
-        res = dirichlet_energy_suite(mesh, data, theta)
-        diffs.append(abs(res.dJ_volume - res.dJ_boundary))
+        problem = DirichletEnergyProblem(mesh, data)
+        samples = theta_samples(problem.space, theta, "interpolated")
+        diffs.append(abs(problem.derivative(theta)
+                         - dirichlet_energy_boundary_dJ(data, problem.u, samples)))
         hs.append(2.0 ** -ref)
     order = np.polyfit(np.log(hs), np.log(np.array(diffs)), 1)[0]
     assert order >= 0.9
@@ -342,3 +342,62 @@ def test_dirichlet_material_taylor(disk4):
         errs.append(problem.state_norm(diff))
     order = np.polyfit(np.log(svals), np.log(np.array(errs)), 1)[0]
     assert order >= 1.9
+
+
+# ============================================ density kernel vs hand derivation
+
+def _rel(kernel, reference):
+    return np.abs(kernel - reference).max() / np.abs(reference).max()
+
+
+def _robin_varying(mesh, order):
+    data = RobinData(M=np.array([[2.0, 0.3], [0.3, 1.0]]),
+                     beta=parse_scalar("gauss 1.5 0.3 -0.2 0.6"),
+                     f=parse_scalar("poly2 1 0.2 -0.3 0.5 0.1 -0.2"),
+                     g=parse_scalar("sine2 0.7 1 0.5"))
+    problem = RobinProblem(mesh, data, order)
+    J, B = refs.robin_cost_and_gradient(problem.u)
+    return (problem, J, B, refs.robin_shape_tensors(data, problem.u, problem.p),
+            lambda samples: refs.robin_L_vector(data, problem.u, samples))
+
+
+def _quasilinear_varying(mesh, order):
+    data = QuasilinearData(m=parse_rfunction("saturating_sine 0.25"),
+                           f=parse_rfunction("affine_r 1 0.1"),
+                           g=parse_scalar("gauss 2 0.2 0.1 0.5"),
+                           u_d=parse_scalar("poly2 0.1 0.3 -0.2 0.2 0.1 0.1"),
+                           c1=0.7, c3=3.5)
+    problem = QuasilinearProblem(mesh, data, order)
+    return (problem, refs.quasilinear_cost(data, problem.u),
+            refs.quasilinear_cost_gradient_vector(data, problem.u),
+            refs.quasilinear_shape_tensors(data, problem.u, problem.p),
+            lambda samples: refs.quasilinear_L_vector(data, problem.u, samples))
+
+
+def _dirichlet_varying(mesh, order):
+    data = DirichletEnergyData(f=parse_scalar("linear 1 0.5 -0.3"))
+    problem = DirichletEnergyProblem(mesh, data, order)
+    J, B = refs.robin_cost_and_gradient(problem.u)   # twice these: u^T K u and 2 K u
+    return (problem, 2.0 * J, 2.0 * B, refs.dirichlet_energy_tensors(data, problem.u),
+            lambda samples: refs.dirichlet_energy_L_vector(data, problem.u, samples))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", [_robin_varying, _quasilinear_varying, _dirichlet_varying])
+def test_density_kernel_matches_hand_derivation(case, order, disk3):
+    """Cost, B, every tensor slot and L(u) from the density kernel equal the
+    hand-derived transported integrands to 1e-13 relative."""
+    problem, J, B, tensors, L_vector = case(disk3, order)
+    assert abs(problem.cost() - J) <= 1e-13 * abs(J)
+    assert _rel(problem.B, B) <= 1e-13
+    kernel = problem.tensors()
+    for slot in ("S0", "S1", "S0_gamma", "S1_gamma"):
+        expected = getattr(tensors, slot)
+        if expected is None:
+            assert getattr(kernel, slot) is None, slot
+        else:
+            assert _rel(getattr(kernel, slot), expected) <= 1e-13, slot
+    assert kernel.boundary_pairing == tensors.boundary_pairing
+    for theta in (bump_theta(), catalog_thetas()[1], catalog_thetas()[4]):
+        samples = theta_samples(problem.space, theta, "interpolated")
+        assert _rel(problem._L(samples), L_vector(samples)) <= 1e-13

@@ -227,8 +227,11 @@ def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
     J = _ql_jacobian(space, data, u)
     assert abs(J - J.T).max() > 1e-8
     b = fem.assemble_load(space, lambda P: 1.0 + P[..., 0])
-    for M in (J, J.T.tocsr()):
-        x = fem.Factorized(M).solve(b)
+    JT = J.T.tocsr()
+    # (solution, reference matrix): A x = b for A = J and J^T, and the
+    # transposed solve on J's factors, checked against COLAMD on J^T
+    for x, M in ((fem.Factorized(J).solve(b), J), (fem.Factorized(JT).solve(b), JT),
+                 (fem.Factorized(J).solve_transposed(b), JT)):
         ref = spla.splu(M.tocsc(), permc_spec="COLAMD").solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 

@@ -41,20 +41,25 @@ def _tiny_config(tmp_path, name):
 
 
 def _count_solves(monkeypatch):
-    """Count ``Factorized`` constructions and solves from here on."""
+    """Count ``Factorized`` constructions and solves, transposed ones
+    included, from here on."""
     counts = {"factor": 0, "solve": 0}
-    init, solve = fem_core.Factorized.__init__, fem_core.Factorized.solve
+    init = fem_core.Factorized.__init__
 
     def counting_init(self, A):
         counts["factor"] += 1
         init(self, A)
 
-    def counting_solve(self, b):
-        counts["solve"] += 1
-        return solve(self, b)
+    def counting(solve):
+        def counting_solve(self, b):
+            counts["solve"] += 1
+            return solve(self, b)
+        return counting_solve
 
     monkeypatch.setattr(fem_core.Factorized, "__init__", counting_init)
-    monkeypatch.setattr(fem_core.Factorized, "solve", counting_solve)
+    for name in ("solve", "solve_transposed"):
+        monkeypatch.setattr(fem_core.Factorized, name,
+                            counting(getattr(fem_core.Factorized, name)))
     return counts
 
 
