@@ -266,13 +266,11 @@ def cmd_solve(args):
 
 
 def _order_value(table):
-    clean = table.clean_rows()
-    errs = [getattr(r, "error", getattr(r, "remainder", np.nan)) for r in clean]
-    scale = 1.0 + abs(getattr(table, "dJ", 0.0))
-    if errs and max(errs) <= 1e-13 * scale:
+    errs = table.errors()
+    if errs and max(errs) <= 1e-13 * table.scale:
         return float("inf")  # machine-exact: order check is vacuous
     try:
-        if len(clean) >= 3:
+        if len(errs) >= 3:
             return table.observed_order()
         orders = table.orders()
         return float(orders.min()) if len(orders) else float("nan")
@@ -287,10 +285,8 @@ def _check(value, limit, op):
 
 
 def _smallest_s_rel(table):
-    clean = table.clean_rows()
-    if not clean:
-        return float("nan")
-    return clean[-1].error / (1.0 + abs(table.dJ))
+    errs = table.errors()
+    return errs[-1] / table.scale if errs else float("nan")
 
 
 def _fd_checks(cfg, table):

@@ -16,36 +16,19 @@ derivative of its cost functional:
 
 One Lagrangian per problem
 --------------------------
-A problem gives only its Lagrangian density at the quadrature points,
-
-    G(x, u, grad u; p, grad p) = F + a . grad p + b p   (+ b_G p on the boundary)
-
-with the cost part F(x, u, grad u), the p-linear part given by the flux
-a(x, u, grad u) and the source b(x, u, grad u), and, for Robin, the
-boundary part b_G(x, u) = beta u - g.  Alongside come the partials
-d_u F, d_x F, d_grad u F, d_x a, d_grad u a, d_x b, d_grad u b and d_x b_G
-(``a_x[i, k] = d a_i / d x_k``); a partial that is zero is None.  Everything
-else is derived from the density once, in :class:`_EllipticProblem`:
-
-* the cost J = int F and its gradient B_i = int d_u F phi_i + d_grad u F . grad phi_i;
-* the volume tensors, with G_gu = d_grad u F + (d_grad u a)^T grad p + p d_grad u b,
-
-      S0 = d_x F + (d_x a)^T grad p + p d_x b,
-      S1 = G I - grad u x G_gu - grad p x a;
-
-* the boundary tensors S0_G = p d_x b_G and S1_G = b_G p I, paired with the
-  tangential Jacobian;
-* the material right-hand side L(u) psi, the s-derivative of the
-  transported p-linear part with p replaced by the basis, which with
-  rate = -Dtheta^T grad u is one gradient load, one load and one boundary load:
-
-      int [d_x a theta + a div theta + d_grad u a rate - Dtheta a] . grad psi
-        + [d_x b . theta + b div theta + d_grad u b . rate] psi
-        + int_G [d_x b_G . theta + b_G div_G theta] psi.
-
-The distributed form follows Laurain and Sturm, ESAIM: M2AN 50(4), 2016.
-Dirichlet energy evaluates its tensors at the eliminated adjoint p = -2u,
-so the tensors need no adjoint solve.
+A problem gives only its Lagrangian density at the quadrature points: the
+cost part F(x, u, grad u) with d_u F, d_x F and d_grad u F, and the p-linear
+part, the flux matrix A(x, u) of a = A grad u with DA = d_x A, the source
+b(x, u) with d_x b and, for Robin, the boundary part b_G(x, u) = beta u - g
+with d_x b_G; a partial that is zero is None.  :class:`_EllipticProblem`
+derives from it the cost J = int F, its gradient
+B_i = int d_u F phi_i + d_grad u F . grad phi_i, and, through the kernel in
+``shape_assembly`` (whose docstring has the formulas) with T = grad p x
+grad u and p_b = p, the volume tensors S0/S1 and the material right-hand
+side L(u) psi.  The boundary part adds S0_G = p d_x b_G and S1_G = b_G p I,
+paired with the tangential Jacobian, and int_G [d_x b_G . theta +
+b_G div_G theta] psi to L(u) psi.  Dirichlet energy evaluates its tensors
+at the eliminated adjoint p = -2u, so the tensors need no adjoint solve.
 
 Everything is assembled with the same quadrature as the state equation, so
 evaluating the tensors against nodally interpolated velocities reproduces
@@ -61,11 +44,12 @@ import numpy as np
 from . import fem_core as fem
 from .data_catalog import check_positive
 from .fem_core import FeSpace, ScalarField
-from .shape_assembly import ShapeProblem, ShapeTensors, theta_samples
+from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
+                             source_rate, theta_samples)
 
 _I2 = np.eye(2)
 _COST_PARTS = ("F", "F_u", "F_x", "F_gu")
-_PDE_PARTS = ("a", "a_x", "a_gu", "b", "b_x", "b_gu", "bg", "bg_x")
+_PDE_PARTS = ("A", "DA", "b", "b_x", "bg", "bg_x")
 
 
 def _parts(names, **given):
@@ -74,34 +58,8 @@ def _parts(names, **given):
     return SimpleNamespace(**{**dict.fromkeys(names), **given})
 
 
-def _sum(*terms):
-    """Sum of the terms that are not None; None if there are none."""
-    terms = [t for t in terms if t is not None]
-    return sum(terms[1:], terms[0]) if terms else None
-
-
-def _outer(a, b):
-    return np.einsum('...i,...j->...ij', a, b)
-
-
 def _dot(a, b):
-    """Pointwise a . b; None when a is a zero partial."""
-    return None if a is None else np.einsum('...i,...i->...', a, b)
-
-
-def _mv(A, v):
-    """Pointwise A v; None when A is a zero partial."""
-    return None if A is None else np.einsum('...ij,...j->...i', A, v)
-
-
-def _mtv(A, v):
-    """Pointwise A^T v; None when A is a zero partial."""
-    return None if A is None else np.einsum('...ji,...j->...i', A, v)
-
-
-def _scaled(s, v):
-    """Pointwise s v for a scalar s; None when v is a zero partial."""
-    return None if v is None else s[..., None] * v
+    return np.einsum('...i,...i->...', a, b)
 
 
 class _EllipticProblem(ShapeProblem):
@@ -151,14 +109,11 @@ class _EllipticProblem(ShapeProblem):
     def _L(self, samples):
         uq, gu = self._state_qpoints()
         e = self._pde_density(uq, gu)
-        J, div, th = samples.vol_jac, samples.vol_div, samples.vol_val
-        rate = -np.einsum('mqji,mqj->mqi', J, gu)          # d/ds of the transported grad u
-        W = _sum(div[..., None] * e.a - _mv(J, e.a), _mv(e.a_x, th), _mv(e.a_gu, rate))
+        W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), gu)
         vec = fem.assemble_grad_load_values(self.space, W)
-        vec += fem.assemble_load_values(
-            self.space, _sum(e.b * div, _dot(e.b_x, th), _dot(e.b_gu, rate)))
+        vec += fem.assemble_load_values(self.space, source_rate(e.b, e.b_x, samples))
         if e.bg is not None:
-            vals = _sum(e.bg * samples.edge_divg, _dot(e.bg_x, samples.edge_val))
+            vals = e.bg * samples.edge_divg + _dot(e.bg_x, samples.edge_val)
             vec += fem.assemble_boundary_load_values(
                 self.space, self.space.edges_of_marker(None), vals)
         return vec
@@ -169,17 +124,13 @@ class _EllipticProblem(ShapeProblem):
         e = self._pde_density(uq, gu)
         p = self._tensor_adjoint()
         pv = fem.field_qvalues(p)
-        gp = fem.field_qgrads(p)
-        G = c.F + _dot(e.a, gp) + e.b * pv
-        S0 = _sum(c.F_x, _mtv(e.a_x, gp), _scaled(pv, e.b_x))
-        G_gu = _sum(c.F_gu, _mtv(e.a_gu, gp), _scaled(pv, e.b_gu))
-        S1 = G[..., None, None] * _I2 - _outer(gp, e.a)
-        if G_gu is not None:
-            S1 -= _outer(gu, G_gu)
+        T = np.einsum('...i,...j->...ij', fem.field_qgrads(p), gu)
+        S0, S1 = lagrangian_tensors(T, e.A, e.DA, pv, e.b, e.b_x,
+                                    c.F, c.F_x, c.F_gu, gu)
         if e.bg is None:
             return ShapeTensors(self.space, S0=S0, S1=S1)
         pe = fem.edge_qvalues(p, self.space.edges_of_marker(None))
-        return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=_scaled(pe, e.bg_x),
+        return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=pe[..., None] * e.bg_x,
                             S1_gamma=(e.bg * pe)[..., None, None] * _I2,
                             boundary_pairing="tangential")
 
@@ -193,7 +144,7 @@ class _EllipticProblem(ShapeProblem):
     def duality_pair(self, theta):
         L = self._material_rhs(theta)
         udot = self._fact.solve(-L)
-        return float(L @ self.p.coefficients), float((self.B * self._keep) @ udot)
+        return fem.dot(L, self.p.coefficients), fem.dot(self.B * self._keep, udot)
 
 
 # ========================================================================= Robin
@@ -229,8 +180,8 @@ def _robin_rhs(space, data):
 
 
 class RobinProblem(_EllipticProblem):
-    """The Robin problem on one mesh: F = 1/2 |grad u|^2, a = M grad u,
-    b = -f and b_G = beta u - g."""
+    """The Robin problem on one mesh: F = 1/2 |grad u|^2, A = M, b = -f and
+    b_G = beta u - g."""
 
     name = "robin"
 
@@ -248,8 +199,7 @@ class RobinProblem(_EllipticProblem):
         data, P = self.data, self.space.qpoints
         Pe = self.space.edge_qpoints
         ue = fem.edge_qvalues(self.u, self.space.edges_of_marker(None))
-        return _parts(_PDE_PARTS, a=_mv(data.M, gu), a_gu=data.M,
-                      b=-data.f.value(P), b_x=-data.f.grad(P),
+        return _parts(_PDE_PARTS, A=data.M, b=-data.f.value(P), b_x=-data.f.grad(P),
                       bg=data.beta.value(Pe) * ue - data.g.value(Pe),
                       bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
 
@@ -352,7 +302,7 @@ def quasilinear_solve(mesh, data, order=1, rel_tol=1e-11, abs_tol=1e-13, max_ite
 
 class QuasilinearProblem(_EllipticProblem):
     """The semilinear problem on one mesh: F = 1/2 (u - u_d)^2,
-    a = m(x, u) grad u and b = f(x, u) - g.  The Jacobian at the solution
+    A = m(x, u) I and b = f(x, u) - g.  The Jacobian at the solution
     and its factorization are built on first use."""
 
     name = "quasilinear"
@@ -375,9 +325,8 @@ class QuasilinearProblem(_EllipticProblem):
 
     def _pde_density(self, uq, gu):
         data, P = self.data, self.space.qpoints
-        mv = data.m.value(P, uq)
-        return _parts(_PDE_PARTS, a=mv[..., None] * gu, a_x=_outer(gu, data.m.dx(P, uq)),
-                      a_gu=mv[..., None, None] * _I2,
+        return _parts(_PDE_PARTS, A=data.m.value(P, uq)[..., None, None] * _I2,
+                      DA=np.einsum('ij,...k->...ijk', _I2, data.m.dx(P, uq)),
                       b=data.f.value(P, uq) - data.g.value(P),
                       b_x=data.f.dx(P, uq) - data.g.grad(P))
 
@@ -393,7 +342,7 @@ class DirichletEnergyData:
 
 class DirichletEnergyProblem(_EllipticProblem):
     """-lap u = f with homogeneous Dirichlet data: F = |grad u|^2,
-    a = grad u and b = -f.  K is assembled and the eliminated operator
+    A = I and b = -f.  K is assembled and the eliminated operator
     factorized once, for the state and the adjoint."""
 
     name = "dirichlet_energy"
@@ -416,8 +365,7 @@ class DirichletEnergyProblem(_EllipticProblem):
 
     def _pde_density(self, uq, gu):
         P = self.space.qpoints
-        return _parts(_PDE_PARTS, a=gu, a_gu=_I2,
-                      b=-self.data.f.value(P), b_x=-self.data.f.grad(P))
+        return _parts(_PDE_PARTS, A=_I2, b=-self.data.f.value(P), b_x=-self.data.f.grad(P))
 
     def _tensor_adjoint(self):
         # eliminated: on the free dofs A^T p = -2 K u = -2 A u, so p = -2u

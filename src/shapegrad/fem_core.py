@@ -278,32 +278,6 @@ class ScalarField:
             raise ValueError("non-finite field coefficients")
 
 
-def _bary_checked(bary):
-    bary = np.asarray(bary, dtype=float)
-    if bary.shape != (3,) or abs(bary.sum() - 1.0) > 1e-10:
-        raise ValueError("barycentric coordinates must be three values summing to 1")
-    if (bary < -1e-12).any():
-        raise ValueError("point outside element: negative barycentric coordinate")
-    return bary
-
-
-def eval_field(field, element, bary):
-    """Value of a field at barycentric coordinates inside one element."""
-    bary = _bary_checked(bary)
-    space = field.space
-    b = (_basis_p1 if space.order == 1 else _basis_p2)(bary[None, :])[0]
-    return float(b @ field.coefficients[space.element_dofs[element]])
-
-
-def eval_gradient(field, element, bary):
-    """Gradient of a field at barycentric coordinates inside one element."""
-    bary = _bary_checked(bary)
-    space = field.space
-    g = (_grad_p1 if space.order == 1 else _grad_p2)(bary[None, :])[0]
-    gphys = np.einsum('dr,ar->ad', space.invJT[element], g)
-    return field.coefficients[space.element_dofs[element]] @ gphys
-
-
 def field_qvalues(field):
     """Field values at all volume quadrature points, shape (M, nq)."""
     return np.einsum('qa,ma->mq', field.space.basis, field.coefficients[field.space.element_dofs])
@@ -494,11 +468,15 @@ def apply_dirichlet(A, b, dofs, values):
     return A2, b2
 
 
+def dot(a, b):
+    """a . b without BLAS: a BLAS dot (``@``, ``np.linalg.norm``), with two
+    OpenBLAS threads gone cold, took about 15 ms at 12,481 entries on a
+    2-vCPU VM, against 0.1 ms for this sum."""
+    return float(np.sum(a * b))
+
+
 def _norm(v):
-    # Euclidean norm without BLAS: np.linalg.norm's BLAS dot, with two
-    # OpenBLAS threads gone cold, took about 15 ms at 12,481 entries on a
-    # 2-vCPU VM, against 0.1 ms for this sum
-    return np.sqrt(np.sum(v * v))
+    return np.sqrt(dot(v, v))
 
 
 def solve(A, b):

@@ -25,10 +25,13 @@ separately as the ``dt_pairing`` term.  Separability makes the rate
 matrix and the load rate step-independent, so every right-hand side is
 built in one batched expression and the march only solves.
 
-The shape-derivative tensors are time sums of products of p_k and u_k.
-Because each coefficient is a(t) s(x), those sums collapse to per-element
-Gram matrices sum_k w_k p_k^e (u_k^e)^T, accumulated one step at a time
-and contracted once with the basis gradients.  The initial condition
+The time-summed Lagrangian density is the one of ``shape_assembly`` (whose
+docstring has the formulas for the tensors and the material rates), with
+A = M(x), DA = DM(x) and b = -f(x): the separable time factors move into
+the pairing T = sum_k dt a_M(t_k) grad p_k x grad u_k and into
+p_b = sum_k dt a_f(t_k) p_k.  Those sums collapse to per-element Gram
+matrices sum_k w_k p_k^e (u_k^e)^T, accumulated one step at a time and
+contracted once with the basis gradients.  The initial condition
 enters through the nodal ``ic_pairing`` term -(M_u q) . I_h(grad g . theta),
 the same interpolant the material derivative starts from, so the
 derivative is exact for any initial datum g.
@@ -39,13 +42,11 @@ from functools import cached_property
 import numpy as np
 
 from . import fem_core as fem
-from . import tensor_calc as tc
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors,
-                             assemble_dJ, material_tensor_rate, theta_samples)
-
-_I2 = np.eye(2)
+                             assemble_dJ, flux_rate, lagrangian_tensors,
+                             source_rate, theta_samples)
 
 
 def _dot(a, b):
@@ -277,25 +278,28 @@ def _profile_values(entry, times):
     return np.array([entry.profile.value(t) for t in times], dtype=float)
 
 
-def parabolic_material(mesh, data, series, theta, march=None, samples=None):
+def _spatial_density(data, P):
+    """A = M(x), DA = DM(x), b = -f(x) and b_x at the points P: the spatial
+    parts of the density, whose time factors are a_M(t_k) and a_f(t_k)."""
+    Mx, fx = data.M.spatial, data.f.spatial
+    return Mx.value(P), Mx.dspace(P), -fx.value(P), -fx.grad(P)
+
+
+def parabolic_material(mesh, data, series, theta, march=None):
     """Forward march for the material derivative of the state series.
 
     Returns (udot, ell) where ``ell`` stacks the per-step right-hand-side
     blocks (index 0 unused) for duality pairing.  With separable data the
-    coefficient rates are a_M(t_k) R and a_f(t_k) fdot for fixed spatial
-    R and fdot, so one rate matrix and one load rate serve every step.
+    coefficient rates are a_M(t_k) R and a_f(t_k) bdot for the fixed
+    spatial flux and source rates R and bdot, so one rate matrix and one
+    load rate serve every step.
     """
     march = march or _March(mesh, data, order=series.space.order)
     space = march.space
-    if samples is None:
-        samples = theta_samples(space, theta, "interpolated")
-    P = space.qpoints
-    Mx, fx = data.M.spatial, data.f.spatial
-    rate = material_tensor_rate(Mx.value(P), samples) \
-        + tc.matvec3(Mx.dspace(P), samples.vol_val)
-    K_R = fem.assemble_diffusion_values(space, rate)
-    Fdot = fem.assemble_load_values(
-        space, fx.value(P) * samples.vol_div + _dot(fx.grad(P), samples.vol_val))
+    samples = theta_samples(space, theta, "interpolated")
+    A, DA, b, b_x = _spatial_density(data, space.qpoints)
+    K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
+    Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
     Mdot = fem.assemble_mass_values(space, samples.vol_div)
     w_M = march.dt * _profile_values(data.M, march.times[1:])
     w_f = march.dt * _profile_values(data.f, march.times[1:])
@@ -303,7 +307,7 @@ def parabolic_material(mesh, data, series, theta, march=None, samples=None):
     ell = np.zeros_like(U)
     ell[1:] = march.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
                             + w_M[:, None] * (K_R @ U[1:].T).T
-                            - w_f[:, None] * Fdot)
+                            + w_f[:, None] * Bdot)
     vals = np.empty_like(U)
     vals[0] = initial_rate(space, data, theta)
     udot = vals[0]
@@ -311,20 +315,6 @@ def parabolic_material(mesh, data, series, theta, march=None, samples=None):
         udot = march.step(k, march.keep * (march.Mu @ udot) - ell[k])
         vals[k] = udot
     return TimeSeriesField(space, vals, data.t0), ell
-
-
-def parabolic_partial_cost(data, series, samples, which):
-    """Transport derivative of the cost with the state snapshots frozen."""
-    P = series.space.qpoints
-    w = series.space.qweights
-    scale = _misfit_scale(data, which)
-    times = series.times
-    total = 0.0
-    for k, dk in _tracking_misfits(data, series, which):
-        gud = data.u_d.grad(times[k], P)
-        total += scale * float(np.sum(
-            w * (0.5 * dk * dk * samples.vol_div - dk * _dot(gud, samples.vol_val))))
-    return total
 
 
 class ParabolicShapeTensors:
@@ -347,16 +337,14 @@ def _element_gram(space, a, b):
 def parabolic_shape_tensors(data, series, adjoint, which):
     """Accumulate the distributed tensors of the selected cost.
 
-    With T = sum_k dt a_M(t_k) grad p_k x grad u_k and the spatial parts
-    M, DM and f of the coefficients:
-
-    S0 = sum_jk DM_jki T_jk - (sum_k dt a_f(t_k) p_k) grad f  (+ tracking)
-    S1 = -T M^T - T^T M + (M : T - (sum_k dt a_f(t_k) p_k) f) I  (+ tracking)
-
-    plus the mass-rate density sum_k p_k (u_k - u_{k-1}).  T and the
-    density come from per-element Gram matrices of the dof vectors,
-    accumulated step by step and contracted with the basis once.  The
-    initial condition is paired at the dofs (see ``assemble_parabolic_dJ``).
+    The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
+    density (``_spatial_density``), the pairing
+    T = sum_k dt a_M(t_k) grad p_k x grad u_k, p_b = sum_k dt a_f(t_k) p_k
+    and the summed tracking term F with its x-derivative.  T and the
+    mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
+    matrices of the dof vectors, accumulated step by step and contracted
+    with the basis once.  The initial condition is paired at the dofs (see
+    ``assemble_parabolic_dJ``).
     """
     space = series.space
     P = space.qpoints
@@ -376,67 +364,30 @@ def parabolic_shape_tensors(data, series, adjoint, which):
         G_d += _element_gram(space, p, u - series.values[k - 1])
         pf += w_f[k] * p
 
-    Mx, fx = data.M.spatial, data.f.spatial
-    Mv = Mx.value(P)
     T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
-    pfv = fem.field_qvalues(ScalarField(space, pf))
-    S0 = np.einsum('mqjki,mqjk->mqi', Mx.dspace(P), T) - pfv[..., None] * fx.grad(P)
-    scal = tc.double_dot(Mv, T) - pfv * fx.value(P)
+    F = F_x = 0.0
     scale = _misfit_scale(data, which)
     for k, dk in _tracking_misfits(data, series, which):
-        S0 -= scale * dk[..., None] * data.u_d.grad(times[k], P)
-        scal += scale * 0.5 * dk * dk
-    S1 = -np.einsum('mqil,mqjl->mqij', T, Mv) - np.einsum('mqli,mqlj->mqij', T, Mv) \
-        + scal[..., None, None] * _I2
+        F = F + scale * 0.5 * dk * dk
+        F_x = F_x - scale * dk[..., None] * data.u_d.grad(times[k], P)
+    A, DA, b, b_x = _spatial_density(data, P)
+    S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
+                                b, b_x, F, F_x)
     dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
     ic_weights = fem.assemble_load_values(space, fem.field_qvalues(adjoint.field(0)))
     return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights, data)
 
 
-def assemble_parabolic_dJ(mesh, ptensors, theta, theta_mode="interpolated",
-                          samples=None):
+def assemble_parabolic_dJ(mesh, ptensors, theta):
     """Tensor evaluation plus the dt- and initial-condition pairings, as one
     breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
     space = ptensors.tensors.space
-    if samples is None:
-        samples = theta_samples(space, theta, theta_mode)
+    samples = theta_samples(space, theta, "interpolated")
     base = assemble_dJ(mesh, ptensors.tensors, theta, samples=samples)
     terms = dict(base.terms)
     terms["dt_pairing"] = float(np.sum(space.qweights * ptensors.dt_density * samples.vol_div))
-    terms["ic_pairing"] = -float(ptensors.ic_weights @ initial_rate(space, ptensors.data, theta))
+    terms["ic_pairing"] = -fem.dot(ptensors.ic_weights, initial_rate(space, ptensors.data, theta))
     return AssembledDerivative(terms)
-
-
-class ParabolicOperator:
-    """Block forward map of the discrete scheme and its exact transpose.
-
-    Vectors are (nt+1, ndof) arrays: row 0 is the initial-condition block,
-    rows k >= 1 the eliminated step rows.  ``forward``/``adjoint`` satisfy
-    <A V, W> = <V, A^T W> identically, which the tests check on random
-    blocks to pin the adjoint march to the transposed operator.
-    """
-
-    def __init__(self, mesh, data, order=1, march=None):
-        self.march = march or _March(mesh, data, order=order)
-        self.nt = data.nt
-
-    def forward(self, V):
-        m = self.march
-        out = np.empty_like(V)
-        out[0] = m.Mu @ V[0]
-        for k in range(1, self.nt + 1):
-            out[k] = m.A2(k) @ V[k] - m.keep * (m.Mu @ V[k - 1])
-        return out
-
-    def adjoint(self, W):
-        m = self.march
-        out = np.empty_like(W)
-        for k in range(self.nt + 1):
-            acc = m.Mu @ W[0] if k == 0 else m.A2(k).T @ W[k]
-            if k < self.nt:
-                acc = acc - m.Mu @ (m.keep * W[k + 1])
-            out[k] = acc
-        return out
 
 
 class ParabolicProblem(ShapeProblem):
@@ -480,15 +431,13 @@ class ParabolicProblem(ShapeProblem):
     def _build_tensors(self):
         return parabolic_shape_tensors(self.data, self.u, self.p, self.which)
 
-    def breakdown(self, theta, theta_mode=None):
-        return assemble_parabolic_dJ(self.mesh, self.tensors(), theta,
-                                     theta_mode=theta_mode or self.theta_mode)
+    def breakdown(self, theta):
+        return assemble_parabolic_dJ(self.mesh, self.tensors(), theta)
 
     def duality_pair(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
         udot, ell = parabolic_material(self.mesh, self.data, self.u, theta,
-                                       march=self.march, samples=samples)
-        lhs = float(np.sum(ell[1:] * self.p.values[1:])) \
-            - float(self.p.values[1] @ (self.march.Mu @ udot.values[0]))
-        rhs = float(np.sum(self.B[1:] * udot.values[1:]))
+                                       march=self.march)
+        lhs = fem.dot(ell[1:], self.p.values[1:]) \
+            - fem.dot(self.p.values[1], self.march.Mu @ udot.values[0])
+        rhs = fem.dot(self.B[1:], udot.values[1:])
         return lhs, rhs

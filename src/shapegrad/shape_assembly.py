@@ -1,5 +1,6 @@
 """
-Volume/boundary shape-derivative assembly from tensor representations.
+Volume/boundary shape-derivative assembly from tensor representations,
+and the one Lagrangian kernel every PDE problem derives its tensors from.
 
 A shape derivative is stored as quadrature-point values of the tensors
 S0 (vector), S1 (matrix), S2 (third order) plus boundary tensors S0_G,
@@ -22,6 +23,31 @@ Two sampling modes for theta are supported:
     the finite-difference validation quotients converge cleanly to the
     assembled value.  The P1 interpolant has no second derivative, so the
     S2 term is zero in this mode.
+
+One Lagrangian kernel
+---------------------
+Every PDE here has a flux linear in grad u, a = A(x, u) grad u, and a
+source b(x, u), so its Lagrangian density at a quadrature point is
+
+    G = F + A : T + p_b b
+
+with the cost part F(x, u, grad u), the pairing matrix T (T = grad p x
+grad u and p_b = p for a stationary problem; time sums of the snapshots
+for the parabolic one).  With the partials F_x, F_gu (d/d grad u), b_x and
+DA[i, j, k] = d A_ij / d x_k, ``lagrangian_tensors`` gives
+
+    S0 = F_x + DA : T + p_b b_x,       (DA : T)_k = DA_ijk T_ij,
+    S1 = G I - T^T A - T A^T - grad u x F_gu,
+
+and the material right-hand side L(u) psi, the s-derivative of the
+transported p-linear part with p replaced by psi, is
+
+    int R grad u . grad psi + (b div theta + b_x . theta) psi,
+    R = div theta A - Dtheta A - A Dtheta^T + DA theta
+
+(``flux_rate`` and ``source_rate``).  A partial that is zero is None.
+The distributed form follows Laurain and Sturm, ESAIM: M2AN 50(4), 2016,
+and the Lagrangian of Sturm, SIAM J. Control Optim. 53(4), 2015.
 """
 
 from functools import cached_property
@@ -36,9 +62,8 @@ from .fem_core import FeSpace
 class ThetaSamples:
     """Velocity samples at the volume and boundary quadrature points of a space."""
 
-    def __init__(self, mode, vol_val, vol_jac, vol_div, vol_hess,
+    def __init__(self, vol_val, vol_jac, vol_div, vol_hess,
                  edge_val, edge_jac, edge_divg, edge_tangential):
-        self.mode = mode
         self.vol_val = vol_val          # (M, nq, 2)
         self.vol_jac = vol_jac          # (M, nq, 2, 2)
         self.vol_div = vol_div          # (M, nq)
@@ -68,7 +93,7 @@ def theta_samples(space, theta, mode="interpolated"):
         jn = np.einsum('bqij,bqj->bqi', edge_jac, np.broadcast_to(n, edge_jac.shape[:2] + (2,)))
         edge_divg = np.einsum('bqii->bq', edge_jac) - np.einsum('bqi,bi->bq', jn, space.edge_normal)
         edge_tangential = edge_jac - np.einsum('bqi,bj->bqij', jn, space.edge_normal)
-        return ThetaSamples(mode, vol_val, vol_jac, vol_div, vol_hess,
+        return ThetaSamples(vol_val, vol_jac, vol_div, vol_hess,
                             edge_val, edge_jac, edge_divg, edge_tangential)
     if mode != "interpolated":
         raise ValueError(f"unknown theta sampling mode {mode!r}")
@@ -97,7 +122,7 @@ def theta_samples(space, theta, mode="interpolated"):
     dgt = np.einsum('bi,bj->bij', rate, tang)
     edge_tangential = np.broadcast_to(dgt[:, None], (len(be), nqe, 2, 2)).copy()
     edge_jac = vol_jac[space.edge_owner][:, :1, :, :].repeat(nqe, axis=1)
-    return ThetaSamples(mode, vol_val, vol_jac, vol_div, None,
+    return ThetaSamples(vol_val, vol_jac, vol_div, None,
                         edge_val, edge_jac, edge_divg, edge_tangential)
 
 
@@ -113,6 +138,41 @@ def material_tensor_rate(M, samples):
     return samples.vol_div[..., None, None] * MM \
         - np.einsum('mqij,mqjk->mqik', J, MM) \
         - np.einsum('mqij,mqkj->mqik', MM, J)
+
+
+def _sum(*terms):
+    """Sum of the terms that are not None, left to right."""
+    terms = [t for t in terms if t is not None]
+    return sum(terms[1:], terms[0])
+
+
+def flux_rate(A, DA, samples):
+    """s-derivative at 0 of the transported flux matrix xi DT^-1 A(T_s) DT^-T:
+    R = div(theta) A - Dtheta A - A Dtheta^T + DA theta."""
+    R = material_tensor_rate(A, samples)
+    return R if DA is None else R + tc.matvec3(DA, samples.vol_val)
+
+
+def source_rate(b, b_x, samples):
+    """s-derivative at 0 of the transported source xi b(T_s): b div(theta) + b_x . theta."""
+    return b * samples.vol_div + np.einsum('...i,...i->...', b_x, samples.vol_val)
+
+
+def lagrangian_tensors(T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):
+    """Volume tensors (S0, S1) of the density G = F + A : T + p_b b.
+
+    S0 = F_x + DA : T + p_b b_x and S1 = G I - T^T A - T A^T - grad u x F_gu
+    (see the module docstring); ``A`` is a (2, 2) matrix or per-point
+    values, and a partial that is zero is None.
+    """
+    G = F + tc.double_dot(A, T) + p_b * b
+    DA_T = None if DA is None else np.einsum('...jki,...jk->...i', DA, T)
+    S0 = _sum(F_x, DA_T, p_b[..., None] * b_x)
+    S1 = G[..., None, None] * np.eye(2) - np.einsum('...ji,...jk->...ik', T, A) \
+        - np.einsum('...ij,...kj->...ik', T, A)
+    if F_gu is not None:
+        S1 -= np.einsum('...i,...j->...ij', grad_u, F_gu)
+    return S0, S1
 
 
 class ShapeTensors:
@@ -237,9 +297,8 @@ class ShapeProblem:
     def tensors(self):
         return self._tensors
 
-    def breakdown(self, theta, theta_mode=None):
-        return assemble_dJ(self.mesh, self.tensors(), theta,
-                           theta_mode=theta_mode or self.theta_mode)
+    def breakdown(self, theta):
+        return assemble_dJ(self.mesh, self.tensors(), theta, theta_mode=self.theta_mode)
 
     def derivative(self, theta):
         return self.breakdown(theta).total
@@ -386,41 +445,6 @@ def make_manufactured(name="disk"):
                                   f=f, grad_f=grad_f)
 
     raise ValueError(f"unknown manufactured catalog {name!r}")
-
-
-def verify_manufactured(fields, pts, h=1e-5):
-    """Max deviation of the derivative closures from centered differences."""
-    worst = 0.0
-
-    def fd_grad(fn):
-        out = np.empty(pts.shape)
-        for ax in range(2):
-            e = np.zeros(2)
-            e[ax] = h
-            out[..., ax] = (fn(pts + e) - fn(pts - e)) / (2 * h)
-        return out
-
-    worst = max(worst, np.abs(fd_grad(fields.u) - fields.grad_u(pts)).max())
-    worst = max(worst, np.abs(fd_grad(fields.p) - fields.grad_p(pts)).max())
-    worst = max(worst, np.abs(fd_grad(fields.h) - fields.grad_h(pts)).max())
-    for ax in range(2):
-        e = np.zeros(2)
-        e[ax] = h
-        fdH = (fields.grad_u(pts + e) - fields.grad_u(pts - e)) / (2 * h)
-        worst = max(worst, np.abs(fdH - fields.hess_u(pts)[..., ax]).max())
-        fdH = (fields.grad_p(pts + e) - fields.grad_p(pts - e)) / (2 * h)
-        worst = max(worst, np.abs(fdH - fields.hess_p(pts)[..., ax]).max())
-    if fields.f is not None:
-        worst = max(worst, np.abs(fd_grad(fields.f) - fields.grad_f(pts)).max())
-    r = fields.u(pts)
-    fd_r = (fields.F(pts, r + h) - fields.F(pts, r - h)) / (2 * h)
-    worst = max(worst, np.abs(fd_r - fields.dF_dr(pts, r)).max())
-    for ax in range(2):
-        e = np.zeros(2)
-        e[ax] = h
-        fd_x = (fields.F(pts + e, r) - fields.F(pts - e, r)) / (2 * h)
-        worst = max(worst, np.abs(fd_x - fields.dF_dx(pts, r)[..., ax]).max())
-    return float(worst)
 
 
 def _eye_like(P):

@@ -73,25 +73,32 @@ def _extrapolate_to_zero(s, q):
 
 
 class _StudyTable:
-    """Rows of a convergence study in decreasing s; flagged rows are degenerate."""
+    """Rows of a convergence study in decreasing s; flagged rows are degenerate.
+
+    A subclass names the row's error (``_error``) and the ``scale`` that
+    makes it relative; each clean row gets its order against the previous one.
+    """
+
+    scale = 1.0
 
     def __init__(self, metadata, rows):
         self.metadata = dict(metadata)
         self.rows = list(rows)
+        clean = self.clean_rows()
+        for prev, row in zip(clean, clean[1:]):
+            row.order = _pair_order(prev.s, self._error(prev), row.s, self._error(row))
 
     def clean_rows(self):
         return [r for r in self.rows if not r.flagged]
 
+    def errors(self):
+        return [self._error(r) for r in self.clean_rows()]
+
     def orders(self):
         return np.array([r.order for r in self.clean_rows()[1:]])
 
-
-def _set_pair_orders(rows, error):
-    """Observed order of each clean row against the previous clean row."""
-    clean = [r for r in rows if not r.flagged]
-    for prev, row in zip(clean, clean[1:]):
-        row.order = _pair_order(prev.s, error(prev), row.s, error(row))
-    return clean
+    def observed_order(self):
+        return estimate_order(zip([r.s for r in self.clean_rows()], self.errors()))
 
 
 class FdTable(_StudyTable):
@@ -106,8 +113,13 @@ class FdTable(_StudyTable):
     def extrapolated_error(self):
         return abs(self.extrapolated - self.dJ)
 
-    def observed_order(self):
-        return estimate_order([(r.s, r.error) for r in self.clean_rows()])
+    @property
+    def scale(self):
+        return 1.0 + abs(self.dJ)
+
+    @staticmethod
+    def _error(row):
+        return row.error
 
 
 def _mesh_id(mesh):
@@ -132,7 +144,7 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
         forward = (jp - j0) / s
         rows.append(FdRow(s, jp, jm, central, abs(central - dJ),
                           forward=forward, forward_error=abs(forward - dJ)))
-    clean = _set_pair_orders(rows, lambda r: r.error)
+    clean = [r for r in rows if not r.flagged]
     extrapolated = np.nan
     if len(clean) >= 2:
         extrapolated = _extrapolate_to_zero([r.s for r in clean],
@@ -188,8 +200,9 @@ class TaylorRow:
 
 
 class TaylorTable(_StudyTable):
-    def observed_order(self):
-        return estimate_order([(r.s, r.remainder) for r in self.clean_rows()])
+    @staticmethod
+    def _error(row):
+        return row.remainder
 
 
 def material_taylor_check(problem, theta, s_list, steps=32):
@@ -209,7 +222,6 @@ def material_taylor_check(problem, theta, s_list, steps=32):
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue
         rows.append(TaylorRow(s, problem.state_norm(us - u0 - s * udot)))
-    _set_pair_orders(rows, lambda r: r.remainder)
     meta = {"problem": problem.name, "theta": theta.name,
             "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count}
     return TaylorTable(meta, rows)

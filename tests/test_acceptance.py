@@ -26,14 +26,14 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
 from shapegrad.flow import (FlowState, advect_batch, div_gamma, m_of_s,
                             m_prime0, make_field, xi, xi_gamma)
 from shapegrad.mesh import gen_disk, gen_rectangle
-from shapegrad.parabolic_problem import (ParabolicData, ParabolicOperator,
-                                         ParabolicProblem, parabolic_solve)
+from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem, parabolic_solve
 from shapegrad.shape_assembly import ManufacturedProblem, theta_samples
 from shapegrad.validation import (AreaProblem, duality_check, estimate_order,
                                   fd_shape_check, fd_transport_check,
                                   material_taylor_check)
 
 from conftest import HOLDALL, catalog_thetas
+from parabolic_references import ParabolicOperator
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "demos", "configs")

@@ -1,19 +1,22 @@
-"""Every catalog entry in every data slot of the stationary problems: the
-assembled derivative must match FD quotients of re-solved costs, so each
-density partial the entry reaches is checked; an entry outside a problem's
+"""Every catalog entry in every data slot of every problem: the assembled
+derivative must match FD quotients of re-solved costs, so each density
+partial the entry reaches is checked; an entry outside a problem's
 assumptions must raise its named error instead."""
 
 import numpy as np
 import pytest
 
-from shapegrad.data_catalog import (RFUNC_CATALOG, SCALAR_CATALOG, parse_rfunction,
-                                    parse_scalar)
+from shapegrad.data_catalog import (MATRIX_CATALOG, PROFILE_CATALOG, RFUNC_CATALOG,
+                                    SCALAR_CATALOG, parse_rfunction, parse_scalar,
+                                    time_matrix, time_scalar)
 from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyProblem,
                                          QuasilinearData, QuasilinearProblem,
                                          RobinData, RobinProblem)
+from shapegrad.flow import make_field
+from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
 from shapegrad.validation import fd_shape_check
 
-from conftest import bump_theta
+from conftest import HOLDALL, bump_theta
 
 S_LIST = (0.04, 0.02, 0.01)
 
@@ -27,7 +30,11 @@ RFUNCTIONS = {"const_r": "const_r 2",
               "affine_r": "affine_r 1 0.1",
               "saturating": "saturating",
               "saturating_sine": "saturating_sine 0.25"}
+MATRICES = {"const_mat": "const_mat 2 0.3 1.5",
+            "affine_mat": "affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3"}
+PROFILES = {"const": "const", "decay": "decay 0.4", "ramp": "ramp 0.5"}
 assert set(SCALARS) == set(SCALAR_CATALOG) and set(RFUNCTIONS) == set(RFUNC_CATALOG)
+assert set(MATRICES) == set(MATRIX_CATALOG) and set(PROFILES) == set(PROFILE_CATALOG)
 
 
 def _robin(mesh, slot, spec):
@@ -72,8 +79,41 @@ def test_catalog_entry_fd(problem, slot, name, disk3):
         with pytest.raises(ValueError, match=REJECTED[problem, slot, name]):
             build(disk3, slot, spec)
         return
-    table = fd_shape_check(build(disk3, slot, spec), bump_theta(), S_LIST)
+    _assert_fd_matches(fd_shape_check(build(disk3, slot, spec), bump_theta(), S_LIST))
+
+
+def _assert_fd_matches(table):
     assert table.observed_order() >= 1.9
     # relative as in fd_rel_gap and the duality gap: a missing or wrong
     # partial moves dJ by far more than this
     assert table.extrapolated_error <= 1e-9 * (1.0 + abs(table.dJ))
+
+
+# the parabolic slots: M takes every matrix entry and f every scalar entry,
+# each with every time profile; g and u_d take every scalar entry
+PARABOLIC_CASES = ([("M", m, t) for m in MATRICES for t in PROFILES]
+                   + [("f", f, t) for f in SCALARS for t in PROFILES]
+                   + [("g", g, None) for g in SCALARS]
+                   + [("u_d", u, "decay") for u in SCALARS])
+
+
+def _parabolic_data(slot, name, profile):
+    data = dict(M=time_matrix(MATRICES["affine_mat"], PROFILES["ramp"]),
+                f=time_scalar("sine2 1.5 1 1", PROFILES["decay"]),
+                g=parse_scalar("linear 0.2 0.3 -0.1"),
+                u_d=time_scalar("poly2 0.1 0.2 -0.1 0.3 0 0.15", PROFILES["decay"]))
+    if slot == "M":
+        data["M"] = time_matrix(MATRICES[name], PROFILES[profile])
+    elif slot == "g":
+        data["g"] = parse_scalar(SCALARS[name])
+    else:
+        data[slot] = time_scalar(SCALARS[name], PROFILES[profile])
+    return ParabolicData(**data, t0=1.0, nt=8)
+
+
+@pytest.mark.parametrize("which", ["j1", "j2"])
+@pytest.mark.parametrize("slot,name,profile", PARABOLIC_CASES)
+def test_parabolic_catalog_entry_fd(slot, name, profile, which, rect_unit):
+    problem = ParabolicProblem(rect_unit, _parabolic_data(slot, name, profile), which=which)
+    theta = make_field("bump", (1.0, 0.5, 0.5, 0.0, 0.45), support_box=HOLDALL)
+    _assert_fd_matches(fd_shape_check(problem, theta, S_LIST))

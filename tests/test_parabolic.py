@@ -19,8 +19,7 @@ from shapegrad.data_catalog import (TimeProfile, TimeScalarData, parse_scalar,
 from shapegrad.fem_core import FeSpace, SolverError
 from shapegrad.flow import make_field, transport_mesh
 from shapegrad.mesh import gen_rectangle
-from shapegrad.parabolic_problem import (ParabolicData, ParabolicOperator,
-                                         ParabolicProblem, dof_velocities,
+from shapegrad.parabolic_problem import (ParabolicData, ParabolicProblem, dof_velocities,
                                          initial_rate, parabolic_adjoint,
                                          parabolic_cost, parabolic_material,
                                          parabolic_shape_tensors, parabolic_solve)
@@ -28,6 +27,7 @@ from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 from shapegrad.validation import fd_shape_check
 
 from conftest import HOLDALL, bump_theta, catalog_thetas
+from parabolic_references import ParabolicOperator, parabolic_partial_cost
 
 
 def _data(nt=12, t0=1.0, m_profile="const", f_spec=("sine2 1.5 1 1", "decay 0.4"),
@@ -259,9 +259,6 @@ def test_duality(rect_unit, which):
 @pytest.mark.parametrize("which", ["j1", "j2"])
 def test_tensor_total_matches_duality_path(rect_unit, which):
     """Tensor contraction + dt pairing == <L, p> + frozen-state transport."""
-    from shapegrad.parabolic_problem import parabolic_partial_cost
-    from shapegrad.shape_assembly import theta_samples
-
     prob = ParabolicProblem(rect_unit, _data(nt=10), which=which)
     for theta in catalog_thetas():
         bd = prob.breakdown(theta)

@@ -10,8 +10,7 @@ from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
                                       cost_transport_value, make_manufactured,
                                       material_tensor_rate, prop5_raw_dJ,
                                       prop5_tensors, prop6_raw_dJ,
-                                      prop6_tensors, theta_samples,
-                                      verify_manufactured)
+                                      prop6_tensors, theta_samples)
 
 from conftest import HOLDALL, catalog_thetas, bump_theta
 
@@ -28,6 +27,41 @@ def _disk_points(n, rmax=0.9, seed=7):
     r = rmax * np.sqrt(rng.uniform(0.02, 1.0, n))
     a = rng.uniform(0, 2 * np.pi, n)
     return np.column_stack([r * np.cos(a), r * np.sin(a)])
+
+
+def verify_manufactured(fields, pts, h=1e-5):
+    """Max deviation of the derivative closures from centered differences."""
+    worst = 0.0
+
+    def fd_grad(fn):
+        out = np.empty(pts.shape)
+        for ax in range(2):
+            e = np.zeros(2)
+            e[ax] = h
+            out[..., ax] = (fn(pts + e) - fn(pts - e)) / (2 * h)
+        return out
+
+    worst = max(worst, np.abs(fd_grad(fields.u) - fields.grad_u(pts)).max())
+    worst = max(worst, np.abs(fd_grad(fields.p) - fields.grad_p(pts)).max())
+    worst = max(worst, np.abs(fd_grad(fields.h) - fields.grad_h(pts)).max())
+    for ax in range(2):
+        e = np.zeros(2)
+        e[ax] = h
+        fdH = (fields.grad_u(pts + e) - fields.grad_u(pts - e)) / (2 * h)
+        worst = max(worst, np.abs(fdH - fields.hess_u(pts)[..., ax]).max())
+        fdH = (fields.grad_p(pts + e) - fields.grad_p(pts - e)) / (2 * h)
+        worst = max(worst, np.abs(fdH - fields.hess_p(pts)[..., ax]).max())
+    if fields.f is not None:
+        worst = max(worst, np.abs(fd_grad(fields.f) - fields.grad_f(pts)).max())
+    r = fields.u(pts)
+    fd_r = (fields.F(pts, r + h) - fields.F(pts, r - h)) / (2 * h)
+    worst = max(worst, np.abs(fd_r - fields.dF_dr(pts, r)).max())
+    for ax in range(2):
+        e = np.zeros(2)
+        e[ax] = h
+        fd_x = (fields.F(pts + e, r) - fields.F(pts - e, r)) / (2 * h)
+        worst = max(worst, np.abs(fd_x - fields.dF_dx(pts, r)[..., ax]).max())
+    return float(worst)
 
 
 # ------------------------------------------------------------- manufactured
