@@ -366,7 +366,7 @@ def cmd_check(args):
         checks.update(_fd_checks(cfg, table))
 
     ttable = None
-    if not derive and problem.taylor:
+    if not derive and problem.has_state:
         t0 = time.perf_counter()
         ts = cfg.get_floats("validation", "taylor_s_list", "0.16 0.08 0.04")
         ttable = material_taylor_check(problem, theta, ts,
@@ -377,7 +377,7 @@ def cmd_check(args):
             _order_value(ttable),
             cfg.get_float("validation", "taylor_order_min", "1.9"), ">=")
 
-    if problem.duality:
+    if problem.has_state:
         rep = duality_check(problem, theta)
         report["duality"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                              "abs_gap": rep.abs_gap, "rel_gap": rep.rel_gap}

@@ -25,9 +25,6 @@ class ScalarData:
         self.value = value
         self.grad = grad
 
-    def spec(self):
-        return " ".join([self.name] + [repr(p) for p in self.params])
-
 
 class MatrixData:
     """Symmetric matrix coefficient with its spatial derivative tensor."""
@@ -37,9 +34,6 @@ class MatrixData:
         self.params = tuple(float(p) for p in params)
         self.value = value
         self.dspace = dspace
-
-    def spec(self):
-        return " ".join([self.name] + [repr(p) for p in self.params])
 
     def constant(self):
         """The (2, 2) value if the entry is spatially constant, else None."""
@@ -60,22 +54,15 @@ class RFunctionData:
         self.dr = dr            # (P, r) -> (...)
         self.dx = dx            # (P, r) -> (..., 2)
 
-    def spec(self):
-        return " ".join([self.name] + [repr(p) for p in self.params])
-
 
 class TimeProfile:
-    """Separable time factor a(t) with derivative, applied to spatial data."""
+    """Separable time factor a(t), applied to spatial data."""
 
-    def __init__(self, name, params, value, deriv, time_dependent):
+    def __init__(self, name, params, value, time_dependent):
         self.name = name
         self.params = tuple(float(p) for p in params)
         self.value = value
-        self.deriv = deriv
         self.time_dependent = time_dependent
-
-    def spec(self):
-        return " ".join([self.name] + [repr(p) for p in self.params])
 
 
 class TimeScalarData:
@@ -92,9 +79,6 @@ class TimeScalarData:
     def grad(self, t, P):
         return self.profile.value(t) * self.spatial.grad(P)
 
-    def spec(self):
-        return self.spatial.spec()
-
 
 class TimeMatrixData:
     """Matrix coefficient a(t) * M(x) with spatial derivative tensor."""
@@ -109,9 +93,6 @@ class TimeMatrixData:
 
     def dspace(self, t, P):
         return self.profile.value(t) * self.spatial.dspace(P)
-
-    def spec(self):
-        return self.spatial.spec()
 
 
 # ----------------------------------------------------------------- scalar laws
@@ -311,15 +292,15 @@ RFUNC_CATALOG = {
 # --------------------------------------------------------------- time profiles
 
 def _tp_const():
-    return (lambda t: 1.0), (lambda t: 0.0), False
+    return (lambda t: 1.0), False
 
 
 def _tp_decay(lam):
-    return (lambda t: np.exp(-lam * t)), (lambda t: -lam * np.exp(-lam * t)), lam != 0.0
+    return (lambda t: np.exp(-lam * t)), lam != 0.0
 
 
 def _tp_ramp(alpha):
-    return (lambda t: 1.0 + alpha * t), (lambda t: alpha), alpha != 0.0
+    return (lambda t: 1.0 + alpha * t), alpha != 0.0
 
 
 PROFILE_CATALOG = {

@@ -62,6 +62,11 @@ def _dot(a, b):
     return np.einsum('...i,...i->...', a, b)
 
 
+def _at_qpoints(space, C):
+    """A constant (2, 2) matrix as its values at the volume quadrature points."""
+    return np.broadcast_to(C, space.qpoints.shape[:-1] + (2, 2))
+
+
 class _EllipticProblem(ShapeProblem):
     """Shared body of the stationary problems: the density kernel.
 
@@ -114,8 +119,7 @@ class _EllipticProblem(ShapeProblem):
         vec += fem.assemble_load_values(self.space, source_rate(e.b, e.b_x, samples))
         if e.bg is not None:
             vals = e.bg * samples.edge_divg + _dot(e.bg_x, samples.edge_val)
-            vec += fem.assemble_boundary_load_values(
-                self.space, self.space.edges_of_marker(None), vals)
+            vec += fem.assemble_boundary_load_values(self.space, vals)
         return vec
 
     def _build_tensors(self):
@@ -129,7 +133,7 @@ class _EllipticProblem(ShapeProblem):
                                     c.F, c.F_x, c.F_gu, gu)
         if e.bg is None:
             return ShapeTensors(self.space, S0=S0, S1=S1)
-        pe = fem.edge_qvalues(p, self.space.edges_of_marker(None))
+        pe = fem.edge_qvalues(p)
         return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=pe[..., None] * e.bg_x,
                             S1_gamma=(e.bg * pe)[..., None, None] * _I2,
                             boundary_pairing="tangential")
@@ -170,13 +174,13 @@ class RobinData:
 
 def _robin_matrix(space, data):
     check_positive(data.beta, space.edge_qpoints)
-    return fem.assemble_diffusion(space, data.M) \
-        + fem.assemble_boundary_mass(space, None, data.beta.value)
+    return fem.assemble_diffusion_values(space, _at_qpoints(space, data.M)) \
+        + fem.assemble_boundary_mass(space, data.beta.value(space.edge_qpoints))
 
 
 def _robin_rhs(space, data):
-    return fem.assemble_load(space, data.f.value) \
-        + fem.assemble_boundary_load(space, None, data.g.value)
+    return fem.assemble_load_values(space, data.f.value(space.qpoints)) \
+        + fem.assemble_boundary_load_values(space, data.g.value(space.edge_qpoints))
 
 
 class RobinProblem(_EllipticProblem):
@@ -198,7 +202,7 @@ class RobinProblem(_EllipticProblem):
     def _pde_density(self, uq, gu):
         data, P = self.data, self.space.qpoints
         Pe = self.space.edge_qpoints
-        ue = fem.edge_qvalues(self.u, self.space.edges_of_marker(None))
+        ue = fem.edge_qvalues(self.u)
         return _parts(_PDE_PARTS, A=data.M, b=-data.f.value(P), b_x=-data.f.grad(P),
                       bg=data.beta.value(Pe) * ue - data.g.value(Pe),
                       bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
@@ -293,7 +297,7 @@ def quasilinear_solve(mesh, data, order=1, rel_tol=1e-11, abs_tol=1e-13, max_ite
         if rn <= max(rel_tol * r0, abs_tol):
             return field, history
         J = _ql_jacobian(space, data, field)
-        delta = fem.solve(J, -R)
+        delta = fem.Factorized(J).solve(-R)
         field = ScalarField(space, field.coefficients + delta)
     raise fem.NewtonError(
         f"Newton did not converge in {max_iter} iterations "
@@ -354,9 +358,10 @@ class DirichletEnergyProblem(_EllipticProblem):
         self._bd = self.space.boundary_dofs()
         self._keep = np.ones(self.space.dof_count)
         self._keep[self._bd] = 0.0
-        A2, b2 = fem.apply_dirichlet(fem.assemble_diffusion(self.space, _I2),
-                                     fem.assemble_load(self.space, data.f.value),
-                                     self._bd, 0.0)
+        A2, b2 = fem.apply_dirichlet(
+            fem.assemble_diffusion_values(self.space, _at_qpoints(self.space, _I2)),
+            fem.assemble_load_values(self.space, data.f.value(self.space.qpoints)),
+            self._bd, 0.0)
         self._fact = fem.Factorized(A2)
         self.u = ScalarField(self.space, self._fact.solve(b2))
 
@@ -379,9 +384,8 @@ def dirichlet_energy_boundary_dJ(data, u, samples):
     int (2 (dn u)^2 - |grad u|^2) theta . n over the boundary.
     """
     space = u.space
-    edges = np.arange(len(space.edge_markers))
-    gue = fem.edge_qgrads(u, edges)
-    ue = fem.edge_qvalues(u, edges)
+    gue = fem.edge_qgrads(u)
+    ue = fem.edge_qvalues(u)
     fe = data.f.value(space.edge_qpoints)
     n = space.edge_normal[:, None, :]
     dn = _dot(gue, np.broadcast_to(n, gue.shape))

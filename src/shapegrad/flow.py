@@ -20,6 +20,7 @@ made compactly supported without losing analytic derivatives.
 import numpy as np
 
 from .mesh import InvertedTriangleError
+from .tensor_calc import matmul2
 
 
 class FlowDegeneracyError(Exception):
@@ -78,17 +79,6 @@ def _inv2(J):
     return inv / det[..., None, None]
 
 
-def _matmul2(A, B):
-    """Stacked 2x2 products A @ B, term by term: the bits of the einsum
-    ``'...ij,...jk->...ik'`` (sums start from +0.0), several times faster."""
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
-    for i in range(2):
-        for k in range(2):
-            out[..., i, k] = A[..., i, 0] * B[..., 0, k] + A[..., i, 1] * B[..., 1, k]
-    out += 0.0
-    return out
-
-
 def advect_batch(theta, s, x0, steps=32, want_jac=True):
     """RK4-transport many points (and flow Jacobians) at once.
 
@@ -138,7 +128,7 @@ def _rk4(theta, h, steps, X, J):
         v = theta.eval(Xc)
         if Jc is None:
             return v, None
-        return v, _matmul2(theta.jac(Xc), Jc)
+        return v, matmul2(theta.jac(Xc), Jc)
 
     for _ in range(steps):
         k1x, k1j = rhs(X, J)

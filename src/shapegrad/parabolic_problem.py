@@ -131,7 +131,7 @@ class _March:
         self.mesh = mesh
         self.data = data
         self.space = FeSpace(mesh, order=order)
-        self.Mu = fem.assemble_mass(self.space)
+        self.Mu = fem.assemble_mass_values(self.space, np.ones(self.space.qweights.shape))
         self.bd = self.space.boundary_dofs()
         self.keep = np.ones(self.space.dof_count)
         self.keep[self.bd] = 0.0
@@ -145,11 +145,13 @@ class _March:
 
     @cached_property
     def K(self):
-        return fem.assemble_diffusion(self.space, self.data.M.spatial.value)
+        P = self.space.qpoints
+        return fem.assemble_diffusion_values(self.space, self.data.M.spatial.value(P))
 
     @cached_property
     def F(self):
-        return fem.assemble_load(self.space, self.data.f.spatial.value)
+        P = self.space.qpoints
+        return fem.assemble_load_values(self.space, self.data.f.spatial.value(P))
 
     def stiffness(self, k):
         return self.data.M.profile.value(self.times[k]) * self.K

@@ -136,8 +136,7 @@ def material_tensor_rate(M, samples):
     J = samples.vol_jac
     MM = np.broadcast_to(M, J.shape)
     return samples.vol_div[..., None, None] * MM \
-        - np.einsum('mqij,mqjk->mqik', J, MM) \
-        - np.einsum('mqij,mqkj->mqik', MM, J)
+        - tc.matmul2(J, MM) - tc.matmul2(MM, np.swapaxes(J, -1, -2))
 
 
 def _sum(*terms):
@@ -267,14 +266,15 @@ class ShapeProblem:
 
     Capability flags name the oracles a problem supports: ``fd_cost`` is
     ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
-    frozen-state transport cost) or None; ``taylor``, ``duality`` and
-    ``dual_form`` select the Taylor remainder of ``material``, the pairing
-    ``duality_pair`` and ``dual_form_gap``; ``has_state``: u and p to write.
+    frozen-state transport cost) or None; ``has_state``: u and p exist, so
+    ``solve`` writes them and the Taylor remainder of ``material`` and the
+    pairing ``duality_pair`` are checked; ``dual_form`` selects
+    ``dual_form_gap``.
     """
 
     name = None
     fd_cost = "resolve"
-    taylor = duality = has_state = True
+    has_state = True
     dual_form = False
     theta_mode = "interpolated"
 
@@ -614,7 +614,7 @@ class ManufacturedProblem(ShapeProblem):
     is the geometric part checked by ``fd_transport_check``.
     """
 
-    taylor = duality = has_state = False
+    has_state = False
     dual_form = True
     theta_mode = "analytic"
 

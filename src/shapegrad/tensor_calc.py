@@ -131,6 +131,21 @@ def outer_vm(a, T):
     return np.einsum('...i,...jk->...ijk', a, T)
 
 
+def matmul2(A, B):
+    """Stacked 2x2 products A @ B, term by term: the bits of the einsum
+    ``'...ij,...jk->...ik'`` (sums start from +0.0), several times faster.
+
+    Leading axes broadcast; no input checks, since the RK4 flow Jacobian
+    and the transported-tensor rates call it on every quadrature point.
+    """
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = A[..., i, 0] * B[..., 0, k] + A[..., i, 1] * B[..., 1, k]
+    out += 0.0
+    return out
+
+
 def _require_symmetric(H, name):
     gap = np.abs(H - np.swapaxes(H, -1, -2)).max()
     scale = max(1.0, float(np.abs(H).max()))

@@ -261,7 +261,7 @@ class AreaProblem(ShapeProblem):
     """
 
     name = "area"
-    taylor = duality = has_state = False
+    has_state = False
 
     def __init__(self, mesh, order=1):
         super().__init__(mesh, order)

@@ -26,7 +26,8 @@ def _dot(a, b):
 
 def robin_cost_and_gradient(u):
     """J = 1/2 u^T K_I u and B = K_I u through the stiffness matrix K_I."""
-    B = fem.assemble_diffusion(u.space, _I2) @ u.coefficients
+    eye = np.broadcast_to(_I2, u.space.qpoints.shape[:-1] + (2, 2))
+    B = fem.assemble_diffusion_values(u.space, eye) @ u.coefficients
     return 0.5 * float(u.coefficients @ B), B
 
 
@@ -46,14 +47,13 @@ def robin_L_vector(data, u, samples):
     vec -= fem.assemble_load_values(
         space, fv * samples.vol_div + _dot(data.f.grad(P), samples.vol_val))
 
-    edges = np.arange(len(space.edge_markers))
     Pe = space.edge_qpoints
-    ue = fem.edge_qvalues(u, edges)
+    ue = fem.edge_qvalues(u)
     bv = data.beta.value(Pe)
     gv = data.g.value(Pe)
     vals = (bv * ue - gv) * samples.edge_divg \
         + _dot(ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), samples.edge_val)
-    vec += fem.assemble_boundary_load_values(space, edges, vals)
+    vec += fem.assemble_boundary_load_values(space, vals)
     return vec
 
 
@@ -91,10 +91,9 @@ def robin_shape_tensors(data, u, p):
     S1 = -_outer(gp, Mgu) - _outer(gu, Mgp) - _outer(gu, gu) \
         + scal[..., None, None] * _I2
 
-    edges = np.arange(len(space.edge_markers))
     Pe = space.edge_qpoints
-    ue = fem.edge_qvalues(u, edges)
-    pe = fem.edge_qvalues(p, edges)
+    ue = fem.edge_qvalues(u)
+    pe = fem.edge_qvalues(p)
     bv = data.beta.value(Pe)
     gv = data.g.value(Pe)
     S0g = pe[..., None] * (ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))

@@ -24,6 +24,15 @@ def _ref_triangle():
     return Mesh(nodes, tris, bnd)
 
 
+def _const_mat(space, C):
+    """A constant (2, 2) coefficient as its values at the volume quadrature points."""
+    return np.broadcast_to(np.asarray(C, dtype=float), space.qpoints.shape[:-1] + (2, 2))
+
+
+def _stiffness(space, C=np.eye(2)):
+    return fem.assemble_diffusion_values(space, _const_mat(space, C))
+
+
 def _tri_monomial_exact(i, j):
     import math
     return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
@@ -61,9 +70,9 @@ def test_edge_rule_exactness():
 
 def test_reference_triangle_stiffness():
     space = fem.FeSpace(_ref_triangle(), order=1)
-    K = fem.assemble_diffusion(space, np.eye(2)).toarray()
+    K = _stiffness(space).toarray()
     assert np.abs(K - REF_STIFFNESS).max() <= 1e-14
-    K2 = fem.assemble_diffusion(space, 2.0 * np.eye(2)).toarray()
+    K2 = _stiffness(space, 2.0 * np.eye(2)).toarray()
     assert np.abs(K2 - 2.0 * REF_STIFFNESS).max() <= 1e-14
 
 
@@ -71,9 +80,13 @@ def test_stiffness_linear_in_coefficient():
     m = gen_rectangle(0, 0, 1, 1, 3, 3)
     space = fem.FeSpace(m, order=1)
     C = np.array([[2.0, 0.5], [0.5, 1.0]])
-    A1 = fem.assemble_diffusion(space, C)
-    A2 = fem.assemble_diffusion(space, lambda P: np.broadcast_to(C, P.shape[:-1] + (2, 2)))
+    D = np.array([[0.3, -0.2], [-0.2, 0.7]])
+    A1 = _stiffness(space, C)
+    # a broadcast view and per-point values in memory assemble alike
+    A2 = fem.assemble_diffusion_values(space, np.array(_const_mat(space, C)))
     assert abs(A1 - A2).max() <= 1e-14
+    A3 = _stiffness(space, C + D)
+    assert abs(A3 - (A1 + _stiffness(space, D))).max() <= 1e-14
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -83,7 +96,7 @@ def test_mass_partition_of_unity(order):
         if area is None:
             area = m.area()
         space = fem.FeSpace(m, order=order)
-        M = fem.assemble_mass(space)
+        M = fem.assemble_mass_values(space, np.ones(space.qweights.shape))
         total = float(np.ones(space.dof_count) @ (M @ np.ones(space.dof_count)))
         assert abs(total - area) <= 1e-12 * max(1.0, area)
 
@@ -92,7 +105,7 @@ def test_mass_partition_of_unity(order):
 def test_boundary_mass_perimeter(order):
     m = gen_rectangle(0, 0, 1, 1, 4, 4)
     space = fem.FeSpace(m, order=order)
-    Mb = fem.assemble_boundary_mass(space, 1)
+    Mb = fem.assemble_boundary_mass(space, np.ones(space.edge_qweights.shape))
     ones = np.ones(space.dof_count)
     assert abs(ones @ (Mb @ ones) - 4.0) <= 1e-12 * 4.0
 
@@ -100,26 +113,22 @@ def test_boundary_mass_perimeter(order):
 def test_load_constant_sums_to_area():
     m = gen_disk((0.2, -0.1), 0.8, 3)
     space = fem.FeSpace(m, order=2)
-    b = fem.assemble_load(space, lambda P: np.ones(P.shape[:-1]))
+    b = fem.assemble_load_values(space, np.ones(space.qweights.shape))
     assert abs(b.sum() - m.area()) <= 1e-12 * m.area()
 
 
 def test_load_linear_moment():
     m = gen_rectangle(0, 0, 1, 1, 5, 5)
     space = fem.FeSpace(m, order=1)
-    b = fem.assemble_load(space, lambda P: P[..., 0])
+    b = fem.assemble_load_values(space, space.qpoints[..., 0])
     assert abs(b.sum() - 0.5) <= 1e-12
 
 
-def test_boundary_load_and_unknown_marker():
+def test_boundary_load_sums_to_perimeter():
     m = gen_rectangle(0, 0, 1, 1, 3, 3)
     space = fem.FeSpace(m, order=1)
-    g = fem.assemble_boundary_load(space, 1, lambda P: np.ones(P.shape[:-1]))
+    g = fem.assemble_boundary_load_values(space, np.ones(space.edge_qweights.shape))
     assert abs(g.sum() - 4.0) <= 1e-12 * 4.0
-    with pytest.raises(ValueError, match="unknown boundary marker"):
-        fem.assemble_boundary_load(space, 7, None)
-    with pytest.raises(ValueError, match="unknown boundary marker"):
-        fem.assemble_boundary_mass(space, 0)
 
 
 # ---------------------------------------------------------------- constraints
@@ -127,9 +136,9 @@ def test_boundary_load_and_unknown_marker():
 def test_apply_dirichlet_idempotent():
     m = gen_rectangle(0, 0, 1, 1, 3, 3)
     space = fem.FeSpace(m, order=1)
-    A = fem.assemble_diffusion(space, np.eye(2))
-    b = fem.assemble_load(space, lambda P: np.ones(P.shape[:-1]))
-    dofs = space.boundary_dofs(1)
+    A = _stiffness(space)
+    b = fem.assemble_load_values(space, np.ones(space.qweights.shape))
+    dofs = space.boundary_dofs()
     vals = space.dof_coords[dofs, 0]
     A1, b1 = fem.apply_dirichlet(A, b, dofs, vals)
     A2, b2 = fem.apply_dirichlet(A1, b1, dofs, vals)
@@ -148,11 +157,11 @@ def test_patch_test_linear_exact(order):
     def uex(P):
         return 1.0 + 2.0 * P[..., 0] - 3.0 * P[..., 1]
 
-    A = fem.assemble_diffusion(space, np.eye(2))
+    A = _stiffness(space)
     b = np.zeros(space.dof_count)
-    dofs = space.boundary_dofs(1)
+    dofs = space.boundary_dofs()
     A1, b1 = fem.apply_dirichlet(A, b, dofs, uex(space.dof_coords[dofs]))
-    x = fem.solve(A1, b1)
+    x = fem.Factorized(A1).solve(b1)
     assert np.abs(x - uex(space.dof_coords)).max() <= 1e-12
 
 
@@ -164,25 +173,25 @@ def test_p2_exact_for_harmonic_quadratic():
     def uex(P):
         return P[..., 0] ** 2 - P[..., 1] ** 2
 
-    A = fem.assemble_diffusion(space, np.eye(2))
-    dofs = space.boundary_dofs(1)
+    A = _stiffness(space)
+    dofs = space.boundary_dofs()
     A1, b1 = fem.apply_dirichlet(A, np.zeros(space.dof_count), dofs, uex(space.dof_coords[dofs]))
-    x = fem.solve(A1, b1)
+    x = fem.Factorized(A1).solve(b1)
     assert np.abs(x - uex(space.dof_coords)).max() <= 1e-10
 
 
 def test_solve_residual_and_singular():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(fem.SolverError):
-        fem.solve(A, np.array([1.0, 1.0]))
+        fem.Factorized(A).solve(np.array([1.0, 1.0]))
 
 
 def test_factorized_matches_solve():
     m = gen_rectangle(0, 0, 1, 1, 4, 4)
     space = fem.FeSpace(m, order=1)
-    A = fem.assemble_diffusion(space, np.eye(2)) + fem.assemble_mass(space)
-    b = fem.assemble_load(space, lambda P: P[..., 1])
-    x1 = fem.solve(A, b)
+    A = _stiffness(space) + fem.assemble_mass_values(space, np.ones(space.qweights.shape))
+    b = fem.assemble_load_values(space, space.qpoints[..., 1])
+    x1 = spla.spsolve(A.tocsc(), b)
     x2 = fem.Factorized(A).solve(b)
     assert np.abs(x1 - x2).max() <= 1e-12
 
@@ -190,8 +199,10 @@ def test_factorized_matches_solve():
 def _robin_system(refine):
     """Robin matrix (M = diag(2, 1), beta = 1) and load on the unit disk."""
     space = fem.FeSpace(gen_disk((0.0, 0.0), 1.0, refine), order=1)
-    A = fem.assemble_diffusion(space, np.diag([2.0, 1.0])) + fem.assemble_boundary_mass(space, None)
-    b = fem.assemble_load(space, lambda P: 1.0 + P[..., 0] * P[..., 1])
+    A = _stiffness(space, np.diag([2.0, 1.0])) \
+        + fem.assemble_boundary_mass(space, np.ones(space.edge_qweights.shape))
+    P = space.qpoints
+    b = fem.assemble_load_values(space, 1.0 + P[..., 0] * P[..., 1])
     return A, b
 
 
@@ -226,7 +237,7 @@ def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
     u = space.interpolate(lambda P: 1.0 + np.sin(2.0 * P[..., 0]) * P[..., 1])
     J = _ql_jacobian(space, data, u)
     assert abs(J - J.T).max() > 1e-8
-    b = fem.assemble_load(space, lambda P: 1.0 + P[..., 0])
+    b = fem.assemble_load_values(space, 1.0 + space.qpoints[..., 0])
     JT = J.T.tocsr()
     # (solution, reference matrix): A x = b for A = J and J^T, and the
     # transposed solve on J's factors, checked against COLAMD on J^T
@@ -263,21 +274,20 @@ def test_edge_traces():
     m = gen_rectangle(0, 0, 1, 1, 2, 2)
     space = fem.FeSpace(m, order=2)
     u = space.interpolate(lambda P: P[..., 0] ** 2 + 0.5 * P[..., 1])
-    edges = np.arange(len(m.boundary_edges))
-    vals = fem.edge_qvalues(u, edges)
-    grads = fem.edge_qgrads(u, edges)
-    P = space.edge_qpoints[edges]
+    vals = fem.edge_qvalues(u)
+    grads = fem.edge_qgrads(u)
+    P = space.edge_qpoints
     assert np.abs(vals - (P[..., 0] ** 2 + 0.5 * P[..., 1])).max() <= 1e-12
     exact = np.stack([2.0 * P[..., 0], np.full(P.shape[:-1], 0.5)], axis=-1)
     assert np.abs(grads - exact).max() <= 1e-11
 
 
-def _edge_qgrads_per_edge(field, edges):
+def _edge_qgrads_per_edge(field):
     # edge_qgrads as a loop over edges, one 2x2 solve each: the reference
     space = field.space
     mesh = space.mesh
-    out = np.empty((len(edges), space.edg_rule.points.shape[0], 2))
-    for row, e in enumerate(edges):
+    out = np.empty((len(mesh.boundary_edges), space.edg_rule.points.shape[0], 2))
+    for e in range(len(out)):
         owner = space.edge_owner[e]
         v = mesh.nodes[mesh.triangles[owner]]
         T = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
@@ -285,7 +295,7 @@ def _edge_qgrads_per_edge(field, edges):
         lmb = np.column_stack([1.0 - loc.sum(axis=1), loc])
         g = (fem._grad_p1 if space.order == 1 else fem._grad_p2)(lmb)
         gphys = np.einsum('dr,qar->qad', space.invJT[owner], g)
-        out[row] = np.einsum('qad,a->qd', gphys, field.coefficients[space.element_dofs[owner]])
+        out[e] = np.einsum('qad,a->qd', gphys, field.coefficients[space.element_dofs[owner]])
     return out
 
 
@@ -294,8 +304,19 @@ def test_edge_qgrads_matches_per_edge_loop(order):
     m = gen_disk((0.2, -0.1), 1.0, 3)
     space = fem.FeSpace(m.with_nodes(m.nodes + 0.01 * np.cos(5.0 * m.nodes)), order=order)
     u = space.interpolate(lambda P: np.cos(3.0 * P[..., 0]) * np.exp(P[..., 1]))
-    for edges in (np.arange(len(m.boundary_edges)), np.arange(len(m.boundary_edges))[1::4]):
-        assert fem.edge_qgrads(u, edges).tobytes() == _edge_qgrads_per_edge(u, edges).tobytes()
+    assert fem.edge_qgrads(u).tobytes() == _edge_qgrads_per_edge(u).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_field_qgrads_matches_einsum_bit_for_bit(order):
+    m = gen_disk((0.2, -0.1), 1.0, 3)
+    space = fem.FeSpace(m.with_nodes(m.nodes + 0.01 * np.cos(5.0 * m.nodes)), order=order)
+    u = space.interpolate(lambda P: np.where(P[..., 0] > 0.3, 0.0,
+                                             np.cos(3.0 * P[..., 0]) * np.exp(P[..., 1])))
+    # zero and negative-zero coefficients: the einsum sums onto +0.0
+    u.coefficients[::5] = -0.0
+    want = np.einsum('mqad,ma->mqd', space.grads, u.coefficients[space.element_dofs])
+    assert fem.field_qgrads(u).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- convergence
@@ -310,11 +331,11 @@ def _dirichlet_poisson_error(nx, order):
     def f(P):
         return 2.0 * np.pi ** 2 * uex(P)
 
-    A = fem.assemble_diffusion(space, np.eye(2))
-    b = fem.assemble_load(space, f)
-    dofs = space.boundary_dofs(1)
+    A = _stiffness(space)
+    b = fem.assemble_load_values(space, f(space.qpoints))
+    dofs = space.boundary_dofs()
     A1, b1 = fem.apply_dirichlet(A, b, dofs, np.zeros(len(dofs)))
-    x = fem.solve(A1, b1)
+    x = fem.Factorized(A1).solve(b1)
     uh = fem.field_qvalues(fem.ScalarField(space, x))
     diff = uh - uex(space.qpoints)
     return np.sqrt(np.sum(space.qweights * diff * diff))

@@ -98,8 +98,7 @@ def test_data_outside_separable_contract():
 
 def test_solver_failure_names_time_step(rect_unit):
     data = _data(nt=6)
-    poisoned = TimeProfile("poisoned", (), lambda t: np.nan if t > 0.4 else 0.0,
-                           lambda t: 0.0, True)
+    poisoned = TimeProfile("poisoned", (), lambda t: np.nan if t > 0.4 else 0.0, True)
     data.f = TimeScalarData(parse_scalar("const 1"), poisoned)
     with pytest.raises(SolverError, match="time step"):
         parabolic_solve(rect_unit, data)
@@ -133,11 +132,11 @@ def test_steady_state_monotone_decay(rect_unit):
     data = _data(nt=30, t0=2.0, f_spec=("sine2 1.5 1 1", "const"), g_spec="sine2 1 2 1")
     u = parabolic_solve(rect_unit, data)
     space = u.space
-    K = fem.assemble_diffusion(space, lambda P: data.M.value(0.0, P))
-    F = fem.assemble_load(space, lambda P: data.f.value(0.0, P))
+    K = fem.assemble_diffusion_values(space, data.M.value(0.0, space.qpoints))
+    F = fem.assemble_load_values(space, data.f.value(0.0, space.qpoints))
     bd = space.boundary_dofs()
     A2, b2 = fem.apply_dirichlet(K, F, bd, 0.0)
-    u_inf = fem.solve(A2, b2)
+    u_inf = fem.Factorized(A2).solve(b2)
     en = []
     for k in range(u.nt + 1):
         e = u.values[k] - u_inf
@@ -192,7 +191,7 @@ def test_time_reversal_oracle(rect_unit):
     p = parabolic_adjoint(rect_unit, data, u, "j1")
 
     space = FeSpace(rect_unit, order=1)
-    Mu = fem.assemble_mass(space)
+    Mu = fem.assemble_mass_values(space, np.ones(space.qweights.shape))
     bd = space.boundary_dofs()
     dt = data.t0 / data.nt
     times = np.linspace(0.0, data.t0, data.nt + 1)
@@ -204,9 +203,9 @@ def test_time_reversal_oracle(rect_unit):
     vhat = {0: v}
     for j in range(1, data.nt + 1):
         k = data.nt + 1 - j
-        K = fem.assemble_diffusion(space, lambda P: data.M.value(times[k], P))
+        K = fem.assemble_diffusion_values(space, data.M.value(times[k], space.qpoints))
         A2, b2 = fem.apply_dirichlet(Mu + dt * K, Mu @ v - B[k], bd, 0.0)
-        v = fem.solve(A2, b2)
+        v = fem.Factorized(A2).solve(b2)
         vhat[j] = v
     scale = np.abs(p.values).max()
     for k in range(1, data.nt + 1):

@@ -98,9 +98,9 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         fd_keys = {"fd_order", "fd_rel_gap"}
         if cfg.has("validation", "extrapolated_max"):
             fd_keys.add("fd_extrapolated")
-    shared = fd_keys | {key for key, flag in (("duality_rel_gap", problem.duality),
+    shared = fd_keys | {key for key, flag in (("duality_rel_gap", problem.has_state),
                                               ("dual_form_gap", problem.dual_form)) if flag}
-    taylor = {"taylor_order"} if problem.taylor else set()
+    taylor = {"taylor_order"} if problem.has_state else set()
     for command, kind, expected in (("derive", "report", shared),
                                     ("validate", "validate", shared | taylor)):
         out = tmp_path / command
@@ -111,7 +111,7 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         assert ("fd" in report) == (problem.fd_cost is not None)
         assert (out / f"{problem.name}-fd.csv").exists() == (problem.fd_cost is not None)
         assert (out / f"{problem.name}-taylor.csv").exists() == (
-            command == "validate" and problem.taylor)
+            command == "validate" and problem.has_state)
     out = tmp_path / "solve"
     rc = cli.main(["solve", "--config", path, "--out", str(out)])
     assert rc == (cli.EXIT_OK if problem.has_state else cli.EXIT_CONFIG)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
 from shapegrad.flow import VectorFieldSpec, make_field
 from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
@@ -211,6 +212,22 @@ def test_material_tensor_rate_formula(disk4):
     want = samples.vol_div[m, q] * M - J @ M - M @ J.T
     assert np.abs(rate[m, q] - want).max() < 1e-15
     del rng
+
+
+@pytest.mark.parametrize("mode", ["interpolated", "analytic"])
+def test_material_tensor_rate_matches_einsum_bit_for_bit(disk4, mode):
+    """The term-by-term products give the bits of the batched einsums
+    D theta M and M D theta^T, for a constant (Robin) and a per-point
+    (parabolic affine) M."""
+    space = FeSpace(disk4, order=1)
+    samples = theta_samples(space, bump_theta(), mode)
+    J = samples.vol_jac
+    affine = parse_matrix("affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3")
+    for M in (np.array([[2.0, 0.0], [0.0, 1.0]]), affine.value(space.qpoints)):
+        MM = np.broadcast_to(M, J.shape)
+        want = samples.vol_div[..., None, None] * MM \
+            - np.einsum('mqij,mqjk->mqik', J, MM) - np.einsum('mqij,mqkj->mqik', MM, J)
+        assert material_tensor_rate(M, samples).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------- frozen-state cost

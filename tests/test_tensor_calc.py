@@ -159,6 +159,19 @@ def test_triple_dot_brute_force():
 
 # -------------------------------------------------- transported-Hessian rates
 
+def test_matmul2_matches_einsum_bit_for_bit():
+    rng = np.random.default_rng(8)
+    A = _rand(rng, (40, 3, 2, 2))
+    B = _rand(rng, (40, 3, 2, 2))
+    # zero and negative-zero entries: the einsum sums onto +0.0
+    A[::5] = 0.0
+    B[::7] = -0.0
+    A[1, :, :, 0] = -0.0
+    for a, b in ((A, B), (A, B[0, 0]), (B[3, 1], A)):
+        want = np.einsum('...ij,...jk->...ik', a, b)
+        assert tc.matmul2(a, b).tobytes() == want.tobytes()
+
+
 def test_hessian_rate_constant_field_is_zero():
     g = np.array([1.0, 2.0])
     H = np.array([[3.0, 1.0], [1.0, 2.0]])
