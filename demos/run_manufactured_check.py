@@ -41,8 +41,7 @@ for variant in ("prop5", "prop6"):
 # -- no mesh re-solve, so the FD error is purely the flow's.
 prop5 = ManufacturedProblem(mesh, variant="prop5")
 theta = make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=HOLDALL)
-table = fd_transport_check(prop5.fields, mesh, theta, (0.02, 0.01, 0.005),
-                           space=prop5.space)
+table = fd_transport_check(prop5, theta, (0.02, 0.01, 0.005))
 print("\ntransport-cost FD (tracking example):")
 for row in table.rows:
     order = f"{row.order:.3f}" if np.isfinite(row.order) else "  -  "

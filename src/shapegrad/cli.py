@@ -306,9 +306,7 @@ def _run_fd(cfg, problem, theta):
         raise ConfigError("[validation] s_list must be positive and decreasing")
     steps = cfg.get_int("validation", "steps", "32")
     if problem.fd_cost == "transport":
-        return fd_transport_check(problem.fields, problem.mesh, theta, s_list,
-                                  steps=steps, space=problem.space,
-                                  name=problem.name)
+        return fd_transport_check(problem, theta, s_list, steps=steps)
     if problem.fd_cost == "resolve":
         return fd_shape_check(problem, theta, s_list, steps=steps)
     return None

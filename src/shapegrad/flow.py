@@ -3,14 +3,17 @@ Flow maps of autonomous velocity fields and their first-order expansions.
 
 A velocity field theta comes with hand-coded Jacobian and second
 derivatives; positions and flow Jacobians are integrated with classical
-RK4 (the Jacobian obeys d/ds DT_s = Dtheta(T_s) DT_s).  The helpers
-expose the pullback quantities needed by shape-derivative assembly:
+RK4 (the Jacobian obeys d/ds DT_s = Dtheta(T_s) DT_s).  The pullback
+factors of the flow map T_s and their s-derivatives at s = 0 are
 
-    xi(s)      = det DT_s
-    M(s, Q)    = xi(s) DT_s^-1 Q DT_s^-T
-    M'(0, Q)   = div(theta) Q - Dtheta Q - Q Dtheta^T
-    xi_G(s)    = |det DT_s| |DT_s^-T n|
-    div_G      = div(theta) - (Dtheta n) . n
+    xi(s) = det DT_s                      xi'(0) = div(theta)
+    xi(s) DT_s^-1 Q DT_s^-T               div(theta) Q - Dtheta Q - Q Dtheta^T
+    xi_G(s) = |det DT_s| |DT_s^-T n|      div_G(theta) = div(theta) - (Dtheta n) . n
+
+The derivatives are computed where dJ is assembled, at the quadrature
+points: ``shape_assembly.material_tensor_rate`` gives the matrix rate and
+``shape_assembly.theta_samples`` the divergences (``vol_div``,
+``edge_divg``).
 
 Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
@@ -53,30 +56,8 @@ class VectorFieldSpec:
         return f"VectorFieldSpec({self.name!r})"
 
 
-class FlowState:
-    """Position and flow Jacobian of one trajectory at pseudo-time ``s``."""
-
-    def __init__(self, position, jacobian, s):
-        self.position = np.asarray(position, dtype=float)
-        self.jacobian = np.asarray(jacobian, dtype=float)
-        self.s = float(s)
-        if _det2(self.jacobian) <= 0.0:
-            raise FlowDegeneracyError(
-                f"flow Jacobian determinant {_det2(self.jacobian):.3e} <= 0 at s={s}")
-
-
 def _det2(J):
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-
-
-def _inv2(J):
-    det = _det2(J)
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    inv[..., 1, 1] = J[..., 0, 0]
-    return inv / det[..., None, None]
 
 
 def advect_batch(theta, s, x0, steps=32, want_jac=True):
@@ -103,7 +84,7 @@ def advect_batch(theta, s, x0, steps=32, want_jac=True):
     ``want_jac`` is false.
     """
     if steps < 1:
-        raise ValueError("advect: steps must be >= 1")
+        raise ValueError("advect_batch: steps must be >= 1")
     X = np.array(x0, dtype=float)
     J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy() if want_jac else None
     if s == 0.0:
@@ -144,60 +125,6 @@ def _rk4(theta, h, steps, X, J):
                 raise FlowDegeneracyError(
                     f"flow Jacobian determinant {dets[i]:.3e} <= 0 during advection")
     return X, J
-
-
-def advect(theta, s, x0, steps=32):
-    """Transport a single point; returns a :class:`FlowState`.
-
-    ``s = 0`` returns the initial point with identity Jacobian exactly.
-    """
-    X, J = advect_batch(theta, s, np.asarray(x0, dtype=float)[None, :], steps=steps)
-    return FlowState(X[0], J[0], s)
-
-
-def xi(state):
-    """Volume factor det DT_s of a flow state."""
-    det = float(_det2(state.jacobian))
-    if det <= 0.0:
-        raise FlowDegeneracyError(f"xi: determinant {det:.3e} <= 0")
-    return det
-
-
-def m_of_s(state, Q):
-    """Pullback of a constant diffusion matrix: xi DT^-1 Q DT^-T."""
-    Q = np.asarray(Q, dtype=float)
-    inv = _inv2(state.jacobian)
-    return xi(state) * inv @ Q @ inv.T
-
-
-def m_prime0(theta, x, Q):
-    """s-derivative of :func:`m_of_s` at s = 0: div(theta) Q - Dtheta Q - Q Dtheta^T."""
-    Q = np.asarray(Q, dtype=float)
-    x = np.asarray(x, dtype=float)
-    Jt = theta.jac(x[None, :])[0]
-    return np.trace(Jt) * Q - Jt @ Q - Q @ Jt.T
-
-
-def _check_unit(n):
-    n = np.asarray(n, dtype=float)
-    if abs(np.hypot(n[0], n[1]) - 1.0) > 1e-12:
-        raise ValueError(f"normal must be a unit vector, got |n| = {np.hypot(n[0], n[1])!r}")
-    return n
-
-
-def xi_gamma(state, n):
-    """Surface factor |det DT_s| |DT_s^-T n| for a unit normal ``n``."""
-    n = _check_unit(n)
-    inv = _inv2(state.jacobian)
-    return abs(float(_det2(state.jacobian))) * float(np.hypot(*(inv.T @ n)))
-
-
-def div_gamma(theta, x, n):
-    """Tangential divergence div(theta) - (Dtheta n) . n at ``x`` (unit ``n``)."""
-    n = _check_unit(n)
-    x = np.asarray(x, dtype=float)
-    Jt = theta.jac(x[None, :])[0]
-    return float(np.trace(Jt) - n @ Jt @ n)
 
 
 def transport_mesh(theta, s, mesh, steps=32):

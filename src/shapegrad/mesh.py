@@ -1,7 +1,7 @@
 """
-Triangular meshes: generation, validation, normals and plain-text IO.
+Triangular meshes: generation, validation and plain-text IO.
 
-A mesh is nodes + CCW triangles + marked boundary edges.  The hold-all box
+A mesh is nodes + CCW triangles + boundary edges.  The hold-all box
 is the node bounding box inflated by 25% per axis; transported meshes are
 expected to stay inside it and vector fields of interest are supported there.
 
@@ -23,6 +23,9 @@ File format (``shapegrad-mesh v1``)::
     <i> <j> <k>      (M lines, 0-based, CCW)
     boundary B
     <i> <j> <marker> (B lines, 0-based, oriented with the domain on the left)
+
+The marker column is a file-format field: the generators write 1, it is
+stored and hashed with the mesh, and nothing selects on it.
 """
 
 import numpy as np
@@ -186,7 +189,8 @@ class Mesh:
         Vertex indices, counter-clockwise.
     boundary_edges : (B, 3) int array
         Rows ``(a, b, marker)``; the segment a->b lies on the boundary with
-        the domain on its left.
+        the domain on its left.  The marker is a file-format field that
+        nothing selects on.
     holdall_box : (2, 2) float array, optional
         ``[[xlo, ylo], [xhi, yhi]]``.  Defaults to the node bounding box
         inflated by 25% of each extent per side.
@@ -250,10 +254,6 @@ class Mesh:
         """Total mesh area."""
         return float(self._areas.sum())
 
-    def boundary_edge_owner(self, edge_index):
-        """Index of the unique triangle containing boundary edge ``edge_index``."""
-        return int(self.topology.boundary_owner[edge_index])
-
     def with_nodes(self, nodes):
         """Same topology on new node positions (keeps this mesh's hold-all).
 
@@ -272,40 +272,14 @@ class Mesh:
         return mesh
 
 
-def outward_normal(mesh, edge_index):
-    """Unit outward normal of a boundary edge.
-
-    The normal is perpendicular to the edge and points away from the
-    centroid of the unique triangle containing it.
-
-    Parameters
-    ----------
-    mesh : Mesh
-    edge_index : int
-        Index into ``mesh.boundary_edges``; anything else is rejected.
-    """
-    if not 0 <= edge_index < len(mesh.boundary_edges):
-        raise ValueError(f"edge index {edge_index} is not a boundary edge index")
-    a, b, _ = mesh.boundary_edges[edge_index]
-    pa, pb = mesh.nodes[a], mesh.nodes[b]
-    t = pb - pa
-    n = np.array([t[1], -t[0]])
-    n /= np.hypot(n[0], n[1])
-    tri = mesh.triangles[mesh.boundary_edge_owner(edge_index)]
-    centroid = mesh.nodes[tri].mean(axis=0)
-    if np.dot(n, 0.5 * (pa + pb) - centroid) < 0.0:
-        n = -n
-    return n
-
-
 # ------------------------------------------------------------------ generators
 
-def gen_rectangle(x0, y0, x1, y1, nx, ny, marker=1):
+def gen_rectangle(x0, y0, x1, y1, nx, ny):
     """Crossed-triangle rectangle mesh.
 
     Each of the ``nx * ny`` cells is split into 4 triangles around its
     center, so the mesh has ``(nx+1)(ny+1) + nx*ny`` nodes and ``4 nx ny``
-    triangles.  All boundary edges get the same ``marker``.
+    triangles.  All boundary edges get marker 1.
     """
     if x1 <= x0 or y1 <= y0 or nx < 1 or ny < 1:
         raise ValueError("gen_rectangle: empty rectangle or non-positive subdivision")
@@ -331,17 +305,17 @@ def gen_rectangle(x0, y0, x1, y1, nx, ny, marker=1):
 
     edges = []
     for i in range(nx):
-        edges.append((gid(i, 0), gid(i + 1, 0), marker))            # bottom, +x
+        edges.append((gid(i, 0), gid(i + 1, 0), 1))       # bottom, +x
     for j in range(ny):
-        edges.append((gid(nx, j), gid(nx, j + 1), marker))          # right, +y
+        edges.append((gid(nx, j), gid(nx, j + 1), 1))     # right, +y
     for i in range(nx, 0, -1):
-        edges.append((gid(i, ny), gid(i - 1, ny), marker))          # top, -x
+        edges.append((gid(i, ny), gid(i - 1, ny), 1))     # top, -x
     for j in range(ny, 0, -1):
-        edges.append((gid(0, j), gid(0, j - 1), marker))            # left, -y
+        edges.append((gid(0, j), gid(0, j - 1), 1))       # left, -y
     return Mesh(nodes, np.array(tris), np.array(edges))
 
 
-def gen_disk(center, radius, refinement, marker=1):
+def gen_disk(center, radius, refinement):
     """Disk mesh from a refined hexagon with boundary nodes snapped to the circle.
 
     Starts from 6 triangles around the center and uniformly refines
@@ -355,7 +329,7 @@ def gen_disk(center, radius, refinement, marker=1):
     ring = center + radius * np.column_stack([np.cos(ang), np.sin(ang)])
     nodes = np.vstack([center, ring])
     tris = np.array([(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)])
-    bnd = np.array([(1 + k, 1 + (k + 1) % 6, marker) for k in range(6)])
+    bnd = np.array([(1 + k, 1 + (k + 1) % 6, 1) for k in range(6)])
 
     for _ in range(refinement):
         nodes, tris, bnd = _refine_once(nodes, tris, bnd, center, radius)

@@ -136,7 +136,7 @@ def fd_csv_rows(table, rel_max=None):
     transports, else pass/fail of the row's relative error against
     ``rel_max`` ('ok' when no tolerance is configured)."""
     rows = []
-    scale = 1.0 + abs(table.dJ)
+    scale = table.scale
     for r in table.rows:
         if r.flagged:
             status = "degenerate"

@@ -57,6 +57,7 @@ import numpy as np
 from . import fem_core as fem
 from . import tensor_calc as tc
 from .fem_core import FeSpace
+from .flow import advect_batch
 
 
 class ThetaSamples:
@@ -451,7 +452,7 @@ def _eye_like(P):
     return np.broadcast_to(np.eye(2), P.shape[:-1] + (2, 2))
 
 
-def prop5_tensors(fields, mesh, space=None):
+def prop5_tensors(fields, space):
     """Distributed tensors of the tracking-type cost with adjoint data (h, p).
 
     Volume:  S0 = dF/dx(x, u) + (lap p - p) grad h
@@ -460,7 +461,6 @@ def prop5_tensors(fields, mesh, space=None):
     Boundary (full Dtheta pairing):
              S0_G = -(dp/dn) grad h,   S1_G = -h (dp/dn) (I - 2 n x n)
     """
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     u = fields.u(P)
     h = fields.h(P)
@@ -485,9 +485,8 @@ def prop5_tensors(fields, mesh, space=None):
                         boundary_pairing="full")
 
 
-def prop5_raw_dJ(fields, mesh, theta, space=None):
+def prop5_raw_dJ(fields, space, theta):
     """Term-by-term evaluation of the same derivative without tensorization."""
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     w = space.qweights
     th = theta.eval(P)
@@ -521,13 +520,12 @@ def prop5_raw_dJ(fields, mesh, theta, space=None):
     return total + float(np.sum(we * bnd))
 
 
-def prop6_tensors(fields, mesh, space=None):
+def prop6_tensors(fields, space):
     """Distributed tensors of the Hessian-squared functional.
 
     S0 = -p grad f,  S1 = 2 p D2u - 2 (D2u)^2 + 0.5 |D2u|^2 I,
     S2 = -grad u x D2u + p grad u x I;  no boundary tensors.
     """
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     pv = fields.p(P)
     gu = fields.grad_u(P)
@@ -541,13 +539,12 @@ def prop6_tensors(fields, mesh, space=None):
     return ShapeTensors(space, S0=S0, S1=S1, S2=S2)
 
 
-def prop6_raw_dJ(fields, mesh, theta, space=None):
+def prop6_raw_dJ(fields, space, theta):
     """Un-tensorized evaluation of the Hessian-squared derivative.
 
     Keeps the two transport terms -p lap(u) div and -p f div explicit;
     with f = -lap u they cancel pointwise, which the tensor form exploits.
     """
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     w = space.qweights
     th = theta.eval(P)
@@ -569,12 +566,11 @@ def prop6_raw_dJ(fields, mesh, theta, space=None):
     return float(np.sum(w * vol))
 
 
-def cost_transport_derivative(fields, mesh, theta, space=None):
+def cost_transport_derivative(fields, space, theta):
     """d/ds of int F(T_s(x), u(x)) xi(s) at s = 0 with the state frozen.
 
     Equals int dF/dx(x, u) . theta + F(x, u) div theta.
     """
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     w = space.qweights
     th = theta.eval(P)
@@ -584,10 +580,8 @@ def cost_transport_derivative(fields, mesh, theta, space=None):
                              + fields.F(P, u) * div)))
 
 
-def cost_transport_value(fields, mesh, theta, s, steps=32, space=None):
+def cost_transport_value(fields, space, theta, s, steps=32):
     """int F(T_s(x), u(x)) xi(s) by transporting the quadrature points."""
-    from .flow import advect_batch
-    space = space or FeSpace(mesh, order=1)
     P = space.qpoints
     w = space.qweights
     u = fields.u(P)
@@ -633,10 +627,10 @@ class ManufacturedProblem(ShapeProblem):
                             * self.fields.F(P, self.fields.u(P))))
 
     def _build_tensors(self):
-        return self._tensor_form(self.fields, self.mesh, space=self.space)
+        return self._tensor_form(self.fields, self.space)
 
     def raw_derivative(self, theta):
-        return self._raw_form(self.fields, self.mesh, theta, space=self.space)
+        return self._raw_form(self.fields, self.space, theta)
 
     def dual_form_gap(self, theta):
         """|tensorized - raw| relative to the raw magnitude."""

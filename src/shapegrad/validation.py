@@ -13,7 +13,8 @@ import numpy as np
 
 from .fem_core import FeSpace
 from .flow import FlowDegeneracyError, transport_mesh
-from .shape_assembly import ShapeProblem, ShapeTensors
+from .shape_assembly import (ShapeProblem, ShapeTensors, cost_transport_derivative,
+                             cost_transport_value)
 
 
 def estimate_order(errors):
@@ -170,23 +171,23 @@ def fd_shape_check(problem, theta, s_list, steps=32):
                            evaluate, s_list, meta)
 
 
-def fd_transport_check(fields, mesh, theta, s_list, steps=32, space=None,
-                       name="transport_cost"):
-    """FD check of the frozen-composition cost transport derivative.
+def fd_transport_check(problem, theta, s_list, steps=32):
+    """FD check of the frozen-composition cost transport derivative of a
+    manufactured ``problem``.
 
     The quadrature points themselves are advected (the state factor is
     held at its reference composition), so this validates the geometric
     part d/ds of int F(T_s(x), u(x)) xi(s) on its own.
     """
-    from .shape_assembly import cost_transport_derivative, cost_transport_value
-    space = space or FeSpace(mesh, order=1)
-    dJ = cost_transport_derivative(fields, mesh, theta, space=space)
+    fields, space = problem.fields, problem.space
+    dJ = cost_transport_derivative(fields, space, theta)
 
     def evaluate(s):
-        return cost_transport_value(fields, mesh, theta, s, steps=steps, space=space)
+        return cost_transport_value(fields, space, theta, s, steps=steps)
 
-    meta = {"problem": name, "theta": theta.name, "mesh": _mesh_id(mesh),
-            "dofs": space.dof_count, "target": "transport_cost"}
+    meta = {"problem": problem.name, "theta": theta.name,
+            "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count,
+            "target": "transport_cost"}
     return _build_fd_table(dJ, evaluate(0.0), evaluate, s_list, meta)
 
 
@@ -241,10 +242,6 @@ class DualityReport:
     @property
     def rel_gap(self):
         return self.abs_gap / (1.0 + abs(self.lhs))
-
-    @property
-    def passes(self):
-        return self.rel_gap <= 1e-9
 
 
 def duality_check(problem, theta):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, FlowState,
-                            advect, advect_batch, div_gamma, m_of_s, m_prime0,
-                            make_field, transport_mesh, xi, xi_gamma)
+from shapegrad.data_catalog import parse_matrix
+from shapegrad.fem_core import FeSpace
+from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
+                            make_field, transport_mesh)
 from shapegrad.mesh import gen_disk
+from shapegrad.shape_assembly import material_tensor_rate, theta_samples
+
+from flow_references import pullback_quotients
 
 BOX = np.array([[-1.5, -1.5], [1.5, 1.5]])
 
@@ -17,43 +21,39 @@ CATALOG_FIELDS = [
     make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
 ]
 
+RADIAL = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))    # theta = x
+
 
 # ------------------------------------------------------------------ advection
 
 def test_advect_s_zero_is_identity():
     theta = make_field("rotation", (1.0, 0.0, 0.0))
-    st = advect(theta, 0.0, [0.3, 0.4])
-    assert np.array_equal(st.position, [0.3, 0.4])
-    assert np.array_equal(st.jacobian, np.eye(2))
+    X, J = advect_batch(theta, 0.0, np.array([[0.3, 0.4]]))
+    assert np.array_equal(X, [[0.3, 0.4]])
+    assert np.array_equal(J, [np.eye(2)])
 
 
 def test_advect_constant_field_exact_translation():
     theta = make_field("constant", (0.25, -1.5))
-    st = advect(theta, 0.8, [1.0, 2.0], steps=7)
-    assert np.abs(st.position - np.array([1.2, 0.8])).max() < 1e-14
-    assert np.array_equal(st.jacobian, np.eye(2))
+    X, J = advect_batch(theta, 0.8, np.array([[1.0, 2.0]]), steps=7)
+    assert np.abs(X[0] - np.array([1.2, 0.8])).max() < 1e-14
+    assert np.array_equal(J[0], np.eye(2))
 
 
 def test_advect_linear_radial_field_exponential():
     # theta = x: T_s(x) = e^s x, DT_s = e^s I
-    theta = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
     x0 = np.array([0.7, -0.4])
-    st = advect(theta, 0.1, x0, steps=16)
+    X, J = advect_batch(RADIAL, 0.1, x0[None, :], steps=16)
     es = np.exp(0.1)
-    assert np.abs(st.position - es * x0).max() <= 1e-10
-    assert np.abs(st.jacobian - es * np.eye(2)).max() <= 1e-10
+    assert np.abs(X[0] - es * x0).max() <= 1e-10
+    assert np.abs(J[0] - es * np.eye(2)).max() <= 1e-10
 
 
 def test_advect_degenerate_jacobian_raises():
     # violently sheared bump integrated with a single coarse step
     theta = make_field("bump", (0.0, 200.0, 0.0, 0.0, 0.5))
     with pytest.raises(FlowDegeneracyError):
-        advect(theta, 1.0, [0.3, 0.1], steps=1)
-
-
-def test_flow_state_validates_determinant():
-    with pytest.raises(FlowDegeneracyError):
-        FlowState([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]], 0.1)
+        advect_batch(theta, 1.0, np.array([[0.3, 0.1]]), steps=1)
 
 
 def test_semigroup_property():
@@ -70,94 +70,82 @@ def test_semigroup_property():
 
 
 # ------------------------------------------------------- pullback derivatives
+#
+# The rates the assembly uses (material_tensor_rate and the vol_div and
+# edge_divg of theta_samples) against the pullback factors of the flow map,
+# at the quadrature points of a disk that reaches deep into the cutoff ramp
+# of BOX.
 
-def test_xi_radial_field():
-    theta = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
-    st = advect(theta, 0.1, [0.3, 0.3], steps=16)
-    assert abs(xi(st) - np.exp(0.2)) <= 1e-10
+@pytest.fixture(scope="module")
+def wide_space():
+    return FeSpace(gen_disk((0.0, 0.0), 1.4, 2), order=1)
 
 
-def test_m_of_s_symmetric_for_symmetric_Q():
-    theta = make_field("bump", (0.5, 0.3, -0.2, 0.1, 0.9), support_box=BOX)
-    st = advect(theta, 0.3, [0.2, -0.1])
+def test_xi_radial_field(disk3):
+    # theta = x: every transported triangle is the original scaled by e^s
+    ratio = transport_mesh(RADIAL, 0.1, disk3, steps=16).areas() / disk3.areas()
+    assert np.abs(ratio - np.exp(0.2)).max() <= 1e-10
+
+
+def test_m_of_s_symmetric_for_symmetric_Q(wide_space):
+    samples = theta_samples(wide_space, CATALOG_FIELDS[3], "analytic")
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])
-    M = m_of_s(st, Q)
-    assert np.abs(M - M.T).max() <= 1e-12 * max(1.0, np.abs(M).max())
+    R = material_tensor_rate(Q, samples)
+    assert np.abs(R - np.swapaxes(R, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(R).max())
 
 
-def test_m_prime0_stretch_example():
+def test_m_prime0_stretch_example(wide_space):
     # theta = (x1, 0), Q = I  ->  div Q - Dtheta Q - Q Dtheta^T = diag(-1, 1)
     theta = make_field("linear", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    out = m_prime0(theta, [0.4, -0.2], np.eye(2))
-    assert np.array_equal(out, np.diag([-1.0, 1.0]))
+    R = material_tensor_rate(np.eye(2), theta_samples(wide_space, theta, "analytic"))
+    assert np.array_equal(R, np.broadcast_to(np.diag([-1.0, 1.0]), R.shape))
 
 
-def test_m_prime0_matches_difference_quotient():
-    theta = make_field("bump", (0.5, 0.3, -0.2, 0.1, 0.9), support_box=BOX)
-    x = np.array([0.25, -0.3])
+def test_m_prime0_matches_difference_quotient(wide_space):
+    theta = CATALOG_FIELDS[3]
     Q = np.array([[1.5, 0.2], [0.2, 0.8]])
-    s = 1e-4
-    Mp = m_of_s(advect(theta, s, x), Q)
-    Mm = m_of_s(advect(theta, -s, x), Q)
-    fd = (Mp - Mm) / (2 * s)
-    assert np.abs(fd - m_prime0(theta, x, Q)).max() <= 1e-8
+    R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
+    fd = pullback_quotients(theta, wide_space, Q)[0]
+    assert np.abs(fd - R).max() <= 1e-8
 
 
-def test_m_prime0_fd_all_catalog_fields():
-    rng = np.random.default_rng(17)
-    X = rng.uniform(-1.2, 1.2, size=(100, 2))
-    Q = np.array([[1.3, -0.2], [-0.2, 0.9]])
-    s = 1e-4
+def test_m_prime0_fd_all_catalog_fields(wide_space):
+    # a per-point matrix, as the parabolic problem passes, frozen at x
+    affine = parse_matrix("affine_mat 1.3 -0.2 0.9 0.1 0.2 -0.1 0.05 0.2 0.3")
+    Q = affine.value(wide_space.qpoints)
     for theta in CATALOG_FIELDS:
-        _, Jp = advect_batch(theta, s, X, steps=32)
-        _, Jm = advect_batch(theta, -s, X, steps=32)
-        for k, x in enumerate(X):
-            exact = m_prime0(theta, x, Q)
-            fd = (m_of_s(FlowState(X[k], Jp[k], s), Q)
-                  - m_of_s(FlowState(X[k], Jm[k], -s), Q)) / (2 * s)
-            scale = max(1.0, np.abs(exact).max())
-            assert np.abs(fd - exact).max() <= 1e-6 * scale, theta.name
+        R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
+        fd = pullback_quotients(theta, wide_space, Q)[0]
+        scale = np.maximum(1.0, np.abs(R).max(axis=(-2, -1)))
+        assert (np.abs(fd - R).max(axis=(-2, -1)) <= 1e-6 * scale).all(), theta.name
 
 
-def test_xi_prime_is_divergence():
-    # d/ds det DT_s at 0 equals div(theta)
-    s = 1e-4
+def test_xi_prime_is_divergence(wide_space):
     for theta in CATALOG_FIELDS:
-        for x in ([0.3, 0.1], [-0.4, 0.55]):
-            fd = (xi(advect(theta, s, x)) - xi(advect(theta, -s, x))) / (2 * s)
-            J = theta.jac(np.asarray(x)[None, :])[0]
-            assert abs(fd - np.trace(J)) <= 1e-6 * max(1.0, abs(np.trace(J)))
+        div = theta_samples(wide_space, theta, "analytic").vol_div
+        fd = pullback_quotients(theta, wide_space, np.eye(2))[1]
+        assert (np.abs(fd - div) <= 1e-6 * np.maximum(1.0, np.abs(div))).all(), theta.name
 
 
-def test_xi_gamma_prime_is_tangential_divergence():
-    s = 1e-4
-    n = np.array([0.6, 0.8])
+def test_xi_gamma_prime_is_tangential_divergence(wide_space):
     for theta in CATALOG_FIELDS:
-        for x in ([0.3, 0.1], [-0.25, 0.4]):
-            fd = (xi_gamma(advect(theta, s, x), n) - xi_gamma(advect(theta, -s, x), n)) / (2 * s)
-            exact = div_gamma(theta, x, n)
-            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact)), theta.name
+        divg = theta_samples(wide_space, theta, "analytic").edge_divg
+        fd = pullback_quotients(theta, wide_space, np.eye(2))[2]
+        assert (np.abs(fd - divg) <= 1e-6 * np.maximum(1.0, np.abs(divg))).all(), theta.name
 
 
-def test_div_gamma_radial_field():
-    theta = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
-    for n in ([1.0, 0.0], [0.6, 0.8], [np.sqrt(0.5), -np.sqrt(0.5)]):
-        assert abs(div_gamma(theta, [0.2, 0.7], n) - 1.0) <= 1e-12
+def test_div_gamma_radial_field(wide_space):
+    divg = theta_samples(wide_space, RADIAL, "analytic").edge_divg
+    assert np.abs(divg - 1.0).max() <= 1e-12
 
 
-def test_xi_gamma_radial_field():
-    theta = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))
-    st = advect(theta, 0.1, [0.1, 0.1], steps=16)
-    assert abs(xi_gamma(st, [0.0, 1.0]) - np.exp(0.1)) <= 1e-9
-
-
-def test_unit_normal_enforced():
-    theta = make_field("zero")
-    st = advect(theta, 0.0, [0.0, 0.0])
-    with pytest.raises(ValueError, match="unit"):
-        xi_gamma(st, [1.0, 1.0])
-    with pytest.raises(ValueError, match="unit"):
-        div_gamma(theta, [0.0, 0.0], [0.2, 0.0])
+def test_xi_gamma_radial_field(disk3):
+    # theta = x: every transported boundary edge is the original scaled by e^s
+    moved = transport_mesh(RADIAL, 0.1, disk3, steps=16)
+    a, b = disk3.boundary_edges[:, 0], disk3.boundary_edges[:, 1]
+    before = np.hypot(*(disk3.nodes[b] - disk3.nodes[a]).T)
+    after = np.hypot(*(moved.nodes[b] - moved.nodes[a]).T)
+    assert np.abs(after / before - np.exp(0.1)).max() <= 1e-9
 
 
 # ------------------------------------------------------------- mesh transport

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from shapegrad.fem_core import FeSpace
 from shapegrad.mesh import (Mesh, MeshFormatError, MeshValidationError,
-                            gen_disk, gen_rectangle, load_mesh, outward_normal,
-                            save_mesh)
+                            gen_disk, gen_rectangle, load_mesh, save_mesh)
 
 
 def _shoelace(mesh):
@@ -68,8 +68,9 @@ def test_boundary_nodes_on_circle():
 
 def test_outward_normal_square():
     m = gen_rectangle(0, 0, 1, 1, 2, 2)
+    normals = FeSpace(m).edge_normal
     for e, (a, b, _mk) in enumerate(m.boundary_edges):
-        n = outward_normal(m, e)
+        n = normals[e]
         assert abs(np.hypot(n[0], n[1]) - 1.0) <= 1e-14
         mid = 0.5 * (m.nodes[a] + m.nodes[b])
         for axis, lo, hi in ((0, 0.0, 1.0), (1, 0.0, 1.0)):
@@ -83,22 +84,15 @@ def test_outward_normal_disk_radial():
     c = np.array([0.0, 0.0])
     for k in (2, 3):
         m = gen_disk(c, 1.0, k)
+        normals = FeSpace(m).edge_normal
         h = 2 * np.pi / (6 * 2 ** k)
         worst = 0.0
         for e, (a, b, _mk) in enumerate(m.boundary_edges):
-            n = outward_normal(m, e)
+            n = normals[e]
             mid = 0.5 * (m.nodes[a] + m.nodes[b])
             radial = mid / np.hypot(mid[0], mid[1])
             worst = max(worst, np.abs(n - radial).max())
         assert worst < h * h  # chord normal vs radial direction is O(h^2)
-
-
-def test_outward_normal_bad_index():
-    m = gen_rectangle(0, 0, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        outward_normal(m, len(m.boundary_edges))
-    with pytest.raises(ValueError):
-        outward_normal(m, -1)
 
 
 def test_holdall_contains_nodes_strictly():
@@ -230,7 +224,6 @@ def test_gen_disk_matches_dict_refinement():
                                   lambda: gen_rectangle(0.0, -1.0, 2.0, 0.5, 5, 3)],
                          ids=["disk3", "rectangle"])
 def test_with_nodes_matches_fresh_mesh(make):
-    from shapegrad.fem_core import FeSpace
     m = make()
     X = m.nodes + 0.02 * np.sin(3.0 * m.nodes[:, ::-1])
     moved = m.with_nodes(X)
@@ -239,9 +232,7 @@ def test_with_nodes_matches_fresh_mesh(make):
     assert moved.triangles is m.triangles and moved.boundary_edges is m.boundary_edges
     assert not moved.triangles.flags.writeable and not moved.topology.edges.flags.writeable
     assert np.array_equal(moved.areas(), fresh.areas())
-    nb = len(m.boundary_edges)
-    assert [moved.boundary_edge_owner(e) for e in range(nb)] == \
-        [fresh.boundary_edge_owner(e) for e in range(nb)]
+    assert np.array_equal(moved.topology.boundary_owner, fresh.topology.boundary_owner)
     for order in (1, 2):
         a, b = FeSpace(moved, order=order), FeSpace(fresh, order=order)
         assert a.dof_count == b.dof_count

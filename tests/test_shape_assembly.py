@@ -5,7 +5,7 @@ import pytest
 
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
-from shapegrad.flow import VectorFieldSpec, make_field
+from shapegrad.flow import VectorFieldSpec, make_field, transport_mesh
 from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
                                       assemble_dJ, cost_transport_derivative,
                                       cost_transport_value, make_manufactured,
@@ -65,6 +65,11 @@ def verify_manufactured(fields, pts, h=1e-5):
     return float(worst)
 
 
+@pytest.fixture(scope="module")
+def space4(disk4):
+    return FeSpace(disk4, order=1)
+
+
 # ------------------------------------------------------------- manufactured
 
 @pytest.mark.parametrize("name", ["disk", "disk-higher"])
@@ -87,28 +92,28 @@ def test_manufactured_higher_source_is_neg_laplacian():
 
 # ---------------------------------------------------- dual form == raw form
 
-def test_tracking_dual_form_matches_raw(disk4):
+def test_tracking_dual_form_matches_raw(disk4, space4):
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     for theta in catalog_thetas():
-        raw = prop5_raw_dJ(fields, disk4, theta)
+        raw = prop5_raw_dJ(fields, space4, theta)
         dual = assemble_dJ(disk4, tensors, theta, theta_mode="analytic").total
         assert abs(dual - raw) <= 1e-12 * (1.0 + abs(raw)), theta.name
 
 
-def test_hessian_dual_form_matches_raw(disk4):
+def test_hessian_dual_form_matches_raw(disk4, space4):
     fields = make_manufactured("disk-higher")
-    tensors = prop6_tensors(fields, disk4)
+    tensors = prop6_tensors(fields, space4)
     for theta in catalog_thetas():
-        raw = prop6_raw_dJ(fields, disk4, theta)
+        raw = prop6_raw_dJ(fields, space4, theta)
         dual = assemble_dJ(disk4, tensors, theta, theta_mode="analytic").total
         assert abs(dual - raw) <= 1e-12 * (1.0 + abs(raw)), theta.name
 
 
-def test_second_order_term_is_exercised(disk4):
+def test_second_order_term_is_exercised(disk4, space4):
     """The curved catalog fields must feed a nonzero S2 contribution."""
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     hits = 0
     for theta in catalog_thetas():
         br = assemble_dJ(disk4, tensors, theta, theta_mode="analytic")
@@ -117,10 +122,10 @@ def test_second_order_term_is_exercised(disk4):
     assert hits >= 2
 
 
-def test_boundary_tensor_normal_component(disk4):
+def test_boundary_tensor_normal_component(space4):
     """n . S1_G n equals +h * dn(p) pointwise on the boundary."""
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     space = tensors.space
     n = space.edge_normal
     got = np.einsum('bi,bqij,bj->bq', n, tensors.S1_gamma, n)
@@ -154,20 +159,20 @@ def test_constant_tensors_integrate_exactly(disk4):
     assert abs(br.terms["S1"] - np.sum(C * J) * area) < 1e-12
 
 
-def test_interpolated_matches_analytic_for_linear_theta(disk4):
+def test_interpolated_matches_analytic_for_linear_theta(disk4, space4):
     """Nodal interpolation is exact for affine velocities, so the two
     sampling modes must agree to roundoff (S2 vanishes either way)."""
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     lin = make_field("linear", (0.3, -0.2, 0.1, -0.4, 0.05, 0.1), support_box=HOLDALL)
     a = assemble_dJ(disk4, tensors, lin, theta_mode="analytic")
     b = assemble_dJ(disk4, tensors, lin, theta_mode="interpolated")
     assert abs(a.total - b.total) <= 1e-12 * (1.0 + abs(a.total))
 
 
-def test_assembly_is_linear_in_theta(disk4):
+def test_assembly_is_linear_in_theta(disk4, space4):
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     t1 = bump_theta()
     t2 = make_field("rotation", (0.7, 0.1, -0.2), support_box=HOLDALL)
     d1 = assemble_dJ(disk4, tensors, t1, theta_mode="analytic").total
@@ -180,18 +185,18 @@ def test_assembly_is_linear_in_theta(disk4):
     assert abs(dd - 2.0 * d1) <= 1e-12 * (1.0 + abs(dd))
 
 
-def test_breakdown_sums_to_total(disk4):
+def test_breakdown_sums_to_total(disk4, space4):
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     br = assemble_dJ(disk4, tensors, bump_theta(), theta_mode="analytic")
     assert isinstance(br, AssembledDerivative)
     assert set(br.terms) == {"S0", "S1", "S2", "S0_gamma", "S1_gamma"}
     assert abs(br.total - sum(br.terms.values())) < 1e-15
 
 
-def test_assemble_validates_inputs(disk4, disk3):
+def test_assemble_validates_inputs(disk4, disk3, space4):
     fields = make_manufactured("disk")
-    tensors = prop5_tensors(fields, disk4)
+    tensors = prop5_tensors(fields, space4)
     with pytest.raises(ValueError, match="different mesh"):
         assemble_dJ(disk3, tensors, bump_theta())
     with pytest.raises(ValueError, match="unknown theta sampling mode"):
@@ -230,17 +235,36 @@ def test_material_tensor_rate_matches_einsum_bit_for_bit(disk4, mode):
         assert material_tensor_rate(M, samples).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("theta", catalog_thetas(), ids=lambda t: t.name)
+def test_interpolated_samples_are_rates_of_the_transported_mesh(disk3, theta):
+    """Interpolated vol_div per element and edge_divg per boundary edge
+    against centered FD (s = 1e-4) of the triangle areas and boundary-edge
+    lengths of the mesh transported by +-s."""
+    s = 1e-4
+    samples = theta_samples(FeSpace(disk3, order=1), theta, "interpolated")
+    plus, minus = transport_mesh(theta, s, disk3), transport_mesh(theta, -s, disk3)
+    a, b = disk3.boundary_edges[:, 0], disk3.boundary_edges[:, 1]
+
+    def lengths(m):
+        return np.hypot(*(m.nodes[b] - m.nodes[a]).T)
+
+    div = (plus.areas() - minus.areas()) / (2 * s) / disk3.areas()
+    divg = (lengths(plus) - lengths(minus)) / (2 * s) / lengths(disk3)
+    for got, fd in ((samples.vol_div, div), (samples.edge_divg, divg)):
+        assert (np.abs(got - fd[:, None]) <= 1e-6 * np.maximum(1.0, np.abs(got))).all()
+
+
 # ---------------------------------------------------------- frozen-state cost
 
-def test_cost_transport_derivative_matches_fd(disk4):
+def test_cost_transport_derivative_matches_fd(space4):
     fields = make_manufactured("disk")
     theta = bump_theta()
-    d = cost_transport_derivative(fields, disk4, theta)
+    d = cost_transport_derivative(fields, space4, theta)
     svals = np.array([0.04, 0.02, 0.01])
     errs = []
     for s in svals:
-        jp = cost_transport_value(fields, disk4, theta, +s)
-        jm = cost_transport_value(fields, disk4, theta, -s)
+        jp = cost_transport_value(fields, space4, theta, +s)
+        jm = cost_transport_value(fields, space4, theta, -s)
         errs.append(abs((jp - jm) / (2 * s) - d))
     errs = np.array(errs)
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
