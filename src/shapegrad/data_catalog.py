@@ -365,7 +365,7 @@ def time_matrix(spatial_spec, profile_spec="const"):
 # ----------------------------------------------------------------- validation
 
 def check_spd(matdata, box, times=(0.0,), grid=17, tol=1e-10):
-    """Verify a (time-)matrix entry is symmetric positive definite on a box.
+    """Verify a time-matrix entry is symmetric positive definite on a box.
 
     Samples a ``grid x grid`` lattice over ``box = [[x0, y0], [x1, y1]]``
     at each time and raises ValueError naming the failure otherwise.
@@ -375,7 +375,7 @@ def check_spd(matdata, box, times=(0.0,), grid=17, tol=1e-10):
     ys = np.linspace(y0, y1, grid)
     P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     for t in times:
-        M = matdata.value(t, P) if hasattr(matdata, "time_dependent") else matdata.value(P)
+        M = matdata.value(t, P)
         if np.abs(M - np.swapaxes(M, -1, -2)).max() > tol:
             raise ValueError("matrix coefficient is not symmetric on the sampled box")
         ev = np.linalg.eigvalsh(M)

@@ -49,15 +49,13 @@ class QuadratureRule:
     """Reference-element rule: barycentric points and weights summing to 1.
 
     Volume rules integrate ``|K| * sum_q w_q f(x_q)`` exactly for
-    polynomials up to ``degree``; edge rules use points parametrized by
-    ``t`` in [0, 1] along the edge.
+    polynomials up to the degree they were built for; edge rules use points
+    parametrized by ``t`` in [0, 1] along the edge.
     """
 
-    def __init__(self, points, weights, degree, kind):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.degree = degree
-        self.kind = kind
 
 
 def _orbit3(a):
@@ -74,20 +72,20 @@ def volume_rule(degree):
     if degree <= 2:
         pts = _orbit3(0.5)
         wts = [1.0 / 3.0] * 3
-        return QuadratureRule(pts, wts, 2, "volume")
+        return QuadratureRule(pts, wts)
     if degree <= 4:
         a1, w1 = 0.44594849091596489, 0.22338158967801147
         a2, w2 = 0.091576213509770743, 0.10995174365532187
         pts = _orbit3(a1) + _orbit3(a2)
         wts = [w1] * 3 + [w2] * 3
-        return QuadratureRule(pts, wts, 4, "volume")
+        return QuadratureRule(pts, wts)
     if degree <= 6:
         a1, w1 = 0.063089014491502228, 0.050844906370206817
         a2, w2 = 0.24928674517091042, 0.11678627572637937
         a3, b3, w3 = 0.31035245103378441, 0.053145049844816947, 0.082851075618373575
         pts = _orbit3(a1) + _orbit3(a2) + _orbit6(a3, b3)
         wts = [w1] * 3 + [w2] * 3 + [w3] * 6
-        return QuadratureRule(pts, wts, 6, "volume")
+        return QuadratureRule(pts, wts)
     raise ValueError(f"no volume rule of degree {degree}")
 
 
@@ -95,11 +93,11 @@ def edge_rule(degree=5):
     """Gauss rule on [0, 1]; the 3-point rule (degree 5) is the default."""
     if degree <= 3:
         d = np.sqrt(3.0) / 6.0
-        return QuadratureRule([0.5 - d, 0.5 + d], [0.5, 0.5], 3, "edge")
+        return QuadratureRule([0.5 - d, 0.5 + d], [0.5, 0.5])
     if degree <= 5:
         d = np.sqrt(15.0) / 10.0
         return QuadratureRule([0.5 - d, 0.5, 0.5 + d],
-                              [5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0], 5, "edge")
+                              [5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
     raise ValueError(f"no edge rule of degree {degree}")
 
 

@@ -10,9 +10,15 @@ on a fixed time grid t_k = k t0 / nt.  Two cost functionals are carried:
 
 The coefficients are separable: M(t, x) = a_M(t) M(x) and
 f(t, x) = a_f(t) f(x) (``TimeMatrixData`` and ``TimeScalarData``); other
-data is rejected with a ``ValueError``.  The march therefore assembles
-the stiffness matrix and the load vector once and rescales them per
-step.  The tracked field u_d may be any time-scalar entry.
+data is rejected with a ``ValueError``.  The tracked field u_d may be any
+time-scalar entry.
+
+``ParabolicProblem`` owns the march: it assembles the mass matrix, the
+stiffness matrix and the load vector once, rescales the last two per
+step, and keeps the factorized step operators, one for a constant-in-time
+M and one per step otherwise.  The state, adjoint and material marches
+and the tensor accumulation (``parabolic_solve``, ``parabolic_adjoint``,
+``parabolic_material``, ``parabolic_shape_tensors``) take the problem.
 
 The adjoint marches backward with the transposed step operator (the step
 matrices are symmetric here, which the tests exploit through an
@@ -79,10 +85,6 @@ class ParabolicData:
         self.t0 = float(t0)
         self.nt = int(nt)
 
-    @property
-    def m_static(self):
-        return not self.M.time_dependent
-
 
 class TimeSeriesField:
     """Snapshots of a scalar field on the time grid, shape (nt+1, ndof).
@@ -117,140 +119,33 @@ class TimeSeriesField:
         return ScalarField(self.space, self.values[k])
 
 
-class _March:
-    """Step operators (M_u + dt a_M(t_k) K) with Dirichlet rows eliminated.
-
-    K and the load vector F of the spatial coefficient parts are assembled
-    once.  A time-independent diffusion matrix is factorized once and
-    shared by every step; otherwise each step keeps its own factorization.
-    """
-
-    def __init__(self, mesh, data, order=1):
-        box = np.stack([mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)])
-        check_spd(data.M, box, times=(0.0, 0.5 * data.t0, data.t0))
-        self.mesh = mesh
-        self.data = data
-        self.space = FeSpace(mesh, order=order)
-        self.Mu = fem.assemble_mass_values(self.space, np.ones(self.space.qweights.shape))
-        self.bd = self.space.boundary_dofs()
-        self.keep = np.ones(self.space.dof_count)
-        self.keep[self.bd] = 0.0
-        self.dt = data.t0 / data.nt
-        self.times = np.linspace(0.0, data.t0, data.nt + 1)
-        self._A2 = {}
-        self._facts = {}
-
-    def _key(self, k):
-        return 1 if self.data.m_static else k
-
-    @cached_property
-    def K(self):
-        P = self.space.qpoints
-        return fem.assemble_diffusion_values(self.space, self.data.M.spatial.value(P))
-
-    @cached_property
-    def F(self):
-        P = self.space.qpoints
-        return fem.assemble_load_values(self.space, self.data.f.spatial.value(P))
-
-    def stiffness(self, k):
-        return self.data.M.profile.value(self.times[k]) * self.K
-
-    def A2(self, k):
-        key = self._key(k)
-        if key not in self._A2:
-            A = self.Mu + self.dt * self.stiffness(key)
-            A2, _ = fem.apply_dirichlet(A, np.zeros(self.space.dof_count), self.bd, 0.0)
-            self._A2[key] = A2
-        return self._A2[key]
-
-    def fact(self, k):
-        key = self._key(k)
-        if key not in self._facts:
-            self._facts[key] = fem.Factorized(self.A2(key))
-        return self._facts[key]
-
-    def load(self, k):
-        return self.data.f.profile.value(self.times[k]) * self.F
-
-    def step(self, k, b):
-        try:
-            return self.fact(k).solve(b)
-        except SolverError as exc:
-            raise SolverError(f"time step {k}: {exc}") from exc
-
-
-def parabolic_solve(mesh, data, order=1, march=None):
+def parabolic_solve(problem):
     """Implicit-Euler forward march; returns the state TimeSeriesField."""
-    march = march or _March(mesh, data, order=order)
-    space = march.space
+    space, data = problem.space, problem.data
     vals = np.empty((data.nt + 1, space.dof_count))
     vals[0] = space.interpolate(data.g.value).coefficients
     u = vals[0]
     for k in range(1, data.nt + 1):
-        b = march.keep * (march.Mu @ u + march.dt * march.load(k))
-        u = march.step(k, b)
+        load = data.f.profile.value(problem.times[k]) * problem.F
+        b = problem.keep * (problem.Mu @ u + problem.dt * load)
+        u = problem.step(k, b)
         vals[k] = u
     return TimeSeriesField(space, vals, data.t0)
 
 
-def _tracking_misfits(data, series, which):
-    """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
-
-    One step's misfit is alive at a time, so callers stay at O(1) memory
-    in the number of steps.
-    """
-    if which == "j1":
-        steps = range(1, series.nt + 1)
-    elif which == "j2":
-        steps = (series.nt,)
-    else:
-        raise ValueError(f"unknown parabolic cost {which!r}; use 'j1' or 'j2'")
-    P = series.space.qpoints
-    times = series.times
-    for k in steps:
-        yield k, fem.field_qvalues(series.field(k)) - data.u_d.value(times[k], P)
-
-
-def _misfit_scale(data, which):
-    """Time weight of one misfit term: dt for j1, 1 for the final-time j2."""
-    return data.t0 / data.nt if which == "j1" else 1.0
-
-
-def parabolic_cost(data, series, which):
-    """Evaluate the selected tracking cost on a state series."""
-    w = series.space.qweights
-    scale = _misfit_scale(data, which)
-    return float(sum(scale * 0.5 * np.sum(w * dk * dk)
-                     for _, dk in _tracking_misfits(data, series, which)))
-
-
-def _cost_gradients(data, series, which):
-    """Blocks B_k with B_k,i = dJ/du_k,i; index 0 is always zero."""
-    B = np.zeros_like(series.values)
-    scale = _misfit_scale(data, which)
-    for k, dk in _tracking_misfits(data, series, which):
-        B[k] = scale * fem.assemble_load_values(series.space, dk)
-    return B
-
-
-def parabolic_adjoint(mesh, data, series, which, march=None, B=None):
+def parabolic_adjoint(problem):
     """Backward march with the transposed step operators.
 
     Slot 0 of the returned series is the initial-condition multiplier
-    q = p_1; slots 1..nt are the adjoint states.  ``B`` reuses cost
-    gradient blocks already built from ``series``.
+    q = p_1; slots 1..nt are the adjoint states.
     """
-    march = march or _March(mesh, data, order=series.space.order)
-    space = march.space
-    if B is None:
-        B = _cost_gradients(data, series, which)
+    space, data = problem.space, problem.data
     vals = np.zeros((data.nt + 1, space.dof_count))
     p = np.zeros(space.dof_count)
     for k in range(data.nt, 0, -1):
-        b = march.keep * (march.Mu @ p - B[k])
+        b = problem.keep * (problem.Mu @ p - problem.B[k])
         # the step matrices are symmetric, so A^T shares the factorization
-        p = march.step(k, b)
+        p = problem.step(k, b)
         vals[k] = p
     vals[0] = vals[1]
     return TimeSeriesField(space, vals, data.t0)
@@ -287,7 +182,7 @@ def _spatial_density(data, P):
     return Mx.value(P), Mx.dspace(P), -fx.value(P), -fx.grad(P)
 
 
-def parabolic_material(mesh, data, series, theta, march=None):
+def parabolic_material(problem, theta):
     """Forward march for the material derivative of the state series.
 
     Returns (udot, ell) where ``ell`` stacks the per-step right-hand-side
@@ -296,25 +191,24 @@ def parabolic_material(mesh, data, series, theta, march=None):
     spatial flux and source rates R and bdot, so one rate matrix and one
     load rate serve every step.
     """
-    march = march or _March(mesh, data, order=series.space.order)
-    space = march.space
+    space, data = problem.space, problem.data
     samples = theta_samples(space, theta, "interpolated")
     A, DA, b, b_x = _spatial_density(data, space.qpoints)
     K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
     Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
     Mdot = fem.assemble_mass_values(space, samples.vol_div)
-    w_M = march.dt * _profile_values(data.M, march.times[1:])
-    w_f = march.dt * _profile_values(data.f, march.times[1:])
-    U = series.values
+    w_M = problem.dt * _profile_values(data.M, problem.times[1:])
+    w_f = problem.dt * _profile_values(data.f, problem.times[1:])
+    U = problem.u.values
     ell = np.zeros_like(U)
-    ell[1:] = march.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
-                            + w_M[:, None] * (K_R @ U[1:].T).T
-                            + w_f[:, None] * Bdot)
+    ell[1:] = problem.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
+                              + w_M[:, None] * (K_R @ U[1:].T).T
+                              + w_f[:, None] * Bdot)
     vals = np.empty_like(U)
     vals[0] = initial_rate(space, data, theta)
     udot = vals[0]
     for k in range(1, data.nt + 1):
-        udot = march.step(k, march.keep * (march.Mu @ udot) - ell[k])
+        udot = problem.step(k, problem.keep * (problem.Mu @ udot) - ell[k])
         vals[k] = udot
     return TimeSeriesField(space, vals, data.t0), ell
 
@@ -323,11 +217,10 @@ class ParabolicShapeTensors:
     """Volume tensors plus the separately-reported mass-rate density and
     the initial-condition weights."""
 
-    def __init__(self, tensors, dt_density, ic_weights, data):
+    def __init__(self, tensors, dt_density, ic_weights):
         self.tensors = tensors
         self.dt_density = dt_density  # (M, nq): sum_k p_k (u_k - u_{k-1})
         self.ic_weights = ic_weights  # (ndof,): M_u q
-        self.data = data
 
 
 def _element_gram(space, a, b):
@@ -336,8 +229,8 @@ def _element_gram(space, a, b):
     return a[dofs][:, :, None] * b[dofs][:, None, :]
 
 
-def parabolic_shape_tensors(data, series, adjoint, which):
-    """Accumulate the distributed tensors of the selected cost.
+def parabolic_shape_tensors(problem):
+    """Accumulate the distributed tensors of the problem's cost.
 
     The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
     density (``_spatial_density``), the pairing
@@ -346,16 +239,15 @@ def parabolic_shape_tensors(data, series, adjoint, which):
     mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
     matrices of the dof vectors, accumulated step by step and contracted
     with the basis once.  The initial condition is paired at the dofs (see
-    ``assemble_parabolic_dJ``).
+    ``ParabolicProblem.breakdown``).
     """
-    space = series.space
+    space, data = problem.space, problem.data
+    series, adjoint = problem.u, problem.p
     P = space.qpoints
     M, nq = space.qweights.shape
     nloc = space.element_dofs.shape[1]
-    dt = data.t0 / data.nt
-    times = series.times
-    w_M = dt * _profile_values(data.M, times)
-    w_f = dt * _profile_values(data.f, times)
+    w_M = problem.dt * _profile_values(data.M, problem.times)
+    w_f = problem.dt * _profile_values(data.f, problem.times)
 
     G_pu = np.zeros((M, nloc, nloc))
     G_d = np.zeros((M, nloc, nloc))
@@ -368,33 +260,22 @@ def parabolic_shape_tensors(data, series, adjoint, which):
 
     T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
     F = F_x = 0.0
-    scale = _misfit_scale(data, which)
-    for k, dk in _tracking_misfits(data, series, which):
-        F = F + scale * 0.5 * dk * dk
-        F_x = F_x - scale * dk[..., None] * data.u_d.grad(times[k], P)
+    for k, dk in problem._misfits():
+        F = F + problem._scale * 0.5 * dk * dk
+        F_x = F_x - problem._scale * dk[..., None] * data.u_d.grad(problem.times[k], P)
     A, DA, b, b_x = _spatial_density(data, P)
     S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
                                 b, b_x, F, F_x)
     dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
     ic_weights = fem.assemble_load_values(space, fem.field_qvalues(adjoint.field(0)))
-    return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights, data)
-
-
-def assemble_parabolic_dJ(mesh, ptensors, theta):
-    """Tensor evaluation plus the dt- and initial-condition pairings, as one
-    breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
-    space = ptensors.tensors.space
-    samples = theta_samples(space, theta, "interpolated")
-    base = assemble_dJ(mesh, ptensors.tensors, theta, samples=samples)
-    terms = dict(base.terms)
-    terms["dt_pairing"] = float(np.sum(space.qweights * ptensors.dt_density * samples.vol_div))
-    terms["ic_pairing"] = -fem.dot(ptensors.ic_weights, initial_rate(space, ptensors.data, theta))
-    return AssembledDerivative(terms)
+    return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights)
 
 
 class ParabolicProblem(ShapeProblem):
-    """The parabolic pipeline for one cost flavor; the adjoint marches on
-    first use."""
+    """The parabolic pipeline for one cost flavor.  It owns the step
+    operators M_u + dt a_M(t_k) K with Dirichlet rows eliminated, built from
+    ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load).  The
+    state marches on construction, the adjoint on first use."""
 
     def __init__(self, mesh, data, which="j1", order=1):
         if which not in ("j1", "j2"):
@@ -403,43 +284,104 @@ class ParabolicProblem(ShapeProblem):
         self.name = f"parabolic_{which}"
         self.data = data
         self.which = which
-        self.march = _March(mesh, data, order=order)
-        self.space = self.march.space
-        self.u = parabolic_solve(mesh, data, march=self.march)
+        box = np.stack([mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)])
+        check_spd(data.M, box, times=(0.0, 0.5 * data.t0, data.t0))
+        self.space = FeSpace(mesh, order=order)
+        self.Mu = fem.assemble_mass_values(self.space, np.ones(self.space.qweights.shape))
+        self.bd = self.space.boundary_dofs()
+        self.keep = np.ones(self.space.dof_count)
+        self.keep[self.bd] = 0.0
+        self.dt = data.t0 / data.nt
+        self.times = np.linspace(0.0, data.t0, data.nt + 1)
+        self._facts = {}
+        self.u = parabolic_solve(self)
+
+    @cached_property
+    def K(self):
+        P = self.space.qpoints
+        return fem.assemble_diffusion_values(self.space, self.data.M.spatial.value(P))
+
+    @cached_property
+    def F(self):
+        P = self.space.qpoints
+        return fem.assemble_load_values(self.space, self.data.f.spatial.value(P))
+
+    def _fact(self, k):
+        """The factorized step matrix of step k (of step 1 for a static M)."""
+        key = k if self.data.M.time_dependent else 1
+        if key not in self._facts:
+            stiffness = self.data.M.profile.value(self.times[key]) * self.K
+            A2, _ = fem.apply_dirichlet(self.Mu + self.dt * stiffness,
+                                        np.zeros(self.space.dof_count), self.bd, 0.0)
+            self._facts[key] = fem.Factorized(A2)
+        return self._facts[key]
+
+    def step(self, k, b):
+        try:
+            return self._fact(k).solve(b)
+        except SolverError as exc:
+            raise SolverError(f"time step {k}: {exc}") from exc
+
+    @property
+    def _scale(self):
+        """Time weight of one misfit term: dt for j1, 1 for the final-time j2."""
+        return self.dt if self.which == "j1" else 1.0
+
+    def _misfits(self):
+        """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
+
+        One step's misfit is alive at a time, so callers stay at O(1) memory
+        in the number of steps.
+        """
+        steps = range(1, self.data.nt + 1) if self.which == "j1" else (self.data.nt,)
+        P = self.space.qpoints
+        for k in steps:
+            yield k, fem.field_qvalues(self.u.field(k)) - self.data.u_d.value(self.times[k], P)
 
     @cached_property
     def B(self):
-        """Cost-gradient blocks, shared by the adjoint march and ``duality_pair``."""
-        return _cost_gradients(self.data, self.u, self.which)
+        """Cost-gradient blocks B_k,i = dJ/du_k,i (index 0 is always zero),
+        shared by the adjoint march and ``duality_pair``."""
+        B = np.zeros_like(self.u.values)
+        for k, dk in self._misfits():
+            B[k] = self._scale * fem.assemble_load_values(self.space, dk)
+        return B
 
     @cached_property
     def p(self):
-        return parabolic_adjoint(self.mesh, self.data, self.u, self.which,
-                                 march=self.march, B=self.B)
+        return parabolic_adjoint(self)
 
     def cost(self):
-        return parabolic_cost(self.data, self.u, self.which)
+        w = self.space.qweights
+        return float(sum(self._scale * 0.5 * np.sum(w * dk * dk) for _, dk in self._misfits()))
 
     def state_norm(self, vec):
         vals = vec.reshape(self.u.values.shape)
         acc = sum(fem.l2_norm(self.space, vals[k]) ** 2 for k in range(vals.shape[0]))
-        return float(np.sqrt(self.march.dt * acc))
+        return float(np.sqrt(self.dt * acc))
 
     def material(self, theta):
-        udot, _ = parabolic_material(self.mesh, self.data, self.u, theta,
-                                     march=self.march)
+        udot, _ = parabolic_material(self, theta)
         return udot
 
     def _build_tensors(self):
-        return parabolic_shape_tensors(self.data, self.u, self.p, self.which)
+        return parabolic_shape_tensors(self)
 
     def breakdown(self, theta):
-        return assemble_parabolic_dJ(self.mesh, self.tensors(), theta)
+        """Tensor evaluation plus the dt- and initial-condition pairings, as one
+        breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
+        ptensors = self.tensors()
+        samples = theta_samples(self.space, theta, self.theta_mode)
+        terms = dict(assemble_dJ(ptensors.tensors, samples).terms)
+        terms["dt_pairing"] = float(np.sum(self.space.qweights * ptensors.dt_density
+                                           * samples.vol_div))
+        terms["ic_pairing"] = -fem.dot(ptensors.ic_weights,
+                                       initial_rate(self.space, self.data, theta))
+        return AssembledDerivative(terms)
 
     def duality_pair(self, theta):
-        udot, ell = parabolic_material(self.mesh, self.data, self.u, theta,
-                                       march=self.march)
+        udot, ell = parabolic_material(self, theta)
         lhs = fem.dot(ell[1:], self.p.values[1:]) \
-            - fem.dot(self.p.values[1], self.march.Mu @ udot.values[0])
+            - fem.dot(self.p.values[1], self.Mu @ udot.values[0])
         rhs = fem.dot(self.B[1:], udot.values[1:])
         return lhs, rhs

@@ -199,8 +199,6 @@ class ShapeTensors:
 class AssembledDerivative:
     """Total shape derivative with its per-tensor breakdown."""
 
-    TERMS = ("S0", "S1", "S2", "S0_gamma", "S1_gamma")
-
     def __init__(self, terms):
         self.terms = dict(terms)
         self.total = float(sum(self.terms.values()))
@@ -209,30 +207,11 @@ class AssembledDerivative:
         return f"AssembledDerivative(total={self.total!r})"
 
 
-def assemble_dJ(mesh, tensors, theta, theta_mode=None, samples=None):
-    """Evaluate a tensor-represented shape derivative against ``theta``.
-
-    Parameters
-    ----------
-    mesh : Mesh
-        Must be the mesh of ``tensors.space``.
-    tensors : ShapeTensors
-    theta : VectorFieldSpec
-    theta_mode : str, optional
-        ``analytic`` or ``interpolated`` (the default).  Ignored when
-        ``samples`` is given.
-    samples : ThetaSamples, optional
-        Reuse previously computed samples.
-
-    Returns
-    -------
-    AssembledDerivative
-    """
+def assemble_dJ(tensors, samples):
+    """Evaluate a tensor-represented shape derivative against a velocity
+    given by its ``theta_samples`` on ``tensors.space``; returns an
+    ``AssembledDerivative``."""
     space = tensors.space
-    if space.mesh is not mesh:
-        raise ValueError("assemble_dJ: tensors were built on a different mesh")
-    if samples is None:
-        samples = theta_samples(space, theta, theta_mode or "interpolated")
     w = space.qweights
     terms = {}
     terms["S0"] = 0.0 if tensors.S0 is None else \
@@ -299,7 +278,7 @@ class ShapeProblem:
         return self._tensors
 
     def breakdown(self, theta):
-        return assemble_dJ(self.mesh, self.tensors(), theta, theta_mode=self.theta_mode)
+        return assemble_dJ(self.tensors(), theta_samples(self.space, theta, self.theta_mode))
 
     def derivative(self, theta):
         return self.breakdown(theta).total
@@ -327,7 +306,7 @@ class ManufacturedFields:
     """
 
     def __init__(self, name, u, grad_u, hess_u, p, grad_p, hess_p,
-                 h, grad_h, F, dF_dr, dF_dx, f=None, grad_f=None):
+                 h, grad_h, F, dF_dx, f=None, grad_f=None):
         self.name = name
         self.u = u
         self.grad_u = grad_u
@@ -338,7 +317,6 @@ class ManufacturedFields:
         self.h = h
         self.grad_h = grad_h
         self.F = F
-        self.dF_dr = dF_dr
         self.dF_dx = dF_dx
         self.f = f
         self.grad_f = grad_f
@@ -384,16 +362,13 @@ def make_manufactured(name="disk"):
         def F(P, r):
             return (r - P[..., 0]) ** 2
 
-        def dF_dr(P, r):
-            return 2.0 * (r - P[..., 0])
-
         def dF_dx(P, r):
             out = np.zeros(P.shape)
             out[..., 0] = -2.0 * (r - P[..., 0])
             return out
 
         return ManufacturedFields("disk", u, grad_u, hess_u, p, grad_p, hess_p,
-                                  h, grad_h, F, dF_dr, dF_dx)
+                                  h, grad_h, F, dF_dx)
 
     if name == "disk-higher":
         def u(P):
@@ -441,7 +416,6 @@ def make_manufactured(name="disk"):
         return ManufacturedFields("disk-higher", u, grad_u, hess_u, p, grad_p, hess_p,
                                   zero_s, zero_v,
                                   F=lambda P, r: np.zeros(P.shape[:-1]),
-                                  dF_dr=lambda P, r: np.zeros(P.shape[:-1]),
                                   dF_dx=lambda P, r: np.zeros(P.shape),
                                   f=f, grad_f=grad_f)
 

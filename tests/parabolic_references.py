@@ -1,12 +1,13 @@
 """Parabolic oracles for the tests: the block operator of the discrete
-scheme on the march's step matrices, with its exact transpose, and the
-frozen-state transport derivative of the tracking costs, written from the
-cost's definition rather than from the package's tensors."""
+scheme on independently assembled step matrices, with its exact
+transpose, and the frozen-state transport derivative of the tracking
+costs, written from the cost's definition rather than from the package's
+tensors."""
 
 import numpy as np
 
 from shapegrad import fem_core as fem
-from shapegrad.parabolic_problem import _March
+from shapegrad.fem_core import FeSpace
 
 
 class ParabolicOperator:
@@ -14,28 +15,38 @@ class ParabolicOperator:
 
     Vectors are (nt+1, ndof) arrays: row 0 is the initial-condition block,
     rows k >= 1 the eliminated step rows.  ``forward``/``adjoint`` satisfy
-    <A V, W> = <V, A^T W> identically.
+    <A V, W> = <V, A^T W> identically.  Step k's matrix M_u + dt K(t_k),
+    with K(t_k) assembled from M(t_k, .) pointwise, has its Dirichlet rows
+    eliminated by ``fem.apply_dirichlet``.
     """
 
     def __init__(self, mesh, data, order=1):
-        self.march = _March(mesh, data, order=order)
+        self.space = space = FeSpace(mesh, order=order)
         self.nt = data.nt
+        self.Mu = fem.assemble_mass_values(space, np.ones(space.qweights.shape))
+        bd = space.boundary_dofs()
+        self.keep = np.ones(space.dof_count)
+        self.keep[bd] = 0.0
+        dt = data.t0 / data.nt
+        zero = np.zeros(space.dof_count)
+        self.A2 = [None]
+        for t in np.linspace(0.0, data.t0, data.nt + 1)[1:]:
+            K = fem.assemble_diffusion_values(space, data.M.value(t, space.qpoints))
+            self.A2.append(fem.apply_dirichlet(self.Mu + dt * K, zero, bd, 0.0)[0])
 
     def forward(self, V):
-        m = self.march
         out = np.empty_like(V)
-        out[0] = m.Mu @ V[0]
+        out[0] = self.Mu @ V[0]
         for k in range(1, self.nt + 1):
-            out[k] = m.A2(k) @ V[k] - m.keep * (m.Mu @ V[k - 1])
+            out[k] = self.A2[k] @ V[k] - self.keep * (self.Mu @ V[k - 1])
         return out
 
     def adjoint(self, W):
-        m = self.march
         out = np.empty_like(W)
         for k in range(self.nt + 1):
-            acc = m.Mu @ W[0] if k == 0 else m.A2(k).T @ W[k]
+            acc = self.Mu @ W[0] if k == 0 else self.A2[k].T @ W[k]
             if k < self.nt:
-                acc = acc - m.Mu @ (m.keep * W[k + 1])
+                acc = acc - self.Mu @ (self.keep * W[k + 1])
             out[k] = acc
         return out
 

@@ -25,7 +25,7 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
                                          dirichlet_energy_boundary_dJ)
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk, gen_rectangle
-from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem, parabolic_solve
+from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
 from shapegrad.shape_assembly import (ManufacturedProblem, material_tensor_rate,
                                       theta_samples)
 from shapegrad.validation import (AreaProblem, duality_check, estimate_order,
@@ -277,7 +277,7 @@ def test_criterion_6_parabolic_suite():
         X = space.qpoints
         errs = []
         for nt, d in mdata.items():
-            series = parabolic_solve(cmesh, d)
+            series = ParabolicProblem(cmesh, d).u
             dt = d.t0 / nt
             acc = 0.0
             for k in range(nt + 1):

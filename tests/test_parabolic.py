@@ -20,9 +20,8 @@ from shapegrad.fem_core import FeSpace, SolverError
 from shapegrad.flow import make_field, transport_mesh
 from shapegrad.mesh import gen_rectangle
 from shapegrad.parabolic_problem import (ParabolicData, ParabolicProblem, dof_velocities,
-                                         initial_rate, parabolic_adjoint,
-                                         parabolic_cost, parabolic_material,
-                                         parabolic_shape_tensors, parabolic_solve)
+                                         initial_rate, parabolic_material,
+                                         parabolic_shape_tensors)
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 from shapegrad.validation import fd_shape_check
 
@@ -68,7 +67,7 @@ class _FrozenUd:
 
 def test_zero_data_zero_state(rect_unit):
     data = _data(f_spec=("const 0", "const"), g_spec="const 0")
-    u = parabolic_solve(rect_unit, data)
+    u = ParabolicProblem(rect_unit, data).u
     assert np.abs(u.values).max() == 0.0
 
 
@@ -80,7 +79,7 @@ def test_data_validation(rect_unit):
     bad = ParabolicData(M=time_matrix("const_mat 1 2 1"), f=time_scalar("const 0"),
                         g=parse_scalar("const 0"), u_d=time_scalar("const 0"))
     with pytest.raises(ValueError, match="positive definite"):
-        parabolic_solve(rect_unit, bad)
+        ParabolicProblem(rect_unit, bad)
 
 
 def test_data_outside_separable_contract():
@@ -92,7 +91,7 @@ def test_data_outside_separable_contract():
         with pytest.raises(ValueError, match="TimeMatrixData and f a TimeScalarData"):
             ParabolicData(**dict(good, **{slot: bad}))
     # the tracked field stays any time-scalar entry
-    series = parabolic_solve(gen_rectangle(0.0, 0.0, 1.0, 1.0, 2, 2), ParabolicData(**good))
+    series = ParabolicProblem(gen_rectangle(0.0, 0.0, 1.0, 1.0, 2, 2), ParabolicData(**good)).u
     ParabolicData(**dict(good, u_d=_FrozenUd(series)))
 
 
@@ -101,7 +100,7 @@ def test_solver_failure_names_time_step(rect_unit):
     poisoned = TimeProfile("poisoned", (), lambda t: np.nan if t > 0.4 else 0.0, True)
     data.f = TimeScalarData(parse_scalar("const 1"), poisoned)
     with pytest.raises(SolverError, match="time step"):
-        parabolic_solve(rect_unit, data)
+        ParabolicProblem(rect_unit, data)
 
 
 def test_manufactured_dt_order():
@@ -113,7 +112,7 @@ def test_manufactured_dt_order():
         data = _data(nt=nt, m_profile="const", f_spec=(f"sine2 {amp!r} 1 1", "decay 1"),
                      g_spec="sine2 1 1 1")
         data.M = time_matrix("const_mat 1 0 1")
-        u = parabolic_solve(mesh, data)
+        u = ParabolicProblem(mesh, data).u
         space = u.space
         P = space.qpoints
         exact = lambda t: np.exp(-t) * np.sin(np.pi * P[..., 0]) * np.sin(np.pi * P[..., 1])
@@ -130,7 +129,7 @@ def test_manufactured_dt_order():
 def test_steady_state_monotone_decay(rect_unit):
     """Static data: iterates approach the elliptic solution in energy norm."""
     data = _data(nt=30, t0=2.0, f_spec=("sine2 1.5 1 1", "const"), g_spec="sine2 1 2 1")
-    u = parabolic_solve(rect_unit, data)
+    u = ParabolicProblem(rect_unit, data).u
     space = u.space
     K = fem.assemble_diffusion_values(space, data.M.value(0.0, space.qpoints))
     F = fem.assemble_load_values(space, data.f.value(0.0, space.qpoints))
@@ -150,7 +149,7 @@ def test_stability_across_dt_orders(rect_unit):
     """f = 0: the L2 norm of the iterates never grows, for dt across 1e2."""
     for nt in (4, 40, 400):
         data = _data(nt=nt, f_spec=("const 0", "const"), g_spec="sine2 1 1 1")
-        u = parabolic_solve(rect_unit, data)
+        u = ParabolicProblem(rect_unit, data).u
         norms = np.array([fem.l2_norm(u.space, u.values[k]) for k in range(nt + 1)])
         assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
@@ -159,36 +158,34 @@ def test_stability_across_dt_orders(rect_unit):
 
 def test_adjoint_zero_when_ud_matches(rect_unit):
     data = _data(nt=8)
-    u = parabolic_solve(rect_unit, data)
-    data.u_d = _FrozenUd(u)
-    p1 = parabolic_adjoint(rect_unit, data, u, "j1")
-    p2 = parabolic_adjoint(rect_unit, data, u, "j2")
+    prob = ParabolicProblem(rect_unit, data, which="j1")
+    data.u_d = _FrozenUd(prob.u)
+    p1 = prob.p
+    p2 = ParabolicProblem(rect_unit, data, which="j2").p
     assert np.abs(p1.values).max() == 0.0
     assert np.abs(p2.values).max() == 0.0
-    assert parabolic_cost(data, u, "j1") == 0.0
+    assert prob.cost() == 0.0
 
 
 def test_adjoint_slot_zero_is_p1(rect_unit):
     data = _data(nt=8)
-    u = parabolic_solve(rect_unit, data)
-    p = parabolic_adjoint(rect_unit, data, u, "j1")
+    p = ParabolicProblem(rect_unit, data, which="j1").p
     assert np.array_equal(p.values[0], p.values[1])
     assert np.abs(p.values).max() > 0.0
 
 
 def test_unknown_cost_flavor(rect_unit):
     data = _data(nt=4)
-    u = parabolic_solve(rect_unit, data)
     with pytest.raises(ValueError, match="unknown parabolic cost"):
-        parabolic_adjoint(rect_unit, data, u, "j3")
+        ParabolicProblem(rect_unit, data, which="j3")
 
 
 def test_time_reversal_oracle(rect_unit):
     """Backward march == reversed-coefficient forward march, independently
     assembled here step by step (time-dependent diffusion matrix)."""
     data = _data(nt=9, m_profile="ramp 0.6")
-    u = parabolic_solve(rect_unit, data)
-    p = parabolic_adjoint(rect_unit, data, u, "j1")
+    prob = ParabolicProblem(rect_unit, data, which="j1")
+    u, p = prob.u, prob.p
 
     space = FeSpace(rect_unit, order=1)
     Mu = fem.assemble_mass_values(space, np.ones(space.qweights.shape))
@@ -218,13 +215,37 @@ def test_block_operator_transposition(rect_unit):
     data = _data(nt=7, m_profile="ramp 0.4")
     op = ParabolicOperator(rect_unit, data)
     rng = np.random.default_rng(7)
-    n = op.march.space.dof_count
+    n = op.space.dof_count
     for _ in range(5):
         V = rng.standard_normal((data.nt + 1, n))
         W = rng.standard_normal((data.nt + 1, n))
         a = float(np.sum(op.forward(V) * W))
         b = float(np.sum(V * op.adjoint(W)))
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
+
+
+@pytest.mark.parametrize("m_profile, factorizations", [("ramp 0.5", 7), ("const", 1)])
+def test_step_factorizations_shared_by_every_march(rect_unit, monkeypatch, m_profile,
+                                                    factorizations):
+    """A time-dependent M gives each of the nt step matrices one
+    factorization, a constant profile one for all steps; the adjoint,
+    material and duality marches reuse them."""
+    data = _data(nt=7, m_profile=m_profile)
+    count = [0]
+    init = fem.Factorized.__init__
+
+    def counting_init(self, A):
+        count[0] += 1
+        init(self, A)
+
+    monkeypatch.setattr(fem.Factorized, "__init__", counting_init)
+    prob = ParabolicProblem(rect_unit, data, which="j1")
+    assert count[0] == factorizations
+    theta = bump_theta()
+    prob.p
+    prob.material(theta)
+    prob.duality_pair(theta)
+    assert count[0] == factorizations
 
 
 # ------------------------------------------------------- material and duality
@@ -386,18 +407,18 @@ def _reference_tensors(data, series, adjoint, which):
     return S0, S1, dtp
 
 
-def _reference_material(data, series, theta, march):
-    space = march.space
+def _reference_material(data, series, theta, problem):
+    space = problem.space
     samples = theta_samples(space, theta, "interpolated")
     P = space.qpoints
-    dt = march.dt
+    dt = problem.dt
     Mdot = fem.assemble_mass_values(space, samples.vol_div)
     ell = np.zeros_like(series.values)
     vals = np.empty_like(series.values)
     vals[0] = initial_rate(space, data, theta)
     udot = vals[0]
     for k in range(1, data.nt + 1):
-        t = march.times[k]
+        t = problem.times[k]
         uk = series.field(k)
         gu = fem.field_qgrads(uk)
         Mk = data.M.value(t, P)
@@ -409,9 +430,9 @@ def _reference_material(data, series, theta, march):
         lk = Mdot @ (series.values[k] - series.values[k - 1]) \
             + dt * fem.assemble_grad_load_values(space, W) \
             - dt * fem.assemble_load_values(space, fdot)
-        ell[k] = march.keep * lk
-        b = march.keep * (march.Mu @ udot) - ell[k]
-        udot = march.step(k, b)
+        ell[k] = problem.keep * lk
+        b = problem.keep * (problem.Mu @ udot) - ell[k]
+        udot = problem.step(k, b)
         vals[k] = udot
     return vals, ell
 
@@ -428,7 +449,7 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     data = _data(nt=7, m_profile=m_profile, f_spec=("sine2 1.5 1 1", "decay 0.4"),
                  g_spec="sine2 1 1 1", ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
-    ptens = parabolic_shape_tensors(data, prob.u, prob.p, which)
+    ptens = parabolic_shape_tensors(prob)
     S0, S1, dtp = _reference_tensors(data, prob.u, prob.p, which)
     P = prob.space.qpoints
     S0_ic = -fem.field_qvalues(prob.p.field(0))[..., None] * data.g.grad(P)
@@ -437,13 +458,13 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     assert _rel(ptens.dt_density, dtp) < 1e-12
 
     theta = bump_theta()
-    udot, ell = parabolic_material(rect_unit, data, prob.u, theta, march=prob.march)
-    vals, ell_ref = _reference_material(data, prob.u, theta, prob.march)
+    udot, ell = parabolic_material(prob, theta)
+    vals, ell_ref = _reference_material(data, prob.u, theta, prob)
     assert _rel(ell[1:], ell_ref[1:]) < 1e-12
     assert _rel(udot.values, vals) < 1e-12
 
     ic = prob.breakdown(theta).terms["ic_pairing"]
-    ic_ref = -float((prob.march.Mu @ prob.p.values[0]) @ initial_rate(prob.space, data, theta))
+    ic_ref = -float((prob.Mu @ prob.p.values[0]) @ initial_rate(prob.space, data, theta))
     assert abs(ic - ic_ref) <= 1e-12 * abs(ic_ref)
 
 
@@ -458,7 +479,7 @@ def test_shape_tensor_memory_flat_in_steps(which):
         p = prob.p  # the adjoint marches on first use, outside the traced window
         tracemalloc.start()
         try:
-            parabolic_shape_tensors(prob.data, prob.u, p, which)
+            parabolic_shape_tensors(prob)
             peaks[nt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -468,12 +489,12 @@ def test_shape_tensor_memory_flat_in_steps(which):
 def test_cost_quadratic_in_ud_perturbation(rect_unit):
     """J1 with u_d = u + eps w is exactly quadratic in eps."""
     data = _data(nt=8)
-    u = parabolic_solve(rect_unit, data)
+    prob = ParabolicProblem(rect_unit, data, which="j1")
     shift = lambda P: np.sin(P[..., 0] + 2.0 * P[..., 1])
     costs = {}
     for eps in (1e-3, 2e-3):
-        data.u_d = _FrozenUd(u, shift=shift, eps=eps)
-        costs[eps] = parabolic_cost(data, u, "j1")
+        data.u_d = _FrozenUd(prob.u, shift=shift, eps=eps)
+        costs[eps] = prob.cost()
     assert costs[1e-3] > 0.0
     assert abs(costs[2e-3] / costs[1e-3] - 4.0) < 1e-10
 
