@@ -11,11 +11,21 @@ is what makes the discrete identities in the rest of the package exact.
 Every assembly takes its coefficient as values at the quadrature points
 it integrates over: ``space.qpoints`` for the volume forms,
 ``space.edge_qpoints`` for the boundary forms, over the whole boundary.
-Local matrices and vectors come from one einsum per form; the volume and
-boundary forms share the mass and load kernels, one COO scatter for
-matrices (duplicates summed) and one ``np.add.at`` scatter for vectors,
-keyed by ``element_dofs`` or ``edge_dofs``.  All of it is deterministic
-run to run.
+Local matrices and vectors come from one kernel per form: the stiffness
+written out over the two coordinates, the others one einsum each; the
+volume and boundary forms share the mass and load kernels, one COO
+scatter for matrices (duplicates summed) and one ``np.add.at`` scatter for
+vectors, keyed by ``element_dofs`` or ``edge_dofs``.  All of it is
+deterministic run to run.
+
+``FeSpace.grads`` holds the physical basis gradients with a quadrature
+axis of length nq for P2 but of length 1 for P1: the geometry map is
+affine and the P1 basis linear, so a P1 gradient is the same at every
+point of an element.  The kernels broadcast that axis.  The stiffness
+kernel, for P1, first sums the weighted coefficient over the points,
+sum_q w_q C(x_q), and then contracts it with the element's gradients once:
+the same sum regrouped, exact in exact arithmetic and different only in
+the last bits (at most 5.3e-16 of max|K| on the refine-6 disk).
 
 Every linear solve goes through one :class:`Factorized` path: a reverse
 Cuthill-McKee renumbering followed by SuperLU with its ``MMD_AT_PLUS_A``
@@ -150,6 +160,18 @@ class FeSpace:
         Volume quadrature degree shared by every assembly on this space.
     edge_degree : int
         Boundary quadrature degree.
+
+    Attributes
+    ----------
+    qpoints, qweights : (M, nq, 2) and (M, nq) arrays
+        Volume quadrature points and weights (|K| times the rule's).
+    basis : (nq, nloc) array
+        Basis values at the reference quadrature points.
+    grads : (M, 1, 3, 2) array for P1, (M, nq, 6, 2) for P2
+        Physical basis gradients: one set per element for P1, whose
+        gradients are constant on an element, one per point for P2.
+        Index [m, q, i, d] is d phi_i / dx_d, read at every point when the
+        point axis has length 1; ``field_qgrads`` broadcasts it.
     """
 
     def __init__(self, mesh, order=1, quad_degree=4, edge_degree=5):
@@ -196,7 +218,7 @@ class FeSpace:
         self.qweights = 0.5 * self.detJ[:, None] * self.vol_rule.weights[None, :]
         if self.order == 1:
             self.basis = _basis_p1(lmb)
-            gref = _grad_p1(lmb)
+            gref = _REF_GRAD_L[None]  # constant on the element: one "point"
         else:
             self.basis = _basis_p2(lmb)
             gref = _grad_p2(lmb)
@@ -276,16 +298,18 @@ def field_qgrads(field):
     """Field gradients at all volume quadrature points, shape (M, nq, 2).
 
     Summed over the local dofs left to right, then ``+= 0.0``: the bits of
-    ``einsum('mqad,ma->mqd')`` (see ``_build_geometry``) in 5.7 instead of
-    8.6 ms for P1 on the refine-6 disk.
+    ``einsum('mqad,ma->mqd')`` (see ``_build_geometry``).  A P1 gradient is
+    computed once per element and returned as a read-only broadcast view
+    over the quadrature points.
     """
-    grads = field.space.grads
-    coeff = field.coefficients[field.space.element_dofs][:, None, :, None]
+    space = field.space
+    grads = space.grads
+    coeff = field.coefficients[space.element_dofs][:, None, :, None]
     out = coeff[:, :, 0] * grads[:, :, 0]
     for a in range(1, grads.shape[2]):
         out += coeff[:, :, a] * grads[:, :, a]
     out += 0.0
-    return out
+    return np.broadcast_to(out, space.qpoints.shape)
 
 
 def edge_qvalues(field):
@@ -350,9 +374,22 @@ def _load(space, dofs, wvals, basis):
 
 
 def assemble_diffusion_values(space, C):
-    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2)."""
-    local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, space.grads, C, space.grads,
-                      optimize=True)
+    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2).
+
+    Written out over the two coordinates.  With P1 gradients, constant on
+    each element, the weighted coefficient is summed over the quadrature
+    points first, so the local matrices are formed once per element.
+    """
+    G = space.grads                                       # (M, 1 or nq, nloc, 2)
+    WC = space.qweights[..., None, None] * C
+    if G.shape[1] == 1:
+        WC = WC.sum(axis=1, keepdims=True)
+    G0, G1 = G[..., 0], G[..., 1]
+    # the components of C grad phi_j, dotted with grad phi_i and summed
+    # over the points by a batched matmul
+    CG0 = WC[..., 0, 0, None] * G0 + WC[..., 0, 1, None] * G1
+    CG1 = WC[..., 1, 0, None] * G0 + WC[..., 1, 1, None] * G1
+    local = np.swapaxes(G0, 1, 2) @ CG0 + np.swapaxes(G1, 1, 2) @ CG1
     return _scatter_matrix(space, space.element_dofs, local)
 
 

@@ -18,6 +18,16 @@ points: ``shape_assembly.material_tensor_rate`` gives the matrix rate and
 Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
 made compactly supported without losing analytic derivatives.
+
+RK4 transport evaluates only the value of a field, 128 times per mesh at
+the default 32 steps, so the values of the bumps and of the cutoff are
+written one component at a time, with the bits of the broadcast and
+``einsum`` forms they replace (``tests/flow_references.py`` keeps those):
+each entry comes from the same floating-point operations in the same
+order, and the outer product with the amplitude adds +0.0 as ``einsum``
+did by summing onto +0.0.  The cutoff factor is skipped on an axis when
+every point of the call lies on its plateau: the smoothstep clips to
+exactly 1.0 there, and multiplying by 1.0 changes no bit.
 """
 
 import numpy as np
@@ -186,19 +196,34 @@ def _axis_cutoff(x, lo, hi, w):
     return g, dg, d2g
 
 
+def _on_plateau(t):
+    return t.size == 0 or t.min() >= 1.0
+
+
 def _axis_value(x, lo, hi, w):
-    """The value of :func:`_axis_cutoff` alone, by the same expression."""
-    return _smoothstep((x - lo) / w) * _smoothstep((hi - x) / w)
+    """The value of :func:`_axis_cutoff` alone, by the same expression, or
+    None when every point lies on the plateau, where the factor is 1.0."""
+    tl = (x - lo) / w
+    tr = (hi - x) / w
+    if _on_plateau(tl) and _on_plateau(tr):
+        return None
+    return _smoothstep(tl) * _smoothstep(tr)
 
 
 def _cutoff(box, ramp):
-    """Value-only evaluator and (value, gradient, Hessian) evaluator of the cutoff."""
+    """Value-only evaluator and (value, gradient, Hessian) evaluator of the cutoff.
+
+    ``value`` returns None when every point lies on the plateau.
+    """
     lo, hi = np.asarray(box, dtype=float)
     w = ramp * (hi - lo)
 
     def value(P):
-        return (_axis_value(P[..., 0], lo[0], hi[0], w[0])
-                * _axis_value(P[..., 1], lo[1], hi[1], w[1]))
+        gx = _axis_value(P[..., 0], lo[0], hi[0], w[0])
+        gy = _axis_value(P[..., 1], lo[1], hi[1], w[1])
+        if gx is None or gy is None:
+            return gy if gx is None else gx
+        return gx * gy
 
     def rho(P):
         gx, dgx, d2gx = _axis_cutoff(P[..., 0], lo[0], hi[0], w[0])
@@ -218,8 +243,14 @@ def _apply_cutoff(val, jac, hess, box, ramp):
     value, rho = _cutoff(box, ramp)
 
     def v(P):
-        # RK4 transport calls only this: skip the cutoff's derivatives
-        return val(P) * value(P)[..., None]
+        # RK4 transport calls only this: skip the cutoff's derivatives, and
+        # the factor itself on the plateau
+        out = val(P)
+        r = value(P)
+        if r is not None:
+            out[..., 0] *= r
+            out[..., 1] *= r
+        return out
 
     def j(P):
         r, dr, _ = rho(P)
@@ -236,6 +267,17 @@ def _apply_cutoff(val, jac, hess, box, ramp):
         return out
 
     return v, j, h
+
+
+def _times_vector(f, a):
+    """The outer product f a of point values and a constant 2-vector.  The
+    ``+= 0.0`` turns -0.0 into +0.0, as the einsum this replaced did by
+    summing onto +0.0: a zero f times a negative component."""
+    out = np.empty(f.shape + (2,))
+    out[..., 0] = f * a[0]
+    out[..., 1] = f * a[1]
+    out += 0.0
+    return out
 
 
 def _zeros_like_field(P, rank):
@@ -299,8 +341,9 @@ def _bump_field(a, c, r):
     c = np.asarray(c, dtype=float)
 
     def radial(P):
-        d = (P - c) / r
-        u = np.einsum('...i,...i->...', d, d)
+        dx = (P[..., 0] - c[0]) / r
+        dy = (P[..., 1] - c[1]) / r
+        u = dx * dx + dy * dy
         inside = u < 1.0
         return inside, np.where(inside, 1.0 - u, 0.0)
 
@@ -314,7 +357,7 @@ def _bump_field(a, c, r):
 
     def val(P):
         _, om = radial(P)
-        return np.einsum('...,i->...i', om ** 3, a)
+        return _times_vector(om ** 3, a)
 
     def jac(P):
         _, wp, _, du = parts(P)
@@ -334,10 +377,13 @@ def _tensor_bump_field(a, c, w):
     c = np.asarray(c, dtype=float)
     w = np.asarray(w, dtype=float)
 
-    def axis(t, wk):
+    def axis_value(t):
         inside = np.abs(t) < 1.0
         om = np.where(inside, 1.0 - t * t, 0.0)
-        B = om ** 3
+        return inside, om, om ** 3
+
+    def axis(t, wk):
+        inside, om, B = axis_value(t)
         Bp = np.where(inside, -6.0 * t * om ** 2, 0.0) / wk
         Bpp = np.where(inside, -6.0 * om ** 2 + 24.0 * t * t * om, 0.0) / wk ** 2
         return B, Bp, Bpp
@@ -347,8 +393,9 @@ def _tensor_bump_field(a, c, w):
                 axis((P[..., 1] - c[1]) / w[1], w[1]))
 
     def val(P):
-        (bx, _, _), (by, _, _) = parts(P)
-        return np.einsum('...,i->...i', bx * by, a)
+        _, _, bx = axis_value((P[..., 0] - c[0]) / w[0])
+        _, _, by = axis_value((P[..., 1] - c[1]) / w[1])
+        return _times_vector(bx * by, a)
 
     def jac(P):
         (bx, dbx, _), (by, dby, _) = parts(P)

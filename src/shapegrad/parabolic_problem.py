@@ -103,14 +103,6 @@ class TimeSeriesField:
         self.t0 = float(t0)
 
     @property
-    def nt(self):
-        return self.values.shape[0] - 1
-
-    @property
-    def times(self):
-        return np.linspace(0.0, self.t0, self.nt + 1)
-
-    @property
     def coefficients(self):
         """All snapshots as one flat vector (a view of ``values``)."""
         return self.values.ravel()
@@ -331,12 +323,19 @@ class ParabolicProblem(ShapeProblem):
         """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
 
         One step's misfit is alive at a time, so callers stay at O(1) memory
-        in the number of steps.
+        in the number of steps.  A separable u_d = a(t) s(x) has s evaluated
+        once per call and scaled by a(t_k), the product ``u_d.value`` forms,
+        so the bits are those of a per-step evaluation.
         """
         steps = range(1, self.data.nt + 1) if self.which == "j1" else (self.data.nt,)
-        P = self.space.qpoints
+        u_d, P = self.data.u_d, self.space.qpoints
+        if isinstance(u_d, TimeScalarData):
+            spatial = u_d.spatial.value(P)
+            target = lambda k: u_d.profile.value(self.times[k]) * spatial
+        else:
+            target = lambda k: u_d.value(self.times[k], P)
         for k in steps:
-            yield k, fem.field_qvalues(self.u.field(k)) - self.data.u_d.value(self.times[k], P)
+            yield k, fem.field_qvalues(self.u.field(k)) - target(k)
 
     @cached_property
     def B(self):

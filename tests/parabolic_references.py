@@ -51,15 +51,16 @@ class ParabolicOperator:
         return out
 
 
-def parabolic_partial_cost(data, series, samples, which):
+def parabolic_partial_cost(problem, samples):
     """d/ds of the tracking cost with the state snapshots frozen:
     sum_k w_k int 1/2 (u_k - u_d)^2 div theta - (u_k - u_d) grad u_d . theta,
     with w_k = dt for every step (j1) or 1 for the final step only (j2)."""
+    data, series, which = problem.data, problem.u, problem.which
     space = series.space
     P = space.qpoints
-    times = series.times
+    times = problem.times
     dt = data.t0 / data.nt
-    steps = range(1, series.nt + 1) if which == "j1" else (series.nt,)
+    steps = range(1, data.nt + 1) if which == "j1" else (data.nt,)
     weight = dt if which == "j1" else 1.0
     total = 0.0
     for k in steps:

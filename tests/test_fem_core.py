@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from shapegrad import fem_core as fem
-from shapegrad.data_catalog import parse_rfunction
+from shapegrad.data_catalog import parse_rfunction, time_matrix
 from shapegrad.elliptic_problems import QuasilinearData, _ql_jacobian
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
@@ -87,6 +87,39 @@ def test_stiffness_linear_in_coefficient():
     assert abs(A1 - A2).max() <= 1e-14
     A3 = _stiffness(space, C + D)
     assert abs(A3 - (A1 + _stiffness(space, D))).max() <= 1e-14
+
+
+def _point_grads(space):
+    """Basis gradients at every quadrature point, (M, nq, nloc, 2): a P1
+    space stores one per element."""
+    g = space.grads
+    return np.broadcast_to(g, space.qweights.shape + g.shape[2:])
+
+
+def _stiffness_einsum(space, C):
+    # the stiffness kernel as one optimized einsum over per-point gradients
+    G = _point_grads(space)
+    local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, G, C, G, optimize=True)
+    return fem._scatter_matrix(space, space.element_dofs, local)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("coef", ["const", "affine_mat"])
+def test_stiffness_matches_einsum_reference(order, coef):
+    """The written-out kernel (for P1 over per-element gradients, with the
+    weighted coefficient summed over the points first) is the einsum up to
+    the order of the sums."""
+    m = gen_disk((0.2, -0.1), 1.0, 3)
+    space = fem.FeSpace(m.with_nodes(m.nodes + 0.01 * np.cos(5.0 * m.nodes)), order=order)
+    assert space.grads.shape[1] == (1 if order == 1 else space.qweights.shape[1])
+    if coef == "const":
+        C = _const_mat(space, [[2.0, 0.3], [0.3, 1.5]])
+    else:
+        C = time_matrix("affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3").spatial.value(
+            space.qpoints)
+    K = fem.assemble_diffusion_values(space, C)
+    K_ref = _stiffness_einsum(space, C)
+    assert abs(K - K_ref).max() <= 1e-15 * abs(K_ref).max()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -315,8 +348,11 @@ def test_field_qgrads_matches_einsum_bit_for_bit(order):
                                              np.cos(3.0 * P[..., 0]) * np.exp(P[..., 1])))
     # zero and negative-zero coefficients: the einsum sums onto +0.0
     u.coefficients[::5] = -0.0
+    # per element for P1, broadcast over the points
     want = np.einsum('mqad,ma->mqd', space.grads, u.coefficients[space.element_dofs])
-    assert fem.field_qgrads(u).tobytes() == want.tobytes()
+    got = fem.field_qgrads(u)
+    assert got.shape == space.qpoints.shape
+    assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
 
 
 # ---------------------------------------------------------------- convergence

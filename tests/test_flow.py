@@ -8,7 +8,7 @@ from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
 from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 
-from flow_references import pullback_quotients
+from flow_references import einsum_field, pullback_quotients
 
 BOX = np.array([[-1.5, -1.5], [1.5, 1.5]])
 
@@ -215,6 +215,66 @@ def test_advect_skips_fixed_points_bit_for_bit(theta):
             Xr, Jr = _advect_every_point(theta, s, pts, 8, want_jac)
             assert X.tobytes() == Xr.tobytes()
             assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
+
+
+def _cutoff_point_sets():
+    """Point sets for the per-component bump values; BOX's plateau is
+    [-1.05, 1.05]^2, the bump support the disk of radius 0.5 about
+    (0.25, 0.5)."""
+    rng = np.random.default_rng(11)
+    c, r = np.array([0.25, 0.5]), 0.5
+    ang = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    axes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    outside_bump = rng.uniform(-1.0, 1.0, (400, 2))
+    outside_bump = outside_bump[np.hypot(*(outside_bump - c).T) > r]
+    sets = {
+        "plateau": rng.uniform(-1.0, 1.0, (300, 2)),
+        "ramp": np.column_stack([rng.uniform(1.06, 1.49, 100), rng.uniform(-1.6, 1.6, 100)]),
+        "outside_box": rng.uniform(1.5, 2.5, (50, 2)) * rng.choice([-1.0, 1.0], (50, 2)),
+        "bump_rim": np.vstack([c + r * (1.0 - 1e-9) * ring, c + r * axes]),
+        "theta_zero": outside_bump,
+    }
+    sets["all"] = np.vstack(list(sets.values()))
+    return sets
+
+
+# (name, params, support box) of fields with a per-component value
+_COMPONENT_FIELDS = [
+    ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), BOX),
+    ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), None),
+    ("bump", (-0.3, 0.7, 0.25, 0.5, 0.5), [[-0.3, 0.0], [0.9, 1.1]]),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.5, 0.5, 0.6), BOX),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.5, 0.5, 0.6), None),
+]
+
+
+@pytest.mark.parametrize("name,params,box", _COMPONENT_FIELDS)
+def test_field_values_match_einsum_reference_bit_for_bit(name, params, box):
+    """Per-component values, the plateau skip of the cutoff and the +0.0
+    where theta vanishes keep the bits of the einsum evaluation."""
+    theta = make_field(name, params, support_box=box)
+    ref = einsum_field(name, params, support_box=box)
+    sets = _cutoff_point_sets()
+    for label, P in sets.items():
+        assert theta.eval(P).tobytes() == ref.eval(P).tobytes(), label
+    if name == "bump":
+        zero = theta.eval(sets["theta_zero"])
+        assert not zero.any() and not np.signbit(zero).any()
+
+
+@pytest.mark.parametrize("name,params,box", _COMPONENT_FIELDS)
+def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
+    theta = make_field(name, params, support_box=box)
+    ref = einsum_field(name, params, support_box=box)
+    sets = _cutoff_point_sets()
+    for P in (sets["plateau"], sets["all"]):
+        for s in (0.04, -0.04, 0.16):
+            for want_jac in (False, True):
+                X, J = advect_batch(theta, s, P, steps=8, want_jac=want_jac)
+                Xr, Jr = advect_batch(ref, s, P, steps=8, want_jac=want_jac)
+                assert X.tobytes() == Xr.tobytes()
+                assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
 
 
 def test_xi_matches_triangle_area_ratios():

@@ -36,17 +36,14 @@ def _data(nt=12, t0=1.0, m_profile="const", f_spec=("sine2 1.5 1 1", "decay 0.4"
                          u_d=time_scalar(*ud_spec), t0=t0, nt=nt)
 
 
-def _series_qvalues(series):
-    return {k: fem.field_qvalues(series.field(k)) for k in range(series.nt + 1)}
-
-
 class _FrozenUd:
-    """Time-scalar data that replays recorded quadrature snapshots."""
+    """Time-scalar data that replays the recorded quadrature snapshots of a
+    problem's state."""
 
-    def __init__(self, series, shift=None, eps=0.0):
-        self._q = _series_qvalues(series)
-        self._nt = series.nt
-        self._t0 = series.t0
+    def __init__(self, prob, shift=None, eps=0.0):
+        self._q = {k: fem.field_qvalues(prob.u.field(k)) for k in range(prob.data.nt + 1)}
+        self._nt = prob.data.nt
+        self._t0 = prob.data.t0
         self._shift = shift
         self._eps = eps
 
@@ -91,8 +88,8 @@ def test_data_outside_separable_contract():
         with pytest.raises(ValueError, match="TimeMatrixData and f a TimeScalarData"):
             ParabolicData(**dict(good, **{slot: bad}))
     # the tracked field stays any time-scalar entry
-    series = ParabolicProblem(gen_rectangle(0.0, 0.0, 1.0, 1.0, 2, 2), ParabolicData(**good)).u
-    ParabolicData(**dict(good, u_d=_FrozenUd(series)))
+    prob = ParabolicProblem(gen_rectangle(0.0, 0.0, 1.0, 1.0, 2, 2), ParabolicData(**good))
+    ParabolicData(**dict(good, u_d=_FrozenUd(prob)))
 
 
 def test_solver_failure_names_time_step(rect_unit):
@@ -112,14 +109,15 @@ def test_manufactured_dt_order():
         data = _data(nt=nt, m_profile="const", f_spec=(f"sine2 {amp!r} 1 1", "decay 1"),
                      g_spec="sine2 1 1 1")
         data.M = time_matrix("const_mat 1 0 1")
-        u = ParabolicProblem(mesh, data).u
+        prob = ParabolicProblem(mesh, data)
+        u = prob.u
         space = u.space
         P = space.qpoints
         exact = lambda t: np.exp(-t) * np.sin(np.pi * P[..., 0]) * np.sin(np.pi * P[..., 1])
         dt = data.t0 / nt
         acc = 0.0
         for k in range(1, nt + 1):
-            d = fem.field_qvalues(u.field(k)) - exact(u.times[k])
+            d = fem.field_qvalues(u.field(k)) - exact(prob.times[k])
             acc += dt * float(np.sum(space.qweights * d * d))
         errs.append(np.sqrt(acc))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -137,7 +135,7 @@ def test_steady_state_monotone_decay(rect_unit):
     A2, b2 = fem.apply_dirichlet(K, F, bd, 0.0)
     u_inf = fem.Factorized(A2).solve(b2)
     en = []
-    for k in range(u.nt + 1):
+    for k in range(data.nt + 1):
         e = u.values[k] - u_inf
         en.append(float(e @ (K @ e)))
     en = np.sqrt(np.array(en))
@@ -159,7 +157,7 @@ def test_stability_across_dt_orders(rect_unit):
 def test_adjoint_zero_when_ud_matches(rect_unit):
     data = _data(nt=8)
     prob = ParabolicProblem(rect_unit, data, which="j1")
-    data.u_d = _FrozenUd(prob.u)
+    data.u_d = _FrozenUd(prob)
     p1 = prob.p
     p2 = ParabolicProblem(rect_unit, data, which="j2").p
     assert np.abs(p1.values).max() == 0.0
@@ -284,7 +282,7 @@ def test_tensor_total_matches_duality_path(rect_unit, which):
         bd = prob.breakdown(theta)
         samples = theta_samples(prob.space, theta, "interpolated")
         lhs, _ = prob.duality_pair(theta)
-        partial = parabolic_partial_cost(prob.data, prob.u, samples, which)
+        partial = parabolic_partial_cost(prob, samples)
         assert abs(bd.total - (lhs + partial)) <= 1e-11 * (1.0 + abs(bd.total)), theta.name
 
 
@@ -316,7 +314,7 @@ def test_constant_M_tensor_oracle(rect_unit):
     space = prob.space
     P = space.qpoints
     dt = data.t0 / data.nt
-    times = prob.u.times
+    times = prob.times
     Mmat = np.array([[2.0, 0.3], [0.3, 1.5]])
     I2 = np.eye(2)
 
@@ -351,27 +349,27 @@ def test_constant_M_tensor_oracle(rect_unit):
 # carries the analytic initial-condition slot -q grad g, which the module
 # now reports at the dofs as ``ic_pairing``.
 
-def _reference_misfits(data, series, which):
-    space = series.space
-    P = space.qpoints
-    times = series.times
+def _reference_misfits(problem):
+    data, series = problem.data, problem.u
+    P = series.space.qpoints
     out = {}
-    if which == "j1":
-        for k in range(1, series.nt + 1):
-            out[k] = fem.field_qvalues(series.field(k)) - data.u_d.value(times[k], P)
+    if problem.which == "j1":
+        for k in range(1, data.nt + 1):
+            out[k] = fem.field_qvalues(series.field(k)) - data.u_d.value(problem.times[k], P)
     else:
-        out[series.nt] = fem.field_qvalues(series.field(series.nt)) \
+        out[data.nt] = fem.field_qvalues(series.field(data.nt)) \
             - data.u_d.value(data.t0, P)
     return out
 
 
-def _reference_tensors(data, series, adjoint, which):
+def _reference_tensors(problem):
+    data, series, adjoint, which = problem.data, problem.u, problem.p, problem.which
     space = series.space
     P = space.qpoints
     M, nq = space.qweights.shape
     dt = data.t0 / data.nt
-    times = series.times
-    d = _reference_misfits(data, series, which)
+    times = problem.times
+    d = _reference_misfits(problem)
 
     qv = fem.field_qvalues(adjoint.field(0))
     S0 = np.zeros((M, nq, 2))
@@ -441,6 +439,23 @@ def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+@pytest.mark.parametrize("which", ["j1", "j2"])
+def test_misfits_match_per_step_evaluation_bit_for_bit(rect_unit, which):
+    """cost() and B scale u_d's spatial part, evaluated once, by a(t_k): the
+    bits of evaluating u_d(t_k, .) at every step."""
+    data = _data(nt=7, ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
+    prob = ParabolicProblem(rect_unit, data, which=which)
+    w = prob.space.qweights
+    scale = prob.dt if which == "j1" else 1.0
+    misfits = _reference_misfits(prob)
+    cost = float(sum(scale * 0.5 * np.sum(w * dk * dk) for dk in misfits.values()))
+    B = np.zeros_like(prob.u.values)
+    for k, dk in misfits.items():
+        B[k] = scale * fem.assemble_load_values(prob.space, dk)
+    assert np.float64(prob.cost()).tobytes() == np.float64(cost).tobytes()
+    assert prob.B.tobytes() == B.tobytes()
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("m_profile", ["ramp 0.5", "decay 0.7"])
 @pytest.mark.parametrize("which", ["j1", "j2"])
@@ -450,7 +465,7 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
                  g_spec="sine2 1 1 1", ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
     ptens = parabolic_shape_tensors(prob)
-    S0, S1, dtp = _reference_tensors(data, prob.u, prob.p, which)
+    S0, S1, dtp = _reference_tensors(prob)
     P = prob.space.qpoints
     S0_ic = -fem.field_qvalues(prob.p.field(0))[..., None] * data.g.grad(P)
     assert _rel(ptens.tensors.S0 + S0_ic, S0) < 1e-12
@@ -493,7 +508,7 @@ def test_cost_quadratic_in_ud_perturbation(rect_unit):
     shift = lambda P: np.sin(P[..., 0] + 2.0 * P[..., 1])
     costs = {}
     for eps in (1e-3, 2e-3):
-        data.u_d = _FrozenUd(prob.u, shift=shift, eps=eps)
+        data.u_d = _FrozenUd(prob, shift=shift, eps=eps)
         costs[eps] = prob.cost()
     assert costs[1e-3] > 0.0
     assert abs(costs[2e-3] / costs[1e-3] - 4.0) < 1e-10
