@@ -144,6 +144,8 @@ def build_theta(cfg, required=False):
             raise ConfigError("this command needs a [theta] field entry")
         return None
     parts = cfg.get("theta", "field").split()
+    if not parts:
+        raise ConfigError("[theta] field: empty value")
     name, raw = parts[0], parts[1:]
     try:
         params = [float(p) for p in raw]
@@ -159,7 +161,7 @@ def build_theta(cfg, required=False):
     try:
         return make_field(name, params, support_box=support, ramp=ramp)
     except ValueError as exc:
-        raise ConfigError(f"[theta] field: {exc}") from exc
+        raise ConfigError(f"[theta] {exc}") from exc
 
 
 def build_problem(cfg, mesh):

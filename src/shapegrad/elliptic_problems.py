@@ -25,10 +25,11 @@ derives from it the cost J = int F, its gradient
 B_i = int d_u F phi_i + d_grad u F . grad phi_i, and, through the kernel in
 ``shape_assembly`` (whose docstring has the formulas) with T = grad p x
 grad u and p_b = p, the volume tensors S0/S1 and the material right-hand
-side L(u) psi.  The boundary part adds S0_G = p d_x b_G and S1_G = b_G p I,
-paired with the tangential Jacobian, and int_G [d_x b_G . theta +
-b_G div_G theta] psi to L(u) psi.  Dirichlet energy evaluates its tensors
-at the eliminated adjoint p = -2u, so the tensors need no adjoint solve.
+side L(u) psi.  The boundary part adds S0_G = p d_x b_G and
+S1_G = b_G p (I - n x n), whose pairing with Dtheta is b_G p div_G theta,
+and int_G [d_x b_G . theta + b_G div_G theta] psi to L(u) psi, with div_G
+theta the ``edge_divg`` of the theta samples.  Dirichlet energy evaluates
+its tensors at the eliminated adjoint p = -2u, so they need no adjoint solve.
 
 Everything is assembled with the same quadrature as the state equation, so
 evaluating the tensors against nodally interpolated velocities reproduces
@@ -134,9 +135,10 @@ class _EllipticProblem(ShapeProblem):
         if e.bg is None:
             return ShapeTensors(self.space, S0=S0, S1=S1)
         pe = fem.edge_qvalues(p)
+        n = self.space.edge_normal
+        tangential = _I2 - np.einsum('bi,bj->bij', n, n)[:, None]
         return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=pe[..., None] * e.bg_x,
-                            S1_gamma=(e.bg * pe)[..., None, None] * _I2,
-                            boundary_pairing="tangential")
+                            S1_gamma=(e.bg * pe)[..., None, None] * tangential)
 
     def _material_rhs(self, theta):
         samples = theta_samples(self.space, theta, "interpolated")

@@ -99,16 +99,10 @@ def volume_rule(degree):
     raise ValueError(f"no volume rule of degree {degree}")
 
 
-def edge_rule(degree=5):
-    """Gauss rule on [0, 1]; the 3-point rule (degree 5) is the default."""
-    if degree <= 3:
-        d = np.sqrt(3.0) / 6.0
-        return QuadratureRule([0.5 - d, 0.5 + d], [0.5, 0.5])
-    if degree <= 5:
-        d = np.sqrt(15.0) / 10.0
-        return QuadratureRule([0.5 - d, 0.5, 0.5 + d],
-                              [5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-    raise ValueError(f"no edge rule of degree {degree}")
+def edge_rule():
+    """The 3-point Gauss rule on [0, 1], exact through degree 5."""
+    d = np.sqrt(15.0) / 10.0
+    return QuadratureRule([0.5 - d, 0.5, 0.5 + d], [5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 # ----------------------------------------------------------------- shape funcs
@@ -158,8 +152,7 @@ class FeSpace:
         1 (vertex dofs) or 2 (vertex + edge-midpoint dofs).
     quad_degree : int
         Volume quadrature degree shared by every assembly on this space.
-    edge_degree : int
-        Boundary quadrature degree.
+        Boundary integrals use the 3-point Gauss rule (``edge_rule``).
 
     Attributes
     ----------
@@ -174,13 +167,13 @@ class FeSpace:
         point axis has length 1; ``field_qgrads`` broadcasts it.
     """
 
-    def __init__(self, mesh, order=1, quad_degree=4, edge_degree=5):
+    def __init__(self, mesh, order=1, quad_degree=4):
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
         self.mesh = mesh
         self.order = order
         self.vol_rule = volume_rule(quad_degree)
-        self.edg_rule = edge_rule(edge_degree)
+        self.edg_rule = edge_rule()
         self._build_dofs()
         self._build_geometry()
         self._build_boundary()

@@ -12,8 +12,8 @@ factors of the flow map T_s and their s-derivatives at s = 0 are
 
 The derivatives are computed where dJ is assembled, at the quadrature
 points: ``shape_assembly.material_tensor_rate`` gives the matrix rate and
-``shape_assembly.theta_samples`` the divergences (``vol_div``,
-``edge_divg``).
+``shape_assembly.ThetaSamples`` derives the divergences (``vol_div``,
+``edge_divg``) from Dtheta, the same way for both sampling modes.
 
 Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
@@ -431,7 +431,8 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
 
     The cutoff multiplies the base field by a C^2 plateau function whose
     ramps occupy a ``ramp`` fraction of each box extent, so the result
-    vanishes with two derivatives on the box faces.
+    vanishes with two derivatives on the box faces.  The box needs hi > lo
+    on both axes and ``ramp`` must be finite and positive (else ValueError).
 
     Parameters
     ----------
@@ -450,5 +451,10 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
         raise ValueError(f"field {name!r} takes {nparams} parameters, got {len(params)}")
     val, jac, hess = builder(np.asarray(params))
     if support_box is not None:
+        lo, hi = np.asarray(support_box, dtype=float)
+        if not np.all(hi > lo):
+            raise ValueError(f"support box needs hi > lo on both axes, got lo {lo}, hi {hi}")
+        if not (np.isfinite(ramp) and ramp > 0.0):
+            raise ValueError(f"ramp must be finite and positive, got {ramp}")
         val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp)
     return VectorFieldSpec(name, val, jac, hess, support_box=support_box)

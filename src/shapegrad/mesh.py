@@ -258,12 +258,13 @@ class Mesh:
         """Same topology on new node positions (keeps this mesh's hold-all).
 
         The topology object is shared, not rebuilt: only finite coordinates,
-        positive orientation and the hold-all box are checked again.  A node
-        array of another shape goes through the full constructor.
+        positive orientation and the hold-all box are checked again.  The
+        node array must have this mesh's shape.
         """
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.shape != self.nodes.shape:
-            return Mesh(nodes, self.triangles, self.boundary_edges, holdall_box=self.holdall_box)
+            raise MeshValidationError(
+                f"node array shape: expected {self.nodes.shape}, got {nodes.shape}")
         _check_finite(nodes)
         areas = _positive_areas(nodes, self.triangles)
         _check_inside(nodes, self.holdall_box)

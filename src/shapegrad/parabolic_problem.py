@@ -252,9 +252,10 @@ def parabolic_shape_tensors(problem):
 
     T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
     F = F_x = 0.0
+    ud_grad = problem._u_d_steps("grad")
     for k, dk in problem._misfits():
         F = F + problem._scale * 0.5 * dk * dk
-        F_x = F_x - problem._scale * dk[..., None] * data.u_d.grad(problem.times[k], P)
+        F_x = F_x - problem._scale * dk[..., None] * ud_grad(k)
     A, DA, b, b_x = _spatial_density(data, P)
     S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
                                 b, b_x, F, F_x)
@@ -319,21 +320,26 @@ class ParabolicProblem(ShapeProblem):
         """Time weight of one misfit term: dt for j1, 1 for the final-time j2."""
         return self.dt if self.which == "j1" else 1.0
 
+    def _u_d_steps(self, part):
+        """k -> ``part`` ("value" or "grad") of u_d(t_k, .) at the quadrature
+        points.  A separable u_d = a(t) s(x) has that part of s evaluated
+        once and scaled by a(t_k), the product ``u_d.value`` and ``u_d.grad``
+        form, so the bits are those of a per-step evaluation."""
+        u_d, P, times = self.data.u_d, self.space.qpoints, self.times
+        if isinstance(u_d, TimeScalarData):
+            spatial = getattr(u_d.spatial, part)(P)
+            return lambda k: u_d.profile.value(times[k]) * spatial
+        per_step = getattr(u_d, part)
+        return lambda k: per_step(times[k], P)
+
     def _misfits(self):
         """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
 
         One step's misfit is alive at a time, so callers stay at O(1) memory
-        in the number of steps.  A separable u_d = a(t) s(x) has s evaluated
-        once per call and scaled by a(t_k), the product ``u_d.value`` forms,
-        so the bits are those of a per-step evaluation.
+        in the number of steps.
         """
         steps = range(1, self.data.nt + 1) if self.which == "j1" else (self.data.nt,)
-        u_d, P = self.data.u_d, self.space.qpoints
-        if isinstance(u_d, TimeScalarData):
-            spatial = u_d.spatial.value(P)
-            target = lambda k: u_d.profile.value(self.times[k]) * spatial
-        else:
-            target = lambda k: u_d.value(self.times[k], P)
+        target = self._u_d_steps("value")
         for k in steps:
             yield k, fem.field_qvalues(self.u.field(k)) - target(k)
 

@@ -7,9 +7,12 @@ S0 (vector), S1 (matrix), S2 (third order) plus boundary tensors S0_G,
 S1_G, and evaluated against a velocity field theta as
 
     dJ(theta) = int S0.theta + S1 : Dtheta + S2 ::: D2theta
-              + int_G S0_G.theta + S1_G : (Dtheta or D_G theta)
+              + int_G S0_G.theta + S1_G : Dtheta
 
-Two sampling modes for theta are supported:
+(a tangential pairing S1_G : D_G theta is the full one of S1_G (I - n x n)).
+Two sampling modes give theta and Dtheta at the volume and edge quadrature
+points, and D2theta or None; ``ThetaSamples`` derives from Dtheta, for
+both, ``vol_div`` = tr Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n.
 
 ``analytic``
     theta, Dtheta, D2theta from the field's closures at the quadrature
@@ -17,12 +20,13 @@ Two sampling modes for theta are supported:
 
 ``interpolated``
     theta sampled at mesh nodes and interpolated with the piecewise-affine
-    geometry map (elementwise-constant Dtheta, per-edge stretch rate).
-    This matches, exactly, the s-derivative of any quantity assembled on
-    the transported mesh whose nodes move with theta, which is what makes
-    the finite-difference validation quotients converge cleanly to the
-    assembled value.  The P1 interpolant has no second derivative, so the
-    S2 term is zero in this mode.
+    geometry map: Dtheta is constant on an element, and on a boundary edge
+    it is the owning element's, so ``edge_divg`` is the edge's stretch
+    rate.  This matches, exactly, the s-derivative of any quantity
+    assembled on the transported mesh whose nodes move with theta, which
+    is what makes the finite-difference validation quotients converge
+    cleanly to the assembled value.  The P1 interpolant has no second
+    derivative, so the S2 term is zero in this mode.
 
 One Lagrangian kernel
 ---------------------
@@ -61,18 +65,19 @@ from .flow import advect_batch
 
 
 class ThetaSamples:
-    """Velocity samples at the volume and boundary quadrature points of a space."""
+    """Velocity samples at the volume and boundary quadrature points of a
+    space, and the divergences derived from Dtheta (see module docstring)."""
 
-    def __init__(self, vol_val, vol_jac, vol_div, vol_hess,
-                 edge_val, edge_jac, edge_divg, edge_tangential):
+    def __init__(self, space, vol_val, vol_jac, vol_hess, edge_val, edge_jac):
         self.vol_val = vol_val          # (M, nq, 2)
         self.vol_jac = vol_jac          # (M, nq, 2, 2)
-        self.vol_div = vol_div          # (M, nq)
         self.vol_hess = vol_hess        # (M, nq, 2, 2, 2) or None
         self.edge_val = edge_val        # (B, nqe, 2)
         self.edge_jac = edge_jac        # (B, nqe, 2, 2)
-        self.edge_divg = edge_divg      # (B, nqe)
-        self.edge_tangential = edge_tangential  # (B, nqe, 2, 2): D_G theta
+        self.vol_div = np.einsum('mqii->mq', vol_jac)
+        n = space.edge_normal
+        jn = np.einsum('bqij,bj->bqi', edge_jac, n)
+        self.edge_divg = np.einsum('bqii->bq', edge_jac) - np.einsum('bqi,bi->bq', jn, n)
 
 
 def theta_samples(space, theta, mode="interpolated"):
@@ -82,49 +87,30 @@ def theta_samples(space, theta, mode="interpolated"):
     the affine geometry interpolant (see module docstring); in
     ``analytic`` mode they come from the field's own derivative closures.
     """
-    mesh = space.mesh
     if mode == "analytic":
-        vol_val = theta.eval(space.qpoints)
-        vol_jac = theta.jac(space.qpoints)
-        vol_hess = theta.hess(space.qpoints)
-        vol_div = np.einsum('mqii->mq', vol_jac)
-        edge_val = theta.eval(space.edge_qpoints)
-        edge_jac = theta.jac(space.edge_qpoints)
-        n = space.edge_normal[:, None, :]
-        jn = np.einsum('bqij,bqj->bqi', edge_jac, np.broadcast_to(n, edge_jac.shape[:2] + (2,)))
-        edge_divg = np.einsum('bqii->bq', edge_jac) - np.einsum('bqi,bi->bq', jn, space.edge_normal)
-        edge_tangential = edge_jac - np.einsum('bqi,bj->bqij', jn, space.edge_normal)
-        return ThetaSamples(vol_val, vol_jac, vol_div, vol_hess,
-                            edge_val, edge_jac, edge_divg, edge_tangential)
+        return ThetaSamples(space, theta.eval(space.qpoints), theta.jac(space.qpoints),
+                            theta.hess(space.qpoints), theta.eval(space.edge_qpoints),
+                            theta.jac(space.edge_qpoints))
     if mode != "interpolated":
         raise ValueError(f"unknown theta sampling mode {mode!r}")
 
+    mesh = space.mesh
     nodal = theta.eval(mesh.nodes)                       # (N, 2)
     tv = nodal[mesh.triangles]                           # (M, 3, 2)
     lmb = space.vol_rule.points
     vol_val = np.einsum('qk,mkd->mqd', lmb, tv)
     dtheta = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)  # (M, 2, a)
     jac_el = np.einsum('mia,mja->mij', dtheta, space.invJT)
-    nq = len(lmb)
-    vol_jac = np.broadcast_to(jac_el[:, None], (len(tv), nq, 2, 2)).copy()
-    vol_div = np.einsum('mqii->mq', vol_jac)
+    vol_jac = np.broadcast_to(jac_el[:, None], (len(tv), len(lmb), 2, 2)).copy()
 
     be = mesh.boundary_edges
     ta = nodal[be[:, 0]]
     tb = nodal[be[:, 1]]
     t = space.edg_rule.points
     edge_val = ta[:, None, :] * (1.0 - t)[None, :, None] + tb[:, None, :] * t[None, :, None]
-    ev = mesh.nodes[be[:, 1]] - mesh.nodes[be[:, 0]]
-    tang = ev / space.edge_len[:, None]
-    rate = (tb - ta) / space.edge_len[:, None]           # d theta / d arclength
-    divg = np.einsum('bd,bd->b', rate, tang)
-    nqe = len(t)
-    edge_divg = np.broadcast_to(divg[:, None], (len(be), nqe)).copy()
-    dgt = np.einsum('bi,bj->bij', rate, tang)
-    edge_tangential = np.broadcast_to(dgt[:, None], (len(be), nqe, 2, 2)).copy()
-    edge_jac = vol_jac[space.edge_owner][:, :1, :, :].repeat(nqe, axis=1)
-    return ThetaSamples(vol_val, vol_jac, vol_div, None,
-                        edge_val, edge_jac, edge_divg, edge_tangential)
+    # the owning triangle's Dtheta: along the edge it gives the nodal rate
+    edge_jac = vol_jac[space.edge_owner][:, :1, :, :].repeat(len(t), axis=1)
+    return ThetaSamples(space, vol_val, vol_jac, None, edge_val, edge_jac)
 
 
 def material_tensor_rate(M, samples):
@@ -179,21 +165,17 @@ class ShapeTensors:
     """Quadrature-point values of a distributed shape derivative.
 
     Any of the tensors may be None (a missing term contributes zero).
-    ``boundary_pairing`` selects whether S1_G is contracted with the full
-    Jacobian Dtheta or only its tangential part D_G theta.
+    S1_G is contracted with the full Jacobian Dtheta; a tangential pairing
+    S1_G : D_G theta is the full one of S1_G (I - n x n).
     """
 
-    def __init__(self, space, S0=None, S1=None, S2=None,
-                 S0_gamma=None, S1_gamma=None, boundary_pairing="full"):
-        if boundary_pairing not in ("full", "tangential"):
-            raise ValueError(f"boundary_pairing must be 'full' or 'tangential', got {boundary_pairing!r}")
+    def __init__(self, space, S0=None, S1=None, S2=None, S0_gamma=None, S1_gamma=None):
         self.space = space
         self.S0 = S0
         self.S1 = S1
         self.S2 = S2
         self.S0_gamma = S0_gamma
         self.S1_gamma = S1_gamma
-        self.boundary_pairing = boundary_pairing
 
 
 class AssembledDerivative:
@@ -225,11 +207,8 @@ def assemble_dJ(tensors, samples):
     we = space.edge_qweights
     terms["S0_gamma"] = 0.0 if tensors.S0_gamma is None else \
         float(np.sum(we * np.einsum('bqd,bqd->bq', tensors.S0_gamma, samples.edge_val)))
-    if tensors.S1_gamma is None:
-        terms["S1_gamma"] = 0.0
-    else:
-        G = samples.edge_jac if tensors.boundary_pairing == "full" else samples.edge_tangential
-        terms["S1_gamma"] = float(np.sum(we * tc.double_dot(tensors.S1_gamma, G)))
+    terms["S1_gamma"] = 0.0 if tensors.S1_gamma is None else \
+        float(np.sum(we * tc.double_dot(tensors.S1_gamma, samples.edge_jac)))
     return AssembledDerivative(terms)
 
 
@@ -432,7 +411,7 @@ def prop5_tensors(fields, space):
     Volume:  S0 = dF/dx(x, u) + (lap p - p) grad h
              S1 = 2 (u - h) D2p + [h (lap p - p) - u lap p + F] I
              S2 = (u - h) grad p x I
-    Boundary (full Dtheta pairing):
+    Boundary:
              S0_G = -(dp/dn) grad h,   S1_G = -h (dp/dn) (I - 2 n x n)
     """
     P = space.qpoints
@@ -455,8 +434,7 @@ def prop5_tensors(fields, space):
     S0g = -dnp[..., None] * fields.grad_h(Pe)
     nn = np.einsum('bi,bj->bij', space.edge_normal, space.edge_normal)[:, None]
     S1g = -(he * dnp)[..., None, None] * (_eye_like(Pe) - 2.0 * nn)
-    return ShapeTensors(space, S0=S0, S1=S1, S2=S2, S0_gamma=S0g, S1_gamma=S1g,
-                        boundary_pairing="full")
+    return ShapeTensors(space, S0=S0, S1=S1, S2=S2, S0_gamma=S0g, S1_gamma=S1g)
 
 
 def prop5_raw_dJ(fields, space, theta):

@@ -76,7 +76,8 @@ def robin_shape_tensors(data, u, p):
     S1   = -grad p x M grad u - grad u x M grad p - grad u x grad u
            + [M grad u . grad p - f p + 1/2 |grad u|^2] I
     S0_G = p (u grad beta - grad g)
-    S1_G = [(beta u - g) p] I, paired with the tangential Jacobian.
+    S1_G = [(beta u - g) p] (I - n x n), paired with the full Jacobian
+           (the tangential pairing of [(beta u - g) p] I).
     """
     space = u.space
     P = space.qpoints
@@ -97,9 +98,9 @@ def robin_shape_tensors(data, u, p):
     bv = data.beta.value(Pe)
     gv = data.g.value(Pe)
     S0g = pe[..., None] * (ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
-    S1g = ((bv * ue - gv) * pe)[..., None, None] * _I2
-    return ShapeTensors(space, S0=S0, S1=S1, S0_gamma=S0g, S1_gamma=S1g,
-                        boundary_pairing="tangential")
+    n = space.edge_normal[:, None, :]
+    S1g = ((bv * ue - gv) * pe)[..., None, None] * (_I2 - _outer(n, n))
+    return ShapeTensors(space, S0=S0, S1=S1, S0_gamma=S0g, S1_gamma=S1g)
 
 
 def quasilinear_cost(data, u):

@@ -4,6 +4,9 @@
   transport-rate tests difference these factors in s and compare the
   quotients with the rates the assembly uses: ``material_tensor_rate``
   and the ``vol_div``/``edge_divg`` of ``theta_samples``.
+* The per-edge stretch rate of the nodal interpolant, as interpolated
+  ``theta_samples`` computed div_G theta and D_G theta before it derived
+  them from the owning element's Dtheta.
 * The values of the bump fields and of the support-box cutoff as written
   before their per-component rewrite: broadcasting over the length-2 last
   axis, ``einsum`` for the squared radius and for the outer product with
@@ -50,6 +53,18 @@ def pullback_quotients(theta, space, Q, s=1e-4):
                                 J[split:].reshape(Pe.shape + (2,)), n, Q)
 
     return [(a - b) / (2.0 * s) for a, b in zip(factors(s), factors(-s))]
+
+
+def edge_stretch_rate(space, theta):
+    """div_G theta = rate . t and D_G theta = rate x t per boundary edge of
+    ``space``, with rate = (theta_b - theta_a) / |e| the derivative of the
+    nodal interpolant along the unit tangent t = (x_b - x_a) / |e|."""
+    mesh = space.mesh
+    a, b = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    nodal = theta.eval(mesh.nodes)
+    rate = (nodal[b] - nodal[a]) / space.edge_len[:, None]
+    tang = (mesh.nodes[b] - mesh.nodes[a]) / space.edge_len[:, None]
+    return np.einsum('bd,bd->b', rate, tang), np.einsum('bi,bj->bij', rate, tang)
 
 
 def _smoothstep(t):

@@ -268,6 +268,19 @@ def test_derive_needs_theta(tmp_path):
     assert main(["derive", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("theta,key", [
+    ("field =", "field"),
+    ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = -1.5 -1.5 1.5 1.5\nramp = 0", "ramp"),
+    ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = 1 1 0 0", "support")])
+def test_derive_theta_outside_assumptions_exits_2(tmp_path, capsys, theta, key):
+    cfg = ROBIN_CFG.replace("refine = 4", "refine = 2").replace(
+        "field = bump 1.0 0.4 0.2 -0.1 0.8", theta)
+    path = _cfg(tmp_path, cfg)
+    assert main(["derive", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [theta] ") and key in err, err
+
+
 def test_derive_area_gate(tmp_path):
     cfg = """
 [run]

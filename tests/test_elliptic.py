@@ -21,6 +21,7 @@ from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.shape_assembly import theta_samples
 
 from conftest import bump_theta, catalog_thetas
+from flow_references import edge_stretch_rate
 import elliptic_references as refs
 
 
@@ -363,6 +364,24 @@ def _robin_varying(mesh, order):
             lambda samples: refs.robin_L_vector(data, problem.u, samples))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_robin_full_pairing_equals_tangential_pairing(disk3, order):
+    """Robin's S1_G = b_G p (I - n x n) paired with Dtheta equals the
+    tangential pairing b_G p I : D_G theta, with D_G theta = rate x t the
+    stretch of each boundary edge, to 1e-13 relative."""
+    problem = _robin_varying(disk3, order)[0]
+    data, space = problem.data, problem.space
+    Pe = space.edge_qpoints
+    bg = data.beta.value(Pe) * fem.edge_qvalues(problem.u) - data.g.value(Pe)
+    S1g = (bg * fem.edge_qvalues(problem.p))[..., None, None] * np.eye(2)
+    for theta in (bump_theta(), catalog_thetas()[1], catalog_thetas()[4]):
+        _, dgt = edge_stretch_rate(space, theta)
+        tangential = float(np.sum(space.edge_qweights
+                                  * np.einsum('bqij,bij->bq', S1g, dgt)))
+        full = problem.breakdown(theta).terms["S1_gamma"]
+        assert abs(full - tangential) <= 1e-13 * abs(tangential), theta.name
+
+
 def _quasilinear_varying(mesh, order):
     data = QuasilinearData(m=parse_rfunction("saturating_sine 0.25"),
                            f=parse_rfunction("affine_r 1 0.1"),
@@ -399,7 +418,6 @@ def test_density_kernel_matches_hand_derivation(case, order, disk3):
             assert getattr(kernel, slot) is None, slot
         else:
             assert _rel(getattr(kernel, slot), expected) <= 1e-13, slot
-    assert kernel.boundary_pairing == tensors.boundary_pairing
     for theta in (bump_theta(), catalog_thetas()[1], catalog_thetas()[4]):
         samples = theta_samples(problem.space, theta, "interpolated")
         assert _rel(problem._L(samples), L_vector(samples)) <= 1e-13

@@ -60,7 +60,7 @@ def test_volume_rule_degree4_not_exact_at_degree5():
 
 
 def test_edge_rule_exactness():
-    rule = fem.edge_rule(5)
+    rule = fem.edge_rule()
     assert abs(rule.weights.sum() - 1.0) <= 1e-14
     for k in range(6):
         assert abs(np.sum(rule.weights * rule.points ** k) - 1.0 / (k + 1)) <= 1e-14

@@ -355,3 +355,14 @@ def test_make_field_validation():
         make_field("bump", (1.0, 2.0))
     assert set(FIELD_CATALOG) == {"zero", "constant", "linear", "rotation",
                                   "poly2", "bump", "tensor_bump"}
+
+
+@pytest.mark.parametrize("box,ramp,key", [
+    (BOX, 0.0, "ramp"), (BOX, -0.1, "ramp"), (BOX, np.nan, "ramp"), (BOX, np.inf, "ramp"),
+    ([[1.0, 1.0], [0.0, 0.0]], 0.15, "support box"),
+    ([[0.0, 1.0], [1.0, 1.0]], 0.15, "support box")])
+def test_make_field_rejects_degenerate_cutoff(box, ramp, key):
+    """A zero ramp divides by zero and an empty box makes theta vanish
+    everywhere: both are refused by name."""
+    with pytest.raises(ValueError, match=key):
+        make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=box, ramp=ramp)

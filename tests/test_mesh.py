@@ -257,6 +257,13 @@ def test_with_nodes_rechecks_geometry():
         m.with_nodes(1.3 * m.nodes)
 
 
+def test_with_nodes_rejects_another_node_count():
+    m = gen_rectangle(0, 0, 1, 1, 3, 2)
+    for X in (m.nodes[:-1], np.hstack([m.nodes, m.nodes[:, :1]])):
+        with pytest.raises(MeshValidationError, match="^node array shape: expected"):
+            m.with_nodes(X)
+
+
 def _corrupt(kind):
     m = gen_rectangle(0, 0, 1, 1, 3, 2)
     N, T, B = m.nodes, m.triangles, m.boundary_edges

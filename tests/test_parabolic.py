@@ -456,6 +456,44 @@ def test_misfits_match_per_step_evaluation_bit_for_bit(rect_unit, which):
     assert prob.B.tobytes() == B.tobytes()
 
 
+class _PerStepUd:
+    """A time-scalar entry seen only through value(t, P) and grad(t, P), so
+    a problem evaluates it at every step, as it does a non-separable u_d."""
+
+    def __init__(self, entry):
+        self._entry = entry
+
+    def value(self, t, P):
+        return self._entry.value(t, P)
+
+    def grad(self, t, P):
+        return self._entry.grad(t, P)
+
+
+@pytest.mark.parametrize("which", ["j1", "j2"])
+def test_ud_split_matches_per_step_evaluation_bit_for_bit(rect_unit, which):
+    """u_d(t_k, .) and its gradient, and the tensors built from them, have
+    the bits of a per-step evaluation: for a separable u_d, whose spatial
+    parts are evaluated once and scaled by a(t_k), and for the
+    non-separable ``_FrozenUd``."""
+    data = _data(nt=7, ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
+    prob = ParabolicProblem(rect_unit, data, which=which)
+    P = prob.space.qpoints
+    split = parabolic_shape_tensors(prob).tensors
+    separable = data.u_d
+    for u_d in (separable, _FrozenUd(prob, shift=lambda P: np.sin(P[..., 0]), eps=1e-3)):
+        data.u_d = u_d
+        for part in ("value", "grad"):
+            at_step = prob._u_d_steps(part)
+            for k in range(1, data.nt + 1):
+                want = getattr(u_d, part)(prob.times[k], P)
+                assert at_step(k).tobytes() == want.tobytes(), (part, k)
+    data.u_d = _PerStepUd(separable)
+    per_step = parabolic_shape_tensors(prob).tensors
+    assert split.S0.tobytes() == per_step.S0.tobytes()
+    assert split.S1.tobytes() == per_step.S1.tobytes()
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("m_profile", ["ramp 0.5", "decay 0.7"])
 @pytest.mark.parametrize("which", ["j1", "j2"])

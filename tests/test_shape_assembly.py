@@ -14,6 +14,7 @@ from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
                                       prop6_tensors, theta_samples)
 
 from conftest import HOLDALL, catalog_thetas, bump_theta
+from flow_references import edge_stretch_rate
 
 
 def _sum_fields(a, b):
@@ -196,11 +197,9 @@ def test_breakdown_sums_to_total(space4):
     assert abs(br.total - sum(br.terms.values())) < 1e-15
 
 
-def test_assemble_validates_inputs(disk4, space4):
+def test_assemble_validates_inputs(space4):
     with pytest.raises(ValueError, match="unknown theta sampling mode"):
         theta_samples(space4, bump_theta(), "nope")
-    with pytest.raises(ValueError, match="full.*tangential|tangential.*full"):
-        ShapeTensors(FeSpace(disk4), boundary_pairing="sideways")
 
 
 def test_material_tensor_rate_formula(disk4):
@@ -250,6 +249,20 @@ def test_interpolated_samples_are_rates_of_the_transported_mesh(disk3, theta):
     divg = (lengths(plus) - lengths(minus)) / (2 * s) / lengths(disk3)
     for got, fd in ((samples.vol_div, div), (samples.edge_divg, divg)):
         assert (np.abs(got - fd[:, None]) <= 1e-6 * np.maximum(1.0, np.abs(got))).all()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("theta", catalog_thetas(), ids=lambda t: t.name)
+def test_interpolated_edge_divg_is_the_edge_stretch_rate(disk3, theta, order):
+    """div_G theta = tr Dtheta - (Dtheta n) . n of the owning element equals
+    the stretch rate (theta_b - theta_a) / |e| . t of each boundary edge.
+    The bound is rounding relative to the Dtheta entries the trace sums:
+    for the rotation both sides are 0 up to rounding."""
+    space = FeSpace(disk3, order=order)
+    samples = theta_samples(space, theta, "interpolated")
+    divg, _ = edge_stretch_rate(space, theta)
+    scale = np.abs(samples.edge_jac).max()
+    assert np.abs(samples.edge_divg - divg[:, None]).max() <= 1e-15 * scale
 
 
 # ---------------------------------------------------------- frozen-state cost
