@@ -302,11 +302,16 @@ def _fd_checks(cfg, table):
     return checks
 
 
-def _run_fd(cfg, problem, theta):
-    s_list = cfg.get_floats("validation", "s_list", "0.04 0.02 0.01")
-    if any(s <= 0 for s in s_list) or sorted(s_list, reverse=True) != s_list:
-        raise ConfigError("[validation] s_list must be positive and decreasing")
-    steps = cfg.get_int("validation", "steps", "32")
+def _step_sizes(cfg, key, default):
+    """[validation] ``key``: step sizes s, positive and strictly decreasing."""
+    s = cfg.get_floats("validation", key, default)
+    if not all(0.0 < a < np.inf for a in s) or any(a <= b for a, b in zip(s, s[1:])):
+        raise ConfigError(f"[validation] {key} must be positive and strictly decreasing, "
+                          f"got {' '.join(map(str, s))}")
+    return s
+
+
+def _run_fd(problem, theta, s_list, steps):
     if problem.fd_cost == "transport":
         return fd_transport_check(problem, theta, s_list, steps=steps)
     if problem.fd_cost == "resolve":
@@ -349,6 +354,12 @@ def cmd_check(args):
     report = _report_base(cfg, problem, theta)
     report["command"] = args.command
     checks = {}
+    steps = cfg.get_int("validation", "steps", "32")
+    if steps < 1:
+        raise ConfigError(f"[validation] steps must be at least 1, got {steps}")
+    s_list = _step_sizes(cfg, "s_list", "0.04 0.02 0.01")
+    taylor = not derive and problem.has_state
+    ts = _step_sizes(cfg, "taylor_s_list", "0.16 0.08 0.04") if taylor else None
 
     if derive:
         t0 = time.perf_counter()
@@ -359,18 +370,16 @@ def cmd_check(args):
         report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
     t0 = time.perf_counter()
-    table = _run_fd(cfg, problem, theta)
+    table = _run_fd(problem, theta, s_list, steps)
     timings["fd"] = time.perf_counter() - t0
     if table is not None:
         report["fd"] = fd_table_json(table)
         checks.update(_fd_checks(cfg, table))
 
     ttable = None
-    if not derive and problem.has_state:
+    if taylor:
         t0 = time.perf_counter()
-        ts = cfg.get_floats("validation", "taylor_s_list", "0.16 0.08 0.04")
-        ttable = material_taylor_check(problem, theta, ts,
-                                       steps=cfg.get_int("validation", "steps", "32"))
+        ttable = material_taylor_check(problem, theta, ts, steps=steps)
         timings["taylor"] = time.perf_counter() - t0
         report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
@@ -398,7 +407,7 @@ def cmd_check(args):
     if table is not None:
         rel_max = cfg.get_float("validation", "fd_rel_max", "1e-5")
         write_csv(os.path.join(out, f"{problem.name}-fd.csv"), FD_CSV_HEADER,
-                  fd_csv_rows(table, rel_max=rel_max))
+                  fd_csv_rows(table, rel_max))
     if ttable is not None:
         write_csv(os.path.join(out, f"{problem.name}-taylor.csv"),
                   TAYLOR_CSV_HEADER, taylor_csv_rows(ttable))

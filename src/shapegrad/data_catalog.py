@@ -71,7 +71,6 @@ class TimeScalarData:
     def __init__(self, spatial, profile):
         self.spatial = spatial
         self.profile = profile
-        self.time_dependent = profile.time_dependent
 
     def value(self, t, P):
         return self.profile.value(t) * self.spatial.value(P)
@@ -81,7 +80,7 @@ class TimeScalarData:
 
 
 class TimeMatrixData:
-    """Matrix coefficient a(t) * M(x) with spatial derivative tensor."""
+    """Matrix coefficient a(t) * M(x); ``spatial.dspace`` is DM(x)."""
 
     def __init__(self, spatial, profile):
         self.spatial = spatial
@@ -90,9 +89,6 @@ class TimeMatrixData:
 
     def value(self, t, P):
         return self.profile.value(t) * self.spatial.value(P)
-
-    def dspace(self, t, P):
-        return self.profile.value(t) * self.spatial.dspace(P)
 
 
 # ----------------------------------------------------------------- scalar laws
@@ -364,28 +360,35 @@ def time_matrix(spatial_spec, profile_spec="const"):
 
 # ----------------------------------------------------------------- validation
 
-def check_spd(matdata, box, times=(0.0,), grid=17, tol=1e-10):
-    """Verify a time-matrix entry is symmetric positive definite on a box.
+_SPD_TOL = 1e-10  # the asymmetry check_spd forgives and its eigenvalue floor
 
-    Samples a ``grid x grid`` lattice over ``box = [[x0, y0], [x1, y1]]``
-    at each time and raises ValueError naming the failure otherwise.
-    """
-    (x0, y0), (x1, y1) = np.asarray(box, dtype=float)
-    xs = np.linspace(x0, x1, grid)
-    ys = np.linspace(y0, y1, grid)
-    P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+
+def box_lattice(points, n):
+    """The n x n lattice over the bounding box of ``points``, (n*n, 2)."""
+    P = np.asarray(points, dtype=float)
+    (x0, y0), (x1, y1) = P.min(axis=0), P.max(axis=0)
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, n)
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def check_spd(matdata, points, times):
+    """Verify a time-matrix entry is symmetric positive definite on the
+    17 x 17 ``box_lattice`` of ``points`` at each time; raise ValueError
+    naming the failure otherwise."""
+    P = box_lattice(points, 17)
     for t in times:
         M = matdata.value(t, P)
-        if np.abs(M - np.swapaxes(M, -1, -2)).max() > tol:
+        if np.abs(M - np.swapaxes(M, -1, -2)).max() > _SPD_TOL:
             raise ValueError("matrix coefficient is not symmetric on the sampled box")
         ev = np.linalg.eigvalsh(M)
-        if ev.min() <= tol:
+        if ev.min() <= _SPD_TOL:
             raise ValueError(
                 f"matrix coefficient is not positive definite: min eigenvalue {ev.min():.3e} at t={t}")
 
 
-def check_positive(scalardata, pts, tol=0.0):
+def check_positive(scalardata, pts):
     """Verify a scalar entry is strictly positive at the given points."""
     v = scalardata.value(pts)
-    if v.min() <= tol:
+    if v.min() <= 0.0:
         raise ValueError(f"coefficient {scalardata.name!r} is not positive: min {v.min():.3e}")

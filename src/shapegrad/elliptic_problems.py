@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fem_core as fem
-from .data_catalog import check_positive
+from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
 from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
                              source_rate, theta_samples)
@@ -77,9 +77,10 @@ class _EllipticProblem(ShapeProblem):
     quadrature points (see the module docstring): the cost part
     ``_cost_density(uq, gu)`` and the p-linear part ``_pde_density(uq, gu)``,
     kept apart so that a re-solved cost evaluates only F.  With eliminated
-    Dirichlet dofs ``_bd`` and the row mask ``_keep``, A udot = -keep L,
-    A^T p = -B with zero Dirichlet rows, and <keep L, p> = <keep B, udot>.
-    The adjoint is solved on first use: a rebuilt problem only solves u.
+    Dirichlet dofs ``_bd`` and the row mask ``_keep``, ``_material`` gives
+    ell = keep L and A udot = -ell (so udot is zero on the Dirichlet dofs),
+    and A^T p = -B with zero Dirichlet rows.  The adjoint is solved on first
+    use: a rebuilt problem only solves u.
     """
 
     _bd = np.zeros(0, dtype=np.int64)
@@ -140,17 +141,9 @@ class _EllipticProblem(ShapeProblem):
         return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=pe[..., None] * e.bg_x,
                             S1_gamma=(e.bg * pe)[..., None, None] * tangential)
 
-    def _material_rhs(self, theta):
-        samples = theta_samples(self.space, theta, "interpolated")
-        return self._L(samples) * self._keep
-
-    def material(self, theta):
-        return ScalarField(self.space, self._fact.solve(-self._material_rhs(theta)))
-
-    def duality_pair(self, theta):
-        L = self._material_rhs(theta)
-        udot = self._fact.solve(-L)
-        return fem.dot(L, self.p.coefficients), fem.dot(self.B * self._keep, udot)
+    def _material(self, theta):
+        ell = self._L(theta_samples(self.space, theta, "interpolated")) * self._keep
+        return ScalarField(self.space, self._fact.solve(-ell)), ell
 
 
 # ========================================================================= Robin
@@ -231,15 +224,13 @@ class QuasilinearData:
         self.r_check = float(r_check)
 
 
-def check_quasilinear_bounds(data, box, nx=32, ny=32, nr=64):
-    """Sample the envelope over box x [-r_check, r_check]; raise on violation."""
-    (x0, y0), (x1, y1) = np.asarray(box, dtype=float)
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    P = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    rs = np.linspace(-data.r_check, data.r_check, nr)
-    Pg = np.repeat(P[:, None, :], nr, axis=1)
-    rg = np.broadcast_to(rs, (len(P), nr))
+def check_quasilinear_bounds(data, points):
+    """Sample the envelope over the 32 x 32 ``box_lattice`` of ``points``
+    times 64 values of r in [-r_check, r_check]; raise on violation."""
+    P = box_lattice(points, 32)
+    rs = np.linspace(-data.r_check, data.r_check, 64)
+    Pg = np.repeat(P[:, None, :], len(rs), axis=1)
+    rg = np.broadcast_to(rs, (len(P), len(rs)))
     mv = data.m.value(Pg, rg)
     mrv = data.m.dr(Pg, rg)
     frv = data.f.dr(Pg, rg)
@@ -278,31 +269,34 @@ def _ql_jacobian(space, data, field):
     return A.tocsr()
 
 
-def quasilinear_solve(mesh, data, order=1, rel_tol=1e-11, abs_tol=1e-13, max_iter=25):
+NEWTON_REL_TOL = 1e-11
+NEWTON_ABS_TOL = 1e-13
+NEWTON_MAX_ITER = 25
+
+
+def quasilinear_solve(mesh, data, order=1):
     """Newton iteration from u = 0 with the exact Jacobian.
 
     Returns (u, history) where history lists the residual norms, the first
     entry being the norm at u = 0.  Raises NewtonError if the iteration
-    does not reach ``max(rel_tol * |R(0)|, abs_tol)`` in ``max_iter`` steps.
+    does not reach ``max(NEWTON_REL_TOL * |R(0)|, NEWTON_ABS_TOL)`` in
+    ``NEWTON_MAX_ITER`` steps.
     """
-    box = np.stack([mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)])
-    check_quasilinear_bounds(data, box)
+    check_quasilinear_bounds(data, mesh.nodes)
     space = FeSpace(mesh, order=order, quad_degree=6)
     field = ScalarField(space, np.zeros(space.dof_count))
     history = []
-    r0 = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         R = _ql_residual(space, data, field)
         rn = float(np.linalg.norm(R))
         history.append(rn)
-        r0 = history[0]
-        if rn <= max(rel_tol * r0, abs_tol):
+        if rn <= max(NEWTON_REL_TOL * history[0], NEWTON_ABS_TOL):
             return field, history
         J = _ql_jacobian(space, data, field)
         delta = fem.Factorized(J).solve(-R)
         field = ScalarField(space, field.coefficients + delta)
     raise fem.NewtonError(
-        f"Newton did not converge in {max_iter} iterations "
+        f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last residual {history[-1]:.3e})", history)
 
 

@@ -78,11 +78,7 @@ def _orbit6(a, b):
 
 
 def volume_rule(degree):
-    """Symmetric triangle rules of degree 2, 4 (default) or 6."""
-    if degree <= 2:
-        pts = _orbit3(0.5)
-        wts = [1.0 / 3.0] * 3
-        return QuadratureRule(pts, wts)
+    """The symmetric triangle rule exact through degree 4 (``degree`` <= 4) or 6."""
     if degree <= 4:
         a1, w1 = 0.44594849091596489, 0.22338158967801147
         a2, w2 = 0.091576213509770743, 0.10995174365532187

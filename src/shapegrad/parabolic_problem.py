@@ -13,23 +13,23 @@ f(t, x) = a_f(t) f(x) (``TimeMatrixData`` and ``TimeScalarData``); other
 data is rejected with a ``ValueError``.  The tracked field u_d may be any
 time-scalar entry.
 
-``ParabolicProblem`` owns the march: it assembles the mass matrix, the
-stiffness matrix and the load vector once, rescales the last two per
-step, and keeps the factorized step operators, one for a constant-in-time
-M and one per step otherwise.  The state, adjoint and material marches
-and the tensor accumulation (``parabolic_solve``, ``parabolic_adjoint``,
-``parabolic_material``, ``parabolic_shape_tensors``) take the problem.
-
-The adjoint marches backward with the transposed step operator (the step
-matrices are symmetric here, which the tests exploit through an
-independent time-reversal oracle), and the initial-condition multiplier
-is q = p_1 with no extra solve.  The material derivative marches forward
-with right-hand sides assembled from the same transported-coefficient
-rates as the stationary problems, plus the mass-rate pairing
-``Mdot (u_k - u_{k-1})`` whose contribution to the derivative is reported
-separately as the ``dt_pairing`` term.  Separability makes the rate
-matrix and the load rate step-independent, so every right-hand side is
-built in one batched expression and the march only solves.
+``ParabolicProblem`` owns the step operators: it assembles the mass
+matrix, the stiffness matrix and the load vector once, rescales the last
+two per step, and keeps the factorized step operators, one for a
+constant-in-time M and one per step otherwise.  The scheme is one block
+system over the slots k = 0..nt: row 0 is the initial condition
+M_u u_0 = M_u I_h(g), row k >= 1 the step with Dirichlet rows eliminated.
+The state (``parabolic_solve``) and its material derivative
+(``parabolic_material``) go through the one forward loop, ``march``; the
+adjoint (``parabolic_adjoint``) marches backward with the transposed step
+operator (symmetric here, which the tests exploit through an independent
+time-reversal oracle), and its initial-condition multiplier in slot 0 is
+q = p_1, with no extra solve.  The material rows come from the same
+transported-coefficient rates as the stationary problems, plus the
+mass-rate pairing ``Mdot (u_k - u_{k-1})``, reported as the ``dt_pairing``
+term; separability makes the rates step-independent, so the step rows are
+one batched expression.  Row 0 is ell_0 = -M_u I_h(grad g . theta), so the
+protocol's <ell, p> = <B, udot> runs over all slots.
 
 The time-summed Lagrangian density is the one of ``shape_assembly`` (whose
 docstring has the formulas for the tensors and the material rates), with
@@ -112,16 +112,13 @@ class TimeSeriesField:
 
 
 def parabolic_solve(problem):
-    """Implicit-Euler forward march; returns the state TimeSeriesField."""
+    """The state series: ``march`` from u_0 = I_h(g) with loads dt a_f(t_k) F."""
     space, data = problem.space, problem.data
-    vals = np.empty((data.nt + 1, space.dof_count))
-    vals[0] = space.interpolate(data.g.value).coefficients
-    u = vals[0]
-    for k in range(1, data.nt + 1):
-        load = data.f.profile.value(problem.times[k]) * problem.F
-        b = problem.keep * (problem.Mu @ u + problem.dt * load)
-        u = problem.step(k, b)
-        vals[k] = u
+
+    def load(k):
+        return problem.keep * (problem.dt * (data.f.profile.value(problem.times[k]) * problem.F))
+
+    vals = problem.march(space.interpolate(data.g.value).coefficients, load)
     return TimeSeriesField(space, vals, data.t0)
 
 
@@ -175,13 +172,12 @@ def _spatial_density(data, P):
 
 
 def parabolic_material(problem, theta):
-    """Forward march for the material derivative of the state series.
-
-    Returns (udot, ell) where ``ell`` stacks the per-step right-hand-side
-    blocks (index 0 unused) for duality pairing.  With separable data the
-    coefficient rates are a_M(t_k) R and a_f(t_k) bdot for the fixed
-    spatial flux and source rates R and bdot, so one rate matrix and one
-    load rate serve every step.
+    """(udot, ell): the material derivative of the state series, by
+    ``march``, and the s-derivatives ell of the scheme's rows, A udot = -ell;
+    row 0, of the initial condition, is ell_0 = -M_u udot_0 with
+    udot_0 = I_h(grad g . theta).  With separable data the rates of step k
+    are a_M(t_k) R and a_f(t_k) bdot for fixed spatial flux and source rates
+    R and bdot, so one rate matrix and one load rate serve every step.
     """
     space, data = problem.space, problem.data
     samples = theta_samples(space, theta, "interpolated")
@@ -192,16 +188,13 @@ def parabolic_material(problem, theta):
     w_M = problem.dt * _profile_values(data.M, problem.times[1:])
     w_f = problem.dt * _profile_values(data.f, problem.times[1:])
     U = problem.u.values
-    ell = np.zeros_like(U)
+    ell = np.empty_like(U)
     ell[1:] = problem.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
                               + w_M[:, None] * (K_R @ U[1:].T).T
                               + w_f[:, None] * Bdot)
-    vals = np.empty_like(U)
-    vals[0] = initial_rate(space, data, theta)
-    udot = vals[0]
-    for k in range(1, data.nt + 1):
-        udot = problem.step(k, problem.keep * (problem.Mu @ udot) - ell[k])
-        vals[k] = udot
+    udot0 = initial_rate(space, data, theta)
+    ell[0] = -(problem.Mu @ udot0)
+    vals = problem.march(udot0, lambda k: -ell[k])
     return TimeSeriesField(space, vals, data.t0), ell
 
 
@@ -277,8 +270,7 @@ class ParabolicProblem(ShapeProblem):
         self.name = f"parabolic_{which}"
         self.data = data
         self.which = which
-        box = np.stack([mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)])
-        check_spd(data.M, box, times=(0.0, 0.5 * data.t0, data.t0))
+        check_spd(data.M, mesh.nodes, times=(0.0, 0.5 * data.t0, data.t0))
         self.space = FeSpace(mesh, order=order)
         self.Mu = fem.assemble_mass_values(self.space, np.ones(self.space.qweights.shape))
         self.bd = self.space.boundary_dofs()
@@ -315,6 +307,16 @@ class ParabolicProblem(ShapeProblem):
         except SolverError as exc:
             raise SolverError(f"time step {k}: {exc}") from exc
 
+    def march(self, x0, rhs):
+        """The implicit-Euler forward march, x_0 = x0 and
+        x_k = step(k, keep (M_u x_{k-1}) + rhs(k)); returns the (nt+1, ndof)
+        snapshots.  The state and its material derivative both march here."""
+        vals = np.empty((self.data.nt + 1, self.space.dof_count))
+        vals[0] = x0
+        for k in range(1, self.data.nt + 1):
+            vals[k] = self.step(k, self.keep * (self.Mu @ vals[k - 1]) + rhs(k))
+        return vals
+
     @property
     def _scale(self):
         """Time weight of one misfit term: dt for j1, 1 for the final-time j2."""
@@ -346,7 +348,7 @@ class ParabolicProblem(ShapeProblem):
     @cached_property
     def B(self):
         """Cost-gradient blocks B_k,i = dJ/du_k,i (index 0 is always zero),
-        shared by the adjoint march and ``duality_pair``."""
+        shared by the adjoint march and the duality pair."""
         B = np.zeros_like(self.u.values)
         for k, dk in self._misfits():
             B[k] = self._scale * fem.assemble_load_values(self.space, dk)
@@ -365,9 +367,8 @@ class ParabolicProblem(ShapeProblem):
         acc = sum(fem.l2_norm(self.space, vals[k]) ** 2 for k in range(vals.shape[0]))
         return float(np.sqrt(self.dt * acc))
 
-    def material(self, theta):
-        udot, _ = parabolic_material(self, theta)
-        return udot
+    def _material(self, theta):
+        return parabolic_material(self, theta)
 
     def _build_tensors(self):
         return parabolic_shape_tensors(self)
@@ -383,10 +384,3 @@ class ParabolicProblem(ShapeProblem):
         terms["ic_pairing"] = -fem.dot(ptensors.ic_weights,
                                        initial_rate(self.space, self.data, theta))
         return AssembledDerivative(terms)
-
-    def duality_pair(self, theta):
-        udot, ell = parabolic_material(self, theta)
-        lhs = fem.dot(ell[1:], self.p.values[1:]) \
-            - fem.dot(self.p.values[1], self.Mu @ udot.values[0])
-        rhs = fem.dot(self.B[1:], udot.values[1:])
-        return lhs, rhs

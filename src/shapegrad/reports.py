@@ -131,19 +131,14 @@ FD_CSV_HEADER = ("s", "j_plus", "j_minus", "central_quotient", "error",
                  "status", "note")
 
 
-def fd_csv_rows(table, rel_max=None):
+def fd_csv_rows(table, rel_max):
     """CSV rows of an FdTable; ``status`` is 'degenerate' for flagged
-    transports, else pass/fail of the row's relative error against
-    ``rel_max`` ('ok' when no tolerance is configured)."""
+    transports, else 'ok' or 'fail' for the row's relative error against
+    ``rel_max``."""
     rows = []
     scale = table.scale
     for r in table.rows:
-        if r.flagged:
-            status = "degenerate"
-        elif rel_max is not None and not (r.error / scale <= rel_max):
-            status = "fail"
-        else:
-            status = "ok"
+        status = "degenerate" if r.flagged else "ok" if r.error / scale <= rel_max else "fail"
         rows.append((r.s, r.j_plus, r.j_minus, r.central, r.error, r.order,
                      r.forward, r.forward_error, status, r.note))
     return rows

@@ -221,7 +221,11 @@ class ShapeProblem:
     ``ShapeProblem.__init__``, so re-solving on a transported mesh is the
     same problem on new nodes (``rebuilt``).  It sets ``space`` (and a
     state ``u``) and supplies its physics: ``cost()``, ``_build_tensors()``
-    and, with a state, ``p``, ``material(theta)`` and ``duality_pair(theta)``.
+    and, with a state, the adjoint ``p``, the cost gradient ``B`` = d_u J
+    and ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
+    state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
+    so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
+    every problem (both sides are -<A udot, p>).
 
     Capability flags name the oracles a problem supports: ``fd_cost`` is
     ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
@@ -262,13 +266,15 @@ class ShapeProblem:
     def derivative(self, theta):
         return self.breakdown(theta).total
 
-    def resolve_cost(self, mesh_s):
-        return self.rebuilt(mesh_s).cost()
+    def material(self, theta):
+        """The material derivative udot of the state: A udot = -ell."""
+        return self._material(theta)[0]
 
-    def state_vector(self, mesh_s=None):
-        if mesh_s is not None:
-            return self.rebuilt(mesh_s).state_vector()
-        return self.u.coefficients.copy()
+    def duality_pair(self, theta):
+        """(<ell, p>, <B, udot>) over all state dofs."""
+        udot, ell = self._material(theta)
+        return (fem.dot(np.ravel(ell), self.p.coefficients),
+                fem.dot(np.ravel(self.B), udot.coefficients))
 
     def state_norm(self, vec):
         return fem.l2_norm(self.space, vec)

@@ -162,7 +162,7 @@ def fd_shape_check(problem, theta, s_list, steps=32):
     s, which the interpolation-consistent assembly guarantees).
     """
     def evaluate(s):
-        return problem.resolve_cost(transport_mesh(theta, s, problem.mesh, steps=steps))
+        return problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).cost()
 
     meta = {"problem": problem.name, "theta": theta.name,
             "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count,
@@ -213,12 +213,12 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     of the transported solve is compared at dof k of the reference mesh.
     """
     s_list = sorted((float(s) for s in s_list), reverse=True)
-    u0 = problem.state_vector()
+    u0 = problem.u.coefficients
     udot = problem.material(theta).coefficients
     rows = []
     for s in s_list:
         try:
-            us = problem.state_vector(transport_mesh(theta, s, problem.mesh, steps=steps))
+            us = problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).u.coefficients
         except FlowDegeneracyError as exc:
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue
@@ -245,8 +245,7 @@ class DualityReport:
 
 
 def duality_check(problem, theta):
-    lhs, rhs = problem.duality_pair(theta)
-    return DualityReport(lhs, rhs)
+    return DualityReport(*problem.duality_pair(theta))
 
 
 class AreaProblem(ShapeProblem):

@@ -11,7 +11,7 @@ the frozen-state cost derivatives the tensor-consistency tests need.
 import numpy as np
 
 from shapegrad import fem_core as fem
-from shapegrad.shape_assembly import ShapeTensors, material_tensor_rate
+from shapegrad.shape_assembly import ShapeTensors, material_tensor_rate, theta_samples
 
 _I2 = np.eye(2)
 
@@ -194,3 +194,12 @@ def dirichlet_energy_tensors(data, u):
     S0 = 2.0 * uq[..., None] * data.f.grad(P)
     S1 = 2.0 * _outer(gu, gu) + (2.0 * fv * uq - _dot(gu, gu))[..., None, None] * _I2
     return ShapeTensors(space, S0=S0, S1=S1)
+
+
+def duality_pair(problem, theta):
+    """The stationary duality pair as first written, on the problem's own
+    L(u), factors and row mask: L = keep L(u), udot = A^-1(-L) and
+    (<L, p>, <keep B, udot>)."""
+    L = problem._L(theta_samples(problem.space, theta, "interpolated")) * problem._keep
+    udot = problem._fact.solve(-L)
+    return fem.dot(L, problem.p.coefficients), fem.dot(problem.B * problem._keep, udot)

@@ -1,13 +1,15 @@
 """Parabolic oracles for the tests: the block operator of the discrete
 scheme on independently assembled step matrices, with its exact
-transpose, and the frozen-state transport derivative of the tracking
+transpose, the frozen-state transport derivative of the tracking
 costs, written from the cost's definition rather than from the package's
-tensors."""
+tensors, and the state and material marches and the duality pair as
+first written, each with a loop of its own."""
 
 import numpy as np
 
 from shapegrad import fem_core as fem
 from shapegrad.fem_core import FeSpace
+from shapegrad.parabolic_problem import initial_rate, parabolic_material
 
 
 class ParabolicOperator:
@@ -69,3 +71,35 @@ def parabolic_partial_cost(problem, samples):
         total += weight * float(np.sum(
             space.qweights * (0.5 * d * d * samples.vol_div - d * gud)))
     return total
+
+
+def state_loop(problem):
+    """The state snapshots of the problem's step operators, marched in a
+    loop of their own: b_k = keep (M_u u_{k-1} + dt a_f(t_k) F)."""
+    data = problem.data
+    vals = np.empty((data.nt + 1, problem.space.dof_count))
+    vals[0] = problem.space.interpolate(data.g.value).coefficients
+    for k in range(1, data.nt + 1):
+        load = data.f.profile.value(problem.times[k]) * problem.F
+        vals[k] = problem.step(k, problem.keep * (problem.Mu @ vals[k - 1] + problem.dt * load))
+    return vals
+
+
+def material_loop(problem, theta, ell):
+    """The material snapshots from the step right-hand sides ``ell[1:]``,
+    marched in a loop of their own from udot_0 = I_h(grad g . theta)."""
+    vals = np.empty((problem.data.nt + 1, problem.space.dof_count))
+    vals[0] = initial_rate(problem.space, problem.data, theta)
+    for k in range(1, problem.data.nt + 1):
+        vals[k] = problem.step(k, problem.keep * (problem.Mu @ vals[k - 1]) - ell[k])
+    return vals
+
+
+def duality_pair(problem, theta):
+    """The parabolic duality pair as first written, over the step slots
+    with the initial-condition term apart:
+    (sum_k>=1 <ell_k, p_k> - <p_1, M_u udot_0>, sum_k>=1 <B_k, udot_k>)."""
+    udot, ell = parabolic_material(problem, theta)
+    p = problem.p.values
+    lhs = fem.dot(ell[1:], p[1:]) - fem.dot(p[1], problem.Mu @ udot.values[0])
+    return lhs, fem.dot(problem.B[1:], udot.values[1:])

@@ -336,6 +336,28 @@ def test_validate_full_suite(tmp_path):
     assert (out / "robin-fd.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("steps", "0"), ("steps", "-3"),
+    ("s_list", "0.04 0.04 0.01"), ("s_list", "0.04 0 0.01"), ("s_list", "0.04 nan 0.01"),
+    ("taylor_s_list", "0.16 -0.08 0.04"), ("taylor_s_list", "0.16 0.08 0"),
+    ("taylor_s_list", "0.04 0.08 0.16")])
+def test_validate_bad_validation_inputs_exit_2(tmp_path, capsys, key, value):
+    """A [validation] input outside its domain is a config error that names
+    its key, raised before any study runs, not a traceback (exit 1) or a
+    failed check (exit 4)."""
+    cfg = ROBIN_CFG.replace("refine = 4", "refine = 2")
+    if key == "s_list":
+        cfg = cfg.replace("s_list = 0.04 0.02 0.01", f"s_list = {value}")
+    else:
+        cfg += f"{key} = {value}\n"
+    path = _cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [validation] {key} "), err
+    assert not (out / "robin-fd.csv").exists()
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_entry_point(tmp_path):

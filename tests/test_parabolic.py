@@ -26,7 +26,8 @@ from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 from shapegrad.validation import fd_shape_check
 
 from conftest import HOLDALL, bump_theta, catalog_thetas
-from parabolic_references import ParabolicOperator, parabolic_partial_cost
+from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
+                                   state_loop)
 
 
 def _data(nt=12, t0=1.0, m_profile="const", f_spec=("sine2 1.5 1 1", "decay 0.4"),
@@ -266,6 +267,24 @@ def test_dof_velocities_p2_midpoints(rect_unit):
         assert np.allclose(vel[n + idx], 0.5 * (nodal[a] + nodal[b]))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("m_profile", ["const", "ramp 0.5"])
+def test_march_reproduces_state_and_material_loops(rect_unit, order, m_profile):
+    """The one forward march gives the state and material snapshots of
+    their own loops to the bit, and the material rows ell solve the block
+    scheme, A udot = -ell, with the initial-condition row ell_0 = -M_u udot_0."""
+    data = _data(nt=7, m_profile=m_profile, g_spec="sine2 1 1 1")
+    prob = ParabolicProblem(rect_unit, data, which="j1", order=order)
+    assert prob.u.values.tobytes() == state_loop(prob).tobytes()
+    op = ParabolicOperator(rect_unit, data, order=order)
+    for theta in catalog_thetas():
+        udot, ell = parabolic_material(prob, theta)
+        assert udot.values.tobytes() == material_loop(prob, theta, ell).tobytes(), theta.name
+        assert ell[0].tobytes() == (-(prob.Mu @ udot.values[0])).tobytes(), theta.name
+        if np.abs(ell).max() > 0.0:
+            assert _rel(op.forward(udot.values), -ell) < 1e-12, theta.name
+
+
 @pytest.mark.parametrize("which", ["j1", "j2"])
 def test_duality(rect_unit, which):
     prob = ParabolicProblem(rect_unit, _data(nt=10), which=which)
@@ -384,7 +403,7 @@ def _reference_tensors(problem):
         gp = fem.field_qgrads(pk)
         pv = fem.field_qvalues(pk)
         Mk = data.M.value(t, P)
-        DM = data.M.dspace(t, P)
+        DM = data.M.profile.value(t) * data.M.spatial.dspace(P)
         fv = data.f.value(t, P)
         Mgu = np.einsum('mqij,mqj->mqi', Mk, gu)
         Mtgp = np.einsum('mqji,mqj->mqi', Mk, gp)
@@ -421,7 +440,7 @@ def _reference_material(data, series, theta, problem):
         gu = fem.field_qgrads(uk)
         Mk = data.M.value(t, P)
         rate = material_tensor_rate(Mk, samples) \
-            + tc.matvec3(data.M.dspace(t, P), samples.vol_val)
+            + tc.matvec3(data.M.profile.value(t) * data.M.spatial.dspace(P), samples.vol_val)
         W = np.einsum('mqij,mqj->mqi', rate, gu)
         fdot = data.f.value(t, P) * samples.vol_div \
             + np.einsum('...i,...i->...', data.f.grad(t, P), samples.vol_val)
@@ -559,8 +578,8 @@ def _fd_orders(prob, theta, mesh, s_list):
     j0 = prob.cost()
     central, forward = [], []
     for s in s_list:
-        jp = prob.resolve_cost(transport_mesh(theta, +s, mesh))
-        jm = prob.resolve_cost(transport_mesh(theta, -s, mesh))
+        jp = prob.rebuilt(transport_mesh(theta, +s, mesh)).cost()
+        jm = prob.rebuilt(transport_mesh(theta, -s, mesh)).cost()
         central.append(abs((jp - jm) / (2.0 * s) - dJ))
         forward.append(abs((jp - j0) / s - dJ))
     scale = 1.0 + abs(dJ)

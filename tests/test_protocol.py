@@ -1,7 +1,9 @@
 """The problem protocol, for every problem the CLI knows: each is built
 from its shipped config at a tiny size, re-solving is the same problem on
 new nodes, a re-solve does only the state solve's factorizations and solves,
-and the capability flags are exactly the checks the CLI writes."""
+the capability flags are exactly the checks the CLI writes, and the one
+duality pair of the protocol is each stateful problem's pair as first
+written."""
 
 import configparser
 import glob
@@ -14,6 +16,9 @@ import pytest
 from shapegrad import cli, fem_core
 from shapegrad.elliptic_problems import quasilinear_solve
 from shapegrad.flow import transport_mesh
+
+import elliptic_references
+import parabolic_references
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
 # config keys that set the problem size, and their values at the tiny size
@@ -71,9 +76,10 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
     theta = cli.build_theta(cfg, required=True)
 
     # the same problem on the same nodes reproduces the cost and the state
-    assert problem.resolve_cost(problem.mesh) == problem.cost()
+    assert problem.rebuilt(problem.mesh).cost() == problem.cost()
     if problem.has_state:
-        assert np.array_equal(problem.state_vector(problem.mesh), problem.state_vector())
+        assert np.array_equal(problem.rebuilt(problem.mesh).u.coefficients,
+                              problem.u.coefficients)
 
     # a re-solve on a transported mesh does the state solve and nothing more:
     # the adjoint and its factorizations are lazy
@@ -88,7 +94,7 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         else:
             expected = STATE_SOLVES[name]
         counts = _count_solves(monkeypatch)
-        problem.resolve_cost(mesh_s)
+        problem.rebuilt(mesh_s).cost()
         assert (counts["factor"], counts["solve"]) == expected
         monkeypatch.undo()
 
@@ -116,3 +122,24 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
     rc = cli.main(["solve", "--config", path, "--out", str(out)])
     assert rc == (cli.EXIT_OK if problem.has_state else cli.EXIT_CONFIG)
     assert (out / f"{problem.name}-p.field").exists() == problem.has_state
+
+
+@pytest.mark.parametrize("name", ["robin", "quasilinear", "dirichlet_energy",
+                                  "parabolic_j1", "parabolic_j2"])
+def test_duality_pair_is_the_pair_as_first_written(name, tmp_path):
+    """<ell, p> and <B, udot> over all state dofs against the problem's own
+    pair as first written: the stationary one (keep L and keep B) to the
+    bit, the parabolic one (its initial-condition term apart from the step
+    slots) to 1e-15 relative, the rounding of the regrouped sums."""
+    cfg = cli.RunConfig(_tiny_config(tmp_path, name))
+    problem = cli.build_problem(cfg, cli.build_mesh(cfg))
+    theta = cli.build_theta(cfg, required=True)
+    assert problem.has_state
+    pair = problem.duality_pair(theta)
+    if name.startswith("parabolic"):
+        ref = parabolic_references.duality_pair(problem, theta)
+        for got, want in zip(pair, ref):
+            assert abs(got - want) <= 1e-15 * abs(want), (pair, ref)
+    else:
+        ref = elliptic_references.duality_pair(problem, theta)
+        assert np.array(pair).tobytes() == np.array(ref).tobytes(), (pair, ref)
