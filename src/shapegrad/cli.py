@@ -30,7 +30,7 @@ from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
                       taylor_table_json, write_csv, write_json)
 from .shape_assembly import ManufacturedProblem
 from .validation import (AreaProblem, duality_check, fd_shape_check,
-                         fd_transport_check, material_taylor_check)
+                         fd_transport_check, material_taylor_check, step_sizes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -305,10 +305,11 @@ def _fd_checks(cfg, table):
 def _step_sizes(cfg, key, default):
     """[validation] ``key``: step sizes s, positive and strictly decreasing."""
     s = cfg.get_floats("validation", key, default)
-    if not all(0.0 < a < np.inf for a in s) or any(a <= b for a, b in zip(s, s[1:])):
+    try:
+        return step_sizes(s)
+    except ValueError:
         raise ConfigError(f"[validation] {key} must be positive and strictly decreasing, "
-                          f"got {' '.join(map(str, s))}")
-    return s
+                          f"got {' '.join(map(str, s))}") from None
 
 
 def _run_fd(problem, theta, s_list, steps):

@@ -11,12 +11,19 @@ is what makes the discrete identities in the rest of the package exact.
 Every assembly takes its coefficient as values at the quadrature points
 it integrates over: ``space.qpoints`` for the volume forms,
 ``space.edge_qpoints`` for the boundary forms, over the whole boundary.
-Local matrices and vectors come from one kernel per form: the stiffness
-written out over the two coordinates, the others one einsum each; the
-volume and boundary forms share the mass and load kernels, one COO
-scatter for matrices (duplicates summed) and one ``np.add.at`` scatter for
-vectors, keyed by ``element_dofs`` or ``edge_dofs``.  All of it is
-deterministic run to run.
+Local matrices and vectors come from one kernel per form, written as
+matrix products against the reference basis or out over the two
+coordinates: values at the points are ``coeff[element_dofs] @ basis.T``,
+a load is ``wvals @ basis`` and a mass matrix is one such product per
+local column, ``(wvals * basis[:, j]) @ basis``.  The products keep nloc
+or nq columns rather than nloc^2: with two OpenBLAS threads, one product
+against the (nq, nloc^2) basis pairs at 24,576 rows took 16 ms in some
+processes against 0.2 ms in others.  The volume and boundary forms share
+the mass and load kernels, one COO scatter for matrices (duplicates
+summed) and one ``np.bincount`` scatter for vectors, keyed by
+``element_dofs`` or ``edge_dofs``; ``bincount`` adds each dof's values in
+the order ``np.add.at`` does, so it gives the same bits, several times
+faster.  All of it is deterministic run to run.
 
 ``FeSpace.grads`` holds the physical basis gradients with a quadrature
 axis of length nq for P2 but of length 1 for P1: the geometry map is
@@ -278,9 +285,16 @@ class ScalarField:
             raise ValueError("non-finite field coefficients")
 
 
+def _rows_times_basis(coeff, basis):
+    """coeff @ basis.T, with the transposed basis copied C-contiguous: the
+    same bits as the strided view, in about a third of the time."""
+    return coeff @ np.ascontiguousarray(basis.T)
+
+
 def field_qvalues(field):
     """Field values at all volume quadrature points, shape (M, nq)."""
-    return np.einsum('qa,ma->mq', field.space.basis, field.coefficients[field.space.element_dofs])
+    space = field.space
+    return _rows_times_basis(field.coefficients[space.element_dofs], space.basis)
 
 
 def field_qgrads(field):
@@ -303,8 +317,8 @@ def field_qgrads(field):
 
 def edge_qvalues(field):
     """Trace values at the boundary-edge quadrature points, shape (B, nqe)."""
-    coeff = field.coefficients[field.space.edge_dofs]
-    return np.einsum('qa,ba->bq', field.space.edge_basis, coeff)
+    space = field.space
+    return _rows_times_basis(field.coefficients[space.edge_dofs], space.edge_basis)
 
 
 def edge_qgrads(field):
@@ -347,19 +361,19 @@ def _scatter_matrix(space, dofs, local):
 
 
 def _scatter_vector(space, dofs, local):
-    out = np.zeros(space.dof_count)
-    np.add.at(out, dofs, local)
-    return out
+    """Sum local vectors (K, nloc) into a dof vector at ``dofs`` (K, nloc)."""
+    return np.bincount(dofs.ravel(), local.ravel(), minlength=space.dof_count)
 
 
 def _mass(space, dofs, wvals, basis):
     """int w phi_i phi_j from weighted values ``wvals`` (K, nq) on cells or edges."""
-    return _scatter_matrix(space, dofs, np.einsum('mq,qi,qj->mij', wvals, basis, basis))
+    local = np.stack([(wvals * basis[:, j]) @ basis for j in range(basis.shape[1])], axis=2)
+    return _scatter_matrix(space, dofs, local)
 
 
 def _load(space, dofs, wvals, basis):
     """int f phi_i from weighted values ``wvals`` (K, nq) on cells or edges."""
-    return _scatter_vector(space, dofs, np.einsum('mq,qi->mi', wvals, basis))
+    return _scatter_vector(space, dofs, wvals @ basis)
 
 
 def assemble_diffusion_values(space, C):
@@ -391,10 +405,22 @@ def assemble_gradscalar_values(space, W, vals):
     """Matrix with entries int vals * (W . grad phi_i) phi_j   (non-symmetric).
 
     ``W`` has shape (M, nq, 2) and ``vals`` (M, nq); used for Newton
-    linearizations where the trial function enters algebraically.
+    linearizations where the trial function enters algebraically.  With
+    X = w vals W at the points, a P1 entry is grad phi_i . H_j with
+    H_j = sum_q X_q phi_j(x_q), one product with the basis per coordinate,
+    as the gradients are constant on an element; for P2 the gradients are
+    dotted with X at each point first, then multiplied with the basis.
     """
-    local = np.einsum('mq,mqia,mqa,qj->mij', space.qweights, space.grads, W * vals[..., None],
-                      space.basis)
+    G = space.grads                                       # (M, 1 or nq, nloc, 2)
+    wv = space.qweights * vals
+    X0, X1 = wv * W[..., 0], wv * W[..., 1]
+    if G.shape[1] == 1:
+        H0, H1 = X0 @ space.basis, X1 @ space.basis
+        local = G[:, 0, :, 0, None] * H0[:, None, :] + G[:, 0, :, 1, None] * H1[:, None, :]
+    else:
+        Y = np.swapaxes(G[..., 0] * X0[..., None] + G[..., 1] * X1[..., None], 1, 2)
+        nloc, nq = Y.shape[1:]
+        local = (Y.reshape(-1, nq) @ space.basis).reshape(-1, nloc, nloc)
     return _scatter_matrix(space, space.element_dofs, local)
 
 

@@ -36,8 +36,10 @@ docstring has the formulas for the tensors and the material rates), with
 A = M(x), DA = DM(x) and b = -f(x): the separable time factors move into
 the pairing T = sum_k dt a_M(t_k) grad p_k x grad u_k and into
 p_b = sum_k dt a_f(t_k) p_k.  Those sums collapse to per-element Gram
-matrices sum_k w_k p_k^e (u_k^e)^T, accumulated one step at a time and
-contracted once with the basis gradients.  The initial condition
+matrices sum_k w_k p_k^e (u_k^e)^T, summed over blocks of a few steps (one
+row dot over the block's steps per pair of local dofs, so the working
+memory does not grow with nt) and contracted once with the basis
+gradients.  The initial condition
 enters through the nodal ``ic_pairing`` term -(M_u q) . I_h(grad g . theta),
 the same interpolant the material derivative starts from, so the
 derivative is exact for any initial datum g.
@@ -189,9 +191,11 @@ def parabolic_material(problem, theta):
     w_f = problem.dt * _profile_values(data.f, problem.times[1:])
     U = problem.u.values
     ell = np.empty_like(U)
-    ell[1:] = problem.keep * ((Mdot @ (U[1:] - U[:-1]).T).T
-                              + w_M[:, None] * (K_R @ U[1:].T).T
-                              + w_f[:, None] * Bdot)
+    # the step rows summed in place, one series-sized temporary at a time
+    ell[1:] = (Mdot @ (U[1:] - U[:-1]).T).T
+    ell[1:] += w_M[:, None] * (K_R @ U[1:].T).T
+    ell[1:] += w_f[:, None] * Bdot
+    ell[1:] *= problem.keep
     udot0 = initial_rate(space, data, theta)
     ell[0] = -(problem.Mu @ udot0)
     vals = problem.march(udot0, lambda k: -ell[k])
@@ -208,10 +212,9 @@ class ParabolicShapeTensors:
         self.ic_weights = ic_weights  # (ndof,): M_u q
 
 
-def _element_gram(space, a, b):
-    """Per-element outer products a^e (b^e)^T of two dof vectors, (M, nloc, nloc)."""
-    dofs = space.element_dofs
-    return a[dofs][:, :, None] * b[dofs][:, None, :]
+# steps per block of the time sums: the working memory of the tensors is
+# that of one block, whatever nt
+_BLOCK = 4
 
 
 def parabolic_shape_tensors(problem):
@@ -222,38 +225,52 @@ def parabolic_shape_tensors(problem):
     T = sum_k dt a_M(t_k) grad p_k x grad u_k, p_b = sum_k dt a_f(t_k) p_k
     and the summed tracking term F with its x-derivative.  T and the
     mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
-    matrices of the dof vectors, accumulated step by step and contracted
-    with the basis once.  The initial condition is paired at the dofs (see
-    ``ParabolicProblem.breakdown``).
+    matrices of the dof vectors, summed over blocks of ``_BLOCK`` steps, one
+    row dot over the block's steps per pair of local dofs, and contracted
+    with the basis once.  F and F_x are summed over the misfits of
+    ``_misfits``, which ``cost`` and ``B`` use too.  The initial condition is
+    paired at the dofs (see ``ParabolicProblem.breakdown``).
     """
     space, data = problem.space, problem.data
-    series, adjoint = problem.u, problem.p
+    U, Pv = problem.u.values, problem.p.values
     P = space.qpoints
-    M, nq = space.qweights.shape
-    nloc = space.element_dofs.shape[1]
+    dofs = space.element_dofs.T
+    nloc, M = dofs.shape
     w_M = problem.dt * _profile_values(data.M, problem.times)
     w_f = problem.dt * _profile_values(data.f, problem.times)
 
-    G_pu = np.zeros((M, nloc, nloc))
-    G_d = np.zeros((M, nloc, nloc))
+    G_pu = np.zeros((nloc, nloc, M))                      # [a, c, m]
+    G_d = np.zeros((nloc, nloc, M))
     pf = np.zeros(space.dof_count)
-    for k in range(1, data.nt + 1):
-        p, u = adjoint.values[k], series.values[k]
-        G_pu += w_M[k] * _element_gram(space, p, u)
-        G_d += _element_gram(space, p, u - series.values[k - 1])
-        pf += w_f[k] * p
+    for k0 in range(1, data.nt + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, data.nt + 1)
+        # element values [k, a, m] of the block's p, and of its u from k0 - 1
+        pe = np.take(Pv[k0:k1], dofs, axis=1)
+        ue = np.take(U[k0 - 1:k1], dofs, axis=1)
+        G_d += np.einsum('kam,kcm->acm', pe, ue[1:] - ue[:-1])
+        pf += w_f[k0:k1] @ Pv[k0:k1]
+        pe *= w_M[k0:k1, None, None]
+        G_pu += np.einsum('kam,kcm->acm', pe, ue[1:])
+    g = space.grads
+    T = np.swapaxes(g, -1, -2) @ (G_pu.transpose(2, 0, 1)[:, None] @ g)
+    pairs = (space.basis[:, :, None] * space.basis[:, None, :]).reshape(-1, nloc * nloc)
+    dtp = G_d.reshape(nloc * nloc, M).T @ pairs.T
 
-    T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
-    F = F_x = 0.0
+    # the x-derivative of the tracking term one coordinate at a time
+    F = np.zeros(space.qweights.shape)
+    F_x = np.zeros((2,) + F.shape)
     ud_grad = problem._u_d_steps("grad")
     for k, dk in problem._misfits():
-        F = F + problem._scale * 0.5 * dk * dk
-        F_x = F_x - problem._scale * dk[..., None] * ud_grad(k)
+        F += dk * dk
+        gk = ud_grad(k)
+        F_x[0] -= dk * gk[..., 0]
+        F_x[1] -= dk * gk[..., 1]
+    F *= 0.5 * problem._scale
+    F_x *= problem._scale
     A, DA, b, b_x = _spatial_density(data, P)
     S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
-                                b, b_x, F, F_x)
-    dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
-    ic_weights = fem.assemble_load_values(space, fem.field_qvalues(adjoint.field(0)))
+                                b, b_x, F, np.stack(F_x, axis=-1))
+    ic_weights = fem.assemble_load_values(space, fem.field_qvalues(problem.p.field(0)))
     return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights)
 
 

@@ -149,15 +149,26 @@ def lagrangian_tensors(T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):
 
     S0 = F_x + DA : T + p_b b_x and S1 = G I - T^T A - T A^T - grad u x F_gu
     (see the module docstring); ``A`` is a (2, 2) matrix or per-point
-    values, and a partial that is zero is None.
+    values, ``T`` may have a point axis of length 1 (a per-element pairing),
+    and a partial that is zero is None.  The contractions are written out
+    over the two coordinates.
     """
-    G = F + tc.double_dot(A, T) + p_b * b
-    DA_T = None if DA is None else np.einsum('...jki,...jk->...i', DA, T)
-    S0 = _sum(F_x, DA_T, p_b[..., None] * b_x)
-    S1 = G[..., None, None] * np.eye(2) - np.einsum('...ji,...jk->...ik', T, A) \
-        - np.einsum('...ij,...kj->...ik', T, A)
+    G = F + p_b * b
+    for i in range(2):
+        for j in range(2):
+            G = G + A[..., i, j] * T[..., i, j]
+    S0 = _sum(F_x, p_b[..., None] * b_x)
+    if DA is not None:
+        for i in range(2):
+            S0[..., i] += DA[..., 0, 0, i] * T[..., 0, 0] + DA[..., 0, 1, i] * T[..., 0, 1] \
+                + DA[..., 1, 0, i] * T[..., 1, 0] + DA[..., 1, 1, i] * T[..., 1, 1]
+    S1 = G[..., None, None] * np.eye(2)
+    S1 -= tc.matmul2(np.swapaxes(T, -1, -2), A)
+    S1 -= tc.matmul2(T, np.swapaxes(A, -1, -2))
     if F_gu is not None:
-        S1 -= np.einsum('...i,...j->...ij', grad_u, F_gu)
+        for i in range(2):
+            for j in range(2):
+                S1[..., i, j] -= grad_u[..., i] * F_gu[..., j]
     return S0, S1
 
 
@@ -225,7 +236,9 @@ class ShapeProblem:
     and ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
-    every problem (both sides are -<A udot, p>).
+    every problem (both sides are -<A udot, p>).  ``material`` and
+    ``duality_pair`` share one ``_material`` solve per theta: the last
+    theta's (udot, ell) is kept, keyed by the theta object.
 
     Capability flags name the oracles a problem supports: ``fd_cost`` is
     ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
@@ -266,13 +279,20 @@ class ShapeProblem:
     def derivative(self, theta):
         return self.breakdown(theta).total
 
+    def _material_of(self, theta):
+        """``_material(theta)``, solved once for the last theta seen."""
+        memo = self.__dict__.get("_material_memo")
+        if memo is None or memo[0] is not theta:
+            memo = self._material_memo = (theta, self._material(theta))
+        return memo[1]
+
     def material(self, theta):
         """The material derivative udot of the state: A udot = -ell."""
-        return self._material(theta)[0]
+        return self._material_of(theta)[0]
 
     def duality_pair(self, theta):
         """(<ell, p>, <B, udot>) over all state dofs."""
-        udot, ell = self._material(theta)
+        udot, ell = self._material_of(theta)
         return (fem.dot(np.ravel(ell), self.p.coefficients),
                 fem.dot(np.ravel(self.B), udot.coefficients))
 

@@ -127,12 +127,21 @@ def _mesh_id(mesh):
     return f"{mesh.n_nodes}n{mesh.n_triangles}t"
 
 
+def step_sizes(s_list):
+    """The step sizes of a study as floats; they must be finite, positive and
+    strictly decreasing, as the rows' pair orders and the Neville
+    extrapolation (which divides by s_i^2 - s_j^2) assume."""
+    s = [float(a) for a in s_list]
+    if not s or not all(0.0 < a < np.inf for a in s) or any(a <= b for a, b in zip(s, s[1:])):
+        raise ValueError("studies need positive step sizes in strictly decreasing "
+                         f"order, got {' '.join(map(str, s))}")
+    return s
+
+
 def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
     """Shared FD-row construction: ``evaluate(s)`` returns the cost at s
     and may raise FlowDegeneracyError, which flags the row."""
-    s_list = sorted((float(s) for s in s_list), reverse=True)
-    if not s_list or s_list[-1] <= 0.0:
-        raise ValueError("finite-difference checks need positive step sizes")
+    s_list = step_sizes(s_list)
     rows = []
     for s in s_list:
         try:
@@ -212,7 +221,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     The pullback is the node correspondence of the transported mesh: dof k
     of the transported solve is compared at dof k of the reference mesh.
     """
-    s_list = sorted((float(s) for s in s_list), reverse=True)
+    s_list = step_sizes(s_list)
     u0 = problem.u.coefficients
     udot = problem.material(theta).coefficients
     rows = []

@@ -2,14 +2,16 @@
 scheme on independently assembled step matrices, with its exact
 transpose, the frozen-state transport derivative of the tracking
 costs, written from the cost's definition rather than from the package's
-tensors, and the state and material marches and the duality pair as
-first written, each with a loop of its own."""
+tensors, the state and material marches and the duality pair as first
+written, each with a loop of its own, and the tensors' time sums one step
+at a time."""
 
 import numpy as np
 
 from shapegrad import fem_core as fem
-from shapegrad.fem_core import FeSpace
-from shapegrad.parabolic_problem import initial_rate, parabolic_material
+from shapegrad.fem_core import FeSpace, ScalarField
+from shapegrad.parabolic_problem import _spatial_density, initial_rate, parabolic_material
+from shapegrad.shape_assembly import lagrangian_tensors
 
 
 class ParabolicOperator:
@@ -103,3 +105,43 @@ def duality_pair(problem, theta):
     p = problem.p.values
     lhs = fem.dot(ell[1:], p[1:]) - fem.dot(p[1], problem.Mu @ udot.values[0])
     return lhs, fem.dot(problem.B[1:], udot.values[1:])
+
+
+def _element_gram(space, a, b):
+    """Per-element outer products a^e (b^e)^T of two dof vectors, (M, nloc, nloc)."""
+    dofs = space.element_dofs
+    return a[dofs][:, :, None] * b[dofs][:, None, :]
+
+
+def shape_tensors_per_step(problem):
+    """(S0, S1, dt density) of the parabolic tensors with the time sums taken
+    one step at a time: the Gram matrices of p_k and u_k and of p_k and
+    u_k - u_{k-1}, the load sum p_b, and the tracking term F with its
+    x-derivative, contracted with the basis by einsum."""
+    space, data = problem.space, problem.data
+    series, adjoint = problem.u, problem.p
+    M = space.qweights.shape[0]
+    nloc = space.element_dofs.shape[1]
+    w_M = problem.dt * np.array([data.M.profile.value(t) for t in problem.times])
+    w_f = problem.dt * np.array([data.f.profile.value(t) for t in problem.times])
+
+    G_pu = np.zeros((M, nloc, nloc))
+    G_d = np.zeros((M, nloc, nloc))
+    pf = np.zeros(space.dof_count)
+    for k in range(1, data.nt + 1):
+        p, u = adjoint.values[k], series.values[k]
+        G_pu += w_M[k] * _element_gram(space, p, u)
+        G_d += _element_gram(space, p, u - series.values[k - 1])
+        pf += w_f[k] * p
+    T = np.einsum('mqaj,mab,mqbk->mqjk', space.grads, G_pu, space.grads, optimize=True)
+
+    F = F_x = 0.0
+    ud_grad = problem._u_d_steps("grad")
+    for k, dk in problem._misfits():
+        F = F + problem._scale * 0.5 * dk * dk
+        F_x = F_x - problem._scale * dk[..., None] * ud_grad(k)
+    A, DA, b, b_x = _spatial_density(data, space.qpoints)
+    S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
+                                b, b_x, F, F_x)
+    dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
+    return S0, S1, dtp

@@ -355,6 +355,90 @@ def test_field_qgrads_matches_einsum_bit_for_bit(order):
     assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
 
 
+# Einsum references of the quadrature kernels: the forms the matrix-product
+# kernels replaced, one einsum per form over per-point gradients.
+
+def _perturbed_space(order):
+    m = gen_disk((0.2, -0.1), 1.0, 3)
+    return fem.FeSpace(m.with_nodes(m.nodes + 0.01 * np.cos(5.0 * m.nodes)), order=order)
+
+
+def _add_at_scatter(space, dofs, local):
+    out = np.zeros(space.dof_count)
+    np.add.at(out, dofs, local)
+    return out
+
+
+def _einsum_mass(space, dofs, wvals, basis):
+    local = np.einsum('mq,qi,qj->mij', wvals, basis, basis)
+    return fem._scatter_matrix(space, dofs, local)
+
+
+def _einsum_load(space, dofs, wvals, basis):
+    return _add_at_scatter(space, dofs, np.einsum('mq,qi->mi', wvals, basis))
+
+
+def _einsum_gradscalar(space, W, vals):
+    local = np.einsum('mq,mqia,mqa,qj->mij', space.qweights, _point_grads(space),
+                      W * vals[..., None], space.basis)
+    return fem._scatter_matrix(space, space.element_dofs, local)
+
+
+def _rel(a, b):
+    if sp.issparse(a):
+        a, b = a.toarray(), b.toarray()
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_quadrature_kernels_match_einsum_references(order):
+    """Values, loads and mass matrices, volume and boundary, are their
+    einsum forms up to the order of the sums."""
+    space = _perturbed_space(order)
+    rng = np.random.default_rng(order)
+    u = fem.ScalarField(space, rng.standard_normal(space.dof_count))
+    want = np.einsum('qa,ma->mq', space.basis, u.coefficients[space.element_dofs])
+    assert _rel(fem.field_qvalues(u), want) <= 1e-13
+    want = np.einsum('qa,ba->bq', space.edge_basis, u.coefficients[space.edge_dofs])
+    assert _rel(fem.edge_qvalues(u), want) <= 1e-13
+
+    vals = rng.standard_normal(space.qweights.shape)
+    wv = space.qweights * vals
+    assert _rel(fem.assemble_mass_values(space, vals),
+                _einsum_mass(space, space.element_dofs, wv, space.basis)) <= 1e-13
+    assert _rel(fem.assemble_load_values(space, vals),
+                _einsum_load(space, space.element_dofs, wv, space.basis)) <= 1e-13
+    evals = rng.standard_normal(space.edge_qweights.shape)
+    ewv = space.edge_qweights * evals
+    assert _rel(fem.assemble_boundary_mass(space, evals),
+                _einsum_mass(space, space.edge_dofs, ewv, space.edge_basis)) <= 1e-13
+    assert _rel(fem.assemble_boundary_load_values(space, evals),
+                _einsum_load(space, space.edge_dofs, ewv, space.edge_basis)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_gradscalar_matches_einsum_reference(order):
+    space = _perturbed_space(order)
+    rng = np.random.default_rng(10 + order)
+    W = rng.standard_normal(space.qpoints.shape)
+    vals = rng.standard_normal(space.qweights.shape)
+    assert _rel(fem.assemble_gradscalar_values(space, W, vals),
+                _einsum_gradscalar(space, W, vals)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_bincount_scatter_is_add_at_bit_for_bit(order):
+    """``bincount`` sums each dof's contributions in the order ``np.add.at``
+    does, signed zeros included, volume and boundary."""
+    space = _perturbed_space(order)
+    rng = np.random.default_rng(20 + order)
+    for dofs in (space.element_dofs, space.edge_dofs):
+        local = rng.standard_normal(dofs.shape) * 10.0 ** rng.integers(-8, 8, dofs.shape)
+        local[::7] = -0.0
+        got = fem._scatter_vector(space, dofs, local)
+        assert got.tobytes() == _add_at_scatter(space, dofs, local).tobytes()
+
+
 # ---------------------------------------------------------------- convergence
 
 def _dirichlet_poisson_error(nx, order):

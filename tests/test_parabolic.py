@@ -27,7 +27,7 @@ from shapegrad.validation import fd_shape_check
 
 from conftest import HOLDALL, bump_theta, catalog_thetas
 from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
-                                   state_loop)
+                                   shape_tensors_per_step, state_loop)
 
 
 def _data(nt=12, t0=1.0, m_profile="const", f_spec=("sine2 1.5 1 1", "decay 0.4"),
@@ -538,6 +538,23 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     ic = prob.breakdown(theta).terms["ic_pairing"]
     ic_ref = -float((prob.Mu @ prob.p.values[0]) @ initial_rate(prob.space, data, theta))
     assert abs(ic - ic_ref) <= 1e-12 * abs(ic_ref)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("m_profile", ["const", "ramp 0.5"])
+@pytest.mark.parametrize("which", ["j1", "j2"])
+def test_block_time_sums_match_per_step_sums(rect_unit, order, m_profile, which):
+    """The Gram matrices, p_b and the tracking term summed over blocks of
+    steps are the per-step sums up to the order of the additions; nt = 10
+    ends on a partial block."""
+    data = _data(nt=10, m_profile=m_profile, g_spec="sine2 1 1 1",
+                 ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
+    prob = ParabolicProblem(rect_unit, data, which=which, order=order)
+    ptens = parabolic_shape_tensors(prob)
+    S0, S1, dtp = shape_tensors_per_step(prob)
+    assert _rel(ptens.tensors.S0, S0) < 1e-12
+    assert _rel(ptens.tensors.S1, S1) < 1e-12
+    assert _rel(ptens.dt_density, dtp) < 1e-12
 
 
 @pytest.mark.parametrize("which", ["j1", "j2"])

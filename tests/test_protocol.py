@@ -143,3 +143,23 @@ def test_duality_pair_is_the_pair_as_first_written(name, tmp_path):
     else:
         ref = elliptic_references.duality_pair(problem, theta)
         assert np.array(pair).tobytes() == np.array(ref).tobytes(), (pair, ref)
+
+
+@pytest.mark.parametrize("config", ["robin-disk.cfg", "parabolic-j1-square.cfg"])
+def test_validate_solves_the_material_derivative_once(config, tmp_path, monkeypatch):
+    """The Taylor remainder and the duality pair of one ``validate`` share
+    one material solve of the shipped config's theta."""
+    path = os.path.join(CONFIG_DIR, config)
+    cfg = cli.RunConfig(path)
+    cls = type(cli.build_problem(cfg, cli.build_mesh(cfg)))
+    material = cls._material
+    thetas = []
+
+    def counting_material(self, theta):
+        thetas.append(theta)
+        return material(self, theta)
+
+    monkeypatch.setattr(cls, "_material", counting_material)
+    rc = cli.main(["validate", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert len(thetas) == 1

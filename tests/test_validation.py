@@ -8,9 +8,11 @@ from shapegrad.data_catalog import parse_scalar, time_matrix, time_scalar
 from shapegrad.elliptic_problems import RobinData, RobinProblem
 from shapegrad.flow import make_field
 from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
+from shapegrad.shape_assembly import ManufacturedProblem
 from shapegrad.validation import (AreaProblem, DualityReport, FdTable,
                                   duality_check, estimate_order,
-                                  fd_shape_check, material_taylor_check)
+                                  fd_shape_check, fd_transport_check,
+                                  material_taylor_check)
 
 from conftest import HOLDALL, bump_theta
 
@@ -113,6 +115,22 @@ def test_degenerate_transport_flags_row(disk3):
 def test_fd_rejects_bad_steps(disk3):
     with pytest.raises(ValueError, match="positive step"):
         fd_shape_check(AreaProblem(disk3), bump_theta(), (0.1, -0.05))
+
+
+@pytest.mark.parametrize("s_list", [(0.02, 0.02, 0.01), (0.01, 0.02, 0.04), (0.04, 0.0),
+                                    (0.04, np.nan, 0.01), (np.inf, 0.01), ()])
+def test_studies_refuse_steps_not_positive_and_decreasing(disk3, s_list):
+    """A repeated, increasing, zero, NaN or infinite step size, or none, is a
+    ValueError for every study, not a division by zero in the Neville
+    extrapolation or a row order taken against a larger s."""
+    theta = bump_theta()
+    studies = [lambda: fd_shape_check(AreaProblem(disk3), theta, s_list),
+               lambda: fd_transport_check(ManufacturedProblem(disk3, variant="prop5"),
+                                          theta, s_list),
+               lambda: material_taylor_check(_robin_problem(disk3), theta, s_list)]
+    for study in studies:
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            study()
 
 
 def test_fd_table_reproducible(disk3):
