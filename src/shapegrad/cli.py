@@ -344,14 +344,21 @@ def _print_checks(checks):
 def cmd_check(args):
     """``derive`` and ``validate``: one pipeline, whose oracles are the ones
     the problem's capability flags name.  ``derive`` adds the assembled
-    derivative, ``validate`` the Taylor check of the material derivative."""
+    derivative, ``validate`` the Taylor check of the material derivative.
+
+    The timings sidecar holds the seconds of each phase: ``build`` (mesh
+    and problem construction, with the state solve), ``assemble`` (derive's
+    breakdown), ``fd`` and ``taylor`` (validate).  The adjoint is solved on
+    first use: in ``assemble`` for derive, in ``fd`` for validate.
+    """
     cfg = RunConfig(args.config)
+    t0 = time.perf_counter()
     mesh = build_mesh(cfg)
     problem = build_problem(cfg, mesh)
+    timings = {"build": time.perf_counter() - t0}
     theta = build_theta(cfg, required=True)
     out = _outdir(args, cfg)
     derive = args.command == "derive"
-    timings = {}
     report = _report_base(cfg, problem, theta)
     report["command"] = args.command
     checks = {}

@@ -430,8 +430,19 @@ def assemble_load_values(space, vals):
 
 
 def assemble_grad_load_values(space, W):
-    """Vector with entries int W . grad phi_i, W of shape (M, nq, 2)."""
-    local = np.einsum('mq,mqa,mqia->mi', space.qweights, W, space.grads)
+    """Vector with entries int W . grad phi_i, W of shape (M, nq, 2).
+
+    With P1 gradients, constant on each element, the weighted W is summed
+    over the points first, one sum per coordinate a, and a local entry is
+    sum_a grad_a phi_i (sum_q w_q W_qa); P2 contracts at every point.
+    """
+    G = space.grads                                       # (M, 1 or nq, nloc, 2)
+    if G.shape[1] == 1:
+        S0 = (space.qweights * W[..., 0]).sum(axis=1)
+        S1 = (space.qweights * W[..., 1]).sum(axis=1)
+        local = G[:, 0, :, 0] * S0[:, None] + G[:, 0, :, 1] * S1[:, None]
+    else:
+        local = np.einsum('mq,mqa,mqia->mi', space.qweights, W, G)
     return _scatter_vector(space, space.element_dofs, local)
 
 

@@ -19,15 +19,23 @@ Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
 made compactly supported without losing analytic derivatives.
 
-RK4 transport evaluates only the value of a field, 128 times per mesh at
-the default 32 steps, so the values of the bumps and of the cutoff are
-written one component at a time, with the bits of the broadcast and
-``einsum`` forms they replace (``tests/flow_references.py`` keeps those):
-each entry comes from the same floating-point operations in the same
-order, and the outer product with the amplitude adds +0.0 as ``einsum``
-did by summing onto +0.0.  The cutoff factor is skipped on an axis when
-every point of the call lies on its plateau: the smoothstep clips to
-exactly 1.0 there, and multiplying by 1.0 changes no bit.
+RK4 transport of a mesh evaluates only the value of a field, 128 times
+per mesh at the default 32 steps, so the values of the bumps and of the
+cutoff are written one component at a time, with the bits of the
+broadcast and ``einsum`` forms they replace (``tests/flow_references.py``
+keeps those): each entry comes from the same floating-point operations in
+the same order, and the outer product with the amplitude adds +0.0 as
+``einsum`` did by summing onto +0.0.  The cutoff factor is skipped on an
+axis when every point of the call lies on its plateau: the smoothstep
+clips to exactly 1.0 there, and multiplying by 1.0 changes no bit.
+
+``validation.fd_transport_check`` (the frozen-composition cost of the
+manufactured problems, which ship poly2) carries Jacobians too, 128 value
+and 128 Jacobian evaluations per advect, so the poly2 value and Jacobian
+are written one component at a time as well, with no ``np.stack`` and no
+``einsum``.  They sum their terms left to right, an order of their own,
+so each entry differs from the einsum form by at most a few eps of the
+sum of its terms' magnitudes; a Jacobian entry that is zero is +0.0.
 """
 
 import numpy as np
@@ -312,18 +320,19 @@ def _poly2_field(C):
 
     def val(P):
         x, y = P[..., 0], P[..., 1]
-        basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-        return np.einsum('ik,...k->...i', C, basis)
+        xx, xy, yy = x * x, x * y, y * y
+        out = np.empty(P.shape)
+        for i, c in enumerate(C):
+            out[..., i] = c[0] + c[1] * x + c[2] * y + c[3] * xx + c[4] * xy + c[5] * yy
+        return out
 
     def jac(P):
         x, y = P[..., 0], P[..., 1]
-        dx = np.stack([np.zeros_like(x), np.ones_like(x), np.zeros_like(x),
-                       2 * x, y, np.zeros_like(x)], axis=-1)
-        dy = np.stack([np.zeros_like(x), np.zeros_like(x), np.ones_like(x),
-                       np.zeros_like(x), x, 2 * y], axis=-1)
         out = np.empty(P.shape[:-1] + (2, 2))
-        out[..., 0] = np.einsum('ik,...k->...i', C, dx)
-        out[..., 1] = np.einsum('ik,...k->...i', C, dy)
+        for i, c in enumerate(C):
+            out[..., i, 0] = c[1] + (2.0 * c[3]) * x + c[4] * y
+            out[..., i, 1] = c[2] + c[4] * x + (2.0 * c[5]) * y
+        out += 0.0
         return out
 
     def hess(P):
@@ -337,6 +346,8 @@ def _poly2_field(C):
 
 
 def _bump_field(a, c, r):
+    if not r > 0.0:
+        raise ValueError(f"field 'bump': radius must be positive, got {r}")
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
 
@@ -376,6 +387,8 @@ def _tensor_bump_field(a, c, w):
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     w = np.asarray(w, dtype=float)
+    if not np.all(w > 0.0):
+        raise ValueError(f"field 'tensor_bump': widths must be positive, got {w[0]} {w[1]}")
 
     def axis_value(t):
         inside = np.abs(t) < 1.0
@@ -431,8 +444,11 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
 
     The cutoff multiplies the base field by a C^2 plateau function whose
     ramps occupy a ``ramp`` fraction of each box extent, so the result
-    vanishes with two derivatives on the box faces.  The box needs hi > lo
-    on both axes and ``ramp`` must be finite and positive (else ValueError).
+    vanishes with two derivatives on the box faces.  The parameters must be
+    finite, a ``bump`` radius and the ``tensor_bump`` widths positive, the
+    box finite with hi > lo on both axes and ``ramp`` finite and positive
+    (else ValueError): each of these would otherwise give a theta that is
+    NaN or zero everywhere.
 
     Parameters
     ----------
@@ -449,11 +465,15 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
     params = tuple(float(v) for v in params)
     if len(params) != nparams:
         raise ValueError(f"field {name!r} takes {nparams} parameters, got {len(params)}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"field {name!r}: parameters must be finite, "
+                         f"got {' '.join(map(str, params))}")
     val, jac, hess = builder(np.asarray(params))
     if support_box is not None:
         lo, hi = np.asarray(support_box, dtype=float)
-        if not np.all(hi > lo):
-            raise ValueError(f"support box needs hi > lo on both axes, got lo {lo}, hi {hi}")
+        if not (np.all(np.isfinite(support_box)) and np.all(hi > lo)):
+            raise ValueError(f"support box needs finite hi > lo on both axes, "
+                             f"got lo {lo}, hi {hi}")
         if not (np.isfinite(ramp) and ramp > 0.0):
             raise ValueError(f"ramp must be finite and positive, got {ramp}")
         val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp)

@@ -16,6 +16,8 @@ THETA_SPECS = [
     ("rotation", (0.7, 0.1, -0.2)),
     ("bump", (0.5, 0.3, -0.2, 0.1, 0.9)),
     ("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0)),
+    # the coefficients the prop5/prop6 manufactured configs ship
+    ("poly2", (0.3, -0.2, 0.1, 0.15, -0.1, 0.2, 0.05, -0.15, 0.1, 0.2, -0.05, 0.1)),
 ]
 
 

@@ -7,10 +7,12 @@
 * The per-edge stretch rate of the nodal interpolant, as interpolated
   ``theta_samples`` computed div_G theta and D_G theta before it derived
   them from the owning element's Dtheta.
-* The values of the bump fields and of the support-box cutoff as written
-  before their per-component rewrite: broadcasting over the length-2 last
-  axis, ``einsum`` for the squared radius and for the outer product with
-  the amplitude, and the cutoff factor multiplied in at every point.
+* The values of the bump fields, the value and Jacobian of poly2 and the
+  support-box cutoff as written before their per-component rewrite:
+  broadcasting over the length-2 last axis, ``np.stack`` for the
+  polynomial basis and its gradients, ``einsum`` for the squared radius,
+  the basis contractions and the outer products, and the cutoff factor
+  multiplied in at every point.
 """
 
 import numpy as np
@@ -77,14 +79,62 @@ def _smoothstep(t):
     return out
 
 
-def _cutoff_value(box, ramp):
+def _smoothstep_d1(t):
+    tc = np.clip(t, 0.0, 1.0)
+    inside = (t > 0.0) & (t < 1.0)
+    return np.where(inside, 30.0 * tc ** 2 * (1.0 - tc) ** 2, 0.0)
+
+
+def cutoff_rho(box, ramp):
+    """The support-box cutoff r and its gradient, (..., ) and (..., 2)."""
     lo, hi = np.asarray(box, dtype=float)
     w = ramp * (hi - lo)
 
     def axis(x, k):
-        return _smoothstep((x - lo[k]) / w[k]) * _smoothstep((hi[k] - x) / w[k])
+        tl, tr = (x - lo[k]) / w[k], (hi[k] - x) / w[k]
+        gl, gr = _smoothstep(tl), _smoothstep(tr)
+        dl, dr = _smoothstep_d1(tl) / w[k], -_smoothstep_d1(tr) / w[k]
+        return gl * gr, dl * gr + gl * dr
 
-    return lambda P: axis(P[..., 0], 0) * axis(P[..., 1], 1)
+    def rho(P):
+        (gx, dgx), (gy, dgy) = axis(P[..., 0], 0), axis(P[..., 1], 1)
+        return gx * gy, np.stack([dgx * gy, gx * dgy], axis=-1)
+
+    return rho
+
+
+def _cutoff(val, jac, box, ramp):
+    rho = cutoff_rho(box, ramp)
+
+    def cut_val(P):
+        return val(P) * rho(P)[0][..., None]
+
+    def cut_jac(P):
+        r, dr = rho(P)
+        return jac(P) * r[..., None, None] + np.einsum('...i,...j->...ij', val(P), dr)
+
+    return cut_val, cut_jac
+
+
+def _poly2(C):
+    C = np.asarray(C, dtype=float).reshape(2, 6)
+
+    def val(P):
+        x, y = P[..., 0], P[..., 1]
+        basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+        return np.einsum('ik,...k->...i', C, basis)
+
+    def jac(P):
+        x, y = P[..., 0], P[..., 1]
+        zero, one = np.zeros_like(x), np.ones_like(x)
+        dx = np.stack([zero, one, zero, 2 * x, y, zero], axis=-1)
+        dy = np.stack([zero, zero, one, zero, x, 2 * y], axis=-1)
+        out = np.empty(P.shape[:-1] + (2, 2))
+        out[..., 0] = np.einsum('ik,...k->...i', C, dx)
+        out[..., 1] = np.einsum('ik,...k->...i', C, dy)
+        return out
+
+    return val, jac
 
 
 def _bump_val(a, c, r):
@@ -107,15 +157,21 @@ def _tensor_bump_val(a, c, w):
 
 
 def einsum_field(name, params, support_box=None, ramp=0.15):
-    """``make_field(name, params, support_box, ramp)`` for ``bump`` or
-    ``tensor_bump`` with its value evaluated the einsum way; the Jacobian
-    and Hessian are the package's."""
+    """``make_field(name, params, support_box, ramp)`` with the value of
+    ``bump``, ``tensor_bump`` and ``poly2``, the Jacobian of ``poly2`` and
+    the cutoff evaluated the einsum way; the other values and Jacobians of
+    the base field, which no rewrite touched, and the Hessian are the
+    package's."""
     p = np.asarray(params, dtype=float)
-    base = _bump_val(p[:2], p[2:4], p[4]) if name == "bump" \
-        else _tensor_bump_val(p[:2], p[2:4], p[4:6])
-    val = base
+    base = make_field(name, params)
+    val, jac = base.eval, base.jac
+    if name == "poly2":
+        val, jac = _poly2(p)
+    elif name == "bump":
+        val = _bump_val(p[:2], p[2:4], p[4])
+    elif name == "tensor_bump":
+        val = _tensor_bump_val(p[:2], p[2:4], p[4:6])
     if support_box is not None:
-        value = _cutoff_value(support_box, ramp)
-        val = lambda P: base(P) * value(P)[..., None]
+        val, jac = _cutoff(val, jac, support_box, ramp)
     theta = make_field(name, params, support_box, ramp)
-    return VectorFieldSpec(name, val, theta.jac, theta.hess, support_box)
+    return VectorFieldSpec(name, val, jac, theta.hess, support_box)

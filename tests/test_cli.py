@@ -271,7 +271,13 @@ def test_derive_needs_theta(tmp_path):
 @pytest.mark.parametrize("theta,key", [
     ("field =", "field"),
     ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = -1.5 -1.5 1.5 1.5\nramp = 0", "ramp"),
-    ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = 1 1 0 0", "support")])
+    ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = 1 1 0 0", "support"),
+    # a theta that would be NaN, infinite or zero everywhere: before these
+    # were refused, validate reported "all checks passed" on area-disk
+    ("field = bump 1.0 0.4 0.2 -0.1 nan", "finite"),
+    ("field = bump 1.0 0.4 0.2 -0.1 -0.5", "radius"),
+    ("field = tensor_bump 1.0 0.4 0.2 -0.1 0 0.5", "widths"),
+    ("field = poly2 0.3 -0.2 0.1 inf -0.1 0.2 0.05 -0.15 0.1 0.2 -0.05 0.1", "finite")])
 def test_derive_theta_outside_assumptions_exits_2(tmp_path, capsys, theta, key):
     cfg = ROBIN_CFG.replace("refine = 4", "refine = 2").replace(
         "field = bump 1.0 0.4 0.2 -0.1 0.8", theta)
@@ -334,6 +340,22 @@ def test_validate_full_suite(tmp_path):
                                      "duality_rel_gap"}
     assert (out / "robin-taylor.csv").exists()
     assert (out / "robin-fd.csv").exists()
+
+
+@pytest.mark.parametrize("command,phases", [
+    ("derive", {"build", "assemble", "fd"}),
+    ("validate", {"build", "fd", "taylor"})])
+def test_timings_sidecar_records_each_phase(tmp_path, command, phases):
+    """Mesh and problem construction is the ``build`` phase; the sidecar
+    holds one non-negative number of seconds per phase that ran."""
+    import json
+    path = _cfg(tmp_path, ROBIN_CFG.replace("refine = 4", "refine = 3"))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) in (0, 4)
+    timings = json.loads((out / "robin-timings.json").read_text())
+    assert timings["command"] == command
+    assert set(timings["seconds"]) == phases
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings["seconds"].values())
 
 
 @pytest.mark.parametrize("key,value", [

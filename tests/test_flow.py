@@ -8,18 +8,11 @@ from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
 from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 
-from flow_references import einsum_field, pullback_quotients
-
-BOX = np.array([[-1.5, -1.5], [1.5, 1.5]])
+from conftest import HOLDALL as BOX, THETA_SPECS, catalog_thetas
+from flow_references import cutoff_rho, einsum_field, pullback_quotients
 
 #: one representative parameterization per catalog entry (cutoff applied)
-CATALOG_FIELDS = [
-    make_field("constant", (0.4, -0.3), support_box=BOX),
-    make_field("linear", (0.3, -0.2, 0.1, -0.4, 0.05, 0.1), support_box=BOX),
-    make_field("rotation", (0.7, 0.1, -0.2), support_box=BOX),
-    make_field("bump", (0.5, 0.3, -0.2, 0.1, 0.9), support_box=BOX),
-    make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
-]
+CATALOG_FIELDS = catalog_thetas(BOX)
 
 RADIAL = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))    # theta = x
 
@@ -110,12 +103,16 @@ def test_m_prime0_matches_difference_quotient(wide_space):
 
 
 def test_m_prime0_fd_all_catalog_fields(wide_space):
-    # a per-point matrix, as the parabolic problem passes, frozen at x
+    """A per-point matrix, as the parabolic problem passes, frozen at x.
+    poly2 is differenced at s = 1e-5: on the cutoff ramp its quotient at
+    1e-4 carries an O(s^2) truncation error of 1.45e-6 (1.45e-4 at 1e-3,
+    1.45e-8 at 1e-5), the resolution of the quotient, not of the rate."""
     affine = parse_matrix("affine_mat 1.3 -0.2 0.9 0.1 0.2 -0.1 0.05 0.2 0.3")
     Q = affine.value(wide_space.qpoints)
     for theta in CATALOG_FIELDS:
         R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
-        fd = pullback_quotients(theta, wide_space, Q)[0]
+        s = 1e-5 if theta.name == "poly2" else 1e-4
+        fd = pullback_quotients(theta, wide_space, Q, s=s)[0]
         scale = np.maximum(1.0, np.abs(R).max(axis=(-2, -1)))
         assert (np.abs(fd - R).max(axis=(-2, -1)) <= 1e-6 * scale).all(), theta.name
 
@@ -239,13 +236,20 @@ def _cutoff_point_sets():
     return sets
 
 
-# (name, params, support box) of fields with a per-component value
+_SMALL_BOX = [[-0.3, 0.0], [0.9, 1.1]]
+
+# (name, params, support box) of the fields whose values keep the bits of
+# their einsum forms: the bumps, which the shipped configs and the benchmark
+# transport by value, and, through the cutoff's value, the constant fields
 _COMPONENT_FIELDS = [
     ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), BOX),
     ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), None),
-    ("bump", (-0.3, 0.7, 0.25, 0.5, 0.5), [[-0.3, 0.0], [0.9, 1.1]]),
+    ("bump", (-0.3, 0.7, 0.25, 0.5, 0.5), _SMALL_BOX),
     ("tensor_bump", (0.4, -0.5, 0.25, 0.5, 0.5, 0.6), BOX),
     ("tensor_bump", (0.4, -0.5, 0.25, 0.5, 0.5, 0.6), None),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.5, 0.5, 0.6), _SMALL_BOX),
+    ("zero", (), BOX),
+    ("constant", (0.4, -0.3), _SMALL_BOX),
 ]
 
 
@@ -275,6 +279,61 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
                 Xr, Jr = advect_batch(ref, s, P, steps=8, want_jac=want_jac)
                 assert X.tobytes() == Xr.tobytes()
                 assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
+    mesh = gen_disk((0.2, 0.3), 1.2, 3)
+    for s in (0.04, -0.04, 0.16):
+        moved = transport_mesh(theta, s, mesh).nodes
+        assert moved.tobytes() == transport_mesh(ref, s, mesh).nodes.tobytes()
+
+
+def _catalog_cases():
+    """Every catalog field of ``THETA_SPECS``, ``zero`` and an all -0.0
+    poly2 under the hold-all box and under a small box, where the reference
+    cutoff enters; unconfined, only the fields with a reference form of
+    their own (the bump values, the poly2 value and Jacobian)."""
+    fields = [("zero", "zero", ()), ("poly2_negative_zero", "poly2", (-0.0,) * 12)]
+    fields += [(name, name, params) for name, params in THETA_SPECS]
+    boxes = [("unbounded", None), ("box", BOX), ("small_box", _SMALL_BOX)]
+    return [pytest.param(name, params, box, id=f"{label}-{box_id}")
+            for label, name, params in fields for box_id, box in boxes
+            if box is not None or name in ("bump", "tensor_bump", "poly2")]
+
+
+@pytest.mark.parametrize("name,params,box", _catalog_cases())
+def test_catalog_matches_einsum_reference(name, params, box):
+    """Values and Jacobians against the ``np.stack``/``einsum`` forms of
+    ``einsum_field``, by ``tobytes`` but for poly2.  poly2 sums its terms
+    in an order of its own, so its value and Jacobian are held to the
+    rounding bound of two orders of the same additions, at most 5 eps of
+    the sum of the terms' magnitudes (S for the value, S_D for the
+    Jacobian), its Jacobian's zeros to +0.0; under a box, one more eps of
+    each for the cutoff's products and of |J| for their sum."""
+    theta = make_field(name, params, support_box=box)
+    ref = einsum_field(name, params, support_box=box)
+    eps = np.finfo(float).eps
+    signed_zero = np.array([[-0.0, -0.3], [-0.0, 0.3], [0.3, -0.0], [-0.3, -0.0], [-0.0, -0.0]])
+    for label, P in dict(_cutoff_point_sets(), signed_zero=signed_zero).items():
+        v, vr, J, Jr = theta.eval(P), ref.eval(P), theta.jac(P), ref.jac(P)
+        if name != "poly2":
+            assert v.tobytes() == vr.tobytes(), label
+            assert J.tobytes() == Jr.tobytes(), label
+            continue
+        x, y = P[:, 0], P[:, 1]
+        zero, one = np.zeros_like(x), np.ones_like(x)
+        C = np.abs(np.reshape(params, (2, 6)))
+        S = np.abs(np.stack([one, x, y, x * x, x * y, y * y], axis=-1)) @ C.T   # (n, 2)
+        S_D = np.stack([np.abs(np.stack(d, axis=-1)) @ C.T for d in
+                        ([zero, one, zero, 2 * x, y, zero], [zero, zero, one, zero, x, 2 * y])],
+                       axis=-1)                                                  # (n, 2, 2)
+        if box is None:
+            assert (np.abs(v - vr) <= 5 * eps * S).all(), label
+            assert (np.abs(J - Jr) <= 5 * eps * S_D).all(), label
+            assert not np.signbit(J[J == 0.0]).any(), label
+        else:
+            r, dr = cutoff_rho(box, 0.15)(P)
+            assert (np.abs(v - vr) <= 6 * eps * S).all(), label
+            bound = (6 * eps * (S_D * r[:, None, None] + S[:, :, None] * np.abs(dr)[:, None, :])
+                     + eps * (np.abs(J) + np.abs(Jr)))
+            assert (np.abs(J - Jr) <= bound).all(), label
 
 
 def test_xi_matches_triangle_area_ratios():
@@ -355,12 +414,26 @@ def test_make_field_validation():
         make_field("bump", (1.0, 2.0))
     assert set(FIELD_CATALOG) == {"zero", "constant", "linear", "rotation",
                                   "poly2", "bump", "tensor_bump"}
+    # a NaN radius gave theta = 0 everywhere, a zero width divided by zero,
+    # an infinite coefficient an infinite theta: each is refused by name
+    for name, params, key in [
+            ("bump", (1.0, 0.4, 0.2, -0.1, np.nan), "finite"),
+            ("bump", (1.0, 0.4, 0.2, -0.1, 0.0), "radius"),
+            ("bump", (1.0, 0.4, 0.2, -0.1, -0.8), "radius"),
+            ("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.0, 0.5), "widths"),
+            ("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, -1.0), "widths"),
+            ("poly2", (0.3, np.inf) + (0.1,) * 10, "finite"),
+            ("rotation", (0.7, -np.inf, 0.0), "finite"),
+            ("constant", (np.nan, 0.0), "finite")]:
+        with pytest.raises(ValueError, match=key):
+            make_field(name, params)
 
 
 @pytest.mark.parametrize("box,ramp,key", [
     (BOX, 0.0, "ramp"), (BOX, -0.1, "ramp"), (BOX, np.nan, "ramp"), (BOX, np.inf, "ramp"),
     ([[1.0, 1.0], [0.0, 0.0]], 0.15, "support box"),
-    ([[0.0, 1.0], [1.0, 1.0]], 0.15, "support box")])
+    ([[0.0, 1.0], [1.0, 1.0]], 0.15, "support box"),
+    ([[-np.inf, -1.5], [1.5, 1.5]], 0.15, "support box")])
 def test_make_field_rejects_degenerate_cutoff(box, ramp, key):
     """A zero ramp divides by zero and an empty box makes theta vanish
     everywhere: both are refused by name."""
