@@ -1,15 +1,10 @@
 """
 Stationary model problems with distributed shape derivatives.
 
-Three problems are implemented, each with state solve, adjoint solve,
-material-derivative solve, and the tensor representation of the shape
-derivative of its cost functional:
-
 * ``robin``: -div(M grad u) + Robin boundary condition
   ``M grad u . n + beta u = g``, cost J = 1/2 int |grad u|^2.
 * ``quasilinear``: -div(m(x, u) grad u) + f(x, u) = g with natural
-  boundary conditions, cost J = 1/2 int (u - u_d)^2, solved by Newton
-  with the exact quadrature-consistent Jacobian.
+  boundary conditions, cost J = 1/2 int (u - u_d)^2.
 * ``dirichlet_energy``: -lap u = f with homogeneous Dirichlet data,
   cost J = int |grad u|^2, whose adjoint is p = -2u exactly (also at the
   discrete level, which the tests verify).
@@ -18,18 +13,21 @@ One Lagrangian per problem
 --------------------------
 A problem gives only its Lagrangian density at the quadrature points: the
 cost part F(x, u, grad u) with d_u F, d_x F and d_grad u F, and the p-linear
-part, the flux matrix A(x, u) of a = A grad u with DA = d_x A, the source
-b(x, u) with d_x b and, for Robin, the boundary part b_G(x, u) = beta u - g
-with d_x b_G; a partial that is zero is None.  :class:`_EllipticProblem`
-derives from it the cost J = int F, its gradient
-B_i = int d_u F phi_i + d_grad u F . grad phi_i, and, through the kernel in
-``shape_assembly`` (whose docstring has the formulas) with T = grad p x
-grad u and p_b = p, the volume tensors S0/S1 and the material right-hand
-side L(u) psi.  The boundary part adds S0_G = p d_x b_G and
-S1_G = b_G p (I - n x n), whose pairing with Dtheta is b_G p div_G theta,
-and int_G [d_x b_G . theta + b_G div_G theta] psi to L(u) psi, with div_G
-theta the ``edge_divg`` of the theta samples.  Dirichlet energy evaluates
-its tensors at the eliminated adjoint p = -2u, so they need no adjoint solve.
+part, the flux matrix A(x, u) of a = A grad u, the source b(x, u) and, for
+Robin, the boundary part b_G(x, u) = beta u - g, with their partials in u
+(d_u A = A_u I, b_u, b_G_u) or in x (DA = d_x A, b_x, b_G_x); a partial that
+is zero is None.  :class:`_EllipticProblem` derives from it the state
+equation R(u) psi = int A grad u . grad psi + b psi + int_G b_G psi = 0
+and its Jacobian d_u R, which one Newton loop solves from u = 0; the cost
+J = int F, its gradient B_i = int d_u F phi_i + d_grad u F . grad phi_i
+and the adjoint d_u R^T p = -B; and, through the kernel in
+``shape_assembly`` (whose docstring has the formulas) with
+T = grad p x grad u and p_b = p, the volume tensors S0/S1 and the material
+right-hand side L(u) psi, with d_u R udot = -L.  The boundary part adds
+S0_G = p d_x b_G and S1_G = b_G p (I - n x n), whose pairing with Dtheta is
+b_G p div_G theta, and int_G [d_x b_G . theta + b_G div_G theta] psi to
+L(u) psi, with div_G theta the ``edge_divg`` of the theta samples.
+Dirichlet energy evaluates its tensors at p = -2u, with no adjoint solve.
 
 Everything is assembled with the same quadrature as the state equation, so
 evaluating the tensors against nodally interpolated velocities reproduces
@@ -37,6 +35,7 @@ the derivative of the transported-mesh cost exactly (up to the s^2
 finite-difference error).
 """
 
+import logging
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -48,9 +47,18 @@ from .fem_core import FeSpace, ScalarField
 from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
                              source_rate, theta_samples)
 
+log = logging.getLogger(__name__)
+
 _I2 = np.eye(2)
 _COST_PARTS = ("F", "F_u", "F_x", "F_gu")
-_PDE_PARTS = ("A", "DA", "b", "b_x", "bg", "bg_x")
+_PDE_PARTS = ("A", "A_u", "DA", "b", "b_u", "b_x", "bg", "bg_u", "bg_x")
+
+NEWTON_REL_TOL = 1e-11
+NEWTON_ABS_TOL = 1e-13
+NEWTON_MAX_ITER = 25
+# the rounding floor of |R| grows like the condition number: on the shipped
+# quasilinear data 1.6e-13 |R(0)| at refine 4, 2.5e-12 at 6, 1.0e-11 at 7
+NEWTON_FLOOR_FACTOR = 10.0
 
 
 def _parts(names, **given):
@@ -63,28 +71,97 @@ def _dot(a, b):
     return np.einsum('...i,...i->...', a, b)
 
 
-def _at_qpoints(space, C):
-    """A constant (2, 2) matrix as its values at the volume quadrature points."""
-    return np.broadcast_to(C, space.qpoints.shape[:-1] + (2, 2))
-
-
 class _EllipticProblem(ShapeProblem):
     """Shared body of the stationary problems: the density kernel.
 
-    A subclass solves its state in the constructor (setting ``space``,
-    ``u`` and the factorized operator ``_fact``) and gives its Lagrangian
-    density from the state's values ``uq`` and gradients ``gu`` at the
-    quadrature points (see the module docstring): the cost part
-    ``_cost_density(uq, gu)`` and the p-linear part ``_pde_density(uq, gu)``,
-    kept apart so that a re-solved cost evaluates only F.  With eliminated
-    Dirichlet dofs ``_bd`` and the row mask ``_keep``, ``_material`` gives
-    ell = keep L and A udot = -ell (so udot is zero on the Dirichlet dofs),
-    and A^T p = -B with zero Dirichlet rows.  The adjoint is solved on first
-    use: a rebuilt problem only solves u.
+    A subclass checks its input, hands its ``space`` to this constructor
+    and gives its density: ``_cost_density(uq, gu)`` from the state's values
+    and gradients at the quadrature points, and ``_pde_density(u, wrt)`` at
+    a field u with the partials in ``wrt`` = "u" or "x", so that a re-solved
+    cost evaluates only F and a Newton step no x-partial.  The constructor
+    runs Newton from u = 0 on J = ``jacobian(u)``, recording |R| of each
+    iterate, until |R| <= tol = max(NEWTON_REL_TOL |R(0)|, NEWTON_ABS_TOL)
+    or, no longer halving, |R| <= NEWTON_FLOOR_FACTOR tol (its rounding
+    floor); it raises NewtonError after NEWTON_MAX_ITER steps.  A
+    ``linear`` problem takes one step and keeps its factors as ``_fact``,
+    the factors of J at the state that the adjoint J^T p = -B and the
+    material J udot = -ell use.  R, ell = keep L and -B are zero in the
+    eliminated rows ``_bd`` (row mask ``_keep``).  The adjoint is solved on
+    first use: a rebuilt problem only solves u.
     """
 
+    linear = False
     _bd = np.zeros(0, dtype=np.int64)
     _keep = 1.0
+
+    def __init__(self, mesh, data, order, space):
+        super().__init__(mesh, data, order)
+        self.data = data
+        self.space = space
+        u = ScalarField(space, np.zeros(space.dof_count))
+        history = []
+        for _ in range(NEWTON_MAX_ITER):
+            R = self.residual(u)
+            history.append(float(np.sqrt(fem.dot(R, R))))
+            rn, tol = history[-1], max(NEWTON_REL_TOL * history[0], NEWTON_ABS_TOL)
+            stalled = len(history) > 1 and rn > 0.5 * history[-2]
+            if not self.linear and (rn <= tol or stalled and rn <= NEWTON_FLOOR_FACTOR * tol):
+                break
+            fact = fem.Factorized(self.jacobian(u))
+            u = ScalarField(space, u.coefficients + fact.solve(-R))
+            if self.linear:
+                self._fact = fact
+                break
+            del fact  # free these factors before the next Jacobian's
+        else:
+            raise fem.NewtonError(
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                f"(last residual {history[-1]:.3e})", history)
+        self.u, self.newton_history = u, history
+        if self.linear and log.isEnabledFor(logging.INFO):
+            R = self.residual(u)  # its last residual is not in the history
+        log.info("%s state: %d Newton step(s), |R|/|R(0)| = %.3e", self.name,
+                 len(history) - 1 + self.linear, np.sqrt(fem.dot(R, R)) / (history[0] or 1.0))
+
+    def _load(self, W=None, b=None, bg=None):
+        """int W . grad psi + b psi + int_G bg psi on the basis, a term that is
+        None left out: R(u), L(u) and B are each one such vector."""
+        vec = np.zeros(self.dof_count)
+        if W is not None:
+            vec += fem.assemble_grad_load_values(self.space, W)
+        if b is not None:
+            vec += fem.assemble_load_values(self.space, b)
+        if bg is not None:
+            vec += fem.assemble_boundary_load_values(self.space, bg)
+        return vec
+
+    def residual(self, u):
+        """R(u) on the basis (see the module docstring), 0 in the eliminated rows."""
+        e = self._pde_density(u, "u")
+        W = None  # the flux of u = 0, every cold start, is 0
+        if np.any(u.coefficients):
+            W = np.einsum('...ij,...j->...i', e.A, fem.field_qgrads(u))
+        return self._load(W, e.b, e.bg) * self._keep
+
+    def jacobian(self, u):
+        """d_u R at u; eliminated rows and columns as ``apply_dirichlet`` leaves them."""
+        space = self.space
+        e = self._pde_density(u, "u")
+        A = np.broadcast_to(e.A, space.qpoints.shape[:-1] + (2, 2))
+        J = fem.assemble_diffusion_values(space, A)
+        if e.A_u is not None:
+            J = J + fem.assemble_gradscalar_values(space, fem.field_qgrads(u), e.A_u)
+        if e.b_u is not None:
+            J = J + fem.assemble_mass_values(space, e.b_u)
+        if e.bg_u is not None:
+            J = J + fem.assemble_boundary_mass(space, e.bg_u)
+        if len(self._bd):
+            J = fem.apply_dirichlet(J, np.zeros(self.dof_count), self._bd, 0.0)[0]
+        return J.tocsr()
+
+    @cached_property
+    def _fact(self):
+        return fem.Factorized(self.jacobian(self.u))
 
     def _state_qpoints(self):
         return fem.field_qvalues(self.u), fem.field_qgrads(self.u)
@@ -106,28 +183,18 @@ class _EllipticProblem(ShapeProblem):
     def B(self):
         """B_i = dJ/du_i = int d_u F phi_i + d_grad u F . grad phi_i."""
         c = self._cost_density(*self._state_qpoints())
-        B = np.zeros(self.space.dof_count)
-        if c.F_u is not None:
-            B += fem.assemble_load_values(self.space, c.F_u)
-        if c.F_gu is not None:
-            B += fem.assemble_grad_load_values(self.space, c.F_gu)
-        return B
+        return self._load(c.F_gu, c.F_u)
 
     def _L(self, samples):
-        uq, gu = self._state_qpoints()
-        e = self._pde_density(uq, gu)
-        W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), gu)
-        vec = fem.assemble_grad_load_values(self.space, W)
-        vec += fem.assemble_load_values(self.space, source_rate(e.b, e.b_x, samples))
-        if e.bg is not None:
-            vals = e.bg * samples.edge_divg + _dot(e.bg_x, samples.edge_val)
-            vec += fem.assemble_boundary_load_values(self.space, vals)
-        return vec
+        e = self._pde_density(self.u, "x")
+        W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), fem.field_qgrads(self.u))
+        bg = None if e.bg is None else e.bg * samples.edge_divg + _dot(e.bg_x, samples.edge_val)
+        return self._load(W, source_rate(e.b, e.b_x, samples), bg)
 
     def _build_tensors(self):
         uq, gu = self._state_qpoints()
         c = self._cost_density(uq, gu)
-        e = self._pde_density(uq, gu)
+        e = self._pde_density(self.u, "x")
         p = self._tensor_adjoint()
         pv = fem.field_qvalues(p)
         T = np.einsum('...i,...j->...ij', fem.field_qgrads(p), gu)
@@ -167,40 +234,30 @@ class RobinData:
         self.g = g
 
 
-def _robin_matrix(space, data):
-    check_positive(data.beta, space.edge_qpoints)
-    return fem.assemble_diffusion_values(space, _at_qpoints(space, data.M)) \
-        + fem.assemble_boundary_mass(space, data.beta.value(space.edge_qpoints))
-
-
-def _robin_rhs(space, data):
-    return fem.assemble_load_values(space, data.f.value(space.qpoints)) \
-        + fem.assemble_boundary_load_values(space, data.g.value(space.edge_qpoints))
-
-
 class RobinProblem(_EllipticProblem):
     """The Robin problem on one mesh: F = 1/2 |grad u|^2, A = M, b = -f and
     b_G = beta u - g."""
 
     name = "robin"
+    linear = True
 
     def __init__(self, mesh, data, order=1):
-        super().__init__(mesh, data, order)
-        self.data = data
-        self.space = FeSpace(mesh, order=order)
-        self._fact = fem.Factorized(_robin_matrix(self.space, data))
-        self.u = ScalarField(self.space, self._fact.solve(_robin_rhs(self.space, data)))
+        space = FeSpace(mesh, order=order)
+        check_positive(data.beta, space.edge_qpoints)
+        super().__init__(mesh, data, order, space)
 
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=0.5 * _dot(gu, gu), F_gu=gu)
 
-    def _pde_density(self, uq, gu):
-        data, P = self.data, self.space.qpoints
-        Pe = self.space.edge_qpoints
-        ue = fem.edge_qvalues(self.u)
-        return _parts(_PDE_PARTS, A=data.M, b=-data.f.value(P), b_x=-data.f.grad(P),
-                      bg=data.beta.value(Pe) * ue - data.g.value(Pe),
-                      bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe))
+    def _pde_density(self, u, wrt):
+        data, P, Pe = self.data, self.space.qpoints, self.space.edge_qpoints
+        ue = fem.edge_qvalues(u)
+        beta = data.beta.value(Pe)
+        parts = dict(A=data.M, b=-data.f.value(P), bg=beta * ue - data.g.value(Pe))
+        if wrt == "u":
+            return _parts(_PDE_PARTS, bg_u=beta, **parts)
+        return _parts(_PDE_PARTS, b_x=-data.f.grad(P),
+                      bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), **parts)
 
 
 # =================================================================== semilinear
@@ -247,75 +304,16 @@ def check_quasilinear_bounds(data, points):
             f"quasilinear bound violated: max(m, d_r m, d_r f) = {top:.6g} > c3 = {data.c3:.6g}")
 
 
-def _ql_residual(space, data, field):
-    P = space.qpoints
-    uq = fem.field_qvalues(field)
-    gu = fem.field_qgrads(field)
-    mv = data.m.value(P, uq)
-    vec = fem.assemble_grad_load_values(space, mv[..., None] * gu)
-    vec += fem.assemble_load_values(space, data.f.value(P, uq) - data.g.value(P))
-    return vec
-
-
-def _ql_jacobian(space, data, field):
-    """Exact linearization at the current iterate (non-symmetric)."""
-    P = space.qpoints
-    uq = fem.field_qvalues(field)
-    gu = fem.field_qgrads(field)
-    mv = data.m.value(P, uq)
-    A = fem.assemble_diffusion_values(space, mv[..., None, None] * _I2)
-    A = A + fem.assemble_gradscalar_values(space, gu, data.m.dr(P, uq))
-    A = A + fem.assemble_mass_values(space, data.f.dr(P, uq))
-    return A.tocsr()
-
-
-NEWTON_REL_TOL = 1e-11
-NEWTON_ABS_TOL = 1e-13
-NEWTON_MAX_ITER = 25
-
-
-def quasilinear_solve(mesh, data, order=1):
-    """Newton iteration from u = 0 with the exact Jacobian.
-
-    Returns (u, history) where history lists the residual norms, the first
-    entry being the norm at u = 0.  Raises NewtonError if the iteration
-    does not reach ``max(NEWTON_REL_TOL * |R(0)|, NEWTON_ABS_TOL)`` in
-    ``NEWTON_MAX_ITER`` steps.
-    """
-    check_quasilinear_bounds(data, mesh.nodes)
-    space = FeSpace(mesh, order=order, quad_degree=6)
-    field = ScalarField(space, np.zeros(space.dof_count))
-    history = []
-    for _ in range(NEWTON_MAX_ITER):
-        R = _ql_residual(space, data, field)
-        rn = float(np.linalg.norm(R))
-        history.append(rn)
-        if rn <= max(NEWTON_REL_TOL * history[0], NEWTON_ABS_TOL):
-            return field, history
-        J = _ql_jacobian(space, data, field)
-        delta = fem.Factorized(J).solve(-R)
-        field = ScalarField(space, field.coefficients + delta)
-    raise fem.NewtonError(
-        f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-        f"(last residual {history[-1]:.3e})", history)
-
-
 class QuasilinearProblem(_EllipticProblem):
     """The semilinear problem on one mesh: F = 1/2 (u - u_d)^2,
-    A = m(x, u) I and b = f(x, u) - g.  The Jacobian at the solution
-    and its factorization are built on first use."""
+    A = m(x, u) I and b = f(x, u) - g, on the degree-6 rule.  The Jacobian
+    at the solution and its factorization are built on first use."""
 
     name = "quasilinear"
 
     def __init__(self, mesh, data, order=1):
-        super().__init__(mesh, data, order)
-        self.data = data
-        self.u, self.newton_history = quasilinear_solve(mesh, data, order=order)
-        self.space = self.u.space
-
-    @cached_property
-    def _fact(self):
-        return fem.Factorized(_ql_jacobian(self.space, self.data, self.u))
+        check_quasilinear_bounds(data, mesh.nodes)
+        super().__init__(mesh, data, order, FeSpace(mesh, order=order, quad_degree=6))
 
     def _cost_density(self, uq, gu):
         P = self.space.qpoints
@@ -323,12 +321,15 @@ class QuasilinearProblem(_EllipticProblem):
         return _parts(_COST_PARTS, F=0.5 * d * d, F_u=d,
                       F_x=-d[..., None] * self.data.u_d.grad(P))
 
-    def _pde_density(self, uq, gu):
+    def _pde_density(self, u, wrt):
         data, P = self.data, self.space.qpoints
-        return _parts(_PDE_PARTS, A=data.m.value(P, uq)[..., None, None] * _I2,
-                      DA=np.einsum('ij,...k->...ijk', _I2, data.m.dx(P, uq)),
-                      b=data.f.value(P, uq) - data.g.value(P),
-                      b_x=data.f.dx(P, uq) - data.g.grad(P))
+        uq = fem.field_qvalues(u)
+        parts = dict(A=data.m.value(P, uq)[..., None, None] * _I2,
+                     b=data.f.value(P, uq) - data.g.value(P))
+        if wrt == "u":
+            return _parts(_PDE_PARTS, A_u=data.m.dr(P, uq), b_u=data.f.dr(P, uq), **parts)
+        return _parts(_PDE_PARTS, DA=np.einsum('ij,...k->...ijk', _I2, data.m.dx(P, uq)),
+                      b_x=data.f.dx(P, uq) - data.g.grad(P), **parts)
 
 
 # ============================================================ Dirichlet energy
@@ -342,31 +343,25 @@ class DirichletEnergyData:
 
 class DirichletEnergyProblem(_EllipticProblem):
     """-lap u = f with homogeneous Dirichlet data: F = |grad u|^2,
-    A = I and b = -f.  K is assembled and the eliminated operator
-    factorized once, for the state and the adjoint."""
+    A = I and b = -f, with the boundary dofs eliminated."""
 
     name = "dirichlet_energy"
+    linear = True
 
     def __init__(self, mesh, data, order=1):
-        super().__init__(mesh, data, order)
-        self.data = data
-        self.space = FeSpace(mesh, order=order)
-        self._bd = self.space.boundary_dofs()
-        self._keep = np.ones(self.space.dof_count)
+        space = FeSpace(mesh, order=order)
+        self._bd = space.boundary_dofs()
+        self._keep = np.ones(space.dof_count)
         self._keep[self._bd] = 0.0
-        A2, b2 = fem.apply_dirichlet(
-            fem.assemble_diffusion_values(self.space, _at_qpoints(self.space, _I2)),
-            fem.assemble_load_values(self.space, data.f.value(self.space.qpoints)),
-            self._bd, 0.0)
-        self._fact = fem.Factorized(A2)
-        self.u = ScalarField(self.space, self._fact.solve(b2))
+        super().__init__(mesh, data, order, space)
 
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=_dot(gu, gu), F_gu=2.0 * gu)
 
-    def _pde_density(self, uq, gu):
+    def _pde_density(self, u, wrt):
         P = self.space.qpoints
-        return _parts(_PDE_PARTS, A=_I2, b=-self.data.f.value(P), b_x=-self.data.f.grad(P))
+        b_x = -self.data.f.grad(P) if wrt == "x" else None
+        return _parts(_PDE_PARTS, A=_I2, b=-self.data.f.value(P), b_x=b_x)
 
     def _tensor_adjoint(self):
         # eliminated: on the free dofs A^T p = -2 K u = -2 A u, so p = -2u

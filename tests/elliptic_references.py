@@ -1,7 +1,9 @@
-"""Hand-derived transported integrands of the stationary problems.
+"""Hand-derived transported integrands and state equations of the
+stationary problems.
 
-Each problem's shape tensors, material right-hand side L(u) and cost were
-once derived by hand, term by term, from its transported Lagrangian.  The
+Each problem's shape tensors, material right-hand side L(u), cost and state
+equation were once derived by hand, term by term: the Robin matrix and
+right-hand side, the quasilinear residual and its Newton Jacobian.  The
 package now derives all of them from one Lagrangian density per problem
 (see ``shapegrad.elliptic_problems``); these independent derivations stay
 here as the reference the density kernel is checked against, together with
@@ -22,6 +24,44 @@ def _outer(a, b):
 
 def _dot(a, b):
     return np.einsum('...i,...i->...', a, b)
+
+
+def robin_matrix(space, data):
+    """A = int M grad phi_j . grad phi_i + int_G beta phi_i phi_j."""
+    M = np.broadcast_to(data.M, space.qpoints.shape[:-1] + (2, 2))
+    return fem.assemble_diffusion_values(space, M) \
+        + fem.assemble_boundary_mass(space, data.beta.value(space.edge_qpoints))
+
+
+def robin_rhs(space, data):
+    """b = int f phi_i + int_G g phi_i, with A u = b the Robin state."""
+    return fem.assemble_load_values(space, data.f.value(space.qpoints)) \
+        + fem.assemble_boundary_load_values(space, data.g.value(space.edge_qpoints))
+
+
+def quasilinear_residual(space, data, field):
+    """R(u) psi = int m(x, u) grad u . grad psi + (f(x, u) - g) psi."""
+    P = space.qpoints
+    uq = fem.field_qvalues(field)
+    gu = fem.field_qgrads(field)
+    mv = data.m.value(P, uq)
+    vec = fem.assemble_grad_load_values(space, mv[..., None] * gu)
+    vec += fem.assemble_load_values(space, data.f.value(P, uq) - data.g.value(P))
+    return vec
+
+
+def quasilinear_jacobian(space, data, field):
+    """The exact linearization of ``quasilinear_residual`` (non-symmetric):
+    int m grad phi_j . grad phi_i + d_r m phi_j grad u . grad phi_i
+    + d_r f phi_j phi_i."""
+    P = space.qpoints
+    uq = fem.field_qvalues(field)
+    gu = fem.field_qgrads(field)
+    mv = data.m.value(P, uq)
+    A = fem.assemble_diffusion_values(space, mv[..., None, None] * _I2)
+    A = A + fem.assemble_gradscalar_values(space, gu, data.m.dr(P, uq))
+    A = A + fem.assemble_mass_values(space, data.f.dr(P, uq))
+    return A.tocsr()
 
 
 def robin_cost_and_gradient(u):

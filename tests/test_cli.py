@@ -287,6 +287,44 @@ def test_derive_theta_outside_assumptions_exits_2(tmp_path, capsys, theta, key):
     assert err.startswith("config error: [theta] ") and key in err, err
 
 
+AREA_CFG = """
+[run]
+problem = area
+
+[mesh]
+kind = disk
+refine = 2
+
+[theta]
+field = bump 1.0 0.4 5.0 5.0 0.3
+"""
+
+
+@pytest.mark.parametrize("command", ["derive", "validate"])
+@pytest.mark.parametrize("problem", ["area", "robin"])
+def test_theta_zero_on_the_mesh_exits_2(tmp_path, capsys, command, problem):
+    """A bump centred at (5, 5) with radius 0.3 is zero on the unit disk:
+    its checks would pass vacuously (dJ = 0, no order), so it is refused."""
+    cfg = AREA_CFG if problem == "area" else ROBIN_CFG.replace("refine = 4", "refine = 2") \
+        .replace("field = bump 1.0 0.4 0.2 -0.1 0.8", "field = bump 1.0 0.4 5.0 5.0 0.3")
+    path = _cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [theta] field 'bump' is zero on the whole mesh"), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["derive", "validate"])
+def test_affine_theta_on_area_is_not_vacuous(tmp_path, command):
+    """An affine theta moves the domain; its FD quotients are exact, so the
+    order check is machine-exact, and the run passes."""
+    cfg = AREA_CFG.replace("field = bump 1.0 0.4 5.0 5.0 0.3",
+                           "field = linear 0.3 -0.2 0.1 -0.4 0.05 0.1")
+    path = _cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_derive_area_gate(tmp_path):
     cfg = """
 [run]

@@ -1,6 +1,9 @@
-"""Oracles for the three stationary problems: exact states, transpose
-identities, Newton behavior, duality pairings, and finite-difference checks
-against costs recomputed on transported meshes."""
+"""Oracles for the three stationary problems: exact states, the state
+equation against its hand derivation and its own finite differences,
+transpose identities, Newton behavior, duality pairings, and
+finite-difference checks against costs recomputed on transported meshes."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -13,10 +16,8 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
                                          QuasilinearData, QuasilinearProblem,
                                          RobinData, RobinProblem,
                                          check_quasilinear_bounds,
-                                         dirichlet_energy_boundary_dJ,
-                                         quasilinear_solve, _robin_matrix,
-                                         _ql_jacobian)
-from shapegrad.fem_core import FeSpace, ScalarField
+                                         dirichlet_energy_boundary_dJ)
+from shapegrad.fem_core import ScalarField
 from shapegrad.flow import transport_mesh
 from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.shape_assembly import theta_samples
@@ -103,8 +104,8 @@ def test_robin_matrix_symmetry(disk4):
     data = RobinData(M=np.array([[2.0, 0.3], [0.3, 1.0]]),
                      beta=parse_scalar("linear 1.5 0.2 0.1"),
                      f=_const(1.0), g=_const(0.5))
-    space = FeSpace(disk4, order=1)
-    A = _robin_matrix(space, data)
+    problem = RobinProblem(disk4, data)
+    A = problem.jacobian(problem.u)
     assert abs(A - A.T).max() <= 1e-12
 
 
@@ -158,7 +159,8 @@ def test_quasilinear_reduces_to_linear(disk4):
                            f=parse_rfunction("affine_r 1 0"),
                            g=parse_scalar("sine2 1 1 1"),
                            u_d=_const(0.0), c2=0.0)
-    u, history = quasilinear_solve(disk4, data)
+    problem = QuasilinearProblem(disk4, data)
+    u, history = problem.u, problem.newton_history
     space = u.space
     P = space.qpoints
     C = np.broadcast_to(2.0 * np.eye(2), P.shape[:-1] + (2, 2))
@@ -182,7 +184,7 @@ def test_quasilinear_newton_quadratic(disk4):
 def test_quasilinear_newton_failure(disk4, monkeypatch):
     monkeypatch.setattr(elliptic_problems, "NEWTON_MAX_ITER", 1)
     with pytest.raises(fem.NewtonError) as err:
-        quasilinear_solve(disk4, _ql_data())
+        QuasilinearProblem(disk4, _ql_data())
     assert len(err.value.history) == 1
 
 
@@ -208,7 +210,7 @@ def test_quasilinear_bound_violations(disk4):
 def test_quasilinear_jacobian_transpose_adjoint(disk4):
     data = _ql_data()
     problem = QuasilinearProblem(disk4, data)
-    A = _ql_jacobian(problem.space, data, problem.u)
+    A = problem.jacobian(problem.u)
     assert abs(A - A.T).max() > 1e-8  # genuinely non-symmetric linearization
     B = refs.quasilinear_cost_gradient_vector(data, problem.u)
     res = A.T @ problem.p.coefficients + B
@@ -423,3 +425,134 @@ def test_density_kernel_matches_hand_derivation(case, order, disk3):
     for theta in (bump_theta(), catalog_thetas()[1], catalog_thetas()[4]):
         samples = theta_samples(problem.space, theta, "interpolated")
         assert _rel(problem._L(samples), L_vector(samples)) <= 1e-13
+
+
+# ============================================== state equation from the density
+
+def _same_bits(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+def _same_matrix(A, B):
+    A, B = A.tocsr(), B.tocsr()
+    return all(_same_bits(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
+
+
+def _field(space, seed):
+    """A smooth nonzero field, plus a small random part."""
+    x = space.dof_coords
+    rng = np.random.default_rng(seed)
+    return ScalarField(space, 1.0 + np.sin(2.0 * x[:, 0]) * x[:, 1]
+                       + 0.1 * rng.standard_normal(space.dof_count))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_robin_state_equation_is_the_hand_derived_system(disk3, order):
+    """-R(0) and d_u R from the density are, bit for bit, the Robin
+    right-hand side and matrix; R(u) = A u - b to rounding."""
+    problem = _robin_varying(disk3, order)[0]
+    space, data = problem.space, problem.data
+    zero = ScalarField(space, np.zeros(space.dof_count))
+    rhs = refs.robin_rhs(space, data)
+    A = refs.robin_matrix(space, data)
+    assert _same_bits(-problem.residual(zero), rhs)
+    assert _same_matrix(problem.jacobian(zero), A)
+    assert _same_matrix(problem.jacobian(problem.u), A)
+    assert _same_bits(problem.u.coefficients, fem.Factorized(A).solve(rhs))
+    u = _field(space, 1)
+    assert _rel(problem.residual(u), A @ u.coefficients - rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_quasilinear_state_equation_is_the_hand_derived_system(disk3, order):
+    """R(u) and d_u R from the density are, bit for bit, the quasilinear
+    residual and Newton Jacobian, at 0, at a smooth field and at the state."""
+    problem = _quasilinear_varying(disk3, order)[0]
+    space, data = problem.space, problem.data
+    for u in (ScalarField(space, np.zeros(space.dof_count)), _field(space, 2), problem.u):
+        assert _same_bits(problem.residual(u), refs.quasilinear_residual(space, data, u))
+        assert _same_matrix(problem.jacobian(u), refs.quasilinear_jacobian(space, data, u))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_dirichlet_state_equation_is_the_eliminated_system(disk3, order):
+    """d_u R and -R(0) are, bit for bit, the stiffness matrix and load with
+    the boundary dofs eliminated by ``apply_dirichlet``; R(u) is zero in the
+    eliminated rows."""
+    problem = _dirichlet_varying(disk3, order)[0]
+    space, data = problem.space, problem.data
+    bd = space.boundary_dofs()
+    eye = np.broadcast_to(np.eye(2), space.qpoints.shape[:-1] + (2, 2))
+    K = fem.assemble_diffusion_values(space, eye)
+    A2, b2 = fem.apply_dirichlet(K, fem.assemble_load_values(space, data.f.value(space.qpoints)),
+                                 bd, 0.0)
+    zero = ScalarField(space, np.zeros(space.dof_count))
+    assert _same_matrix(problem.jacobian(zero), A2)
+    assert np.array_equal(-problem.residual(zero), b2)
+    assert _same_bits(problem.u.coefficients, fem.Factorized(A2).solve(b2))
+    u = _field(space, 3)
+    R = problem.residual(u)
+    assert np.all(R[bd] == 0.0)
+    free = np.setdiff1d(np.arange(space.dof_count), bd)
+    assert _rel(R[free], (K @ u.coefficients - fem.assemble_load_values(
+        space, data.f.value(space.qpoints)))[free]) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", [_robin_varying, _quasilinear_varying, _dirichlet_varying])
+def test_jacobian_is_the_derivative_of_the_residual(case, order, disk3):
+    """d_u R(u) d against the central difference of R along a random d that
+    vanishes on the eliminated dofs, at u = 0 and at the solved state."""
+    problem = case(disk3, order)[0]
+    space = problem.space
+    d = np.random.default_rng(4).standard_normal(space.dof_count)
+    d[problem._bd] = 0.0
+    h = 1e-5
+    for u in (np.zeros(space.dof_count), problem.u.coefficients):
+        Jd = problem.jacobian(ScalarField(space, u)) @ d
+        fd = (problem.residual(ScalarField(space, u + h * d))
+              - problem.residual(ScalarField(space, u - h * d))) / (2.0 * h)
+        assert _rel(fd, Jd) <= 1e-7
+
+
+def test_linear_problems_take_one_newton_step(disk3):
+    """The state of a linear problem is one step from 0, whose
+    factorization is the one the adjoint and material solves use."""
+    for case in (_robin_varying, _dirichlet_varying):
+        problem = case(disk3, 1)[0]
+        assert problem.linear
+        assert len(problem.newton_history) == 1
+        assert "_fact" in vars(problem)
+    assert not QuasilinearProblem.linear
+
+
+def test_quasilinear_newton_stops_at_the_rounding_floor(disk4, monkeypatch):
+    """With the tolerance just under the residual's rounding floor (about
+    1.6e-13 |R(0)| at refine 4), Newton stops once |R| is within
+    NEWTON_FLOOR_FACTOR of it and no longer halves; far under the floor it
+    still raises NewtonError."""
+    monkeypatch.setattr(elliptic_problems, "NEWTON_REL_TOL", 1e-13)
+    monkeypatch.setattr(elliptic_problems, "NEWTON_ABS_TOL", 1e-20)
+    hist = QuasilinearProblem(disk4, _ql_data()).newton_history
+    assert len(hist) - 1 <= 5
+    assert 1e-13 * hist[0] < hist[-1] <= 1e-12 * hist[0]
+    assert hist[-1] > 0.5 * hist[-2]
+    monkeypatch.setattr(elliptic_problems, "NEWTON_REL_TOL", 1e-15)
+    with pytest.raises(fem.NewtonError) as err:
+        QuasilinearProblem(disk4, _ql_data())
+    assert len(err.value.history) == elliptic_problems.NEWTON_MAX_ITER
+
+
+def test_state_solve_logs_one_line(disk3, caplog):
+    """SHAPEGRAD_LOG=info: one line per state solve, with the step count and
+    the final |R|/|R(0)|."""
+    caplog.set_level(logging.INFO, logger="shapegrad")
+    problem = QuasilinearProblem(disk3, _ql_data())
+    RobinProblem(disk3, _robin_data_nontrivial())
+    lines = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
+    hist = problem.newton_history
+    assert lines == [
+        f"quasilinear state: {len(hist) - 1} Newton step(s), |R|/|R(0)| = "
+        f"{hist[-1] / hist[0]:.3e}", lines[1]]
+    assert lines[1].startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
+    assert float(lines[1].rsplit("= ", 1)[1]) <= 1e-11

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from shapegrad import fem_core as fem
-from shapegrad.data_catalog import parse_rfunction, time_matrix
-from shapegrad.elliptic_problems import QuasilinearData, _ql_jacobian
+from shapegrad.data_catalog import parse_rfunction, parse_scalar, time_matrix
+from shapegrad.elliptic_problems import QuasilinearData, QuasilinearProblem
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
 # frozen by hand: P1 stiffness of the reference triangle (0,0),(1,0),(0,1)
@@ -265,10 +265,11 @@ def test_factorized_numbering_invariant():
 
 def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
     data = QuasilinearData(m=parse_rfunction("saturating"), f=parse_rfunction("affine_r 1 0.1"),
-                           g=None, u_d=None)
-    space = fem.FeSpace(disk4, order=1)
+                           g=parse_scalar("const 2"), u_d=parse_scalar("const 0"))
+    problem = QuasilinearProblem(disk4, data)
+    space = problem.space
     u = space.interpolate(lambda P: 1.0 + np.sin(2.0 * P[..., 0]) * P[..., 1])
-    J = _ql_jacobian(space, data, u)
+    J = problem.jacobian(u)
     assert abs(J - J.T).max() > 1e-8
     b = fem.assemble_load_values(space, 1.0 + space.qpoints[..., 0])
     JT = J.T.tocsr()

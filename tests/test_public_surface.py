@@ -32,7 +32,7 @@ TEST_ONLY_MEMBERS = {
     "fem_core.Factorized.ordering": "solver statistics, for the observability item",
     "fem_core.Factorized.fill": "solver statistics, for the observability item",
     "fem_core.NewtonError.history": "the payload of the exception, for its catcher",
-    "elliptic_problems.QuasilinearProblem.newton_history":
+    "elliptic_problems._EllipticProblem.newton_history":
         "the Newton history, to be reported with the observability item",
     "mesh.Mesh.areas": "per-element areas, which the transport-lemma tests read",
 }
