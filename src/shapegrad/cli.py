@@ -28,7 +28,7 @@ from .parabolic_problem import ParabolicData, ParabolicProblem
 from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
                       fd_table_json, mesh_hash, save_field, taylor_csv_rows,
                       taylor_table_json, write_csv, write_json)
-from .shape_assembly import ManufacturedProblem, theta_samples
+from .shape_assembly import ManufacturedProblem
 from .validation import (AreaProblem, duality_check, fd_shape_check,
                          fd_transport_check, material_taylor_check, step_sizes)
 
@@ -358,7 +358,7 @@ def cmd_check(args):
     timings = {"build": time.perf_counter() - t0}
     theta = build_theta(cfg, required=True)
     # a theta whose every sample is zero would pass every check with dJ = 0
-    if not any(map(np.any, vars(theta_samples(problem.space, theta, problem.theta_mode)).values())):
+    if not any(map(np.any, vars(problem.samples(theta)).values())):
         raise ConfigError(f"[theta] field {theta.name!r} is zero on the whole mesh")
     out = _outdir(args, cfg)
     derive = args.command == "derive"

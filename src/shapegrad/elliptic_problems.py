@@ -45,7 +45,7 @@ from . import fem_core as fem
 from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
 from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
-                             source_rate, theta_samples)
+                             source_rate)
 
 log = logging.getLogger(__name__)
 
@@ -85,9 +85,16 @@ class _EllipticProblem(ShapeProblem):
     floor); it raises NewtonError after NEWTON_MAX_ITER steps.  A
     ``linear`` problem takes one step and keeps its factors as ``_fact``,
     the factors of J at the state that the adjoint J^T p = -B and the
-    material J udot = -ell use.  R, ell = keep L and -B are zero in the
-    eliminated rows ``_bd`` (row mask ``_keep``).  The adjoint is solved on
-    first use: a rebuilt problem only solves u.
+    material J udot = -ell use, and |J u + R(0)| of that direct solve as
+    ``_state_residual``.  R, ell = keep L and -B are zero in the eliminated
+    rows ``_bd`` (row mask ``_keep``).  The adjoint is solved on first use:
+    a rebuilt problem only solves u.  A linear problem rebuilt on a mesh of
+    its reference's topology (``ShapeProblem.rebuilt``) factorizes nothing
+    for that: its one step is ``Factorized.pcg`` on its own J with the
+    reference's factors, where a start as good as the reference's own
+    ``_state_residual`` takes no CG step (the right-hand side of a zero
+    theta keeps the reference's bits).  Only if CG does not stop in
+    ``PCG_MAX_ITER`` iterations does it factorize J, as the reference did.
     """
 
     linear = False
@@ -98,8 +105,11 @@ class _EllipticProblem(ShapeProblem):
         super().__init__(mesh, data, order)
         self.data = data
         self.space = space
+        reference = self.__dict__.get("_reference")
+        if not self.linear or reference is None or reference.mesh.topology is not mesh.topology:
+            reference = None
         u = ScalarField(space, np.zeros(space.dof_count))
-        history = []
+        history, cg = [], ""
         for _ in range(NEWTON_MAX_ITER):
             R = self.residual(u)
             history.append(float(np.sqrt(fem.dot(R, R))))
@@ -107,12 +117,19 @@ class _EllipticProblem(ShapeProblem):
             stalled = len(history) > 1 and rn > 0.5 * history[-2]
             if not self.linear and (rn <= tol or stalled and rn <= NEWTON_FLOOR_FACTOR * tol):
                 break
-            fact = fem.Factorized(self.jacobian(u))
-            u = ScalarField(space, u.coefficients + fact.solve(-R))
+            J = self.jacobian(u)
+            step = None
+            if reference is not None:
+                step, cg = self._pcg_step(J, -R, reference)
+            if step is None:
+                fact = fem.Factorized(J)
+                step = fact.solve(-R)
+                if self.linear:
+                    self._fact, self._state_residual = fact, fact.residual
+                del fact  # free these factors before the next Jacobian's
+            u = ScalarField(space, u.coefficients + step)
             if self.linear:
-                self._fact = fact
                 break
-            del fact  # free these factors before the next Jacobian's
         else:
             raise fem.NewtonError(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
@@ -120,8 +137,20 @@ class _EllipticProblem(ShapeProblem):
         self.u, self.newton_history = u, history
         if self.linear and log.isEnabledFor(logging.INFO):
             R = self.residual(u)  # its last residual is not in the history
-        log.info("%s state: %d Newton step(s), |R|/|R(0)| = %.3e", self.name,
-                 len(history) - 1 + self.linear, np.sqrt(fem.dot(R, R)) / (history[0] or 1.0))
+        log.info("%s state: %d Newton step(s), |R|/|R(0)| = %.3e%s", self.name,
+                 len(history) - 1 + self.linear, np.sqrt(fem.dot(R, R)) / (history[0] or 1.0), cg)
+
+    @staticmethod
+    def _pcg_step(J, b, reference):
+        """(J^-1 b or None, log note): ``Factorized.pcg`` on the reference's
+        factors with the reference's own ``_state_residual`` as the floor;
+        None if CG did not stop."""
+        x, iterations, rn = reference._fact.pcg(J, b, reference._state_residual)
+        bn = np.sqrt(fem.dot(b, b)) or 1.0
+        return x, (f"; CG on the reference factors: {iterations} iteration(s), "
+                   f"|r|/|b| = {rn / bn:.3e}, reference |r|/|b| = "
+                   f"{reference._state_residual / bn:.3e}"
+                   + ("" if x is not None else ", did not stop: factorized directly"))
 
     def _load(self, W=None, b=None, bg=None):
         """int W . grad psi + b psi + int_G bg psi on the basis, a term that is
@@ -209,7 +238,7 @@ class _EllipticProblem(ShapeProblem):
                             S1_gamma=(e.bg * pe)[..., None, None] * tangential)
 
     def _material(self, theta):
-        ell = self._L(theta_samples(self.space, theta, "interpolated")) * self._keep
+        ell = self._L(self.samples(theta)) * self._keep
         return ScalarField(self.space, self._fact.solve(-ell)), ell
 
 

@@ -54,7 +54,7 @@ from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors,
                              assemble_dJ, flux_rate, lagrangian_tensors,
-                             source_rate, theta_samples)
+                             source_rate)
 
 
 def _dot(a, b):
@@ -182,7 +182,7 @@ def parabolic_material(problem, theta):
     R and bdot, so one rate matrix and one load rate serve every step.
     """
     space, data = problem.space, problem.data
-    samples = theta_samples(space, theta, "interpolated")
+    samples = problem.samples(theta)
     A, DA, b, b_x = _spatial_density(data, space.qpoints)
     K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
     Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
@@ -394,7 +394,7 @@ class ParabolicProblem(ShapeProblem):
         """Tensor evaluation plus the dt- and initial-condition pairings, as one
         breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
         ptensors = self.tensors()
-        samples = theta_samples(self.space, theta, self.theta_mode)
+        samples = self.samples(theta)
         terms = dict(assemble_dJ(ptensors.tensors, samples).terms)
         terms["dt_pairing"] = float(np.sum(self.space.qweights * ptensors.dt_density
                                            * samples.vol_div))

@@ -55,13 +55,14 @@ and the Lagrangian of Sturm, SIAM J. Control Optim. 53(4), 2015.
 """
 
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import fem_core as fem
 from . import tensor_calc as tc
 from .fem_core import FeSpace
-from .flow import advect_batch
+from .flow import advect_batch, transport_mesh
 
 
 class ThetaSamples:
@@ -236,9 +237,14 @@ class ShapeProblem:
     and ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
-    every problem (both sides are -<A udot, p>).  ``material`` and
-    ``duality_pair`` share one ``_material`` solve per theta: the last
-    theta's (udot, ell) is kept, keyed by the theta object.
+    every problem (both sides are -<A udot, p>).
+
+    What a problem computes from a theta it computes once, for the last
+    theta object seen (another object, equal or not, starts afresh): the
+    ``samples`` that ``breakdown``, the material right-hand side and the
+    CLI read, the one ``_material`` solve that ``material`` and
+    ``duality_pair`` share, and the transported re-solves of ``resolved``,
+    which the FD and Taylor checks share.
 
     Capability flags name the oracles a problem supports: ``fd_cost`` is
     ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
@@ -259,8 +265,16 @@ class ShapeProblem:
         self.params = params
 
     def rebuilt(self, mesh_s):
-        """The same problem, with the same data and order, on ``mesh_s``."""
-        return type(self)(mesh_s, *self.params)
+        """The same problem, with the same data and order, on ``mesh_s``.
+
+        The new problem holds this one (or, if this one is itself rebuilt,
+        its reference) as ``_reference`` from before its constructor runs,
+        so that a linear state solve can reuse the reference's factors.
+        """
+        new = type(self).__new__(type(self))
+        new._reference = self.__dict__.get("_reference", self)
+        new.__init__(mesh_s, *self.params)
+        return new
 
     @property
     def dof_count(self):
@@ -273,18 +287,33 @@ class ShapeProblem:
     def tensors(self):
         return self._tensors
 
+    def _memo(self, theta):
+        """The per-theta memo of the last theta object seen."""
+        memo = self.__dict__.get("_theta_memo")
+        if memo is None or memo.theta is not theta:
+            memo = self._theta_memo = SimpleNamespace(theta=theta, samples=None,
+                                                      material=None, resolved={})
+        return memo
+
+    def samples(self, theta):
+        """``theta_samples`` of theta on ``space`` in ``theta_mode``, once per theta."""
+        memo = self._memo(theta)
+        if memo.samples is None:
+            memo.samples = theta_samples(self.space, theta, self.theta_mode)
+        return memo.samples
+
     def breakdown(self, theta):
-        return assemble_dJ(self.tensors(), theta_samples(self.space, theta, self.theta_mode))
+        return assemble_dJ(self.tensors(), self.samples(theta))
 
     def derivative(self, theta):
         return self.breakdown(theta).total
 
     def _material_of(self, theta):
-        """``_material(theta)``, solved once for the last theta seen."""
-        memo = self.__dict__.get("_material_memo")
-        if memo is None or memo[0] is not theta:
-            memo = self._material_memo = (theta, self._material(theta))
-        return memo[1]
+        """``_material(theta)``, solved once per theta."""
+        memo = self._memo(theta)
+        if memo.material is None:
+            memo.material = self._material(theta)
+        return memo.material
 
     def material(self, theta):
         """The material derivative udot of the state: A udot = -ell."""
@@ -295,6 +324,25 @@ class ShapeProblem:
         udot, ell = self._material_of(theta)
         return (fem.dot(np.ravel(ell), self.p.coefficients),
                 fem.dot(np.ravel(self.B), udot.coefficients))
+
+    def resolved(self, theta, s, steps=32, state=False):
+        """(cost, state coefficients) of the problem rebuilt on
+        ``transport_mesh(theta, s, mesh, steps)``, solved once per
+        (theta, s, steps).  The memo keeps no problem or space, only the
+        cost and the state coefficients of the rows a Taylor check reads:
+        those that ``state`` asks for, and, when the state is one vector,
+        every s > 0 row, so that an FD check solves them for the Taylor
+        check too; otherwise the state is None, and a row asked for its
+        state later is solved again.  A degenerate transport raises
+        ``FlowDegeneracyError`` each time and is not kept."""
+        rows, key = self._memo(theta).resolved, (float(s), int(steps))
+        row = rows.get(key)
+        if row is None or state and row[1] is None:
+            problem = self.rebuilt(transport_mesh(theta, s, self.mesh, steps=steps))
+            u = problem.u.coefficients if self.has_state else None
+            keep = u is not None and (state or s > 0 and u.size == self.dof_count)
+            row = rows[key] = (problem.cost(), u if keep else None)
+        return row
 
     def state_norm(self, vec):
         return fem.l2_norm(self.space, vec)

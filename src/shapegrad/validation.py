@@ -5,14 +5,17 @@ Everything here checks an assembled shape derivative against quantities a
 skeptic can compute without trusting the assembly: finite-difference
 quotients of costs re-solved on transported meshes, Taylor remainders of
 pulled-back states, and the discrete duality pairing.  Reductions are
-deterministic (fixed element order, direct solver), so identical inputs
-reproduce tables bit for bit.
+deterministic (fixed element order; direct solves on the reference mesh,
+and on a transported mesh a direct solve or, for a linear stationary
+problem, conjugate gradients with a fixed stop on the reference's
+factors), so identical inputs reproduce tables bit for bit.  One re-solve
+serves every check that needs the same (theta, s, steps) row.
 """
 
 import numpy as np
 
 from .fem_core import FeSpace
-from .flow import FlowDegeneracyError, transport_mesh
+from .flow import FlowDegeneracyError
 from .shape_assembly import (ShapeProblem, ShapeTensors, cost_transport_derivative,
                              cost_transport_value)
 
@@ -165,13 +168,15 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
 def fd_shape_check(problem, theta, s_list, steps=32):
     """Transport the mesh by +-s, re-solve, and difference the costs.
 
-    A transport that inverts a triangle flags the row instead of failing
-    the whole study.  The table also carries a Neville extrapolation of
-    the clean central quotients to s = 0 (exact for quotients smooth in
-    s, which the interpolation-consistent assembly guarantees).
+    The re-solves are the problem's ``resolved`` rows, which a Taylor check
+    of the same theta and steps shares.  A transport that inverts a
+    triangle flags the row instead of failing the whole study.  The table
+    also carries a Neville extrapolation of the clean central quotients to
+    s = 0 (exact for quotients smooth in s, which the
+    interpolation-consistent assembly guarantees).
     """
     def evaluate(s):
-        return problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).cost()
+        return problem.resolved(theta, s, steps)[0]
 
     meta = {"problem": problem.name, "theta": theta.name,
             "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count,
@@ -219,7 +224,8 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     """Taylor remainder of the pulled-back state against s * udot.
 
     The pullback is the node correspondence of the transported mesh: dof k
-    of the transported solve is compared at dof k of the reference mesh.
+    of the transported solve (a ``resolved`` row, shared with an FD check of
+    the same theta and steps) is compared at dof k of the reference mesh.
     """
     s_list = step_sizes(s_list)
     u0 = problem.u.coefficients
@@ -227,7 +233,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     rows = []
     for s in s_list:
         try:
-            us = problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).u.coefficients
+            us = problem.resolved(theta, s, steps, state=True)[1]
         except FlowDegeneracyError as exc:
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue

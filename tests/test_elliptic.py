@@ -556,3 +556,70 @@ def test_state_solve_logs_one_line(disk3, caplog):
         f"{hist[-1] / hist[0]:.3e}", lines[1]]
     assert lines[1].startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
     assert float(lines[1].rsplit("= ", 1)[1]) <= 1e-11
+
+
+# ====================================================== re-solves by CG
+
+def _count_factorizations(monkeypatch):
+    factored = []
+    init = fem.Factorized.__init__
+
+    def counting_init(self, A):
+        factored.append(A.shape[0])
+        init(self, A)
+
+    monkeypatch.setattr(fem.Factorized, "__init__", counting_init)
+    return factored
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", [_robin_varying, _dirichlet_varying])
+def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypatch):
+    """A linear problem rebuilt on a transported mesh factorizes nothing: CG
+    on the reference's factors gives the cost and the state of a direct
+    solve on that mesh to 1e-12 relative, up to the largest Taylor step."""
+    problem = case(disk3, order)[0]
+    theta = bump_theta()
+    for s in (0.16, 0.01, -0.04):
+        mesh_s = transport_mesh(theta, s, disk3)
+        direct = type(problem)(mesh_s, problem.data, order)
+        factored = _count_factorizations(monkeypatch)
+        resolved = problem.rebuilt(mesh_s)
+        monkeypatch.undo()
+        assert factored == [] and "_fact" not in vars(resolved)
+        assert abs(resolved.cost() - direct.cost()) <= 1e-12 * abs(direct.cost())
+        assert _rel(resolved.u.coefficients, direct.u.coefficients) <= 1e-12
+
+
+def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, caplog):
+    """A re-solve whose CG does not stop within PCG_MAX_ITER iterations (here
+    0) factorizes its own matrix, as a direct solve does, with its bits, and
+    says so on its state line; it does not raise."""
+    problem = _robin_varying(disk3, 1)[0]
+    mesh_s = transport_mesh(bump_theta(), 0.04, disk3)
+    direct = RobinProblem(mesh_s, problem.data)
+    monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
+    caplog.set_level(logging.INFO, logger="shapegrad")
+    factored = _count_factorizations(monkeypatch)
+    resolved = problem.rebuilt(mesh_s)
+    assert factored == [problem.dof_count]
+    assert _same_bits(resolved.u.coefficients, direct.u.coefficients)
+    assert resolved.cost() == direct.cost()
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
+    assert "; CG on the reference factors: 0 iteration(s), " in line
+    assert line.endswith(", did not stop: factorized directly")
+
+
+def test_resolve_logs_its_cg_statistics(disk3, caplog):
+    """SHAPEGRAD_LOG=info: a re-solve's one state line adds the CG iteration
+    count, the final |r|/|b| and the reference's own |r|/|b|, the stop."""
+    problem = RobinProblem(disk3, _robin_data_nontrivial())
+    caplog.set_level(logging.INFO, logger="shapegrad")
+    problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
+    head, cg = line.split("; CG on the reference factors: ")
+    assert head.startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
+    iterations, rest = cg.split(" iteration(s), |r|/|b| = ")
+    rel, ref = (float(x) for x in rest.split(", reference |r|/|b| = "))
+    assert int(iterations) >= 1
+    assert rel <= max(fem.PCG_REL_TOL, ref) and ref <= 1e-11

@@ -1,9 +1,9 @@
 """The problem protocol, for every problem the CLI knows: each is built
 from its shipped config at a tiny size, re-solving is the same problem on
-new nodes, a re-solve does only the state solve's factorizations and solves,
-the capability flags are exactly the checks the CLI writes, and the one
-duality pair of the protocol is each stateful problem's pair as first
-written."""
+new nodes, a re-solve does only the state solve's factorizations and solves
+(a linear one none: it runs CG on the reference's factors), the capability
+flags are exactly the checks the CLI writes, and the one duality pair of
+the protocol is each stateful problem's pair as first written."""
 
 import configparser
 import glob
@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from shapegrad import cli, fem_core
+from shapegrad import cli, fem_core, shape_assembly
 from shapegrad.flow import transport_mesh
 
 import elliptic_references
@@ -23,8 +23,12 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "config
 # config keys that set the problem size, and their values at the tiny size
 TINY = {("mesh", "refine"): "2", ("mesh", "nx"): "6", ("mesh", "ny"): "6",
         ("data", "nt"): "4"}
-# (factorizations, solves) of one state solve of the linear problems
-STATE_SOLVES = {"robin": (1, 1), "dirichlet_energy": (1, 1), "area": (0, 0)}
+# (factorizations, checked solves, at most this many triangular solve pairs)
+# of one re-solve of the linear problems at s = 0.01: CG on the reference's
+# factors, which factorizes and check-solves nothing, and applies them for
+# its start LU^-1 b and once per iteration (6 iterations here, 7 on the
+# refine-6 disk)
+STATE_SOLVES = {"robin": (0, 0, 10), "dirichlet_energy": (0, 0, 10), "area": (0, 0, 0)}
 
 
 def _tiny_config(tmp_path, name):
@@ -45,25 +49,26 @@ def _tiny_config(tmp_path, name):
 
 
 def _count_solves(monkeypatch):
-    """Count ``Factorized`` constructions and solves, transposed ones
-    included, from here on."""
-    counts = {"factor": 0, "solve": 0}
+    """Count ``Factorized`` constructions, checked solves (transposed ones
+    included) and triangular solve pairs (each checked solve's one and each
+    preconditioner application) from here on."""
+    counts = {"factor": 0, "solve": 0, "apply": 0}
     init = fem_core.Factorized.__init__
 
     def counting_init(self, A):
         counts["factor"] += 1
         init(self, A)
 
-    def counting(solve):
-        def counting_solve(self, b):
-            counts["solve"] += 1
-            return solve(self, b)
+    def counting(key, solve):
+        def counting_solve(self, *args):
+            counts[key] += 1
+            return solve(self, *args)
         return counting_solve
 
     monkeypatch.setattr(fem_core.Factorized, "__init__", counting_init)
-    for name in ("solve", "solve_transposed"):
+    for key, name in (("solve", "solve"), ("solve", "solve_transposed"), ("apply", "_apply")):
         monkeypatch.setattr(fem_core.Factorized, name,
-                            counting(getattr(fem_core.Factorized, name)))
+                            counting(key, getattr(fem_core.Factorized, name)))
     return counts
 
 
@@ -86,15 +91,16 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         mesh_s = transport_mesh(theta, 0.01, problem.mesh)
         if name == "quasilinear":  # one Jacobian factorization per Newton step
             history = problem.rebuilt(mesh_s).newton_history
-            expected = (len(history) - 1,) * 2
+            expected = (len(history) - 1,) * 3
         elif name.startswith("parabolic"):
             # the shipped M is time-independent: one factorization, nt steps
-            expected = (1, problem.data.nt)
+            expected = (1, problem.data.nt, problem.data.nt)
         else:
             expected = STATE_SOLVES[name]
         counts = _count_solves(monkeypatch)
         problem.rebuilt(mesh_s).cost()
-        assert (counts["factor"], counts["solve"]) == expected
+        assert (counts["factor"], counts["solve"]) == expected[:2], counts
+        assert counts["apply"] <= expected[2], counts
         monkeypatch.undo()
 
     # the capability flags are the checks the CLI writes
@@ -162,3 +168,34 @@ def test_validate_solves_the_material_derivative_once(config, tmp_path, monkeypa
     rc = cli.main(["validate", "--config", path, "--out", str(tmp_path / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
     assert len(thetas) == 1
+
+
+@pytest.mark.parametrize("config, transports", [("robin-disk.cfg", 8),
+                                                ("parabolic-j1-square.cfg", 9)])
+def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp_path,
+                                                          monkeypatch):
+    """One ``validate`` with the default step lists samples its theta once
+    (the CLI's zero check, the breakdown, the material right-hand side and
+    the FD derivative read the one sample set) and transports the mesh once
+    per (s, steps): FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
+    0.04 share the +0.04 re-solve, 8 transports in place of 9.  The
+    parabolic FD rows keep no state series, so its Taylor check solves
+    +0.04 again."""
+    samples, moved = [], []
+    theta_samples, transport = shape_assembly.theta_samples, shape_assembly.transport_mesh
+
+    def counting_samples(space, theta, mode="interpolated"):
+        samples.append(theta)
+        return theta_samples(space, theta, mode)
+
+    def counting_transport(theta, s, mesh, steps=32):
+        moved.append(s)
+        return transport(theta, s, mesh, steps=steps)
+
+    monkeypatch.setattr(shape_assembly, "theta_samples", counting_samples)
+    monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)
+    rc = cli.main(["validate", "--config", os.path.join(CONFIG_DIR, config),
+                   "--out", str(tmp_path / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert len(samples) == 1
+    assert len(moved) == transports, moved

@@ -4,6 +4,7 @@ reports, and the pure-geometry area gate that everything else rests on."""
 import numpy as np
 import pytest
 
+from shapegrad import shape_assembly
 from shapegrad.data_catalog import parse_scalar, time_matrix, time_scalar
 from shapegrad.elliptic_problems import RobinData, RobinProblem
 from shapegrad.flow import make_field
@@ -152,6 +153,50 @@ def test_fd_metadata(disk3):
     assert table.metadata["theta"] == "bump"
     assert table.metadata["dofs"] == problem.dof_count
     assert table.metadata["mesh"].startswith(f"{disk3.n_nodes}n")
+
+
+def _count_transports(monkeypatch):
+    calls = []
+    transport = shape_assembly.transport_mesh
+
+    def counting_transport(theta, s, mesh, steps=32):
+        calls.append((theta, s, steps))
+        return transport(theta, s, mesh, steps=steps)
+
+    monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)
+    return calls
+
+
+def test_resolved_rows_are_kept_per_theta_object(disk3, monkeypatch):
+    """A re-solved row is served from the memo only for the theta object,
+    s and steps that solved it: an equal second theta object, and the
+    first one again after it, are solved afresh, to the same bits."""
+    problem = _robin_problem(disk3)
+    calls = _count_transports(monkeypatch)
+    first, second = bump_theta(), bump_theta()
+    row = problem.resolved(first, 0.04)
+    assert problem.resolved(first, 0.04) is row and len(calls) == 1
+    again = problem.resolved(second, 0.04)
+    assert again is not row and len(calls) == 2
+    assert again[0] == row[0] and np.array_equal(again[1], row[1])
+    assert problem.resolved(first, 0.04) is not row and len(calls) == 3
+    problem.resolved(first, 0.04, steps=16)
+    assert len(calls) == 4
+    # FD rows at -s keep only the cost
+    assert problem.resolved(first, -0.04)[1] is None
+
+
+def test_flagged_rows_are_never_served_from_the_memo(disk3, monkeypatch):
+    """A transport that inverts a triangle raises each time it is asked for,
+    so a second study of the same theta flags the row again."""
+    problem = AreaProblem(disk3)
+    violent = make_field("bump", (3.0, 0.0, -0.3, 0.0, 0.35))
+    calls = _count_transports(monkeypatch)
+    for _ in range(2):
+        table = fd_shape_check(problem, violent, (0.5, 0.004), steps=1)
+        assert table.rows[0].flagged and not table.rows[1].flagged
+    # the clean rows +-0.004 are solved once, the flagged +0.5 each time
+    assert [s for _, s, _ in calls] == [0.5, 0.004, -0.004, 0.5]
 
 
 # ------------------------------------------------------------- Taylor checks
