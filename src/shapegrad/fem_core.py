@@ -544,7 +544,9 @@ class Factorized:
 
     def __init__(self, A):
         self.A = A.tocsc()
-        self._perm = csgraph.reverse_cuthill_mckee(self.A, symmetric_mode=True)
+        # intp, not the int32 that RCM returns: every solve gathers and
+        # scatters by it, and numpy indexes with intp without a conversion
+        self._perm = csgraph.reverse_cuthill_mckee(self.A, symmetric_mode=True).astype(np.intp)
         permuted = self.A[self._perm][:, self._perm]
         try:
             self._lu = spla.splu(permuted, permc_spec="MMD_AT_PLUS_A")

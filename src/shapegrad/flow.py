@@ -1,9 +1,11 @@
 """
 Flow maps of autonomous velocity fields and their first-order expansions.
 
-A velocity field theta comes with hand-coded Jacobian and second
-derivatives; positions and flow Jacobians are integrated with classical
-RK4 (the Jacobian obeys d/ds DT_s = Dtheta(T_s) DT_s).  The pullback
+A velocity field theta comes with hand-coded Jacobian, divergence and
+second derivatives; positions and the volume ratio xi(s) = det DT_s are
+integrated with classical RK4, xi by Liouville's formula
+d/ds xi = div(theta)(T_s) xi, a scalar ODE in place of the 2x2
+variational equation d/ds DT_s = Dtheta(T_s) DT_s.  The pullback
 factors of the flow map T_s and their s-derivatives at s = 0 are
 
     xi(s) = det DT_s                      xi'(0) = div(theta)
@@ -30,22 +32,22 @@ axis when every point of the call lies on its plateau: the smoothstep
 clips to exactly 1.0 there, and multiplying by 1.0 changes no bit.
 
 ``validation.fd_transport_check`` (the frozen-composition cost of the
-manufactured problems, which ship poly2) carries Jacobians too, 128 value
-and 128 Jacobian evaluations per advect, so the poly2 value and Jacobian
-are written one component at a time as well, with no ``np.stack`` and no
-``einsum``.  They sum their terms left to right, an order of their own,
-so each entry differs from the einsum form by at most a few eps of the
-sum of its terms' magnitudes; a Jacobian entry that is zero is +0.0.
+manufactured problems, which ship poly2) carries xi too, 128 value and
+128 divergence evaluations per advect, so the poly2 value, Jacobian and
+divergence are written one component at a time as well, with no
+``np.stack`` and no ``einsum``.  They sum their terms left to right, an
+order of their own, so each entry differs from the einsum form by at most
+a few eps of the sum of its terms' magnitudes; a Jacobian entry that is
+zero is +0.0, and the divergence keeps the bits of the Jacobian's trace.
 """
 
 import numpy as np
 
 from .mesh import InvertedTriangleError
-from .tensor_calc import matmul2
 
 
 class FlowDegeneracyError(Exception):
-    """Raised when a flow map folds over (non-positive Jacobian determinant)."""
+    """Raised when a flow map folds over (non-positive volume ratio det DT_s)."""
 
 
 class VectorFieldSpec:
@@ -61,31 +63,42 @@ class VectorFieldSpec:
         ``(..., 2, 2, 2)`` with ``hess[i, j, k] = d2 theta_i / dx_j dx_k``.
     support_box : (2, 2) float array or None
         ``[[xlo, ylo], [xhi, yhi]]``; ``None`` means unbounded support.
+    div : callable or None
+        ``div(P)`` returns ``(...)``, the divergence with the bits of
+        ``jac[..., 0, 0] + jac[..., 1, 1]``; ``None`` takes that trace.
     """
 
-    def __init__(self, name, eval, jac, hess, support_box=None):
+    def __init__(self, name, eval, jac, hess, support_box=None, div=None):
         self.name = name
         self.eval = eval
         self.jac = jac
         self.hess = hess
+        self.div = _trace_of(jac) if div is None else div
         self.support_box = None if support_box is None else np.asarray(support_box, dtype=float)
 
     def __repr__(self):
         return f"VectorFieldSpec({self.name!r})"
 
 
-def _det2(J):
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+def _trace_of(jac):
+    def div(P):
+        J = jac(P)
+        return J[..., 0, 0] + J[..., 1, 1]
+    return div
 
 
-def advect_batch(theta, s, x0, steps=32, want_jac=True):
-    """RK4-transport many points (and flow Jacobians) at once.
+def advect_batch(theta, s, x0, steps=32, want_xi=True):
+    """RK4-transport many points, and their volume ratios xi = det DT_s, at once.
+
+    xi obeys Liouville's formula d/ds xi = div(theta)(T_s) xi and is
+    integrated by the same RK4 stages as the positions: stage i takes
+    div(theta) at the stage's point times xi + c_i h k_{i-1}.
 
     Points where theta vanishes at the start are exact fixed points of every
     RK4 stage (each stage evaluates theta where the previous one left the
-    point), so only the others are integrated.  With Jacobians a point is
-    fixed only if Dtheta vanishes there too; its Jacobian stays the
-    identity.  Compactly supported fields leave many mesh nodes fixed.
+    point), so only the others are integrated.  With xi a point is fixed
+    only if div(theta) vanishes there too; its xi stays 1.  Compactly
+    supported fields leave many mesh nodes fixed.
 
     Parameters
     ----------
@@ -98,51 +111,56 @@ def advect_batch(theta, s, x0, steps=32, want_jac=True):
 
     Returns
     -------
-    (X, J) : positions (n, 2) and Jacobians (n, 2, 2); ``J`` is None when
-    ``want_jac`` is false.
+    (X, xi) : positions (n, 2) and volume ratios (n,); ``xi`` is None when
+    ``want_xi`` is false.
+
+    Raises
+    ------
+    FlowDegeneracyError
+        If some xi reaches zero or below after a step: the discrete flow
+        folds over there.
     """
     if steps < 1:
         raise ValueError("advect_batch: steps must be >= 1")
     X = np.array(x0, dtype=float)
-    J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy() if want_jac else None
+    xi = np.ones(X.shape[:-1]) if want_xi else None
     if s == 0.0:
-        return X, J
+        return X, xi
     moving = (theta.eval(X) != 0.0).any(axis=-1)
-    if want_jac:
-        moving |= (theta.jac(X) != 0.0).any(axis=(-2, -1))
+    if want_xi:
+        moving |= theta.div(X) != 0.0
     if moving.all():
-        return _rk4(theta, s / steps, steps, X, J)
+        return _rk4(theta, s / steps, steps, X, xi)
     if not moving.any():
-        return X, J
+        return X, xi
     idx = np.nonzero(moving)[0]
-    Xm, Jm = _rk4(theta, s / steps, steps, X[idx], None if J is None else J[idx])
+    Xm, xim = _rk4(theta, s / steps, steps, X[idx], None if xi is None else xi[idx])
     X[idx] = Xm
-    if J is not None:
-        J[idx] = Jm
-    return X, J
+    if xi is not None:
+        xi[idx] = xim
+    return X, xi
 
 
-def _rk4(theta, h, steps, X, J):
-    def rhs(Xc, Jc):
+def _rk4(theta, h, steps, X, xi):
+    def rhs(Xc, xic):
         v = theta.eval(Xc)
-        if Jc is None:
+        if xic is None:
             return v, None
-        return v, matmul2(theta.jac(Xc), Jc)
+        return v, theta.div(Xc) * xic
 
     for _ in range(steps):
-        k1x, k1j = rhs(X, J)
-        k2x, k2j = rhs(X + 0.5 * h * k1x, None if J is None else J + 0.5 * h * k1j)
-        k3x, k3j = rhs(X + 0.5 * h * k2x, None if J is None else J + 0.5 * h * k2j)
-        k4x, k4j = rhs(X + h * k3x, None if J is None else J + h * k3j)
+        k1x, k1 = rhs(X, xi)
+        k2x, k2 = rhs(X + 0.5 * h * k1x, None if xi is None else xi + 0.5 * h * k1)
+        k3x, k3 = rhs(X + 0.5 * h * k2x, None if xi is None else xi + 0.5 * h * k2)
+        k4x, k4 = rhs(X + h * k3x, None if xi is None else xi + h * k3)
         X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        if J is not None:
-            J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-            dets = _det2(J)
-            if (dets <= 0.0).any():
-                i = int(np.nonzero(dets <= 0.0)[0][0])
+        if xi is not None:
+            xi = xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (xi <= 0.0).any():
+                i = int(np.nonzero(xi <= 0.0)[0][0])
                 raise FlowDegeneracyError(
-                    f"flow Jacobian determinant {dets[i]:.3e} <= 0 during advection")
-    return X, J
+                    f"flow volume ratio {xi[i]:.3e} <= 0 during advection")
+    return X, xi
 
 
 def transport_mesh(theta, s, mesh, steps=32):
@@ -155,7 +173,7 @@ def transport_mesh(theta, s, mesh, steps=32):
         message reports the first offending triangle index).  The areas
         are those ``Mesh.with_nodes`` computes for its orientation check.
     """
-    X, _ = advect_batch(theta, s, mesh.nodes, steps=steps, want_jac=False)
+    X, _ = advect_batch(theta, s, mesh.nodes, steps=steps, want_xi=False)
     try:
         return mesh.with_nodes(X)
     except InvertedTriangleError as exc:
@@ -298,7 +316,7 @@ def _const_field(c):
     def val(P):
         return np.broadcast_to(c, P.shape[:-1] + (2,)).copy()
 
-    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3)
+    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None
 
 
 def _linear_field(A, b):
@@ -311,7 +329,7 @@ def _linear_field(A, b):
     def jac(P):
         return np.broadcast_to(A, P.shape[:-1] + (2, 2)).copy()
 
-    return val, jac, lambda P: _zeros_like_field(P, 3)
+    return val, jac, lambda P: _zeros_like_field(P, 3), None
 
 
 def _poly2_field(C):
@@ -335,6 +353,15 @@ def _poly2_field(C):
         out += 0.0
         return out
 
+    def div(P):
+        # jac's diagonal, summed before the += 0.0 that jac applies to each
+        # entry: the same bits, -0.0 + -0.0 included
+        x, y = P[..., 0], P[..., 1]
+        c0, c1 = C
+        out = (c0[1] + (2.0 * c0[3]) * x + c0[4] * y) + (c1[2] + c1[4] * x + (2.0 * c1[5]) * y)
+        out += 0.0
+        return out
+
     def hess(P):
         out = np.zeros(P.shape[:-1] + (2, 2, 2))
         out[..., 0, 0] = 2 * C[:, 3]
@@ -342,7 +369,7 @@ def _poly2_field(C):
         out[..., 1, 1] = 2 * C[:, 5]
         return out
 
-    return val, jac, hess
+    return val, jac, hess, div
 
 
 def _bump_field(a, c, r):
@@ -380,7 +407,7 @@ def _bump_field(a, c, r):
         lin = (2.0 / r ** 2) * wp[..., None, None] * np.eye(2)
         return np.einsum('i,...jk->...ijk', a, quad + lin)
 
-    return val, jac, hess
+    return val, jac, hess, None
 
 
 def _tensor_bump_field(a, c, w):
@@ -423,10 +450,12 @@ def _tensor_bump_field(a, c, w):
         H[..., 1, 1] = bx * d2by
         return np.einsum('i,...jk->...ijk', a, H)
 
-    return val, jac, hess
+    return val, jac, hess, None
 
 
-#: catalog name -> (builder, number of parameters)
+#: catalog name -> (builder, number of parameters); a builder returns the
+#: value, Jacobian, Hessian and divergence callables, the last None where
+#: the trace of the Jacobian serves
 FIELD_CATALOG = {
     "zero": (lambda p: _const_field((0.0, 0.0)), 0),
     "constant": (lambda p: _const_field(p), 2),
@@ -468,7 +497,7 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
     if not np.all(np.isfinite(params)):
         raise ValueError(f"field {name!r}: parameters must be finite, "
                          f"got {' '.join(map(str, params))}")
-    val, jac, hess = builder(np.asarray(params))
+    val, jac, hess, div = builder(np.asarray(params))
     if support_box is not None:
         lo, hi = np.asarray(support_box, dtype=float)
         if not (np.all(np.isfinite(support_box)) and np.all(hi > lo)):
@@ -477,4 +506,5 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
         if not (np.isfinite(ramp) and ramp > 0.0):
             raise ValueError(f"ramp must be finite and positive, got {ramp}")
         val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp)
-    return VectorFieldSpec(name, val, jac, hess, support_box=support_box)
+        div = None
+    return VectorFieldSpec(name, val, jac, hess, support_box=support_box, div=div)

@@ -600,22 +600,23 @@ def cost_transport_derivative(fields, space, theta):
     P = space.qpoints
     w = space.qweights
     th = theta.eval(P)
-    div = np.einsum('mqii->mq', theta.jac(P))
     u = fields.u(P)
     return float(np.sum(w * (np.einsum('mqd,mqd->mq', fields.dF_dx(P, u), th)
-                             + fields.F(P, u) * div)))
+                             + fields.F(P, u) * theta.div(P))))
 
 
 def cost_transport_value(fields, space, theta, s, steps=32):
-    """int F(T_s(x), u(x)) xi(s) by transporting the quadrature points."""
+    """int F(T_s(x), u(x)) xi(s) by transporting the quadrature points.
+
+    ``advect_batch`` integrates xi = det DT_s itself, by Liouville's
+    formula, so the march evaluates theta and div(theta), never Dtheta.
+    """
     P = space.qpoints
     w = space.qweights
     u = fields.u(P)
-    flatP = P.reshape(-1, 2)
-    X, Jac = advect_batch(theta, s, flatP, steps=steps)
-    det = (Jac[:, 0, 0] * Jac[:, 1, 1] - Jac[:, 0, 1] * Jac[:, 1, 0]).reshape(P.shape[:-1])
+    X, xi = advect_batch(theta, s, P.reshape(-1, 2), steps=steps)
     Fv = fields.F(X.reshape(P.shape), u)
-    return float(np.sum(w * Fv * det))
+    return float(np.sum(w * Fv * xi.reshape(P.shape[:-1])))
 
 
 # variant -> (catalog, tensor form, raw form, FD oracle); the Hessian-squared

@@ -135,8 +135,8 @@ def matmul2(A, B):
     """Stacked 2x2 products A @ B, term by term: the bits of the einsum
     ``'...ij,...jk->...ik'`` (sums start from +0.0), several times faster.
 
-    Leading axes broadcast; no input checks, since the RK4 flow Jacobian
-    and the transported-tensor rates call it on every quadrature point.
+    Leading axes broadcast; no input checks, since the transported-tensor
+    rates call it on every quadrature point.
     """
     out = np.empty(np.broadcast_shapes(A.shape, B.shape))
     for i in range(2):

@@ -1,7 +1,12 @@
 """Flow oracles for the tests (not collected).
 
-* Pullback factors of a flow map, built from RK4 flow Jacobians.  The
-  transport-rate tests difference these factors in s and compare the
+* RK4 of the flow Jacobian DT_s by the variational equation
+  d/ds DT_s = Dtheta(T_s) DT_s, every point through every stage: the
+  oracle for the volume ratio xi = det DT_s that ``advect_batch``
+  integrates by Liouville's formula, and the source of the full matrix
+  the pullback factors need.
+* Pullback factors of a flow map, built from those RK4 flow Jacobians.
+  The transport-rate tests difference these factors in s and compare the
   quotients with the rates the assembly uses: ``material_tensor_rate``
   and the ``vol_div``/``edge_divg`` of ``theta_samples``.
 * The per-edge stretch rate of the nodal interpolant, as interpolated
@@ -17,11 +22,35 @@
 
 import numpy as np
 
-from shapegrad.flow import VectorFieldSpec, advect_batch, make_field
+from shapegrad.flow import VectorFieldSpec, make_field
+
+
+def advect_with_jacobian(theta, s, x0, steps=32):
+    """Positions (n, 2) and flow Jacobians (n, 2, 2) by classical RK4 of
+    the flow and its variational equation, Jacobian products by einsum."""
+    X = np.array(x0, dtype=float)
+    J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy()
+    h = s / steps
+
+    def rhs(Xc, Jc):
+        return theta.eval(Xc), np.einsum('...ij,...jk->...ik', theta.jac(Xc), Jc)
+
+    for _ in range(steps):
+        k1x, k1j = rhs(X, J)
+        k2x, k2j = rhs(X + 0.5 * h * k1x, J + 0.5 * h * k1j)
+        k3x, k3j = rhs(X + 0.5 * h * k2x, J + 0.5 * h * k2j)
+        k4x, k4j = rhs(X + h * k3x, J + h * k3j)
+        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+    return X, J
+
+
+def det2(J):
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 def _det_inv(J):
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    det = det2(J)
     inv = np.empty_like(J)
     inv[..., 0, 0] = J[..., 1, 1]
     inv[..., 0, 1] = -J[..., 0, 1]
@@ -49,7 +78,7 @@ def pullback_quotients(theta, space, Q, s=1e-4):
     points = np.vstack([P.reshape(-1, 2), Pe.reshape(-1, 2)])
 
     def factors(t):
-        _, J = advect_batch(theta, t, points)
+        _, J = advect_with_jacobian(theta, t, points)
         split = P.size // 2
         return pullback_factors(J[:split].reshape(P.shape + (2,)),
                                 J[split:].reshape(Pe.shape + (2,)), n, Q)

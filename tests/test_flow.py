@@ -9,37 +9,59 @@ from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 
 from conftest import HOLDALL as BOX, THETA_SPECS, catalog_thetas
-from flow_references import cutoff_rho, einsum_field, pullback_quotients
+from flow_references import (advect_with_jacobian, cutoff_rho, det2, einsum_field,
+                             pullback_quotients)
 
 #: one representative parameterization per catalog entry (cutoff applied)
 CATALOG_FIELDS = catalog_thetas(BOX)
 
 RADIAL = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))    # theta = x
 
+#: |xi - det DT_s| between the scalar and the variational RK4 at 32 steps,
+#: the semigroup bound: the two truncation errors differ by at most 4.2e-10
+#: on the catalog fields (rotation at s = 0.16)
+XI_DET_BOUND = 1e-9
+
 
 # ------------------------------------------------------------------ advection
 
 def test_advect_s_zero_is_identity():
     theta = make_field("rotation", (1.0, 0.0, 0.0))
-    X, J = advect_batch(theta, 0.0, np.array([[0.3, 0.4]]))
+    X, xi = advect_batch(theta, 0.0, np.array([[0.3, 0.4]]))
     assert np.array_equal(X, [[0.3, 0.4]])
-    assert np.array_equal(J, [np.eye(2)])
+    assert np.array_equal(xi, [1.0])
 
 
 def test_advect_constant_field_exact_translation():
     theta = make_field("constant", (0.25, -1.5))
-    X, J = advect_batch(theta, 0.8, np.array([[1.0, 2.0]]), steps=7)
+    x0 = np.array([[1.0, 2.0]])
+    X, xi = advect_batch(theta, 0.8, x0, steps=7)
     assert np.abs(X[0] - np.array([1.2, 0.8])).max() < 1e-14
+    assert np.array_equal(xi, [1.0])
+    Xr, J = advect_with_jacobian(theta, 0.8, x0, steps=7)
+    assert Xr.tobytes() == X.tobytes()
     assert np.array_equal(J[0], np.eye(2))
 
 
 def test_advect_linear_radial_field_exponential():
-    # theta = x: T_s(x) = e^s x, DT_s = e^s I
+    # theta = x: T_s(x) = e^s x, DT_s = e^s I, xi = e^2s
     x0 = np.array([0.7, -0.4])
-    X, J = advect_batch(RADIAL, 0.1, x0[None, :], steps=16)
+    X, xi = advect_batch(RADIAL, 0.1, x0[None, :], steps=16)
     es = np.exp(0.1)
     assert np.abs(X[0] - es * x0).max() <= 1e-10
+    assert abs(xi[0] - es * es) <= 1e-10
+    _, J = advect_with_jacobian(RADIAL, 0.1, x0[None, :], steps=16)
     assert np.abs(J[0] - es * np.eye(2)).max() <= 1e-10
+
+
+def test_advect_integrates_xi_where_only_theta_vanishes():
+    # theta = x vanishes at the origin, div theta = 2 does not: the point
+    # stays put exactly while its volume ratio grows as e^2s
+    for s in (0.1, -0.05):
+        X, xi = advect_batch(RADIAL, s, np.array([[0.0, 0.0], [0.3, 0.0]]), steps=16)
+        assert np.array_equal(X[0], [0.0, 0.0])
+        assert abs(xi[0] - np.exp(2 * s)) <= 1e-10
+        assert xi[0] == xi[1]
 
 
 def test_advect_degenerate_jacobian_raises():
@@ -54,12 +76,29 @@ def test_semigroup_property():
     rng = np.random.default_rng(3)
     X0 = rng.uniform(-0.8, 0.8, size=(20, 2))
     for s1, s2 in [(0.1, 0.1), (0.06, 0.04), (0.1, 0.05)]:
-        Xa, Ja = advect_batch(theta, s1 + s2, X0, steps=32)
-        X1, J1 = advect_batch(theta, s1, X0, steps=32)
-        X2, J2 = advect_batch(theta, s2, X1, steps=32)
-        Jc = np.einsum('nij,njk->nik', J2, J1)
+        Xa, xia = advect_batch(theta, s1 + s2, X0, steps=32)
+        X1, xi1 = advect_batch(theta, s1, X0, steps=32)
+        X2, xi2 = advect_batch(theta, s2, X1, steps=32)
         assert np.abs(Xa - X2).max() <= 1e-9
+        assert np.abs(xia - xi2 * xi1).max() <= 1e-9
+        _, Ja = advect_with_jacobian(theta, s1 + s2, X0, steps=32)
+        _, J1 = advect_with_jacobian(theta, s1, X0, steps=32)
+        _, J2 = advect_with_jacobian(theta, s2, X1, steps=32)
+        Jc = np.einsum('nij,njk->nik', J2, J1)
         assert np.abs(Ja - Jc).max() <= 1e-9
+
+
+@pytest.mark.parametrize("theta", CATALOG_FIELDS, ids=lambda t: t.name)
+def test_xi_is_the_determinant_of_the_variational_jacobian(theta):
+    """Liouville's scalar ODE and the 2x2 variational equation, both by
+    RK4, give the same det DT_s up to their truncation errors."""
+    rng = np.random.default_rng(13)
+    X0 = rng.uniform(-1.45, 1.45, size=(200, 2))
+    for s in (0.16, -0.04):
+        X, xi = advect_batch(theta, s, X0, steps=32)
+        Xr, J = advect_with_jacobian(theta, s, X0, steps=32)
+        assert X.tobytes() == Xr.tobytes()
+        assert np.abs(xi - det2(J)).max() <= XI_DET_BOUND
 
 
 # ------------------------------------------------------- pullback derivatives
@@ -170,28 +209,29 @@ def test_transport_mesh_shares_topology():
     assert transport_mesh(theta, 0.1, m).topology is m.topology
 
 
-def _advect_every_point(theta, s, x0, steps, want_jac):
-    # advect_batch before fixed points were skipped: every point through
-    # every stage, Jacobian products by einsum
+def _advect_every_point(theta, s, x0, steps, want_xi):
+    # advect_batch without the fixed-point skip: every point through every
+    # stage, div theta taken as the trace of the Jacobian
     X = np.array(x0, dtype=float)
-    J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy() if want_jac else None
+    xi = np.ones(len(X)) if want_xi else None
     h = s / steps
 
-    def rhs(Xc, Jc):
+    def rhs(Xc, xic):
         v = theta.eval(Xc)
-        if Jc is None:
+        if xic is None:
             return v, None
-        return v, np.einsum('...ij,...jk->...ik', theta.jac(Xc), Jc)
+        J = theta.jac(Xc)
+        return v, (J[:, 0, 0] + J[:, 1, 1]) * xic
 
     for _ in range(steps):
-        k1x, k1j = rhs(X, J)
-        k2x, k2j = rhs(X + 0.5 * h * k1x, None if J is None else J + 0.5 * h * k1j)
-        k3x, k3j = rhs(X + 0.5 * h * k2x, None if J is None else J + 0.5 * h * k2j)
-        k4x, k4j = rhs(X + h * k3x, None if J is None else J + h * k3j)
+        k1x, k1 = rhs(X, xi)
+        k2x, k2 = rhs(X + 0.5 * h * k1x, None if xi is None else xi + 0.5 * h * k1)
+        k3x, k3 = rhs(X + 0.5 * h * k2x, None if xi is None else xi + 0.5 * h * k2)
+        k4x, k4 = rhs(X + h * k3x, None if xi is None else xi + h * k3)
         X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        if J is not None:
-            J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    return X, J
+        if xi is not None:
+            xi = xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return X, xi
 
 
 @pytest.mark.parametrize("theta", [
@@ -206,12 +246,12 @@ def test_advect_skips_fixed_points_bit_for_bit(theta):
     # the rotation centre, where theta vanishes but Dtheta does not
     on = np.array([0.25, 0.5]) + 0.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     pts = np.vstack([rng.uniform(-1.45, 1.45, (600, 2)), on, [[0.1, -0.2]], gen_disk((0, 0), 1.0, 3).nodes])
-    for want_jac in (False, True):
+    for want_xi in (False, True):
         for s in (0.3, -0.05):
-            X, J = advect_batch(theta, s, pts, steps=8, want_jac=want_jac)
-            Xr, Jr = _advect_every_point(theta, s, pts, 8, want_jac)
+            X, xi = advect_batch(theta, s, pts, steps=8, want_xi=want_xi)
+            Xr, xir = _advect_every_point(theta, s, pts, 8, want_xi)
             assert X.tobytes() == Xr.tobytes()
-            assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
+            assert (xi is None and xir is None) or xi.tobytes() == xir.tobytes()
 
 
 def _cutoff_point_sets():
@@ -274,11 +314,11 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
     sets = _cutoff_point_sets()
     for P in (sets["plateau"], sets["all"]):
         for s in (0.04, -0.04, 0.16):
-            for want_jac in (False, True):
-                X, J = advect_batch(theta, s, P, steps=8, want_jac=want_jac)
-                Xr, Jr = advect_batch(ref, s, P, steps=8, want_jac=want_jac)
+            for want_xi in (False, True):
+                X, xi = advect_batch(theta, s, P, steps=8, want_xi=want_xi)
+                Xr, xir = advect_batch(ref, s, P, steps=8, want_xi=want_xi)
                 assert X.tobytes() == Xr.tobytes()
-                assert (J is None and Jr is None) or J.tobytes() == Jr.tobytes()
+                assert (xi is None and xir is None) or xi.tobytes() == xir.tobytes()
     mesh = gen_disk((0.2, 0.3), 1.2, 3)
     for s in (0.04, -0.04, 0.16):
         moved = transport_mesh(theta, s, mesh).nodes
@@ -336,6 +376,19 @@ def test_catalog_matches_einsum_reference(name, params, box):
             assert (np.abs(J - Jr) <= bound).all(), label
 
 
+
+@pytest.mark.parametrize("name,params,box", _catalog_cases())
+def test_div_is_the_trace_of_the_jacobian(name, params, box):
+    """Bit for bit, signed zeros included: poly2 writes its own divergence,
+    every other field takes the trace."""
+    theta = make_field(name, params, support_box=box)
+    signed_zero = np.array([[-0.0, -0.3], [-0.0, 0.3], [0.3, -0.0], [-0.3, -0.0], [-0.0, -0.0]])
+    for label, P in dict(_cutoff_point_sets(), signed_zero=signed_zero).items():
+        J = theta.jac(P)
+        trace, div = J[:, 0, 0] + J[:, 1, 1], theta.div(P)
+        assert div.tobytes() == trace.tobytes(), label
+        assert np.array_equal(np.signbit(div), np.signbit(trace)), label
+
 def test_xi_matches_triangle_area_ratios():
     theta = make_field("bump", (0.25, -0.15, 0.1, 0.0, 0.8), support_box=BOX)
     s = 0.05
@@ -343,11 +396,10 @@ def test_xi_matches_triangle_area_ratios():
         m = gen_disk((0, 0), 1.0, ref)
         mt = transport_mesh(theta, s, m)
         cent = m.nodes[m.triangles].mean(axis=1)
-        _, J = advect_batch(theta, s, cent, steps=32)
-        dets = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        _, xi = advect_batch(theta, s, cent, steps=32)
         ratio = mt.areas() / m.areas()
         h = 2 * np.pi / (6 * 2 ** ref)
-        assert np.abs(ratio - dets).max() <= h * h + s * s
+        assert np.abs(ratio - xi).max() <= h * h + s * s
 
 
 # ------------------------------------------------------------ field catalog

@@ -281,3 +281,23 @@ def test_cost_transport_derivative_matches_fd(space4):
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
     assert order > 1.9
     assert errs[-1] <= 1e-4 * (1.0 + abs(d))
+
+
+def test_cost_transport_value_never_evaluates_the_jacobian(space4):
+    """The march carries xi = det DT_s by Liouville's formula: theta and
+    div theta at every stage, Dtheta nowhere."""
+    fields = make_manufactured("disk")
+    theta = make_field("poly2", (0.3, -0.2, 0.1, 0.15, -0.1, 0.2, 0.05, -0.15, 0.1, 0.2, -0.05, 0.1))
+    calls = []
+
+    def jac(P):
+        calls.append(P.shape)
+        return theta.jac(P)
+
+    spy = VectorFieldSpec("spy", theta.eval, jac, theta.hess, div=theta.div)
+    for s in (0.02, -0.01):
+        value = cost_transport_value(fields, space4, spy, s)
+        assert value == cost_transport_value(fields, space4, theta, s)
+    assert cost_transport_derivative(fields, space4, spy) == \
+        cost_transport_derivative(fields, space4, theta)
+    assert calls == []
