@@ -19,11 +19,18 @@ local column, ``(wvals * basis[:, j]) @ basis``.  The products keep nloc
 or nq columns rather than nloc^2: with two OpenBLAS threads, one product
 against the (nq, nloc^2) basis pairs at 24,576 rows took 16 ms in some
 processes against 0.2 ms in others.  The volume and boundary forms share
-the mass and load kernels, one COO scatter for matrices (duplicates
-summed) and one ``np.bincount`` scatter for vectors, keyed by
-``element_dofs`` or ``edge_dofs``; ``bincount`` adds each dof's values in
-the order ``np.add.at`` does, so it gives the same bits, several times
-faster.  All of it is deterministic run to run.
+the mass and load kernels, one matrix scatter and one ``np.bincount``
+scatter for vectors, keyed by ``element_dofs`` or ``edge_dofs``;
+``bincount`` adds each dof's values in the order ``np.add.at`` does, so it
+gives the same bits, several times faster.  The matrix scatter is a
+:class:`ScatterPlan`, one per dof layout of a ``MeshTopology`` (P1 or P2,
+element or boundary-edge dofs), built on first use and shared by every
+mesh transported from it: the CSR pattern that COO->CSR conversion gives
+the layout and the order in which that conversion sums duplicates, so a
+matrix is a gather and a few masked vector adds with the conversion's
+bits (the refine-6 stiffness in 1.4 ms against 4.2-4.9 ms for the
+conversion, on a 2-vCPU VM), and a re-solve on a transported mesh does
+not sort its pattern again.  All of it is deterministic run to run.
 
 ``FeSpace.grads`` holds the physical basis gradients with a quadrature
 axis of length nq for P2 but of length 1 for P1: the geometry map is
@@ -189,16 +196,15 @@ class FeSpace:
 
     def _build_dofs(self):
         mesh = self.mesh
+        topo = mesh.topology
+        self.element_dofs = topo.dof_layout(self.order)
         if self.order == 1:
             self.dof_count = mesh.n_nodes
-            self.element_dofs = mesh.triangles
             self.dof_coords = mesh.nodes.copy()
             return
-        topo = mesh.topology
         n = mesh.n_nodes
         e = topo.edges
         self.dof_count = n + len(e)
-        self.element_dofs = np.concatenate([mesh.triangles, n + topo.triangle_edges], axis=1)
         self.dof_coords = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]])])
 
     def _build_geometry(self):
@@ -253,15 +259,13 @@ class FeSpace:
         self.edge_normal = n
         self.edge_qpoints = a[:, None, :] + t[None, :, None] * tv[:, None, :]
         self.edge_qweights = self.edge_len[:, None] * self.edg_rule.weights[None, :]
+        self.edge_dofs = mesh.topology.dof_layout(self.order, boundary=True)
         if self.order == 1:
             self.edge_basis = np.column_stack([1.0 - t, t])
-            self.edge_dofs = be[:, :2].copy()
         else:
             self.edge_basis = np.column_stack([(1.0 - t) * (1.0 - 2.0 * t),
                                                t * (2.0 * t - 1.0),
                                                4.0 * t * (1.0 - t)])
-            mid = mesh.n_nodes + mesh.topology.boundary_edge_ids
-            self.edge_dofs = np.column_stack([be[:, :2], mid])
 
     # -------------------------------------------------------------- utilities
 
@@ -354,14 +358,97 @@ def l2_norm(space, values):
 
 # ------------------------------------------------------------------- assembly
 
+class ScatterPlan:
+    """The CSR pattern of one dof layout and the order in which scipy's
+    COO->CSR conversion sums its local matrices.
+
+    ``sp.coo_matrix((local.ravel(), (rows, cols))).tocsr()``, with entry
+    e = k nloc^2 + a nloc + b at (``dofs[k, a]``, ``dofs[k, b]``), buckets
+    the entries by row in input order (a counting sort), sorts each row by
+    column (``csr_sort_indices``, a ``std::sort`` that compares columns
+    only) and then adds each run of equal columns left to right
+    (``csr_sum_duplicates``: x = a_0, x += a_1, ...).  Which entry lands
+    where depends on the pattern alone, never on the values, so one probe
+    conversion, with the entry numbers as data, records the order for
+    every set of values: the bucketing is the conversion of unique,
+    increasing columns, which sorts nothing, and the row sort is
+    ``sort_indices`` on the bucketed columns, the call the conversion
+    makes.  :meth:`matrix` gathers the first entry of each run and then,
+    for i = 1, 2, ..., adds the i-th entry of every run longer than i, one
+    masked vector add per i: the bits, indices and index pointers of the
+    conversion.  The bit-identity rests on scipy's summation order, which
+    ``tests/test_fem_core.py`` checks against the conversion itself.
+
+    Attributes
+    ----------
+    shape : (int, int)
+    indices, indptr : read-only int arrays
+        The CSR pattern, shared by every matrix of the plan: read-only so
+        that an in-place sparse operation on one matrix (``sort_indices``,
+        ``eliminate_zeros``) raises instead of corrupting the others.
+    """
+
+    def __init__(self, dofs, n):
+        K, nloc = dofs.shape
+        # the entries of group g = k nloc + a, e = g nloc + b for b < nloc,
+        # are consecutive and all in row dofs[k, a]: bucketing the groups by
+        # row buckets the entries, and the bucketing is the conversion of
+        # unique, increasing columns, which sorts nothing
+        groups = np.arange(K * nloc)
+        buckets = sp.coo_matrix((groups, (dofs.ravel(), groups)), shape=(n, K * nloc)).tocsr()
+        bucketed, indptr = buckets.indices, buckets.indptr * nloc
+        within = np.arange(nloc, dtype=bucketed.dtype)
+        entries = (bucketed[:, None] * nloc + within).ravel()
+        cols = dofs.astype(bucketed.dtype)[bucketed // nloc].ravel()
+        probe = sp.csr_matrix((entries, cols, indptr), shape=(n, n))
+        probe.sort_indices()
+        order, sorted_cols = probe.data, probe.indices
+        first = np.ones(len(order), dtype=bool)     # the first entry of each run
+        first[1:] = sorted_cols[1:] != sorted_cols[:-1]
+        first[indptr[:-1][np.diff(indptr) > 0]] = True
+        starts = np.flatnonzero(first)
+        lengths = np.diff(starts, append=len(order))
+        self.shape = (n, n)
+        self.indices = sorted_cols[starts]
+        self.indptr = np.searchsorted(starts, indptr).astype(indptr.dtype)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        # the first entry of each run, then for i = 1, 2, ... the runs with
+        # more than i entries and their i-th entries
+        self._first = order[starts]
+        self._addends = []
+        for i in range(1, lengths.max(initial=1)):
+            runs = np.flatnonzero(lengths > i)
+            self._addends.append((runs, order[starts[runs] + i]))
+
+    def matrix(self, local):
+        """CSR sum of ``local`` (K, nloc, nloc), bit for bit the conversion's."""
+        v = local.reshape(-1)
+        data = v[self._first]
+        for runs, entries in self._addends:
+            data[runs] += v[entries]
+        A = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        A.has_canonical_format = True
+        return A
+
+
+def _scatter_plan(space, dofs):
+    """The plan of ``dofs``: the topology's, built on first use, when ``dofs``
+    is one of its layouts (every space on it shares the array), else a new
+    one."""
+    topo = space.mesh.topology
+    for key, layout in topo.dof_layouts.items():
+        if layout is dofs:
+            plan = topo.scatter_plans.get(key)
+            if plan is None:
+                plan = topo.scatter_plans[key] = ScatterPlan(dofs, space.dof_count)
+            return plan
+    return ScatterPlan(dofs, space.dof_count)
+
+
 def _scatter_matrix(space, dofs, local):
-    """Sum local matrices (K, nloc, nloc) into a CSR matrix at ``dofs`` (K, nloc)."""
-    nloc = dofs.shape[1]
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(space.dof_count, space.dof_count))
-    return A.tocsr()
+    """Sum local matrices (K, nloc, nloc) into a CSR matrix at ``dofs`` (K, nloc),
+    as COO->CSR conversion does (see :class:`ScatterPlan`)."""
+    return _scatter_plan(space, dofs).matrix(local)
 
 
 def _scatter_vector(space, dofs, local):
@@ -385,12 +472,20 @@ def assemble_diffusion_values(space, C):
 
     Written out over the two coordinates.  With P1 gradients, constant on
     each element, the weighted coefficient is summed over the quadrature
-    points first, so the local matrices are formed once per element.
+    points first, one point at a time, so the local matrices are formed
+    once per element.
     """
     G = space.grads                                       # (M, 1 or nq, nloc, 2)
-    WC = space.qweights[..., None, None] * C
+    w = space.qweights
     if G.shape[1] == 1:
-        WC = WC.sum(axis=1, keepdims=True)
+        # point by point, w_0 C_0 + w_1 C_1 + ...: the bits of summing the
+        # (M, nq, 2, 2) products over axis 1, without forming them
+        WC = w[:, 0, None, None] * C[:, 0]
+        for q in range(1, w.shape[1]):
+            WC += w[:, q, None, None] * C[:, q]
+        WC = WC[:, None]
+    else:
+        WC = w[..., None, None] * C
     G0, G1 = G[..., 0], G[..., 1]
     # the components of C grad phi_j, dotted with grad phi_i and summed
     # over the points by a batched matmul
@@ -469,6 +564,14 @@ def apply_dirichlet(A, b, dofs, values):
     moves the column contribution to the right-hand side, so a symmetric
     ``A`` stays symmetric.  Applying it twice is a no-op.
 
+    The matrix is ``A`` with every entry in an eliminated row or column
+    set to 0, a 1 on each eliminated diagonal and the zeros dropped
+    (``eliminate_zeros``, -0.0 included): the entries, bits and structure
+    of Dk A Dk + Dc with the diagonal keep matrices Dk and Dc = I - Dk,
+    without the sparse products.  A missing eliminated diagonal is added
+    as that sum would add it.  ``A`` is taken in canonical CSR form (its
+    duplicates summed), as the assemblies return it.
+
     Returns
     -------
     (A2, b2) : modified copies.
@@ -480,11 +583,21 @@ def apply_dirichlet(A, b, dofs, values):
     z[dofs] = values
     b2 = b - A @ z
     b2[dofs] = values
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    Dk = sp.diags(keep)
-    Dc = sp.diags(1.0 - keep)
-    A2 = (Dk @ A @ Dk + Dc).tocsr()
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    keep = np.ones(n, dtype=bool)
+    keep[dofs] = False
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    data = np.where(keep[row] & keep[A.indices], A.data, 0.0)
+    diagonal = ~keep[row] & (A.indices == row)
+    data[diagonal] = 1.0
+    A2 = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    A2.eliminate_zeros()
+    missing = np.setdiff1d(np.flatnonzero(~keep), row[diagonal])
+    if len(missing):
+        A2 = A2 + sp.csr_matrix((np.ones(len(missing)), (missing, missing)), shape=A.shape)
     return A2, b2
 
 

@@ -29,7 +29,16 @@ keeps those): each entry comes from the same floating-point operations in
 the same order, and the outer product with the amplitude adds +0.0 as
 ``einsum`` did by summing onto +0.0.  The cutoff factor is skipped on an
 axis when every point of the call lies on its plateau: the smoothstep
-clips to exactly 1.0 there, and multiplying by 1.0 changes no bit.
+clips to exactly 1.0 there, and multiplying by 1.0 changes no bit.  The
+test reads only the extremes of the call's coordinates, which decide it
+exactly, as rounding is monotone.  A ``bump`` or ``tensor_bump`` reports
+the box outside which its value is +0.0 (c -+ r, c -+ w); when that box,
+widened by a few ulps, lies on the plateau, the confined field's value is
+the base value itself, with no cutoff at all: the factor is exactly 1.0
+wherever the base value is not zero and +0.0 times a factor in [0, 1] is
++0.0 elsewhere (except at a coordinate -0.0 on a box face at +0.0, where
+the factor is -0.0 and the wrapped value -0.0).  The Jacobian and Hessian
+keep the cutoff, whose -0.0 entries they carry.
 
 ``validation.fd_transport_check`` (the frozen-composition cost of the
 manufactured problems, which ship poly2) carries xi too, 128 value and
@@ -222,22 +231,26 @@ def _axis_cutoff(x, lo, hi, w):
     return g, dg, d2g
 
 
-def _on_plateau(t):
-    return t.size == 0 or t.min() >= 1.0
+def _on_plateau(xmin, xmax, lo, hi, w):
+    """Whether every x in [xmin, xmax] has (x - lo) / w >= 1 and
+    (hi - x) / w >= 1, the plateau where the smoothstep clips to exactly 1.0.
+    Rounding is monotone, so the smallest fl(fl(x - lo) / w) is the one at
+    xmin and the smallest fl(fl(hi - x) / w) the one at xmax: the test on
+    the extremes is the test at every point.  A NaN extreme fails it."""
+    return (xmin - lo) / w >= 1.0 and (hi - xmax) / w >= 1.0
 
 
 def _axis_value(x, lo, hi, w):
     """The value of :func:`_axis_cutoff` alone, by the same expression, or
     None when every point lies on the plateau, where the factor is 1.0."""
-    tl = (x - lo) / w
-    tr = (hi - x) / w
-    if _on_plateau(tl) and _on_plateau(tr):
+    if x.size == 0 or _on_plateau(x.min(), x.max(), lo, hi, w):
         return None
-    return _smoothstep(tl) * _smoothstep(tr)
+    return _smoothstep((x - lo) / w) * _smoothstep((hi - x) / w)
 
 
 def _cutoff(box, ramp):
-    """Value-only evaluator and (value, gradient, Hessian) evaluator of the cutoff.
+    """Value-only evaluator and (value, gradient, Hessian) evaluator of the
+    cutoff, and the test whether a box [lo, hi] lies on its plateau.
 
     ``value`` returns None when every point lies on the plateau.
     """
@@ -262,11 +275,18 @@ def _cutoff(box, ramp):
         hess[..., 1, 1] = gx * d2gy
         return val, grad, hess
 
-    return value, rho
+    def covers(support):
+        return all(_on_plateau(support[0][k], support[1][k], lo[k], hi[k], w[k])
+                   for k in range(2))
+
+    return value, rho, covers
 
 
-def _apply_cutoff(val, jac, hess, box, ramp):
-    value, rho = _cutoff(box, ramp)
+def _apply_cutoff(val, jac, hess, box, ramp, support=None):
+    """The cutoff's value, Jacobian and Hessian of the base field (val, jac,
+    hess).  ``support`` is a box [lo, hi] outside which ``val`` is +0.0, or
+    None; the value is ``val`` itself when that box lies on the plateau."""
+    value, rho, covers = _cutoff(box, ramp)
 
     def v(P):
         # RK4 transport calls only this: skip the cutoff's derivatives, and
@@ -277,6 +297,13 @@ def _apply_cutoff(val, jac, hess, box, ramp):
             out[..., 0] *= r
             out[..., 1] *= r
         return out
+
+    if support is not None:
+        # widened by a few ulps: a value that is not zero lies strictly
+        # inside the exact support, which ``support`` may round inward
+        margin = 8.0 * np.finfo(float).eps * (np.abs(support[0]) + np.abs(support[1]))
+        if covers((support[0] - margin, support[1] + margin)):
+            v = val
 
     def j(P):
         r, dr, _ = rho(P)
@@ -316,7 +343,7 @@ def _const_field(c):
     def val(P):
         return np.broadcast_to(c, P.shape[:-1] + (2,)).copy()
 
-    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None
+    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None, None
 
 
 def _linear_field(A, b):
@@ -329,7 +356,7 @@ def _linear_field(A, b):
     def jac(P):
         return np.broadcast_to(A, P.shape[:-1] + (2, 2)).copy()
 
-    return val, jac, lambda P: _zeros_like_field(P, 3), None
+    return val, jac, lambda P: _zeros_like_field(P, 3), None, None
 
 
 def _poly2_field(C):
@@ -369,7 +396,7 @@ def _poly2_field(C):
         out[..., 1, 1] = 2 * C[:, 5]
         return out
 
-    return val, jac, hess, div
+    return val, jac, hess, div, None
 
 
 def _bump_field(a, c, r):
@@ -407,7 +434,7 @@ def _bump_field(a, c, r):
         lin = (2.0 / r ** 2) * wp[..., None, None] * np.eye(2)
         return np.einsum('i,...jk->...ijk', a, quad + lin)
 
-    return val, jac, hess, None
+    return val, jac, hess, None, np.array([c - r, c + r])
 
 
 def _tensor_bump_field(a, c, w):
@@ -450,12 +477,13 @@ def _tensor_bump_field(a, c, w):
         H[..., 1, 1] = bx * d2by
         return np.einsum('i,...jk->...ijk', a, H)
 
-    return val, jac, hess, None
+    return val, jac, hess, None, np.array([c - w, c + w])
 
 
 #: catalog name -> (builder, number of parameters); a builder returns the
-#: value, Jacobian, Hessian and divergence callables, the last None where
-#: the trace of the Jacobian serves
+#: value, Jacobian, Hessian and divergence callables, the divergence None
+#: where the trace of the Jacobian serves, and the box [lo, hi] outside which
+#: the value is +0.0 (the bumps' c -+ r and c -+ w), or None
 FIELD_CATALOG = {
     "zero": (lambda p: _const_field((0.0, 0.0)), 0),
     "constant": (lambda p: _const_field(p), 2),
@@ -497,7 +525,7 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
     if not np.all(np.isfinite(params)):
         raise ValueError(f"field {name!r}: parameters must be finite, "
                          f"got {' '.join(map(str, params))}")
-    val, jac, hess, div = builder(np.asarray(params))
+    val, jac, hess, div, support = builder(np.asarray(params))
     if support_box is not None:
         lo, hi = np.asarray(support_box, dtype=float)
         if not (np.all(np.isfinite(support_box)) and np.all(hi > lo)):
@@ -505,6 +533,6 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
                              f"got lo {lo}, hi {hi}")
         if not (np.isfinite(ramp) and ramp > 0.0):
             raise ValueError(f"ramp must be finite and positive, got {ramp}")
-        val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp)
+        val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp, support)
         div = None
     return VectorFieldSpec(name, val, jac, hess, support_box=support_box, div=div)

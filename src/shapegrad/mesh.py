@@ -12,7 +12,11 @@ when a :class:`Mesh` is constructed, and its arrays are read-only.  The
 geometry is the node array.  :meth:`Mesh.with_nodes`, which every
 transported mesh goes through, shares the reference topology and re-runs
 only the checks that depend on node positions: finite coordinates, positive
-triangle orientation and nodes strictly inside the hold-all box.
+triangle orientation and nodes strictly inside the hold-all box.  The
+topology also holds what depends on connectivity alone and is built on
+first use: the dof layouts of the P1 and P2 spaces and ``fem_core``'s
+scatter plans for them, so every mesh transported from one reference
+assembles on the same CSR pattern.
 
 File format (``shapegrad-mesh v1``)::
 
@@ -96,11 +100,20 @@ class MeshTopology:
         Edge number of each boundary edge.
     boundary_owner : (B,) int array
         The triangle containing each boundary edge.
+    n_nodes : int
+    dof_layouts, scatter_plans : dict
+        The dof layouts built so far (:meth:`dof_layout`), keyed by
+        ``(order, boundary)``, and under the same keys ``fem_core``'s
+        scatter plans of them, built there on first use and shared by every
+        space on this topology.
     """
 
     def __init__(self, triangles, boundary_edges, n_nodes):
         self.triangles = _read_only(triangles)
         self.boundary_edges = _read_only(boundary_edges)
+        self.n_nodes = n_nodes
+        self.dof_layouts = {}
+        self.scatter_plans = {}
         be = boundary_edges
         n = max(n_nodes, 1)
         local = _edge_keys(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), n)
@@ -156,6 +169,24 @@ class MeshTopology:
         self.triangle_edges = _read_only(number[inverse].reshape(-1, 3))
         self.boundary_edge_ids = _read_only(number[pos])
         self.boundary_owner = _read_only(first[pos] // 3)
+
+    def dof_layout(self, order, boundary=False):
+        """Dofs of the order-1 or order-2 Lagrange space per triangle (M, 3 or
+        6) or, with ``boundary``, per boundary edge (B, 2 or 3): vertices
+        first, then the midpoint dofs ``n_nodes + edge number``.  Built on
+        first use, read-only, one array object per layout and topology."""
+        key = (order, boundary)
+        layout = self.dof_layouts.get(key)
+        if layout is None:
+            if not boundary:
+                layout = self.triangles if order == 1 else np.concatenate(
+                    [self.triangles, self.n_nodes + self.triangle_edges], axis=1)
+            else:
+                ends = self.boundary_edges[:, :2]
+                layout = ends.copy() if order == 1 else np.column_stack(
+                    [ends, self.n_nodes + self.boundary_edge_ids])
+            layout = self.dof_layouts[key] = _read_only(layout)
+        return layout
 
 
 # ---------------------------------------------------------------- validation

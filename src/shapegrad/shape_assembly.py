@@ -518,7 +518,7 @@ def prop5_raw_dJ(fields, space, theta):
     th = theta.eval(P)
     J = theta.jac(P)
     H3 = theta.hess(P)
-    div = np.einsum('mqii->mq', J)
+    div = theta.div(P)
     u = fields.u(P)
     h = fields.h(P)
     gh = fields.grad_h(P)
@@ -540,7 +540,7 @@ def prop5_raw_dJ(fields, space, theta):
     dnp = np.einsum('bqd,bqd->bq', fields.grad_p(Pe), nrm)
     he = fields.h(Pe)
     ndn = np.einsum('bqi,bqij,bqj->bq', nrm, Je, nrm)
-    divg = np.einsum('bqii->bq', Je) - ndn
+    divg = theta.div(Pe) - ndn
     bnd = -(dnp * np.einsum('bqd,bqd->bq', fields.grad_h(Pe), the)
             + he * dnp * (divg - ndn))
     return total + float(np.sum(we * bnd))
@@ -576,7 +576,7 @@ def prop6_raw_dJ(fields, space, theta):
     th = theta.eval(P)
     J = theta.jac(P)
     H3 = theta.hess(P)
-    div = np.einsum('mqii->mq', J)
+    div = theta.div(P)
     pv = fields.p(P)
     gu = fields.grad_u(P)
     Hu = fields.hess_u(P)

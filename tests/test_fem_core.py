@@ -100,7 +100,7 @@ def _stiffness_einsum(space, C):
     # the stiffness kernel as one optimized einsum over per-point gradients
     G = _point_grads(space)
     local = np.einsum('mq,mqia,mqab,mqjb->mij', space.qweights, G, C, G, optimize=True)
-    return fem._scatter_matrix(space, space.element_dofs, local)
+    return _coo_scatter(space, space.element_dofs, local)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -164,6 +164,172 @@ def test_boundary_load_sums_to_perimeter():
     assert abs(g.sum() - 4.0) <= 1e-12 * 4.0
 
 
+# -------------------------------------------------------------- scatter plans
+
+def _coo_scatter(space, dofs, local):
+    """The COO->CSR sum that ``fem._scatter_matrix`` reproduces: the
+    reference for its bits."""
+    nloc = dofs.shape[1]
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(space.dof_count, space.dof_count)).tocsr()
+
+
+def _same_csr(A, B):
+    """Byte equality of the CSR arrays, dtypes included."""
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)))
+
+
+def _signed_locals(rng, shape):
+    """Random local matrices with +0.0 and -0.0 entries and both signs of
+    each, so that a run summing to zero, -0.0 + -0.0 and -0.0 + 0.0 occur."""
+    local = rng.standard_normal(shape)
+    local[rng.random(shape) < 0.2] = 0.0
+    local[rng.random(shape) < 0.2] = -0.0
+    local[rng.random(shape) < 0.3] *= -1.0
+    return local
+
+
+@pytest.mark.parametrize("mesh", ["disk", "rect"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("layout", ["element", "edge", "custom"])
+def test_scatter_matches_coo_conversion_byte_for_byte(mesh, order, layout):
+    m = gen_disk((0.1, -0.2), 1.0, 3) if mesh == "disk" else gen_rectangle(0, 0, 2, 1, 5, 3)
+    space = fem.FeSpace(m, order=order)
+    rng = np.random.default_rng(7 + order)
+    dofs = {"element": space.element_dofs, "edge": space.edge_dofs,
+            "custom": rng.integers(0, space.dof_count, (60, 4))}[layout]
+    for _ in range(3):
+        local = _signed_locals(rng, dofs.shape + dofs.shape[1:])
+        A = fem._scatter_matrix(space, dofs, local)
+        assert _same_csr(A, _coo_scatter(space, dofs, local))
+        assert A.has_canonical_format
+    # a zero local and an all -0.0 local keep their explicit entries
+    for fill in (0.0, -0.0):
+        local = np.full(dofs.shape + dofs.shape[1:], fill)
+        assert _same_csr(fem._scatter_matrix(space, dofs, local),
+                         _coo_scatter(space, dofs, local))
+
+
+def test_every_assembly_matches_coo_conversion(monkeypatch):
+    """Each matrix kernel's local matrices, summed by the plan, give the
+    conversion's bytes: stiffness, mass, grad-scalar and boundary mass."""
+    seen = []
+    matrix = fem.ScatterPlan.matrix
+
+    def recording(self, local):
+        seen.append(local)
+        return matrix(self, local)
+
+    monkeypatch.setattr(fem.ScatterPlan, "matrix", recording)
+    rng = np.random.default_rng(3)
+    for order in (1, 2):
+        space = fem.FeSpace(gen_disk((0, 0), 1.0, 2), order=order)
+        q, qe = space.qweights.shape, space.edge_qweights.shape
+        cases = [
+            (fem.assemble_diffusion_values, (rng.standard_normal(q + (2, 2)),), space.element_dofs),
+            (fem.assemble_mass_values, (rng.standard_normal(q),), space.element_dofs),
+            (fem.assemble_gradscalar_values, (rng.standard_normal(q + (2,)),
+                                              rng.standard_normal(q)), space.element_dofs),
+            (fem.assemble_boundary_mass, (rng.standard_normal(qe),), space.edge_dofs),
+        ]
+        for assemble, args, dofs in cases:
+            seen.clear()
+            A = assemble(space, *args)
+            assert len(seen) == 1
+            assert _same_csr(A, _coo_scatter(space, dofs, seen[0]))
+
+
+def test_transported_mesh_reuses_the_reference_plan():
+    m = gen_disk((0, 0), 1.0, 3)
+    moved = m.with_nodes(m.nodes * np.array([1.1, 0.9]) + 0.01)
+    for order in (1, 2):
+        ref, new = fem.FeSpace(m, order=order), fem.FeSpace(moved, order=order)
+        assert new.element_dofs is ref.element_dofs and new.edge_dofs is ref.edge_dofs
+        A = fem.assemble_mass_values(ref, np.ones(ref.qweights.shape))
+        plans = dict(m.topology.scatter_plans)
+        B = fem.assemble_mass_values(new, np.ones(new.qweights.shape))
+        assert m.topology.scatter_plans == plans   # no new plan, the same objects
+        plan = m.topology.scatter_plans[(order, False)]
+        assert fem._scatter_plan(new, new.element_dofs) is plan
+        for M in (A, B):
+            assert np.shares_memory(M.indices, plan.indices)
+            assert np.shares_memory(M.indptr, plan.indptr)
+    # another topology builds its own
+    other = fem.FeSpace(gen_disk((0, 0), 1.0, 3), order=1)
+    assert fem._scatter_plan(other, other.element_dofs) is not m.topology.scatter_plans[(1, False)]
+
+
+def test_plan_matrices_cannot_corrupt_the_plan():
+    """The shared index arrays are read-only: an in-place operation on one
+    matrix raises, and the next matrix of the plan is unchanged."""
+    space = fem.FeSpace(gen_rectangle(0, 0, 1, 1, 3, 3), order=1)
+    A = _stiffness(space)
+    before = (A.indices.copy(), A.indptr.copy())
+    assert not A.indices.flags.writeable and not A.indptr.flags.writeable
+    A.data[:4] = 0.0
+    with pytest.raises(ValueError):
+        A.eliminate_zeros()
+    B = _stiffness(space)
+    assert np.array_equal(B.indices, before[0]) and np.array_equal(B.indptr, before[1])
+    # operations that make new arrays still work on plan matrices
+    assert np.array_equal((2.0 * A + B).tocsc().toarray(), 2.0 * A.toarray() + B.toarray())
+
+
+def _stiffness_summed_products(space, C):
+    """The P1 stiffness with sum_q w_q C_q formed as the (M, nq, 2, 2)
+    products summed over axis 1: the reference for the point-by-point sum."""
+    G = space.grads
+    WC = (space.qweights[..., None, None] * C).sum(axis=1, keepdims=True)
+    G0, G1 = G[..., 0], G[..., 1]
+    CG0 = WC[..., 0, 0, None] * G0 + WC[..., 0, 1, None] * G1
+    CG1 = WC[..., 1, 0, None] * G0 + WC[..., 1, 1, None] * G1
+    local = np.swapaxes(G0, 1, 2) @ CG0 + np.swapaxes(G1, 1, 2) @ CG1
+    return _coo_scatter(space, space.element_dofs, local)
+
+
+@pytest.mark.parametrize("quad_degree", [4, 6])
+def test_p1_stiffness_point_sum_keeps_the_bits(quad_degree):
+    space = fem.FeSpace(gen_disk((0, 0), 1.0, 3), order=1, quad_degree=quad_degree)
+    rng = np.random.default_rng(quad_degree)
+    for C in (_const_mat(space, [[2.0, 0.3], [0.3, 1.0]]),
+              rng.standard_normal(space.qweights.shape + (2, 2))):
+        assert _same_csr(fem.assemble_diffusion_values(space, C),
+                         _stiffness_summed_products(space, C))
+
+
+def test_one_plan_per_topology_and_layout_over_a_validate(tmp_path, monkeypatch):
+    """A robin-disk ``validate`` transports 8 meshes; every matrix on them
+    comes from the reference topology's two plans (P1 element and P1
+    boundary-edge dofs), each built once."""
+    import os
+    from shapegrad import cli, mesh as mesh_mod
+    built, transported = [], []
+
+    class CountingPlan(fem.ScatterPlan):
+        def __init__(self, dofs, n):
+            built.append(dofs)
+            super().__init__(dofs, n)
+
+    with_nodes = mesh_mod.Mesh.with_nodes
+
+    def counting_with_nodes(self, nodes):
+        transported.append(self.topology)
+        return with_nodes(self, nodes)
+
+    monkeypatch.setattr(fem, "ScatterPlan", CountingPlan)
+    monkeypatch.setattr(mesh_mod.Mesh, "with_nodes", counting_with_nodes)
+    cfg = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "robin-disk.cfg")
+    assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(transported) == 8 and len({id(t) for t in transported}) == 1
+    topology = transported[0]
+    assert len(built) == 2
+    assert {id(d) for d in built} == {id(topology.dof_layout(1)),
+                                      id(topology.dof_layout(1, boundary=True))}
+
+
 # ---------------------------------------------------------------- constraints
 
 def test_apply_dirichlet_idempotent():
@@ -176,9 +342,46 @@ def test_apply_dirichlet_idempotent():
     A1, b1 = fem.apply_dirichlet(A, b, dofs, vals)
     A2, b2 = fem.apply_dirichlet(A1, b1, dofs, vals)
     assert np.array_equal(b1, b2)
-    assert abs(A1 - A2).max() == 0.0
+    assert _same_csr(A1, A2)
     # symmetry preserved
     assert abs(A1 - A1.T).max() <= 1e-14
+
+
+def _dirichlet_by_diagonal_products(A, b, dofs, values):
+    """Dk A Dk + Dc with the keep diagonals Dk and Dc = I - Dk: the sparse
+    products that ``fem.apply_dirichlet`` reproduces, its reference."""
+    dofs = np.asarray(dofs, dtype=np.int64)
+    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
+    z = np.zeros(A.shape[0])
+    z[dofs] = values
+    b2 = b - A @ z
+    b2[dofs] = values
+    keep = np.ones(A.shape[0])
+    keep[dofs] = 0.0
+    Dk, Dc = sp.diags(keep), sp.diags(1.0 - keep)
+    return (Dk @ A @ Dk + Dc).tocsr(), b2
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_apply_dirichlet_matches_diagonal_products_byte_for_byte(order):
+    space = fem.FeSpace(gen_rectangle(0, 0, 1, 1, 6, 5), order=order)
+    rng = np.random.default_rng(order)
+    A = fem._scatter_matrix(space, space.element_dofs,
+                            _signed_locals(rng, space.element_dofs.shape + space.element_dofs.shape[1:]))
+    b = rng.standard_normal(space.dof_count)
+    for dofs in (space.boundary_dofs(), rng.integers(0, space.dof_count, 25), []):
+        vals = rng.standard_normal(len(dofs))
+        A1, b1 = fem.apply_dirichlet(A, b, dofs, vals)
+        A0, b0 = _dirichlet_by_diagonal_products(A, b, dofs, vals)
+        assert _same_csr(A1, A0)
+        assert b1.tobytes() == b0.tobytes()
+        A2, b2 = fem.apply_dirichlet(A1, b1, dofs, vals)
+        assert _same_csr(A2, A1) and b2.tobytes() == b1.tobytes()
+    # an eliminated dof without a diagonal entry gets its 1 all the same
+    A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 0.0]]))
+    for dofs in ([2], [0, 2]):
+        assert _same_csr(fem.apply_dirichlet(A, np.ones(3), dofs, 0.5)[0],
+                         _dirichlet_by_diagonal_products(A, np.ones(3), dofs, 0.5)[0])
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -372,7 +575,7 @@ def _add_at_scatter(space, dofs, local):
 
 def _einsum_mass(space, dofs, wvals, basis):
     local = np.einsum('mq,qi,qj->mij', wvals, basis, basis)
-    return fem._scatter_matrix(space, dofs, local)
+    return _coo_scatter(space, dofs, local)
 
 
 def _einsum_load(space, dofs, wvals, basis):
@@ -382,7 +585,7 @@ def _einsum_load(space, dofs, wvals, basis):
 def _einsum_gradscalar(space, W, vals):
     local = np.einsum('mq,mqia,mqa,qj->mij', space.qweights, _point_grads(space),
                       W * vals[..., None], space.basis)
-    return fem._scatter_matrix(space, space.element_dofs, local)
+    return _coo_scatter(space, space.element_dofs, local)
 
 
 def _einsum_grad_load(space, W):

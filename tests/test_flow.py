@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shapegrad import flow
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
 from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
@@ -323,6 +324,69 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
     for s in (0.04, -0.04, 0.16):
         moved = transport_mesh(theta, s, mesh).nodes
         assert moved.tobytes() == transport_mesh(ref, s, mesh).nodes.tobytes()
+
+
+def test_plateau_test_on_the_extremes_is_the_pointwise_test():
+    """``_axis_value`` decides the plateau from min and max of the
+    coordinates; the verdict is that of (x - lo) / w >= 1 and
+    (hi - x) / w >= 1 at every point, on random sets at the plateau's
+    edges, on empty sets and with NaN."""
+    rng = np.random.default_rng(21)
+    for lo, hi, ramp in ((-1.5, 1.5, 0.15), (0.1, 0.7, 0.3), (-2.0, -1.0, 0.05)):
+        w = ramp * (hi - lo)
+        edges = (lo + w, hi - w)
+        sets = [np.zeros(0)]
+        for _ in range(200):
+            centre = rng.choice(edges)
+            x = centre + rng.uniform(-1.0, 1.0, rng.integers(1, 6)) * 10.0 ** rng.integers(-16, 0)
+            sets.append(x)
+            sets.append(np.append(x, np.nan))
+        sets.append(np.array([edges[0], edges[1]]))
+        sets.append(np.nextafter(np.array([edges[0], edges[1]]), 0.0))
+        verdicts = set()
+        for x in sets:
+            tl, tr = (x - lo) / w, (hi - x) / w
+            pointwise = x.size == 0 or (tl.min() >= 1.0 and tr.min() >= 1.0)
+            assert (flow._axis_value(x, lo, hi, w) is None) == pointwise
+            verdicts.add(pointwise)
+        assert verdicts == {True, False}
+
+
+# (name, params, box, whether the value is the base value itself): the
+# bump well inside BOX's plateau [-1.05, 1.05]^2, tangent to its edge,
+# crossing it, and a tensor bump inside and crossing
+_UNWRAP_CASES = [
+    ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), BOX, True),
+    ("bump", (0.6, -0.4, 0.55, 0.0, 0.5), BOX, False),
+    ("bump", (0.6, -0.4, 0.8, 0.1, 0.5), BOX, False),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.6), BOX, True),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.9), BOX, False),
+]
+
+
+@pytest.mark.parametrize("name,params,box,unwrapped", _UNWRAP_CASES)
+def test_bump_value_unwrapped_on_the_plateau_keeps_the_bits(name, params, box, unwrapped):
+    """With its support box on the cutoff's plateau, a confined bump's
+    value is the base value itself; the wrapped value, cutoff and all, has
+    the same bits at every point: in the support, on its rim, on the
+    ramp and outside the box."""
+    theta = make_field(name, params, support_box=box)
+    val, jac, hess, _, _ = flow.FIELD_CATALOG[name][0](np.asarray(params, dtype=float))
+    wrapped = flow._apply_cutoff(val, jac, hess, box, 0.15)[0]
+    # the base value closure is named val, the cutoff's wrapper v
+    assert (theta.eval.__name__ == val.__name__) == unwrapped
+    c = np.asarray(params[2:4])
+    reach = np.asarray(params[4:6] if name == "tensor_bump" else params[4:5] * 2)
+    rng = np.random.default_rng(4)
+    ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    rim = c + reach * np.column_stack([np.cos(ang), np.sin(ang)])
+    corners = c + reach * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1], [1, 0], [0, 1]])
+    sets = [rng.uniform(c - reach, c + reach, (400, 2)), rim,
+            np.nextafter(rim, c), np.nextafter(rim, 2 * rim - c), corners,
+            rng.uniform(-1.6, 1.6, (400, 2)), _cutoff_point_sets()["all"]]
+    for P in sets:
+        assert theta.eval(P).tobytes() == wrapped(P).tobytes()
+        assert theta.eval(P).tobytes() == einsum_field(name, params, support_box=box).eval(P).tobytes()
 
 
 def _catalog_cases():

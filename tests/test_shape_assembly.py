@@ -98,7 +98,9 @@ def test_manufactured_higher_source_is_neg_laplacian():
 def test_tracking_dual_form_matches_raw(space4):
     fields = make_manufactured("disk")
     tensors = prop5_tensors(fields, space4)
-    for theta in catalog_thetas():
+    # unconfined too: the raw forms read theta.div, which poly2 writes
+    # separately from its Jacobian
+    for theta in catalog_thetas() + catalog_thetas(None):
         raw = prop5_raw_dJ(fields, space4, theta)
         dual = _dJ(tensors, theta, "analytic").total
         assert abs(dual - raw) <= 1e-12 * (1.0 + abs(raw)), theta.name
@@ -107,7 +109,7 @@ def test_tracking_dual_form_matches_raw(space4):
 def test_hessian_dual_form_matches_raw(space4):
     fields = make_manufactured("disk-higher")
     tensors = prop6_tensors(fields, space4)
-    for theta in catalog_thetas():
+    for theta in catalog_thetas() + catalog_thetas(None):
         raw = prop6_raw_dJ(fields, space4, theta)
         dual = _dJ(tensors, theta, "analytic").total
         assert abs(dual - raw) <= 1e-12 * (1.0 + abs(raw)), theta.name
