@@ -37,8 +37,29 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
 
-PROBLEMS = ("robin", "quasilinear", "dirichlet_energy", "parabolic_j1",
-            "parabolic_j2", "prop5_manufactured", "prop6_manufactured", "area")
+_PARABOLIC_DATA = {"m", "m_profile", "f", "f_profile", "g", "u_d", "ud_profile", "t0", "nt"}
+#: problem -> the [data] keys ``build_problem`` reads for it
+DATA_KEYS = {
+    "robin": {"m", "beta", "f", "g"},
+    "quasilinear": {"m", "f", "g", "u_d", "c1", "c2", "c3", "r_check"},
+    "dirichlet_energy": {"f"},
+    "parabolic_j1": _PARABOLIC_DATA,
+    "parabolic_j2": _PARABOLIC_DATA,
+    "prop5_manufactured": set(),
+    "prop6_manufactured": set(),
+    "area": set(),
+}
+PROBLEMS = tuple(DATA_KEYS)
+#: section -> the keys the commands read, as configparser stores them, in
+#: lower case; [data] is per problem (``DATA_KEYS``)
+SECTION_KEYS = {
+    "run": {"problem", "order"},
+    "mesh": {"file", "kind", "center", "radius", "refine", "bounds", "nx", "ny"},
+    "theta": {"field", "support", "ramp"},
+    "validation": {"steps", "s_list", "taylor_s_list", "fd_order_min", "fd_rel_max",
+                   "extrapolated_max", "taylor_order_min", "duality_rel_max", "dual_form_max"},
+    "output": {"dir"},
+}
 
 log = logging.getLogger("shapegrad")
 
@@ -67,7 +88,10 @@ class RunConfig:
     def __init__(self, path):
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no default section: a [DEFAULT] would hand its keys to every
+        # section, so it is a section like any other, and unknown
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="\0")
         try:
             with open(path, "r") as fh:
                 cp.read_file(fh, source=path)
@@ -75,6 +99,7 @@ class RunConfig:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         self.path = path
         self._cp = cp
+        self._check_keys()
 
     def get(self, section, key, default=None):
         if not self._cp.has_option(section, key):
@@ -114,6 +139,22 @@ class RunConfig:
 
     def echo(self):
         return {s: dict(self._cp.items(s)) for s in self._cp.sections()}
+
+    def _check_keys(self):
+        """Raise ConfigError on the first section or key that no command
+        reads: a misspelt one would otherwise leave its default in force
+        unnoticed.  An unknown problem is left to ``build_problem``."""
+        known = dict(SECTION_KEYS, data=DATA_KEYS.get(self.get("run", "problem", "?")))
+        for section in self._cp.sections():
+            if section not in known:
+                raise ConfigError(f"unknown section [{section}] in {self.path}; "
+                                  f"known: {', '.join(sorted(known))}")
+            if known[section] is None:
+                continue
+            for key in self._cp.options(section):
+                if key not in known[section]:
+                    raise ConfigError(f"unknown key [{section}] {key} in {self.path}; known: "
+                                      f"{', '.join(sorted(known[section])) or 'none'}")
 
 
 def build_mesh(cfg):

@@ -19,9 +19,8 @@ import numpy as np
 class ScalarData:
     """Scalar coefficient with an analytic gradient."""
 
-    def __init__(self, name, params, value, grad):
+    def __init__(self, name, value, grad):
         self.name = name
-        self.params = tuple(float(p) for p in params)
         self.value = value
         self.grad = grad
 
@@ -29,9 +28,8 @@ class ScalarData:
 class MatrixData:
     """Symmetric matrix coefficient with its spatial derivative tensor."""
 
-    def __init__(self, name, params, value, dspace):
+    def __init__(self, name, value, dspace):
         self.name = name
-        self.params = tuple(float(p) for p in params)
         self.value = value
         self.dspace = dspace
 
@@ -47,9 +45,8 @@ class MatrixData:
 class RFunctionData:
     """Coefficient c(x, r) of a semilinear law, with d/dr and grad_x."""
 
-    def __init__(self, name, params, value, dr, dx):
+    def __init__(self, name, value, dr, dx):
         self.name = name
-        self.params = tuple(float(p) for p in params)
         self.value = value      # (P, r) -> (...)
         self.dr = dr            # (P, r) -> (...)
         self.dx = dx            # (P, r) -> (..., 2)
@@ -58,9 +55,8 @@ class RFunctionData:
 class TimeProfile:
     """Separable time factor a(t), applied to spatial data."""
 
-    def __init__(self, name, params, value, time_dependent):
+    def __init__(self, name, value, time_dependent):
         self.name = name
-        self.params = tuple(float(p) for p in params)
         self.value = value
         self.time_dependent = time_dependent
 
@@ -308,7 +304,7 @@ PROFILE_CATALOG = {
 
 # -------------------------------------------------------------------- parsing
 
-def _parse(spec, catalog, kind, wrap):
+def _parse(spec, catalog, kind, cls):
     parts = str(spec).split()
     if not parts:
         raise ValueError(f"empty {kind} data entry")
@@ -323,31 +319,27 @@ def _parse(spec, catalog, kind, wrap):
         params = [float(p) for p in raw]
     except ValueError as exc:
         raise ValueError(f"{kind} entry {name!r}: bad parameter in {raw}") from exc
-    return wrap(name, params, builder(*params))
+    return cls(name, *builder(*params))
 
 
 def parse_scalar(spec):
     """Build a :class:`ScalarData` from a string like ``"linear 1 2 -0.5"``."""
-    return _parse(spec, SCALAR_CATALOG, "scalar",
-                  lambda n, p, fns: ScalarData(n, p, *fns))
+    return _parse(spec, SCALAR_CATALOG, "scalar", ScalarData)
 
 
 def parse_matrix(spec):
     """Build a :class:`MatrixData` from a string like ``"const_mat 2 0 1"``."""
-    return _parse(spec, MATRIX_CATALOG, "matrix",
-                  lambda n, p, fns: MatrixData(n, p, *fns))
+    return _parse(spec, MATRIX_CATALOG, "matrix", MatrixData)
 
 
 def parse_rfunction(spec):
     """Build an :class:`RFunctionData` from a string like ``"affine_r 1 0.1"``."""
-    return _parse(spec, RFUNC_CATALOG, "reaction",
-                  lambda n, p, fns: RFunctionData(n, p, *fns))
+    return _parse(spec, RFUNC_CATALOG, "reaction", RFunctionData)
 
 
 def parse_profile(spec):
     """Build a :class:`TimeProfile` from a string like ``"decay 0.5"``."""
-    return _parse(spec, PROFILE_CATALOG, "time-profile",
-                  lambda n, p, fns: TimeProfile(n, p, *fns))
+    return _parse(spec, PROFILE_CATALOG, "time-profile", TimeProfile)
 
 
 def time_scalar(spatial_spec, profile_spec="const"):

@@ -46,6 +46,7 @@ from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
 from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
                              source_rate)
+from .tensor_calc import inner
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +66,6 @@ def _parts(names, **given):
     """Density parts by name: those given, and None (a zero partial) for the
     other ``names``."""
     return SimpleNamespace(**{**dict.fromkeys(names), **given})
-
-
-def _dot(a, b):
-    return np.einsum('...i,...i->...', a, b)
 
 
 class _EllipticProblem(ShapeProblem):
@@ -185,7 +182,7 @@ class _EllipticProblem(ShapeProblem):
         if e.bg_u is not None:
             J = J + fem.assemble_boundary_mass(space, e.bg_u)
         if len(self._bd):
-            J = fem.apply_dirichlet(J, np.zeros(self.dof_count), self._bd, 0.0)[0]
+            J = fem.apply_dirichlet(J, self._bd)
         return J.tocsr()
 
     @cached_property
@@ -217,7 +214,7 @@ class _EllipticProblem(ShapeProblem):
     def _L(self, samples):
         e = self._pde_density(self.u, "x")
         W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), fem.field_qgrads(self.u))
-        bg = None if e.bg is None else e.bg * samples.edge_divg + _dot(e.bg_x, samples.edge_val)
+        bg = None if e.bg is None else e.bg * samples.edge_divg + inner(e.bg_x, samples.edge_val)
         return self._load(W, source_rate(e.b, e.b_x, samples), bg)
 
     def _build_tensors(self):
@@ -276,7 +273,7 @@ class RobinProblem(_EllipticProblem):
         super().__init__(mesh, data, order, space)
 
     def _cost_density(self, uq, gu):
-        return _parts(_COST_PARTS, F=0.5 * _dot(gu, gu), F_gu=gu)
+        return _parts(_COST_PARTS, F=0.5 * inner(gu, gu), F_gu=gu)
 
     def _pde_density(self, u, wrt):
         data, P, Pe = self.data, self.space.qpoints, self.space.edge_qpoints
@@ -385,7 +382,7 @@ class DirichletEnergyProblem(_EllipticProblem):
         super().__init__(mesh, data, order, space)
 
     def _cost_density(self, uq, gu):
-        return _parts(_COST_PARTS, F=_dot(gu, gu), F_gu=2.0 * gu)
+        return _parts(_COST_PARTS, F=inner(gu, gu), F_gu=2.0 * gu)
 
     def _pde_density(self, u, wrt):
         P = self.space.qpoints
@@ -408,7 +405,7 @@ def dirichlet_energy_boundary_dJ(data, u, samples):
     ue = fem.edge_qvalues(u)
     fe = data.f.value(space.edge_qpoints)
     n = space.edge_normal[:, None, :]
-    dn = _dot(gue, np.broadcast_to(n, gue.shape))
-    s1nn = 2.0 * dn * dn + 2.0 * fe * ue - _dot(gue, gue)
-    thn = _dot(samples.edge_val, np.broadcast_to(n, samples.edge_val.shape))
+    dn = inner(gue, np.broadcast_to(n, gue.shape))
+    s1nn = 2.0 * dn * dn + 2.0 * fe * ue - inner(gue, gue)
+    thn = inner(samples.edge_val, np.broadcast_to(n, samples.edge_val.shape))
     return float(np.sum(space.edge_qweights * s1nn * thn))

@@ -23,14 +23,16 @@ the mass and load kernels, one matrix scatter and one ``np.bincount``
 scatter for vectors, keyed by ``element_dofs`` or ``edge_dofs``;
 ``bincount`` adds each dof's values in the order ``np.add.at`` does, so it
 gives the same bits, several times faster.  The matrix scatter is a
-:class:`ScatterPlan`, one per dof layout of a ``MeshTopology`` (P1 or P2,
-element or boundary-edge dofs), built on first use and shared by every
-mesh transported from it: the CSR pattern that COO->CSR conversion gives
-the layout and the order in which that conversion sums duplicates, so a
-matrix is a gather and a few masked vector adds with the conversion's
-bits (the refine-6 stiffness in 1.4 ms against 4.2-4.9 ms for the
-conversion, on a 2-vCPU VM), and a re-solve on a transported mesh does
-not sort its pattern again.  All of it is deterministic run to run.
+:class:`ScatterPlan`, one per dof layout of a ``MeshTopology``, keyed
+there by the layout's ``(order, boundary)`` (P1 or P2, element or
+boundary-edge dofs), which each matrix assembly names; it is built on
+first use and shared by every mesh transported from the topology.  A plan
+holds the CSR pattern that COO->CSR conversion gives the layout and the
+order in which that conversion sums duplicates, so a matrix is a gather
+and a few masked vector adds with the conversion's bits (the refine-6
+stiffness in 1.4 ms against 4.2-4.9 ms for the conversion, on a 2-vCPU
+VM), and a re-solve on a transported mesh does not sort its pattern
+again.  All of it is deterministic run to run.
 
 ``FeSpace.grads`` holds the physical basis gradients with a quadrature
 axis of length nq for P2 but of length 1 for P1: the geometry map is
@@ -431,24 +433,17 @@ class ScatterPlan:
         return A
 
 
-def _scatter_plan(space, dofs):
-    """The plan of ``dofs``: the topology's, built on first use, when ``dofs``
-    is one of its layouts (every space on it shares the array), else a new
-    one."""
+def _scatter_matrix(space, boundary, local):
+    """Sum local matrices (K, nloc, nloc) into a CSR matrix at the space's
+    element dofs, or with ``boundary`` its boundary-edge dofs, as COO->CSR
+    conversion does: by the topology's plan of that layout, built on first
+    use (see :class:`ScatterPlan`)."""
     topo = space.mesh.topology
-    for key, layout in topo.dof_layouts.items():
-        if layout is dofs:
-            plan = topo.scatter_plans.get(key)
-            if plan is None:
-                plan = topo.scatter_plans[key] = ScatterPlan(dofs, space.dof_count)
-            return plan
-    return ScatterPlan(dofs, space.dof_count)
-
-
-def _scatter_matrix(space, dofs, local):
-    """Sum local matrices (K, nloc, nloc) into a CSR matrix at ``dofs`` (K, nloc),
-    as COO->CSR conversion does (see :class:`ScatterPlan`)."""
-    return _scatter_plan(space, dofs).matrix(local)
+    key = (space.order, boundary)
+    plan = topo.scatter_plans.get(key)
+    if plan is None:
+        plan = topo.scatter_plans[key] = ScatterPlan(topo.dof_layout(*key), space.dof_count)
+    return plan.matrix(local)
 
 
 def _scatter_vector(space, dofs, local):
@@ -456,10 +451,11 @@ def _scatter_vector(space, dofs, local):
     return np.bincount(dofs.ravel(), local.ravel(), minlength=space.dof_count)
 
 
-def _mass(space, dofs, wvals, basis):
-    """int w phi_i phi_j from weighted values ``wvals`` (K, nq) on cells or edges."""
+def _mass(space, boundary, wvals, basis):
+    """int w phi_i phi_j from weighted values ``wvals`` (K, nq) on cells or,
+    with ``boundary``, on boundary edges."""
     local = np.stack([(wvals * basis[:, j]) @ basis for j in range(basis.shape[1])], axis=2)
-    return _scatter_matrix(space, dofs, local)
+    return _scatter_matrix(space, boundary, local)
 
 
 def _load(space, dofs, wvals, basis):
@@ -492,12 +488,12 @@ def assemble_diffusion_values(space, C):
     CG0 = WC[..., 0, 0, None] * G0 + WC[..., 0, 1, None] * G1
     CG1 = WC[..., 1, 0, None] * G0 + WC[..., 1, 1, None] * G1
     local = np.swapaxes(G0, 1, 2) @ CG0 + np.swapaxes(G1, 1, 2) @ CG1
-    return _scatter_matrix(space, space.element_dofs, local)
+    return _scatter_matrix(space, False, local)
 
 
 def assemble_mass_values(space, vals):
     """Mass matrix int w phi_i phi_j, w of shape (M, nq)."""
-    return _mass(space, space.element_dofs, space.qweights * vals, space.basis)
+    return _mass(space, False, space.qweights * vals, space.basis)
 
 
 def assemble_gradscalar_values(space, W, vals):
@@ -520,7 +516,7 @@ def assemble_gradscalar_values(space, W, vals):
         Y = np.swapaxes(G[..., 0] * X0[..., None] + G[..., 1] * X1[..., None], 1, 2)
         nloc, nq = Y.shape[1:]
         local = (Y.reshape(-1, nq) @ space.basis).reshape(-1, nloc, nloc)
-    return _scatter_matrix(space, space.element_dofs, local)
+    return _scatter_matrix(space, False, local)
 
 
 def assemble_load_values(space, vals):
@@ -547,7 +543,7 @@ def assemble_grad_load_values(space, W):
 
 def assemble_boundary_mass(space, vals):
     """Boundary mass matrix int_G w phi_i phi_j, w of shape (B, nqe)."""
-    return _mass(space, space.edge_dofs, space.edge_qweights * vals, space.edge_basis)
+    return _mass(space, True, space.edge_qweights * vals, space.edge_basis)
 
 
 def assemble_boundary_load_values(space, vals):
@@ -557,12 +553,12 @@ def assemble_boundary_load_values(space, vals):
 
 # ------------------------------------------------------------ constraints
 
-def apply_dirichlet(A, b, dofs, values):
-    """Symmetric elimination of Dirichlet dofs.
-
-    Zeroes the constrained rows and columns, puts 1 on the diagonal, and
-    moves the column contribution to the right-hand side, so a symmetric
-    ``A`` stays symmetric.  Applying it twice is a no-op.
+def apply_dirichlet(A, dofs):
+    """Symmetric elimination of homogeneous Dirichlet dofs: a copy of ``A``
+    with the constrained rows and columns zeroed and 1 on their diagonal,
+    so a symmetric ``A`` stays symmetric.  Applying it twice is a no-op.
+    The problems zero the eliminated rows of their right-hand sides
+    themselves.
 
     The matrix is ``A`` with every entry in an eliminated row or column
     set to 0, a 1 on each eliminated diagonal and the zeros dropped
@@ -571,18 +567,9 @@ def apply_dirichlet(A, b, dofs, values):
     without the sparse products.  A missing eliminated diagonal is added
     as that sum would add it.  ``A`` is taken in canonical CSR form (its
     duplicates summed), as the assemblies return it.
-
-    Returns
-    -------
-    (A2, b2) : modified copies.
     """
     dofs = np.asarray(dofs, dtype=np.int64)
-    values = np.broadcast_to(np.asarray(values, dtype=float), dofs.shape)
     n = A.shape[0]
-    z = np.zeros(n)
-    z[dofs] = values
-    b2 = b - A @ z
-    b2[dofs] = values
     A = A.tocsr()
     if not A.has_canonical_format:
         A = A.copy()
@@ -598,7 +585,7 @@ def apply_dirichlet(A, b, dofs, values):
     missing = np.setdiff1d(np.flatnonzero(~keep), row[diagonal])
     if len(missing):
         A2 = A2 + sp.csr_matrix((np.ones(len(missing)), (missing, missing)), shape=A.shape)
-    return A2, b2
+    return A2
 
 
 def dot(a, b):
@@ -643,8 +630,6 @@ class Factorized:
 
     Attributes
     ----------
-    n : int
-        Matrix size.
     fill : int
         nnz(L) + nnz(U) of the factors.
     ordering : str
@@ -665,10 +650,6 @@ class Factorized:
             self._lu = spla.splu(permuted, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"singular system: {exc}") from exc
-
-    @property
-    def n(self):
-        return self.A.shape[0]
 
     @property
     def fill(self):

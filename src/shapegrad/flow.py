@@ -27,18 +27,14 @@ cutoff are written one component at a time, with the bits of the
 broadcast and ``einsum`` forms they replace (``tests/flow_references.py``
 keeps those): each entry comes from the same floating-point operations in
 the same order, and the outer product with the amplitude adds +0.0 as
-``einsum`` did by summing onto +0.0.  The cutoff factor is skipped on an
-axis when every point of the call lies on its plateau: the smoothstep
-clips to exactly 1.0 there, and multiplying by 1.0 changes no bit.  The
-test reads only the extremes of the call's coordinates, which decide it
-exactly, as rounding is monotone.  A ``bump`` or ``tensor_bump`` reports
-the box outside which its value is +0.0 (c -+ r, c -+ w); when that box,
-widened by a few ulps, lies on the plateau, the confined field's value is
-the base value itself, with no cutoff at all: the factor is exactly 1.0
-wherever the base value is not zero and +0.0 times a factor in [0, 1] is
-+0.0 elsewhere (except at a coordinate -0.0 on a box face at +0.0, where
-the factor is -0.0 and the wrapped value -0.0).  The Jacobian and Hessian
-keep the cutoff, whose -0.0 entries they carry.
+``einsum`` did by summing onto +0.0.  A ``bump`` or ``tensor_bump``
+reports the box outside which its value is +0.0 (c -+ r, c -+ w); when
+that box, widened by a few ulps, lies on the cutoff's plateau, the
+confined field's value is the base value itself, with no cutoff at all:
+the factor is exactly 1.0 wherever the base value is not zero and +0.0
+times a factor in [0, 1] is +0.0 elsewhere (except at a coordinate -0.0 on
+a box face at +0.0, where the factor is -0.0 and the wrapped value -0.0).
+The Jacobian and Hessian keep the cutoff, whose -0.0 entries they carry.
 
 ``validation.fd_transport_check`` (the frozen-composition cost of the
 manufactured problems, which ship poly2) carries xi too, 128 value and
@@ -194,16 +190,10 @@ def transport_mesh(theta, s, mesh, steps=32):
 
 def _smoothstep(t):
     # C^2 quintic ramp: value/slope/curvature vanish at t=0, value 1 with
-    # zero slope/curvature at t=1.  The polynomial is evaluated on the ramp
-    # only: at the clipped ends it gives exactly 0 and 1, which clipping
-    # already holds, and most points lie on the plateau.
-    out = np.clip(t, 0.0, 1.0)
-    ramp = (out > 0.0) & (out < 1.0)
-    if ramp.any():
-        out = np.array(out)
-        r = out[ramp]
-        out[ramp] = r ** 3 * (10.0 - 15.0 * r + 6.0 * r * r)
-    return out
+    # zero slope/curvature at t=1; at the clipped ends it gives exactly 0
+    # (-0.0 at t = -0.0) and 1
+    r = np.clip(t, 0.0, 1.0)
+    return r ** 3 * (10.0 - 15.0 * r + 6.0 * r * r)
 
 
 def _smoothstep_d1(t):
@@ -241,28 +231,19 @@ def _on_plateau(xmin, xmax, lo, hi, w):
 
 
 def _axis_value(x, lo, hi, w):
-    """The value of :func:`_axis_cutoff` alone, by the same expression, or
-    None when every point lies on the plateau, where the factor is 1.0."""
-    if x.size == 0 or _on_plateau(x.min(), x.max(), lo, hi, w):
-        return None
+    """The value of :func:`_axis_cutoff` alone, by the same expression."""
     return _smoothstep((x - lo) / w) * _smoothstep((hi - x) / w)
 
 
 def _cutoff(box, ramp):
     """Value-only evaluator and (value, gradient, Hessian) evaluator of the
-    cutoff, and the test whether a box [lo, hi] lies on its plateau.
-
-    ``value`` returns None when every point lies on the plateau.
-    """
+    cutoff, and the test whether a box [lo, hi] lies on its plateau."""
     lo, hi = np.asarray(box, dtype=float)
     w = ramp * (hi - lo)
 
     def value(P):
-        gx = _axis_value(P[..., 0], lo[0], hi[0], w[0])
-        gy = _axis_value(P[..., 1], lo[1], hi[1], w[1])
-        if gx is None or gy is None:
-            return gy if gx is None else gx
-        return gx * gy
+        return (_axis_value(P[..., 0], lo[0], hi[0], w[0])
+                * _axis_value(P[..., 1], lo[1], hi[1], w[1]))
 
     def rho(P):
         gx, dgx, d2gx = _axis_cutoff(P[..., 0], lo[0], hi[0], w[0])
@@ -289,13 +270,11 @@ def _apply_cutoff(val, jac, hess, box, ramp, support=None):
     value, rho, covers = _cutoff(box, ramp)
 
     def v(P):
-        # RK4 transport calls only this: skip the cutoff's derivatives, and
-        # the factor itself on the plateau
+        # RK4 transport calls only this: skip the cutoff's derivatives
         out = val(P)
         r = value(P)
-        if r is not None:
-            out[..., 0] *= r
-            out[..., 1] *= r
+        out[..., 0] *= r
+        out[..., 1] *= r
         return out
 
     if support is not None:

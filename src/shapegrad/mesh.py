@@ -281,10 +281,6 @@ class Mesh:
         """Signed triangle areas (all positive for a valid mesh)."""
         return self._areas.copy()
 
-    def area(self):
-        """Total mesh area."""
-        return float(self._areas.sum())
-
     def with_nodes(self, nodes):
         """Same topology on new node positions (keeps this mesh's hold-all).
 

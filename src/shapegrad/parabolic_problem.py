@@ -55,10 +55,7 @@ from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors,
                              assemble_dJ, flux_rate, lagrangian_tensors,
                              source_rate)
-
-
-def _dot(a, b):
-    return np.einsum('...i,...i->...', a, b)
+from .tensor_calc import inner
 
 
 class ParabolicData:
@@ -158,7 +155,7 @@ def dof_velocities(space, theta):
 def initial_rate(space, data, theta):
     """d/ds of the interpolated initial value: dof values of I_h(grad g . theta)."""
     vel = dof_velocities(space, theta)
-    return _dot(data.g.grad(space.dof_coords), vel)
+    return inner(data.g.grad(space.dof_coords), vel)
 
 
 def _profile_values(entry, times):
@@ -313,9 +310,8 @@ class ParabolicProblem(ShapeProblem):
         key = k if self.data.M.time_dependent else 1
         if key not in self._facts:
             stiffness = self.data.M.profile.value(self.times[key]) * self.K
-            A2, _ = fem.apply_dirichlet(self.Mu + self.dt * stiffness,
-                                        np.zeros(self.space.dof_count), self.bd, 0.0)
-            self._facts[key] = fem.Factorized(A2)
+            self._facts[key] = fem.Factorized(
+                fem.apply_dirichlet(self.Mu + self.dt * stiffness, self.bd))
         return self._facts[key]
 
     def step(self, k, b):

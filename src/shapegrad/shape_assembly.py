@@ -142,7 +142,7 @@ def flux_rate(A, DA, samples):
 
 def source_rate(b, b_x, samples):
     """s-derivative at 0 of the transported source xi b(T_s): b div(theta) + b_x . theta."""
-    return b * samples.vol_div + np.einsum('...i,...i->...', b_x, samples.vol_val)
+    return b * samples.vol_div + tc.inner(b_x, samples.vol_val)
 
 
 def lagrangian_tensors(T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):

@@ -115,6 +115,12 @@ def matvec3(S, c):
     return np.einsum('...ijk,...k->...ij', S, c)
 
 
+def inner(a, b):
+    """Inner product a . b = a_i b_i over the last axis.  No input checks,
+    since the problems call it on every quadrature point."""
+    return np.einsum('...i,...i->...', a, b)
+
+
 def outer(a, b):
     """Outer product (a ⊗ b)_ij = a_i b_j."""
     a = _chk(a, 1, "a")

@@ -26,6 +26,19 @@ def _dot(a, b):
     return np.einsum('...i,...i->...', a, b)
 
 
+def eliminate_dirichlet(A, b, dofs, values):
+    """The nonhomogeneous elimination: ``fem.apply_dirichlet(A, dofs)`` and
+    the lifted right-hand side b - A z, z the data ``values`` on ``dofs`` and
+    0 elsewhere, with the data in the eliminated rows, so that the
+    eliminated system's solution takes the data there."""
+    dofs = np.asarray(dofs, dtype=np.int64)
+    z = np.zeros(A.shape[0])
+    z[dofs] = values
+    b2 = b - A @ z
+    b2[dofs] = values
+    return fem.apply_dirichlet(A, dofs), b2
+
+
 def robin_matrix(space, data):
     """A = int M grad phi_j . grad phi_i + int_G beta phi_i phi_j."""
     M = np.broadcast_to(data.M, space.qpoints.shape[:-1] + (2, 2))

@@ -32,11 +32,10 @@ class ParabolicOperator:
         self.keep = np.ones(space.dof_count)
         self.keep[bd] = 0.0
         dt = data.t0 / data.nt
-        zero = np.zeros(space.dof_count)
         self.A2 = [None]
         for t in np.linspace(0.0, data.t0, data.nt + 1)[1:]:
             K = fem.assemble_diffusion_values(space, data.M.value(t, space.qpoints))
-            self.A2.append(fem.apply_dirichlet(self.Mu + dt * K, zero, bd, 0.0)[0])
+            self.A2.append(fem.apply_dirichlet(self.Mu + dt * K, bd))
 
     def forward(self, V):
         out = np.empty_like(V)

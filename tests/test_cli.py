@@ -1,11 +1,14 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from shapegrad import cli
 from shapegrad.cli import main
 from shapegrad.fem_core import FeSpace
 from shapegrad.mesh import load_mesh
@@ -102,6 +105,58 @@ def test_malformed_config_exits_2(tmp_path):
 def test_unknown_problem_exits_2(tmp_path):
     path = _cfg(tmp_path, "[run]\nproblem = resistor\n[mesh]\nkind = disk\nrefine = 2\n")
     assert main(["solve", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("text,named", [
+    (ROBIN_CFG.replace("[validation]\n", "[validation]\nfd_rel_mx = 1e-30\n"),
+     "[validation] fd_rel_mx"),
+    (ROBIN_CFG + "[mesh_]\nrefine = 9\n", "[mesh_]"),
+    (ROBIN_CFG.replace("beta =", "bta ="), "[data] bta"),
+    (ROBIN_CFG.replace("[data]\n", "[data]\nnt = 16\n"), "[data] nt"),   # a parabolic key
+    ("[DEFAULT]\nrefine = 3\n" + ROBIN_CFG, "[DEFAULT]"),
+])
+@pytest.mark.parametrize("command", ["solve", "derive", "validate"])
+def test_unknown_config_key_or_section_exits_2(tmp_path, monkeypatch, capsys, command, text, named):
+    """A misspelt key or section would leave its default in force: it is a
+    config error, reported before any mesh is built."""
+    def no_mesh(cfg):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(cli, "build_mesh", no_mesh)
+    path = _cfg(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_file_has_only_known_keys():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = sorted(root.glob("demos/configs/*.cfg")) + sorted(root.glob("tests/configs/*.cfg"))
+    assert len(paths) >= 9
+    for path in paths:
+        cli.RunConfig(str(path))
+
+
+def test_known_keys_are_the_keys_the_commands_read():
+    """The key tables hold exactly the (section, key) pairs that cli.py
+    reads, in configparser's lower case."""
+    read = set()
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+        if not isinstance(node, ast.Call) or len(node.args) < 2:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "_step_sizes":
+            pair = ("validation", node.args[1])
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in ("cfg", "self") and func.attr.startswith(("get", "has"))):
+            pair = tuple(node.args[:2])
+        else:
+            continue
+        if all(isinstance(a, (str, ast.Constant)) for a in pair):
+            read.add(tuple(a if isinstance(a, str) else a.value.lower() for a in pair))
+    known = {(s, k) for s, keys in cli.SECTION_KEYS.items() for k in keys}
+    known |= {("data", k) for keys in cli.DATA_KEYS.values() for k in keys}
+    assert read == known
 
 
 def test_invalid_log_level_exits_2(tmp_path, monkeypatch, capsys):

@@ -484,7 +484,7 @@ def test_dirichlet_state_equation_is_the_eliminated_system(disk3, order):
     bd = space.boundary_dofs()
     eye = np.broadcast_to(np.eye(2), space.qpoints.shape[:-1] + (2, 2))
     K = fem.assemble_diffusion_values(space, eye)
-    A2, b2 = fem.apply_dirichlet(K, fem.assemble_load_values(space, data.f.value(space.qpoints)),
+    A2, b2 = refs.eliminate_dirichlet(K, fem.assemble_load_values(space, data.f.value(space.qpoints)),
                                  bd, 0.0)
     zero = ScalarField(space, np.zeros(space.dof_count))
     assert _same_matrix(problem.jacobian(zero), A2)

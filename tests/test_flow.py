@@ -296,7 +296,7 @@ _COMPONENT_FIELDS = [
 
 @pytest.mark.parametrize("name,params,box", _COMPONENT_FIELDS)
 def test_field_values_match_einsum_reference_bit_for_bit(name, params, box):
-    """Per-component values, the plateau skip of the cutoff and the +0.0
+    """Per-component values, the cutoff factor and the +0.0
     where theta vanishes keep the bits of the einsum evaluation."""
     theta = make_field(name, params, support_box=box)
     ref = einsum_field(name, params, support_box=box)
@@ -327,15 +327,15 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
 
 
 def test_plateau_test_on_the_extremes_is_the_pointwise_test():
-    """``_axis_value`` decides the plateau from min and max of the
+    """``_on_plateau`` decides the plateau from min and max of the
     coordinates; the verdict is that of (x - lo) / w >= 1 and
     (hi - x) / w >= 1 at every point, on random sets at the plateau's
-    edges, on empty sets and with NaN."""
+    edges and with NaN."""
     rng = np.random.default_rng(21)
     for lo, hi, ramp in ((-1.5, 1.5, 0.15), (0.1, 0.7, 0.3), (-2.0, -1.0, 0.05)):
         w = ramp * (hi - lo)
         edges = (lo + w, hi - w)
-        sets = [np.zeros(0)]
+        sets = []
         for _ in range(200):
             centre = rng.choice(edges)
             x = centre + rng.uniform(-1.0, 1.0, rng.integers(1, 6)) * 10.0 ** rng.integers(-16, 0)
@@ -346,10 +346,26 @@ def test_plateau_test_on_the_extremes_is_the_pointwise_test():
         verdicts = set()
         for x in sets:
             tl, tr = (x - lo) / w, (hi - x) / w
-            pointwise = x.size == 0 or (tl.min() >= 1.0 and tr.min() >= 1.0)
-            assert (flow._axis_value(x, lo, hi, w) is None) == pointwise
+            pointwise = bool(tl.min() >= 1.0 and tr.min() >= 1.0)
+            assert flow._on_plateau(x.min(), x.max(), lo, hi, w) == pointwise
             verdicts.add(pointwise)
         assert verdicts == {True, False}
+
+
+def test_confined_value_on_the_plateau_is_the_base_value():
+    """A confined poly2, which reports no support box, multiplies its value
+    by the cutoff at every point; where every point lies on the plateau the
+    factor is exactly 1.0 and the value has the bytes of the base value,
+    signed zeros included."""
+    rng = np.random.default_rng(8)
+    P = np.vstack([rng.uniform(-1.05, 1.05, (500, 2)), [[-1.05, 1.05], [1.05, -1.05]],
+                   [[-0.0, 0.3], [0.3, -0.0], [-0.0, -0.0]]])
+    C = rng.standard_normal(12)
+    C[[0, 7]] = 0.0
+    for params in (C, (-0.0,) * 12, (0.0,) * 12):
+        confined = make_field("poly2", params, support_box=BOX).eval(P)
+        assert confined.tobytes() == make_field("poly2", params).eval(P).tobytes()
+    assert np.signbit(make_field("poly2", (-0.0,) * 12).eval(P)).any()
 
 
 # (name, params, box, whether the value is the base value itself): the

@@ -25,7 +25,7 @@ def test_unit_square_single_cell():
     m = gen_rectangle(0, 0, 1, 1, 1, 1)
     assert m.n_triangles == 4            # crossed layout: 4 triangles per cell
     assert m.n_nodes == 5
-    assert m.area() == 1.0
+    assert m.areas().sum() == 1.0
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (8, 8)])
@@ -35,8 +35,8 @@ def test_rectangle_counts_and_area(nx, ny):
     assert m.n_triangles == 4 * nx * ny
     assert len(m.boundary_edges) == 2 * (nx + ny)
     exact = 2.0 * 1.5
-    assert abs(m.area() - exact) <= 1e-12 * exact
-    assert abs(_shoelace(m) - m.area()) <= 1e-12 * exact
+    assert abs(m.areas().sum() - exact) <= 1e-12 * exact
+    assert abs(_shoelace(m) - m.areas().sum()) <= 1e-12 * exact
     assert _euler(m) == 1
 
 
@@ -46,14 +46,14 @@ def test_disk_polygon_area(k):
     m = gen_disk((0.5, -0.2), r, k)
     n = 6 * 2 ** k
     exact = 0.5 * n * r * r * np.sin(2 * np.pi / n)
-    assert abs(m.area() - exact) <= 1e-12 * exact
-    assert abs(_shoelace(m) - m.area()) <= 1e-12 * exact
+    assert abs(m.areas().sum() - exact) <= 1e-12 * exact
+    assert abs(_shoelace(m) - m.areas().sum()) <= 1e-12 * exact
     assert _euler(m) == 1
 
 
 def test_disk_area_converges_to_pi_fourth_order_in_refinement():
     r = 1.0
-    errs = [np.pi - gen_disk((0, 0), r, k).area() for k in (2, 3, 4)]
+    errs = [np.pi - gen_disk((0, 0), r, k).areas().sum() for k in (2, 3, 4)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     for q in ratios:
         assert 3.7 < q < 4.3

@@ -26,6 +26,7 @@ from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 from shapegrad.validation import fd_shape_check
 
 from conftest import HOLDALL, bump_theta, catalog_thetas
+from elliptic_references import eliminate_dirichlet
 from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
                                    shape_tensors_per_step, state_loop)
 
@@ -95,7 +96,7 @@ def test_data_outside_separable_contract():
 
 def test_solver_failure_names_time_step(rect_unit):
     data = _data(nt=6)
-    poisoned = TimeProfile("poisoned", (), lambda t: np.nan if t > 0.4 else 0.0, True)
+    poisoned = TimeProfile("poisoned", lambda t: np.nan if t > 0.4 else 0.0, True)
     data.f = TimeScalarData(parse_scalar("const 1"), poisoned)
     with pytest.raises(SolverError, match="time step"):
         ParabolicProblem(rect_unit, data)
@@ -133,7 +134,7 @@ def test_steady_state_monotone_decay(rect_unit):
     K = fem.assemble_diffusion_values(space, data.M.value(0.0, space.qpoints))
     F = fem.assemble_load_values(space, data.f.value(0.0, space.qpoints))
     bd = space.boundary_dofs()
-    A2, b2 = fem.apply_dirichlet(K, F, bd, 0.0)
+    A2, b2 = eliminate_dirichlet(K, F, bd, 0.0)
     u_inf = fem.Factorized(A2).solve(b2)
     en = []
     for k in range(data.nt + 1):
@@ -200,7 +201,7 @@ def test_time_reversal_oracle(rect_unit):
     for j in range(1, data.nt + 1):
         k = data.nt + 1 - j
         K = fem.assemble_diffusion_values(space, data.M.value(times[k], space.qpoints))
-        A2, b2 = fem.apply_dirichlet(Mu + dt * K, Mu @ v - B[k], bd, 0.0)
+        A2, b2 = eliminate_dirichlet(Mu + dt * K, Mu @ v - B[k], bd, 0.0)
         v = fem.Factorized(A2).solve(b2)
         vhat[j] = v
     scale = np.abs(p.values).max()

@@ -153,7 +153,7 @@ def test_constant_tensors_integrate_exactly(disk4):
 
     const = make_field("constant", (0.4, -0.3), support_box=HOLDALL)
     br = _dJ(tensors, const, "interpolated")
-    area = disk4.area()
+    area = disk4.areas().sum()
     assert abs(br.terms["S0"] - c @ np.array([0.4, -0.3]) * area) < 1e-13
     assert abs(br.terms["S1"]) < 1e-13  # constant field has zero Jacobian
 
