@@ -382,21 +382,27 @@ def _print_checks(checks):
         print(f"{verdict} {name}: value {value} vs limit {c['op']} {c['limit']:.3e}")
 
 
+def _timed(timings, phase, run):
+    """``run()``, with its seconds recorded as ``timings[phase]``."""
+    t0 = time.perf_counter()
+    result = run()
+    timings[phase] = time.perf_counter() - t0
+    return result
+
+
 def cmd_check(args):
     """``derive`` and ``validate``: one pipeline, whose oracles are the ones
     the problem's capability flags name.  ``derive`` adds the assembled
     derivative, ``validate`` the Taylor check of the material derivative.
 
     The timings sidecar holds the seconds of each phase: ``build`` (mesh
-    and problem construction, with the state solve), ``assemble`` (derive's
-    breakdown), ``fd`` and ``taylor`` (validate).  The adjoint is solved on
-    first use: in ``assemble`` for derive, in ``fd`` for validate.
+    and problem construction), ``solve`` (the state, after every config
+    check), ``assemble`` (derive's breakdown), ``fd`` and ``taylor``
+    (validate).  The adjoint is solved on first use, in ``assemble`` or ``fd``.
     """
     cfg = RunConfig(args.config)
-    t0 = time.perf_counter()
-    mesh = build_mesh(cfg)
-    problem = build_problem(cfg, mesh)
-    timings = {"build": time.perf_counter() - t0}
+    timings = {}
+    problem = _timed(timings, "build", lambda: build_problem(cfg, build_mesh(cfg)))
     theta = build_theta(cfg, required=True)
     # a theta whose every sample is zero would pass every check with dJ = 0
     if not any(map(np.any, vars(problem.samples(theta)).values())):
@@ -412,27 +418,24 @@ def cmd_check(args):
     s_list = _step_sizes(cfg, "s_list", "0.04 0.02 0.01")
     taylor = not derive and problem.has_state
     ts = _step_sizes(cfg, "taylor_s_list", "0.16 0.08 0.04") if taylor else None
+    if problem.has_state:
+        _timed(timings, "solve", lambda: problem.u)
 
     if derive:
-        t0 = time.perf_counter()
-        bd = problem.breakdown(theta)
-        timings["assemble"] = time.perf_counter() - t0
+        bd = _timed(timings, "assemble", lambda: problem.breakdown(theta))
         report["cost"] = problem.cost()
         report["dJ"] = bd.total
         report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
-    t0 = time.perf_counter()
-    table = _run_fd(problem, theta, s_list, steps)
-    timings["fd"] = time.perf_counter() - t0
+    table = _timed(timings, "fd", lambda: _run_fd(problem, theta, s_list, steps))
     if table is not None:
         report["fd"] = fd_table_json(table)
         checks.update(_fd_checks(cfg, table))
 
     ttable = None
     if taylor:
-        t0 = time.perf_counter()
-        ttable = material_taylor_check(problem, theta, ts, steps=steps)
-        timings["taylor"] = time.perf_counter() - t0
+        ttable = _timed(timings, "taylor",
+                        lambda: material_taylor_check(problem, theta, ts, steps=steps))
         report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
             _order_value(ttable),

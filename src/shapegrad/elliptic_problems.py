@@ -75,26 +75,31 @@ class _EllipticProblem(ShapeProblem):
     and gives its density: ``_cost_density(uq, gu)`` from the state's values
     and gradients at the quadrature points, and ``_pde_density(u, wrt)`` at
     a field u with the partials in ``wrt`` = "u" or "x", so that a re-solved
-    cost evaluates only F and a Newton step no x-partial.  The constructor
-    runs Newton from u = 0 on J = ``jacobian(u)``, recording |R| of each
-    iterate, until |R| <= tol = max(NEWTON_REL_TOL |R(0)|, NEWTON_ABS_TOL)
-    or, no longer halving, |R| <= NEWTON_FLOOR_FACTOR tol (its rounding
-    floor); it raises NewtonError after NEWTON_MAX_ITER steps.  A
-    ``linear`` problem takes one step and keeps its factors as ``_fact``,
-    the factors of J at the state that the adjoint J^T p = -B and the
-    material J udot = -ell use, and |J u + R(0)| of that direct solve as
-    ``_state_residual``.  R, ell = keep L and -B are zero in the eliminated
-    rows ``_bd`` (row mask ``_keep``).  The adjoint is solved on first use:
-    a rebuilt problem only solves u.  A linear problem rebuilt on a mesh of
-    its reference's topology (``ShapeProblem.rebuilt``) factorizes nothing
-    for that: its one step is ``Factorized.pcg`` on its own J with the
-    reference's factors, where a start as good as the reference's own
-    ``_state_residual`` takes no CG step (the right-hand side of a zero
-    theta keeps the reference's bits).  Only if CG does not stop in
-    ``PCG_MAX_ITER`` iterations does it factorize J, as the reference did.
+    cost evaluates only F and a Newton step no x-partial.  The state ``u``
+    is solved on first use, like the adjoint ``p``, by ``solve``: Newton
+    from u = 0 on J = ``jacobian(u)``, recording |R| of each iterate, until
+    |R| <= tol = max(NEWTON_REL_TOL |R(0)|, NEWTON_ABS_TOL) or, no longer
+    halving, |R| <= NEWTON_FLOOR_FACTOR tol (its rounding floor); it raises
+    NewtonError after NEWTON_MAX_ITER steps.  A ``linear`` problem takes
+    one step and keeps its factors as ``_fact``, the factors of J at the
+    state that the adjoint J^T p = -B and the material J udot = -ell use,
+    and |J u + R(0)| of that direct solve as ``_state_residual``.  R,
+    ell = keep L and -B are zero in the eliminated rows ``_bd`` (row mask
+    ``_keep``).
+
+    Which factors a re-solve reuses is decided here alone: ``rebuilt``
+    solves the new problem at once by ``solve(reference)`` with the root
+    ``reference``, this problem or the one it was rebuilt from.  A linear
+    problem on a mesh of the reference's topology factorizes nothing: its
+    one step is ``Factorized.pcg`` on its own J with the factors of the
+    reference's state solve, where a start as good as the reference's own
+    ``_state_residual`` takes no CG step (a zero theta keeps the
+    reference's bits).  Only if CG does not stop in ``PCG_MAX_ITER``
+    iterations does it factorize J, as the reference did.
     """
 
     linear = False
+    reference = None
     _bd = np.zeros(0, dtype=np.int64)
     _keep = 1.0
 
@@ -102,14 +107,27 @@ class _EllipticProblem(ShapeProblem):
         super().__init__(mesh, data, order)
         self.data = data
         self.space = space
-        reference = self.__dict__.get("_reference")
-        if not self.linear or reference is None or reference.mesh.topology is not mesh.topology:
+
+    def rebuilt(self, mesh_s):
+        """The same problem on ``mesh_s``, solved at once (see the class docstring)."""
+        new = super().rebuilt(mesh_s)
+        new.reference = self.reference or self
+        new.u = new.solve(new.reference)
+        return new
+
+    @cached_property
+    def u(self):
+        return self.solve()
+
+    def solve(self, reference=None):
+        """The state by Newton (see the class docstring); sets ``newton_history``."""
+        if not (self.linear and reference and reference.mesh.topology is self.mesh.topology):
             reference = None
-        u = ScalarField(space, np.zeros(space.dof_count))
+        u = ScalarField(self.space, np.zeros(self.dof_count))
         history, cg = [], ""
         for _ in range(NEWTON_MAX_ITER):
             R = self.residual(u)
-            history.append(float(np.sqrt(fem.dot(R, R))))
+            history.append(fem.norm(R))
             rn, tol = history[-1], max(NEWTON_REL_TOL * history[0], NEWTON_ABS_TOL)
             stalled = len(history) > 1 and rn > 0.5 * history[-2]
             if not self.linear and (rn <= tol or stalled and rn <= NEWTON_FLOOR_FACTOR * tol):
@@ -124,26 +142,28 @@ class _EllipticProblem(ShapeProblem):
                 if self.linear:
                     self._fact, self._state_residual = fact, fact.residual
                 del fact  # free these factors before the next Jacobian's
-            u = ScalarField(space, u.coefficients + step)
+            u = ScalarField(self.space, u.coefficients + step)
             if self.linear:
                 break
         else:
             raise fem.NewtonError(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(last residual {history[-1]:.3e})", history)
-        self.u, self.newton_history = u, history
+        self.newton_history = history
         if self.linear and log.isEnabledFor(logging.INFO):
             R = self.residual(u)  # its last residual is not in the history
         log.info("%s state: %d Newton step(s), |R|/|R(0)| = %.3e%s", self.name,
-                 len(history) - 1 + self.linear, np.sqrt(fem.dot(R, R)) / (history[0] or 1.0), cg)
+                 len(history) - 1 + self.linear, fem.norm(R) / (history[0] or 1.0), cg)
+        return u
 
     @staticmethod
     def _pcg_step(J, b, reference):
         """(J^-1 b or None, log note): ``Factorized.pcg`` on the reference's
         factors with the reference's own ``_state_residual`` as the floor;
         None if CG did not stop."""
+        reference.u  # its factors are those of its own state solve, not a second set
         x, iterations, rn = reference._fact.pcg(J, b, reference._state_residual)
-        bn = np.sqrt(fem.dot(b, b)) or 1.0
+        bn = fem.norm(b) or 1.0
         return x, (f"; CG on the reference factors: {iterations} iteration(s), "
                    f"|r|/|b| = {rn / bn:.3e}, reference |r|/|b| = "
                    f"{reference._state_residual / bn:.3e}"
@@ -197,9 +217,7 @@ class _EllipticProblem(ShapeProblem):
 
     @cached_property
     def p(self):
-        rhs = -self.B
-        rhs[self._bd] = 0.0
-        return ScalarField(self.space, self._fact.solve_transposed(rhs))
+        return ScalarField(self.space, self._fact.solve_transposed(-self.B * self._keep))
 
     def cost(self):
         """J = int F."""

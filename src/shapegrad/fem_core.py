@@ -595,8 +595,8 @@ def dot(a, b):
     return float(np.sum(a * b))
 
 
-def _norm(v):
-    return np.sqrt(dot(v, v))
+def norm(v):
+    return float(np.sqrt(dot(v, v)))
 
 
 # the relative stop of ``Factorized.pcg`` and its iteration budget: a
@@ -679,7 +679,7 @@ class Factorized:
         b = np.asarray(b, dtype=float)
         x = self._apply(b, "N")
         r = b - A @ x
-        rn, tol = _norm(r), PCG_REL_TOL * _norm(b)
+        rn, tol = norm(r), PCG_REL_TOL * norm(b)
         stop = rn if rn <= max(tol, floor) else tol
         it, d, rz_prev = 0, None, 1.0
         while not rn <= stop and it < PCG_MAX_ITER:
@@ -690,8 +690,8 @@ class Factorized:
             alpha = rz / dot(d, q)
             x += alpha * d
             r -= alpha * q
-            rn, rz_prev, it = _norm(r), rz, it + 1
-        if not (rn <= stop and _norm(A @ x - b) <= 1e-10 * (_norm(b) + 1.0)):
+            rn, rz_prev, it = norm(r), rz, it + 1
+        if not (rn <= stop and norm(A @ x - b) <= 1e-10 * (norm(b) + 1.0)):
             return None, it, rn
         return x, it, rn
 
@@ -707,7 +707,7 @@ class Factorized:
         if not np.all(np.isfinite(x)):
             raise SolverError("singular system: factorization produced non-finite solution")
         A = self.A if trans == "N" else self.A.T
-        self.residual = _norm(A @ x - b)
-        if self.residual > 1e-10 * (_norm(b) + 1.0):
+        self.residual = norm(A @ x - b)
+        if self.residual > 1e-10 * (norm(b) + 1.0):
             raise SolverError(f"solver residual {self.residual:.3e} exceeds tolerance")
         return x

@@ -19,12 +19,12 @@ two per step, and keeps the factorized step operators, one for a
 constant-in-time M and one per step otherwise.  The scheme is one block
 system over the slots k = 0..nt: row 0 is the initial condition
 M_u u_0 = M_u I_h(g), row k >= 1 the step with Dirichlet rows eliminated.
-The state (``parabolic_solve``) and its material derivative
-(``parabolic_material``) go through the one forward loop, ``march``; the
-adjoint (``parabolic_adjoint``) marches backward with the transposed step
-operator (symmetric here, which the tests exploit through an independent
-time-reversal oracle), and its initial-condition multiplier in slot 0 is
-q = p_1, with no extra solve.  The material rows come from the same
+The state (``parabolic_solve``), its material derivative
+(``parabolic_material``) and the adjoint (``parabolic_adjoint``) go through
+the one loop, ``march``; the adjoint marches backward with the transposed
+step operator (symmetric here, which the tests exploit through an
+independent time-reversal oracle), and its initial-condition multiplier in
+slot 0 is q = p_1, with no extra solve.  The material rows come from the same
 transported-coefficient rates as the stationary problems, plus the
 mass-rate pairing ``Mdot (u_k - u_{k-1})``, reported as the ``dt_pairing``
 term; separability makes the rates step-independent, so the step rows are
@@ -122,21 +122,12 @@ def parabolic_solve(problem):
 
 
 def parabolic_adjoint(problem):
-    """Backward march with the transposed step operators.
-
-    Slot 0 of the returned series is the initial-condition multiplier
-    q = p_1; slots 1..nt are the adjoint states.
-    """
-    space, data = problem.space, problem.data
-    vals = np.zeros((data.nt + 1, space.dof_count))
-    p = np.zeros(space.dof_count)
-    for k in range(data.nt, 0, -1):
-        b = problem.keep * (problem.Mu @ p - problem.B[k])
-        # the step matrices are symmetric, so A^T shares the factorization
-        p = problem.step(k, b)
-        vals[k] = p
-    vals[0] = vals[1]
-    return TimeSeriesField(space, vals, data.t0)
+    """The adjoint series: ``march`` backward from p_{nt+1} = 0 with loads
+    -keep B_k on the step operators, symmetric, so A^T shares their factors.
+    Slot 0 is the initial-condition multiplier q = p_1, slots 1..nt p_k."""
+    vals = problem.march(np.zeros(problem.space.dof_count),
+                         lambda k: -(problem.keep * problem.B[k]), backward=True)
+    return TimeSeriesField(problem.space, vals, problem.data.t0)
 
 
 def dof_velocities(space, theta):
@@ -274,8 +265,8 @@ def parabolic_shape_tensors(problem):
 class ParabolicProblem(ShapeProblem):
     """The parabolic pipeline for one cost flavor.  It owns the step
     operators M_u + dt a_M(t_k) K with Dirichlet rows eliminated, built from
-    ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load).  The
-    state marches on construction, the adjoint on first use."""
+    ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load).  Its
+    state and adjoint march on first use, not on construction."""
 
     def __init__(self, mesh, data, which="j1", order=1):
         if which not in ("j1", "j2"):
@@ -293,7 +284,10 @@ class ParabolicProblem(ShapeProblem):
         self.dt = data.t0 / data.nt
         self.times = np.linspace(0.0, data.t0, data.nt + 1)
         self._facts = {}
-        self.u = parabolic_solve(self)
+
+    @cached_property
+    def u(self):
+        return parabolic_solve(self)
 
     @cached_property
     def K(self):
@@ -320,14 +314,16 @@ class ParabolicProblem(ShapeProblem):
         except SolverError as exc:
             raise SolverError(f"time step {k}: {exc}") from exc
 
-    def march(self, x0, rhs):
-        """The implicit-Euler forward march, x_0 = x0 and
-        x_k = step(k, keep (M_u x_{k-1}) + rhs(k)); returns the (nt+1, ndof)
-        snapshots.  The state and its material derivative both march here."""
+    def march(self, x0, rhs, backward=False):
+        """The implicit-Euler march x_k = step(k, keep (M_u x_j) + rhs(k)) from
+        x_0 = x0 with j = k - 1, or backward from x_{nt+1} = x0 with j = k + 1
+        and x_1 in slot 0; returns the (nt+1, ndof) snapshots.  The state, its
+        material derivative and the adjoint all march here."""
         vals = np.empty((self.data.nt + 1, self.space.dof_count))
-        vals[0] = x0
-        for k in range(1, self.data.nt + 1):
-            vals[k] = self.step(k, self.keep * (self.Mu @ vals[k - 1]) + rhs(k))
+        x = x0
+        for k in range(self.data.nt, 0, -1) if backward else range(1, self.data.nt + 1):
+            x = vals[k] = self.step(k, self.keep * (self.Mu @ x) + rhs(k))
+        vals[0] = vals[1] if backward else x0
         return vals
 
     @property

@@ -231,10 +231,11 @@ class ShapeProblem:
 
     A subclass hands its constructor arguments after the mesh to
     ``ShapeProblem.__init__``, so re-solving on a transported mesh is the
-    same problem on new nodes (``rebuilt``).  It sets ``space`` (and a
-    state ``u``) and supplies its physics: ``cost()``, ``_build_tensors()``
-    and, with a state, the adjoint ``p``, the cost gradient ``B`` = d_u J
-    and ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
+    same problem on new nodes (``rebuilt``).  Its constructor checks input
+    and sets ``space``, solving nothing; its products are computed on first
+    use: ``cost()``, ``_build_tensors()`` and, with a state, the state
+    ``u``, the adjoint ``p``, the cost gradient ``B`` = d_u J and
+    ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
     every problem (both sides are -<A udot, p>).
@@ -249,9 +250,9 @@ class ShapeProblem:
     Capability flags name the oracles a problem supports: ``fd_cost`` is
     ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
     frozen-state transport cost) or None; ``has_state``: u and p exist, so
-    ``solve`` writes them and the Taylor remainder of ``material`` and the
-    pairing ``duality_pair`` are checked; ``dual_form`` selects
-    ``dual_form_gap``.
+    the CLI's ``solve`` writes them and the Taylor remainder of
+    ``material`` and the pairing ``duality_pair`` are checked;
+    ``dual_form`` selects ``dual_form_gap``.
     """
 
     name = None
@@ -265,16 +266,8 @@ class ShapeProblem:
         self.params = params
 
     def rebuilt(self, mesh_s):
-        """The same problem, with the same data and order, on ``mesh_s``.
-
-        The new problem holds this one (or, if this one is itself rebuilt,
-        its reference) as ``_reference`` from before its constructor runs,
-        so that a linear state solve can reuse the reference's factors.
-        """
-        new = type(self).__new__(type(self))
-        new._reference = self.__dict__.get("_reference", self)
-        new.__init__(mesh_s, *self.params)
-        return new
+        """The same problem, with the same data and order, on ``mesh_s``."""
+        return type(self)(mesh_s, *self.params)
 
     @property
     def dof_count(self):

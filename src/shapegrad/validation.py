@@ -126,8 +126,11 @@ class FdTable(_StudyTable):
         return row.error
 
 
-def _mesh_id(mesh):
-    return f"{mesh.n_nodes}n{mesh.n_triangles}t"
+def _metadata(problem, theta, **extra):
+    """A study table's metadata: the problem, theta and mesh, then ``extra``."""
+    mesh = problem.mesh
+    return {"problem": problem.name, "theta": theta.name,
+            "mesh": f"{mesh.n_nodes}n{mesh.n_triangles}t", "dofs": problem.dof_count, **extra}
 
 
 def step_sizes(s_list):
@@ -175,14 +178,9 @@ def fd_shape_check(problem, theta, s_list, steps=32):
     s = 0 (exact for quotients smooth in s, which the
     interpolation-consistent assembly guarantees).
     """
-    def evaluate(s):
-        return problem.resolved(theta, s, steps)[0]
-
-    meta = {"problem": problem.name, "theta": theta.name,
-            "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count,
-            "target": "dJ"}
     return _build_fd_table(problem.derivative(theta), problem.cost(),
-                           evaluate, s_list, meta)
+                           lambda s: problem.resolved(theta, s, steps)[0], s_list,
+                           _metadata(problem, theta, target="dJ"))
 
 
 def fd_transport_check(problem, theta, s_list, steps=32):
@@ -199,10 +197,8 @@ def fd_transport_check(problem, theta, s_list, steps=32):
     def evaluate(s):
         return cost_transport_value(fields, space, theta, s, steps=steps)
 
-    meta = {"problem": problem.name, "theta": theta.name,
-            "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count,
-            "target": "transport_cost"}
-    return _build_fd_table(dJ, evaluate(0.0), evaluate, s_list, meta)
+    return _build_fd_table(dJ, evaluate(0.0), evaluate, s_list,
+                           _metadata(problem, theta, target="transport_cost"))
 
 
 class TaylorRow:
@@ -238,9 +234,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue
         rows.append(TaylorRow(s, problem.state_norm(us - u0 - s * udot)))
-    meta = {"problem": problem.name, "theta": theta.name,
-            "mesh": _mesh_id(problem.mesh), "dofs": problem.dof_count}
-    return TaylorTable(meta, rows)
+    return TaylorTable(_metadata(problem, theta), rows)
 
 
 class DualityReport:

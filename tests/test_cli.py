@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from shapegrad import cli
+from shapegrad import cli, fem_core
 from shapegrad.cli import main
 from shapegrad.fem_core import FeSpace
 from shapegrad.mesh import load_mesh
@@ -436,11 +436,12 @@ def test_validate_full_suite(tmp_path):
 
 
 @pytest.mark.parametrize("command,phases", [
-    ("derive", {"build", "assemble", "fd"}),
-    ("validate", {"build", "fd", "taylor"})])
+    ("derive", {"build", "solve", "assemble", "fd"}),
+    ("validate", {"build", "solve", "fd", "taylor"})])
 def test_timings_sidecar_records_each_phase(tmp_path, command, phases):
-    """Mesh and problem construction is the ``build`` phase; the sidecar
-    holds one non-negative number of seconds per phase that ran."""
+    """Mesh and problem construction is the ``build`` phase and the state
+    solve the ``solve`` phase; the sidecar holds one non-negative number of
+    seconds per phase that ran."""
     import json
     path = _cfg(tmp_path, ROBIN_CFG.replace("refine = 4", "refine = 3"))
     out = tmp_path / "out"
@@ -471,6 +472,23 @@ def test_validate_bad_validation_inputs_exit_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [validation] {key} "), err
     assert not (out / "robin-fd.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["steps", "theta"])
+def test_config_errors_are_found_before_the_state_solve(tmp_path, monkeypatch, case):
+    """``steps = 0`` or a theta that is zero on the mesh exits 2 before the
+    state is solved: the constructor solves nothing, and the ``solve`` phase
+    comes after every config check, so no factorization runs."""
+    cfg = ROBIN_CFG.replace("refine = 4", "refine = 2")
+    if case == "steps":
+        cfg += "steps = 0\n"
+    else:
+        cfg = cfg.replace("field = bump 1.0 0.4 0.2 -0.1 0.8", "field = bump 1.0 0.4 5.0 5.0 0.3")
+    factored, init = [], fem_core.Factorized.__init__
+    monkeypatch.setattr(fem_core.Factorized, "__init__",
+                        lambda self, A: factored.append(A) or init(self, A))
+    assert main(["validate", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert factored == []
 
 
 # ------------------------------------------------------------ entry point

@@ -173,6 +173,7 @@ def test_quasilinear_reduces_to_linear(disk4):
 
 def test_quasilinear_newton_quadratic(disk4):
     problem = QuasilinearProblem(disk4, _ql_data())
+    problem.u
     hist = problem.newton_history
     assert len(hist) <= 8
     assert hist[-1] <= 1e-11 * hist[0]
@@ -184,7 +185,7 @@ def test_quasilinear_newton_quadratic(disk4):
 def test_quasilinear_newton_failure(disk4, monkeypatch):
     monkeypatch.setattr(elliptic_problems, "NEWTON_MAX_ITER", 1)
     with pytest.raises(fem.NewtonError) as err:
-        QuasilinearProblem(disk4, _ql_data())
+        QuasilinearProblem(disk4, _ql_data()).u
     assert len(err.value.history) == 1
 
 
@@ -533,13 +534,15 @@ def test_quasilinear_newton_stops_at_the_rounding_floor(disk4, monkeypatch):
     still raises NewtonError."""
     monkeypatch.setattr(elliptic_problems, "NEWTON_REL_TOL", 1e-13)
     monkeypatch.setattr(elliptic_problems, "NEWTON_ABS_TOL", 1e-20)
-    hist = QuasilinearProblem(disk4, _ql_data()).newton_history
+    problem = QuasilinearProblem(disk4, _ql_data())
+    problem.u
+    hist = problem.newton_history
     assert len(hist) - 1 <= 5
     assert 1e-13 * hist[0] < hist[-1] <= 1e-12 * hist[0]
     assert hist[-1] > 0.5 * hist[-2]
     monkeypatch.setattr(elliptic_problems, "NEWTON_REL_TOL", 1e-15)
     with pytest.raises(fem.NewtonError) as err:
-        QuasilinearProblem(disk4, _ql_data())
+        QuasilinearProblem(disk4, _ql_data()).u
     assert len(err.value.history) == elliptic_problems.NEWTON_MAX_ITER
 
 
@@ -548,7 +551,8 @@ def test_state_solve_logs_one_line(disk3, caplog):
     the final |R|/|R(0)|."""
     caplog.set_level(logging.INFO, logger="shapegrad")
     problem = QuasilinearProblem(disk3, _ql_data())
-    RobinProblem(disk3, _robin_data_nontrivial())
+    problem.u
+    RobinProblem(disk3, _robin_data_nontrivial()).u
     lines = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
     hist = problem.newton_history
     assert lines == [
@@ -598,6 +602,7 @@ def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, capl
     problem = _robin_varying(disk3, 1)[0]
     mesh_s = transport_mesh(bump_theta(), 0.04, disk3)
     direct = RobinProblem(mesh_s, problem.data)
+    direct.u
     monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
     caplog.set_level(logging.INFO, logger="shapegrad")
     factored = _count_factorizations(monkeypatch)
@@ -610,10 +615,45 @@ def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, capl
     assert line.endswith(", did not stop: factorized directly")
 
 
+LINEAR = pytest.mark.parametrize("cls, data", [
+    (RobinProblem, _robin_data_nontrivial()),
+    (DirichletEnergyProblem, DirichletEnergyData(f=parse_scalar("linear 1 0.5 -0.3")))],
+    ids=["robin", "dirichlet_energy"])
+
+
+@LINEAR
+def test_rebuilding_an_unsolved_problem_factorizes_once(cls, data, disk3, monkeypatch):
+    """Constructing a linear problem and rebuilding it before its state is
+    solved costs one factorization, the reference's: its state is solved
+    first, and the re-solve runs CG on those factors."""
+    factored = _count_factorizations(monkeypatch)
+    problem = cls(disk3, data)
+    resolved = problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
+    assert factored == [problem.dof_count]
+    assert "_fact" in vars(problem) and "_fact" not in vars(resolved)
+
+
+@LINEAR
+def test_rebuilding_a_rebuilt_problem_uses_the_root_factors(cls, data, disk3, monkeypatch):
+    """A problem rebuilt from a rebuilt one re-solves on the factors of the
+    problem solved directly, the root: it factorizes nothing and gets the
+    bits of rebuilding the root itself."""
+    theta = bump_theta()
+    mesh_a, mesh_b = (transport_mesh(theta, s, disk3) for s in (0.04, -0.02))
+    problem = cls(disk3, data)
+    resolved = problem.rebuilt(mesh_a)
+    factored = _count_factorizations(monkeypatch)
+    again = resolved.rebuilt(mesh_b)
+    monkeypatch.undo()
+    assert factored == []
+    assert _same_bits(again.u.coefficients, problem.rebuilt(mesh_b).u.coefficients)
+
+
 def test_resolve_logs_its_cg_statistics(disk3, caplog):
     """SHAPEGRAD_LOG=info: a re-solve's one state line adds the CG iteration
     count, the final |r|/|b| and the reference's own |r|/|b|, the stop."""
     problem = RobinProblem(disk3, _robin_data_nontrivial())
+    problem.u
     caplog.set_level(logging.INFO, logger="shapegrad")
     problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]

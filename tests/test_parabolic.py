@@ -99,7 +99,7 @@ def test_solver_failure_names_time_step(rect_unit):
     poisoned = TimeProfile("poisoned", lambda t: np.nan if t > 0.4 else 0.0, True)
     data.f = TimeScalarData(parse_scalar("const 1"), poisoned)
     with pytest.raises(SolverError, match="time step"):
-        ParabolicProblem(rect_unit, data)
+        ParabolicProblem(rect_unit, data).u
 
 
 def test_manufactured_dt_order():
@@ -240,6 +240,7 @@ def test_step_factorizations_shared_by_every_march(rect_unit, monkeypatch, m_pro
 
     monkeypatch.setattr(fem.Factorized, "__init__", counting_init)
     prob = ParabolicProblem(rect_unit, data, which="j1")
+    prob.u
     assert count[0] == factorizations
     theta = bump_theta()
     prob.p

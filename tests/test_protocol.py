@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from shapegrad import cli, fem_core, shape_assembly
+from shapegrad import cli, elliptic_problems, fem_core, parabolic_problem, shape_assembly
 from shapegrad.flow import transport_mesh
 
 import elliptic_references
@@ -29,6 +29,7 @@ TINY = {("mesh", "refine"): "2", ("mesh", "nx"): "6", ("mesh", "ny"): "6",
 # its start LU^-1 b and once per iteration (6 iterations here, 7 on the
 # refine-6 disk)
 STATE_SOLVES = {"robin": (0, 0, 10), "dirichlet_energy": (0, 0, 10), "area": (0, 0, 0)}
+STATEFUL = ["robin", "quasilinear", "dirichlet_energy", "parabolic_j1", "parabolic_j2"]
 
 
 def _tiny_config(tmp_path, name):
@@ -129,8 +130,29 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
     assert (out / f"{problem.name}-p.field").exists() == problem.has_state
 
 
-@pytest.mark.parametrize("name", ["robin", "quasilinear", "dirichlet_energy",
-                                  "parabolic_j1", "parabolic_j2"])
+@pytest.mark.parametrize("name", STATEFUL)
+def test_constructor_solves_nothing(name, tmp_path, monkeypatch):
+    """A constructor checks its input and discretizes: it factorizes and
+    solves nothing and runs no Newton or time step.  The state is solved
+    on first use."""
+    cfg = cli.RunConfig(_tiny_config(tmp_path, name))
+    mesh = cli.build_mesh(cfg)
+    counts = _count_solves(monkeypatch)
+    steps = []
+    for cls, method in ((elliptic_problems._EllipticProblem, "residual"),
+                        (parabolic_problem.ParabolicProblem, "step")):
+        def counting(self, *args, _original=getattr(cls, method)):
+            steps.append(args)
+            return _original(self, *args)
+        monkeypatch.setattr(cls, method, counting)
+    problem = cli.build_problem(cfg, mesh)
+    assert counts == {"factor": 0, "solve": 0, "apply": 0} and steps == []
+    assert "u" not in vars(problem)
+    problem.u
+    assert counts["factor"] >= 1 and steps
+
+
+@pytest.mark.parametrize("name", STATEFUL)
 def test_duality_pair_is_the_pair_as_first_written(name, tmp_path):
     """<ell, p> and <B, udot> over all state dofs against the problem's own
     pair as first written: the stationary one (keep L and keep B) to the
