@@ -19,11 +19,12 @@ import numpy as np
 from .elliptic_problems import (DirichletEnergyData, DirichletEnergyProblem,
                                 QuasilinearData, QuasilinearProblem, RobinData,
                                 RobinProblem)
-from .data_catalog import parse_matrix, parse_rfunction, parse_scalar, \
-    time_matrix, time_scalar
+from .data_catalog import (TimeMatrixData, TimeScalarData, parse_matrix, parse_profile,
+                           parse_rfunction, parse_scalar)
 from .fem_core import SolverError
 from .flow import make_field
-from .mesh import MeshFormatError, gen_disk, gen_rectangle, load_mesh, save_mesh
+from .mesh import (MeshFormatError, MeshValidationError, gen_disk, gen_rectangle, load_mesh,
+                   save_mesh)
 from .parabolic_problem import ParabolicData, ParabolicProblem
 from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
                       fd_table_json, mesh_hash, save_field, taylor_csv_rows,
@@ -36,30 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
-
-_PARABOLIC_DATA = {"m", "m_profile", "f", "f_profile", "g", "u_d", "ud_profile", "t0", "nt"}
-#: problem -> the [data] keys ``build_problem`` reads for it
-DATA_KEYS = {
-    "robin": {"m", "beta", "f", "g"},
-    "quasilinear": {"m", "f", "g", "u_d", "c1", "c2", "c3", "r_check"},
-    "dirichlet_energy": {"f"},
-    "parabolic_j1": _PARABOLIC_DATA,
-    "parabolic_j2": _PARABOLIC_DATA,
-    "prop5_manufactured": set(),
-    "prop6_manufactured": set(),
-    "area": set(),
-}
-PROBLEMS = tuple(DATA_KEYS)
-#: section -> the keys the commands read, as configparser stores them, in
-#: lower case; [data] is per problem (``DATA_KEYS``)
-SECTION_KEYS = {
-    "run": {"problem", "order"},
-    "mesh": {"file", "kind", "center", "radius", "refine", "bounds", "nx", "ny"},
-    "theta": {"field", "support", "ramp"},
-    "validation": {"steps", "s_list", "taylor_s_list", "fd_order_min", "fd_rel_max",
-                   "extrapolated_max", "taylor_order_min", "duality_rel_max", "dual_form_max"},
-    "output": {"dir"},
-}
 
 log = logging.getLogger("shapegrad")
 
@@ -80,10 +57,107 @@ def _setup_logging():
 
 
 # -------------------------------------------------------------- configuration
+# A parser returns the typed value of a value's text, or raises ValueError.
+
+def _number(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _integer(raw):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _numbers(count):
+    def parse(raw):
+        values = [_number(p) for p in raw.split()]
+        if len(values) != count:
+            raise ValueError(f"expected {count} numbers, got {len(values)}")
+        return values
+    return parse
+
+
+def _step_list(raw):
+    return step_sizes([_number(p) for p in raw.split()])
+
+
+def _steps(raw):
+    value = _integer(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _one_of(*choices):
+    def parse(raw):
+        for choice in choices:
+            if raw == str(choice):
+                return choice
+        raise ValueError(f"must be one of {', '.join(map(str, choices))}")
+    return parse
+
+
+def _text(raw):
+    if not raw:
+        raise ValueError("empty value")
+    return raw
+
+
+def _field(raw):
+    """``name param...``: the arguments of ``make_field``."""
+    name, *params = _text(raw).split()
+    return name, [_number(p) for p in params]
+
+
+#: problem -> [data] key -> (parser, default as config text); c1, c2, c3,
+#: r_check, t0 and nt default in the data class (``RunConfig.given``)
+DATA = {
+    "robin": {"m": (parse_matrix, "const_mat 1 0 1"), "beta": (parse_scalar, "const 1"),
+              "f": (parse_scalar, None), "g": (parse_scalar, None)},
+    "quasilinear": {"m": (parse_rfunction, None), "f": (parse_rfunction, None),
+                    "g": (parse_scalar, None), "u_d": (parse_scalar, None),
+                    "c1": (_number, None), "c2": (_number, None), "c3": (_number, None),
+                    "r_check": (_number, None)},
+    "dirichlet_energy": {"f": (parse_scalar, None)},
+    **dict.fromkeys(("parabolic_j1", "parabolic_j2"), {
+        "m": (parse_matrix, None), "m_profile": (parse_profile, "const"),
+        "f": (parse_scalar, None), "f_profile": (parse_profile, "const"),
+        "u_d": (parse_scalar, None), "ud_profile": (parse_profile, "const"),
+        "g": (parse_scalar, None), "t0": (_number, None), "nt": (_integer, None)}),
+    **dict.fromkeys(("prop5_manufactured", "prop6_manufactured", "area"), {}),
+}
+PROBLEMS = tuple(DATA)
+#: section -> key -> (parser, default as config text, or None), in
+#: configparser's lower case; [data] is per problem (``DATA``)
+SCHEMA = {
+    "run": {"problem": (_one_of(*PROBLEMS), None), "order": (_one_of(1, 2), "1")},
+    "mesh": {"file": (_text, None), "kind": (_one_of("disk", "rect"), None),
+             "center": (_numbers(2), "0 0"), "radius": (_number, "1"), "refine": (_integer, None),
+             "bounds": (_numbers(4), "0 0 1 1"), "nx": (_integer, None), "ny": (_integer, None)},
+    "theta": {"field": (_field, None), "support": (_numbers(4), None), "ramp": (_number, "0.15")},
+    "validation": {"steps": (_steps, "32"), "s_list": (_step_list, "0.04 0.02 0.01"),
+                   "taylor_s_list": (_step_list, "0.16 0.08 0.04"),
+                   "fd_order_min": (_number, "1.9"), "fd_rel_max": (_number, "1e-5"),
+                   "extrapolated_max": (_number, None), "taylor_order_min": (_number, "1.9"),
+                   "duality_rel_max": (_number, "1e-9"), "dual_form_max": (_number, "1e-12")},
+    "output": {"dir": (_text, "out")},
+}
+
 
 class RunConfig:
-    """Typed view of an INI config file; every getter raises ConfigError
-    with the section/key it was reading."""
+    """An INI config file, checked whole when it is read: each section and
+    key must be in ``SCHEMA`` (``[data]``: in ``DATA`` of the file's
+    problem), and each value the file sets is parsed by its key's parser,
+    or ConfigError names ``[section] key``.  ``get`` returns a key's value,
+    else its default, else None; ``need`` raises ConfigError for None."""
 
     def __init__(self, path):
         if not os.path.isfile(path):
@@ -95,164 +169,112 @@ class RunConfig:
         try:
             with open(path, "r") as fh:
                 cp.read_file(fh, source=path)
+            self._text = {s: dict(cp.items(s)) for s in cp.sections()}
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         self.path = path
-        self._cp = cp
-        self._check_keys()
+        self._values = {}
+        # [data] is checked for a known problem only; [run] is parsed first
+        schema = dict(SCHEMA, data=DATA.get(self._text.get("run", {}).get("problem")))
+        for section in self._text:
+            if section not in schema:
+                raise ConfigError(f"unknown section [{section}] in {path}; "
+                                  f"known: {', '.join(sorted(schema))}")
+        for section, keys in schema.items():
+            if keys is None:
+                continue
+            text = self._text.get(section, {})
+            for key in text:
+                if key not in keys:
+                    raise ConfigError(f"unknown key [{section}] {key} in {path}; known: "
+                                      f"{', '.join(sorted(keys)) or 'none'}")
+            for key, (parse, default) in keys.items():
+                raw = text.get(key, default)
+                if raw is not None:
+                    try:
+                        self._values[section, key] = parse(raw)
+                    except ValueError as exc:
+                        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
-    def get(self, section, key, default=None):
-        if not self._cp.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key} in {self.path}")
-            return default
-        return self._cp.get(section, key).strip()
+    def get(self, section, key):
+        return self._values.get((section, key))
 
-    def get_float(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+    def need(self, section, key):
+        value = self.get(section, key)
+        if value is None:
+            raise ConfigError(f"missing [{section}] {key} in {self.path}")
+        return value
 
-    def get_int(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-    def get_floats(self, section, key, default=None):
-        raw = self.get(section, key, default)
-        try:
-            vals = [float(p) for p in str(raw).split()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected numbers, got {raw!r}") from None
-        if not vals:
-            raise ConfigError(f"[{section}] {key}: empty value")
-        return vals
-
-    def has(self, section, key=None):
-        if key is None:
-            return self._cp.has_section(section)
-        return self._cp.has_option(section, key)
+    def given(self, section, *keys):
+        """The ``keys`` that have a value, by name: one without a default only if set."""
+        return {key: self._values[section, key] for key in keys if (section, key) in self._values}
 
     def echo(self):
-        return {s: dict(self._cp.items(s)) for s in self._cp.sections()}
+        """The file's values as written, for the reports."""
+        return {s: dict(keys) for s, keys in self._text.items()}
 
-    def _check_keys(self):
-        """Raise ConfigError on the first section or key that no command
-        reads: a misspelt one would otherwise leave its default in force
-        unnoticed.  An unknown problem is left to ``build_problem``."""
-        known = dict(SECTION_KEYS, data=DATA_KEYS.get(self.get("run", "problem", "?")))
-        for section in self._cp.sections():
-            if section not in known:
-                raise ConfigError(f"unknown section [{section}] in {self.path}; "
-                                  f"known: {', '.join(sorted(known))}")
-            if known[section] is None:
-                continue
-            for key in self._cp.options(section):
-                if key not in known[section]:
-                    raise ConfigError(f"unknown key [{section}] {key} in {self.path}; known: "
-                                      f"{', '.join(sorted(known[section])) or 'none'}")
+
+def _make_mesh(make, *args):
+    """``make(*args)``: a mesh generator's or reader's refusal is a config error."""
+    try:
+        return make(*args)
+    except (OSError, MeshFormatError, MeshValidationError, ValueError) as exc:
+        raise ConfigError(f"mesh: {exc}") from exc
 
 
 def build_mesh(cfg):
-    if cfg.has("mesh", "file"):
-        path = cfg.get("mesh", "file")
-        try:
-            return load_mesh(path)
-        except (OSError, MeshFormatError, ValueError) as exc:
-            raise ConfigError(f"cannot load mesh {path}: {exc}") from exc
-    kind = cfg.get("mesh", "kind")
-    try:
-        if kind == "disk":
-            cx, cy = cfg.get_floats("mesh", "center", "0 0")
-            return gen_disk((cx, cy), cfg.get_float("mesh", "radius", "1"),
-                            cfg.get_int("mesh", "refine"))
-        if kind == "rect":
-            x0, y0, x1, y1 = cfg.get_floats("mesh", "bounds", "0 0 1 1")
-            return gen_rectangle(x0, y0, x1, y1, cfg.get_int("mesh", "nx"),
-                                 cfg.get_int("mesh", "ny"))
-    except ValueError as exc:
-        raise ConfigError(f"mesh generation failed: {exc}") from exc
-    raise ConfigError(f"[mesh] kind must be disk or rect, got {kind!r}")
+    if cfg.get("mesh", "file") is not None:
+        return _make_mesh(load_mesh, cfg.get("mesh", "file"))
+    if cfg.need("mesh", "kind") == "disk":
+        return _make_mesh(gen_disk, cfg.get("mesh", "center"), cfg.get("mesh", "radius"),
+                          cfg.need("mesh", "refine"))
+    return _make_mesh(gen_rectangle, *cfg.get("mesh", "bounds"), cfg.need("mesh", "nx"),
+                      cfg.need("mesh", "ny"))
 
 
 def build_theta(cfg, required=False):
-    if not cfg.has("theta", "field"):
-        if required:
-            raise ConfigError("this command needs a [theta] field entry")
+    if not required and cfg.get("theta", "field") is None:
         return None
-    parts = cfg.get("theta", "field").split()
-    if not parts:
-        raise ConfigError("[theta] field: empty value")
-    name, raw = parts[0], parts[1:]
+    support = cfg.get("theta", "support")
     try:
-        params = [float(p) for p in raw]
-    except ValueError:
-        raise ConfigError(f"[theta] field: bad parameter in {raw}") from None
-    support = None
-    if cfg.has("theta", "support"):
-        vals = cfg.get_floats("theta", "support")
-        if len(vals) != 4:
-            raise ConfigError("[theta] support: expected 'x0 y0 x1 y1'")
-        support = np.array(vals, dtype=float).reshape(2, 2)
-    ramp = cfg.get_float("theta", "ramp", "0.15")
-    try:
-        return make_field(name, params, support_box=support, ramp=ramp)
+        return make_field(*cfg.need("theta", "field"), ramp=cfg.get("theta", "ramp"),
+                          support_box=None if support is None else np.reshape(support, (2, 2)))
     except ValueError as exc:
         raise ConfigError(f"[theta] {exc}") from exc
 
 
 def build_problem(cfg, mesh):
-    name = cfg.get("run", "problem")
-    if name not in PROBLEMS:
-        raise ConfigError(f"[run] problem must be one of {', '.join(PROBLEMS)}; got {name!r}")
-    order = cfg.get_int("run", "order", "1")
-    if order not in (1, 2):
-        raise ConfigError(f"[run] order must be 1 or 2, got {order}")
+    name = cfg.need("run", "problem")
+    order = cfg.get("run", "order")
     try:
         if name == "robin":
-            md = parse_matrix(cfg.get("data", "M", "const_mat 1 0 1"))
-            M = md.constant()
+            M = cfg.get("data", "m").constant()
             if M is None:
                 raise ConfigError("robin needs a spatially constant [data] M entry")
-            data = RobinData(M=M, beta=parse_scalar(cfg.get("data", "beta", "const 1")),
-                             f=parse_scalar(cfg.get("data", "f")),
-                             g=parse_scalar(cfg.get("data", "g")))
+            data = RobinData(M=M, beta=cfg.get("data", "beta"), f=cfg.need("data", "f"),
+                             g=cfg.need("data", "g"))
             return RobinProblem(mesh, data, order=order)
         if name == "quasilinear":
             data = QuasilinearData(
-                m=parse_rfunction(cfg.get("data", "m")),
-                f=parse_rfunction(cfg.get("data", "f")),
-                g=parse_scalar(cfg.get("data", "g")),
-                u_d=parse_scalar(cfg.get("data", "u_d")),
-                c1=cfg.get_float("data", "c1", "1.0"),
-                c2=cfg.get_float("data", "c2", "9e-4"),
-                c3=cfg.get_float("data", "c3", "3.0"),
-                r_check=cfg.get_float("data", "r_check", "10.0"))
+                m=cfg.need("data", "m"), f=cfg.need("data", "f"),
+                g=cfg.need("data", "g"), u_d=cfg.need("data", "u_d"),
+                **cfg.given("data", "c1", "c2", "c3", "r_check"))
             return QuasilinearProblem(mesh, data, order=order)
         if name == "dirichlet_energy":
-            data = DirichletEnergyData(f=parse_scalar(cfg.get("data", "f")))
+            data = DirichletEnergyData(f=cfg.need("data", "f"))
             return DirichletEnergyProblem(mesh, data, order=order)
         if name in ("parabolic_j1", "parabolic_j2"):
             data = ParabolicData(
-                M=time_matrix(cfg.get("data", "M"), cfg.get("data", "M_profile", "const")),
-                f=time_scalar(cfg.get("data", "f"), cfg.get("data", "f_profile", "const")),
-                g=parse_scalar(cfg.get("data", "g")),
-                u_d=time_scalar(cfg.get("data", "u_d"),
-                                cfg.get("data", "ud_profile", "const")),
-                t0=cfg.get_float("data", "t0", "1.0"),
-                nt=cfg.get_int("data", "nt", "64"))
+                M=TimeMatrixData(cfg.need("data", "m"), cfg.get("data", "m_profile")),
+                f=TimeScalarData(cfg.need("data", "f"), cfg.get("data", "f_profile")),
+                u_d=TimeScalarData(cfg.need("data", "u_d"), cfg.get("data", "ud_profile")),
+                g=cfg.need("data", "g"), **cfg.given("data", "t0", "nt"))
             return ParabolicProblem(mesh, data, which=name[-2:], order=order)
         if name in ("prop5_manufactured", "prop6_manufactured"):
             return ManufacturedProblem(mesh, variant=name.split("_")[0], order=order)
         return AreaProblem(mesh, order=order)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        # catalog names, parameter counts, coefficient bounds: config errors
+        # coefficient bounds and the data classes' own checks: config errors
         raise ConfigError(str(exc)) from exc
 
 
@@ -264,15 +286,11 @@ def cmd_mesh(args):
     if args.disk:
         if args.refine is None:
             raise ConfigError("mesh --disk needs --refine")
-        mesh = gen_disk(tuple(args.center), args.radius, args.refine)
+        mesh = _make_mesh(gen_disk, args.center, args.radius, args.refine)
     else:
         if args.nx is None or args.ny is None:
             raise ConfigError("mesh --rect needs --nx and --ny")
-        x0, y0, x1, y1 = args.rect
-        try:
-            mesh = gen_rectangle(x0, y0, x1, y1, args.nx, args.ny)
-        except ValueError as exc:
-            raise ConfigError(f"mesh generation failed: {exc}") from exc
+        mesh = _make_mesh(gen_rectangle, *args.rect, args.nx, args.ny)
     save_mesh(mesh, args.out_file)
     print(f"wrote {args.out_file}: {mesh.n_nodes} nodes, "
           f"{mesh.n_triangles} triangles, hash {mesh_hash(mesh)}")
@@ -280,19 +298,18 @@ def cmd_mesh(args):
 
 
 def _outdir(args, cfg):
-    out = args.out or (cfg.get("output", "dir", "out") if cfg.has("output") else "out")
+    out = args.out or cfg.get("output", "dir")
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def cmd_solve(args):
     cfg = RunConfig(args.config)
-    mesh = build_mesh(cfg)
-    problem = build_problem(cfg, mesh)
+    theta = build_theta(cfg)
+    problem = build_problem(cfg, build_mesh(cfg))
     if not problem.has_state:
         raise ConfigError(f"problem {problem.name!r} has no state to solve")
     out = _outdir(args, cfg)
-    theta = build_theta(cfg)
     written = []
     for tag, field in (("u", problem.u), ("p", problem.p)):
         path = os.path.join(out, f"{problem.name}-{tag}.field")
@@ -330,27 +347,6 @@ def _check(value, limit, op):
 def _smallest_s_rel(table):
     errs = table.errors()
     return errs[-1] / table.scale if errs else float("nan")
-
-
-def _fd_checks(cfg, table):
-    checks = {
-        "fd_order": _check(_order_value(table), cfg.get_float("validation", "fd_order_min", "1.9"), ">="),
-        "fd_rel_gap": _check(_smallest_s_rel(table), cfg.get_float("validation", "fd_rel_max", "1e-5"), "<="),
-    }
-    if cfg.has("validation", "extrapolated_max"):
-        checks["fd_extrapolated"] = _check(
-            table.extrapolated_error, cfg.get_float("validation", "extrapolated_max"), "<=")
-    return checks
-
-
-def _step_sizes(cfg, key, default):
-    """[validation] ``key``: step sizes s, positive and strictly decreasing."""
-    s = cfg.get_floats("validation", key, default)
-    try:
-        return step_sizes(s)
-    except ValueError:
-        raise ConfigError(f"[validation] {key} must be positive and strictly decreasing, "
-                          f"got {' '.join(map(str, s))}") from None
 
 
 def _run_fd(problem, theta, s_list, steps):
@@ -401,9 +397,9 @@ def cmd_check(args):
     (validate).  The adjoint is solved on first use, in ``assemble`` or ``fd``.
     """
     cfg = RunConfig(args.config)
+    theta = build_theta(cfg, required=True)
     timings = {}
     problem = _timed(timings, "build", lambda: build_problem(cfg, build_mesh(cfg)))
-    theta = build_theta(cfg, required=True)
     # a theta whose every sample is zero would pass every check with dJ = 0
     if not any(map(np.any, vars(problem.samples(theta)).values())):
         raise ConfigError(f"[theta] field {theta.name!r} is zero on the whole mesh")
@@ -412,12 +408,7 @@ def cmd_check(args):
     report = _report_base(cfg, problem, theta)
     report["command"] = args.command
     checks = {}
-    steps = cfg.get_int("validation", "steps", "32")
-    if steps < 1:
-        raise ConfigError(f"[validation] steps must be at least 1, got {steps}")
-    s_list = _step_sizes(cfg, "s_list", "0.04 0.02 0.01")
-    taylor = not derive and problem.has_state
-    ts = _step_sizes(cfg, "taylor_s_list", "0.16 0.08 0.04") if taylor else None
+    steps = cfg.get("validation", "steps")
     if problem.has_state:
         _timed(timings, "solve", lambda: problem.u)
 
@@ -427,32 +418,37 @@ def cmd_check(args):
         report["dJ"] = bd.total
         report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
-    table = _timed(timings, "fd", lambda: _run_fd(problem, theta, s_list, steps))
+    table = _timed(timings, "fd",
+                   lambda: _run_fd(problem, theta, cfg.get("validation", "s_list"), steps))
     if table is not None:
         report["fd"] = fd_table_json(table)
-        checks.update(_fd_checks(cfg, table))
+        checks["fd_order"] = _check(_order_value(table), cfg.get("validation", "fd_order_min"),
+                                    ">=")
+        checks["fd_rel_gap"] = _check(_smallest_s_rel(table), cfg.get("validation", "fd_rel_max"),
+                                      "<=")
+        if cfg.get("validation", "extrapolated_max") is not None:
+            checks["fd_extrapolated"] = _check(
+                table.extrapolated_error, cfg.get("validation", "extrapolated_max"), "<=")
 
     ttable = None
-    if taylor:
-        ttable = _timed(timings, "taylor",
-                        lambda: material_taylor_check(problem, theta, ts, steps=steps))
+    if not derive and problem.has_state:
+        ttable = _timed(timings, "taylor", lambda: material_taylor_check(
+            problem, theta, cfg.get("validation", "taylor_s_list"), steps=steps))
         report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
-            _order_value(ttable),
-            cfg.get_float("validation", "taylor_order_min", "1.9"), ">=")
+            _order_value(ttable), cfg.get("validation", "taylor_order_min"), ">=")
 
     if problem.has_state:
         rep = duality_check(problem, theta)
         report["duality"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                              "abs_gap": rep.abs_gap, "rel_gap": rep.rel_gap}
-        checks["duality_rel_gap"] = _check(
-            rep.rel_gap, cfg.get_float("validation", "duality_rel_max", "1e-9"), "<=")
+        checks["duality_rel_gap"] = _check(rep.rel_gap, cfg.get("validation", "duality_rel_max"),
+                                           "<=")
 
     if problem.dual_form:
         gap = problem.dual_form_gap(theta)
         report["dual_form_gap"] = gap
-        checks["dual_form_gap"] = _check(
-            gap, cfg.get_float("validation", "dual_form_max", "1e-12"), "<=")
+        checks["dual_form_gap"] = _check(gap, cfg.get("validation", "dual_form_max"), "<=")
 
     report["checks"] = checks
     report["passed"] = all(c["pass"] for c in checks.values())
@@ -460,9 +456,8 @@ def cmd_check(args):
     kind = "report" if derive else "validate"
     write_json(os.path.join(out, f"{problem.name}-{kind}.json"), report)
     if table is not None:
-        rel_max = cfg.get_float("validation", "fd_rel_max", "1e-5")
         write_csv(os.path.join(out, f"{problem.name}-fd.csv"), FD_CSV_HEADER,
-                  fd_csv_rows(table, rel_max))
+                  fd_csv_rows(table, cfg.get("validation", "fd_rel_max")))
     if ttable is not None:
         write_csv(os.path.join(out, f"{problem.name}-taylor.csv"),
                   TAYLOR_CSV_HEADER, taylor_csv_rows(ttable))

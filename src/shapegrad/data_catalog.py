@@ -317,8 +317,10 @@ def _parse(spec, catalog, kind, cls):
         raise ValueError(f"{kind} entry {name!r} takes {nparams} parameters, got {len(raw)}")
     try:
         params = [float(p) for p in raw]
-    except ValueError as exc:
-        raise ValueError(f"{kind} entry {name!r}: bad parameter in {raw}") from exc
+    except ValueError:
+        params = [np.nan]
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{kind} entry {name!r}: parameters must be finite numbers, got {raw}")
     return cls(name, *builder(*params))
 
 

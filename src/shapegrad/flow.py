@@ -48,7 +48,7 @@ zero is +0.0, and the divergence keeps the bits of the Jacobian's trace.
 
 import numpy as np
 
-from .mesh import InvertedTriangleError
+from .mesh import InvertedTriangleError, MeshValidationError
 
 
 class FlowDegeneracyError(Exception):
@@ -174,9 +174,9 @@ def transport_mesh(theta, s, mesh, steps=32):
     Raises
     ------
     FlowDegeneracyError
-        If any transported triangle has non-positive signed area (the
-        message reports the first offending triangle index).  The areas
-        are those ``Mesh.with_nodes`` computes for its orientation check.
+        If the moved nodes fail a check of ``Mesh.with_nodes``: a triangle
+        of non-positive signed area (the message reports the first one),
+        or a node that is not finite or leaves the hold-all box.
     """
     X, _ = advect_batch(theta, s, mesh.nodes, steps=steps, want_xi=False)
     try:
@@ -184,6 +184,8 @@ def transport_mesh(theta, s, mesh, steps=32):
     except InvertedTriangleError as exc:
         raise FlowDegeneracyError(
             f"transport inverts triangle {exc.index} (signed area {exc.area:.3e}) at s={s}") from None
+    except MeshValidationError as exc:
+        raise FlowDegeneracyError(f"transported mesh fails '{exc}' at s={s}") from None
 
 
 # ------------------------------------------------------------------- catalog

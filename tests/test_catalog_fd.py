@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from shapegrad.data_catalog import (MATRIX_CATALOG, PROFILE_CATALOG, RFUNC_CATALOG,
-                                    SCALAR_CATALOG, parse_rfunction, parse_scalar,
-                                    time_matrix, time_scalar)
+                                    SCALAR_CATALOG, parse_matrix, parse_profile,
+                                    parse_rfunction, parse_scalar, time_matrix, time_scalar)
 from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyProblem,
                                          QuasilinearData, QuasilinearProblem,
                                          RobinData, RobinProblem)
@@ -117,3 +117,14 @@ def test_parabolic_catalog_entry_fd(slot, name, profile, which, rect_unit):
     problem = ParabolicProblem(rect_unit, _parabolic_data(slot, name, profile), which=which)
     theta = make_field("bump", (1.0, 0.5, 0.5, 0.0, 0.45), support_box=HOLDALL)
     _assert_fd_matches(fd_shape_check(problem, theta, S_LIST))
+
+
+@pytest.mark.parametrize("parse,spec", [(parse_scalar, "const nan"),
+                                        (parse_matrix, "const_mat 1 0 inf"),
+                                        (parse_rfunction, "affine_r nan 0"),
+                                        (parse_profile, "decay -inf")])
+def test_non_finite_parameters_are_refused(parse, spec):
+    """A NaN or infinite parameter would reach the solver (Robin with
+    ``f = const nan`` reported a singular system): each catalog refuses it."""
+    with pytest.raises(ValueError, match=f"{spec.split()[0]!r}: parameters must be finite"):
+        parse(spec)

@@ -74,6 +74,27 @@ def test_mesh_disk_needs_refine(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--refine", "-1"], ["--refine", "2", "--radius", "0"],
+                                  ["--refine", "2", "--radius", "nan"]])
+def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, argv):
+    """The generator's refusal of its input, a ValueError or a mesh that
+    fails validation, is a config error, not a traceback."""
+    out = tmp_path / "x.mesh"
+    assert main(["mesh", "--disk", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: mesh: ")
+    assert not out.exists()
+
+
+def test_clockwise_mesh_file_exits_2(tmp_path, capsys):
+    mesh = tmp_path / "cw.mesh"
+    mesh.write_text("shapegrad-mesh v1\nnodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"
+                    "boundary 3\n0 2 1\n2 1 1\n1 0 1\n")
+    path = _cfg(tmp_path, ROBIN_CFG.replace("kind = disk\nrefine = 4", f"file = {mesh}"))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: mesh: positive triangle orientation: triangle 0")
+
+
 # ------------------------------------------------------------- usage errors
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -138,24 +159,20 @@ def test_every_config_file_has_only_known_keys():
 
 
 def test_known_keys_are_the_keys_the_commands_read():
-    """The key tables hold exactly the (section, key) pairs that cli.py
-    reads, in configparser's lower case."""
+    """The schema holds exactly the (section, key) pairs that cli.py reads
+    through ``get``, ``need`` and ``given``, in configparser's lower case."""
     read = set()
     for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
         if not isinstance(node, ast.Call) or len(node.args) < 2:
             continue
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "_step_sizes":
-            pair = ("validation", node.args[1])
-        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-              and func.value.id in ("cfg", "self") and func.attr.startswith(("get", "has"))):
-            pair = tuple(node.args[:2])
-        else:
-            continue
-        if all(isinstance(a, (str, ast.Constant)) for a in pair):
-            read.add(tuple(a if isinstance(a, str) else a.value.lower() for a in pair))
-    known = {(s, k) for s, keys in cli.SECTION_KEYS.items() for k in keys}
-    known |= {("data", k) for keys in cli.DATA_KEYS.values() for k in keys}
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in ("cfg", "self") and func.attr in ("get", "need", "given")
+                and all(isinstance(a, ast.Constant) for a in node.args)):
+            section, *keys = (a.value for a in node.args)
+            read |= {(section, key) for key in keys}
+    known = {(s, k) for s, keys in cli.SCHEMA.items() for k in keys}
+    known |= {("data", k) for keys in cli.DATA.values() for k in keys}
     assert read == known
 
 
@@ -474,21 +491,60 @@ def test_validate_bad_validation_inputs_exit_2(tmp_path, capsys, key, value):
     assert not (out / "robin-fd.csv").exists()
 
 
-@pytest.mark.parametrize("case", ["steps", "theta"])
-def test_config_errors_are_found_before_the_state_solve(tmp_path, monkeypatch, case):
-    """``steps = 0`` or a theta that is zero on the mesh exits 2 before the
-    state is solved: the constructor solves nothing, and the ``solve`` phase
-    comes after every config check, so no factorization runs."""
+GATE_KEYS = ("fd_order_min", "fd_rel_max", "extrapolated_max", "taylor_order_min",
+             "duality_rel_max", "dual_form_max")
+VALIDATION = "[validation]\n"
+DISK = "kind = disk\nrefine = 2"
+
+
+@pytest.mark.parametrize("old,new,named", [
+    pytest.param(VALIDATION, VALIDATION + "steps = 0\n", "[validation] steps ", id="steps"),
+    pytest.param("0.2 -0.1 0.8", "5.0 5.0 0.3", "[theta] field 'bump' is zero", id="theta"),
+    *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n", f"[validation] {key} ",
+                   id=f"{key}-{value}") for key in GATE_KEYS for value in ("abc", "inf")),
+    pytest.param(DISK, DISK + "\ncenter = 0 0 1", "[mesh] center ", id="center-length"),
+    pytest.param(DISK, DISK + "\ncenter = inf 0", "[mesh] center ", id="center-inf"),
+    pytest.param(DISK, DISK + "\nradius = nan", "[mesh] radius ", id="radius-nan"),
+    pytest.param(DISK, "kind = rect\nnx = 2\nny = 2\nbounds = 0 0 1", "[mesh] bounds ",
+                 id="bounds-length"),
+    pytest.param(DISK, "kind = rect\nnx = 2\nny = 2\nbounds = 0 0 nan 1", "[mesh] bounds ",
+                 id="bounds-nan"),
+    pytest.param("[theta]\n", "[theta]\nsupport = -1 -1 1\n", "[theta] support ",
+                 id="support-length"),
+    pytest.param("f = const 1", "f = cnst 1", "[data] f ", id="data-unknown"),
+    pytest.param("f = const 1", "f = const nan", "[data] f ", id="data-nan"),
+    pytest.param("beta = const 1", "beta = const nan", "[data] beta ", id="data-beta-nan"),
+    pytest.param("field = bump", "field = bmup", "[theta] unknown field 'bmup'",
+                 id="theta-unknown"),
+    pytest.param("-0.1 0.8", "-0.1 nan", "[theta] field ", id="theta-nan")])
+def test_config_errors_are_found_before_the_state_solve(tmp_path, monkeypatch, capsys,
+                                                         old, new, named):
+    """A config error exits 2 naming its key before the state is solved: the
+    constructor solves nothing and the ``solve`` phase comes after every
+    config check, so no factorization runs.  Only the check of a theta that
+    is zero on the mesh needs the mesh; every other error is found before
+    ``build_mesh`` runs, when the file is read or theta is built."""
     cfg = ROBIN_CFG.replace("refine = 4", "refine = 2")
-    if case == "steps":
-        cfg += "steps = 0\n"
-    else:
-        cfg = cfg.replace("field = bump 1.0 0.4 0.2 -0.1 0.8", "field = bump 1.0 0.4 5.0 5.0 0.3")
+    assert old in cfg
     factored, init = [], fem_core.Factorized.__init__
     monkeypatch.setattr(fem_core.Factorized, "__init__",
                         lambda self, A: factored.append(A) or init(self, A))
-    assert main(["validate", "--config", _cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    meshes, build_mesh = [], cli.build_mesh
+    monkeypatch.setattr(cli, "build_mesh", lambda cfg: meshes.append(cfg) or build_mesh(cfg))
+    path = _cfg(tmp_path, cfg.replace(old, new))
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named}"), err
     assert factored == []
+    assert len(meshes) == ("is zero" in named)
+
+
+def test_schema_defaults_parse():
+    """Each default is config text that its own key's parser accepts."""
+    for keys in (*cli.SCHEMA.values(), *cli.DATA.values()):
+        for parse, default in keys.values():
+            if default is not None:
+                parse(default)
 
 
 # ------------------------------------------------------------ entry point

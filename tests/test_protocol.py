@@ -108,7 +108,7 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
     fd_keys = set()
     if problem.fd_cost is not None:
         fd_keys = {"fd_order", "fd_rel_gap"}
-        if cfg.has("validation", "extrapolated_max"):
+        if cfg.get("validation", "extrapolated_max") is not None:
             fd_keys.add("fd_extrapolated")
     shared = fd_keys | {key for key, flag in (("duality_rel_gap", problem.has_state),
                                               ("dual_form_gap", problem.dual_form)) if flag}

@@ -113,6 +113,17 @@ def test_degenerate_transport_flags_row(disk3):
     assert np.isnan(table.extrapolated)
 
 
+def test_transport_out_of_the_holdall_flags_row(disk3):
+    """theta(x) = x carries the disk's boundary to radius e^0.5 = 1.65 at
+    s = 0.5, outside its hold-all box [-1.5, 1.5]^2: the FD and the Taylor
+    row at that step are flagged, and the rest of each study runs."""
+    theta = make_field("linear", (1, 0, 0, 1, 0, 0))
+    for table in (fd_shape_check(AreaProblem(disk3), theta, (0.5, 0.02, 0.01)),
+                  material_taylor_check(_robin_problem(disk3), theta, (0.5, 0.02, 0.01))):
+        assert table.rows[0].flagged and "hold-all box" in table.rows[0].note
+        assert not any(r.flagged for r in table.rows[1:])
+
+
 def test_fd_rejects_bad_steps(disk3):
     with pytest.raises(ValueError, match="positive step"):
         fd_shape_check(AreaProblem(disk3), bump_theta(), (0.1, -0.05))
