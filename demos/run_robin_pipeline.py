@@ -55,5 +55,4 @@ for row in table.rows:
     order = f"{row.order:.3f}" if np.isfinite(row.order) else "  -  "
     print(f"  s {row.s:<6.3f} quotient {row.central:+.10e}  "
           f"error {row.error:.2e}  order {order}")
-rel = table.rows[-1].error / (1.0 + abs(table.dJ))
-print(f"relative gap at the smallest step: {rel:.2e}")
+print(f"relative gap at the smallest step: {table.rel_gap:.2e}")

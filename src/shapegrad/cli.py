@@ -156,8 +156,9 @@ class RunConfig:
     """An INI config file, checked whole when it is read: each section and
     key must be in ``SCHEMA`` (``[data]``: in ``DATA`` of the file's
     problem), and each value the file sets is parsed by its key's parser,
-    or ConfigError names ``[section] key``.  ``get`` returns a key's value,
-    else its default, else None; ``need`` raises ConfigError for None."""
+    or ConfigError names ``[section] key``; ``data`` is the problem's data.
+    ``get`` returns a key's value, else its default, else None; ``need``
+    raises ConfigError for None."""
 
     def __init__(self, path):
         if not os.path.isfile(path):
@@ -195,6 +196,7 @@ class RunConfig:
                         self._values[section, key] = parse(raw)
                     except ValueError as exc:
                         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+        self.data = _problem_data(self)
 
     def get(self, section, key):
         return self._values.get((section, key))
@@ -243,38 +245,51 @@ def build_theta(cfg, required=False):
         raise ConfigError(f"[theta] {exc}") from exc
 
 
-def build_problem(cfg, mesh):
-    name = cfg.need("run", "problem")
-    order = cfg.get("run", "order")
+def _problem_data(cfg):
+    """The problem's data object, composed from ``[data]`` when the file is
+    read, before any mesh is built; None for a problem without data.  The
+    data classes' own checks are config errors that name ``[data]``."""
+    name = cfg.get("run", "problem")
     try:
         if name == "robin":
             M = cfg.get("data", "m").constant()
             if M is None:
-                raise ConfigError("robin needs a spatially constant [data] M entry")
-            data = RobinData(M=M, beta=cfg.get("data", "beta"), f=cfg.need("data", "f"),
+                raise ValueError("robin needs a spatially constant M entry")
+            return RobinData(M=M, beta=cfg.get("data", "beta"), f=cfg.need("data", "f"),
                              g=cfg.need("data", "g"))
-            return RobinProblem(mesh, data, order=order)
         if name == "quasilinear":
-            data = QuasilinearData(
+            return QuasilinearData(
                 m=cfg.need("data", "m"), f=cfg.need("data", "f"),
                 g=cfg.need("data", "g"), u_d=cfg.need("data", "u_d"),
                 **cfg.given("data", "c1", "c2", "c3", "r_check"))
-            return QuasilinearProblem(mesh, data, order=order)
         if name == "dirichlet_energy":
-            data = DirichletEnergyData(f=cfg.need("data", "f"))
-            return DirichletEnergyProblem(mesh, data, order=order)
+            return DirichletEnergyData(f=cfg.need("data", "f"))
         if name in ("parabolic_j1", "parabolic_j2"):
-            data = ParabolicData(
+            return ParabolicData(
                 M=TimeMatrixData(cfg.need("data", "m"), cfg.get("data", "m_profile")),
                 f=TimeScalarData(cfg.need("data", "f"), cfg.get("data", "f_profile")),
                 u_d=TimeScalarData(cfg.need("data", "u_d"), cfg.get("data", "ud_profile")),
                 g=cfg.need("data", "g"), **cfg.given("data", "t0", "nt"))
-            return ParabolicProblem(mesh, data, which=name[-2:], order=order)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[data] {exc}") from exc
+
+
+def build_problem(cfg, mesh):
+    name = cfg.need("run", "problem")
+    order = cfg.get("run", "order")
+    try:
+        if name in ("parabolic_j1", "parabolic_j2"):
+            return ParabolicProblem(mesh, cfg.data, which=name[-2:], order=order)
         if name in ("prop5_manufactured", "prop6_manufactured"):
             return ManufacturedProblem(mesh, variant=name.split("_")[0], order=order)
-        return AreaProblem(mesh, order=order)
+        if name == "area":
+            return AreaProblem(mesh, order=order)
+        return {"robin": RobinProblem, "quasilinear": QuasilinearProblem,
+                "dirichlet_energy": DirichletEnergyProblem}[name](mesh, cfg.data, order=order)
     except ValueError as exc:
-        # coefficient bounds and the data classes' own checks: config errors
+        # coefficient bounds checked on the mesh: config errors
         raise ConfigError(str(exc)) from exc
 
 
@@ -291,15 +306,23 @@ def cmd_mesh(args):
         if args.nx is None or args.ny is None:
             raise ConfigError("mesh --rect needs --nx and --ny")
         mesh = _make_mesh(gen_rectangle, *args.rect, args.nx, args.ny)
-    save_mesh(mesh, args.out_file)
+    _output(args.out_file, save_mesh, mesh, args.out_file)
     print(f"wrote {args.out_file}: {mesh.n_nodes} nodes, "
           f"{mesh.n_triangles} triangles, hash {mesh_hash(mesh)}")
     return EXIT_OK
 
 
+def _output(path, write, *args, **kwargs):
+    """``write(*args, **kwargs)``: a ``path`` it cannot write is a config error."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _outdir(args, cfg):
     out = args.out or cfg.get("output", "dir")
-    os.makedirs(out, exist_ok=True)
+    _output(out, os.makedirs, out, exist_ok=True)
     return out
 
 
@@ -325,28 +348,10 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _order_value(table):
-    errs = table.errors()
-    if errs and max(errs) <= 1e-13 * table.scale:
-        return float("inf")  # machine-exact: order check is vacuous
-    try:
-        if len(errs) >= 3:
-            return table.observed_order()
-        orders = table.orders()
-        return float(orders.min()) if len(orders) else float("nan")
-    except ValueError:
-        return float("nan")
-
-
 def _check(value, limit, op):
     ok = bool(value >= limit) if op == ">=" else bool(value <= limit)
     return {"value": None if not np.isfinite(value) else float(value),
             "limit": float(limit), "op": op, "pass": ok}
-
-
-def _smallest_s_rel(table):
-    errs = table.errors()
-    return errs[-1] / table.scale if errs else float("nan")
 
 
 def _run_fd(problem, theta, s_list, steps):
@@ -422,10 +427,9 @@ def cmd_check(args):
                    lambda: _run_fd(problem, theta, cfg.get("validation", "s_list"), steps))
     if table is not None:
         report["fd"] = fd_table_json(table)
-        checks["fd_order"] = _check(_order_value(table), cfg.get("validation", "fd_order_min"),
-                                    ">=")
-        checks["fd_rel_gap"] = _check(_smallest_s_rel(table), cfg.get("validation", "fd_rel_max"),
-                                      "<=")
+        checks["fd_order"] = _check(table.observed_order(),
+                                    cfg.get("validation", "fd_order_min"), ">=")
+        checks["fd_rel_gap"] = _check(table.rel_gap, cfg.get("validation", "fd_rel_max"), "<=")
         if cfg.get("validation", "extrapolated_max") is not None:
             checks["fd_extrapolated"] = _check(
                 table.extrapolated_error, cfg.get("validation", "extrapolated_max"), "<=")
@@ -436,7 +440,7 @@ def cmd_check(args):
             problem, theta, cfg.get("validation", "taylor_s_list"), steps=steps))
         report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
-            _order_value(ttable), cfg.get("validation", "taylor_order_min"), ">=")
+            ttable.observed_order(), cfg.get("validation", "taylor_order_min"), ">=")
 
     if problem.has_state:
         rep = duality_check(problem, theta)

@@ -101,9 +101,9 @@ def advect_batch(theta, s, x0, steps=32, want_xi=True):
 
     Points where theta vanishes at the start are exact fixed points of every
     RK4 stage (each stage evaluates theta where the previous one left the
-    point), so only the others are integrated.  With xi a point is fixed
-    only if div(theta) vanishes there too; its xi stays 1.  Compactly
-    supported fields leave many mesh nodes fixed.
+    point), so only the others are integrated, point by point as RK4 acts.
+    With xi a point is fixed only if div(theta) vanishes there too; its xi
+    stays 1.  Compactly supported fields leave many mesh nodes fixed.
 
     Parameters
     ----------
@@ -134,10 +134,6 @@ def advect_batch(theta, s, x0, steps=32, want_xi=True):
     moving = (theta.eval(X) != 0.0).any(axis=-1)
     if want_xi:
         moving |= theta.div(X) != 0.0
-    if moving.all():
-        return _rk4(theta, s / steps, steps, X, xi)
-    if not moving.any():
-        return X, xi
     idx = np.nonzero(moving)[0]
     Xm, xim = _rk4(theta, s / steps, steps, X[idx], None if xi is None else xi[idx])
     X[idx] = Xm

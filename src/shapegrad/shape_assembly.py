@@ -61,6 +61,7 @@ import numpy as np
 
 from . import fem_core as fem
 from . import tensor_calc as tc
+from .data_catalog import parse_scalar
 from .fem_core import FeSpace
 from .flow import advect_batch, transport_mesh
 
@@ -346,26 +347,27 @@ class ShapeProblem:
 class ManufacturedFields:
     """Closed-form state/adjoint/data fields for assembly-level checks.
 
-    All closures are vectorized over ``(n, 2)`` point arrays; ``F`` and its
-    derivatives additionally take the state value ``r``.  ``f`` (with
-    ``grad_f``) is only present for the higher-order functional.
+    The adjoint of both functionals is p = -2u, so ``p``, ``grad_p`` and
+    ``hess_p`` are -2 times the state's closures.  ``h`` and ``f`` are scalar
+    catalog entries, exposed as ``h``, ``grad_h`` and ``f``, ``grad_f``
+    (None unless given: only the higher-order functional has f).  Closures
+    are vectorized over ``(..., 2)`` points; ``F``, ``dF_dx`` also take ``r``.
     """
 
-    def __init__(self, name, u, grad_u, hess_u, p, grad_p, hess_p,
-                 h, grad_h, F, dF_dx, f=None, grad_f=None):
+    def __init__(self, name, u, grad_u, hess_u, h, F, dF_dx, f=None):
         self.name = name
         self.u = u
         self.grad_u = grad_u
         self.hess_u = hess_u
-        self.p = p
-        self.grad_p = grad_p
-        self.hess_p = hess_p
-        self.h = h
-        self.grad_h = grad_h
+        self.p = lambda P: -2.0 * u(P)
+        self.grad_p = lambda P: -2.0 * grad_u(P)
+        self.hess_p = lambda P: -2.0 * hess_u(P)
+        self.h = h.value
+        self.grad_h = h.grad
         self.F = F
         self.dF_dx = dF_dx
-        self.f = f
-        self.grad_f = grad_f
+        self.f = None if f is None else f.value
+        self.grad_f = None if f is None else f.grad
 
 
 def make_manufactured(name="disk"):
@@ -375,7 +377,7 @@ def make_manufactured(name="disk"):
         u = (1 - |x|^2)/4 (so -lap u = 1), p = -2u, quadratic h, and the
         tracking-type cost density F(x, r) = (r - x1)^2.
     ``disk-higher``
-        u = (1 - |x|^2)(1 + x1/2)/4 with f = -lap u = 1 + x1; p = -2u.
+        u = (1 - |x|^2)(1 + x1/2)/4 with f = -lap u = 1 + x1; p = -2u, h = 0.
         Used for the Hessian-squared functional, where F is not involved.
     """
     if name == "disk":
@@ -388,23 +390,6 @@ def make_manufactured(name="disk"):
         def hess_u(P):
             return np.broadcast_to(-0.5 * np.eye(2), P.shape[:-1] + (2, 2)).copy()
 
-        def p(P):
-            return -2.0 * u(P)
-
-        def grad_p(P):
-            return P.copy()
-
-        def hess_p(P):
-            return np.broadcast_to(np.eye(2), P.shape[:-1] + (2, 2)).copy()
-
-        def h(P):
-            x, y = P[..., 0], P[..., 1]
-            return 0.3 + 0.2 * x - 0.1 * y + 0.15 * x * x + 0.1 * x * y - 0.05 * y * y
-
-        def grad_h(P):
-            x, y = P[..., 0], P[..., 1]
-            return np.stack([0.2 + 0.3 * x + 0.1 * y, -0.1 + 0.1 * x - 0.1 * y], axis=-1)
-
         def F(P, r):
             return (r - P[..., 0]) ** 2
 
@@ -413,8 +398,8 @@ def make_manufactured(name="disk"):
             out[..., 0] = -2.0 * (r - P[..., 0])
             return out
 
-        return ManufacturedFields("disk", u, grad_u, hess_u, p, grad_p, hess_p,
-                                  h, grad_h, F, dF_dx)
+        return ManufacturedFields("disk", u, grad_u, hess_u,
+                                  parse_scalar("poly2 0.3 0.2 -0.1 0.15 0.1 -0.05"), F, dF_dx)
 
     if name == "disk-higher":
         def u(P):
@@ -436,34 +421,10 @@ def make_manufactured(name="disk"):
             H[..., 1, 1] = -0.5 * B
             return H
 
-        def p(P):
-            return -2.0 * u(P)
-
-        def grad_p(P):
-            return -2.0 * grad_u(P)
-
-        def hess_p(P):
-            return -2.0 * hess_u(P)
-
-        def f(P):
-            return 1.0 + P[..., 0]
-
-        def grad_f(P):
-            out = np.zeros(P.shape)
-            out[..., 0] = 1.0
-            return out
-
-        def zero_s(P):
-            return np.zeros(P.shape[:-1])
-
-        def zero_v(P):
-            return np.zeros(P.shape)
-
-        return ManufacturedFields("disk-higher", u, grad_u, hess_u, p, grad_p, hess_p,
-                                  zero_s, zero_v,
+        return ManufacturedFields("disk-higher", u, grad_u, hess_u, parse_scalar("const 0"),
                                   F=lambda P, r: np.zeros(P.shape[:-1]),
                                   dF_dx=lambda P, r: np.zeros(P.shape),
-                                  f=f, grad_f=grad_f)
+                                  f=parse_scalar("linear 1 1 0"))
 
     raise ValueError(f"unknown manufactured catalog {name!r}")
 

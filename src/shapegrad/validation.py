@@ -80,7 +80,12 @@ class _StudyTable:
     """Rows of a convergence study in decreasing s; flagged rows are degenerate.
 
     A subclass names the row's error (``_error``) and the ``scale`` that
-    makes it relative; each clean row gets its order against the previous one.
+    makes it relative; each clean row gets its order against the previous
+    one.  ``observed_order`` is the study's one order verdict (the CLI's
+    ``fd_order`` and ``taylor_order``): inf when every clean error is at
+    rounding, <= 1e-13 * ``scale``; else the least-squares slope over three
+    or more clean rows (NaN if an error is 0); else the smallest pair order,
+    NaN when there is none.
     """
 
     scale = 1.0
@@ -102,20 +107,38 @@ class _StudyTable:
         return np.array([r.order for r in self.clean_rows()[1:]])
 
     def observed_order(self):
-        return estimate_order(zip([r.s for r in self.clean_rows()], self.errors()))
+        errs = self.errors()
+        if errs and max(errs) <= 1e-13 * self.scale:
+            return np.inf
+        if len(errs) >= 3:
+            try:
+                return estimate_order(zip([r.s for r in self.clean_rows()], errs))
+            except ValueError:
+                return np.nan
+        orders = self.orders()
+        return float(orders.min()) if len(orders) else np.nan
 
 
 class FdTable(_StudyTable):
-    """Central/forward FD quotients of a cost against the assembled dJ."""
+    """Central/forward FD quotients of a cost against the assembled dJ, and
+    their Neville extrapolation to s = 0 (NaN with fewer than 2 clean rows)."""
 
-    def __init__(self, metadata, dJ, rows, extrapolated=np.nan):
+    def __init__(self, metadata, dJ, rows):
         super().__init__(metadata, rows)
         self.dJ = float(dJ)
-        self.extrapolated = float(extrapolated)
+        clean = self.clean_rows()
+        self.extrapolated = np.nan if len(clean) < 2 else _extrapolate_to_zero(
+            [r.s for r in clean], [r.central for r in clean])
 
     @property
     def extrapolated_error(self):
         return abs(self.extrapolated - self.dJ)
+
+    @property
+    def rel_gap(self):
+        """The smallest clean step's error over ``scale``; NaN with no clean row."""
+        errs = self.errors()
+        return errs[-1] / self.scale if errs else np.nan
 
     @property
     def scale(self):
@@ -160,12 +183,7 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
         forward = (jp - j0) / s
         rows.append(FdRow(s, jp, jm, central, abs(central - dJ),
                           forward=forward, forward_error=abs(forward - dJ)))
-    clean = [r for r in rows if not r.flagged]
-    extrapolated = np.nan
-    if len(clean) >= 2:
-        extrapolated = _extrapolate_to_zero([r.s for r in clean],
-                                            [r.central for r in clean])
-    return FdTable(metadata, dJ, rows, extrapolated)
+    return FdTable(metadata, dJ, rows)
 
 
 def fd_shape_check(problem, theta, s_list, steps=32):

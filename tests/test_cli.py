@@ -85,6 +85,28 @@ def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_unwritable_mesh_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.mesh"
+    assert main(["mesh", "--disk", "--refine", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: output: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "derive", "validate"])
+def test_unwritable_output_dir_exits_2_before_any_study(tmp_path, monkeypatch, capsys, command):
+    """An ``--out`` that is a file is a config error, found before any
+    study runs and before the state solve writes its fields."""
+    path = _cfg(tmp_path, ROBIN_CFG.replace("refine = 4", "refine = 2"))
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    studies = []
+    monkeypatch.setattr(cli, "_run_fd", lambda *args: studies.append(args))
+    monkeypatch.setattr(cli, "material_taylor_check", lambda *args, **kw: studies.append(args))
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: output: cannot write {out}: ")
+    assert studies == [] and out.read_text() == "a file\n"
+
+
 def test_clockwise_mesh_file_exits_2(tmp_path, capsys):
     mesh = tmp_path / "cw.mesh"
     mesh.write_text("shapegrad-mesh v1\nnodes 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n"
@@ -497,7 +519,35 @@ VALIDATION = "[validation]\n"
 DISK = "kind = disk\nrefine = 2"
 
 
-@pytest.mark.parametrize("old,new,named", [
+PARABOLIC_CFG = """
+[run]
+problem = parabolic_j1
+
+[mesh]
+kind = rect
+nx = 4
+ny = 4
+
+[data]
+M = const_mat 1 0 1
+f = const 1
+g = const 0
+u_d = const 0
+t0 = 1.0
+nt = 4
+
+[theta]
+field = bump 1.0 0.5 0.5 0.0 0.45
+"""
+
+
+def _on(base, *params):
+    """The ``old,new,named`` params as ``base,old,new,named`` ones."""
+    return [pytest.param(base, *p.values, id=p.id) for p in params]
+
+
+@pytest.mark.parametrize("base,old,new,named", _on(
+    ROBIN_CFG.replace("refine = 4", "refine = 2"),
     pytest.param(VALIDATION, VALIDATION + "steps = 0\n", "[validation] steps ", id="steps"),
     pytest.param("0.2 -0.1 0.8", "5.0 5.0 0.3", "[theta] field 'bump' is zero", id="theta"),
     *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n", f"[validation] {key} ",
@@ -516,22 +566,30 @@ DISK = "kind = disk\nrefine = 2"
     pytest.param("beta = const 1", "beta = const nan", "[data] beta ", id="data-beta-nan"),
     pytest.param("field = bump", "field = bmup", "[theta] unknown field 'bmup'",
                  id="theta-unknown"),
-    pytest.param("-0.1 0.8", "-0.1 nan", "[theta] field ", id="theta-nan")])
+    pytest.param("-0.1 0.8", "-0.1 nan", "[theta] field ", id="theta-nan"),
+    # the data classes' own checks, and robin's constant M, need no mesh
+    pytest.param("const_mat 2 0 1", "const_mat 1 2 1",
+                 "[data] Robin diffusion matrix must be positive definite", id="robin-m-indefinite"),
+    pytest.param("const_mat 2 0 1", "affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3",
+                 "[data] robin needs a spatially constant M", id="robin-m-not-constant")) + _on(
+    PARABOLIC_CFG,
+    pytest.param("nt = 4", "nt = 0", "[data] parabolic data needs nt >= 1", id="parabolic-nt-0"),
+    pytest.param("t0 = 1.0", "t0 = 0", "[data] parabolic data needs a positive final time",
+                 id="parabolic-t0-0")))
 def test_config_errors_are_found_before_the_state_solve(tmp_path, monkeypatch, capsys,
-                                                         old, new, named):
+                                                         base, old, new, named):
     """A config error exits 2 naming its key before the state is solved: the
     constructor solves nothing and the ``solve`` phase comes after every
     config check, so no factorization runs.  Only the check of a theta that
     is zero on the mesh needs the mesh; every other error is found before
     ``build_mesh`` runs, when the file is read or theta is built."""
-    cfg = ROBIN_CFG.replace("refine = 4", "refine = 2")
-    assert old in cfg
+    assert old in base
     factored, init = [], fem_core.Factorized.__init__
     monkeypatch.setattr(fem_core.Factorized, "__init__",
                         lambda self, A: factored.append(A) or init(self, A))
     meshes, build_mesh = [], cli.build_mesh
     monkeypatch.setattr(cli, "build_mesh", lambda cfg: meshes.append(cfg) or build_mesh(cfg))
-    path = _cfg(tmp_path, cfg.replace(old, new))
+    path = _cfg(tmp_path, base.replace(old, new))
     assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named}"), err

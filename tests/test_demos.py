@@ -20,7 +20,8 @@ EXPECTED = {
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("run_*.py")))
 def test_demo_runs(script):
-    env = dict(os.environ)
+    # a RuntimeWarning (a NaN or inf path) fails a demo as it fails the suite
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],

@@ -240,6 +240,9 @@ def _advect_every_point(theta, s, x0, steps, want_xi):
     make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
     make_field("rotation", (0.7, 0.1, -0.2), support_box=[[-0.6, -0.9], [0.8, 0.5]]),
     make_field("poly2", (0.1, 0.2, -0.1, 0.3, 0, 0.15, -0.2, 0.1, 0.05, 0.0, 0.2, -0.1)),
+    # no point moves: the moving subset is empty
+    make_field("zero"),
+    pytest.param(make_field("bump", (0.6, -0.4, 3.0, 3.0, 0.5)), id="bump-off-the-points"),
 ], ids=lambda t: t.name)
 def test_advect_skips_fixed_points_bit_for_bit(theta):
     rng = np.random.default_rng(5)

@@ -15,6 +15,7 @@ from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
 
 from conftest import HOLDALL, catalog_thetas, bump_theta
 from flow_references import edge_stretch_rate
+from manufactured_references import written_out
 
 
 def _sum_fields(a, b):
@@ -84,6 +85,24 @@ def test_manufactured_closures_match_fd(name):
 def test_manufactured_unknown_name():
     with pytest.raises(ValueError, match="unknown manufactured"):
         make_manufactured("nope")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["disk", "disk-higher"])
+def test_derived_manufactured_closures_keep_the_written_out_bits(name, order, disk4):
+    # p = -2u through the state's closures and h, f from the scalar catalog
+    # give the bits of the closures they replace, at scattered points and
+    # at the volume and edge quadrature points
+    fields = make_manufactured(name)
+    space = FeSpace(disk4, order=order)
+    ref = written_out(name, fields)
+    for P in (_disk_points(200), space.qpoints, space.edge_qpoints):
+        for attr, fn in ref.items():
+            got, want = getattr(fields, attr)(P), fn(P)
+            assert got.shape == want.shape and got.dtype == want.dtype, attr
+            assert got.tobytes() == want.tobytes(), attr
+    if name == "disk":
+        assert fields.f is None and fields.grad_f is None
 
 
 def test_manufactured_higher_source_is_neg_laplacian():

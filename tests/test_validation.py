@@ -10,10 +10,10 @@ from shapegrad.elliptic_problems import RobinData, RobinProblem
 from shapegrad.flow import make_field
 from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
 from shapegrad.shape_assembly import ManufacturedProblem
-from shapegrad.validation import (AreaProblem, DualityReport, FdTable,
-                                  duality_check, estimate_order,
-                                  fd_shape_check, fd_transport_check,
-                                  material_taylor_check)
+from shapegrad.validation import (AreaProblem, DualityReport, FdRow, FdTable,
+                                  TaylorRow, TaylorTable, duality_check,
+                                  estimate_order, fd_shape_check,
+                                  fd_transport_check, material_taylor_check)
 
 from conftest import HOLDALL, bump_theta
 
@@ -54,6 +54,72 @@ def test_estimate_order_rejects_bad_input():
         estimate_order([(0.1, 1e-2), (0.05, 0.0), (0.025, 1e-3)])
     with pytest.raises(ValueError, match="positive"):
         estimate_order([(0.1, 1e-2), (-0.05, 1e-3), (0.025, 1e-4)])
+
+
+# ----------------------------------------------------------- the order verdict
+
+def _fd(dJ, *rows):
+    """An FdTable of (s, error) rows; an error of None flags the row."""
+    return FdTable({}, dJ, [FdRow(s, flagged=True) if e is None else
+                            FdRow(s, central=dJ + e, error=e) for s, e in rows])
+
+
+def _taylor(*rows):
+    return TaylorTable({}, [TaylorRow(s, np.nan, flagged=True) if e is None else
+                            TaylorRow(s, e) for s, e in rows])
+
+
+def test_observed_order_is_inf_when_every_error_is_at_rounding():
+    # 1e-13 * (1 + |dJ|) = 3e-13 bounds the errors, however few the rows
+    assert _fd(-2.0, (0.04, 2.9e-13), (0.02, 0.0)).observed_order() == np.inf
+    assert _fd(-2.0, (0.04, 3e-13)).observed_order() == np.inf
+    assert _taylor((0.16, 1e-13), (0.08, 5e-14), (0.04, 0.0)).observed_order() == np.inf
+    assert _fd(-2.0, (0.04, 3.1e-13), (0.02, 1e-13)).observed_order() < np.inf
+
+
+def test_observed_order_of_three_rows_is_the_least_squares_slope():
+    rows = [(0.16, 3e-3), (0.08, 7e-4), (0.04, 2e-4)]
+    assert _taylor(*rows).observed_order() == estimate_order(rows)
+    # an error of 0 beside errors above rounding has no slope
+    assert np.isnan(_taylor((0.16, 3e-3), (0.08, 0.0), (0.04, 2e-4)).observed_order())
+
+
+def test_observed_order_of_two_rows_is_the_pair_order():
+    assert _taylor((0.1, 4e-4), (0.05, 1e-4)).observed_order() == pytest.approx(2.0, abs=1e-14)
+    assert _fd(1.0, (0.04, 1.6e-5), (0.02, 8e-6)).observed_order() == pytest.approx(
+        1.0, abs=1e-14)
+
+
+def test_observed_order_of_one_clean_row_is_nan():
+    assert np.isnan(_taylor((0.1, 4e-4)).observed_order())
+    assert np.isnan(_fd(1.0, (0.04, 1e-5), (0.02, None)).observed_order())
+    assert np.isnan(_fd(1.0, (0.04, None)).observed_order())
+
+
+def test_observed_order_pairs_the_clean_rows_across_a_flagged_one():
+    table = _taylor((0.1, 4e-4), (0.05, None), (0.025, 2.5e-5))
+    assert table.rows[2].order == pytest.approx(2.0, abs=1e-14)
+    assert np.isnan(table.rows[1].order)
+    assert table.observed_order() == table.rows[2].order
+    # with three clean rows the flagged one is left out of the fit
+    table = _fd(0.5, (0.08, 6.4e-5), (0.04, 1.6e-5), (0.02, None), (0.01, 1e-6))
+    assert table.observed_order() == estimate_order([(0.08, 6.4e-5), (0.04, 1.6e-5),
+                                                     (0.01, 1e-6)])
+
+
+def test_rel_gap_is_the_smallest_clean_step_over_the_scale():
+    assert _fd(-1.0, (0.04, 1e-6), (0.02, 2.5e-7)).rel_gap == 2.5e-7 / 2.0
+    # a flagged last row leaves the smallest clean step's error
+    table = _fd(-1.0, (0.04, 1e-6), (0.02, 2.5e-7), (0.01, None))
+    assert table.rel_gap == 2.5e-7 / 2.0
+    assert np.isnan(_fd(-1.0, (0.04, None)).rel_gap)
+
+
+def test_extrapolation_needs_two_clean_rows():
+    assert np.isnan(_fd(1.0, (0.04, 1e-6), (0.02, None)).extrapolated)
+    # quotients dJ + c s^2 extrapolate to dJ
+    table = _fd(1.0, (0.04, 1.6e-5), (0.02, None), (0.01, 1e-6))
+    assert abs(table.extrapolated_error) < 1e-15
 
 
 # ------------------------------------------------------------- the area gate
