@@ -12,6 +12,7 @@ import configparser
 import logging
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -298,6 +299,8 @@ def build_problem(cfg, mesh):
 def cmd_mesh(args):
     if args.disk == (args.rect is not None):
         raise ConfigError("mesh: give exactly one of --disk or --rect")
+    # refuse a target that cannot be written before the mesh is built
+    _output(args.out_file, _probe_directory, args.out_file)
     if args.disk:
         if args.refine is None:
             raise ConfigError("mesh --disk needs --refine")
@@ -318,6 +321,13 @@ def _output(path, write, *args, **kwargs):
         return write(*args, **kwargs)
     except OSError as exc:
         raise ConfigError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _probe_directory(path):
+    """Create and delete a file in ``path``'s directory, as ``save_mesh``
+    creates its temporary file there: OSError if it cannot."""
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))):
+        pass
 
 
 def _outdir(args, cfg):

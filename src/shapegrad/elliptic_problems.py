@@ -87,15 +87,26 @@ class _EllipticProblem(ShapeProblem):
     ell = keep L and -B are zero in the eliminated rows ``_bd`` (row mask
     ``_keep``).
 
-    Which factors a re-solve reuses is decided here alone: ``rebuilt``
-    solves the new problem at once by ``solve(reference)`` with the root
-    ``reference``, this problem or the one it was rebuilt from.  A linear
-    problem on a mesh of the reference's topology factorizes nothing: its
-    one step is ``Factorized.pcg`` on its own J with the factors of the
-    reference's state solve, where a start as good as the reference's own
-    ``_state_residual`` takes no CG step (a zero theta keeps the
-    reference's bits).  Only if CG does not stop in ``PCG_MAX_ITER``
-    iterations does it factorize J, as the reference did.
+    Which factors and which start a re-solve uses is decided here alone:
+    ``rebuilt`` solves the new problem at once by ``solve(reference, x0)``
+    with the root ``reference``, this problem or the one it was rebuilt
+    from.  A problem on a mesh of the reference's topology then factorizes
+    nothing:
+    - a linear problem's one step is ``Factorized.pcg`` on its own J with
+      the factors of the reference's state solve, where a start as good as
+      the reference's own ``_state_residual`` takes no CG step (a zero
+      theta keeps the reference's bits);
+    - a nonlinear problem rebuilt from the root on the root's mesh
+      transported by s theta starts Newton from the material derivative's
+      prediction x0 = u + s udot of the root, which the Taylor check shows
+      is the state to O(s^2), and solves each step by ``Factorized.gmres``
+      (its J is not symmetric) on the factors ``_fact`` of the root's J at
+      its state.  Its stop stays relative to |R(0)| of u = 0 on the new
+      mesh, so a start near the state cannot loosen it.  With no theta
+      there is no prediction, and it solves directly from u = 0.
+    A re-solve whose Krylov solve does not stop in ``PCG_MAX_ITER``
+    iterations is the direct solve: Newton from u = 0 with each J
+    factorized, as the reference's own.
     """
 
     linear = False
@@ -108,65 +119,100 @@ class _EllipticProblem(ShapeProblem):
         self.data = data
         self.space = space
 
-    def rebuilt(self, mesh_s):
+    def rebuilt(self, mesh_s, theta=None, s=0.0):
         """The same problem on ``mesh_s``, solved at once (see the class docstring)."""
         new = super().rebuilt(mesh_s)
         new.reference = self.reference or self
-        new.u = new.solve(new.reference)
+        x0 = None
+        if theta is not None and not self.linear and self.reference is None:
+            x0 = self.u.coefficients + s * self.material(theta).coefficients
+        new.u = new.solve(new.reference, x0)
         return new
 
     @cached_property
     def u(self):
         return self.solve()
 
-    def solve(self, reference=None):
-        """The state by Newton (see the class docstring); sets ``newton_history``."""
-        if not (self.linear and reference and reference.mesh.topology is self.mesh.topology):
-            reference = None
+    def solve(self, reference=None, x0=None):
+        """The state by Newton (see the class docstring): on the ``reference``'s
+        factors from ``x0`` when they apply, else directly from u = 0, which
+        is also the fallback of a Krylov solve that did not stop.  Sets
+        ``newton_history``."""
+        if not (reference and reference.mesh.topology is self.mesh.topology
+                and (self.linear or x0 is not None)):
+            reference = x0 = None
+        u, history, cold, notes = self._newton(x0, reference)
+        if u is None:  # a Krylov solve did not stop: the direct solve
+            x0 = None
+            u, history, cold, _ = self._newton(None, None)
+        self.newton_history = history
+        if log.isEnabledFor(logging.INFO):
+            # a linear problem's last residual is not in the history
+            rn = fem.norm(self.residual(u)) if self.linear else history[-1]
+            krylov = ""
+            if notes:
+                krylov = (f"; {'CG' if self.linear else 'GMRES'} on the reference factors: "
+                          + "; ".join(notes))
+            log.info("%s state: %d Newton step(s)%s, |R|/|R(0)| = %.3e%s", self.name,
+                     len(history) - 1 + self.linear, "" if x0 is None else " from u + s udot",
+                     rn / (cold or 1.0), krylov)
+        return u
+
+    def _newton(self, x0, reference):
+        """(u, |R| of each iterate, |R(0)|, Krylov notes) of Newton from u = 0 or
+        the coefficients ``x0``, each step a Krylov solve on the
+        ``reference``'s factors or, with no reference, factorized; u is None
+        when a Krylov solve did not stop.  The stop is relative to |R(0)| of
+        u = 0, so that a start near the state cannot loosen it."""
         u = ScalarField(self.space, np.zeros(self.dof_count))
-        history, cg = [], ""
-        for _ in range(NEWTON_MAX_ITER):
+        R = self.residual(u)
+        cold = fem.norm(R)
+        if x0 is not None:
+            u = ScalarField(self.space, x0)
             R = self.residual(u)
+        history, notes = [], []
+        for _ in range(NEWTON_MAX_ITER):
             history.append(fem.norm(R))
-            rn, tol = history[-1], max(NEWTON_REL_TOL * history[0], NEWTON_ABS_TOL)
+            rn, tol = history[-1], max(NEWTON_REL_TOL * cold, NEWTON_ABS_TOL)
             stalled = len(history) > 1 and rn > 0.5 * history[-2]
             if not self.linear and (rn <= tol or stalled and rn <= NEWTON_FLOOR_FACTOR * tol):
                 break
             J = self.jacobian(u)
-            step = None
-            if reference is not None:
-                step, cg = self._pcg_step(J, -R, reference)
-            if step is None:
+            if reference is None:
                 fact = fem.Factorized(J)
                 step = fact.solve(-R)
                 if self.linear:
                     self._fact, self._state_residual = fact, fact.residual
                 del fact  # free these factors before the next Jacobian's
+            else:
+                step, note = self._krylov_step(J, -R, reference)
+                notes.append(note)
+                if step is None:
+                    return None, history, cold, notes
             u = ScalarField(self.space, u.coefficients + step)
             if self.linear:
                 break
+            R = self.residual(u)
         else:
             raise fem.NewtonError(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(last residual {history[-1]:.3e})", history)
-        self.newton_history = history
-        if self.linear and log.isEnabledFor(logging.INFO):
-            R = self.residual(u)  # its last residual is not in the history
-        log.info("%s state: %d Newton step(s), |R|/|R(0)| = %.3e%s", self.name,
-                 len(history) - 1 + self.linear, fem.norm(R) / (history[0] or 1.0), cg)
-        return u
+        return u, history, cold, notes
 
-    @staticmethod
-    def _pcg_step(J, b, reference):
-        """(J^-1 b or None, log note): ``Factorized.pcg`` on the reference's
-        factors with the reference's own ``_state_residual`` as the floor;
-        None if CG did not stop."""
-        reference.u  # its factors are those of its own state solve, not a second set
-        x, iterations, rn = reference._fact.pcg(J, b, reference._state_residual)
+    def _krylov_step(self, J, b, reference):
+        """(J^-1 b or None, log note) on the reference's factors: for a linear
+        problem, whose J is symmetric, ``Factorized.pcg`` with the
+        reference's own ``_state_residual`` as the floor, else
+        ``Factorized.gmres``; None if the Krylov solve did not stop."""
         bn = fem.norm(b) or 1.0
-        return x, (f"; CG on the reference factors: {iterations} iteration(s), "
-                   f"|r|/|b| = {rn / bn:.3e}, reference |r|/|b| = "
-                   f"{reference._state_residual / bn:.3e}"
+        if self.linear:
+            reference.u  # its factors are those of its own state solve, not a second set
+            x, iterations, rn = reference._fact.pcg(J, b, reference._state_residual)
+            floor = f", reference |r|/|b| = {reference._state_residual / bn:.3e}"
+        else:
+            x, iterations, rn = reference._fact.gmres(J, b)
+            floor = ""
+        return x, (f"{iterations} iteration(s), |r|/|b| = {rn / bn:.3e}{floor}"
                    + ("" if x is not None else ", did not stop: factorized directly"))
 
     def _load(self, W=None, b=None, bg=None):

@@ -49,10 +49,12 @@ ordering.  The renumbering matters because MMD is sensitive to the input
 numbering: on the Robin matrix in ``gen_disk``'s native node order,
 ordering plus factoring took 1.47 s at 12,481 dofs and about 145 s at
 49,537 dofs, against 0.08 s and 0.28 s after RCM, with less fill.  A
-symmetric matrix close to a factored one, the matrix of the same linear
-problem on a transported mesh, is solved by conjugate gradients
-preconditioned by those factors (``Factorized.pcg``), with no new
-factorization.
+matrix close to a factored one is solved on those factors with no new
+factorization: a symmetric one, the matrix of the same linear problem on a
+transported mesh, by preconditioned conjugate gradients
+(``Factorized.pcg``), and any other, a Newton Jacobian of the same
+nonlinear problem on a transported mesh, by right-preconditioned GMRES
+(``Factorized.gmres``).
 """
 
 import numpy as np
@@ -599,9 +601,11 @@ def norm(v):
     return float(np.sqrt(dot(v, v)))
 
 
-# the relative stop of ``Factorized.pcg`` and its iteration budget: a
-# transported Robin mesh took 6-10 iterations at |s| <= 0.04 and 20 at
-# s = 0.16, at refine 6 and 7 alike
+# the relative stop of ``Factorized.pcg`` and ``Factorized.gmres`` and
+# their iteration budget: a transported Robin mesh took 6-10 CG iterations
+# at |s| <= 0.04 and 20 at s = 0.16, at refine 6 and 7 alike, and a
+# quasilinear Newton step from the predictor 6-8 GMRES iterations at
+# |s| <= 0.01, 10 at 0.04 and 19 at 0.16, at refine 4 and 6
 PCG_REL_TOL = 1e-14
 PCG_MAX_ITER = 50
 
@@ -624,9 +628,10 @@ class Factorized:
     ``solve_transposed`` solves with A^T from the same factors, so an
     adjoint needs no second factorization.  ``pcg`` solves a symmetric
     matrix near A, of the same size, by conjugate gradients with these
-    factors as the preconditioner.  Every answer is checked against the
-    matrix it solves: ``|Ax - b| <= 1e-10 (|b| + 1)``, with A^T for a
-    transposed solve.
+    factors as the preconditioner, and ``gmres`` any matrix near A by GMRES
+    with these factors as the right preconditioner.  Every answer is
+    checked against the matrix it solves: ``|Ax - b| <= 1e-10 (|b| + 1)``,
+    with A^T for a transposed solve.
 
     Attributes
     ----------
@@ -675,12 +680,7 @@ class Factorized:
         (x, iterations, |r|); x is None when the stop was not met in
         PCG_MAX_ITER iterations or when x fails the solve check against A.
         """
-        A = A.tocsc()  # the format, and so the matvec bits, of ``_solve``'s check
-        b = np.asarray(b, dtype=float)
-        x = self._apply(b, "N")
-        r = b - A @ x
-        rn, tol = norm(r), PCG_REL_TOL * norm(b)
-        stop = rn if rn <= max(tol, floor) else tol
+        A, b, x, r, rn, stop = self._krylov_start(A, b, floor)
         it, d, rz_prev = 0, None, 1.0
         while not rn <= stop and it < PCG_MAX_ITER:
             z = self._apply(r, "N")
@@ -691,6 +691,67 @@ class Factorized:
             x += alpha * d
             r -= alpha * q
             rn, rz_prev, it = norm(r), rz, it + 1
+        return self._krylov_result(A, b, x, it, rn, stop)
+
+    def gmres(self, A, b):
+        """x with A x = b, for a matrix A near the factored one, symmetric or
+        not: GMRES on A right-preconditioned by these factors, with the start,
+        stop, check and result of ``pcg`` at a floor of 0, unrestarted.
+
+        The Krylov basis of A LU^-1 is orthogonalized by modified
+        Gram-Schmidt and the least-squares problem kept triangular by Givens
+        rotations, whose running product gives |r| of each iterate without
+        forming it; x_0 + LU^-1 (V y) is formed once |r| meets the stop.  The
+        reductions are ``dot`` and ``norm`` and the basis stays a list of
+        vectors, so no product goes through BLAS.
+        """
+        A, b, x, r, rn, stop = self._krylov_start(A, b, 0.0)
+        basis, columns, rotations, g = [], [], [], [rn]
+        w, wn = r, rn
+        while not rn <= stop and len(basis) < PCG_MAX_ITER:
+            basis.append(w / wn)
+            w = A @ self._apply(basis[-1], "N")
+            h = []
+            for v in basis:
+                h.append(dot(w, v))
+                w -= h[-1] * v
+            wn = norm(w)
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            d = float(np.hypot(h[-1], wn))
+            c, s = h[-1] / d, wn / d
+            rotations.append((c, s))
+            h[-1] = d
+            columns.append(h)
+            g.append(-s * g[-1])
+            g[-2] *= c
+            rn = abs(g[-1])
+        it = len(basis)
+        if it:
+            y = [0.0] * it
+            for i in reversed(range(it)):
+                y[i] = (g[i] - sum(columns[j][i] * y[j] for j in range(i + 1, it))) / columns[i][i]
+            z = y[0] * basis[0]
+            for yj, v in zip(y[1:], basis[1:]):
+                z += yj * v
+            x += self._apply(z, "N")
+        return self._krylov_result(A, b, x, it, rn, stop)
+
+    def _krylov_start(self, A, b, floor):
+        """(A, b, x_0, r_0, |r_0|, stop) of ``pcg`` and ``gmres``: x_0 = LU^-1 b,
+        and the stop |r_0| itself when that is within max(PCG_REL_TOL |b|,
+        ``floor``), else PCG_REL_TOL |b|."""
+        A = A.tocsc()  # the format, and so the matvec bits, of ``_solve``'s check
+        b = np.asarray(b, dtype=float)
+        x = self._apply(b, "N")
+        r = b - A @ x
+        rn, tol = norm(r), PCG_REL_TOL * norm(b)
+        return A, b, x, r, rn, (rn if rn <= max(tol, floor) else tol)
+
+    @staticmethod
+    def _krylov_result(A, b, x, it, rn, stop):
+        """(x, iterations, |r|), x None unless |r| met the stop and x passes the
+        solve check against A."""
         if not (rn <= stop and norm(A @ x - b) <= 1e-10 * (norm(b) + 1.0)):
             return None, it, rn
         return x, it, rn

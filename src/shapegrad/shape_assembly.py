@@ -266,8 +266,10 @@ class ShapeProblem:
         self.mesh = mesh
         self.params = params
 
-    def rebuilt(self, mesh_s):
-        """The same problem, with the same data and order, on ``mesh_s``."""
+    def rebuilt(self, mesh_s, theta=None, s=0.0):
+        """The same problem, with the same data and order, on ``mesh_s``.
+        ``theta`` and ``s``, when given, say that ``mesh_s`` is this mesh
+        transported by s theta, which a problem may use to start its solve."""
         return type(self)(mesh_s, *self.params)
 
     @property
@@ -332,7 +334,7 @@ class ShapeProblem:
         rows, key = self._memo(theta).resolved, (float(s), int(steps))
         row = rows.get(key)
         if row is None or state and row[1] is None:
-            problem = self.rebuilt(transport_mesh(theta, s, self.mesh, steps=steps))
+            problem = self.rebuilt(transport_mesh(theta, s, self.mesh, steps=steps), theta, s)
             u = problem.u.coefficients if self.has_state else None
             keep = u is not None and (state or s > 0 and u.size == self.dof_count)
             row = rows[key] = (problem.cost(), u if keep else None)

@@ -85,9 +85,15 @@ def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_unwritable_mesh_file_exits_2(tmp_path, capsys):
+def test_unwritable_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
+    """A target directory that is missing is refused before the mesh is built."""
     out = tmp_path / "missing" / "x.mesh"
-    assert main(["mesh", "--disk", "--refine", "1", "-o", str(out)]) == 2
+
+    def no_mesh(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(cli, "gen_disk", no_mesh)
+    assert main(["mesh", "--disk", "--refine", "8", "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: output: cannot write {out}: ")
     assert not out.parent.exists()
 

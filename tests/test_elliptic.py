@@ -577,18 +577,19 @@ def _count_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("case", [_robin_varying, _dirichlet_varying])
+@pytest.mark.parametrize("case", [_robin_varying, _quasilinear_varying, _dirichlet_varying])
 def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypatch):
-    """A linear problem rebuilt on a transported mesh factorizes nothing: CG
-    on the reference's factors gives the cost and the state of a direct
-    solve on that mesh to 1e-12 relative, up to the largest Taylor step."""
+    """A problem rebuilt on a mesh transported by s theta factorizes nothing:
+    CG (linear) or Newton from u + s udot with GMRES steps (quasilinear) on
+    the reference's factors gives the cost and the state of a direct solve
+    on that mesh to 1e-12 relative, up to the largest Taylor step."""
     problem = case(disk3, order)[0]
     theta = bump_theta()
     for s in (0.16, 0.01, -0.04):
         mesh_s = transport_mesh(theta, s, disk3)
         direct = type(problem)(mesh_s, problem.data, order)
         factored = _count_factorizations(monkeypatch)
-        resolved = problem.rebuilt(mesh_s)
+        resolved = problem.rebuilt(mesh_s, theta, s)
         monkeypatch.undo()
         assert factored == [] and "_fact" not in vars(resolved)
         assert abs(resolved.cost() - direct.cost()) <= 1e-12 * abs(direct.cost())
@@ -596,23 +597,67 @@ def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypa
 
 
 def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, caplog):
-    """A re-solve whose CG does not stop within PCG_MAX_ITER iterations (here
-    0) factorizes its own matrix, as a direct solve does, with its bits, and
-    says so on its state line; it does not raise."""
-    problem = _robin_varying(disk3, 1)[0]
+    """A re-solve whose Krylov solve does not stop within PCG_MAX_ITER
+    iterations (here 0) is the direct solve, CG for Robin and GMRES from the
+    predictor for quasilinear alike: Newton from u = 0 with each step
+    factorized, with its bits, and its state line says so; it does not
+    raise."""
+    theta = bump_theta()
+    mesh_s = transport_mesh(theta, 0.04, disk3)
+    for case, method in ((_robin_varying, "CG"), (_quasilinear_varying, "GMRES")):
+        problem = case(disk3, 1)[0]
+        direct = type(problem)(mesh_s, problem.data)
+        direct.u
+        problem.material(theta)
+        monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="shapegrad")
+        factored = _count_factorizations(monkeypatch)
+        resolved = problem.rebuilt(mesh_s, theta, 0.04)
+        monkeypatch.undo()
+        steps = len(direct.newton_history) - 1 + problem.linear
+        assert factored == [problem.dof_count] * steps
+        assert _same_bits(resolved.u.coefficients, direct.u.coefficients)
+        assert resolved.cost() == direct.cost()
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "shapegrad.elliptic_problems"]
+        assert f"; {method} on the reference factors: 0 iteration(s), " in line
+        assert line.endswith(", did not stop: factorized directly")
+
+
+@pytest.mark.parametrize("scale", [0.0, 10.0])
+def test_a_wrong_predictor_converges_to_the_same_state(scale, disk3):
+    """The material derivative enters a quasilinear re-solve only through
+    its start: from u + s (scale udot), with udot dropped or ten times too
+    large, Newton on the reference factors meets its own stop and gives the
+    state and the cost of the right start to 1e-12 relative."""
+    problem = _quasilinear_varying(disk3, 1)[0]
+    theta = bump_theta()
+    udot = problem.material(theta).coefficients
+    for s in (0.16, 0.01, -0.04):
+        mesh_s = transport_mesh(theta, s, disk3)
+        right = problem.rebuilt(mesh_s, theta, s)
+        wrong = type(problem)(mesh_s, *problem.params)
+        wrong.u = wrong.solve(problem, problem.u.coefficients + s * scale * udot)
+        cold = fem.norm(wrong.residual(ScalarField(wrong.space, np.zeros(wrong.dof_count))))
+        tol = max(elliptic_problems.NEWTON_REL_TOL * cold, elliptic_problems.NEWTON_ABS_TOL)
+        assert wrong.newton_history[-1] <= elliptic_problems.NEWTON_FLOOR_FACTOR * tol
+        assert _rel(wrong.u.coefficients, right.u.coefficients) <= 1e-12
+        assert abs(wrong.cost() - right.cost()) <= 1e-12 * abs(right.cost())
+
+
+def test_a_plain_quasilinear_rebuild_is_the_direct_solve(disk3, monkeypatch):
+    """With no predictor, a quasilinear problem rebuilt on a transported mesh
+    solves from u = 0 with each Newton step factorized: the bits of a
+    direct solve on that mesh."""
+    problem = _quasilinear_varying(disk3, 1)[0]
     mesh_s = transport_mesh(bump_theta(), 0.04, disk3)
-    direct = RobinProblem(mesh_s, problem.data)
+    direct = QuasilinearProblem(mesh_s, problem.data)
     direct.u
-    monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
-    caplog.set_level(logging.INFO, logger="shapegrad")
     factored = _count_factorizations(monkeypatch)
     resolved = problem.rebuilt(mesh_s)
-    assert factored == [problem.dof_count]
+    assert factored == [problem.dof_count] * (len(direct.newton_history) - 1)
     assert _same_bits(resolved.u.coefficients, direct.u.coefficients)
-    assert resolved.cost() == direct.cost()
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
-    assert "; CG on the reference factors: 0 iteration(s), " in line
-    assert line.endswith(", did not stop: factorized directly")
 
 
 LINEAR = pytest.mark.parametrize("cls, data", [
@@ -650,16 +695,35 @@ def test_rebuilding_a_rebuilt_problem_uses_the_root_factors(cls, data, disk3, mo
 
 
 def test_resolve_logs_its_cg_statistics(disk3, caplog):
-    """SHAPEGRAD_LOG=info: a re-solve's one state line adds the CG iteration
-    count, the final |r|/|b| and the reference's own |r|/|b|, the stop."""
+    """SHAPEGRAD_LOG=info: a re-solve's one state line adds, for a linear
+    problem, the CG iteration count, the final |r|/|b| and the reference's
+    own |r|/|b|, the stop; for a quasilinear one, its Newton steps from the
+    predictor, its |R| against the cold |R(0)|, within the Newton stop, and
+    per step the GMRES iterations and final |r|/|b|."""
+    theta = bump_theta()
     problem = RobinProblem(disk3, _robin_data_nontrivial())
     problem.u
+    quasilinear = QuasilinearProblem(disk3, _ql_data())
+    quasilinear.material(theta)
     caplog.set_level(logging.INFO, logger="shapegrad")
-    problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "shapegrad.elliptic_problems"]
+    problem.rebuilt(transport_mesh(theta, 0.04, disk3))
+    resolved = quasilinear.rebuilt(transport_mesh(theta, 0.04, disk3), theta, 0.04)
+    line, ql_line = [r.getMessage() for r in caplog.records
+                     if r.name == "shapegrad.elliptic_problems"]
     head, cg = line.split("; CG on the reference factors: ")
     assert head.startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
     iterations, rest = cg.split(" iteration(s), |r|/|b| = ")
     rel, ref = (float(x) for x in rest.split(", reference |r|/|b| = "))
     assert int(iterations) >= 1
     assert rel <= max(fem.PCG_REL_TOL, ref) and ref <= 1e-11
+
+    head, gmres = ql_line.split("; GMRES on the reference factors: ")
+    steps, rest = head.split(" Newton step(s) from u + s udot, |R|/|R(0)| = ")
+    assert steps == f"quasilinear state: {len(resolved.newton_history) - 1}"
+    assert float(rest) <= elliptic_problems.NEWTON_FLOOR_FACTOR * elliptic_problems.NEWTON_REL_TOL
+    notes = gmres.split("; ")
+    assert len(notes) == len(resolved.newton_history) - 1 >= 1
+    for note in notes:
+        iterations, rel = note.split(" iteration(s), |r|/|b| = ")
+        assert 1 <= int(iterations) <= fem.PCG_MAX_ITER
+        assert float(rel) <= fem.PCG_REL_TOL

@@ -495,6 +495,33 @@ def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_gmres_solves_an_unsymmetric_jacobian_on_the_factors_of_another(disk4, monkeypatch):
+    """``Factorized.gmres`` solves the quasilinear Jacobian at one state on
+    the factors of the Jacobian at another: the COLAMD answer to 1e-10, with
+    |r| <= PCG_REL_TOL |b|.  On the factored matrix itself its start is the
+    direct solve, which one iteration at most polishes; a solve that does
+    not stop in PCG_MAX_ITER (here 0) iterations gives None and does not
+    raise."""
+    data = QuasilinearData(m=parse_rfunction("saturating"), f=parse_rfunction("affine_r 1 0.1"),
+                           g=parse_scalar("const 2"), u_d=parse_scalar("const 0"))
+    problem = QuasilinearProblem(disk4, data)
+    space = problem.space
+    u0 = space.interpolate(lambda P: 1.0 + np.sin(2.0 * P[..., 0]) * P[..., 1])
+    u1 = space.interpolate(lambda P: 1.2 + np.sin(2.0 * P[..., 0]) * P[..., 1] + 0.3 * P[..., 0])
+    J0, J1 = problem.jacobian(u0), problem.jacobian(u1)
+    b = fem.assemble_load_values(space, 1.0 + space.qpoints[..., 0])
+    fact = fem.Factorized(J0)
+    x, iterations, rn = fact.gmres(J1, b)
+    ref = spla.splu(J1.tocsc(), permc_spec="COLAMD").solve(b)
+    assert 1 <= iterations < fem.PCG_MAX_ITER and rn <= fem.PCG_REL_TOL * fem.norm(b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    direct = fact.solve(b)
+    x, iterations, _ = fact.gmres(J0, b)
+    assert iterations <= 1 and np.linalg.norm(x - direct) <= 1e-14 * np.linalg.norm(direct)
+    monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
+    assert fact.gmres(J1, b)[0] is None
+
+
 # ------------------------------------------------------------- interpolation
 
 @pytest.mark.parametrize("order,poly", [(1, "linear"), (2, "quadratic")])
