@@ -91,26 +91,26 @@ class _EllipticProblem(ShapeProblem):
     ``rebuilt`` solves the new problem at once by ``solve(reference, x0)``
     with the root ``reference``, this problem or the one it was rebuilt
     from.  A problem on a mesh of the reference's topology then factorizes
-    nothing:
-    - a linear problem's one step is ``Factorized.pcg`` on its own J with
-      the factors of the reference's state solve, where a start as good as
-      the reference's own ``_state_residual`` takes no CG step (a zero
-      theta keeps the reference's bits);
-    - a nonlinear problem rebuilt from the root on the root's mesh
-      transported by s theta starts Newton from the material derivative's
-      prediction x0 = u + s udot of the root, which the Taylor check shows
-      is the state to O(s^2), and solves each step by ``Factorized.gmres``
-      (its J is not symmetric) on the factors ``_fact`` of the root's J at
-      its state.  Its stop stays relative to |R(0)| of u = 0 on the new
-      mesh, so a start near the state cannot loosen it.  With no theta
-      there is no prediction, and it solves directly from u = 0.
-    A re-solve whose Krylov solve does not stop in ``PCG_MAX_ITER``
-    iterations is the direct solve: Newton from u = 0 with each J
-    factorized, as the reference's own.
+    nothing: each step, a linear problem's one and every Newton step of a
+    nonlinear one, is ``Factorized.gmres`` on its own J with the factors
+    ``_fact`` of the reference's J at its state and the reference's own
+    ``_state_residual`` as the floor, so that a start as good as the
+    reference's own direct solve takes no step (a zero theta keeps a linear
+    reference's bits); a nonlinear reference has no floor.  A nonlinear
+    problem rebuilt from the root on the root's mesh transported by
+    s theta starts Newton from the material derivative's prediction
+    x0 = u + s udot of the root, which the Taylor check shows is the state
+    to O(s^2).  Its stop stays relative to |R(0)| of u = 0 on the new mesh,
+    so a start near the state cannot loosen it.  With no theta there is no
+    prediction, and it solves directly from u = 0.  A re-solve whose Krylov
+    solve does not stop in ``KRYLOV_MAX_ITER`` iterations is the direct
+    solve: Newton from u = 0 with each J factorized, as the reference's
+    own.
     """
 
     linear = False
     reference = None
+    _state_residual = 0.0
     _bd = np.zeros(0, dtype=np.int64)
     _keep = 1.0
 
@@ -149,10 +149,7 @@ class _EllipticProblem(ShapeProblem):
         if log.isEnabledFor(logging.INFO):
             # a linear problem's last residual is not in the history
             rn = fem.norm(self.residual(u)) if self.linear else history[-1]
-            krylov = ""
-            if notes:
-                krylov = (f"; {'CG' if self.linear else 'GMRES'} on the reference factors: "
-                          + "; ".join(notes))
+            krylov = "; GMRES on the reference factors: " + "; ".join(notes) if notes else ""
             log.info("%s state: %d Newton step(s)%s, |R|/|R(0)| = %.3e%s", self.name,
                      len(history) - 1 + self.linear, "" if x0 is None else " from u + s udot",
                      rn / (cold or 1.0), krylov)
@@ -160,7 +157,7 @@ class _EllipticProblem(ShapeProblem):
 
     def _newton(self, x0, reference):
         """(u, |R| of each iterate, |R(0)|, Krylov notes) of Newton from u = 0 or
-        the coefficients ``x0``, each step a Krylov solve on the
+        the coefficients ``x0``, each step ``Factorized.gmres`` on the
         ``reference``'s factors or, with no reference, factorized; u is None
         when a Krylov solve did not stop.  The stop is relative to |R(0)| of
         u = 0, so that a start near the state cannot loosen it."""
@@ -185,9 +182,13 @@ class _EllipticProblem(ShapeProblem):
                     self._fact, self._state_residual = fact, fact.residual
                 del fact  # free these factors before the next Jacobian's
             else:
-                step, note = self._krylov_step(J, -R, reference)
-                notes.append(note)
+                reference.u  # a linear reference's factors are those of its state solve
+                floor = reference._state_residual
+                step, iterations, kn = reference._fact.gmres(J, -R, floor)
+                notes.append(f"{iterations} iteration(s), |r|/|b| = {kn / (rn or 1.0):.3e}, "
+                             f"reference |r|/|b| = {floor / (rn or 1.0):.3e}")
                 if step is None:
+                    notes[-1] += ", did not stop: factorized directly"
                     return None, history, cold, notes
             u = ScalarField(self.space, u.coefficients + step)
             if self.linear:
@@ -198,22 +199,6 @@ class _EllipticProblem(ShapeProblem):
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(last residual {history[-1]:.3e})", history)
         return u, history, cold, notes
-
-    def _krylov_step(self, J, b, reference):
-        """(J^-1 b or None, log note) on the reference's factors: for a linear
-        problem, whose J is symmetric, ``Factorized.pcg`` with the
-        reference's own ``_state_residual`` as the floor, else
-        ``Factorized.gmres``; None if the Krylov solve did not stop."""
-        bn = fem.norm(b) or 1.0
-        if self.linear:
-            reference.u  # its factors are those of its own state solve, not a second set
-            x, iterations, rn = reference._fact.pcg(J, b, reference._state_residual)
-            floor = f", reference |r|/|b| = {reference._state_residual / bn:.3e}"
-        else:
-            x, iterations, rn = reference._fact.gmres(J, b)
-            floor = ""
-        return x, (f"{iterations} iteration(s), |r|/|b| = {rn / bn:.3e}{floor}"
-                   + ("" if x is not None else ", did not stop: factorized directly"))
 
     def _load(self, W=None, b=None, bg=None):
         """int W . grad psi + b psi + int_G bg psi on the basis, a term that is

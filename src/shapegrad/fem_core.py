@@ -49,11 +49,9 @@ ordering.  The renumbering matters because MMD is sensitive to the input
 numbering: on the Robin matrix in ``gen_disk``'s native node order,
 ordering plus factoring took 1.47 s at 12,481 dofs and about 145 s at
 49,537 dofs, against 0.08 s and 0.28 s after RCM, with less fill.  A
-matrix close to a factored one is solved on those factors with no new
-factorization: a symmetric one, the matrix of the same linear problem on a
-transported mesh, by preconditioned conjugate gradients
-(``Factorized.pcg``), and any other, a Newton Jacobian of the same
-nonlinear problem on a transported mesh, by right-preconditioned GMRES
+matrix close to a factored one, symmetric or not (the matrix or a Newton
+Jacobian of the same problem on a transported mesh), is solved on those
+factors with no new factorization, by right-preconditioned GMRES
 (``Factorized.gmres``).
 """
 
@@ -601,13 +599,13 @@ def norm(v):
     return float(np.sqrt(dot(v, v)))
 
 
-# the relative stop of ``Factorized.pcg`` and ``Factorized.gmres`` and
-# their iteration budget: a transported Robin mesh took 6-10 CG iterations
-# at |s| <= 0.04 and 20 at s = 0.16, at refine 6 and 7 alike, and a
-# quasilinear Newton step from the predictor 6-8 GMRES iterations at
-# |s| <= 0.01, 10 at 0.04 and 19 at 0.16, at refine 4 and 6
-PCG_REL_TOL = 1e-14
-PCG_MAX_ITER = 50
+# the relative stop of ``Factorized.gmres`` and its iteration budget: a
+# transported Robin mesh took 20, 14, 10, 8, 7 and 6 iterations at
+# s = 0.16, 0.08, 0.04, 0.02, 0.01 and 0.005 at refine 6, and a
+# quasilinear Newton step from the predictor 6-8 at |s| <= 0.01, 10 at
+# 0.04 and 19 at 0.16, at refine 4 and 6
+KRYLOV_REL_TOL = 1e-14
+KRYLOV_MAX_ITER = 50
 
 
 class Factorized:
@@ -626,12 +624,11 @@ class Factorized:
     and their transposes).
 
     ``solve_transposed`` solves with A^T from the same factors, so an
-    adjoint needs no second factorization.  ``pcg`` solves a symmetric
-    matrix near A, of the same size, by conjugate gradients with these
-    factors as the preconditioner, and ``gmres`` any matrix near A by GMRES
-    with these factors as the right preconditioner.  Every answer is
-    checked against the matrix it solves: ``|Ax - b| <= 1e-10 (|b| + 1)``,
-    with A^T for a transposed solve.
+    adjoint needs no second factorization.  ``gmres`` solves any matrix
+    near A, of the same size and symmetric or not, by GMRES with these
+    factors as the right preconditioner.  Every answer is checked against
+    the matrix it solves: ``|Ax - b| <= 1e-10 (|b| + 1)``, with A^T for a
+    transposed solve.
 
     Attributes
     ----------
@@ -668,47 +665,33 @@ class Factorized:
         """x with A^T x = b, by SuperLU's transposed solve on the same factors."""
         return self._solve(b, "T")
 
-    def pcg(self, A, b, floor):
-        """x with A x = b, for a symmetric A near the factored matrix: conjugate
-        gradients on A preconditioned by these factors, from x_0 = LU^-1 b.
+    def gmres(self, A, b, floor):
+        """x with A x = b, for a matrix A near the factored one, symmetric or
+        not: GMRES on A right-preconditioned by these factors, from
+        x_0 = LU^-1 b, unrestarted.
 
         ``floor`` is the residual the caller accepts from a direct solve.  A
-        start with |r_0| <= max(PCG_REL_TOL |b|, floor), one the factors
+        start with |r_0| <= max(KRYLOV_REL_TOL |b|, floor), one the factors
         solve as well as that, takes no step and keeps the bits of a direct
-        solve with these factors; any other start iterates until the
-        recursive residual has |r| <= PCG_REL_TOL |b|.  Returns
-        (x, iterations, |r|); x is None when the stop was not met in
-        PCG_MAX_ITER iterations or when x fails the solve check against A.
+        solve with these factors; any other start iterates until
+        |r| <= KRYLOV_REL_TOL |b|.  The Krylov basis of A LU^-1 is
+        orthogonalized by modified Gram-Schmidt and the least-squares problem
+        kept triangular by Givens rotations, whose running product gives |r|
+        of each iterate without forming it; x_0 + LU^-1 (V y) is formed once
+        |r| meets the stop.  The reductions are ``dot`` and ``norm`` and the
+        basis stays a list of vectors, so no product goes through BLAS.
+        Returns (x, iterations, |r|); x is None when the stop was not met in
+        KRYLOV_MAX_ITER iterations or when x fails the solve check against A.
         """
-        A, b, x, r, rn, stop = self._krylov_start(A, b, floor)
-        it, d, rz_prev = 0, None, 1.0
-        while not rn <= stop and it < PCG_MAX_ITER:
-            z = self._apply(r, "N")
-            rz = dot(r, z)
-            d = z if d is None else z + (rz / rz_prev) * d
-            q = A @ d
-            alpha = rz / dot(d, q)
-            x += alpha * d
-            r -= alpha * q
-            rn, rz_prev, it = norm(r), rz, it + 1
-        return self._krylov_result(A, b, x, it, rn, stop)
-
-    def gmres(self, A, b):
-        """x with A x = b, for a matrix A near the factored one, symmetric or
-        not: GMRES on A right-preconditioned by these factors, with the start,
-        stop, check and result of ``pcg`` at a floor of 0, unrestarted.
-
-        The Krylov basis of A LU^-1 is orthogonalized by modified
-        Gram-Schmidt and the least-squares problem kept triangular by Givens
-        rotations, whose running product gives |r| of each iterate without
-        forming it; x_0 + LU^-1 (V y) is formed once |r| meets the stop.  The
-        reductions are ``dot`` and ``norm`` and the basis stays a list of
-        vectors, so no product goes through BLAS.
-        """
-        A, b, x, r, rn, stop = self._krylov_start(A, b, 0.0)
+        A = A.tocsc()  # the format, and so the matvec bits, of ``_solve``'s check
+        b = np.asarray(b, dtype=float)
+        x = self._apply(b, "N")
+        r = b - A @ x
+        rn, tol = norm(r), KRYLOV_REL_TOL * norm(b)
+        stop = rn if rn <= max(tol, floor) else tol
         basis, columns, rotations, g = [], [], [], [rn]
         w, wn = r, rn
-        while not rn <= stop and len(basis) < PCG_MAX_ITER:
+        while not rn <= stop and len(basis) < KRYLOV_MAX_ITER:
             basis.append(w / wn)
             w = A @ self._apply(basis[-1], "N")
             h = []
@@ -735,23 +718,6 @@ class Factorized:
             for yj, v in zip(y[1:], basis[1:]):
                 z += yj * v
             x += self._apply(z, "N")
-        return self._krylov_result(A, b, x, it, rn, stop)
-
-    def _krylov_start(self, A, b, floor):
-        """(A, b, x_0, r_0, |r_0|, stop) of ``pcg`` and ``gmres``: x_0 = LU^-1 b,
-        and the stop |r_0| itself when that is within max(PCG_REL_TOL |b|,
-        ``floor``), else PCG_REL_TOL |b|."""
-        A = A.tocsc()  # the format, and so the matvec bits, of ``_solve``'s check
-        b = np.asarray(b, dtype=float)
-        x = self._apply(b, "N")
-        r = b - A @ x
-        rn, tol = norm(r), PCG_REL_TOL * norm(b)
-        return A, b, x, r, rn, (rn if rn <= max(tol, floor) else tol)
-
-    @staticmethod
-    def _krylov_result(A, b, x, it, rn, stop):
-        """(x, iterations, |r|), x None unless |r| met the stop and x passes the
-        solve check against A."""
         if not (rn <= stop and norm(A @ x - b) <= 1e-10 * (norm(b) + 1.0)):
             return None, it, rn
         return x, it, rn

@@ -85,23 +85,24 @@ def load_field(path, space):
     if digest != mesh_hash(space.mesh):
         raise FieldFormatError(f"{path}: field was written for a different mesh")
     head = lines[3].split()
-    body = lines[4:]
+    kind = head[0] if head else ""
+    if (kind, len(head)) not in (("coefficients", 2), ("series", 4)):
+        raise FieldFormatError(f"{path}: malformed section header {lines[3]!r}")
     try:
-        vals = np.array([float(v) for v in body], dtype=float)
+        shape = tuple(int(v) for v in head[1:3])  # (n,) or, for a series, (k, n)
+        t0 = float(head[3]) if kind == "series" else 0.0
+        vals = np.array([float(v) for v in lines[4:]], dtype=float)
     except ValueError as exc:
-        raise FieldFormatError(f"{path}: bad coefficient line") from exc
-    if head[0] == "coefficients":
-        n = int(head[1])
-        if vals.size != n or n != space.dof_count:
-            raise FieldFormatError(f"{path}: expected {space.dof_count} coefficients")
+        raise FieldFormatError(f"{path}: malformed section header or coefficient line") from exc
+    if not (np.all(np.isfinite(vals)) and np.isfinite(t0)):
+        raise FieldFormatError(f"{path}: non-finite coefficient or start time")
+    if min(shape) < 1 or shape[-1] != space.dof_count or vals.size != np.prod(shape):
+        raise FieldFormatError(f"{path}: {kind} shape {shape} does not fit "
+                               f"{vals.size} values on {space.dof_count} dofs")
+    if kind == "coefficients":
         return ScalarField(space, vals)
-    if head[0] == "series":
-        from .parabolic_problem import TimeSeriesField
-        k, n, t0 = int(head[1]), int(head[2]), float(head[3])
-        if vals.size != k * n or n != space.dof_count:
-            raise FieldFormatError(f"{path}: series shape mismatch")
-        return TimeSeriesField(space, vals.reshape(k, n), t0)
-    raise FieldFormatError(f"{path}: unknown section {head[0]!r}")
+    from .parabolic_problem import TimeSeriesField
+    return TimeSeriesField(space, vals.reshape(shape), t0)
 
 
 # ------------------------------------------------------------------ CSV / JSON

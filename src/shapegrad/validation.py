@@ -6,8 +6,8 @@ skeptic can compute without trusting the assembly: finite-difference
 quotients of costs re-solved on transported meshes, Taylor remainders of
 pulled-back states, and the discrete duality pairing.  Reductions are
 deterministic (fixed element order; direct solves on the reference mesh,
-and on a transported mesh a direct solve or, for a linear stationary
-problem, conjugate gradients with a fixed stop on the reference's
+and on a transported mesh a direct solve or, for a stationary problem,
+each linear or Newton step by GMRES with a fixed stop on the reference's
 factors), so identical inputs reproduce tables bit for bit.  One re-solve
 serves every check that needs the same (theta, s, steps) row.
 """

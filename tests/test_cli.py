@@ -10,10 +10,10 @@ import pytest
 
 from shapegrad import cli, fem_core
 from shapegrad.cli import main
-from shapegrad.fem_core import FeSpace
-from shapegrad.mesh import load_mesh
+from shapegrad.fem_core import FeSpace, ScalarField
+from shapegrad.mesh import gen_disk, load_mesh
 from shapegrad.parabolic_problem import TimeSeriesField
-from shapegrad.reports import load_field
+from shapegrad.reports import FieldFormatError, load_field, save_field
 
 ROBIN_CFG = """
 [run]
@@ -229,6 +229,31 @@ def test_solve_writes_fields_and_roundtrips(tmp_path):
     for field in (u, p, udot):
         assert field.coefficients.shape == (space.dof_count,)
         assert np.all(np.isfinite(field.coefficients))
+
+
+@pytest.mark.parametrize("section, value", [
+    ("", None), ("coefficients", None), ("coefficients x", None), ("series 2", None),
+    ("series 2 x 1.0", None), ("series 0 {n} 0.0", ""), (None, "nan"),
+    ("series 1 {n} nan", None), ("series 1 {n} 0.0", "inf")])
+def test_load_field_refuses_a_malformed_section(tmp_path, section, value):
+    """A field file whose section header is empty, short, not numeric or
+    sizes no snapshot, or whose coefficients or series start time are not
+    finite, is refused with a FieldFormatError: not accepted, and not an
+    IndexError or a plain ValueError."""
+    space = FeSpace(gen_disk((0.0, 0.0), 1.0, 1), order=1)
+    path = tmp_path / "u.field"
+    save_field(str(path), ScalarField(space, np.ones(space.dof_count)))
+    lines = path.read_text().splitlines()
+    assert load_field(str(path), space).coefficients.shape == (space.dof_count,)
+    if section is not None:
+        lines[3] = section.format(n=space.dof_count)
+    if value == "":  # no coefficient lines at all
+        del lines[4:]
+    elif value is not None:
+        lines[4] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError):
+        load_field(str(path), space)
 
 
 def test_solve_dirichlet_adjoint_is_minus_two_u(tmp_path):

@@ -562,7 +562,7 @@ def test_state_solve_logs_one_line(disk3, caplog):
     assert float(lines[1].rsplit("= ", 1)[1]) <= 1e-11
 
 
-# ====================================================== re-solves by CG
+# ================================ re-solves by GMRES on the reference factors
 
 def _count_factorizations(monkeypatch):
     factored = []
@@ -580,9 +580,10 @@ def _count_factorizations(monkeypatch):
 @pytest.mark.parametrize("case", [_robin_varying, _quasilinear_varying, _dirichlet_varying])
 def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypatch):
     """A problem rebuilt on a mesh transported by s theta factorizes nothing:
-    CG (linear) or Newton from u + s udot with GMRES steps (quasilinear) on
-    the reference's factors gives the cost and the state of a direct solve
-    on that mesh to 1e-12 relative, up to the largest Taylor step."""
+    its one step (linear) or Newton from u + s udot (quasilinear), each step
+    by GMRES on the reference's factors, gives the cost and the state of a
+    direct solve on that mesh to 1e-12 relative, up to the largest Taylor
+    step."""
     problem = case(disk3, order)[0]
     theta = bump_theta()
     for s in (0.16, 0.01, -0.04):
@@ -597,19 +598,19 @@ def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypa
 
 
 def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, caplog):
-    """A re-solve whose Krylov solve does not stop within PCG_MAX_ITER
-    iterations (here 0) is the direct solve, CG for Robin and GMRES from the
-    predictor for quasilinear alike: Newton from u = 0 with each step
+    """A re-solve whose Krylov solve does not stop within KRYLOV_MAX_ITER
+    iterations (here 0) is the direct solve, for Robin and for quasilinear
+    from the predictor alike: Newton from u = 0 with each step
     factorized, with its bits, and its state line says so; it does not
     raise."""
     theta = bump_theta()
     mesh_s = transport_mesh(theta, 0.04, disk3)
-    for case, method in ((_robin_varying, "CG"), (_quasilinear_varying, "GMRES")):
+    for case in (_robin_varying, _quasilinear_varying):
         problem = case(disk3, 1)[0]
         direct = type(problem)(mesh_s, problem.data)
         direct.u
         problem.material(theta)
-        monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
+        monkeypatch.setattr(fem, "KRYLOV_MAX_ITER", 0)
         caplog.clear()
         caplog.set_level(logging.INFO, logger="shapegrad")
         factored = _count_factorizations(monkeypatch)
@@ -621,7 +622,7 @@ def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, capl
         assert resolved.cost() == direct.cost()
         (line,) = [r.getMessage() for r in caplog.records
                    if r.name == "shapegrad.elliptic_problems"]
-        assert f"; {method} on the reference factors: 0 iteration(s), " in line
+        assert "; GMRES on the reference factors: 0 iteration(s), " in line
         assert line.endswith(", did not stop: factorized directly")
 
 
@@ -670,7 +671,7 @@ LINEAR = pytest.mark.parametrize("cls, data", [
 def test_rebuilding_an_unsolved_problem_factorizes_once(cls, data, disk3, monkeypatch):
     """Constructing a linear problem and rebuilding it before its state is
     solved costs one factorization, the reference's: its state is solved
-    first, and the re-solve runs CG on those factors."""
+    first, and the re-solve runs GMRES on those factors."""
     factored = _count_factorizations(monkeypatch)
     problem = cls(disk3, data)
     resolved = problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
@@ -694,12 +695,13 @@ def test_rebuilding_a_rebuilt_problem_uses_the_root_factors(cls, data, disk3, mo
     assert _same_bits(again.u.coefficients, problem.rebuilt(mesh_b).u.coefficients)
 
 
-def test_resolve_logs_its_cg_statistics(disk3, caplog):
-    """SHAPEGRAD_LOG=info: a re-solve's one state line adds, for a linear
-    problem, the CG iteration count, the final |r|/|b| and the reference's
-    own |r|/|b|, the stop; for a quasilinear one, its Newton steps from the
-    predictor, its |R| against the cold |R(0)|, within the Newton stop, and
-    per step the GMRES iterations and final |r|/|b|."""
+def test_resolve_logs_its_krylov_statistics(disk3, caplog):
+    """SHAPEGRAD_LOG=info: a re-solve's one state line adds, per step, the
+    GMRES iteration count, the final |r|/|b| and the reference's own |r|/|b|,
+    the floor of its stop: for a linear problem one step within the floor,
+    for a quasilinear one its Newton steps from the predictor, with |R|
+    against the cold |R(0)| within the Newton stop, each to KRYLOV_REL_TOL
+    with no floor."""
     theta = bump_theta()
     problem = RobinProblem(disk3, _robin_data_nontrivial())
     problem.u
@@ -710,20 +712,26 @@ def test_resolve_logs_its_cg_statistics(disk3, caplog):
     resolved = quasilinear.rebuilt(transport_mesh(theta, 0.04, disk3), theta, 0.04)
     line, ql_line = [r.getMessage() for r in caplog.records
                      if r.name == "shapegrad.elliptic_problems"]
-    head, cg = line.split("; CG on the reference factors: ")
-    assert head.startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
-    iterations, rest = cg.split(" iteration(s), |r|/|b| = ")
-    rel, ref = (float(x) for x in rest.split(", reference |r|/|b| = "))
-    assert int(iterations) >= 1
-    assert rel <= max(fem.PCG_REL_TOL, ref) and ref <= 1e-11
 
-    head, gmres = ql_line.split("; GMRES on the reference factors: ")
-    steps, rest = head.split(" Newton step(s) from u + s udot, |R|/|R(0)| = ")
-    assert steps == f"quasilinear state: {len(resolved.newton_history) - 1}"
+    def notes(text):
+        head, krylov = text.split("; GMRES on the reference factors: ")
+        parsed = []
+        for note in krylov.split("; "):
+            iterations, rest = note.split(" iteration(s), |r|/|b| = ")
+            rel, ref = (float(x) for x in rest.split(", reference |r|/|b| = "))
+            parsed.append((int(iterations), rel, ref))
+        return head, parsed
+
+    head, ((iterations, rel, ref),) = notes(line)
+    assert head.startswith("robin state: 1 Newton step(s), |R|/|R(0)| = ")
+    assert iterations >= 1
+    assert rel <= max(fem.KRYLOV_REL_TOL, ref) and ref <= 1e-11
+
+    head, steps = notes(ql_line)
+    count, rest = head.split(" Newton step(s) from u + s udot, |R|/|R(0)| = ")
+    assert count == f"quasilinear state: {len(resolved.newton_history) - 1}"
     assert float(rest) <= elliptic_problems.NEWTON_FLOOR_FACTOR * elliptic_problems.NEWTON_REL_TOL
-    notes = gmres.split("; ")
-    assert len(notes) == len(resolved.newton_history) - 1 >= 1
-    for note in notes:
-        iterations, rel = note.split(" iteration(s), |r|/|b| = ")
-        assert 1 <= int(iterations) <= fem.PCG_MAX_ITER
-        assert float(rel) <= fem.PCG_REL_TOL
+    assert len(steps) == len(resolved.newton_history) - 1 >= 1
+    for iterations, rel, ref in steps:
+        assert 1 <= iterations <= fem.KRYLOV_MAX_ITER
+        assert rel <= fem.KRYLOV_REL_TOL and ref == 0.0

@@ -8,8 +8,10 @@ import scipy.sparse.linalg as spla
 from shapegrad import fem_core as fem
 from shapegrad.data_catalog import parse_rfunction, parse_scalar, time_matrix
 from shapegrad.elliptic_problems import QuasilinearData, QuasilinearProblem
+from shapegrad.flow import transport_mesh
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
+from conftest import bump_theta
 from elliptic_references import eliminate_dirichlet
 
 # frozen by hand: P1 stiffness of the reference triangle (0,0),(1,0),(0,1)
@@ -443,9 +445,9 @@ def test_factorized_matches_solve():
     assert np.abs(x1 - x2).max() <= 1e-12
 
 
-def _robin_system(refine):
-    """Robin matrix (M = diag(2, 1), beta = 1) and load on the unit disk."""
-    space = fem.FeSpace(gen_disk((0.0, 0.0), 1.0, refine), order=1)
+def _robin_system(mesh):
+    """Robin matrix (M = diag(2, 1), beta = 1) and load on ``mesh``."""
+    space = fem.FeSpace(mesh, order=1)
     A = _stiffness(space, np.diag([2.0, 1.0])) \
         + fem.assemble_boundary_mass(space, np.ones(space.edge_qweights.shape))
     P = space.qpoints
@@ -456,7 +458,7 @@ def _robin_system(refine):
 def test_factorized_no_ordering_cliff_at_refine7():
     # MMD without the RCM renumbering took about 145 s on this matrix
     # (49,537 dofs in gen_disk's node order); COLAMD gave 6.68M fill.
-    A, b = _robin_system(7)
+    A, b = _robin_system(gen_disk((0.0, 0.0), 1.0, 7))
     t0 = time.perf_counter()
     fact = fem.Factorized(A)
     x = fact.solve(b)
@@ -469,7 +471,7 @@ def test_factorized_no_ordering_cliff_at_refine7():
 
 
 def test_factorized_numbering_invariant():
-    A, b = _robin_system(5)
+    A, b = _robin_system(gen_disk((0.0, 0.0), 1.0, 5))
     x = fem.Factorized(A).solve(b)
     perm = np.random.default_rng(11).permutation(A.shape[0])
     Ap = A.tocsr()[perm][:, perm]
@@ -496,11 +498,15 @@ def test_factorized_unsymmetric_jacobian_and_transpose(disk4):
 
 
 def test_gmres_solves_an_unsymmetric_jacobian_on_the_factors_of_another(disk4, monkeypatch):
-    """``Factorized.gmres`` solves the quasilinear Jacobian at one state on
-    the factors of the Jacobian at another: the COLAMD answer to 1e-10, with
-    |r| <= PCG_REL_TOL |b|.  On the factored matrix itself its start is the
-    direct solve, which one iteration at most polishes; a solve that does
-    not stop in PCG_MAX_ITER (here 0) iterations gives None and does not
+    """``Factorized.gmres`` solves a matrix on the factors of another near
+    it, unsymmetric or symmetric: the quasilinear Jacobian at one state on
+    the factors of the Jacobian at another, and the Robin matrix on the disk
+    transported by s theta on the factors of the Robin matrix on the disk.
+    Each meets the COLAMD answer to 1e-10, with |r| <= KRYLOV_REL_TOL |b|.
+    On the factored matrix itself its start is the direct solve, which one
+    iteration at most polishes, and which, with that solve's residual as the
+    floor, it keeps with its bits and no iteration; a solve that does not
+    stop in KRYLOV_MAX_ITER (here 0) iterations gives None and does not
     raise."""
     data = QuasilinearData(m=parse_rfunction("saturating"), f=parse_rfunction("affine_r 1 0.1"),
                            g=parse_scalar("const 2"), u_d=parse_scalar("const 0"))
@@ -508,18 +514,24 @@ def test_gmres_solves_an_unsymmetric_jacobian_on_the_factors_of_another(disk4, m
     space = problem.space
     u0 = space.interpolate(lambda P: 1.0 + np.sin(2.0 * P[..., 0]) * P[..., 1])
     u1 = space.interpolate(lambda P: 1.2 + np.sin(2.0 * P[..., 0]) * P[..., 1] + 0.3 * P[..., 0])
-    J0, J1 = problem.jacobian(u0), problem.jacobian(u1)
     b = fem.assemble_load_values(space, 1.0 + space.qpoints[..., 0])
-    fact = fem.Factorized(J0)
-    x, iterations, rn = fact.gmres(J1, b)
-    ref = spla.splu(J1.tocsc(), permc_spec="COLAMD").solve(b)
-    assert 1 <= iterations < fem.PCG_MAX_ITER and rn <= fem.PCG_REL_TOL * fem.norm(b)
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    direct = fact.solve(b)
-    x, iterations, _ = fact.gmres(J0, b)
-    assert iterations <= 1 and np.linalg.norm(x - direct) <= 1e-14 * np.linalg.norm(direct)
-    monkeypatch.setattr(fem, "PCG_MAX_ITER", 0)
-    assert fact.gmres(J1, b)[0] is None
+    robin, robin_b = _robin_system(disk4)
+    robin_s, _ = _robin_system(transport_mesh(bump_theta(), 0.04, disk4))
+    for J0, J1, b in ((problem.jacobian(u0), problem.jacobian(u1), b),
+                      (robin, robin_s, robin_b)):
+        fact = fem.Factorized(J0)
+        x, iterations, rn = fact.gmres(J1, b, 0.0)
+        ref = spla.splu(J1.tocsc(), permc_spec="COLAMD").solve(b)
+        assert 1 <= iterations < fem.KRYLOV_MAX_ITER and rn <= fem.KRYLOV_REL_TOL * fem.norm(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        direct = fact.solve(b)
+        x, iterations, _ = fact.gmres(J0, b, 0.0)
+        assert iterations <= 1 and np.linalg.norm(x - direct) <= 1e-14 * np.linalg.norm(direct)
+        x, iterations, _ = fact.gmres(J0, b, fact.residual)
+        assert iterations == 0 and np.array_equal(x, direct)
+        monkeypatch.setattr(fem, "KRYLOV_MAX_ITER", 0)
+        assert fact.gmres(J1, b, 0.0)[0] is None
+        monkeypatch.undo()
 
 
 # ------------------------------------------------------------- interpolation

@@ -1,9 +1,9 @@
 """The problem protocol, for every problem the CLI knows: each is built
 from its shipped config at a tiny size, re-solving is the same problem on
 new nodes, a re-solve does only the state solve's factorizations and solves
-(a linear one none: it runs CG on the reference's factors), the capability
-flags are exactly the checks the CLI writes, and the one duality pair of
-the protocol is each stateful problem's pair as first written."""
+(a linear one none: it runs GMRES on the reference's factors), the
+capability flags are exactly the checks the CLI writes, and the one duality
+pair of the protocol is each stateful problem's pair as first written."""
 
 import configparser
 import glob
@@ -24,9 +24,10 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "config
 TINY = {("mesh", "refine"): "2", ("mesh", "nx"): "6", ("mesh", "ny"): "6",
         ("data", "nt"): "4"}
 # (factorizations, checked solves, at most this many triangular solve pairs)
-# of one re-solve of the linear problems at s = 0.01: CG on the reference's
-# factors, which factorizes and check-solves nothing, and applies them for
-# its start LU^-1 b and once per iteration (6 iterations here, 7 on the
+# of one re-solve of the linear problems at s = 0.01: GMRES on the
+# reference's factors, which factorizes and check-solves nothing, and
+# applies them k + 2 times for k iterations, for its start LU^-1 b, once per
+# iteration and for the final LU^-1 (V y) (6 iterations here, 7 on the
 # refine-6 disk)
 STATE_SOLVES = {"robin": (0, 0, 10), "dirichlet_energy": (0, 0, 10), "area": (0, 0, 0)}
 STATEFUL = ["robin", "quasilinear", "dirichlet_energy", "parabolic_j1", "parabolic_j2"]
