@@ -36,9 +36,10 @@ for variant in ("prop5", "prop6"):
         print(f"  theta = {name:<12} dJ {problem.derivative(theta):+.10e}  "
               f"tensor-vs-raw gap {gap:.2e}")
 
-# The tracking example also carries a frozen-state transport cost whose
-# derivative can be finite-differenced by advecting the quadrature points
-# -- no mesh re-solve, so the FD error is purely the flow's.
+# The tracking example also carries a frozen-state cost: the state held at
+# the reference quadrature points, the points and weights those of the
+# mesh transported node by node.  Nothing is re-solved, so its FD checks
+# the geometric part of dJ against theta's nodal interpolant alone.
 prop5 = ManufacturedProblem(mesh, variant="prop5")
 theta = make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=HOLDALL)
 table = fd_transport_check(prop5, theta, (0.02, 0.01, 0.005))

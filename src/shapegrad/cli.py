@@ -418,6 +418,11 @@ def cmd_check(args):
     # a theta whose every sample is zero would pass every check with dJ = 0
     if not any(map(np.any, vars(problem.samples(theta)).values())):
         raise ConfigError(f"[theta] field {theta.name!r} is zero on the whole mesh")
+    # an FD row moves the mesh nodes only: a theta zero at all of them
+    # leaves every row on the reference mesh, a pass with dJ unchecked
+    if problem.fd_cost and not theta.eval(problem.mesh.nodes).any():
+        raise ConfigError(f"[theta] field {theta.name!r} is zero at every mesh node, "
+                          "so its FD table would not move the mesh")
     out = _outdir(args, cfg)
     derive = args.command == "derive"
     report = _report_base(cfg, problem, theta)

@@ -1,12 +1,10 @@
 """
 Flow maps of autonomous velocity fields and their first-order expansions.
 
-A velocity field theta comes with hand-coded Jacobian, divergence and
-second derivatives; positions and the volume ratio xi(s) = det DT_s are
-integrated with classical RK4, xi by Liouville's formula
-d/ds xi = div(theta)(T_s) xi, a scalar ODE in place of the 2x2
-variational equation d/ds DT_s = Dtheta(T_s) DT_s.  The pullback
-factors of the flow map T_s and their s-derivatives at s = 0 are
+A velocity field theta comes with hand-coded Jacobian and second
+derivatives; positions are integrated with classical RK4, and a mesh is
+transported by moving its nodes.  The pullback factors of the flow map
+T_s and their s-derivatives at s = 0 are
 
     xi(s) = det DT_s                      xi'(0) = div(theta)
     xi(s) DT_s^-1 Q DT_s^-T               div(theta) Q - Dtheta Q - Q Dtheta^T
@@ -35,15 +33,11 @@ the factor is exactly 1.0 wherever the base value is not zero and +0.0
 times a factor in [0, 1] is +0.0 elsewhere (except at a coordinate -0.0 on
 a box face at +0.0, where the factor is -0.0 and the wrapped value -0.0).
 The Jacobian and Hessian keep the cutoff, whose -0.0 entries they carry.
-
-``validation.fd_transport_check`` (the frozen-composition cost of the
-manufactured problems, which ship poly2) carries xi too, 128 value and
-128 divergence evaluations per advect, so the poly2 value, Jacobian and
-divergence are written one component at a time as well, with no
-``np.stack`` and no ``einsum``.  They sum their terms left to right, an
-order of their own, so each entry differs from the einsum form by at most
-a few eps of the sum of its terms' magnitudes; a Jacobian entry that is
-zero is +0.0, and the divergence keeps the bits of the Jacobian's trace.
+The poly2 value and Jacobian are written one component at a time as well,
+with no ``np.stack`` and no ``einsum``.  They sum their terms left to
+right, an order of their own, so each entry differs from the einsum form
+by at most a few eps of the sum of its terms' magnitudes; a Jacobian entry
+that is zero is +0.0.
 """
 
 import numpy as np
@@ -52,7 +46,7 @@ from .mesh import InvertedTriangleError, MeshValidationError
 
 
 class FlowDegeneracyError(Exception):
-    """Raised when a flow map folds over (non-positive volume ratio det DT_s)."""
+    """Raised when a transported mesh folds over or leaves its hold-all."""
 
 
 class VectorFieldSpec:
@@ -68,42 +62,26 @@ class VectorFieldSpec:
         ``(..., 2, 2, 2)`` with ``hess[i, j, k] = d2 theta_i / dx_j dx_k``.
     support_box : (2, 2) float array or None
         ``[[xlo, ylo], [xhi, yhi]]``; ``None`` means unbounded support.
-    div : callable or None
-        ``div(P)`` returns ``(...)``, the divergence with the bits of
-        ``jac[..., 0, 0] + jac[..., 1, 1]``; ``None`` takes that trace.
     """
 
-    def __init__(self, name, eval, jac, hess, support_box=None, div=None):
+    def __init__(self, name, eval, jac, hess, support_box=None):
         self.name = name
         self.eval = eval
         self.jac = jac
         self.hess = hess
-        self.div = _trace_of(jac) if div is None else div
         self.support_box = None if support_box is None else np.asarray(support_box, dtype=float)
 
     def __repr__(self):
         return f"VectorFieldSpec({self.name!r})"
 
 
-def _trace_of(jac):
-    def div(P):
-        J = jac(P)
-        return J[..., 0, 0] + J[..., 1, 1]
-    return div
-
-
-def advect_batch(theta, s, x0, steps=32, want_xi=True):
-    """RK4-transport many points, and their volume ratios xi = det DT_s, at once.
-
-    xi obeys Liouville's formula d/ds xi = div(theta)(T_s) xi and is
-    integrated by the same RK4 stages as the positions: stage i takes
-    div(theta) at the stage's point times xi + c_i h k_{i-1}.
+def advect_batch(theta, s, x0, steps=32):
+    """RK4-transport many points at once.
 
     Points where theta vanishes at the start are exact fixed points of every
     RK4 stage (each stage evaluates theta where the previous one left the
     point), so only the others are integrated, point by point as RK4 acts.
-    With xi a point is fixed only if div(theta) vanishes there too; its xi
-    stays 1.  Compactly supported fields leave many mesh nodes fixed.
+    Compactly supported fields leave many mesh nodes fixed.
 
     Parameters
     ----------
@@ -116,52 +94,26 @@ def advect_batch(theta, s, x0, steps=32, want_xi=True):
 
     Returns
     -------
-    (X, xi) : positions (n, 2) and volume ratios (n,); ``xi`` is None when
-    ``want_xi`` is false.
-
-    Raises
-    ------
-    FlowDegeneracyError
-        If some xi reaches zero or below after a step: the discrete flow
-        folds over there.
+    X : (n, 2) array of positions.
     """
     if steps < 1:
         raise ValueError("advect_batch: steps must be >= 1")
     X = np.array(x0, dtype=float)
-    xi = np.ones(X.shape[:-1]) if want_xi else None
     if s == 0.0:
-        return X, xi
-    moving = (theta.eval(X) != 0.0).any(axis=-1)
-    if want_xi:
-        moving |= theta.div(X) != 0.0
-    idx = np.nonzero(moving)[0]
-    Xm, xim = _rk4(theta, s / steps, steps, X[idx], None if xi is None else xi[idx])
-    X[idx] = Xm
-    if xi is not None:
-        xi[idx] = xim
-    return X, xi
+        return X
+    idx = np.nonzero((theta.eval(X) != 0.0).any(axis=-1))[0]
+    X[idx] = _rk4(theta, s / steps, steps, X[idx])
+    return X
 
 
-def _rk4(theta, h, steps, X, xi):
-    def rhs(Xc, xic):
-        v = theta.eval(Xc)
-        if xic is None:
-            return v, None
-        return v, theta.div(Xc) * xic
-
+def _rk4(theta, h, steps, X):
     for _ in range(steps):
-        k1x, k1 = rhs(X, xi)
-        k2x, k2 = rhs(X + 0.5 * h * k1x, None if xi is None else xi + 0.5 * h * k1)
-        k3x, k3 = rhs(X + 0.5 * h * k2x, None if xi is None else xi + 0.5 * h * k2)
-        k4x, k4 = rhs(X + h * k3x, None if xi is None else xi + h * k3)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        if xi is not None:
-            xi = xi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (xi <= 0.0).any():
-                i = int(np.nonzero(xi <= 0.0)[0][0])
-                raise FlowDegeneracyError(
-                    f"flow volume ratio {xi[i]:.3e} <= 0 during advection")
-    return X, xi
+        k1 = theta.eval(X)
+        k2 = theta.eval(X + 0.5 * h * k1)
+        k3 = theta.eval(X + 0.5 * h * k2)
+        k4 = theta.eval(X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return X
 
 
 def transport_mesh(theta, s, mesh, steps=32):
@@ -174,7 +126,7 @@ def transport_mesh(theta, s, mesh, steps=32):
         of non-positive signed area (the message reports the first one),
         or a node that is not finite or leaves the hold-all box.
     """
-    X, _ = advect_batch(theta, s, mesh.nodes, steps=steps, want_xi=False)
+    X = advect_batch(theta, s, mesh.nodes, steps=steps)
     try:
         return mesh.with_nodes(X)
     except InvertedTriangleError as exc:
@@ -320,7 +272,7 @@ def _const_field(c):
     def val(P):
         return np.broadcast_to(c, P.shape[:-1] + (2,)).copy()
 
-    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None, None
+    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None
 
 
 def _linear_field(A, b):
@@ -333,7 +285,7 @@ def _linear_field(A, b):
     def jac(P):
         return np.broadcast_to(A, P.shape[:-1] + (2, 2)).copy()
 
-    return val, jac, lambda P: _zeros_like_field(P, 3), None, None
+    return val, jac, lambda P: _zeros_like_field(P, 3), None
 
 
 def _poly2_field(C):
@@ -357,15 +309,6 @@ def _poly2_field(C):
         out += 0.0
         return out
 
-    def div(P):
-        # jac's diagonal, summed before the += 0.0 that jac applies to each
-        # entry: the same bits, -0.0 + -0.0 included
-        x, y = P[..., 0], P[..., 1]
-        c0, c1 = C
-        out = (c0[1] + (2.0 * c0[3]) * x + c0[4] * y) + (c1[2] + c1[4] * x + (2.0 * c1[5]) * y)
-        out += 0.0
-        return out
-
     def hess(P):
         out = np.zeros(P.shape[:-1] + (2, 2, 2))
         out[..., 0, 0] = 2 * C[:, 3]
@@ -373,7 +316,7 @@ def _poly2_field(C):
         out[..., 1, 1] = 2 * C[:, 5]
         return out
 
-    return val, jac, hess, div, None
+    return val, jac, hess, None
 
 
 def _bump_field(a, c, r):
@@ -411,7 +354,7 @@ def _bump_field(a, c, r):
         lin = (2.0 / r ** 2) * wp[..., None, None] * np.eye(2)
         return np.einsum('i,...jk->...ijk', a, quad + lin)
 
-    return val, jac, hess, None, np.array([c - r, c + r])
+    return val, jac, hess, np.array([c - r, c + r])
 
 
 def _tensor_bump_field(a, c, w):
@@ -454,12 +397,11 @@ def _tensor_bump_field(a, c, w):
         H[..., 1, 1] = bx * d2by
         return np.einsum('i,...jk->...ijk', a, H)
 
-    return val, jac, hess, None, np.array([c - w, c + w])
+    return val, jac, hess, np.array([c - w, c + w])
 
 
 #: catalog name -> (builder, number of parameters); a builder returns the
-#: value, Jacobian, Hessian and divergence callables, the divergence None
-#: where the trace of the Jacobian serves, and the box [lo, hi] outside which
+#: value, Jacobian and Hessian callables and the box [lo, hi] outside which
 #: the value is +0.0 (the bumps' c -+ r and c -+ w), or None
 FIELD_CATALOG = {
     "zero": (lambda p: _const_field((0.0, 0.0)), 0),
@@ -502,7 +444,7 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
     if not np.all(np.isfinite(params)):
         raise ValueError(f"field {name!r}: parameters must be finite, "
                          f"got {' '.join(map(str, params))}")
-    val, jac, hess, div, support = builder(np.asarray(params))
+    val, jac, hess, support = builder(np.asarray(params))
     if support_box is not None:
         lo, hi = np.asarray(support_box, dtype=float)
         if not (np.all(np.isfinite(support_box)) and np.all(hi > lo)):
@@ -511,5 +453,4 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
         if not (np.isfinite(ramp) and ramp > 0.0):
             raise ValueError(f"ramp must be finite and positive, got {ramp}")
         val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp, support)
-        div = None
-    return VectorFieldSpec(name, val, jac, hess, support_box=support_box, div=div)
+    return VectorFieldSpec(name, val, jac, hess, support_box=support_box)

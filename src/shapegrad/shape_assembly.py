@@ -63,7 +63,7 @@ from . import fem_core as fem
 from . import tensor_calc as tc
 from .data_catalog import parse_scalar
 from .fem_core import FeSpace
-from .flow import advect_batch, transport_mesh
+from .flow import transport_mesh
 
 
 class ThetaSamples:
@@ -249,11 +249,11 @@ class ShapeProblem:
     which the FD and Taylor checks share.
 
     Capability flags name the oracles a problem supports: ``fd_cost`` is
-    ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the
-    frozen-state transport cost) or None; ``has_state``: u and p exist, so
-    the CLI's ``solve`` writes them and the Taylor remainder of
-    ``material`` and the pairing ``duality_pair`` are checked;
-    ``dual_form`` selects ``dual_form_gap``.
+    ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the cost
+    with the state frozen; both on ``transport_mesh`` meshes) or None;
+    ``has_state``: u and p exist, so the CLI's ``solve`` writes them and
+    the Taylor remainder of ``material`` and the pairing ``duality_pair``
+    are checked; ``dual_form`` selects ``dual_form_gap``.
     """
 
     name = None
@@ -474,7 +474,7 @@ def prop5_raw_dJ(fields, space, theta):
     th = theta.eval(P)
     J = theta.jac(P)
     H3 = theta.hess(P)
-    div = theta.div(P)
+    div = J[..., 0, 0] + J[..., 1, 1]
     u = fields.u(P)
     h = fields.h(P)
     gh = fields.grad_h(P)
@@ -496,7 +496,7 @@ def prop5_raw_dJ(fields, space, theta):
     dnp = np.einsum('bqd,bqd->bq', fields.grad_p(Pe), nrm)
     he = fields.h(Pe)
     ndn = np.einsum('bqi,bqij,bqj->bq', nrm, Je, nrm)
-    divg = theta.div(Pe) - ndn
+    divg = (Je[..., 0, 0] + Je[..., 1, 1]) - ndn
     bnd = -(dnp * np.einsum('bqd,bqd->bq', fields.grad_h(Pe), the)
             + he * dnp * (divg - ndn))
     return total + float(np.sum(we * bnd))
@@ -532,7 +532,7 @@ def prop6_raw_dJ(fields, space, theta):
     th = theta.eval(P)
     J = theta.jac(P)
     H3 = theta.hess(P)
-    div = theta.div(P)
+    div = J[..., 0, 0] + J[..., 1, 1]
     pv = fields.p(P)
     gu = fields.grad_u(P)
     Hu = fields.hess_u(P)
@@ -548,31 +548,19 @@ def prop6_raw_dJ(fields, space, theta):
     return float(np.sum(w * vol))
 
 
-def cost_transport_derivative(fields, space, theta):
-    """d/ds of int F(T_s(x), u(x)) xi(s) at s = 0 with the state frozen.
-
-    Equals int dF/dx(x, u) . theta + F(x, u) div theta.
+def cost_transport_derivative(fields, space, samples):
+    """The s-derivative at 0 of the frozen-state cost on node-transported
+    meshes, sum_q w_q(s) F(x_q(s), u_q) with u_q the state at the reference
+    quadrature points: int dF/dx(x, u) . theta + F(x, u) div theta, with
+    theta and div theta the ``vol_val`` and ``vol_div`` of ``samples``.
+    With interpolated samples it is the exact derivative of that sum (see
+    ``theta_samples``).
     """
     P = space.qpoints
-    w = space.qweights
-    th = theta.eval(P)
     u = fields.u(P)
-    return float(np.sum(w * (np.einsum('mqd,mqd->mq', fields.dF_dx(P, u), th)
-                             + fields.F(P, u) * theta.div(P))))
-
-
-def cost_transport_value(fields, space, theta, s, steps=32):
-    """int F(T_s(x), u(x)) xi(s) by transporting the quadrature points.
-
-    ``advect_batch`` integrates xi = det DT_s itself, by Liouville's
-    formula, so the march evaluates theta and div(theta), never Dtheta.
-    """
-    P = space.qpoints
-    w = space.qweights
-    u = fields.u(P)
-    X, xi = advect_batch(theta, s, P.reshape(-1, 2), steps=steps)
-    Fv = fields.F(X.reshape(P.shape), u)
-    return float(np.sum(w * Fv * xi.reshape(P.shape[:-1])))
+    return float(np.sum(space.qweights * (
+        np.einsum('mqd,mqd->mq', fields.dF_dx(P, u), samples.vol_val)
+        + fields.F(P, u) * samples.vol_div)))
 
 
 # variant -> (catalog, tensor form, raw form, FD oracle); the Hessian-squared
@@ -585,10 +573,11 @@ class ManufacturedProblem(ShapeProblem):
     """Closed-form fields wired into the problem protocol.
 
     The state and adjoint are analytic, so there is nothing to re-solve:
-    ``derivative`` evaluates the tensor representation, ``raw_derivative``
-    the un-grouped display, and the cost story is the frozen-composition
-    transport functional (see ``cost_transport_value``), whose derivative
-    is the geometric part checked by ``fd_transport_check``.
+    ``derivative`` evaluates the tensor representation with theta sampled
+    analytically, ``raw_derivative`` the un-grouped display, and the FD
+    oracle is ``fd_transport_check``: the cost with the state frozen at the
+    reference quadrature points, on the meshes transported node by node
+    (``cost_transport_derivative`` is its derivative).
     """
 
     has_state = False

@@ -3,7 +3,8 @@ Independent derivative oracles and convergence studies.
 
 Everything here checks an assembled shape derivative against quantities a
 skeptic can compute without trusting the assembly: finite-difference
-quotients of costs re-solved on transported meshes, Taylor remainders of
+quotients of costs on transported meshes (re-solved, or for the
+manufactured problems with the state frozen), Taylor remainders of
 pulled-back states, and the discrete duality pairing.  Reductions are
 deterministic (fixed element order; direct solves on the reference mesh,
 and on a transported mesh a direct solve or, for a stationary problem,
@@ -15,9 +16,9 @@ serves every check that needs the same (theta, s, steps) row.
 import numpy as np
 
 from .fem_core import FeSpace
-from .flow import FlowDegeneracyError
+from .flow import FlowDegeneracyError, transport_mesh
 from .shape_assembly import (ShapeProblem, ShapeTensors, cost_transport_derivative,
-                             cost_transport_value)
+                             theta_samples)
 
 
 def estimate_order(errors):
@@ -202,20 +203,25 @@ def fd_shape_check(problem, theta, s_list, steps=32):
 
 
 def fd_transport_check(problem, theta, s_list, steps=32):
-    """FD check of the frozen-composition cost transport derivative of a
-    manufactured ``problem``.
+    """FD check of the frozen-state cost of a manufactured ``problem``.
 
-    The quadrature points themselves are advected (the state factor is
-    held at its reference composition), so this validates the geometric
-    part d/ds of int F(T_s(x), u(x)) xi(s) on its own.
+    Each row is the problem on ``transport_mesh(theta, s, mesh, steps)``,
+    as for ``fd_shape_check``, with the state held at its values at the
+    reference quadrature points: the cost sum_q w_q(s) F(x_q(s), u_q) over
+    the transported space, whose element and point order are the
+    reference's.  The target is ``cost_transport_derivative`` with theta
+    interpolated from its nodal values, the exact s-derivative of that sum,
+    so this checks the geometric part of dJ on its own.
     """
     fields, space = problem.fields, problem.space
-    dJ = cost_transport_derivative(fields, space, theta)
+    u = fields.u(space.qpoints)
 
     def evaluate(s):
-        return cost_transport_value(fields, space, theta, s, steps=steps)
+        moved = problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).space
+        return float(np.sum(moved.qweights * fields.F(moved.qpoints, u)))
 
-    return _build_fd_table(dJ, evaluate(0.0), evaluate, s_list,
+    return _build_fd_table(cost_transport_derivative(fields, space, theta_samples(space, theta)),
+                           problem.cost(), evaluate, s_list,
                            _metadata(problem, theta, target="transport_cost"))
 
 

@@ -2,9 +2,8 @@
 
 * RK4 of the flow Jacobian DT_s by the variational equation
   d/ds DT_s = Dtheta(T_s) DT_s, every point through every stage: the
-  oracle for the volume ratio xi = det DT_s that ``advect_batch``
-  integrates by Liouville's formula, and the source of the full matrix
-  the pullback factors need.
+  volume ratio xi = det DT_s that a transported triangle's area ratio
+  approximates, and the full matrix the pullback factors need.
 * Pullback factors of a flow map, built from those RK4 flow Jacobians.
   The transport-rate tests difference these factors in s and compare the
   quotients with the rates the assembly uses: ``material_tensor_rate``

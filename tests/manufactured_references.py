@@ -6,6 +6,11 @@ collected).
 ``written_out(name, fields)`` returns those closures by attribute name;
 the state closures they were written against (p = -2u) come from
 ``fields``.  The tests compare them with the derived ones bit for bit.
+
+``analytic_transport_derivative`` is the frozen-state cost's derivative
+with theta sampled analytically, the target of the transport FD check
+when it advected the quadrature points themselves; the interpolated target
+that replaced it converges to it at O(h^2).
 """
 
 import numpy as np
@@ -51,3 +56,14 @@ def _disk_higher(fields):
 
 def written_out(name, fields):
     return {"disk": _disk, "disk-higher": _disk_higher}[name](fields)
+
+
+def analytic_transport_derivative(fields, space, theta):
+    """int dF/dx(x, u) . theta + F(x, u) div theta, with theta and its
+    Jacobian's trace from the field's closures at the quadrature points."""
+    P = space.qpoints
+    u = fields.u(P)
+    J = theta.jac(P)
+    dens = (np.einsum('mqd,mqd->mq', fields.dF_dx(P, u), theta.eval(P))
+            + fields.F(P, u) * (J[..., 0, 0] + J[..., 1, 1]))
+    return float(np.sum(space.qweights * dens))

@@ -441,6 +441,28 @@ def test_theta_zero_on_the_mesh_exits_2(tmp_path, capsys, command, problem):
 
 
 @pytest.mark.parametrize("command", ["derive", "validate"])
+def test_theta_zero_at_every_node_exits_2_with_an_fd_table(tmp_path, capsys, command):
+    """A bump of radius 0.02 at a triangle's centroid on the refine-4 disk
+    is zero at every node but not at the triangle's quadrature points: the
+    analytic dJ is not zero, but the FD rows would all be the reference
+    mesh (order inf, gap 0), so prop5 refuses it; prop6 has no FD table."""
+    mesh = gen_disk((0.0, 0.0), 1.0, 4)
+    centroid = mesh.nodes[mesh.triangles[100]].mean(axis=0)
+    assert np.hypot(*(mesh.nodes - centroid).T).min() > 0.02
+    field = f"field = bump 1.0 0.4 {float(centroid[0])!r} {float(centroid[1])!r} 0.02"
+    cfg = (pathlib.Path(__file__).parent.parent / "demos" / "configs"
+           / "prop5-manufactured.cfg").read_text()
+    cfg = "\n".join(field if line.startswith("field =") else line for line in cfg.splitlines())
+    out = tmp_path / "out"
+    assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [theta] field 'bump' is zero at every mesh node"), err
+    assert not out.exists() or not any(out.iterdir())
+    prop6 = cfg.replace("problem = prop5_manufactured", "problem = prop6_manufactured")
+    assert main([command, "--config", _cfg(tmp_path, prop6, "prop6.cfg"), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["derive", "validate"])
 def test_affine_theta_on_area_is_not_vacuous(tmp_path, command):
     """An affine theta moves the domain; its FD quotients are exact, so the
     order check is machine-exact, and the run passes."""

@@ -6,16 +6,17 @@ import pytest
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
 from shapegrad.flow import VectorFieldSpec, make_field, transport_mesh
-from shapegrad.shape_assembly import (AssembledDerivative, ShapeTensors,
+from shapegrad.mesh import gen_disk
+from shapegrad.shape_assembly import (AssembledDerivative, ManufacturedProblem, ShapeTensors,
                                       assemble_dJ, cost_transport_derivative,
-                                      cost_transport_value, make_manufactured,
-                                      material_tensor_rate, prop5_raw_dJ,
-                                      prop5_tensors, prop6_raw_dJ,
+                                      make_manufactured, material_tensor_rate,
+                                      prop5_raw_dJ, prop5_tensors, prop6_raw_dJ,
                                       prop6_tensors, theta_samples)
+from shapegrad.validation import estimate_order, fd_transport_check
 
 from conftest import HOLDALL, catalog_thetas, bump_theta
 from flow_references import edge_stretch_rate
-from manufactured_references import written_out
+from manufactured_references import analytic_transport_derivative, written_out
 
 
 def _sum_fields(a, b):
@@ -117,8 +118,7 @@ def test_manufactured_higher_source_is_neg_laplacian():
 def test_tracking_dual_form_matches_raw(space4):
     fields = make_manufactured("disk")
     tensors = prop5_tensors(fields, space4)
-    # unconfined too: the raw forms read theta.div, which poly2 writes
-    # separately from its Jacobian
+    # unconfined too: the fields' own closures, with no cutoff
     for theta in catalog_thetas() + catalog_thetas(None):
         raw = prop5_raw_dJ(fields, space4, theta)
         dual = _dJ(tensors, theta, "analytic").total
@@ -288,15 +288,22 @@ def test_interpolated_edge_divg_is_the_edge_stretch_rate(disk3, theta, order):
 
 # ---------------------------------------------------------- frozen-state cost
 
+def _frozen_cost(fields, space, theta, s):
+    """sum_q w_q(s) F(x_q(s), u_q) on the mesh transported node by node,
+    u_q the state at the reference quadrature points."""
+    moved = FeSpace(transport_mesh(theta, s, space.mesh), order=space.order)
+    return float(np.sum(moved.qweights * fields.F(moved.qpoints, fields.u(space.qpoints))))
+
+
 def test_cost_transport_derivative_matches_fd(space4):
     fields = make_manufactured("disk")
     theta = bump_theta()
-    d = cost_transport_derivative(fields, space4, theta)
+    d = cost_transport_derivative(fields, space4, theta_samples(space4, theta))
     svals = np.array([0.04, 0.02, 0.01])
     errs = []
     for s in svals:
-        jp = cost_transport_value(fields, space4, theta, +s)
-        jm = cost_transport_value(fields, space4, theta, -s)
+        jp = _frozen_cost(fields, space4, theta, +s)
+        jm = _frozen_cost(fields, space4, theta, -s)
         errs.append(abs((jp - jm) / (2 * s) - d))
     errs = np.array(errs)
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
@@ -304,21 +311,40 @@ def test_cost_transport_derivative_matches_fd(space4):
     assert errs[-1] <= 1e-4 * (1.0 + abs(d))
 
 
-def test_cost_transport_value_never_evaluates_the_jacobian(space4):
-    """The march carries xi = det DT_s by Liouville's formula: theta and
-    div theta at every stage, Dtheta nowhere."""
+def test_interpolated_transport_target_converges_to_the_analytic_one():
+    """The FD target differentiates theta's nodal interpolant; the
+    analytic-theta derivative is its limit, at O(h^2): for this bump
+    -3.6122e-2 against -3.4246e-2 at refine 3, -3.4721e-2 against
+    -3.4256e-2 at refine 4, -3.4374e-2 against -3.4259e-2 at refine 5."""
     fields = make_manufactured("disk")
+    theta = make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=HOLDALL)
+    rows = []
+    for refine in (3, 4, 5):
+        space = FeSpace(gen_disk((0.0, 0.0), 1.0, refine), order=1)
+        gap = (cost_transport_derivative(fields, space, theta_samples(space, theta))
+               - analytic_transport_derivative(fields, space, theta))
+        rows.append((2.0 ** -refine, abs(gap)))
+    assert estimate_order(rows) >= 1.9
+
+
+def test_fd_row_evaluates_theta_only_at_the_mesh_nodes(disk4):
+    """The frozen-state FD table moves the mesh nodes and interpolates
+    theta for its target: theta's value at arrays of the mesh's nodes,
+    never its Jacobian or Hessian, and the same table as without the spy."""
+    problem = ManufacturedProblem(disk4, "prop5")
     theta = make_field("poly2", (0.3, -0.2, 0.1, 0.15, -0.1, 0.2, 0.05, -0.15, 0.1, 0.2, -0.05, 0.1))
     calls = []
 
-    def jac(P):
-        calls.append(P.shape)
-        return theta.jac(P)
+    def spied(name, fn):
+        def call(P):
+            calls.append((name, P.shape))
+            return fn(P)
+        return call
 
-    spy = VectorFieldSpec("spy", theta.eval, jac, theta.hess, div=theta.div)
-    for s in (0.02, -0.01):
-        value = cost_transport_value(fields, space4, spy, s)
-        assert value == cost_transport_value(fields, space4, theta, s)
-    assert cost_transport_derivative(fields, space4, spy) == \
-        cost_transport_derivative(fields, space4, theta)
-    assert calls == []
+    spy = VectorFieldSpec("spy", spied("eval", theta.eval), spied("jac", theta.jac),
+                          spied("hess", theta.hess))
+    table = fd_transport_check(problem, spy, (0.02, 0.01))
+    assert calls and set(calls) == {("eval", (disk4.n_nodes, 2))}
+    ref = fd_transport_check(problem, theta, (0.02, 0.01))
+    assert table.dJ == ref.dJ
+    assert [(r.j_plus, r.j_minus) for r in table.rows] == [(r.j_plus, r.j_minus) for r in ref.rows]
