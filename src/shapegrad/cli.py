@@ -90,13 +90,6 @@ def _step_list(raw):
     return step_sizes([_number(p) for p in raw.split()])
 
 
-def _steps(raw):
-    value = _integer(raw)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
-
-
 def _one_of(*choices):
     def parse(raw):
         for choice in choices:
@@ -144,7 +137,7 @@ SCHEMA = {
              "center": (_numbers(2), "0 0"), "radius": (_number, "1"), "refine": (_integer, None),
              "bounds": (_numbers(4), "0 0 1 1"), "nx": (_integer, None), "ny": (_integer, None)},
     "theta": {"field": (_field, None), "support": (_numbers(4), None), "ramp": (_number, "0.15")},
-    "validation": {"steps": (_steps, "32"), "s_list": (_step_list, "0.04 0.02 0.01"),
+    "validation": {"s_list": (_step_list, "0.04 0.02 0.01"),
                    "taylor_s_list": (_step_list, "0.16 0.08 0.04"),
                    "fd_order_min": (_number, "1.9"), "fd_rel_max": (_number, "1e-5"),
                    "extrapolated_max": (_number, None), "taylor_order_min": (_number, "1.9"),
@@ -364,11 +357,11 @@ def _check(value, limit, op):
             "limit": float(limit), "op": op, "pass": ok}
 
 
-def _run_fd(problem, theta, s_list, steps):
+def _run_fd(problem, theta, s_list):
     if problem.fd_cost == "transport":
-        return fd_transport_check(problem, theta, s_list, steps=steps)
+        return fd_transport_check(problem, theta, s_list)
     if problem.fd_cost == "resolve":
-        return fd_shape_check(problem, theta, s_list, steps=steps)
+        return fd_shape_check(problem, theta, s_list)
     return None
 
 
@@ -428,7 +421,6 @@ def cmd_check(args):
     report = _report_base(cfg, problem, theta)
     report["command"] = args.command
     checks = {}
-    steps = cfg.get("validation", "steps")
     if problem.has_state:
         _timed(timings, "solve", lambda: problem.u)
 
@@ -439,7 +431,7 @@ def cmd_check(args):
         report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
     table = _timed(timings, "fd",
-                   lambda: _run_fd(problem, theta, cfg.get("validation", "s_list"), steps))
+                   lambda: _run_fd(problem, theta, cfg.get("validation", "s_list")))
     if table is not None:
         report["fd"] = fd_table_json(table)
         checks["fd_order"] = _check(table.observed_order(),
@@ -452,7 +444,7 @@ def cmd_check(args):
     ttable = None
     if not derive and problem.has_state:
         ttable = _timed(timings, "taylor", lambda: material_taylor_check(
-            problem, theta, cfg.get("validation", "taylor_s_list"), steps=steps))
+            problem, theta, cfg.get("validation", "taylor_s_list")))
         report["taylor"] = taylor_table_json(ttable)
         checks["taylor_order"] = _check(
             ttable.observed_order(), cfg.get("validation", "taylor_order_min"), ">=")

@@ -1,10 +1,14 @@
 """
-Flow maps of autonomous velocity fields and their first-order expansions.
+Velocity fields and the mesh transport T_s = id + s theta.
 
 A velocity field theta comes with hand-coded Jacobian and second
-derivatives; positions are integrated with classical RK4, and a mesh is
-transported by moving its nodes.  The pullback factors of the flow map
-T_s and their s-derivatives at s = 0 are
+derivatives.  A mesh is transported by moving its nodes by the
+perturbation of the identity T_s = id + s theta: one evaluation of theta
+per mesh, and DT_s = I + s Dtheta.  The shape derivative dJ(Omega)(theta)
+depends on the family T_s only through its s-derivative theta at s = 0,
+which the flow of theta shares (Delfour and Zolesio, *Shapes and
+Geometries*, 2nd ed., SIAM 2011).  The pullback factors of T_s and their
+s-derivatives at s = 0 are
 
     xi(s) = det DT_s                      xi'(0) = div(theta)
     xi(s) DT_s^-1 Q DT_s^-T               div(theta) Q - Dtheta Q - Q Dtheta^T
@@ -19,25 +23,25 @@ Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
 made compactly supported without losing analytic derivatives.
 
-RK4 transport of a mesh evaluates only the value of a field, 128 times
-per mesh at the default 32 steps, so the values of the bumps and of the
-cutoff are written one component at a time, with the bits of the
-broadcast and ``einsum`` forms they replace (``tests/flow_references.py``
-keeps those): each entry comes from the same floating-point operations in
-the same order, and the outer product with the amplitude adds +0.0 as
-``einsum`` did by summing onto +0.0.  A ``bump`` or ``tensor_bump``
-reports the box outside which its value is +0.0 (c -+ r, c -+ w); when
-that box, widened by a few ulps, lies on the cutoff's plateau, the
-confined field's value is the base value itself, with no cutoff at all:
-the factor is exactly 1.0 wherever the base value is not zero and +0.0
-times a factor in [0, 1] is +0.0 elsewhere (except at a coordinate -0.0 on
-a box face at +0.0, where the factor is -0.0 and the wrapped value -0.0).
-The Jacobian and Hessian keep the cutoff, whose -0.0 entries they carry.
-The poly2 value and Jacobian are written one component at a time as well,
-with no ``np.stack`` and no ``einsum``.  They sum their terms left to
-right, an order of their own, so each entry differs from the einsum form
-by at most a few eps of the sum of its terms' magnitudes; a Jacobian entry
-that is zero is +0.0.
+The values of the bumps and of the cutoff, which the nodal samples of
+``theta_samples`` (and so every interpolated dJ) and the transport read,
+are written one component at a time, with the bits of the broadcast and
+``einsum`` forms they replace (``tests/flow_references.py`` keeps those):
+each entry comes from the same floating-point operations in the same
+order, and the outer product with the amplitude adds +0.0 as ``einsum``
+did by summing onto +0.0.  A ``bump`` or ``tensor_bump`` reports the box
+outside which its value is +0.0 (c -+ r, c -+ w); when that box, widened
+by a few ulps, lies on the cutoff's plateau, the confined field's value
+is the base value itself, with no cutoff at all: the factor is exactly
+1.0 wherever the base value is not zero and +0.0 times a factor in [0, 1]
+is +0.0 elsewhere (except at a coordinate -0.0 on a box face at +0.0,
+where the factor is -0.0 and the wrapped value -0.0).  The Jacobian and
+Hessian keep the cutoff, whose -0.0 entries they carry.  The poly2 value
+and Jacobian are written one component at a time as well, with no
+``np.stack`` and no ``einsum``.  They sum their terms left to right, an
+order of their own, so each entry differs from the einsum form by at most
+a few eps of the sum of its terms' magnitudes; a Jacobian entry that is
+zero is +0.0.
 """
 
 import numpy as np
@@ -75,49 +79,27 @@ class VectorFieldSpec:
         return f"VectorFieldSpec({self.name!r})"
 
 
-def advect_batch(theta, s, x0, steps=32):
-    """RK4-transport many points at once.
-
-    Points where theta vanishes at the start are exact fixed points of every
-    RK4 stage (each stage evaluates theta where the previous one left the
-    point), so only the others are integrated, point by point as RK4 acts.
-    Compactly supported fields leave many mesh nodes fixed.
+def advect_batch(theta, s, x0):
+    """Move points by the perturbation of the identity T_s = id + s theta.
 
     Parameters
     ----------
     theta : VectorFieldSpec
     s : float
-        Final pseudo-time; may be negative.
+        May be negative.
     x0 : (n, 2) array
-    steps : int
-        Number of uniform RK4 steps.
 
     Returns
     -------
-    X : (n, 2) array of positions.
+    X : (n, 2) array ``x0 + s * theta(x0)``, one evaluation of theta.
     """
-    if steps < 1:
-        raise ValueError("advect_batch: steps must be >= 1")
-    X = np.array(x0, dtype=float)
-    if s == 0.0:
-        return X
-    idx = np.nonzero((theta.eval(X) != 0.0).any(axis=-1))[0]
-    X[idx] = _rk4(theta, s / steps, steps, X[idx])
-    return X
+    x0 = np.asarray(x0, dtype=float)
+    return x0 + s * theta.eval(x0)
 
 
-def _rk4(theta, h, steps, X):
-    for _ in range(steps):
-        k1 = theta.eval(X)
-        k2 = theta.eval(X + 0.5 * h * k1)
-        k3 = theta.eval(X + 0.5 * h * k2)
-        k4 = theta.eval(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return X
-
-
-def transport_mesh(theta, s, mesh, steps=32):
-    """Advect every node of ``mesh``; connectivity and hold-all are kept.
+def transport_mesh(theta, s, mesh):
+    """Move every node of ``mesh`` by T_s = id + s theta; connectivity and
+    hold-all are kept.
 
     Raises
     ------
@@ -126,7 +108,7 @@ def transport_mesh(theta, s, mesh, steps=32):
         of non-positive signed area (the message reports the first one),
         or a node that is not finite or leaves the hold-all box.
     """
-    X = advect_batch(theta, s, mesh.nodes, steps=steps)
+    X = advect_batch(theta, s, mesh.nodes)
     try:
         return mesh.with_nodes(X)
     except InvertedTriangleError as exc:
@@ -220,7 +202,8 @@ def _apply_cutoff(val, jac, hess, box, ramp, support=None):
     value, rho, covers = _cutoff(box, ramp)
 
     def v(P):
-        # RK4 transport calls only this: skip the cutoff's derivatives
+        # transport and the nodal samples call only this: skip the
+        # cutoff's derivatives
         out = val(P)
         r = value(P)
         out[..., 0] *= r

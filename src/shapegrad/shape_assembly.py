@@ -321,20 +321,20 @@ class ShapeProblem:
         return (fem.dot(np.ravel(ell), self.p.coefficients),
                 fem.dot(np.ravel(self.B), udot.coefficients))
 
-    def resolved(self, theta, s, steps=32, state=False):
+    def resolved(self, theta, s, state=False):
         """(cost, state coefficients) of the problem rebuilt on
-        ``transport_mesh(theta, s, mesh, steps)``, solved once per
-        (theta, s, steps).  The memo keeps no problem or space, only the
-        cost and the state coefficients of the rows a Taylor check reads:
-        those that ``state`` asks for, and, when the state is one vector,
-        every s > 0 row, so that an FD check solves them for the Taylor
-        check too; otherwise the state is None, and a row asked for its
-        state later is solved again.  A degenerate transport raises
-        ``FlowDegeneracyError`` each time and is not kept."""
-        rows, key = self._memo(theta).resolved, (float(s), int(steps))
+        ``transport_mesh(theta, s, mesh)``, solved once per (theta, s).
+        The memo keeps no problem or space, only the cost and the state
+        coefficients of the rows a Taylor check reads: those that ``state``
+        asks for, and, when the state is one vector, every s > 0 row, so
+        that an FD check solves them for the Taylor check too; otherwise
+        the state is None, and a row asked for its state later is solved
+        again.  A degenerate transport raises ``FlowDegeneracyError`` each
+        time and is not kept."""
+        rows, key = self._memo(theta).resolved, float(s)
         row = rows.get(key)
         if row is None or state and row[1] is None:
-            problem = self.rebuilt(transport_mesh(theta, s, self.mesh, steps=steps), theta, s)
+            problem = self.rebuilt(transport_mesh(theta, s, self.mesh), theta, s)
             u = problem.u.coefficients if self.has_state else None
             keep = u is not None and (state or s > 0 and u.size == self.dof_count)
             row = rows[key] = (problem.cost(), u if keep else None)

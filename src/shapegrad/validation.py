@@ -3,14 +3,15 @@ Independent derivative oracles and convergence studies.
 
 Everything here checks an assembled shape derivative against quantities a
 skeptic can compute without trusting the assembly: finite-difference
-quotients of costs on transported meshes (re-solved, or for the
-manufactured problems with the state frozen), Taylor remainders of
-pulled-back states, and the discrete duality pairing.  Reductions are
-deterministic (fixed element order; direct solves on the reference mesh,
-and on a transported mesh a direct solve or, for a stationary problem,
-each linear or Newton step by GMRES with a fixed stop on the reference's
-factors), so identical inputs reproduce tables bit for bit.  One re-solve
-serves every check that needs the same (theta, s, steps) row.
+quotients of costs on meshes moved by T_s = id + s theta
+(``flow.transport_mesh``; re-solved, or for the manufactured problems with
+the state frozen), Taylor remainders of pulled-back states, and the
+discrete duality pairing.  Reductions are deterministic (fixed element
+order; direct solves on the reference mesh, and on a transported mesh a
+direct solve or, for a stationary problem, each linear or Newton step by
+GMRES with a fixed stop on the reference's factors), so identical inputs
+reproduce tables bit for bit.  One re-solve
+serves every check that needs the same (theta, s) row.
 """
 
 import numpy as np
@@ -187,25 +188,25 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
     return FdTable(metadata, dJ, rows)
 
 
-def fd_shape_check(problem, theta, s_list, steps=32):
+def fd_shape_check(problem, theta, s_list):
     """Transport the mesh by +-s, re-solve, and difference the costs.
 
     The re-solves are the problem's ``resolved`` rows, which a Taylor check
-    of the same theta and steps shares.  A transport that inverts a
+    of the same theta shares.  A transport that inverts a
     triangle flags the row instead of failing the whole study.  The table
     also carries a Neville extrapolation of the clean central quotients to
     s = 0 (exact for quotients smooth in s, which the
     interpolation-consistent assembly guarantees).
     """
     return _build_fd_table(problem.derivative(theta), problem.cost(),
-                           lambda s: problem.resolved(theta, s, steps)[0], s_list,
+                           lambda s: problem.resolved(theta, s)[0], s_list,
                            _metadata(problem, theta, target="dJ"))
 
 
-def fd_transport_check(problem, theta, s_list, steps=32):
+def fd_transport_check(problem, theta, s_list):
     """FD check of the frozen-state cost of a manufactured ``problem``.
 
-    Each row is the problem on ``transport_mesh(theta, s, mesh, steps)``,
+    Each row is the problem on ``transport_mesh(theta, s, mesh)``,
     as for ``fd_shape_check``, with the state held at its values at the
     reference quadrature points: the cost sum_q w_q(s) F(x_q(s), u_q) over
     the transported space, whose element and point order are the
@@ -217,7 +218,7 @@ def fd_transport_check(problem, theta, s_list, steps=32):
     u = fields.u(space.qpoints)
 
     def evaluate(s):
-        moved = problem.rebuilt(transport_mesh(theta, s, problem.mesh, steps=steps)).space
+        moved = problem.rebuilt(transport_mesh(theta, s, problem.mesh)).space
         return float(np.sum(moved.qweights * fields.F(moved.qpoints, u)))
 
     return _build_fd_table(cost_transport_derivative(fields, space, theta_samples(space, theta)),
@@ -240,12 +241,12 @@ class TaylorTable(_StudyTable):
         return row.remainder
 
 
-def material_taylor_check(problem, theta, s_list, steps=32):
+def material_taylor_check(problem, theta, s_list):
     """Taylor remainder of the pulled-back state against s * udot.
 
     The pullback is the node correspondence of the transported mesh: dof k
     of the transported solve (a ``resolved`` row, shared with an FD check of
-    the same theta and steps) is compared at dof k of the reference mesh.
+    the same theta) is compared at dof k of the reference mesh.
     """
     s_list = step_sizes(s_list)
     u0 = problem.u.coefficients
@@ -253,7 +254,7 @@ def material_taylor_check(problem, theta, s_list, steps=32):
     rows = []
     for s in s_list:
         try:
-            us = problem.resolved(theta, s, steps, state=True)[1]
+            us = problem.resolved(theta, s, state=True)[1]
         except FlowDegeneracyError as exc:
             rows.append(TaylorRow(s, np.nan, flagged=True, note=str(exc)))
             continue

@@ -1,13 +1,10 @@
 """Flow oracles for the tests (not collected).
 
-* RK4 of the flow Jacobian DT_s by the variational equation
-  d/ds DT_s = Dtheta(T_s) DT_s, every point through every stage: the
-  volume ratio xi = det DT_s that a transported triangle's area ratio
-  approximates, and the full matrix the pullback factors need.
-* Pullback factors of a flow map, built from those RK4 flow Jacobians.
-  The transport-rate tests difference these factors in s and compare the
-  quotients with the rates the assembly uses: ``material_tensor_rate``
-  and the ``vol_div``/``edge_divg`` of ``theta_samples``.
+* Pullback factors of the mesh transport T_s = id + s theta, built from its
+  Jacobian DT_s = I + s Dtheta in closed form.  The transport-rate tests
+  difference these factors in s and compare the quotients with the rates
+  the assembly uses: ``material_tensor_rate`` and the
+  ``vol_div``/``edge_divg`` of ``theta_samples``.
 * The per-edge stretch rate of the nodal interpolant, as interpolated
   ``theta_samples`` computed div_G theta and D_G theta before it derived
   them from the owning element's Dtheta.
@@ -24,24 +21,9 @@ import numpy as np
 from shapegrad.flow import VectorFieldSpec, make_field
 
 
-def advect_with_jacobian(theta, s, x0, steps=32):
-    """Positions (n, 2) and flow Jacobians (n, 2, 2) by classical RK4 of
-    the flow and its variational equation, Jacobian products by einsum."""
-    X = np.array(x0, dtype=float)
-    J = np.broadcast_to(np.eye(2), X.shape + (2,)).copy()
-    h = s / steps
-
-    def rhs(Xc, Jc):
-        return theta.eval(Xc), np.einsum('...ij,...jk->...ik', theta.jac(Xc), Jc)
-
-    for _ in range(steps):
-        k1x, k1j = rhs(X, J)
-        k2x, k2j = rhs(X + 0.5 * h * k1x, J + 0.5 * h * k1j)
-        k3x, k3j = rhs(X + 0.5 * h * k2x, J + 0.5 * h * k2j)
-        k4x, k4j = rhs(X + h * k3x, J + h * k3j)
-        X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        J = J + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
-    return X, J
+def transport_jacobian(theta, s, points):
+    """DT_s = I + s Dtheta at ``points`` (n, 2): (n, 2, 2)."""
+    return np.eye(2) + s * theta.jac(np.asarray(points, dtype=float))
 
 
 def det2(J):
@@ -77,7 +59,7 @@ def pullback_quotients(theta, space, Q, s=1e-4):
     points = np.vstack([P.reshape(-1, 2), Pe.reshape(-1, 2)])
 
     def factors(t):
-        _, J = advect_with_jacobian(theta, t, points)
+        J = transport_jacobian(theta, t, points)
         split = P.size // 2
         return pullback_factors(J[:split].reshape(P.shape + (2,)),
                                 J[split:].reshape(Pe.shape + (2,)), n, Q)

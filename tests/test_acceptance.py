@@ -124,8 +124,8 @@ def test_criterion_2_transport_derivative():
     quadrature points of a disk reaching into the hold-all cutoff ramp,
     x 5 catalog fields: ``material_tensor_rate`` and the analytic
     ``vol_div``/``edge_divg`` against centered FD (s = 1e-4) of
-    xi DT^-1 Q DT^-T, xi = det DT and |det DT| |DT^-T n| from RK4 flow
-    Jacobians.  Tolerance 1e-6 relative, under 5 seconds."""
+    xi DT^-1 Q DT^-T, xi = det DT and |det DT| |DT^-T n| with
+    DT_s = I + s Dtheta.  Tolerance 1e-6 relative, under 5 seconds."""
     TOL = 1e-6
     s = 1e-4
     with _Budget(5.0, "criterion 2"):

@@ -545,7 +545,6 @@ def test_timings_sidecar_records_each_phase(tmp_path, command, phases):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("steps", "0"), ("steps", "-3"),
     ("s_list", "0.04 0.04 0.01"), ("s_list", "0.04 0 0.01"), ("s_list", "0.04 nan 0.01"),
     ("taylor_s_list", "0.16 -0.08 0.04"), ("taylor_s_list", "0.16 0.08 0"),
     ("taylor_s_list", "0.04 0.08 0.16")])
@@ -601,7 +600,9 @@ def _on(base, *params):
 
 @pytest.mark.parametrize("base,old,new,named", _on(
     ROBIN_CFG.replace("refine = 4", "refine = 2"),
-    pytest.param(VALIDATION, VALIDATION + "steps = 0\n", "[validation] steps ", id="steps"),
+    # the retired transport knob: T_s = id + s theta has no step count
+    pytest.param(VALIDATION, VALIDATION + "steps = 32\n", "unknown key [validation] steps ",
+                 id="steps"),
     pytest.param("0.2 -0.1 0.8", "5.0 5.0 0.3", "[theta] field 'bump' is zero", id="theta"),
     *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n", f"[validation] {key} ",
                    id=f"{key}-{value}") for key in GATE_KEYS for value in ("abc", "inf")),

@@ -10,8 +10,8 @@ from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 
 from conftest import HOLDALL as BOX, THETA_SPECS, catalog_thetas
-from flow_references import (advect_with_jacobian, cutoff_rho, det2, einsum_field,
-                             pullback_quotients)
+from flow_references import (cutoff_rho, det2, einsum_field, pullback_quotients,
+                             transport_jacobian)
 
 #: one representative parameterization per catalog entry (cutoff applied)
 CATALOG_FIELDS = catalog_thetas(BOX)
@@ -19,7 +19,7 @@ CATALOG_FIELDS = catalog_thetas(BOX)
 RADIAL = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))    # theta = x
 
 
-# ------------------------------------------------------------------ advection
+# ------------------------------------------------------------------ transport
 
 def test_advect_s_zero_is_identity():
     theta = make_field("rotation", (1.0, 0.0, 0.0))
@@ -30,62 +30,58 @@ def test_advect_s_zero_is_identity():
 def test_advect_constant_field_exact_translation():
     theta = make_field("constant", (0.25, -1.5))
     x0 = np.array([[1.0, 2.0]])
-    X = advect_batch(theta, 0.8, x0, steps=7)
+    X = advect_batch(theta, 0.8, x0)
     assert np.abs(X[0] - np.array([1.2, 0.8])).max() < 1e-14
-    Xr, J = advect_with_jacobian(theta, 0.8, x0, steps=7)
-    assert Xr.tobytes() == X.tobytes()
-    assert np.array_equal(J[0], np.eye(2))
-
-
-def test_advect_linear_radial_field_exponential():
-    # theta = x: T_s(x) = e^s x, DT_s = e^s I
-    x0 = np.array([0.7, -0.4])
-    X = advect_batch(RADIAL, 0.1, x0[None, :], steps=16)
-    es = np.exp(0.1)
-    assert np.abs(X[0] - es * x0).max() <= 1e-10
-    _, J = advect_with_jacobian(RADIAL, 0.1, x0[None, :], steps=16)
-    assert np.abs(J[0] - es * np.eye(2)).max() <= 1e-10
+    assert np.array_equal(transport_jacobian(theta, 0.8, x0)[0], np.eye(2))
 
 
 def test_advect_degenerate_jacobian_raises():
-    # violently sheared bump integrated with a single coarse step: the
-    # transported mesh folds over
+    # violently sheared bump: s Dtheta is far below -1 and the transported
+    # mesh folds over
     theta = make_field("bump", (0.0, 200.0, 0.0, 0.0, 0.5))
     with pytest.raises(FlowDegeneracyError, match="inverts triangle"):
-        transport_mesh(theta, 1.0, gen_disk((0.0, 0.0), 1.0, 2), steps=1)
-
-
-def test_semigroup_property():
-    theta = make_field("bump", (0.5, 0.3, -0.2, 0.1, 0.9), support_box=BOX)
-    rng = np.random.default_rng(3)
-    X0 = rng.uniform(-0.8, 0.8, size=(20, 2))
-    for s1, s2 in [(0.1, 0.1), (0.06, 0.04), (0.1, 0.05)]:
-        Xa = advect_batch(theta, s1 + s2, X0, steps=32)
-        X1 = advect_batch(theta, s1, X0, steps=32)
-        X2 = advect_batch(theta, s2, X1, steps=32)
-        assert np.abs(Xa - X2).max() <= 1e-9
-        _, Ja = advect_with_jacobian(theta, s1 + s2, X0, steps=32)
-        _, J1 = advect_with_jacobian(theta, s1, X0, steps=32)
-        _, J2 = advect_with_jacobian(theta, s2, X1, steps=32)
-        Jc = np.einsum('nij,njk->nik', J2, J1)
-        assert np.abs(Ja - Jc).max() <= 1e-9
+        transport_mesh(theta, 1.0, gen_disk((0.0, 0.0), 1.0, 2))
 
 
 @pytest.mark.parametrize("theta", CATALOG_FIELDS, ids=lambda t: t.name)
-def test_advect_matches_the_variational_march(theta):
-    """The positions of the variational RK4 reference, whose flow
-    Jacobians the pullback tests read, are those of ``advect_batch``."""
-    rng = np.random.default_rng(13)
-    X0 = rng.uniform(-1.45, 1.45, size=(200, 2))
-    for s in (0.16, -0.04):
-        Xr, _ = advect_with_jacobian(theta, s, X0, steps=32)
-        assert advect_batch(theta, s, X0, steps=32).tobytes() == Xr.tobytes()
+def test_transport_is_id_plus_s_theta_bit_for_bit(theta):
+    """The transported nodes are x + s theta(x), one evaluation of theta."""
+    m = gen_disk((0.0, 0.0), 1.0, 3)
+    for s in (0.16, 0.04, -0.04):
+        moved = transport_mesh(theta, s, m).nodes
+        assert moved.tobytes() == (m.nodes + s * theta.eval(m.nodes)).tobytes()
+
+
+@pytest.mark.parametrize("theta", [
+    make_field("bump", (0.6, -0.4, 0.25, 0.5, 0.5), support_box=BOX),
+    make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
+    make_field("rotation", (0.7, 0.1, -0.2), support_box=[[-0.6, -0.9], [0.8, 0.5]]),
+    make_field("poly2", (0.1, 0.2, -0.1, 0.3, 0, 0.15, -0.2, 0.1, 0.05, 0.0, 0.2, -0.1)),
+    # no point moves
+    make_field("zero"),
+    pytest.param(make_field("bump", (0.6, -0.4, 3.0, 3.0, 0.5)), id="bump-off-the-points"),
+], ids=lambda t: t.name)
+def test_transport_keeps_nodes_where_theta_is_zero(theta):
+    """A point where theta is +0.0 keeps its bits: x + s * +0.0 is x for
+    every x but -0.0, which no generated mesh has.  Points inside, exactly
+    on (|x - c| = r) and outside the bump support, plus the rotation
+    centre, where theta vanishes; poly2 vanishes at none of them."""
+    rng = np.random.default_rng(5)
+    on = np.array([0.25, 0.5]) + 0.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    pts = np.vstack([rng.uniform(-1.45, 1.45, (600, 2)), on, [[0.1, -0.2]],
+                     gen_disk((0, 0), 1.0, 3).nodes])
+    still = ~theta.eval(pts).any(axis=1)
+    assert still.any() == (theta.name != "poly2")
+    for s in (0.3, -0.05):
+        X = advect_batch(theta, s, pts)
+        assert X[still].tobytes() == pts[still].tobytes()
+        assert (X[~still] != pts[~still]).any(axis=1).all()
 
 
 # ------------------------------------------------------- pullback derivatives
 #
 # The rates the assembly uses (material_tensor_rate and the vol_div and
-# edge_divg of theta_samples) against the pullback factors of the flow map,
+# edge_divg of theta_samples) against the pullback factors of T_s = id + s theta,
 # at the quadrature points of a disk that reaches deep into the cutoff ramp
 # of BOX.
 
@@ -95,9 +91,10 @@ def wide_space():
 
 
 def test_xi_radial_field(disk3):
-    # theta = x: every transported triangle is the original scaled by e^s
-    ratio = transport_mesh(RADIAL, 0.1, disk3, steps=16).areas() / disk3.areas()
-    assert np.abs(ratio - np.exp(0.2)).max() <= 1e-10
+    # theta = x: T_s = (1 + s) id scales every triangle's area by (1 + s)^2
+    for s in (0.1, -0.3):
+        ratio = transport_mesh(RADIAL, s, disk3).areas() / disk3.areas()
+        assert np.abs(ratio - (1.0 + s) ** 2).max() <= 1e-14
 
 
 def test_m_of_s_symmetric_for_symmetric_Q(wide_space):
@@ -118,15 +115,16 @@ def test_m_prime0_matches_difference_quotient(wide_space):
     theta = CATALOG_FIELDS[3]
     Q = np.array([[1.5, 0.2], [0.2, 0.8]])
     R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
-    fd = pullback_quotients(theta, wide_space, Q)[0]
+    # the quotient's O(s^2) truncation error is 1.5e-8 at 1e-4, 1.7e-10 at 1e-5
+    fd = pullback_quotients(theta, wide_space, Q, s=1e-5)[0]
     assert np.abs(fd - R).max() <= 1e-8
 
 
 def test_m_prime0_fd_all_catalog_fields(wide_space):
     """A per-point matrix, as the parabolic problem passes, frozen at x.
     poly2 is differenced at s = 1e-5: on the cutoff ramp its quotient at
-    1e-4 carries an O(s^2) truncation error of 1.45e-6 (1.45e-4 at 1e-3,
-    1.45e-8 at 1e-5), the resolution of the quotient, not of the rate."""
+    1e-4 carries an O(s^2) truncation error of 5.3e-7 (5.3e-5 at 1e-3,
+    5.3e-9 at 1e-5), the resolution of the quotient, not of the rate."""
     affine = parse_matrix("affine_mat 1.3 -0.2 0.9 0.1 0.2 -0.1 0.05 0.2 0.3")
     Q = affine.value(wide_space.qpoints)
     for theta in CATALOG_FIELDS:
@@ -157,12 +155,12 @@ def test_div_gamma_radial_field(wide_space):
 
 
 def test_xi_gamma_radial_field(disk3):
-    # theta = x: every transported boundary edge is the original scaled by e^s
-    moved = transport_mesh(RADIAL, 0.1, disk3, steps=16)
+    # theta = x: every transported boundary edge is the original scaled by 1 + s
+    moved = transport_mesh(RADIAL, 0.1, disk3)
     a, b = disk3.boundary_edges[:, 0], disk3.boundary_edges[:, 1]
     before = np.hypot(*(disk3.nodes[b] - disk3.nodes[a]).T)
     after = np.hypot(*(moved.nodes[b] - moved.nodes[a]).T)
-    assert np.abs(after / before - np.exp(0.1)).max() <= 1e-9
+    assert np.abs(after / before - 1.1).max() <= 1e-14
 
 
 # ------------------------------------------------------------- mesh transport
@@ -178,49 +176,22 @@ def test_transport_mesh_keeps_connectivity():
 
 
 def test_transport_mesh_inversion_reports_triangle():
+    """At s = 0.5 this bump's s d(theta_x)/dx reaches about -7, far below
+    -1: triangles invert, and the message names the first of them."""
     m = gen_disk((0, 0), 1.0, 3)
     theta = make_field("bump", (3.0, 0.0, -0.3, 0.0, 0.35))
-    with pytest.raises(FlowDegeneracyError, match="triangle 128"):
-        transport_mesh(theta, 0.5, m, steps=1)
+    X = (m.nodes + 0.5 * theta.eval(m.nodes))[m.triangles]
+    e1, e2 = X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]
+    inverted = np.nonzero(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] <= 0.0)[0]
+    assert len(inverted) > 1
+    with pytest.raises(FlowDegeneracyError, match=f"inverts triangle {inverted[0]} "):
+        transport_mesh(theta, 0.5, m)
 
 
 def test_transport_mesh_shares_topology():
     m = gen_disk((0, 0), 1.0, 3)
     theta = make_field("bump", (0.3, -0.1, 0.2, 0.0, 0.7), support_box=BOX)
     assert transport_mesh(theta, 0.1, m).topology is m.topology
-
-
-def _advect_every_point(theta, s, x0, steps):
-    # advect_batch without the fixed-point skip: every point through every stage
-    X = np.array(x0, dtype=float)
-    h = s / steps
-    for _ in range(steps):
-        k1 = theta.eval(X)
-        k2 = theta.eval(X + 0.5 * h * k1)
-        k3 = theta.eval(X + 0.5 * h * k2)
-        k4 = theta.eval(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return X
-
-
-@pytest.mark.parametrize("theta", [
-    make_field("bump", (0.6, -0.4, 0.25, 0.5, 0.5), support_box=BOX),
-    make_field("tensor_bump", (0.4, -0.5, 0.0, 0.1, 0.8, 1.0), support_box=BOX),
-    make_field("rotation", (0.7, 0.1, -0.2), support_box=[[-0.6, -0.9], [0.8, 0.5]]),
-    make_field("poly2", (0.1, 0.2, -0.1, 0.3, 0, 0.15, -0.2, 0.1, 0.05, 0.0, 0.2, -0.1)),
-    # no point moves: the moving subset is empty
-    make_field("zero"),
-    pytest.param(make_field("bump", (0.6, -0.4, 3.0, 3.0, 0.5)), id="bump-off-the-points"),
-], ids=lambda t: t.name)
-def test_advect_skips_fixed_points_bit_for_bit(theta):
-    rng = np.random.default_rng(5)
-    # inside, exactly on (|x - c| = r) and outside the bump support, plus
-    # the rotation centre, where theta vanishes
-    on = np.array([0.25, 0.5]) + 0.5 * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    pts = np.vstack([rng.uniform(-1.45, 1.45, (600, 2)), on, [[0.1, -0.2]], gen_disk((0, 0), 1.0, 3).nodes])
-    for s in (0.3, -0.05):
-        X = advect_batch(theta, s, pts, steps=8)
-        assert X.tobytes() == _advect_every_point(theta, s, pts, 8).tobytes()
 
 
 def _cutoff_point_sets():
@@ -283,8 +254,8 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
     sets = _cutoff_point_sets()
     for P in (sets["plateau"], sets["all"]):
         for s in (0.04, -0.04, 0.16):
-            X = advect_batch(theta, s, P, steps=8)
-            assert X.tobytes() == advect_batch(ref, s, P, steps=8).tobytes()
+            X = advect_batch(theta, s, P)
+            assert X.tobytes() == advect_batch(ref, s, P).tobytes()
     mesh = gen_disk((0.2, 0.3), 1.2, 3)
     for s in (0.04, -0.04, 0.16):
         moved = transport_mesh(theta, s, mesh).nodes
@@ -428,7 +399,7 @@ def test_xi_matches_triangle_area_ratios():
         m = gen_disk((0, 0), 1.0, ref)
         mt = transport_mesh(theta, s, m)
         cent = m.nodes[m.triangles].mean(axis=1)
-        xi = det2(advect_with_jacobian(theta, s, cent, steps=32)[1])
+        xi = det2(transport_jacobian(theta, s, cent))
         ratio = mt.areas() / m.areas()
         h = 2 * np.pi / (6 * 2 ** ref)
         assert np.abs(ratio - xi).max() <= h * h + s * s

@@ -200,7 +200,7 @@ def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp
     """One ``validate`` with the default step lists samples its theta once
     (the CLI's zero check, the breakdown, the material right-hand side and
     the FD derivative read the one sample set) and transports the mesh once
-    per (s, steps): FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
+    per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
     0.04 share the +0.04 re-solve, 8 transports in place of 9.  The
     parabolic FD rows keep no state series, so its Taylor check solves
     +0.04 again."""
@@ -211,9 +211,9 @@ def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp
         samples.append(theta)
         return theta_samples(space, theta, mode)
 
-    def counting_transport(theta, s, mesh, steps=32):
+    def counting_transport(theta, s, mesh):
         moved.append(s)
-        return transport(theta, s, mesh, steps=steps)
+        return transport(theta, s, mesh)
 
     monkeypatch.setattr(shape_assembly, "theta_samples", counting_samples)
     monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)

@@ -125,18 +125,29 @@ def test_extrapolation_needs_two_clean_rows():
 # ------------------------------------------------------------- the area gate
 
 def test_area_fd_gate(disk4):
-    """J = |Omega|: the transport/assembly plumbing must satisfy the FD
-    check at second order with the extrapolated quotient at 1e-10."""
+    """J = |Omega| on meshes moved by T_s = id + s theta: each P1 triangle's
+    area is |T| (1 + s tr Dtheta_T + s^2 det Dtheta_T), a quadratic in s,
+    so every central quotient is exact up to rounding, and so is the
+    Neville extrapolation.  The bump's Jacobian a x grad w has rank one, so
+    its area is even linear in s and the forward quotient is exact too;
+    under theta = x, J(s) = (1 + s)^2 |Omega|, whose forward error
+    s |Omega| halves with s."""
     problem = AreaProblem(disk4)
     assert abs(problem.cost() - np.pi) < 0.01
-    table = fd_shape_check(problem, bump_theta(), (0.04, 0.02, 0.01))
-    assert [r.s for r in table.rows] == [0.04, 0.02, 0.01]
-    assert table.orders().min() > 1.9
-    assert table.observed_order() > 1.9
-    assert table.extrapolated_error <= 1e-10
-    for r in table.rows:
-        assert np.isfinite(r.j_plus) and np.isfinite(r.j_minus)
-        assert r.forward_error > r.error  # central beats one-sided here
+    steps = (0.04, 0.02, 0.01)
+    bump, radial = (fd_shape_check(problem, theta, steps)
+                    for theta in (bump_theta(), make_field("linear", (1, 0, 0, 1, 0, 0))))
+    for table in (bump, radial):
+        assert [r.s for r in table.rows] == list(steps)
+        assert table.observed_order() == np.inf
+        assert table.extrapolated_error <= 1e-10
+        for r in table.rows:
+            assert np.isfinite(r.j_plus) and np.isfinite(r.j_minus)
+            assert r.error <= 1e-13
+    assert all(r.forward_error <= 1e-13 for r in bump.rows)
+    forward = [r.forward_error for r in radial.rows]
+    assert np.allclose(forward, [s * problem.cost() for s in steps], rtol=1e-10)
+    assert np.allclose(np.divide(forward[:-1], forward[1:]), 2.0, rtol=1e-9)
 
 
 def test_area_rigid_fields_zero_derivative(disk3):
@@ -171,7 +182,7 @@ def test_locality_distant_support(disk3):
 def test_degenerate_transport_flags_row(disk3):
     problem = AreaProblem(disk3)
     violent = make_field("bump", (3.0, 0.0, -0.3, 0.0, 0.35))
-    table = fd_shape_check(problem, violent, (0.5, 0.004), steps=1)
+    table = fd_shape_check(problem, violent, (0.5, 0.004))
     assert table.rows[0].flagged and "triangle" in table.rows[0].note
     assert not table.rows[1].flagged
     assert np.isnan(table.rows[0].central)
@@ -180,12 +191,12 @@ def test_degenerate_transport_flags_row(disk3):
 
 
 def test_transport_out_of_the_holdall_flags_row(disk3):
-    """theta(x) = x carries the disk's boundary to radius e^0.5 = 1.65 at
-    s = 0.5, outside its hold-all box [-1.5, 1.5]^2: the FD and the Taylor
+    """theta(x) = x carries the disk's boundary to radius 1 + s = 1.6 at
+    s = 0.6, outside its hold-all box [-1.5, 1.5]^2: the FD and the Taylor
     row at that step are flagged, and the rest of each study runs."""
     theta = make_field("linear", (1, 0, 0, 1, 0, 0))
-    for table in (fd_shape_check(AreaProblem(disk3), theta, (0.5, 0.02, 0.01)),
-                  material_taylor_check(_robin_problem(disk3), theta, (0.5, 0.02, 0.01))):
+    for table in (fd_shape_check(AreaProblem(disk3), theta, (0.6, 0.02, 0.01)),
+                  material_taylor_check(_robin_problem(disk3), theta, (0.6, 0.02, 0.01))):
         assert table.rows[0].flagged and "hold-all box" in table.rows[0].note
         assert not any(r.flagged for r in table.rows[1:])
 
@@ -236,18 +247,18 @@ def _count_transports(monkeypatch):
     calls = []
     transport = shape_assembly.transport_mesh
 
-    def counting_transport(theta, s, mesh, steps=32):
-        calls.append((theta, s, steps))
-        return transport(theta, s, mesh, steps=steps)
+    def counting_transport(theta, s, mesh):
+        calls.append((theta, s))
+        return transport(theta, s, mesh)
 
     monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)
     return calls
 
 
 def test_resolved_rows_are_kept_per_theta_object(disk3, monkeypatch):
-    """A re-solved row is served from the memo only for the theta object,
-    s and steps that solved it: an equal second theta object, and the
-    first one again after it, are solved afresh, to the same bits."""
+    """A re-solved row is served from the memo only for the theta object
+    and s that solved it: an equal second theta object, and the first one
+    again after it, are solved afresh, to the same bits."""
     problem = _robin_problem(disk3)
     calls = _count_transports(monkeypatch)
     first, second = bump_theta(), bump_theta()
@@ -257,7 +268,7 @@ def test_resolved_rows_are_kept_per_theta_object(disk3, monkeypatch):
     assert again is not row and len(calls) == 2
     assert again[0] == row[0] and np.array_equal(again[1], row[1])
     assert problem.resolved(first, 0.04) is not row and len(calls) == 3
-    problem.resolved(first, 0.04, steps=16)
+    problem.resolved(first, 0.02)
     assert len(calls) == 4
     # FD rows at -s keep only the cost
     assert problem.resolved(first, -0.04)[1] is None
@@ -270,10 +281,10 @@ def test_flagged_rows_are_never_served_from_the_memo(disk3, monkeypatch):
     violent = make_field("bump", (3.0, 0.0, -0.3, 0.0, 0.35))
     calls = _count_transports(monkeypatch)
     for _ in range(2):
-        table = fd_shape_check(problem, violent, (0.5, 0.004), steps=1)
+        table = fd_shape_check(problem, violent, (0.5, 0.004))
         assert table.rows[0].flagged and not table.rows[1].flagged
     # the clean rows +-0.004 are solved once, the flagged +0.5 each time
-    assert [s for _, s, _ in calls] == [0.5, 0.004, -0.004, 0.5]
+    assert [s for _, s in calls] == [0.5, 0.004, -0.004, 0.5]
 
 
 # ------------------------------------------------------------- Taylor checks
