@@ -136,7 +136,7 @@ SCHEMA = {
     "mesh": {"file": (_text, None), "kind": (_one_of("disk", "rect"), None),
              "center": (_numbers(2), "0 0"), "radius": (_number, "1"), "refine": (_integer, None),
              "bounds": (_numbers(4), "0 0 1 1"), "nx": (_integer, None), "ny": (_integer, None)},
-    "theta": {"field": (_field, None), "support": (_numbers(4), None), "ramp": (_number, "0.15")},
+    "theta": {"field": (_field, None), "support": (_numbers(4), None)},
     "validation": {"s_list": (_step_list, "0.04 0.02 0.01"),
                    "taylor_s_list": (_step_list, "0.16 0.08 0.04"),
                    "fd_order_min": (_number, "1.9"), "fd_rel_max": (_number, "1e-5"),
@@ -233,7 +233,7 @@ def build_theta(cfg, required=False):
         return None
     support = cfg.get("theta", "support")
     try:
-        return make_field(*cfg.need("theta", "field"), ramp=cfg.get("theta", "ramp"),
+        return make_field(*cfg.need("theta", "field"),
                           support_box=None if support is None else np.reshape(support, (2, 2)))
     except ValueError as exc:
         raise ConfigError(f"[theta] {exc}") from exc
@@ -270,18 +270,27 @@ def _problem_data(cfg):
         raise ConfigError(f"[data] {exc}") from exc
 
 
+#: problem -> its class, whose capability flags hold before any mesh is built
+PROBLEM_CLASSES = {
+    "robin": RobinProblem, "quasilinear": QuasilinearProblem,
+    "dirichlet_energy": DirichletEnergyProblem,
+    "parabolic_j1": ParabolicProblem, "parabolic_j2": ParabolicProblem,
+    "prop5_manufactured": ManufacturedProblem, "prop6_manufactured": ManufacturedProblem,
+    "area": AreaProblem,
+}
+
+
 def build_problem(cfg, mesh):
     name = cfg.need("run", "problem")
-    order = cfg.get("run", "order")
+    cls, order = PROBLEM_CLASSES[name], cfg.get("run", "order")
     try:
-        if name in ("parabolic_j1", "parabolic_j2"):
-            return ParabolicProblem(mesh, cfg.data, which=name[-2:], order=order)
-        if name in ("prop5_manufactured", "prop6_manufactured"):
-            return ManufacturedProblem(mesh, variant=name.split("_")[0], order=order)
-        if name == "area":
-            return AreaProblem(mesh, order=order)
-        return {"robin": RobinProblem, "quasilinear": QuasilinearProblem,
-                "dirichlet_energy": DirichletEnergyProblem}[name](mesh, cfg.data, order=order)
+        if cls is ParabolicProblem:
+            return cls(mesh, cfg.data, which=name[-2:], order=order)
+        if cls is ManufacturedProblem:
+            return cls(mesh, variant=name.split("_")[0], order=order)
+        if cls is AreaProblem:
+            return cls(mesh, order=order)
+        return cls(mesh, cfg.data, order=order)
     except ValueError as exc:
         # coefficient bounds checked on the mesh: config errors
         raise ConfigError(str(exc)) from exc
@@ -331,10 +340,12 @@ def _outdir(args, cfg):
 
 def cmd_solve(args):
     cfg = RunConfig(args.config)
+    # refused before the mesh is built: the flag is the class's
+    name = cfg.need("run", "problem")
+    if not PROBLEM_CLASSES[name].has_state:
+        raise ConfigError(f"problem {name!r} has no state to solve")
     theta = build_theta(cfg)
     problem = build_problem(cfg, build_mesh(cfg))
-    if not problem.has_state:
-        raise ConfigError(f"problem {problem.name!r} has no state to solve")
     out = _outdir(args, cfg)
     written = []
     for tag, field in (("u", problem.u), ("p", problem.p)):

@@ -21,27 +21,21 @@ points: ``shape_assembly.material_tensor_rate`` gives the matrix rate and
 
 Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
-made compactly supported without losing analytic derivatives.
+made compactly supported without losing analytic derivatives.  Its ramps
+occupy a ``RAMP`` fraction of each box extent.
 
 The values of the bumps and of the cutoff, which the nodal samples of
 ``theta_samples`` (and so every interpolated dJ) and the transport read,
-are written one component at a time, with the bits of the broadcast and
-``einsum`` forms they replace (``tests/flow_references.py`` keeps those):
-each entry comes from the same floating-point operations in the same
-order, and the outer product with the amplitude adds +0.0 as ``einsum``
-did by summing onto +0.0.  A ``bump`` or ``tensor_bump`` reports the box
-outside which its value is +0.0 (c -+ r, c -+ w); when that box, widened
-by a few ulps, lies on the cutoff's plateau, the confined field's value
-is the base value itself, with no cutoff at all: the factor is exactly
-1.0 wherever the base value is not zero and +0.0 times a factor in [0, 1]
-is +0.0 elsewhere (except at a coordinate -0.0 on a box face at +0.0,
-where the factor is -0.0 and the wrapped value -0.0).  The Jacobian and
-Hessian keep the cutoff, whose -0.0 entries they carry.  The poly2 value
-and Jacobian are written one component at a time as well, with no
-``np.stack`` and no ``einsum``.  They sum their terms left to right, an
-order of their own, so each entry differs from the einsum form by at most
-a few eps of the sum of its terms' magnitudes; a Jacobian entry that is
-zero is +0.0.
+keep the bits of the broadcast and ``einsum`` forms
+(``tests/flow_references.py`` keeps those): a confined field's value is its
+base value times the cutoff's value at every point, multiplied in one
+component at a time, and a bump's value is the ``einsum`` outer product of
+its profile with the amplitude.  The Jacobian and Hessian of a confined
+field keep the cutoff's derivatives.  The poly2 value and Jacobian are
+written one component at a time, with no ``np.stack`` and no ``einsum``.
+They sum their terms left to right, an order of their own, so each entry
+differs from the einsum form by at most a few eps of the sum of its
+terms' magnitudes; a Jacobian entry that is zero is +0.0.
 """
 
 import numpy as np
@@ -120,6 +114,11 @@ def transport_mesh(theta, s, mesh):
 
 # ------------------------------------------------------------------- catalog
 
+#: the fraction of each support-box extent that each of the cutoff's two
+#: ramps occupies; the plateau between them is the middle 1 - 2 RAMP
+RAMP = 0.15
+
+
 def _smoothstep(t):
     # C^2 quintic ramp: value/slope/curvature vanish at t=0, value 1 with
     # zero slope/curvature at t=1; at the clipped ends it gives exactly 0
@@ -153,29 +152,16 @@ def _axis_cutoff(x, lo, hi, w):
     return g, dg, d2g
 
 
-def _on_plateau(xmin, xmax, lo, hi, w):
-    """Whether every x in [xmin, xmax] has (x - lo) / w >= 1 and
-    (hi - x) / w >= 1, the plateau where the smoothstep clips to exactly 1.0.
-    Rounding is monotone, so the smallest fl(fl(x - lo) / w) is the one at
-    xmin and the smallest fl(fl(hi - x) / w) the one at xmax: the test on
-    the extremes is the test at every point.  A NaN extreme fails it."""
-    return (xmin - lo) / w >= 1.0 and (hi - xmax) / w >= 1.0
-
-
 def _axis_value(x, lo, hi, w):
     """The value of :func:`_axis_cutoff` alone, by the same expression."""
     return _smoothstep((x - lo) / w) * _smoothstep((hi - x) / w)
 
 
-def _cutoff(box, ramp):
-    """Value-only evaluator and (value, gradient, Hessian) evaluator of the
-    cutoff, and the test whether a box [lo, hi] lies on its plateau."""
+def _apply_cutoff(val, jac, hess, box):
+    """The cutoff's value, Jacobian and Hessian of the base field (val, jac,
+    hess)."""
     lo, hi = np.asarray(box, dtype=float)
-    w = ramp * (hi - lo)
-
-    def value(P):
-        return (_axis_value(P[..., 0], lo[0], hi[0], w[0])
-                * _axis_value(P[..., 1], lo[1], hi[1], w[1]))
+    w = RAMP * (hi - lo)
 
     def rho(P):
         gx, dgx, d2gx = _axis_cutoff(P[..., 0], lo[0], hi[0], w[0])
@@ -188,34 +174,15 @@ def _cutoff(box, ramp):
         hess[..., 1, 1] = gx * d2gy
         return val, grad, hess
 
-    def covers(support):
-        return all(_on_plateau(support[0][k], support[1][k], lo[k], hi[k], w[k])
-                   for k in range(2))
-
-    return value, rho, covers
-
-
-def _apply_cutoff(val, jac, hess, box, ramp, support=None):
-    """The cutoff's value, Jacobian and Hessian of the base field (val, jac,
-    hess).  ``support`` is a box [lo, hi] outside which ``val`` is +0.0, or
-    None; the value is ``val`` itself when that box lies on the plateau."""
-    value, rho, covers = _cutoff(box, ramp)
-
     def v(P):
         # transport and the nodal samples call only this: skip the
         # cutoff's derivatives
         out = val(P)
-        r = value(P)
+        r = (_axis_value(P[..., 0], lo[0], hi[0], w[0])
+             * _axis_value(P[..., 1], lo[1], hi[1], w[1]))
         out[..., 0] *= r
         out[..., 1] *= r
         return out
-
-    if support is not None:
-        # widened by a few ulps: a value that is not zero lies strictly
-        # inside the exact support, which ``support`` may round inward
-        margin = 8.0 * np.finfo(float).eps * (np.abs(support[0]) + np.abs(support[1]))
-        if covers((support[0] - margin, support[1] + margin)):
-            v = val
 
     def j(P):
         r, dr, _ = rho(P)
@@ -234,17 +201,6 @@ def _apply_cutoff(val, jac, hess, box, ramp, support=None):
     return v, j, h
 
 
-def _times_vector(f, a):
-    """The outer product f a of point values and a constant 2-vector.  The
-    ``+= 0.0`` turns -0.0 into +0.0, as the einsum this replaced did by
-    summing onto +0.0: a zero f times a negative component."""
-    out = np.empty(f.shape + (2,))
-    out[..., 0] = f * a[0]
-    out[..., 1] = f * a[1]
-    out += 0.0
-    return out
-
-
 def _zeros_like_field(P, rank):
     return np.zeros(P.shape[:-1] + (2,) * rank)
 
@@ -255,7 +211,7 @@ def _const_field(c):
     def val(P):
         return np.broadcast_to(c, P.shape[:-1] + (2,)).copy()
 
-    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3), None
+    return val, lambda P: _zeros_like_field(P, 2), lambda P: _zeros_like_field(P, 3)
 
 
 def _linear_field(A, b):
@@ -268,7 +224,7 @@ def _linear_field(A, b):
     def jac(P):
         return np.broadcast_to(A, P.shape[:-1] + (2, 2)).copy()
 
-    return val, jac, lambda P: _zeros_like_field(P, 3), None
+    return val, jac, lambda P: _zeros_like_field(P, 3)
 
 
 def _poly2_field(C):
@@ -299,7 +255,7 @@ def _poly2_field(C):
         out[..., 1, 1] = 2 * C[:, 5]
         return out
 
-    return val, jac, hess, None
+    return val, jac, hess
 
 
 def _bump_field(a, c, r):
@@ -325,7 +281,7 @@ def _bump_field(a, c, r):
 
     def val(P):
         _, om = radial(P)
-        return _times_vector(om ** 3, a)
+        return np.einsum('...,i->...i', om ** 3, a)
 
     def jac(P):
         _, wp, _, du = parts(P)
@@ -337,7 +293,7 @@ def _bump_field(a, c, r):
         lin = (2.0 / r ** 2) * wp[..., None, None] * np.eye(2)
         return np.einsum('i,...jk->...ijk', a, quad + lin)
 
-    return val, jac, hess, np.array([c - r, c + r])
+    return val, jac, hess
 
 
 def _tensor_bump_field(a, c, w):
@@ -365,7 +321,7 @@ def _tensor_bump_field(a, c, w):
     def val(P):
         _, _, bx = axis_value((P[..., 0] - c[0]) / w[0])
         _, _, by = axis_value((P[..., 1] - c[1]) / w[1])
-        return _times_vector(bx * by, a)
+        return np.einsum('...,i->...i', bx * by, a)
 
     def jac(P):
         (bx, dbx, _), (by, dby, _) = parts(P)
@@ -380,12 +336,11 @@ def _tensor_bump_field(a, c, w):
         H[..., 1, 1] = bx * d2by
         return np.einsum('i,...jk->...ijk', a, H)
 
-    return val, jac, hess, np.array([c - w, c + w])
+    return val, jac, hess
 
 
 #: catalog name -> (builder, number of parameters); a builder returns the
-#: value, Jacobian and Hessian callables and the box [lo, hi] outside which
-#: the value is +0.0 (the bumps' c -+ r and c -+ w), or None
+#: value, Jacobian and Hessian callables
 FIELD_CATALOG = {
     "zero": (lambda p: _const_field((0.0, 0.0)), 0),
     "constant": (lambda p: _const_field(p), 2),
@@ -398,16 +353,15 @@ FIELD_CATALOG = {
 }
 
 
-def make_field(name, params=(), support_box=None, ramp=0.15):
+def make_field(name, params=(), support_box=None):
     """Build a catalog field, optionally confined to ``support_box``.
 
     The cutoff multiplies the base field by a C^2 plateau function whose
-    ramps occupy a ``ramp`` fraction of each box extent, so the result
+    ramps occupy a ``RAMP`` fraction of each box extent, so the result
     vanishes with two derivatives on the box faces.  The parameters must be
-    finite, a ``bump`` radius and the ``tensor_bump`` widths positive, the
-    box finite with hi > lo on both axes and ``ramp`` finite and positive
-    (else ValueError): each of these would otherwise give a theta that is
-    NaN or zero everywhere.
+    finite, a ``bump`` radius and the ``tensor_bump`` widths positive and
+    the box finite with hi > lo on both axes (else ValueError): each of
+    these would otherwise give a theta that is NaN or zero everywhere.
 
     Parameters
     ----------
@@ -427,13 +381,11 @@ def make_field(name, params=(), support_box=None, ramp=0.15):
     if not np.all(np.isfinite(params)):
         raise ValueError(f"field {name!r}: parameters must be finite, "
                          f"got {' '.join(map(str, params))}")
-    val, jac, hess, support = builder(np.asarray(params))
+    val, jac, hess = builder(np.asarray(params))
     if support_box is not None:
         lo, hi = np.asarray(support_box, dtype=float)
         if not (np.all(np.isfinite(support_box)) and np.all(hi > lo)):
             raise ValueError(f"support box needs finite hi > lo on both axes, "
                              f"got lo {lo}, hi {hi}")
-        if not (np.isfinite(ramp) and ramp > 0.0):
-            raise ValueError(f"ramp must be finite and positive, got {ramp}")
-        val, jac, hess = _apply_cutoff(val, jac, hess, support_box, ramp, support)
+        val, jac, hess = _apply_cutoff(val, jac, hess, support_box)
     return VectorFieldSpec(name, val, jac, hess, support_box=support_box)

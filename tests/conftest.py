@@ -6,8 +6,9 @@ import pytest
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk, gen_rectangle
 
-# Hold-all for the unit disk: its plateau region covers the disk, so the
-# cutoff is inactive on the mesh while the fields still vanish on the box.
+# Hold-all for the unit disk: its plateau [-1.05, 1.05]^2 covers the disk,
+# so the cutoff's factor is exactly 1.0 on the mesh while the fields still
+# vanish on the box.
 HOLDALL = np.array([[-1.5, -1.5], [1.5, 1.5]])
 
 THETA_SPECS = [

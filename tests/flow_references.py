@@ -9,16 +9,18 @@
   ``theta_samples`` computed div_G theta and D_G theta before it derived
   them from the owning element's Dtheta.
 * The values of the bump fields, the value and Jacobian of poly2 and the
-  support-box cutoff as written before their per-component rewrite:
-  broadcasting over the length-2 last axis, ``np.stack`` for the
-  polynomial basis and its gradients, ``einsum`` for the squared radius,
-  the basis contractions and the outer products, and the cutoff factor
-  multiplied in at every point.
+  support-box cutoff in their broadcast form: broadcasting over the
+  length-2 last axis, ``np.stack`` for the polynomial basis and its
+  gradients, ``einsum`` for the squared radius, the basis contractions and
+  the outer products, and the cutoff factor multiplied into both
+  components at once, at every point.  The package writes the poly2 value
+  and Jacobian, the bumps' squared radius and the cutoff's product one
+  component at a time.
 """
 
 import numpy as np
 
-from shapegrad.flow import VectorFieldSpec, make_field
+from shapegrad.flow import RAMP, VectorFieldSpec, make_field
 
 
 def transport_jacobian(theta, s, points):
@@ -95,10 +97,10 @@ def _smoothstep_d1(t):
     return np.where(inside, 30.0 * tc ** 2 * (1.0 - tc) ** 2, 0.0)
 
 
-def cutoff_rho(box, ramp):
+def cutoff_rho(box):
     """The support-box cutoff r and its gradient, (..., ) and (..., 2)."""
     lo, hi = np.asarray(box, dtype=float)
-    w = ramp * (hi - lo)
+    w = RAMP * (hi - lo)
 
     def axis(x, k):
         tl, tr = (x - lo[k]) / w[k], (hi[k] - x) / w[k]
@@ -113,8 +115,8 @@ def cutoff_rho(box, ramp):
     return rho
 
 
-def _cutoff(val, jac, box, ramp):
-    rho = cutoff_rho(box, ramp)
+def _cutoff(val, jac, box):
+    rho = cutoff_rho(box)
 
     def cut_val(P):
         return val(P) * rho(P)[0][..., None]
@@ -166,8 +168,8 @@ def _tensor_bump_val(a, c, w):
     return val
 
 
-def einsum_field(name, params, support_box=None, ramp=0.15):
-    """``make_field(name, params, support_box, ramp)`` with the value of
+def einsum_field(name, params, support_box=None):
+    """``make_field(name, params, support_box)`` with the value of
     ``bump``, ``tensor_bump`` and ``poly2``, the Jacobian of ``poly2`` and
     the cutoff evaluated the einsum way; the other values and Jacobians of
     the base field, which no rewrite touched, and the Hessian are the
@@ -182,6 +184,6 @@ def einsum_field(name, params, support_box=None, ramp=0.15):
     elif name == "tensor_bump":
         val = _tensor_bump_val(p[:2], p[2:4], p[4:6])
     if support_box is not None:
-        val, jac = _cutoff(val, jac, support_box, ramp)
-    theta = make_field(name, params, support_box, ramp)
+        val, jac = _cutoff(val, jac, support_box)
+    theta = make_field(name, params, support_box)
     return VectorFieldSpec(name, val, jac, theta.hess, support_box)

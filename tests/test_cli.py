@@ -314,6 +314,23 @@ def test_solve_area_has_no_state(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("config", ["area-disk", "prop5-manufactured", "prop6-manufactured"])
+def test_solve_without_state_exits_2_before_the_mesh(tmp_path, monkeypatch, capsys, config):
+    """A problem without a state is refused from its class, before the mesh
+    generator runs and before the output directory is made."""
+    def no_mesh(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(cli, "gen_disk", no_mesh)
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs" / f"{config}.cfg"
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    problem = cli.RunConfig(str(path)).get("run", "problem")
+    assert capsys.readouterr().err == (f"config error: problem {problem!r} "
+                                       "has no state to solve\n")
+    assert not out.exists()
+
+
 def test_quasilinear_bound_violation_names_bound(tmp_path, capsys):
     cfg = """
 [run]
@@ -395,7 +412,6 @@ def test_derive_needs_theta(tmp_path):
 
 @pytest.mark.parametrize("theta,key", [
     ("field =", "field"),
-    ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = -1.5 -1.5 1.5 1.5\nramp = 0", "ramp"),
     ("field = bump 1.0 0.4 0.2 -0.1 0.8\nsupport = 1 1 0 0", "support"),
     # a theta that would be NaN, infinite or zero everywhere: before these
     # were refused, validate reported "all checks passed" on area-disk
@@ -603,6 +619,8 @@ def _on(base, *params):
     # the retired transport knob: T_s = id + s theta has no step count
     pytest.param(VALIDATION, VALIDATION + "steps = 32\n", "unknown key [validation] steps ",
                  id="steps"),
+    # the retired cutoff knob: every ramp is the fraction flow.RAMP
+    pytest.param("[theta]\n", "[theta]\nramp = 0.15\n", "unknown key [theta] ramp ", id="ramp"),
     pytest.param("0.2 -0.1 0.8", "5.0 5.0 0.3", "[theta] field 'bump' is zero", id="theta"),
     *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n", f"[validation] {key} ",
                    id=f"{key}-{value}") for key in GATE_KEYS for value in ("abc", "inf")),

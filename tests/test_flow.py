@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from shapegrad import flow
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
 from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
@@ -262,32 +261,6 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
         assert moved.tobytes() == transport_mesh(ref, s, mesh).nodes.tobytes()
 
 
-def test_plateau_test_on_the_extremes_is_the_pointwise_test():
-    """``_on_plateau`` decides the plateau from min and max of the
-    coordinates; the verdict is that of (x - lo) / w >= 1 and
-    (hi - x) / w >= 1 at every point, on random sets at the plateau's
-    edges and with NaN."""
-    rng = np.random.default_rng(21)
-    for lo, hi, ramp in ((-1.5, 1.5, 0.15), (0.1, 0.7, 0.3), (-2.0, -1.0, 0.05)):
-        w = ramp * (hi - lo)
-        edges = (lo + w, hi - w)
-        sets = []
-        for _ in range(200):
-            centre = rng.choice(edges)
-            x = centre + rng.uniform(-1.0, 1.0, rng.integers(1, 6)) * 10.0 ** rng.integers(-16, 0)
-            sets.append(x)
-            sets.append(np.append(x, np.nan))
-        sets.append(np.array([edges[0], edges[1]]))
-        sets.append(np.nextafter(np.array([edges[0], edges[1]]), 0.0))
-        verdicts = set()
-        for x in sets:
-            tl, tr = (x - lo) / w, (hi - x) / w
-            pointwise = bool(tl.min() >= 1.0 and tr.min() >= 1.0)
-            assert flow._on_plateau(x.min(), x.max(), lo, hi, w) == pointwise
-            verdicts.add(pointwise)
-        assert verdicts == {True, False}
-
-
 def test_confined_value_on_the_plateau_is_the_base_value():
     """A confined poly2, which reports no support box, multiplies its value
     by the cutoff at every point; where every point lies on the plateau the
@@ -304,29 +277,23 @@ def test_confined_value_on_the_plateau_is_the_base_value():
     assert np.signbit(make_field("poly2", (-0.0,) * 12).eval(P)).any()
 
 
-# (name, params, box, whether the value is the base value itself): the
-# bump well inside BOX's plateau [-1.05, 1.05]^2, tangent to its edge,
-# crossing it, and a tensor bump inside and crossing
+# (name, params, box): the bump well inside BOX's plateau [-1.05, 1.05]^2,
+# tangent to its edge, crossing it, and a tensor bump inside and crossing
 _UNWRAP_CASES = [
-    ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), BOX, True),
-    ("bump", (0.6, -0.4, 0.55, 0.0, 0.5), BOX, False),
-    ("bump", (0.6, -0.4, 0.8, 0.1, 0.5), BOX, False),
-    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.6), BOX, True),
-    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.9), BOX, False),
+    ("bump", (0.6, -0.4, 0.25, 0.5, 0.5), BOX),
+    ("bump", (0.6, -0.4, 0.55, 0.0, 0.5), BOX),
+    ("bump", (0.6, -0.4, 0.8, 0.1, 0.5), BOX),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.6), BOX),
+    ("tensor_bump", (0.4, -0.5, 0.25, 0.3, 0.5, 0.9), BOX),
 ]
 
 
-@pytest.mark.parametrize("name,params,box,unwrapped", _UNWRAP_CASES)
-def test_bump_value_unwrapped_on_the_plateau_keeps_the_bits(name, params, box, unwrapped):
-    """With its support box on the cutoff's plateau, a confined bump's
-    value is the base value itself; the wrapped value, cutoff and all, has
-    the same bits at every point: in the support, on its rim, on the
-    ramp and outside the box."""
+@pytest.mark.parametrize("name,params,box", _UNWRAP_CASES)
+def test_bump_value_unwrapped_on_the_plateau_keeps_the_bits(name, params, box):
+    """A confined bump's value, its base value times the cutoff at every
+    point, has the bits of the einsum form wherever its support lies: in
+    the support, on its rim, on the ramp and outside the box."""
     theta = make_field(name, params, support_box=box)
-    val, jac, hess, _ = flow.FIELD_CATALOG[name][0](np.asarray(params, dtype=float))
-    wrapped = flow._apply_cutoff(val, jac, hess, box, 0.15)[0]
-    # the base value closure is named val, the cutoff's wrapper v
-    assert (theta.eval.__name__ == val.__name__) == unwrapped
     c = np.asarray(params[2:4])
     reach = np.asarray(params[4:6] if name == "tensor_bump" else params[4:5] * 2)
     rng = np.random.default_rng(4)
@@ -337,7 +304,6 @@ def test_bump_value_unwrapped_on_the_plateau_keeps_the_bits(name, params, box, u
             np.nextafter(rim, c), np.nextafter(rim, 2 * rim - c), corners,
             rng.uniform(-1.6, 1.6, (400, 2)), _cutoff_point_sets()["all"]]
     for P in sets:
-        assert theta.eval(P).tobytes() == wrapped(P).tobytes()
         assert theta.eval(P).tobytes() == einsum_field(name, params, support_box=box).eval(P).tobytes()
 
 
@@ -385,7 +351,7 @@ def test_catalog_matches_einsum_reference(name, params, box):
             assert (np.abs(J - Jr) <= 5 * eps * S_D).all(), label
             assert not np.signbit(J[J == 0.0]).any(), label
         else:
-            r, dr = cutoff_rho(box, 0.15)(P)
+            r, dr = cutoff_rho(box)(P)
             assert (np.abs(v - vr) <= 6 * eps * S).all(), label
             bound = (6 * eps * (S_D * r[:, None, None] + S[:, :, None] * np.abs(dr)[:, None, :])
                      + eps * (np.abs(J) + np.abs(Jr)))
@@ -484,13 +450,10 @@ def test_make_field_validation():
             make_field(name, params)
 
 
-@pytest.mark.parametrize("box,ramp,key", [
-    (BOX, 0.0, "ramp"), (BOX, -0.1, "ramp"), (BOX, np.nan, "ramp"), (BOX, np.inf, "ramp"),
-    ([[1.0, 1.0], [0.0, 0.0]], 0.15, "support box"),
-    ([[0.0, 1.0], [1.0, 1.0]], 0.15, "support box"),
-    ([[-np.inf, -1.5], [1.5, 1.5]], 0.15, "support box")])
-def test_make_field_rejects_degenerate_cutoff(box, ramp, key):
-    """A zero ramp divides by zero and an empty box makes theta vanish
-    everywhere: both are refused by name."""
-    with pytest.raises(ValueError, match=key):
-        make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=box, ramp=ramp)
+@pytest.mark.parametrize("box", [
+    [[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]], [[-np.inf, -1.5], [1.5, 1.5]]])
+def test_make_field_rejects_degenerate_cutoff(box):
+    """An empty box makes theta vanish everywhere and an infinite one makes
+    it NaN: both are refused by name."""
+    with pytest.raises(ValueError, match="support box"):
+        make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=box)
