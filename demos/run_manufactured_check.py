@@ -14,7 +14,7 @@ import numpy as np
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import ManufacturedProblem
-from shapegrad.validation import fd_transport_check
+from shapegrad.validation import fd_shape_check
 
 HOLDALL = np.array([[-1.5, -1.5], [1.5, 1.5]])
 
@@ -36,13 +36,13 @@ for variant in ("prop5", "prop6"):
         print(f"  theta = {name:<12} dJ {problem.derivative(theta):+.10e}  "
               f"tensor-vs-raw gap {gap:.2e}")
 
-# The tracking example also carries a frozen-state cost: the state held at
-# the reference quadrature points, the points and weights those of the
-# mesh transported node by node.  Nothing is re-solved, so its FD checks
-# the geometric part of dJ against theta's nodal interpolant alone.
+# The tracking example's FD rows are the problem on meshes transported node
+# by node, carrying the state's values at the reference quadrature points
+# as a finite-element state carries its dofs.  Nothing is re-solved, so its
+# FD checks the geometric part of dJ against theta's nodal interpolant alone.
 prop5 = ManufacturedProblem(mesh, variant="prop5")
 theta = make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=HOLDALL)
-table = fd_transport_check(prop5, theta, (0.02, 0.01, 0.005))
+table = fd_shape_check(prop5, theta, (0.02, 0.01, 0.005))
 print("\ntransport-cost FD (tracking example):")
 for row in table.rows:
     order = f"{row.order:.3f}" if np.isfinite(row.order) else "  -  "

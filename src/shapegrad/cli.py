@@ -31,8 +31,8 @@ from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
                       fd_table_json, mesh_hash, save_field, taylor_csv_rows,
                       taylor_table_json, write_csv, write_json)
 from .shape_assembly import ManufacturedProblem
-from .validation import (AreaProblem, duality_check, fd_shape_check,
-                         fd_transport_check, material_taylor_check, step_sizes)
+from .validation import (AreaProblem, duality_check, fd_shape_check, material_taylor_check,
+                         step_sizes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -345,8 +345,8 @@ def cmd_solve(args):
     if not PROBLEM_CLASSES[name].has_state:
         raise ConfigError(f"problem {name!r} has no state to solve")
     theta = build_theta(cfg)
-    problem = build_problem(cfg, build_mesh(cfg))
     out = _outdir(args, cfg)
+    problem = build_problem(cfg, build_mesh(cfg))
     written = []
     for tag, field in (("u", problem.u), ("p", problem.p)):
         path = os.path.join(out, f"{problem.name}-{tag}.field")
@@ -366,14 +366,6 @@ def _check(value, limit, op):
     ok = bool(value >= limit) if op == ">=" else bool(value <= limit)
     return {"value": None if not np.isfinite(value) else float(value),
             "limit": float(limit), "op": op, "pass": ok}
-
-
-def _run_fd(problem, theta, s_list):
-    if problem.fd_cost == "transport":
-        return fd_transport_check(problem, theta, s_list)
-    if problem.fd_cost == "resolve":
-        return fd_shape_check(problem, theta, s_list)
-    return None
 
 
 def _report_base(cfg, problem, theta):
@@ -412,11 +404,13 @@ def cmd_check(args):
 
     The timings sidecar holds the seconds of each phase: ``build`` (mesh
     and problem construction), ``solve`` (the state, after every config
-    check), ``assemble`` (derive's breakdown), ``fd`` and ``taylor``
-    (validate).  The adjoint is solved on first use, in ``assemble`` or ``fd``.
+    check), ``assemble`` (derive's breakdown), ``fd`` (a problem with an FD
+    table) and ``taylor`` (validate).  The adjoint is solved on first use, in
+    ``assemble`` or ``fd``.
     """
     cfg = RunConfig(args.config)
     theta = build_theta(cfg, required=True)
+    out = _outdir(args, cfg)
     timings = {}
     problem = _timed(timings, "build", lambda: build_problem(cfg, build_mesh(cfg)))
     # a theta whose every sample is zero would pass every check with dJ = 0
@@ -424,10 +418,9 @@ def cmd_check(args):
         raise ConfigError(f"[theta] field {theta.name!r} is zero on the whole mesh")
     # an FD row moves the mesh nodes only: a theta zero at all of them
     # leaves every row on the reference mesh, a pass with dJ unchecked
-    if problem.fd_cost and not theta.eval(problem.mesh.nodes).any():
+    if problem.fd_target and not theta.eval(problem.mesh.nodes).any():
         raise ConfigError(f"[theta] field {theta.name!r} is zero at every mesh node, "
                           "so its FD table would not move the mesh")
-    out = _outdir(args, cfg)
     derive = args.command == "derive"
     report = _report_base(cfg, problem, theta)
     report["command"] = args.command
@@ -441,9 +434,10 @@ def cmd_check(args):
         report["dJ"] = bd.total
         report["terms"] = {k: float(v) for k, v in bd.terms.items()}
 
-    table = _timed(timings, "fd",
-                   lambda: _run_fd(problem, theta, cfg.get("validation", "s_list")))
-    if table is not None:
+    table = None
+    if problem.fd_target:
+        table = _timed(timings, "fd", lambda: fd_shape_check(
+            problem, theta, cfg.get("validation", "s_list")))
         report["fd"] = fd_table_json(table)
         checks["fd_order"] = _check(table.observed_order(),
                                     cfg.get("validation", "fd_order_min"), ">=")

@@ -19,16 +19,16 @@ two per step, and keeps the factorized step operators, one for a
 constant-in-time M and one per step otherwise.  The scheme is one block
 system over the slots k = 0..nt: row 0 is the initial condition
 M_u u_0 = M_u I_h(g), row k >= 1 the step with Dirichlet rows eliminated.
-The state (``parabolic_solve``), its material derivative
-(``parabolic_material``) and the adjoint (``parabolic_adjoint``) go through
-the one loop, ``march``; the adjoint marches backward with the transposed
-step operator (symmetric here, which the tests exploit through an
-independent time-reversal oracle), and its initial-condition multiplier in
-slot 0 is q = p_1, with no extra solve.  The material rows come from the same
-transported-coefficient rates as the stationary problems, plus the
-mass-rate pairing ``Mdot (u_k - u_{k-1})``, reported as the ``dt_pairing``
-term; separability makes the rates step-independent, so the step rows are
-one batched expression.  Row 0 is ell_0 = -M_u I_h(grad g . theta), so the
+Its products are its own methods, as for every problem of the protocol:
+the state ``u``, its material derivative ``_material`` and the adjoint
+``p`` go through the one loop, ``march``; the adjoint marches backward
+with the transposed step operator (symmetric here, which the tests exploit
+through an independent time-reversal oracle), and its initial-condition
+multiplier in slot 0 is q = p_1, with no extra solve.  The material rows
+come from the same transported-coefficient rates as the stationary
+problems, plus the mass-rate pairing ``Mdot (u_k - u_{k-1})``, reported as
+the ``dt_pairing`` term; separability makes the rates step-independent, so
+the step rows are one batched expression.  Row 0 is ell_0 = -M_u I_h(grad g . theta), so the
 protocol's <ell, p> = <B, udot> runs over all slots.
 
 The time-summed Lagrangian density is the one of ``shape_assembly`` (whose
@@ -39,10 +39,11 @@ p_b = sum_k dt a_f(t_k) p_k.  Those sums collapse to per-element Gram
 matrices sum_k w_k p_k^e (u_k^e)^T, summed over blocks of a few steps (one
 row dot over the block's steps per pair of local dofs, so the working
 memory does not grow with nt) and contracted once with the basis
-gradients.  The initial condition
-enters through the nodal ``ic_pairing`` term -(M_u q) . I_h(grad g . theta),
-the same interpolant the material derivative starts from, so the
-derivative is exact for any initial datum g.
+gradients.  ``_build_tensors`` returns them as a ``ShapeTensors`` that also
+carries the mass-rate density and the initial-condition weights.  The
+initial condition enters through the nodal ``ic_pairing`` term
+-(M_u q) . I_h(grad g . theta), the same interpolant the material
+derivative starts from, so the derivative is exact for any initial datum g.
 """
 
 from functools import cached_property
@@ -52,9 +53,8 @@ import numpy as np
 from . import fem_core as fem
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
-from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors,
-                             assemble_dJ, flux_rate, lagrangian_tensors,
-                             source_rate)
+from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors, flux_rate,
+                             lagrangian_tensors, source_rate)
 from .tensor_calc import inner
 
 
@@ -110,26 +110,6 @@ class TimeSeriesField:
         return ScalarField(self.space, self.values[k])
 
 
-def parabolic_solve(problem):
-    """The state series: ``march`` from u_0 = I_h(g) with loads dt a_f(t_k) F."""
-    space, data = problem.space, problem.data
-
-    def load(k):
-        return problem.keep * (problem.dt * (data.f.profile.value(problem.times[k]) * problem.F))
-
-    vals = problem.march(space.interpolate(data.g.value).coefficients, load)
-    return TimeSeriesField(space, vals, data.t0)
-
-
-def parabolic_adjoint(problem):
-    """The adjoint series: ``march`` backward from p_{nt+1} = 0 with loads
-    -keep B_k on the step operators, symmetric, so A^T shares their factors.
-    Slot 0 is the initial-condition multiplier q = p_1, slots 1..nt p_k."""
-    vals = problem.march(np.zeros(problem.space.dof_count),
-                         lambda k: -(problem.keep * problem.B[k]), backward=True)
-    return TimeSeriesField(problem.space, vals, problem.data.t0)
-
-
 def dof_velocities(space, theta):
     """Velocities of the degrees of freedom under nodal transport.
 
@@ -161,41 +141,12 @@ def _spatial_density(data, P):
     return Mx.value(P), Mx.dspace(P), -fx.value(P), -fx.grad(P)
 
 
-def parabolic_material(problem, theta):
-    """(udot, ell): the material derivative of the state series, by
-    ``march``, and the s-derivatives ell of the scheme's rows, A udot = -ell;
-    row 0, of the initial condition, is ell_0 = -M_u udot_0 with
-    udot_0 = I_h(grad g . theta).  With separable data the rates of step k
-    are a_M(t_k) R and a_f(t_k) bdot for fixed spatial flux and source rates
-    R and bdot, so one rate matrix and one load rate serve every step.
-    """
-    space, data = problem.space, problem.data
-    samples = problem.samples(theta)
-    A, DA, b, b_x = _spatial_density(data, space.qpoints)
-    K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
-    Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
-    Mdot = fem.assemble_mass_values(space, samples.vol_div)
-    w_M = problem.dt * _profile_values(data.M, problem.times[1:])
-    w_f = problem.dt * _profile_values(data.f, problem.times[1:])
-    U = problem.u.values
-    ell = np.empty_like(U)
-    # the step rows summed in place, one series-sized temporary at a time
-    ell[1:] = (Mdot @ (U[1:] - U[:-1]).T).T
-    ell[1:] += w_M[:, None] * (K_R @ U[1:].T).T
-    ell[1:] += w_f[:, None] * Bdot
-    ell[1:] *= problem.keep
-    udot0 = initial_rate(space, data, theta)
-    ell[0] = -(problem.Mu @ udot0)
-    vals = problem.march(udot0, lambda k: -ell[k])
-    return TimeSeriesField(space, vals, data.t0), ell
-
-
-class ParabolicShapeTensors:
+class ParabolicShapeTensors(ShapeTensors):
     """Volume tensors plus the separately-reported mass-rate density and
     the initial-condition weights."""
 
-    def __init__(self, tensors, dt_density, ic_weights):
-        self.tensors = tensors
+    def __init__(self, space, S0, S1, dt_density, ic_weights):
+        super().__init__(space, S0=S0, S1=S1)
         self.dt_density = dt_density  # (M, nq): sum_k p_k (u_k - u_{k-1})
         self.ic_weights = ic_weights  # (ndof,): M_u q
 
@@ -203,63 +154,6 @@ class ParabolicShapeTensors:
 # steps per block of the time sums: the working memory of the tensors is
 # that of one block, whatever nt
 _BLOCK = 4
-
-
-def parabolic_shape_tensors(problem):
-    """Accumulate the distributed tensors of the problem's cost.
-
-    The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
-    density (``_spatial_density``), the pairing
-    T = sum_k dt a_M(t_k) grad p_k x grad u_k, p_b = sum_k dt a_f(t_k) p_k
-    and the summed tracking term F with its x-derivative.  T and the
-    mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
-    matrices of the dof vectors, summed over blocks of ``_BLOCK`` steps, one
-    row dot over the block's steps per pair of local dofs, and contracted
-    with the basis once.  F and F_x are summed over the misfits of
-    ``_misfits``, which ``cost`` and ``B`` use too.  The initial condition is
-    paired at the dofs (see ``ParabolicProblem.breakdown``).
-    """
-    space, data = problem.space, problem.data
-    U, Pv = problem.u.values, problem.p.values
-    P = space.qpoints
-    dofs = space.element_dofs.T
-    nloc, M = dofs.shape
-    w_M = problem.dt * _profile_values(data.M, problem.times)
-    w_f = problem.dt * _profile_values(data.f, problem.times)
-
-    G_pu = np.zeros((nloc, nloc, M))                      # [a, c, m]
-    G_d = np.zeros((nloc, nloc, M))
-    pf = np.zeros(space.dof_count)
-    for k0 in range(1, data.nt + 1, _BLOCK):
-        k1 = min(k0 + _BLOCK, data.nt + 1)
-        # element values [k, a, m] of the block's p, and of its u from k0 - 1
-        pe = np.take(Pv[k0:k1], dofs, axis=1)
-        ue = np.take(U[k0 - 1:k1], dofs, axis=1)
-        G_d += np.einsum('kam,kcm->acm', pe, ue[1:] - ue[:-1])
-        pf += w_f[k0:k1] @ Pv[k0:k1]
-        pe *= w_M[k0:k1, None, None]
-        G_pu += np.einsum('kam,kcm->acm', pe, ue[1:])
-    g = space.grads
-    T = np.swapaxes(g, -1, -2) @ (G_pu.transpose(2, 0, 1)[:, None] @ g)
-    pairs = (space.basis[:, :, None] * space.basis[:, None, :]).reshape(-1, nloc * nloc)
-    dtp = G_d.reshape(nloc * nloc, M).T @ pairs.T
-
-    # the x-derivative of the tracking term one coordinate at a time
-    F = np.zeros(space.qweights.shape)
-    F_x = np.zeros((2,) + F.shape)
-    ud_grad = problem._u_d_steps("grad")
-    for k, dk in problem._misfits():
-        F += dk * dk
-        gk = ud_grad(k)
-        F_x[0] -= dk * gk[..., 0]
-        F_x[1] -= dk * gk[..., 1]
-    F *= 0.5 * problem._scale
-    F_x *= problem._scale
-    A, DA, b, b_x = _spatial_density(data, P)
-    S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
-                                b, b_x, F, np.stack(F_x, axis=-1))
-    ic_weights = fem.assemble_load_values(space, fem.field_qvalues(problem.p.field(0)))
-    return ParabolicShapeTensors(ShapeTensors(space, S0=S0, S1=S1), dtp, ic_weights)
 
 
 class ParabolicProblem(ShapeProblem):
@@ -287,7 +181,14 @@ class ParabolicProblem(ShapeProblem):
 
     @cached_property
     def u(self):
-        return parabolic_solve(self)
+        """The state series: ``march`` from u_0 = I_h(g) with loads dt a_f(t_k) F."""
+        f = self.data.f.profile
+
+        def load(k):
+            return self.keep * (self.dt * (f.value(self.times[k]) * self.F))
+
+        vals = self.march(self.space.interpolate(self.data.g.value).coefficients, load)
+        return TimeSeriesField(self.space, vals, self.data.t0)
 
     @cached_property
     def K(self):
@@ -365,7 +266,12 @@ class ParabolicProblem(ShapeProblem):
 
     @cached_property
     def p(self):
-        return parabolic_adjoint(self)
+        """The adjoint series: ``march`` backward from p_{nt+1} = 0 with loads
+        -keep B_k on the step operators, symmetric, so A^T shares their factors.
+        Slot 0 is the initial-condition multiplier q = p_1, slots 1..nt p_k."""
+        vals = self.march(np.zeros(self.space.dof_count), lambda k: -(self.keep * self.B[k]),
+                          backward=True)
+        return TimeSeriesField(self.space, vals, self.data.t0)
 
     def cost(self):
         w = self.space.qweights
@@ -377,19 +283,96 @@ class ParabolicProblem(ShapeProblem):
         return float(np.sqrt(self.dt * acc))
 
     def _material(self, theta):
-        return parabolic_material(self, theta)
+        """(udot, ell): the material derivative of the state series, by
+        ``march``, and the s-derivatives ell of the scheme's rows, A udot = -ell;
+        row 0, of the initial condition, is ell_0 = -M_u udot_0 with
+        udot_0 = I_h(grad g . theta).  With separable data the rates of step k
+        are a_M(t_k) R and a_f(t_k) bdot for fixed spatial flux and source rates
+        R and bdot, so one rate matrix and one load rate serve every step.
+        """
+        space, data = self.space, self.data
+        samples = self.samples(theta)
+        A, DA, b, b_x = _spatial_density(data, space.qpoints)
+        K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
+        Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
+        Mdot = fem.assemble_mass_values(space, samples.vol_div)
+        w_M = self.dt * _profile_values(data.M, self.times[1:])
+        w_f = self.dt * _profile_values(data.f, self.times[1:])
+        U = self.u.values
+        ell = np.empty_like(U)
+        # the step rows summed in place, one series-sized temporary at a time
+        ell[1:] = (Mdot @ (U[1:] - U[:-1]).T).T
+        ell[1:] += w_M[:, None] * (K_R @ U[1:].T).T
+        ell[1:] += w_f[:, None] * Bdot
+        ell[1:] *= self.keep
+        udot0 = initial_rate(space, data, theta)
+        ell[0] = -(self.Mu @ udot0)
+        vals = self.march(udot0, lambda k: -ell[k])
+        return TimeSeriesField(space, vals, data.t0), ell
 
     def _build_tensors(self):
-        return parabolic_shape_tensors(self)
+        """The distributed tensors of the cost, with the mass-rate density and
+        the initial-condition weights.
+
+        The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
+        density (``_spatial_density``), the pairing
+        T = sum_k dt a_M(t_k) grad p_k x grad u_k, p_b = sum_k dt a_f(t_k) p_k
+        and the summed tracking term F with its x-derivative.  T and the
+        mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
+        matrices of the dof vectors, summed over blocks of ``_BLOCK`` steps, one
+        row dot over the block's steps per pair of local dofs, and contracted
+        with the basis once.  F and F_x are summed over the misfits of
+        ``_misfits``, which ``cost`` and ``B`` use too.  The initial condition
+        is paired at the dofs (see ``breakdown``).
+        """
+        space, data = self.space, self.data
+        U, Pv = self.u.values, self.p.values
+        dofs = space.element_dofs.T
+        nloc, M = dofs.shape
+        w_M = self.dt * _profile_values(data.M, self.times)
+        w_f = self.dt * _profile_values(data.f, self.times)
+
+        G_pu = np.zeros((nloc, nloc, M))                      # [a, c, m]
+        G_d = np.zeros((nloc, nloc, M))
+        pf = np.zeros(space.dof_count)
+        for k0 in range(1, data.nt + 1, _BLOCK):
+            k1 = min(k0 + _BLOCK, data.nt + 1)
+            # element values [k, a, m] of the block's p, and of its u from k0 - 1
+            pe = np.take(Pv[k0:k1], dofs, axis=1)
+            ue = np.take(U[k0 - 1:k1], dofs, axis=1)
+            G_d += np.einsum('kam,kcm->acm', pe, ue[1:] - ue[:-1])
+            pf += w_f[k0:k1] @ Pv[k0:k1]
+            pe *= w_M[k0:k1, None, None]
+            G_pu += np.einsum('kam,kcm->acm', pe, ue[1:])
+        g = space.grads
+        T = np.swapaxes(g, -1, -2) @ (G_pu.transpose(2, 0, 1)[:, None] @ g)
+        pairs = (space.basis[:, :, None] * space.basis[:, None, :]).reshape(-1, nloc * nloc)
+        dtp = G_d.reshape(nloc * nloc, M).T @ pairs.T
+
+        # the x-derivative of the tracking term one coordinate at a time
+        F = np.zeros(space.qweights.shape)
+        F_x = np.zeros((2,) + F.shape)
+        ud_grad = self._u_d_steps("grad")
+        for k, dk in self._misfits():
+            F += dk * dk
+            gk = ud_grad(k)
+            F_x[0] -= dk * gk[..., 0]
+            F_x[1] -= dk * gk[..., 1]
+        F *= 0.5 * self._scale
+        F_x *= self._scale
+        A, DA, b, b_x = _spatial_density(data, space.qpoints)
+        S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
+                                    b, b_x, F, np.stack(F_x, axis=-1))
+        ic_weights = fem.assemble_load_values(space, fem.field_qvalues(self.p.field(0)))
+        return ParabolicShapeTensors(space, S0, S1, dtp, ic_weights)
 
     def breakdown(self, theta):
-        """Tensor evaluation plus the dt- and initial-condition pairings, as one
-        breakdown.  ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
-        ptensors = self.tensors()
-        samples = self.samples(theta)
-        terms = dict(assemble_dJ(ptensors.tensors, samples).terms)
-        terms["dt_pairing"] = float(np.sum(self.space.qweights * ptensors.dt_density
-                                           * samples.vol_div))
-        terms["ic_pairing"] = -fem.dot(ptensors.ic_weights,
-                                       initial_rate(self.space, self.data, theta))
-        return AssembledDerivative(terms)
+        """The tensors' breakdown plus the dt- and initial-condition pairings.
+        ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
+        tensors, samples = self.tensors(), self.samples(theta)
+        return AssembledDerivative({
+            **super().breakdown(theta).terms,
+            "dt_pairing": float(np.sum(self.space.qweights * tensors.dt_density
+                                       * samples.vol_div)),
+            "ic_pairing": -fem.dot(tensors.ic_weights,
+                                   initial_rate(self.space, self.data, theta))})

@@ -248,16 +248,17 @@ class ShapeProblem:
     ``duality_pair`` share, and the transported re-solves of ``resolved``,
     which the FD and Taylor checks share.
 
-    Capability flags name the oracles a problem supports: ``fd_cost`` is
-    ``"resolve"`` (FD of re-solved costs), ``"transport"`` (FD of the cost
-    with the state frozen; both on ``transport_mesh`` meshes) or None;
+    Capability flags name the oracles a problem supports: ``fd_target``
+    labels the limit ``fd_value(theta)`` of the FD quotients of the
+    ``resolved`` costs, ``"dJ"`` (the derivative) or ``"transport_cost"``
+    (the manufactured frozen-state cost's), and None means no FD table;
     ``has_state``: u and p exist, so the CLI's ``solve`` writes them and
     the Taylor remainder of ``material`` and the pairing ``duality_pair``
     are checked; ``dual_form`` selects ``dual_form_gap``.
     """
 
     name = None
-    fd_cost = "resolve"
+    fd_target = "dJ"
     has_state = True
     dual_form = False
     theta_mode = "interpolated"
@@ -303,6 +304,10 @@ class ShapeProblem:
 
     def derivative(self, theta):
         return self.breakdown(theta).total
+
+    def fd_value(self, theta):
+        """The limit of the FD quotients of the ``resolved`` costs."""
+        return self.derivative(theta)
 
     def _material_of(self, theta):
         """``_material(theta)``, solved once per theta."""
@@ -563,21 +568,25 @@ def cost_transport_derivative(fields, space, samples):
         + fields.F(P, u) * samples.vol_div)))
 
 
-# variant -> (catalog, tensor form, raw form, FD oracle); the Hessian-squared
-# variant carries no tracking density F, so it has no FD check
-_MANUFACTURED = {"prop5": ("disk", prop5_tensors, prop5_raw_dJ, "transport"),
+# variant -> (catalog, tensor form, raw form, FD target); the Hessian-squared
+# variant carries no tracking density F, so it has no FD table
+_MANUFACTURED = {"prop5": ("disk", prop5_tensors, prop5_raw_dJ, "transport_cost"),
                  "prop6": ("disk-higher", prop6_tensors, prop6_raw_dJ, None)}
 
 
 class ManufacturedProblem(ShapeProblem):
     """Closed-form fields wired into the problem protocol.
 
-    The state and adjoint are analytic, so there is nothing to re-solve:
+    The state and adjoint are analytic, so there is nothing to solve:
     ``derivative`` evaluates the tensor representation with theta sampled
-    analytically, ``raw_derivative`` the un-grouped display, and the FD
-    oracle is ``fd_transport_check``: the cost with the state frozen at the
-    reference quadrature points, on the meshes transported node by node
-    (``cost_transport_derivative`` is its derivative).
+    analytically and ``raw_derivative`` the un-grouped display.  The state
+    is carried as a finite-element one is by its dofs: a ``rebuilt``
+    problem takes this problem's state values at the quadrature points,
+    ``_uq``, so a ``resolved`` cost is the cost with the state frozen,
+    sum_q w_q(s) F(x_q(s), u_q) on the transported mesh, and the FD limit
+    ``fd_value`` is its exact s-derivative, ``cost_transport_derivative``
+    with theta interpolated from its nodal values.  This FD table checks the
+    geometric part of dJ on its own.
     """
 
     has_state = False
@@ -589,14 +598,26 @@ class ManufacturedProblem(ShapeProblem):
             raise ValueError(f"unknown manufactured variant {variant!r}")
         super().__init__(mesh, variant, order)
         self.name = f"{variant}_manufactured"
-        catalog, self._tensor_form, self._raw_form, self.fd_cost = _MANUFACTURED[variant]
+        catalog, self._tensor_form, self._raw_form, self.fd_target = _MANUFACTURED[variant]
         self.space = FeSpace(mesh, order=order)
         self.fields = make_manufactured(catalog)
 
+    @cached_property
+    def _uq(self):
+        """The state at the quadrature points; a rebuilt problem keeps its source's."""
+        return self.fields.u(self.space.qpoints)
+
+    def rebuilt(self, mesh_s, theta=None, s=0.0):
+        problem = super().rebuilt(mesh_s, theta, s)
+        problem._uq = self._uq
+        return problem
+
     def cost(self):
-        P = self.space.qpoints
-        return float(np.sum(self.space.qweights
-                            * self.fields.F(P, self.fields.u(P))))
+        return float(np.sum(self.space.qweights * self.fields.F(self.space.qpoints, self._uq)))
+
+    def fd_value(self, theta):
+        return cost_transport_derivative(self.fields, self.space,
+                                         theta_samples(self.space, theta))
 
     def _build_tensors(self):
         return self._tensor_form(self.fields, self.space)

@@ -3,23 +3,22 @@ Independent derivative oracles and convergence studies.
 
 Everything here checks an assembled shape derivative against quantities a
 skeptic can compute without trusting the assembly: finite-difference
-quotients of costs on meshes moved by T_s = id + s theta
-(``flow.transport_mesh``; re-solved, or for the manufactured problems with
-the state frozen), Taylor remainders of pulled-back states, and the
-discrete duality pairing.  Reductions are deterministic (fixed element
-order; direct solves on the reference mesh, and on a transported mesh a
-direct solve or, for a stationary problem, each linear or Newton step by
-GMRES with a fixed stop on the reference's factors), so identical inputs
-reproduce tables bit for bit.  One re-solve
+quotients of the problem's ``resolved`` costs, the same problem on meshes
+moved by T_s = id + s theta (``flow.transport_mesh``; for the manufactured
+problems with the state frozen at its reference values), Taylor remainders
+of pulled-back states, and the discrete duality pairing.  Reductions are
+deterministic (fixed element order; direct solves on the reference mesh,
+and on a transported mesh a direct solve or, for a stationary problem,
+each linear or Newton step by GMRES with a fixed stop on the reference's
+factors), so identical inputs reproduce tables bit for bit.  One re-solve
 serves every check that needs the same (theta, s) row.
 """
 
 import numpy as np
 
 from .fem_core import FeSpace
-from .flow import FlowDegeneracyError, transport_mesh
-from .shape_assembly import (ShapeProblem, ShapeTensors, cost_transport_derivative,
-                             theta_samples)
+from .flow import FlowDegeneracyError
+from .shape_assembly import ShapeProblem, ShapeTensors
 
 
 def estimate_order(errors):
@@ -169,15 +168,25 @@ def step_sizes(s_list):
     return s
 
 
-def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
-    """Shared FD-row construction: ``evaluate(s)`` returns the cost at s
-    and may raise FlowDegeneracyError, which flags the row."""
+def fd_shape_check(problem, theta, s_list):
+    """Difference the problem's ``resolved`` costs at +-s against its
+    ``fd_value``, labelled ``fd_target`` in the table's metadata.
+
+    The re-solves, the same problem on ``transport_mesh(theta, s, mesh)``,
+    are shared with a Taylor check of the same theta.  A transport that
+    inverts a triangle (``FlowDegeneracyError``) flags the row instead of
+    failing the whole study.  The table also carries a Neville
+    extrapolation of the clean central quotients to s = 0 (exact for
+    quotients smooth in s, which the interpolation-consistent assembly
+    guarantees).
+    """
     s_list = step_sizes(s_list)
+    dJ, j0 = problem.fd_value(theta), problem.cost()
     rows = []
     for s in s_list:
         try:
-            jp = evaluate(+s)
-            jm = evaluate(-s)
+            jp = problem.resolved(theta, +s)[0]
+            jm = problem.resolved(theta, -s)[0]
         except FlowDegeneracyError as exc:
             rows.append(FdRow(s, flagged=True, note=str(exc)))
             continue
@@ -185,45 +194,7 @@ def _build_fd_table(dJ, j0, evaluate, s_list, metadata):
         forward = (jp - j0) / s
         rows.append(FdRow(s, jp, jm, central, abs(central - dJ),
                           forward=forward, forward_error=abs(forward - dJ)))
-    return FdTable(metadata, dJ, rows)
-
-
-def fd_shape_check(problem, theta, s_list):
-    """Transport the mesh by +-s, re-solve, and difference the costs.
-
-    The re-solves are the problem's ``resolved`` rows, which a Taylor check
-    of the same theta shares.  A transport that inverts a
-    triangle flags the row instead of failing the whole study.  The table
-    also carries a Neville extrapolation of the clean central quotients to
-    s = 0 (exact for quotients smooth in s, which the
-    interpolation-consistent assembly guarantees).
-    """
-    return _build_fd_table(problem.derivative(theta), problem.cost(),
-                           lambda s: problem.resolved(theta, s)[0], s_list,
-                           _metadata(problem, theta, target="dJ"))
-
-
-def fd_transport_check(problem, theta, s_list):
-    """FD check of the frozen-state cost of a manufactured ``problem``.
-
-    Each row is the problem on ``transport_mesh(theta, s, mesh)``,
-    as for ``fd_shape_check``, with the state held at its values at the
-    reference quadrature points: the cost sum_q w_q(s) F(x_q(s), u_q) over
-    the transported space, whose element and point order are the
-    reference's.  The target is ``cost_transport_derivative`` with theta
-    interpolated from its nodal values, the exact s-derivative of that sum,
-    so this checks the geometric part of dJ on its own.
-    """
-    fields, space = problem.fields, problem.space
-    u = fields.u(space.qpoints)
-
-    def evaluate(s):
-        moved = problem.rebuilt(transport_mesh(theta, s, problem.mesh)).space
-        return float(np.sum(moved.qweights * fields.F(moved.qpoints, u)))
-
-    return _build_fd_table(cost_transport_derivative(fields, space, theta_samples(space, theta)),
-                           problem.cost(), evaluate, s_list,
-                           _metadata(problem, theta, target="transport_cost"))
+    return FdTable(_metadata(problem, theta, target=problem.fd_target), dJ, rows)
 
 
 class TaylorRow:

@@ -10,7 +10,7 @@ import numpy as np
 
 from shapegrad import fem_core as fem
 from shapegrad.fem_core import FeSpace, ScalarField
-from shapegrad.parabolic_problem import _spatial_density, initial_rate, parabolic_material
+from shapegrad.parabolic_problem import _spatial_density, initial_rate
 from shapegrad.shape_assembly import lagrangian_tensors
 
 
@@ -100,7 +100,7 @@ def duality_pair(problem, theta):
     """The parabolic duality pair as first written, over the step slots
     with the initial-condition term apart:
     (sum_k>=1 <ell_k, p_k> - <p_1, M_u udot_0>, sum_k>=1 <B_k, udot_k>)."""
-    udot, ell = parabolic_material(problem, theta)
+    udot, ell = problem._material(theta)
     p = problem.p.values
     lhs = fem.dot(ell[1:], p[1:]) - fem.dot(p[1], problem.Mu @ udot.values[0])
     return lhs, fem.dot(problem.B[1:], udot.values[1:])

@@ -29,8 +29,7 @@ from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
 from shapegrad.shape_assembly import (ManufacturedProblem, material_tensor_rate,
                                       theta_samples)
 from shapegrad.validation import (AreaProblem, duality_check, estimate_order,
-                                  fd_shape_check, fd_transport_check,
-                                  material_taylor_check)
+                                  fd_shape_check, material_taylor_check)
 
 from conftest import HOLDALL, catalog_thetas
 from flow_references import pullback_quotients
@@ -342,10 +341,10 @@ def test_criterion_8_manufactured_propositions():
             for theta in thetas:
                 assert problem.dual_form_gap(theta) <= 1e-12
         prop5 = ManufacturedProblem(mesh, variant="prop5")
-        table = fd_transport_check(prop5,
-                                   make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8),
-                                              support_box=HOLDALL),
-                                   (0.02, 0.01, 0.005))
+        table = fd_shape_check(prop5,
+                               make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8),
+                                          support_box=HOLDALL),
+                               (0.02, 0.01, 0.005))
         assert table.observed_order() >= 1.9
     print(f"criterion 8 PASS: dual-form gaps at 1e-12, transport FD order "
           f"{table.observed_order():.2f}")

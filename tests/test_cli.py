@@ -100,13 +100,19 @@ def test_unwritable_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "derive", "validate"])
 def test_unwritable_output_dir_exits_2_before_any_study(tmp_path, monkeypatch, capsys, command):
-    """An ``--out`` that is a file is a config error, found before any
-    study runs and before the state solve writes its fields."""
+    """An ``--out`` that is a file is a config error, found before the mesh
+    is built, so before any study runs and before the state solve writes
+    its fields."""
     path = _cfg(tmp_path, ROBIN_CFG.replace("refine = 4", "refine = 2"))
     out = tmp_path / "taken"
     out.write_text("a file\n")
     studies = []
-    monkeypatch.setattr(cli, "_run_fd", lambda *args: studies.append(args))
+
+    def no_mesh(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(cli, "gen_disk", no_mesh)
+    monkeypatch.setattr(cli, "fd_shape_check", lambda *args: studies.append(args))
     monkeypatch.setattr(cli, "material_taylor_check", lambda *args, **kw: studies.append(args))
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: output: cannot write {out}: ")

@@ -20,8 +20,7 @@ from shapegrad.fem_core import FeSpace, SolverError
 from shapegrad.flow import make_field, transport_mesh
 from shapegrad.mesh import gen_rectangle
 from shapegrad.parabolic_problem import (ParabolicData, ParabolicProblem, dof_velocities,
-                                         initial_rate, parabolic_material,
-                                         parabolic_shape_tensors)
+                                         initial_rate)
 from shapegrad.shape_assembly import material_tensor_rate, theta_samples
 from shapegrad.validation import fd_shape_check
 
@@ -280,7 +279,7 @@ def test_march_reproduces_state_and_material_loops(rect_unit, order, m_profile):
     assert prob.u.values.tobytes() == state_loop(prob).tobytes()
     op = ParabolicOperator(rect_unit, data, order=order)
     for theta in catalog_thetas():
-        udot, ell = parabolic_material(prob, theta)
+        udot, ell = prob._material(theta)
         assert udot.values.tobytes() == material_loop(prob, theta, ell).tobytes(), theta.name
         assert ell[0].tobytes() == (-(prob.Mu @ udot.values[0])).tobytes(), theta.name
         if np.abs(ell).max() > 0.0:
@@ -312,15 +311,15 @@ def test_tensors_zero_for_zero_data(rect_unit):
                  ud_spec=("const 0", "const"), nt=5)
     prob = ParabolicProblem(rect_unit, data, which="j1")
     ptens = prob.tensors()
-    assert np.abs(ptens.tensors.S0).max() == 0.0
-    assert np.abs(ptens.tensors.S1).max() == 0.0
+    assert np.abs(ptens.S0).max() == 0.0
+    assert np.abs(ptens.S1).max() == 0.0
     assert np.abs(ptens.dt_density).max() == 0.0
     assert prob.derivative(bump_theta()) == 0.0
 
 
 def test_tensor_structure_volume_only(rect_unit):
     prob = ParabolicProblem(rect_unit, _data(nt=4), which="j1")
-    t = prob.tensors().tensors
+    t = prob.tensors()
     assert t.S2 is None and t.S0_gamma is None and t.S1_gamma is None
     assert "dt_pairing" in prob.breakdown(bump_theta()).terms
 
@@ -359,8 +358,8 @@ def test_constant_M_tensor_oracle(rect_unit):
                     - np.einsum('...i,...j->...ij', gu, Mgp)
                     + (scal + 0.5 * d * d)[..., None, None] * I2)
         dtp += pv * (uv - um)
-    assert np.abs(ptens.tensors.S0 - S0).max() < 1e-13
-    assert np.abs(ptens.tensors.S1 - S1).max() < 1e-13
+    assert np.abs(ptens.S0 - S0).max() < 1e-13
+    assert np.abs(ptens.S1 - S1).max() < 1e-13
     assert np.abs(ptens.dt_density - dtp).max() < 1e-13
 
 
@@ -500,7 +499,7 @@ def test_ud_split_matches_per_step_evaluation_bit_for_bit(rect_unit, which):
     data = _data(nt=7, ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which)
     P = prob.space.qpoints
-    split = parabolic_shape_tensors(prob).tensors
+    split = prob._build_tensors()
     separable = data.u_d
     for u_d in (separable, _FrozenUd(prob, shift=lambda P: np.sin(P[..., 0]), eps=1e-3)):
         data.u_d = u_d
@@ -510,7 +509,7 @@ def test_ud_split_matches_per_step_evaluation_bit_for_bit(rect_unit, which):
                 want = getattr(u_d, part)(prob.times[k], P)
                 assert at_step(k).tobytes() == want.tobytes(), (part, k)
     data.u_d = _PerStepUd(separable)
-    per_step = parabolic_shape_tensors(prob).tensors
+    per_step = prob._build_tensors()
     assert split.S0.tobytes() == per_step.S0.tobytes()
     assert split.S1.tobytes() == per_step.S1.tobytes()
 
@@ -523,16 +522,16 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     data = _data(nt=7, m_profile=m_profile, f_spec=("sine2 1.5 1 1", "decay 0.4"),
                  g_spec="sine2 1 1 1", ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
-    ptens = parabolic_shape_tensors(prob)
+    ptens = prob._build_tensors()
     S0, S1, dtp = _reference_tensors(prob)
     P = prob.space.qpoints
     S0_ic = -fem.field_qvalues(prob.p.field(0))[..., None] * data.g.grad(P)
-    assert _rel(ptens.tensors.S0 + S0_ic, S0) < 1e-12
-    assert _rel(ptens.tensors.S1, S1) < 1e-12
+    assert _rel(ptens.S0 + S0_ic, S0) < 1e-12
+    assert _rel(ptens.S1, S1) < 1e-12
     assert _rel(ptens.dt_density, dtp) < 1e-12
 
     theta = bump_theta()
-    udot, ell = parabolic_material(prob, theta)
+    udot, ell = prob._material(theta)
     vals, ell_ref = _reference_material(data, prob.u, theta, prob)
     assert _rel(ell[1:], ell_ref[1:]) < 1e-12
     assert _rel(udot.values, vals) < 1e-12
@@ -552,10 +551,10 @@ def test_block_time_sums_match_per_step_sums(rect_unit, order, m_profile, which)
     data = _data(nt=10, m_profile=m_profile, g_spec="sine2 1 1 1",
                  ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
-    ptens = parabolic_shape_tensors(prob)
+    ptens = prob._build_tensors()
     S0, S1, dtp = shape_tensors_per_step(prob)
-    assert _rel(ptens.tensors.S0, S0) < 1e-12
-    assert _rel(ptens.tensors.S1, S1) < 1e-12
+    assert _rel(ptens.S0, S0) < 1e-12
+    assert _rel(ptens.S1, S1) < 1e-12
     assert _rel(ptens.dt_density, dtp) < 1e-12
 
 
@@ -570,7 +569,7 @@ def test_shape_tensor_memory_flat_in_steps(which):
         p = prob.p  # the adjoint marches on first use, outside the traced window
         tracemalloc.start()
         try:
-            parabolic_shape_tensors(prob)
+            prob._build_tensors()
             peaks[nt] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,6 +15,7 @@ import pytest
 
 from shapegrad import cli, elliptic_problems, fem_core, parabolic_problem, shape_assembly
 from shapegrad.flow import transport_mesh
+from shapegrad.shape_assembly import ShapeTensors
 
 import elliptic_references
 import parabolic_references
@@ -87,9 +88,12 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         assert np.array_equal(problem.rebuilt(problem.mesh).u.coefficients,
                               problem.u.coefficients)
 
+    # every problem's tensors are one type
+    assert isinstance(problem.tensors(), ShapeTensors)
+
     # a re-solve on a transported mesh does the state solve and nothing more:
     # the adjoint and its factorizations are lazy
-    if problem.fd_cost == "resolve":
+    if problem.fd_target == "dJ":
         mesh_s = transport_mesh(theta, 0.01, problem.mesh)
         if name == "quasilinear":  # one Jacobian factorization per Newton step
             history = problem.rebuilt(mesh_s).newton_history
@@ -107,7 +111,7 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
 
     # the capability flags are the checks the CLI writes
     fd_keys = set()
-    if problem.fd_cost is not None:
+    if problem.fd_target is not None:
         fd_keys = {"fd_order", "fd_rel_gap"}
         if cfg.get("validation", "extrapolated_max") is not None:
             fd_keys.add("fd_extrapolated")
@@ -121,8 +125,10 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
             cli.EXIT_OK, cli.EXIT_VALIDATION)
         report = json.loads((out / f"{problem.name}-{kind}.json").read_text())
         assert set(report["checks"]) == expected
-        assert ("fd" in report) == (problem.fd_cost is not None)
-        assert (out / f"{problem.name}-fd.csv").exists() == (problem.fd_cost is not None)
+        assert ("fd" in report) == (problem.fd_target is not None)
+        if problem.fd_target is not None:
+            assert report["fd"]["metadata"]["target"] == problem.fd_target
+        assert (out / f"{problem.name}-fd.csv").exists() == (problem.fd_target is not None)
         assert (out / f"{problem.name}-taylor.csv").exists() == (
             command == "validate" and problem.has_state)
     out = tmp_path / "solve"
@@ -194,21 +200,23 @@ def test_validate_solves_the_material_derivative_once(config, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("config, transports", [("robin-disk.cfg", 8),
-                                                ("parabolic-j1-square.cfg", 9)])
+                                                ("parabolic-j1-square.cfg", 9),
+                                                ("prop5-manufactured.cfg", 6)])
 def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp_path,
                                                           monkeypatch):
     """One ``validate`` with the default step lists samples its theta once
-    (the CLI's zero check, the breakdown, the material right-hand side and
-    the FD derivative read the one sample set) and transports the mesh once
-    per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
+    per mode (the CLI's zero check, the breakdown, the material right-hand
+    side and the FD target read the one sample set; prop5's analytic set
+    serves dJ, its interpolated set the FD target) and transports the mesh
+    once per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
     0.04 share the +0.04 re-solve, 8 transports in place of 9.  The
     parabolic FD rows keep no state series, so its Taylor check solves
-    +0.04 again."""
+    +0.04 again; prop5 has no Taylor check."""
     samples, moved = [], []
     theta_samples, transport = shape_assembly.theta_samples, shape_assembly.transport_mesh
 
     def counting_samples(space, theta, mode="interpolated"):
-        samples.append(theta)
+        samples.append(mode)
         return theta_samples(space, theta, mode)
 
     def counting_transport(theta, s, mesh):
@@ -220,5 +228,6 @@ def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp
     rc = cli.main(["validate", "--config", os.path.join(CONFIG_DIR, config),
                    "--out", str(tmp_path / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
-    assert len(samples) == 1
+    modes = ["analytic", "interpolated"] if config.startswith("prop5") else ["interpolated"]
+    assert sorted(samples) == modes
     assert len(moved) == transports, moved

@@ -12,7 +12,7 @@ from shapegrad.shape_assembly import (AssembledDerivative, ManufacturedProblem, 
                                       make_manufactured, material_tensor_rate,
                                       prop5_raw_dJ, prop5_tensors, prop6_raw_dJ,
                                       prop6_tensors, theta_samples)
-from shapegrad.validation import estimate_order, fd_transport_check
+from shapegrad.validation import estimate_order, fd_shape_check
 
 from conftest import HOLDALL, catalog_thetas, bump_theta
 from flow_references import edge_stretch_rate
@@ -295,6 +295,23 @@ def _frozen_cost(fields, space, theta, s):
     return float(np.sum(moved.qweights * fields.F(moved.qpoints, fields.u(space.qpoints))))
 
 
+def test_prop5_fd_rows_are_frozen_state_resolved_rows(disk4):
+    """prop5's FD table differences the problem's own ``resolved`` costs: a
+    rebuilt problem carries the reference state values at the quadrature
+    points, so each row is the frozen-state sum, bit for bit, and the target
+    is the interpolated-theta ``cost_transport_derivative``."""
+    problem = ManufacturedProblem(disk4, "prop5")
+    theta = make_field("bump", (1.0, 0.4, 0.2, -0.1, 0.8), support_box=HOLDALL)
+    table = fd_shape_check(problem, theta, (0.02, 0.01))
+    assert table.metadata["target"] == "transport_cost"
+    assert table.dJ == cost_transport_derivative(problem.fields, problem.space,
+                                                 theta_samples(problem.space, theta))
+    for row in table.rows:
+        for s, j in ((row.s, row.j_plus), (-row.s, row.j_minus)):
+            assert j == problem.resolved(theta, s)[0] \
+                == _frozen_cost(problem.fields, problem.space, theta, s)
+
+
 def test_cost_transport_derivative_matches_fd(space4):
     fields = make_manufactured("disk")
     theta = bump_theta()
@@ -343,8 +360,8 @@ def test_fd_row_evaluates_theta_only_at_the_mesh_nodes(disk4):
 
     spy = VectorFieldSpec("spy", spied("eval", theta.eval), spied("jac", theta.jac),
                           spied("hess", theta.hess))
-    table = fd_transport_check(problem, spy, (0.02, 0.01))
+    table = fd_shape_check(problem, spy, (0.02, 0.01))
     assert calls and set(calls) == {("eval", (disk4.n_nodes, 2))}
-    ref = fd_transport_check(problem, theta, (0.02, 0.01))
+    ref = fd_shape_check(problem, theta, (0.02, 0.01))
     assert table.dJ == ref.dJ
     assert [(r.j_plus, r.j_minus) for r in table.rows] == [(r.j_plus, r.j_minus) for r in ref.rows]

@@ -13,7 +13,7 @@ from shapegrad.shape_assembly import ManufacturedProblem
 from shapegrad.validation import (AreaProblem, DualityReport, FdRow, FdTable,
                                   TaylorRow, TaylorTable, duality_check,
                                   estimate_order, fd_shape_check,
-                                  fd_transport_check, material_taylor_check)
+                                  material_taylor_check)
 
 from conftest import HOLDALL, bump_theta
 
@@ -214,8 +214,8 @@ def test_studies_refuse_steps_not_positive_and_decreasing(disk3, s_list):
     extrapolation or a row order taken against a larger s."""
     theta = bump_theta()
     studies = [lambda: fd_shape_check(AreaProblem(disk3), theta, s_list),
-               lambda: fd_transport_check(ManufacturedProblem(disk3, variant="prop5"),
-                                          theta, s_list),
+               lambda: fd_shape_check(ManufacturedProblem(disk3, variant="prop5"),
+                                      theta, s_list),
                lambda: material_taylor_check(_robin_problem(disk3), theta, s_list)]
     for study in studies:
         with pytest.raises(ValueError, match="strictly decreasing"):
