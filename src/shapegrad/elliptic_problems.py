@@ -44,8 +44,8 @@ import numpy as np
 from . import fem_core as fem
 from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
-from .shape_assembly import (ShapeProblem, ShapeTensors, flux_rate, lagrangian_tensors,
-                             source_rate)
+from .shape_assembly import (ShapeGradient, ShapeProblem, flux_rate, jacobian_gradient,
+                             lagrangian_tensors, point_gradient, source_rate)
 from .tensor_calc import inner
 
 log = logging.getLogger(__name__)
@@ -267,21 +267,32 @@ class _EllipticProblem(ShapeProblem):
         return self._load(W, source_rate(e.b, e.b_x, samples), bg)
 
     def _build_tensors(self):
-        uq, gu = self._state_qpoints()
-        c = self._cost_density(uq, gu)
+        """The ``ShapeGradient`` of the density: the volume terms from
+        ``lagrangian_tensors`` with T = grad p x grad u at the rank of the
+        gradients (one per element at P1), and the boundary terms
+        S0_G = p d_x b_G, at the points, and S1_G = b_G p (I - n x n), whose
+        sum over an edge is that of b_G p times its constant I - n x n."""
+        space = self.space
+        gu = fem.field_grads(self.u)
+        c = self._cost_density(fem.field_qvalues(self.u), gu)
         e = self._pde_density(self.u, "x")
         p = self._tensor_adjoint()
-        pv = fem.field_qvalues(p)
-        T = np.einsum('...i,...j->...ij', fem.field_qgrads(p), gu)
-        S0, S1 = lagrangian_tensors(T, e.A, e.DA, pv, e.b, e.b_x,
+        gp = fem.field_grads(p)
+        T = gp[..., :, None] * gu[..., None, :]
+        S0, S1 = lagrangian_tensors(space, T, e.A, e.DA, fem.field_qvalues(p), e.b, e.b_x,
                                     c.F, c.F_x, c.F_gu, gu)
         if e.bg is None:
-            return ShapeTensors(self.space, S0=S0, S1=S1)
+            return ShapeGradient(S0=S0, S1=S1)
         pe = fem.edge_qvalues(p)
-        n = self.space.edge_normal
-        tangential = _I2 - np.einsum('bi,bj->bij', n, n)[:, None]
-        return ShapeTensors(self.space, S0=S0, S1=S1, S0_gamma=pe[..., None] * e.bg_x,
-                            S1_gamma=(e.bg * pe)[..., None, None] * tangential)
+        n = space.edge_normal
+        edge_sum = (space.edge_qweights * e.bg * pe).sum(axis=1)
+        tangential = _I2 - n[:, :, None] * n[:, None, :]
+        return ShapeGradient(
+            S0=S0, S1=S1,
+            S0_gamma=point_gradient(space, (pe * e.bg_x[..., 0], pe * e.bg_x[..., 1]),
+                                    boundary=True),
+            S1_gamma=jacobian_gradient(space, edge_sum[:, None, None] * tangential,
+                                       boundary=True))
 
     def _material(self, theta):
         ell = self._L(self.samples(theta)) * self._keep

@@ -307,13 +307,12 @@ def field_qvalues(field):
     return _rows_times_basis(field.coefficients[space.element_dofs], space.basis)
 
 
-def field_qgrads(field):
-    """Field gradients at all volume quadrature points, shape (M, nq, 2).
+def field_grads(field):
+    """Field gradients with the point axis of ``space.grads``: (M, 1, 2) for
+    P1, one per element, and (M, nq, 2) for P2.
 
     Summed over the local dofs left to right, then ``+= 0.0``: the bits of
-    ``einsum('mqad,ma->mqd')`` (see ``_build_geometry``).  A P1 gradient is
-    computed once per element and returned as a read-only broadcast view
-    over the quadrature points.
+    ``einsum('mqad,ma->mqd')`` (see ``_build_geometry``).
     """
     space = field.space
     grads = space.grads
@@ -322,7 +321,14 @@ def field_qgrads(field):
     for a in range(1, grads.shape[2]):
         out += coeff[:, :, a] * grads[:, :, a]
     out += 0.0
-    return np.broadcast_to(out, space.qpoints.shape)
+    return out
+
+
+def field_qgrads(field):
+    """Field gradients at all volume quadrature points, shape (M, nq, 2):
+    ``field_grads``, a P1 gradient as a read-only broadcast view over the
+    points."""
+    return np.broadcast_to(field_grads(field), field.space.qpoints.shape)
 
 
 def edge_qvalues(field):

@@ -39,8 +39,8 @@ p_b = sum_k dt a_f(t_k) p_k.  Those sums collapse to per-element Gram
 matrices sum_k w_k p_k^e (u_k^e)^T, summed over blocks of a few steps (one
 row dot over the block's steps per pair of local dofs, so the working
 memory does not grow with nt) and contracted once with the basis
-gradients.  ``_build_tensors`` returns them as a ``ShapeTensors`` that also
-carries the mass-rate density and the initial-condition weights.  The
+gradients.  ``_build_tensors`` returns them as a ``ShapeGradient`` whose
+``dt_pairing`` term pairs the mass-rate density with div theta.  The
 initial condition enters through the nodal ``ic_pairing`` term
 -(M_u q) . I_h(grad g . theta), the same interpolant the material
 derivative starts from, so the derivative is exact for any initial datum g.
@@ -53,8 +53,8 @@ import numpy as np
 from . import fem_core as fem
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
-from .shape_assembly import (AssembledDerivative, ShapeProblem, ShapeTensors, flux_rate,
-                             lagrangian_tensors, source_rate)
+from .shape_assembly import (AssembledDerivative, ShapeGradient, ShapeProblem, flux_rate,
+                             jacobian_gradient, lagrangian_tensors, source_rate)
 from .tensor_calc import inner
 
 
@@ -139,16 +139,6 @@ def _spatial_density(data, P):
     parts of the density, whose time factors are a_M(t_k) and a_f(t_k)."""
     Mx, fx = data.M.spatial, data.f.spatial
     return Mx.value(P), Mx.dspace(P), -fx.value(P), -fx.grad(P)
-
-
-class ParabolicShapeTensors(ShapeTensors):
-    """Volume tensors plus the separately-reported mass-rate density and
-    the initial-condition weights."""
-
-    def __init__(self, space, S0, S1, dt_density, ic_weights):
-        super().__init__(space, S0=S0, S1=S1)
-        self.dt_density = dt_density  # (M, nq): sum_k p_k (u_k - u_{k-1})
-        self.ic_weights = ic_weights  # (ndof,): M_u q
 
 
 # steps per block of the time sums: the working memory of the tensors is
@@ -311,8 +301,8 @@ class ParabolicProblem(ShapeProblem):
         return TimeSeriesField(space, vals, data.t0), ell
 
     def _build_tensors(self):
-        """The distributed tensors of the cost, with the mass-rate density and
-        the initial-condition weights.
+        """The ``ShapeGradient`` of the cost: S0, S1 and the mass-rate term
+        ``dt_pairing``.
 
         The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
         density (``_spatial_density``), the pairing
@@ -321,9 +311,11 @@ class ParabolicProblem(ShapeProblem):
         mass-rate density sum_k p_k (u_k - u_{k-1}) come from per-element Gram
         matrices of the dof vectors, summed over blocks of ``_BLOCK`` steps, one
         row dot over the block's steps per pair of local dofs, and contracted
-        with the basis once.  F and F_x are summed over the misfits of
-        ``_misfits``, which ``cost`` and ``B`` use too.  The initial condition
-        is paired at the dofs (see ``breakdown``).
+        with the basis once; T keeps the point axis of the basis gradients, of
+        length 1 at P1.  The mass-rate density pairs with div theta, so only its
+        sum over each element is kept, times I.  F and F_x are summed over the
+        misfits of ``_misfits``, which ``cost`` and ``B`` use too.  The initial
+        condition is paired at the dofs (see ``breakdown``).
         """
         space, data = self.space, self.data
         U, Pv = self.u.values, self.p.values
@@ -348,6 +340,7 @@ class ParabolicProblem(ShapeProblem):
         T = np.swapaxes(g, -1, -2) @ (G_pu.transpose(2, 0, 1)[:, None] @ g)
         pairs = (space.basis[:, :, None] * space.basis[:, None, :]).reshape(-1, nloc * nloc)
         dtp = G_d.reshape(nloc * nloc, M).T @ pairs.T
+        dt_sum = (space.qweights * dtp).sum(axis=1)
 
         # the x-derivative of the tracking term one coordinate at a time
         F = np.zeros(space.qweights.shape)
@@ -361,18 +354,20 @@ class ParabolicProblem(ShapeProblem):
         F *= 0.5 * self._scale
         F_x *= self._scale
         A, DA, b, b_x = _spatial_density(data, space.qpoints)
-        S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
-                                    b, b_x, F, np.stack(F_x, axis=-1))
-        ic_weights = fem.assemble_load_values(space, fem.field_qvalues(self.p.field(0)))
-        return ParabolicShapeTensors(space, S0, S1, dtp, ic_weights)
+        S0, S1 = lagrangian_tensors(space, T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
+                                    b, b_x, F, np.moveaxis(F_x, 0, -1))
+        dt_pairing = jacobian_gradient(space, dt_sum[:, None, None] * np.eye(2))
+        return ShapeGradient(S0=S0, S1=S1, dt_pairing=dt_pairing)
+
+    @cached_property
+    def _ic_weights(self):
+        """M_u q, the initial-condition weights of ``ic_pairing``."""
+        return fem.assemble_load_values(self.space, fem.field_qvalues(self.p.field(0)))
 
     def breakdown(self, theta):
-        """The tensors' breakdown plus the dt- and initial-condition pairings.
-        ``ic_pairing`` is -(M_u q) . I_h(grad g . theta), nodal."""
-        tensors, samples = self.tensors(), self.samples(theta)
+        """The ``ShapeGradient``'s breakdown plus the initial-condition pairing
+        ``ic_pairing`` = -(M_u q) . I_h(grad g . theta), nodal."""
         return AssembledDerivative({
             **super().breakdown(theta).terms,
-            "dt_pairing": float(np.sum(self.space.qweights * tensors.dt_density
-                                       * samples.vol_div)),
-            "ic_pairing": -fem.dot(tensors.ic_weights,
+            "ic_pairing": -fem.dot(self._ic_weights,
                                    initial_rate(self.space, self.data, theta))})

@@ -2,31 +2,46 @@
 Volume/boundary shape-derivative assembly from tensor representations,
 and the one Lagrangian kernel every PDE problem derives its tensors from.
 
-A shape derivative is stored as quadrature-point values of the tensors
-S0 (vector), S1 (matrix), S2 (third order) plus boundary tensors S0_G,
-S1_G, and evaluated against a velocity field theta as
+A shape derivative is given by the tensors S0 (vector), S1 (matrix), S2
+(third order) plus boundary tensors S0_G, S1_G, and evaluated against a
+velocity field theta as
 
     dJ(theta) = int S0.theta + S1 : Dtheta + S2 ::: D2theta
               + int_G S0_G.theta + S1_G : Dtheta
 
 (a tangential pairing S1_G : D_G theta is the full one of S1_G (I - n x n)).
-Two sampling modes give theta and Dtheta at the volume and edge quadrature
-points, and D2theta or None; ``ThetaSamples`` derives from Dtheta, for
-both, ``vol_div`` = tr Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n.
+A problem's ``theta_mode`` says which theta it pairs with:
+
+``interpolated``
+    theta's vertex interpolant, at P1 and P2 alike: theta at the mesh
+    nodes interpolated with the piecewise-affine geometry map.  Dtheta is
+    constant on an element, and on a boundary edge it is the owning
+    element's, so the edge's tangential pairing is its stretch rate.  This
+    matches, exactly, the s-derivative of any quantity assembled on the
+    transported mesh whose nodes move with theta, which is what makes the
+    finite-difference validation quotients converge cleanly to the
+    assembled value.  The interpolant has no second derivative, so there
+    is no S2 term, and dJ is a linear form in theta's nodal values:
+
+        dJ(theta) = sum_n g_n . theta(x_n),
+
+    a ``ShapeGradient`` with one (N, 2) nodal gradient g per term.  A term
+    paired with theta at the points (S0, S0_G) is summed against the
+    points' barycentric weights (``point_gradient``); one paired with
+    Dtheta (S1, S1_G) is summed over each element's (edge's) points and
+    contracted with the barycentric gradients of the element (the edge's
+    owner) (``jacobian_gradient``).  No per-point tensor is formed: the
+    kernel forms these sums.
 
 ``analytic``
     theta, Dtheta, D2theta from the field's closures at the quadrature
-    points.  Used by the manufactured evaluators.
+    points: the manufactured problems store per-point ``ShapeTensors`` and
+    ``assemble_dJ`` pairs them with those samples.
 
-``interpolated``
-    theta sampled at mesh nodes and interpolated with the piecewise-affine
-    geometry map: Dtheta is constant on an element, and on a boundary edge
-    it is the owning element's, so ``edge_divg`` is the edge's stretch
-    rate.  This matches, exactly, the s-derivative of any quantity
-    assembled on the transported mesh whose nodes move with theta, which
-    is what makes the finite-difference validation quotients converge
-    cleanly to the assembled value.  The P1 interpolant has no second
-    derivative, so the S2 term is zero in this mode.
+``theta_samples`` gives theta and Dtheta at the volume and edge quadrature
+points in either mode, and D2theta or None; ``ThetaSamples`` derives from
+Dtheta ``vol_div`` = tr Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n,
+which the material right-hand sides read.
 
 One Lagrangian kernel
 ---------------------
@@ -38,7 +53,8 @@ source b(x, u), so its Lagrangian density at a quadrature point is
 with the cost part F(x, u, grad u), the pairing matrix T (T = grad p x
 grad u and p_b = p for a stationary problem; time sums of the snapshots
 for the parabolic one).  With the partials F_x, F_gu (d/d grad u), b_x and
-DA[i, j, k] = d A_ij / d x_k, ``lagrangian_tensors`` gives
+DA[i, j, k] = d A_ij / d x_k, ``lagrangian_tensors`` gives the nodal
+gradients of
 
     S0 = F_x + DA : T + p_b b_x,       (DA : T)_k = DA_ijk T_ij,
     S1 = G I - T^T A - T A^T - grad u x F_gu,
@@ -146,36 +162,143 @@ def source_rate(b, b_x, samples):
     return b * samples.vol_div + tc.inner(b_x, samples.vol_val)
 
 
-def lagrangian_tensors(T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):
-    """Volume tensors (S0, S1) of the density G = F + A : T + p_b b.
+def _vertex_grads(space):
+    """(M, 3, 2) gradients of each element's barycentric coordinates, the P1
+    basis gradients, at either order: the Dtheta of theta's vertex
+    interpolant on an element is sum_v theta_v x grad lambda_v."""
+    if space.order == 1:
+        return space.grads[:, 0]
+    return np.einsum('mda,va->mvd', space.invJT, fem._REF_GRAD_L)
 
-    S0 = F_x + DA : T + p_b b_x and S1 = G I - T^T A - T A^T - grad u x F_gu
-    (see the module docstring); ``A`` is a (2, 2) matrix or per-point
-    values, ``T`` may have a point axis of length 1 (a per-element pairing),
-    and a partial that is zero is None.  The contractions are written out
-    over the two coordinates.
+
+def _to_nodes(mesh, cells, parts):
+    """(N, 2) nodal gradient from per-cell vertex contributions, one (K, nv)
+    array per coordinate, summed at the node ids ``cells`` (K, nv)."""
+    idx = cells.ravel()
+    return np.stack([np.bincount(idx, part.ravel(), minlength=mesh.n_nodes)
+                     for part in parts], axis=1)
+
+
+def point_gradient(space, X, boundary=False):
+    """The nodal gradient of int X . theta, or with ``boundary`` of
+    int_G X . theta, for the vertex interpolant theta: ``X`` is given one
+    coordinate at a time, (X_0, X_1) at the volume (edge) quadrature points
+    (or a generator of them), and summed against each point's barycentric
+    (edge-endpoint) weights."""
+    mesh = space.mesh
+    if boundary:
+        t = space.edg_rule.points
+        w, lmb, cells = space.edge_qweights, np.column_stack([1.0 - t, t]), mesh.boundary_edges[:, :2]
+    else:
+        w, lmb, cells = space.qweights, space.vol_rule.points, mesh.triangles
+    return _to_nodes(mesh, cells, ((w * x) @ lmb for x in X))
+
+
+def jacobian_gradient(space, S, boundary=False):
+    """The nodal gradient of sum_K S_K : Dtheta_K for the vertex interpolant
+    theta, with S (M, 2, 2) one per element or, with ``boundary``, (B, 2, 2)
+    one per boundary edge, paired with its owner's Dtheta:
+    S : Dtheta = sum_v theta_v . S grad lambda_v."""
+    mesh = space.mesh
+    lam, cells = _vertex_grads(space), mesh.triangles
+    if boundary:
+        lam, cells = lam[space.edge_owner], cells[space.edge_owner]
+    return _to_nodes(mesh, cells, [S[:, i, 0, None] * lam[..., 0] + S[:, i, 1, None] * lam[..., 1]
+                                   for i in range(2)])
+
+
+def lagrangian_tensors(space, T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):
+    """Nodal gradients (g_S0, g_S1) of the volume tensors of the density
+    G = F + A : T + p_b b, S0 = F_x + DA : T + p_b b_x and
+    S1 = G I - T^T A - T A^T - grad u x F_gu (see the module docstring).
+
+    Every argument is given at the volume quadrature points, with a point
+    axis of length nq or of length 1 for a factor constant on each element
+    (at P1: grad u, T and a cost of grad u alone); ``A`` may also be a
+    constant (2, 2) matrix, and a partial that is zero is None.  S1 pairs
+    with the element's Dtheta, so only its weighted sum over each element's
+    points is formed, entry by entry: an element-constant factor multiplies
+    the point sum of the other.  S0 pairs with theta at the points; it is
+    formed one coordinate at a time and summed against the barycentric
+    weights (``point_gradient``).  The contractions are written out over the
+    two coordinates.
     """
-    G = F + p_b * b
+    w = space.qweights
+    area = w.sum(axis=1)
+
+    def wsum(X):
+        """sum_q w_q X_q on each element."""
+        return area * X[:, 0] if X.shape[1] == 1 else (w * X).sum(axis=1)
+
+    def wprod(X, Y):
+        """sum_q w_q X_q Y_q on each element, an element-constant factor taken out."""
+        if X.shape[1] == 1:
+            return X[:, 0] * wsum(Y)
+        if Y.shape[1] == 1:
+            return wsum(X) * Y[:, 0]
+        return wsum(X * Y)
+
+    A = np.asarray(A)
+    if A.ndim == 2:
+        A = A[None, None]
+    G = wsum(F) + wprod(p_b, b)
     for i in range(2):
         for j in range(2):
-            G = G + A[..., i, j] * T[..., i, j]
-    S0 = _sum(F_x, p_b[..., None] * b_x)
-    if DA is not None:
-        for i in range(2):
-            S0[..., i] += DA[..., 0, 0, i] * T[..., 0, 0] + DA[..., 0, 1, i] * T[..., 0, 1] \
-                + DA[..., 1, 0, i] * T[..., 1, 0] + DA[..., 1, 1, i] * T[..., 1, 1]
-    S1 = G[..., None, None] * np.eye(2)
-    S1 -= tc.matmul2(np.swapaxes(T, -1, -2), A)
-    S1 -= tc.matmul2(T, np.swapaxes(A, -1, -2))
-    if F_gu is not None:
-        for i in range(2):
-            for j in range(2):
-                S1[..., i, j] -= grad_u[..., i] * F_gu[..., j]
-    return S0, S1
+            G += wprod(A[..., i, j], T[..., i, j])
+    S1 = np.empty((len(w), 2, 2))
+    for i in range(2):
+        for j in range(2):
+            s = -(wprod(T[..., 0, i], A[..., 0, j]) + wprod(T[..., 1, i], A[..., 1, j])
+                  + wprod(T[..., i, 0], A[..., j, 0]) + wprod(T[..., i, 1], A[..., j, 1]))
+            if F_gu is not None:
+                s -= wprod(grad_u[..., i], F_gu[..., j])
+            S1[:, i, j] = s + G if i == j else s
+
+    def S0(i):
+        """Coordinate i of S0 at the points."""
+        DAT = None if DA is None else \
+            DA[..., 0, 0, i] * T[..., 0, 0] + DA[..., 0, 1, i] * T[..., 0, 1] \
+            + DA[..., 1, 0, i] * T[..., 1, 0] + DA[..., 1, 1, i] * T[..., 1, 1]
+        return _sum(None if F_x is None else F_x[..., i],
+                    None if b_x is None else p_b * b_x[..., i], DAT)
+
+    g0 = None
+    if not (F_x is None and b_x is None and DA is None):
+        # one coordinate alive at a time
+        g0 = point_gradient(space, (S0(i) for i in range(2)))
+    return g0, jacobian_gradient(space, S1)
+
+
+class ShapeGradient:
+    """A shape derivative paired with the vertex interpolant of theta, as
+    one (N, 2) nodal gradient per term: dJ(theta) = sum_n g_n . theta(x_n).
+
+    The terms are S0, S1, S0_gamma, S1_gamma and any ``more`` (the parabolic
+    ``dt_pairing``); a term that is None contributes zero, and S2 is always
+    None, as the interpolant has no second derivative.  Every term but S0
+    and S0_gamma pairs with Dtheta, so its g sums to zero over the nodes
+    and it pairs with theta - theta(x_r) instead, the same number, at the
+    node x_r of smallest |theta|_1: a translation then pairs to exactly
+    zero, and the shift adds at most eps sum|g| min|theta| of rounding (none
+    for a theta that is zero at some node).
+    """
+
+    def __init__(self, S0=None, S1=None, S0_gamma=None, S1_gamma=None, **more):
+        self.terms = {"S0": S0, "S1": S1, "S2": None, "S0_gamma": S0_gamma,
+                      "S1_gamma": S1_gamma, **more}
+
+    def pair(self, nodal):
+        """The ``AssembledDerivative`` of theta given by its values at the
+        mesh nodes, each term g . theta(nodes)."""
+        shifted = nodal - nodal[np.argmin(np.abs(nodal).sum(axis=1))]
+        return AssembledDerivative({
+            name: 0.0 if g is None else fem.dot(g, nodal if name in ("S0", "S0_gamma") else shifted)
+            for name, g in self.terms.items()})
 
 
 class ShapeTensors:
-    """Quadrature-point values of a distributed shape derivative.
+    """Quadrature-point values of a distributed shape derivative, paired with
+    analytic theta samples by ``assemble_dJ``.
 
     Any of the tensors may be None (a missing term contributes zero).
     S1_G is contracted with the full Jacobian Dtheta; a tangential pairing
@@ -239,14 +362,17 @@ class ShapeProblem:
     ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
-    every problem (both sides are -<A udot, p>).
+    every problem (both sides are -<A udot, p>).  In ``interpolated`` mode
+    ``_build_tensors()`` is a ``ShapeGradient``, which ``breakdown`` pairs
+    with theta at the mesh nodes; the analytic mode overrides
+    ``breakdown``.
 
     What a problem computes from a theta it computes once, for the last
     theta object seen (another object, equal or not, starts afresh): the
-    ``samples`` that ``breakdown``, the material right-hand side and the
-    CLI read, the one ``_material`` solve that ``material`` and
-    ``duality_pair`` share, and the transported re-solves of ``resolved``,
-    which the FD and Taylor checks share.
+    ``nodal`` values that ``breakdown`` and the CLI read, the ``samples``
+    that the material right-hand side reads, the one ``_material`` solve
+    that ``material`` and ``duality_pair`` share, and the transported
+    re-solves of ``resolved``, which the FD and Taylor checks share.
 
     Capability flags name the oracles a problem supports: ``fd_target``
     labels the limit ``fd_value(theta)`` of the FD quotients of the
@@ -288,9 +414,16 @@ class ShapeProblem:
         """The per-theta memo of the last theta object seen."""
         memo = self.__dict__.get("_theta_memo")
         if memo is None or memo.theta is not theta:
-            memo = self._theta_memo = SimpleNamespace(theta=theta, samples=None,
+            memo = self._theta_memo = SimpleNamespace(theta=theta, nodal=None, samples=None,
                                                       material=None, resolved={})
         return memo
+
+    def nodal(self, theta):
+        """theta at the mesh nodes, (N, 2), once per theta."""
+        memo = self._memo(theta)
+        if memo.nodal is None:
+            memo.nodal = theta.eval(self.mesh.nodes)
+        return memo.nodal
 
     def samples(self, theta):
         """``theta_samples`` of theta on ``space`` in ``theta_mode``, once per theta."""
@@ -300,7 +433,8 @@ class ShapeProblem:
         return memo.samples
 
     def breakdown(self, theta):
-        return assemble_dJ(self.tensors(), self.samples(theta))
+        """The ``ShapeGradient`` of ``tensors()`` paired with theta at the nodes."""
+        return self.tensors().pair(self.nodal(theta))
 
     def derivative(self, theta):
         return self.breakdown(theta).total
@@ -621,6 +755,10 @@ class ManufacturedProblem(ShapeProblem):
 
     def _build_tensors(self):
         return self._tensor_form(self.fields, self.space)
+
+    def breakdown(self, theta):
+        """The per-point tensors paired with the analytic samples of theta."""
+        return assemble_dJ(self.tensors(), self.samples(theta))
 
     def raw_derivative(self, theta):
         return self._raw_form(self.fields, self.space, theta)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fem_core import FeSpace
 from .flow import FlowDegeneracyError
-from .shape_assembly import ShapeProblem, ShapeTensors
+from .shape_assembly import ShapeGradient, ShapeProblem, jacobian_gradient
 
 
 def estimate_order(errors):
@@ -258,7 +258,8 @@ class AreaProblem(ShapeProblem):
 
     No PDE is involved; this is the gating check for the transport and
     assembly plumbing (the derivative is assembled through the same
-    tensor path as the PDE problems, with S1 = I).
+    nodal-gradient path as the PDE problems, with S1 = I, whose sum over an
+    element is its area times I).
     """
 
     name = "area"
@@ -272,5 +273,5 @@ class AreaProblem(ShapeProblem):
         return float(np.sum(self.space.qweights))
 
     def _build_tensors(self):
-        eye = np.broadcast_to(np.eye(2), self.space.qweights.shape + (2, 2)).copy()
-        return ShapeTensors(self.space, S1=eye)
+        area = self.space.qweights.sum(axis=1)
+        return ShapeGradient(S1=jacobian_gradient(self.space, area[:, None, None] * np.eye(2)))

@@ -11,7 +11,8 @@ import numpy as np
 from shapegrad import fem_core as fem
 from shapegrad.fem_core import FeSpace, ScalarField
 from shapegrad.parabolic_problem import _spatial_density, initial_rate
-from shapegrad.shape_assembly import lagrangian_tensors
+
+from nodal_references import lagrangian_tensors_per_point
 
 
 class ParabolicOperator:
@@ -140,7 +141,7 @@ def shape_tensors_per_step(problem):
         F = F + problem._scale * 0.5 * dk * dk
         F_x = F_x - problem._scale * dk[..., None] * ud_grad(k)
     A, DA, b, b_x = _spatial_density(data, space.qpoints)
-    S0, S1 = lagrangian_tensors(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
-                                b, b_x, F, F_x)
+    S0, S1 = lagrangian_tensors_per_point(T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
+                                          b, b_x, F, F_x)
     dtp = np.einsum('qa,mab,qb->mq', space.basis, G_d, space.basis)
     return S0, S1, dtp

@@ -3,8 +3,9 @@
 The adjoint is checked against an independent time-reversal oracle (a
 reversed-coefficient forward march assembled with raw calls in the test),
 and the block operator against its own transpose on random vectors.  The
-Gram-accumulated tensors and the batched material right-hand sides are
-checked against per-step reference loops kept in this file.
+Gram-accumulated tensors, as nodal gradients, and the batched material
+right-hand sides are checked against per-step reference loops kept in this
+file, their tensors reduced to the nodes.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ from shapegrad.validation import fd_shape_check
 
 from conftest import HOLDALL, bump_theta, catalog_thetas
 from elliptic_references import eliminate_dirichlet
+from nodal_references import reduce_to_nodes
 from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
                                    shape_tensors_per_step, state_loop)
 
@@ -310,27 +312,28 @@ def test_tensors_zero_for_zero_data(rect_unit):
     data = _data(f_spec=("const 0", "const"), g_spec="const 0",
                  ud_spec=("const 0", "const"), nt=5)
     prob = ParabolicProblem(rect_unit, data, which="j1")
-    ptens = prob.tensors()
-    assert np.abs(ptens.S0).max() == 0.0
-    assert np.abs(ptens.S1).max() == 0.0
-    assert np.abs(ptens.dt_density).max() == 0.0
+    terms = prob.tensors().terms
+    assert np.abs(terms["S0"]).max() == 0.0
+    assert np.abs(terms["S1"]).max() == 0.0
+    assert np.abs(terms["dt_pairing"]).max() == 0.0
     assert prob.derivative(bump_theta()) == 0.0
 
 
 def test_tensor_structure_volume_only(rect_unit):
     prob = ParabolicProblem(rect_unit, _data(nt=4), which="j1")
-    t = prob.tensors()
-    assert t.S2 is None and t.S0_gamma is None and t.S1_gamma is None
+    t = prob.tensors().terms
+    assert t["S2"] is None and t["S0_gamma"] is None and t["S1_gamma"] is None
     assert "dt_pairing" in prob.breakdown(bump_theta()).terms
 
 
 def test_constant_M_tensor_oracle(rect_unit):
     """Spatially constant M: the module's accumulated tensors must equal a
-    from-scratch evaluation of the formulas with no DM contribution."""
+    from-scratch evaluation of the formulas with no DM contribution, both
+    reduced to nodal gradients."""
     data = _data(nt=6)
     data.M = time_matrix("const_mat 2 0.3 1.5")
     prob = ParabolicProblem(rect_unit, data, which="j1")
-    ptens = prob.tensors()
+    terms = prob.tensors().terms
     space = prob.space
     P = space.qpoints
     dt = data.t0 / data.nt
@@ -358,9 +361,10 @@ def test_constant_M_tensor_oracle(rect_unit):
                     - np.einsum('...i,...j->...ij', gu, Mgp)
                     + (scal + 0.5 * d * d)[..., None, None] * I2)
         dtp += pv * (uv - um)
-    assert np.abs(ptens.S0 - S0).max() < 1e-13
-    assert np.abs(ptens.S1 - S1).max() < 1e-13
-    assert np.abs(ptens.dt_density - dtp).max() < 1e-13
+    ref = reduce_to_nodes(space, S0=S0, S1=S1, dt_density=dtp)
+    assert np.abs(terms["S0"] - ref["S0"]).max() < 1e-13
+    assert np.abs(terms["S1"] - ref["S1"]).max() < 1e-13
+    assert np.abs(terms["dt_pairing"] - ref["dt_pairing"]).max() < 1e-13
 
 
 # Per-step reference loops: the tensor and material marches as they were
@@ -510,8 +514,8 @@ def test_ud_split_matches_per_step_evaluation_bit_for_bit(rect_unit, which):
                 assert at_step(k).tobytes() == want.tobytes(), (part, k)
     data.u_d = _PerStepUd(separable)
     per_step = prob._build_tensors()
-    assert split.S0.tobytes() == per_step.S0.tobytes()
-    assert split.S1.tobytes() == per_step.S1.tobytes()
+    assert split.terms["S0"].tobytes() == per_step.terms["S0"].tobytes()
+    assert split.terms["S1"].tobytes() == per_step.terms["S1"].tobytes()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -522,13 +526,15 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     data = _data(nt=7, m_profile=m_profile, f_spec=("sine2 1.5 1 1", "decay 0.4"),
                  g_spec="sine2 1 1 1", ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
-    ptens = prob._build_tensors()
+    terms = prob._build_tensors().terms
     S0, S1, dtp = _reference_tensors(prob)
     P = prob.space.qpoints
     S0_ic = -fem.field_qvalues(prob.p.field(0))[..., None] * data.g.grad(P)
-    assert _rel(ptens.S0 + S0_ic, S0) < 1e-12
-    assert _rel(ptens.S1, S1) < 1e-12
-    assert _rel(ptens.dt_density, dtp) < 1e-12
+    ref = reduce_to_nodes(prob.space, S0=S0, S1=S1, dt_density=dtp)
+    ic = reduce_to_nodes(prob.space, S0=S0_ic)["S0"]
+    assert _rel(terms["S0"] + ic, ref["S0"]) < 1e-12
+    assert _rel(terms["S1"], ref["S1"]) < 1e-12
+    assert _rel(terms["dt_pairing"], ref["dt_pairing"]) < 1e-12
 
     theta = bump_theta()
     udot, ell = prob._material(theta)
@@ -551,11 +557,11 @@ def test_block_time_sums_match_per_step_sums(rect_unit, order, m_profile, which)
     data = _data(nt=10, m_profile=m_profile, g_spec="sine2 1 1 1",
                  ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which, order=order)
-    ptens = prob._build_tensors()
+    terms = prob._build_tensors().terms
     S0, S1, dtp = shape_tensors_per_step(prob)
-    assert _rel(ptens.S0, S0) < 1e-12
-    assert _rel(ptens.S1, S1) < 1e-12
-    assert _rel(ptens.dt_density, dtp) < 1e-12
+    ref = reduce_to_nodes(prob.space, S0=S0, S1=S1, dt_density=dtp)
+    for name in ("S0", "S1", "dt_pairing"):
+        assert _rel(terms[name], ref[name]) < 1e-12, name
 
 
 @pytest.mark.parametrize("which", ["j1", "j2"])

@@ -15,7 +15,7 @@ import pytest
 
 from shapegrad import cli, elliptic_problems, fem_core, parabolic_problem, shape_assembly
 from shapegrad.flow import transport_mesh
-from shapegrad.shape_assembly import ShapeTensors
+from shapegrad.shape_assembly import ShapeGradient, ShapeTensors
 
 import elliptic_references
 import parabolic_references
@@ -88,8 +88,9 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         assert np.array_equal(problem.rebuilt(problem.mesh).u.coefficients,
                               problem.u.coefficients)
 
-    # every problem's tensors are one type
-    assert isinstance(problem.tensors(), ShapeTensors)
+    # a problem's tensors are of the one type of its theta mode
+    kind = ShapeGradient if problem.theta_mode == "interpolated" else ShapeTensors
+    assert isinstance(problem.tensors(), kind)
 
     # a re-solve on a transported mesh does the state solve and nothing more:
     # the adjoint and its factorizations are lazy
@@ -205,9 +206,10 @@ def test_validate_solves_the_material_derivative_once(config, tmp_path, monkeypa
 def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp_path,
                                                           monkeypatch):
     """One ``validate`` with the default step lists samples its theta once
-    per mode (the CLI's zero check, the breakdown, the material right-hand
-    side and the FD target read the one sample set; prop5's analytic set
-    serves dJ, its interpolated set the FD target) and transports the mesh
+    per mode (the material right-hand side reads the interpolated set, while
+    the CLI's zero check and the breakdown read theta at the nodes; prop5's
+    analytic set serves its zero check and dJ, its interpolated set the FD
+    target) and transports the mesh
     once per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
     0.04 share the +0.04 re-solve, 8 transports in place of 9.  The
     parabolic FD rows keep no state series, so its Taylor check solves
