@@ -261,8 +261,10 @@ class _EllipticProblem(ShapeProblem):
         return self._load(c.F_gu, c.F_u)
 
     def _L(self, samples):
+        """L(u) on the basis; R grad u keeps the point axis of R and grad u,
+        so at P1 a constant A gives one flux per element."""
         e = self._pde_density(self.u, "x")
-        W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), fem.field_qgrads(self.u))
+        W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), fem.field_grads(self.u))
         bg = None if e.bg is None else e.bg * samples.edge_divg + inner(e.bg_x, samples.edge_val)
         return self._load(W, source_rate(e.b, e.b_x, samples), bg)
 

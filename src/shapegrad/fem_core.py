@@ -470,7 +470,8 @@ def _load(space, dofs, wvals, basis):
 
 
 def assemble_diffusion_values(space, C):
-    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2).
+    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2)
+    or (M, 1, 2, 2) for one value per element, broadcast over the points.
 
     Written out over the two coordinates.  With P1 gradients, constant on
     each element, the weighted coefficient is summed over the quadrature
@@ -482,6 +483,7 @@ def assemble_diffusion_values(space, C):
     if G.shape[1] == 1:
         # point by point, w_0 C_0 + w_1 C_1 + ...: the bits of summing the
         # (M, nq, 2, 2) products over axis 1, without forming them
+        C = np.broadcast_to(C, w.shape + (2, 2))
         WC = w[:, 0, None, None] * C[:, 0]
         for q in range(1, w.shape[1]):
             WC += w[:, q, None, None] * C[:, q]
@@ -531,7 +533,8 @@ def assemble_load_values(space, vals):
 
 
 def assemble_grad_load_values(space, W):
-    """Vector with entries int W . grad phi_i, W of shape (M, nq, 2).
+    """Vector with entries int W . grad phi_i, W of shape (M, nq, 2), or
+    (M, 1, 2) for one value per element.
 
     With P1 gradients, constant on each element, the weighted W is summed
     over the points first, one sum per coordinate a, and a local entry is

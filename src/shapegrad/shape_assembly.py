@@ -41,7 +41,11 @@ A problem's ``theta_mode`` says which theta it pairs with:
 ``theta_samples`` gives theta and Dtheta at the volume and edge quadrature
 points in either mode, and D2theta or None; ``ThetaSamples`` derives from
 Dtheta ``vol_div`` = tr Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n,
-which the material right-hand sides read.
+which the material right-hand sides read.  The vertex interpolant's Dtheta
+is stored at the rank it has, with a point axis of length 1: one matrix per
+element and, on an edge, its owner's, as ``FeSpace.grads`` stores the P1
+gradients.  The rates built from it broadcast that axis against their other
+factors, so a constant A gives one flux rate per element.
 
 One Lagrangian kernel
 ---------------------
@@ -88,10 +92,11 @@ class ThetaSamples:
 
     def __init__(self, space, vol_val, vol_jac, vol_hess, edge_val, edge_jac):
         self.vol_val = vol_val          # (M, nq, 2)
-        self.vol_jac = vol_jac          # (M, nq, 2, 2)
+        self.vol_jac = vol_jac          # (M, nq, 2, 2); interpolated (M, 1, 2, 2)
         self.vol_hess = vol_hess        # (M, nq, 2, 2, 2) or None
         self.edge_val = edge_val        # (B, nqe, 2)
-        self.edge_jac = edge_jac        # (B, nqe, 2, 2)
+        self.edge_jac = edge_jac        # (B, nqe, 2, 2); interpolated (B, 1, 2, 2)
+        # vol_div (M, nq) and edge_divg (B, nqe), or (M, 1) and (B, 1) interpolated
         self.vol_div = np.einsum('mqii->mq', vol_jac)
         n = space.edge_normal
         jn = np.einsum('bqij,bj->bqi', edge_jac, n)
@@ -102,8 +107,11 @@ def theta_samples(space, theta, mode="interpolated"):
     """Sample ``theta`` on the quadrature skeleton of ``space``.
 
     In ``interpolated`` mode the samples come from nodal values through
-    the affine geometry interpolant (see module docstring); in
-    ``analytic`` mode they come from the field's own derivative closures.
+    the affine geometry interpolant (see module docstring): Dtheta is one
+    matrix per element, ``vol_jac`` (M, 1, 2, 2), and ``edge_jac`` is the
+    owner's, (B, 1, 2, 2), so ``vol_div`` and ``edge_divg`` are (M, 1) and
+    (B, 1); theta itself is sampled at every point.  In ``analytic`` mode
+    every sample comes from the field's own closures at every point.
     """
     if mode == "analytic":
         return ThetaSamples(space, theta.eval(space.qpoints), theta.jac(space.qpoints),
@@ -118,8 +126,7 @@ def theta_samples(space, theta, mode="interpolated"):
     lmb = space.vol_rule.points
     vol_val = np.einsum('qk,mkd->mqd', lmb, tv)
     dtheta = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)  # (M, 2, a)
-    jac_el = np.einsum('mia,mja->mij', dtheta, space.invJT)
-    vol_jac = np.broadcast_to(jac_el[:, None], (len(tv), len(lmb), 2, 2)).copy()
+    vol_jac = np.einsum('mia,mja->mij', dtheta, space.invJT)[:, None]
 
     be = mesh.boundary_edges
     ta = nodal[be[:, 0]]
@@ -127,8 +134,7 @@ def theta_samples(space, theta, mode="interpolated"):
     t = space.edg_rule.points
     edge_val = ta[:, None, :] * (1.0 - t)[None, :, None] + tb[:, None, :] * t[None, :, None]
     # the owning triangle's Dtheta: along the edge it gives the nodal rate
-    edge_jac = vol_jac[space.edge_owner][:, :1, :, :].repeat(len(t), axis=1)
-    return ThetaSamples(space, vol_val, vol_jac, None, edge_val, edge_jac)
+    return ThetaSamples(space, vol_val, vol_jac, None, edge_val, vol_jac[space.edge_owner])
 
 
 def material_tensor_rate(M, samples):
@@ -136,12 +142,14 @@ def material_tensor_rate(M, samples):
 
     Pointwise ``div(theta) M - Dtheta M - M Dtheta^T`` at the volume
     quadrature points; ``M`` is a constant (2, 2) matrix or an array of
-    per-point values broadcastable to ``samples.vol_jac``.
+    per-point values that broadcasts against ``samples.vol_jac``.  The rate
+    has the broadcast shape of the two: with an interpolated Dtheta, one
+    per element (point axis of length 1), a constant M gives one rate per
+    element and a per-point M one per point.
     """
     J = samples.vol_jac
-    MM = np.broadcast_to(M, J.shape)
-    return samples.vol_div[..., None, None] * MM \
-        - tc.matmul2(J, MM) - tc.matmul2(MM, np.swapaxes(J, -1, -2))
+    return samples.vol_div[..., None, None] * M \
+        - tc.matmul2(J, M) - tc.matmul2(M, np.swapaxes(J, -1, -2))
 
 
 def _sum(*terms):
@@ -693,7 +701,8 @@ def cost_transport_derivative(fields, space, samples):
     quadrature points: int dF/dx(x, u) . theta + F(x, u) div theta, with
     theta and div theta the ``vol_val`` and ``vol_div`` of ``samples``.
     With interpolated samples it is the exact derivative of that sum (see
-    ``theta_samples``).
+    ``theta_samples``), and ``vol_div``, one value per element with a point
+    axis of length 1, is broadcast against F at the points.
     """
     P = space.qpoints
     u = fields.u(P)

@@ -330,6 +330,17 @@ def test_p1_stiffness_point_sum_keeps_the_bits(quad_degree):
                          _stiffness_summed_products(space, C))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_element_rank_coefficient_keeps_the_bits(order):
+    """A coefficient with one value per element, point axis of length 1,
+    assembles to the bits of its copy at every quadrature point."""
+    space = fem.FeSpace(gen_disk((0, 0), 1.0, 3), order=order)
+    C = np.random.default_rng(order).standard_normal((space.qweights.shape[0], 1, 2, 2))
+    assert _same_csr(fem.assemble_diffusion_values(space, C),
+                     fem.assemble_diffusion_values(
+                         space, np.broadcast_to(C, space.qweights.shape + (2, 2)).copy()))
+
+
 def test_one_plan_per_topology_and_layout_over_a_validate(tmp_path, monkeypatch):
     """A robin-disk ``validate`` transports 8 meshes; every matrix on them
     comes from the reference topology's two plans (P1 element and P1

@@ -17,6 +17,7 @@ from shapegrad.validation import estimate_order, fd_shape_check
 from conftest import HOLDALL, catalog_thetas, bump_theta
 from flow_references import edge_stretch_rate
 from manufactured_references import analytic_transport_derivative, written_out
+from sample_references import per_point_samples
 
 
 def _sum_fields(a, b):
@@ -240,17 +241,21 @@ def test_material_tensor_rate_formula(disk4):
 @pytest.mark.parametrize("mode", ["interpolated", "analytic"])
 def test_material_tensor_rate_matches_einsum_bit_for_bit(disk4, mode):
     """The term-by-term products give the bits of the batched einsums
-    D theta M and M D theta^T, for a constant (Robin) and a per-point
-    (parabolic affine) M."""
+    D theta M and M D theta^T at every point, for a constant (Robin) and a
+    per-point (parabolic affine) M.  An interpolated Dtheta has one value
+    per element: its rate, broadcast to the points, is checked against the
+    einsums over Dtheta copied to every point (``per_point_samples``)."""
     space = FeSpace(disk4, order=1)
     samples = theta_samples(space, bump_theta(), mode)
-    J = samples.vol_jac
+    points = samples if mode == "analytic" else per_point_samples(space, bump_theta())
+    J = points.vol_jac
     affine = parse_matrix("affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3")
     for M in (np.array([[2.0, 0.0], [0.0, 1.0]]), affine.value(space.qpoints)):
         MM = np.broadcast_to(M, J.shape)
-        want = samples.vol_div[..., None, None] * MM \
+        want = points.vol_div[..., None, None] * MM \
             - np.einsum('mqij,mqjk->mqik', J, MM) - np.einsum('mqij,mqkj->mqik', MM, J)
-        assert material_tensor_rate(M, samples).tobytes() == want.tobytes()
+        got = np.broadcast_to(material_tensor_rate(M, samples), want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("theta", catalog_thetas(), ids=lambda t: t.name)
