@@ -413,12 +413,9 @@ def cmd_check(args):
     out = _outdir(args, cfg)
     timings = {}
     problem = _timed(timings, "build", lambda: build_problem(cfg, build_mesh(cfg)))
-    # a theta whose every sample is zero would pass every check with dJ = 0;
-    # an interpolated theta's samples are all zero exactly when its nodal
-    # values are
     moves = problem.nodal(theta).any()
-    if not (moves if problem.theta_mode == "interpolated"
-            else any(map(np.any, vars(problem.samples(theta)).values()))):
+    # a theta whose every sample is zero would pass every check with dJ = 0
+    if problem.theta_vanishes(theta):
         raise ConfigError(f"[theta] field {theta.name!r} is zero on the whole mesh")
     # an FD row moves the mesh nodes only: a theta zero at all of them
     # leaves every row on the reference mesh, a pass with dJ unchecked

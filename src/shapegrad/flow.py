@@ -3,12 +3,13 @@ Velocity fields and the mesh transport T_s = id + s theta.
 
 A velocity field theta comes with hand-coded Jacobian and second
 derivatives.  A mesh is transported by moving its nodes by the
-perturbation of the identity T_s = id + s theta: one evaluation of theta
-per mesh, and DT_s = I + s Dtheta.  The shape derivative dJ(Omega)(theta)
-depends on the family T_s only through its s-derivative theta at s = 0,
-which the flow of theta shares (Delfour and Zolesio, *Shapes and
-Geometries*, 2nd ed., SIAM 2011).  The pullback factors of T_s and their
-s-derivatives at s = 0 are
+perturbation of the identity T_s = id + s theta, DT_s = I + s Dtheta:
+``transport_mesh`` adds s times theta's values at the nodes, which a
+problem evaluates once for every s (``ShapeProblem.nodal``).  The shape
+derivative dJ(Omega)(theta) depends on the family T_s only through its
+s-derivative theta at s = 0, which the flow of theta shares (Delfour and
+Zolesio, *Shapes and Geometries*, 2nd ed., SIAM 2011).  The pullback
+factors of T_s and their s-derivatives at s = 0 are
 
     xi(s) = det DT_s                      xi'(0) = div(theta)
     xi(s) DT_s^-1 Q DT_s^-T               div(theta) Q - Dtheta Q - Q Dtheta^T
@@ -17,16 +18,17 @@ s-derivatives at s = 0 are
 The derivatives are computed where dJ is assembled, at the quadrature
 points: ``shape_assembly.material_tensor_rate`` gives the matrix rate and
 ``shape_assembly.ThetaSamples`` derives the divergences (``vol_div``,
-``edge_divg``) from Dtheta, the same way for both sampling modes.
+``edge_divg``) from Dtheta, the same way for the interpolated and the
+analytic samples.
 
 Catalog fields are optionally multiplied by a C^2 cutoff that vanishes
 with two derivatives on the faces of a support box, so all fields can be
 made compactly supported without losing analytic derivatives.  Its ramps
 occupy a ``RAMP`` fraction of each box extent.
 
-The values of the bumps and of the cutoff, which the nodal samples of
-``theta_samples`` (and so every interpolated dJ) and the transport read,
-keep the bits of the broadcast and ``einsum`` forms
+The values of the bumps and of the cutoff, and so the nodal values that
+every interpolated dJ, sample and transported mesh reads, keep the bits
+of the broadcast and ``einsum`` forms
 (``tests/flow_references.py`` keeps those): a confined field's value is its
 base value times the cutoff's value at every point, multiplied in one
 component at a time, and a bump's value is the ``einsum`` outer product of
@@ -73,27 +75,10 @@ class VectorFieldSpec:
         return f"VectorFieldSpec({self.name!r})"
 
 
-def advect_batch(theta, s, x0):
-    """Move points by the perturbation of the identity T_s = id + s theta.
-
-    Parameters
-    ----------
-    theta : VectorFieldSpec
-    s : float
-        May be negative.
-    x0 : (n, 2) array
-
-    Returns
-    -------
-    X : (n, 2) array ``x0 + s * theta(x0)``, one evaluation of theta.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    return x0 + s * theta.eval(x0)
-
-
-def transport_mesh(theta, s, mesh):
-    """Move every node of ``mesh`` by T_s = id + s theta; connectivity and
-    hold-all are kept.
+def transport_mesh(nodal, s, mesh):
+    """Move every node of ``mesh`` by T_s = id + s theta, given theta's
+    values ``nodal`` (N, 2) at the nodes: the new nodes are
+    ``mesh.nodes + s * nodal``.  Connectivity and hold-all are kept.
 
     Raises
     ------
@@ -102,9 +87,8 @@ def transport_mesh(theta, s, mesh):
         of non-positive signed area (the message reports the first one),
         or a node that is not finite or leaves the hold-all box.
     """
-    X = advect_batch(theta, s, mesh.nodes)
     try:
-        return mesh.with_nodes(X)
+        return mesh.with_nodes(mesh.nodes + s * nodal)
     except InvertedTriangleError as exc:
         raise FlowDegeneracyError(
             f"transport inverts triangle {exc.index} (signed area {exc.area:.3e}) at s={s}") from None
@@ -175,8 +159,7 @@ def _apply_cutoff(val, jac, hess, box):
         return val, grad, hess
 
     def v(P):
-        # transport and the nodal samples call only this: skip the
-        # cutoff's derivatives
+        # the nodal values call only this: skip the cutoff's derivatives
         out = val(P)
         r = (_axis_value(P[..., 0], lo[0], hi[0], w[0])
              * _axis_value(P[..., 1], lo[1], hi[1], w[1]))

@@ -110,23 +110,23 @@ class TimeSeriesField:
         return ScalarField(self.space, self.values[k])
 
 
-def dof_velocities(space, theta):
-    """Velocities of the degrees of freedom under nodal transport.
+def dof_velocities(space, nodal):
+    """Velocities of the degrees of freedom under nodal transport, from
+    theta's values ``nodal`` (N, 2) at the mesh nodes.
 
     Vertices move with theta; P2 midpoint dofs move with the average of
     their edge endpoints (the transported midpoint stays a midpoint).
     """
-    v = theta.eval(space.mesh.nodes)
     if space.order == 1:
-        return v
+        return nodal
     e = space.mesh.topology.edges
-    return np.vstack([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]])])
+    return np.vstack([nodal, 0.5 * (nodal[e[:, 0]] + nodal[e[:, 1]])])
 
 
-def initial_rate(space, data, theta):
-    """d/ds of the interpolated initial value: dof values of I_h(grad g . theta)."""
-    vel = dof_velocities(space, theta)
-    return inner(data.g.grad(space.dof_coords), vel)
+def initial_rate(space, data, nodal):
+    """d/ds of the interpolated initial value: dof values of I_h(grad g . theta),
+    from theta's values ``nodal`` at the mesh nodes."""
+    return inner(data.g.grad(space.dof_coords), dof_velocities(space, nodal))
 
 
 def _profile_values(entry, times):
@@ -295,7 +295,7 @@ class ParabolicProblem(ShapeProblem):
         ell[1:] += w_M[:, None] * (K_R @ U[1:].T).T
         ell[1:] += w_f[:, None] * Bdot
         ell[1:] *= self.keep
-        udot0 = initial_rate(space, data, theta)
+        udot0 = initial_rate(space, data, self.nodal(theta))
         ell[0] = -(self.Mu @ udot0)
         vals = self.march(udot0, lambda k: -ell[k])
         return TimeSeriesField(space, vals, data.t0), ell
@@ -370,4 +370,4 @@ class ParabolicProblem(ShapeProblem):
         return AssembledDerivative({
             **super().breakdown(theta).terms,
             "ic_pairing": -fem.dot(self._ic_weights,
-                                   initial_rate(self.space, self.data, theta))})
+                                   initial_rate(self.space, self.data, self.nodal(theta)))})

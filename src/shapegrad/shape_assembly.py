@@ -10,42 +10,42 @@ velocity field theta as
               + int_G S0_G.theta + S1_G : Dtheta
 
 (a tangential pairing S1_G : D_G theta is the full one of S1_G (I - n x n)).
-A problem's ``theta_mode`` says which theta it pairs with:
+Every problem but the manufactured ones pairs with theta's vertex
+interpolant, at P1 and P2 alike: theta at the mesh nodes interpolated with
+the piecewise-affine geometry map.  Dtheta is constant on an element, and
+on a boundary edge it is the owning element's, so the edge's tangential
+pairing is its stretch rate.  This matches, exactly, the s-derivative of
+any quantity assembled on the transported mesh whose nodes move with
+theta, which is what makes the finite-difference validation quotients
+converge cleanly to the assembled value.  The interpolant has no second
+derivative, so there is no S2 term, and dJ is a linear form in theta's
+nodal values:
 
-``interpolated``
-    theta's vertex interpolant, at P1 and P2 alike: theta at the mesh
-    nodes interpolated with the piecewise-affine geometry map.  Dtheta is
-    constant on an element, and on a boundary edge it is the owning
-    element's, so the edge's tangential pairing is its stretch rate.  This
-    matches, exactly, the s-derivative of any quantity assembled on the
-    transported mesh whose nodes move with theta, which is what makes the
-    finite-difference validation quotients converge cleanly to the
-    assembled value.  The interpolant has no second derivative, so there
-    is no S2 term, and dJ is a linear form in theta's nodal values:
+    dJ(theta) = sum_n g_n . theta(x_n),
 
-        dJ(theta) = sum_n g_n . theta(x_n),
+a ``ShapeGradient`` with one (N, 2) nodal gradient g per term.  A term
+paired with theta at the points (S0, S0_G) is summed against the points'
+barycentric weights (``point_gradient``); one paired with Dtheta (S1,
+S1_G) is summed over each element's (edge's) points and contracted with
+the barycentric gradients of the element (the edge's owner)
+(``jacobian_gradient``).  No per-point tensor is formed: the kernel forms
+these sums.
 
-    a ``ShapeGradient`` with one (N, 2) nodal gradient g per term.  A term
-    paired with theta at the points (S0, S0_G) is summed against the
-    points' barycentric weights (``point_gradient``); one paired with
-    Dtheta (S1, S1_G) is summed over each element's (edge's) points and
-    contracted with the barycentric gradients of the element (the edge's
-    owner) (``jacobian_gradient``).  No per-point tensor is formed: the
-    kernel forms these sums.
+So theta enters the interpolated pipeline once, as its values at the
+nodes (``ShapeProblem.nodal``): dJ pairs them, ``theta_samples`` builds
+the material samples from them, and ``flow.transport_mesh`` moves the mesh
+by s times them.  The manufactured problems pair per-point
+``ShapeTensors`` with ``analytic_samples``, theta, Dtheta and D2theta from
+the field's closures at the quadrature points, in ``assemble_dJ``.
 
-``analytic``
-    theta, Dtheta, D2theta from the field's closures at the quadrature
-    points: the manufactured problems store per-point ``ShapeTensors`` and
-    ``assemble_dJ`` pairs them with those samples.
-
-``theta_samples`` gives theta and Dtheta at the volume and edge quadrature
-points in either mode, and D2theta or None; ``ThetaSamples`` derives from
-Dtheta ``vol_div`` = tr Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n,
-which the material right-hand sides read.  The vertex interpolant's Dtheta
-is stored at the rank it has, with a point axis of length 1: one matrix per
-element and, on an edge, its owner's, as ``FeSpace.grads`` stores the P1
-gradients.  The rates built from it broadcast that axis against their other
-factors, so a constant A gives one flux rate per element.
+``ThetaSamples`` holds theta and Dtheta at the volume and edge quadrature
+points, and D2theta or None, and derives from Dtheta ``vol_div`` = tr
+Dtheta and ``edge_divg`` = tr Dtheta - (Dtheta n) . n, which the material
+right-hand sides read.  The vertex interpolant's Dtheta is stored at the
+rank it has, with a point axis of length 1: one matrix per element and, on
+an edge, its owner's, as ``FeSpace.grads`` stores the P1 gradients.  The
+rates built from it broadcast that axis against their other factors, so a
+constant A gives one flux rate per element.
 
 One Lagrangian kernel
 ---------------------
@@ -103,25 +103,15 @@ class ThetaSamples:
         self.edge_divg = np.einsum('bqii->bq', edge_jac) - np.einsum('bqi,bi->bq', jn, n)
 
 
-def theta_samples(space, theta, mode="interpolated"):
-    """Sample ``theta`` on the quadrature skeleton of ``space``.
-
-    In ``interpolated`` mode the samples come from nodal values through
-    the affine geometry interpolant (see module docstring): Dtheta is one
-    matrix per element, ``vol_jac`` (M, 1, 2, 2), and ``edge_jac`` is the
-    owner's, (B, 1, 2, 2), so ``vol_div`` and ``edge_divg`` are (M, 1) and
-    (B, 1); theta itself is sampled at every point.  In ``analytic`` mode
-    every sample comes from the field's own closures at every point.
+def theta_samples(space, nodal):
+    """The samples of theta's vertex interpolant on the quadrature skeleton
+    of ``space``, from theta's values ``nodal`` (N, 2) at the mesh nodes (see
+    the module docstring): Dtheta is one matrix per element, ``vol_jac``
+    (M, 1, 2, 2), and ``edge_jac`` is the owner's, (B, 1, 2, 2), so
+    ``vol_div`` and ``edge_divg`` are (M, 1) and (B, 1); theta itself is
+    interpolated at every point.
     """
-    if mode == "analytic":
-        return ThetaSamples(space, theta.eval(space.qpoints), theta.jac(space.qpoints),
-                            theta.hess(space.qpoints), theta.eval(space.edge_qpoints),
-                            theta.jac(space.edge_qpoints))
-    if mode != "interpolated":
-        raise ValueError(f"unknown theta sampling mode {mode!r}")
-
     mesh = space.mesh
-    nodal = theta.eval(mesh.nodes)                       # (N, 2)
     tv = nodal[mesh.triangles]                           # (M, 3, 2)
     lmb = space.vol_rule.points
     vol_val = np.einsum('qk,mkd->mqd', lmb, tv)
@@ -135,6 +125,14 @@ def theta_samples(space, theta, mode="interpolated"):
     edge_val = ta[:, None, :] * (1.0 - t)[None, :, None] + tb[:, None, :] * t[None, :, None]
     # the owning triangle's Dtheta: along the edge it gives the nodal rate
     return ThetaSamples(space, vol_val, vol_jac, None, edge_val, vol_jac[space.edge_owner])
+
+
+def analytic_samples(space, theta):
+    """theta, Dtheta and D2theta from the field's closures at every volume
+    and edge quadrature point of ``space``."""
+    return ThetaSamples(space, theta.eval(space.qpoints), theta.jac(space.qpoints),
+                        theta.hess(space.qpoints), theta.eval(space.edge_qpoints),
+                        theta.jac(space.edge_qpoints))
 
 
 def material_tensor_rate(M, samples):
@@ -370,17 +368,19 @@ class ShapeProblem:
     ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
-    every problem (both sides are -<A udot, p>).  In ``interpolated`` mode
-    ``_build_tensors()`` is a ``ShapeGradient``, which ``breakdown`` pairs
-    with theta at the mesh nodes; the analytic mode overrides
-    ``breakdown``.
+    every problem (both sides are -<A udot, p>).  ``_build_tensors()`` is a
+    ``ShapeGradient``, which ``breakdown`` pairs with theta at the mesh
+    nodes; the manufactured problems override ``breakdown``, ``_sample``
+    and ``theta_vanishes``.
 
     What a problem computes from a theta it computes once, for the last
     theta object seen (another object, equal or not, starts afresh): the
-    ``nodal`` values that ``breakdown`` and the CLI read, the ``samples``
-    that the material right-hand side reads, the one ``_material`` solve
-    that ``material`` and ``duality_pair`` share, and the transported
-    re-solves of ``resolved``, which the FD and Taylor checks share.
+    read-only ``nodal`` values, the one evaluation of theta that
+    ``breakdown``, the samples, the transport and the CLI read; the
+    ``samples``, ``_sample(theta)``, that the material right-hand side
+    reads; the one ``_material`` solve that ``material`` and
+    ``duality_pair`` share; and the transported re-solves of ``resolved``,
+    which the FD and Taylor checks share.
 
     Capability flags name the oracles a problem supports: ``fd_target``
     labels the limit ``fd_value(theta)`` of the FD quotients of the
@@ -395,7 +395,6 @@ class ShapeProblem:
     fd_target = "dJ"
     has_state = True
     dual_form = False
-    theta_mode = "interpolated"
 
     def __init__(self, mesh, *params):
         self.mesh = mesh
@@ -427,18 +426,28 @@ class ShapeProblem:
         return memo
 
     def nodal(self, theta):
-        """theta at the mesh nodes, (N, 2), once per theta."""
+        """theta at the mesh nodes, (N, 2) and read-only, once per theta."""
         memo = self._memo(theta)
         if memo.nodal is None:
             memo.nodal = theta.eval(self.mesh.nodes)
+            memo.nodal.flags.writeable = False
         return memo.nodal
 
+    def _sample(self, theta):
+        """The material samples of theta: its vertex interpolant's."""
+        return theta_samples(self.space, self.nodal(theta))
+
     def samples(self, theta):
-        """``theta_samples`` of theta on ``space`` in ``theta_mode``, once per theta."""
+        """``_sample(theta)``, once per theta."""
         memo = self._memo(theta)
         if memo.samples is None:
-            memo.samples = theta_samples(self.space, theta, self.theta_mode)
+            memo.samples = self._sample(theta)
         return memo.samples
+
+    def theta_vanishes(self, theta):
+        """Whether every sample of theta is zero: the vertex interpolant's
+        are exactly when the nodal values are, so none is built."""
+        return not self.nodal(theta).any()
 
     def breakdown(self, theta):
         """The ``ShapeGradient`` of ``tensors()`` paired with theta at the nodes."""
@@ -469,8 +478,8 @@ class ShapeProblem:
                 fem.dot(np.ravel(self.B), udot.coefficients))
 
     def resolved(self, theta, s, state=False):
-        """(cost, state coefficients) of the problem rebuilt on
-        ``transport_mesh(theta, s, mesh)``, solved once per (theta, s).
+        """(cost, state coefficients) of the problem rebuilt on the mesh
+        moved by s times the ``nodal`` values, solved once per (theta, s).
         The memo keeps no problem or space, only the cost and the state
         coefficients of the rows a Taylor check reads: those that ``state``
         asks for, and, when the state is one vector, every s > 0 row, so
@@ -481,7 +490,7 @@ class ShapeProblem:
         rows, key = self._memo(theta).resolved, float(s)
         row = rows.get(key)
         if row is None or state and row[1] is None:
-            problem = self.rebuilt(transport_mesh(theta, s, self.mesh), theta, s)
+            problem = self.rebuilt(transport_mesh(self.nodal(theta), s, self.mesh), theta, s)
             u = problem.u.coefficients if self.has_state else None
             keep = u is not None and (state or s > 0 and u.size == self.dof_count)
             row = rows[key] = (problem.cost(), u if keep else None)
@@ -721,20 +730,19 @@ class ManufacturedProblem(ShapeProblem):
     """Closed-form fields wired into the problem protocol.
 
     The state and adjoint are analytic, so there is nothing to solve:
-    ``derivative`` evaluates the tensor representation with theta sampled
-    analytically and ``raw_derivative`` the un-grouped display.  The state
-    is carried as a finite-element one is by its dofs: a ``rebuilt``
-    problem takes this problem's state values at the quadrature points,
-    ``_uq``, so a ``resolved`` cost is the cost with the state frozen,
-    sum_q w_q(s) F(x_q(s), u_q) on the transported mesh, and the FD limit
-    ``fd_value`` is its exact s-derivative, ``cost_transport_derivative``
-    with theta interpolated from its nodal values.  This FD table checks the
-    geometric part of dJ on its own.
+    ``derivative`` evaluates the tensor representation against
+    ``analytic_samples``, its ``_sample``, and ``raw_derivative`` the
+    un-grouped display.  The state is carried as a finite-element one is by
+    its dofs: a ``rebuilt`` problem takes this problem's state values at the
+    quadrature points, ``_uq``, so a ``resolved`` cost is the cost with the
+    state frozen, sum_q w_q(s) F(x_q(s), u_q) on the transported mesh, and
+    the FD limit ``fd_value`` is its exact s-derivative,
+    ``cost_transport_derivative`` with the ``theta_samples`` of the nodal
+    values.  This FD table checks the geometric part of dJ on its own.
     """
 
     has_state = False
     dual_form = True
-    theta_mode = "analytic"
 
     def __init__(self, mesh, variant="prop5", order=1):
         if variant not in _MANUFACTURED:
@@ -760,10 +768,16 @@ class ManufacturedProblem(ShapeProblem):
 
     def fd_value(self, theta):
         return cost_transport_derivative(self.fields, self.space,
-                                         theta_samples(self.space, theta))
+                                         theta_samples(self.space, self.nodal(theta)))
 
     def _build_tensors(self):
         return self._tensor_form(self.fields, self.space)
+
+    def _sample(self, theta):
+        return analytic_samples(self.space, theta)
+
+    def theta_vanishes(self, theta):
+        return not any(map(np.any, vars(self.samples(theta)).values()))
 
     def breakdown(self, theta):
         """The per-point tensors paired with the analytic samples of theta."""

@@ -172,8 +172,9 @@ def fd_shape_check(problem, theta, s_list):
     """Difference the problem's ``resolved`` costs at +-s against its
     ``fd_value``, labelled ``fd_target`` in the table's metadata.
 
-    The re-solves, the same problem on ``transport_mesh(theta, s, mesh)``,
-    are shared with a Taylor check of the same theta.  A transport that
+    The re-solves, the same problem on the mesh moved by s theta
+    (``transport_mesh`` of the problem's ``nodal`` values), are shared
+    with a Taylor check of the same theta.  A transport that
     inverts a triangle (``FlowDegeneracyError``) flags the row instead of
     failing the whole study.  The table also carries a Neville
     extrapolation of the clean central quotients to s = 0 (exact for

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from shapegrad.flow import make_field
+from shapegrad.flow import make_field, transport_mesh
 from shapegrad.mesh import gen_disk, gen_rectangle
+from shapegrad.shape_assembly import theta_samples
 
 # Hold-all for the unit disk: its plateau [-1.05, 1.05]^2 covers the disk,
 # so the cutoff's factor is exactly 1.0 on the mesh while the fields still
@@ -28,6 +29,17 @@ def catalog_thetas(box=HOLDALL):
 
 def bump_theta(box=HOLDALL, amp=(0.5, 0.3)):
     return make_field("bump", (amp[0], amp[1], -0.2, 0.1, 0.9), support_box=box)
+
+
+def transported(theta, s, mesh):
+    """``mesh`` moved by T_s = id + s theta: ``transport_mesh`` of theta's
+    values at its nodes."""
+    return transport_mesh(theta.eval(mesh.nodes), s, mesh)
+
+
+def interpolated_samples(space, theta):
+    """``theta_samples`` of theta's values at the nodes of ``space``'s mesh."""
+    return theta_samples(space, theta.eval(space.mesh.nodes))
 
 
 @pytest.fixture(scope="session")

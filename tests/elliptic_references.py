@@ -253,6 +253,6 @@ def duality_pair(problem, theta):
     """The stationary duality pair as first written, on the problem's own
     L(u), factors and row mask: L = keep L(u), udot = A^-1(-L) and
     (<L, p>, <keep B, udot>)."""
-    L = problem._L(theta_samples(problem.space, theta, "interpolated")) * problem._keep
+    L = problem._L(theta_samples(problem.space, theta.eval(problem.mesh.nodes))) * problem._keep
     udot = problem._fact.solve(-L)
     return fem.dot(L, problem.p.coefficients), fem.dot(problem.B * problem._keep, udot)

@@ -4,8 +4,8 @@
   Jacobian DT_s = I + s Dtheta in closed form.  The transport-rate tests
   difference these factors in s and compare the quotients with the rates
   the assembly uses: ``material_tensor_rate`` and the
-  ``vol_div``/``edge_divg`` of ``theta_samples``.
-* The per-edge stretch rate of the nodal interpolant, as interpolated
+  ``vol_div``/``edge_divg`` of ``analytic_samples``.
+* The per-edge stretch rate of the nodal interpolant, as
   ``theta_samples`` computed div_G theta and D_G theta before it derived
   them from the owning element's Dtheta.
 * The values of the bump fields, the value and Jacobian of poly2 and the

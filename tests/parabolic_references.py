@@ -91,7 +91,7 @@ def material_loop(problem, theta, ell):
     """The material snapshots from the step right-hand sides ``ell[1:]``,
     marched in a loop of their own from udot_0 = I_h(grad g . theta)."""
     vals = np.empty((problem.data.nt + 1, problem.space.dof_count))
-    vals[0] = initial_rate(problem.space, problem.data, theta)
+    vals[0] = initial_rate(problem.space, problem.data, theta.eval(problem.mesh.nodes))
     for k in range(1, problem.data.nt + 1):
         vals[k] = problem.step(k, problem.keep * (problem.Mu @ vals[k - 1]) - ell[k])
     return vals

@@ -1,8 +1,8 @@
 """The per-point theta samples that the element-rank Dtheta replaced, kept
 as the reference the material right-hand sides are checked against.
 
-``per_point_samples`` is ``theta_samples`` in ``interpolated`` mode as it
-stored the vertex interpolant's Dtheta: the element's matrix copied to
+``per_point_samples`` is ``theta_samples`` as it stored the vertex
+interpolant's Dtheta: the element's matrix copied to
 every volume quadrature point, (M, nq, 2, 2), and the owner's to every
 edge point, (B, nqe, 2, 2).  ``material_per_point`` is the pair
 (udot, ell) that a problem's ``_material`` returned from those samples:

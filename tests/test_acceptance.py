@@ -26,12 +26,12 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
-from shapegrad.shape_assembly import (ManufacturedProblem, material_tensor_rate,
-                                      theta_samples)
+from shapegrad.shape_assembly import (ManufacturedProblem, analytic_samples,
+                                      material_tensor_rate)
 from shapegrad.validation import (AreaProblem, duality_check, estimate_order,
                                   fd_shape_check, material_taylor_check)
 
-from conftest import HOLDALL, catalog_thetas
+from conftest import HOLDALL, catalog_thetas, interpolated_samples
 from flow_references import pullback_quotients
 from parabolic_references import ParabolicOperator
 
@@ -133,7 +133,7 @@ def test_criterion_2_transport_derivative():
         for theta in catalog_thetas():
             B = _rand(rng, (2, 2))
             Q = B @ B.T + 2.0 * np.eye(2)
-            samples = theta_samples(space, theta, "analytic")
+            samples = analytic_samples(space, theta)
             rate = material_tensor_rate(Q, samples)
             fd_rate, fd_xi, fd_xi_g = pullback_quotients(theta, space, Q, s)
             scale = np.maximum(1.0, np.abs(rate).max(axis=(-2, -1)))
@@ -306,7 +306,7 @@ def test_criterion_7_dirichlet_energy_suite():
             problem = DirichletEnergyProblem(gen_disk((0.0, 0.0), 1.0, level), data)
             assert np.abs(problem.p.coefficients
                           + 2.0 * problem.u.coefficients).max() <= 1e-10
-            samples = theta_samples(problem.space, theta, "interpolated")
+            samples = interpolated_samples(problem.space, theta)
             dJ_boundary = dirichlet_energy_boundary_dJ(data, problem.u, samples)
             gaps.append((0.5 ** level, abs(problem.derivative(theta) - dJ_boundary)))
         hadamard_order = estimate_order(gaps)

@@ -18,11 +18,9 @@ from shapegrad.elliptic_problems import (DirichletEnergyData,
                                          check_quasilinear_bounds,
                                          dirichlet_energy_boundary_dJ)
 from shapegrad.fem_core import ScalarField
-from shapegrad.flow import transport_mesh
 from shapegrad.mesh import gen_disk, gen_rectangle
-from shapegrad.shape_assembly import theta_samples
 
-from conftest import bump_theta, catalog_thetas
+from conftest import bump_theta, catalog_thetas, interpolated_samples, transported
 from flow_references import edge_stretch_rate
 from nodal_references import reduce_to_nodes
 import elliptic_references as refs
@@ -58,8 +56,8 @@ def test_robin_constant_state_zero_derivative(disk4):
     theta = bump_theta()
     assert abs(problem.derivative(theta)) <= 1e-10
     s = 0.01
-    jp = problem.rebuilt(transport_mesh(theta, +s, disk4)).cost()
-    jm = problem.rebuilt(transport_mesh(theta, -s, disk4)).cost()
+    jp = problem.rebuilt(transported(theta, +s, disk4)).cost()
+    jm = problem.rebuilt(transported(theta, -s, disk4)).cost()
     assert abs((jp - jm) / (2 * s)) <= 1e-10
 
 
@@ -115,7 +113,7 @@ def test_robin_duality_and_tensor_consistency(disk4):
     for theta in (bump_theta(), catalog_thetas()[4]):
         lhs, rhs = problem.duality_pair(theta)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-        samples = theta_samples(problem.space, theta, "interpolated")
+        samples = interpolated_samples(problem.space, theta)
         partial = refs.robin_partial_cost(problem.u, samples)
         total = problem.derivative(theta)
         assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
@@ -128,8 +126,8 @@ def test_robin_fd_convergence(disk4):
     svals = np.array([0.02, 0.01, 0.005])
     errs = []
     for s in svals:
-        jp = problem.rebuilt(transport_mesh(theta, +s, disk4)).cost()
-        jm = problem.rebuilt(transport_mesh(theta, -s, disk4)).cost()
+        jp = problem.rebuilt(transported(theta, +s, disk4)).cost()
+        jm = problem.rebuilt(transported(theta, -s, disk4)).cost()
         errs.append(abs((jp - jm) / (2 * s) - d))
     errs = np.array(errs)
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
@@ -144,7 +142,7 @@ def test_robin_material_taylor(disk4):
     svals = np.array([0.16, 0.08, 0.04])
     errs = []
     for s in svals:
-        us = problem.rebuilt(transport_mesh(theta, s, disk4)).u.coefficients
+        us = problem.rebuilt(transported(theta, s, disk4)).u.coefficients
         diff = us - problem.u.coefficients - s * udot.coefficients
         errs.append(problem.state_norm(diff))
     order = np.polyfit(np.log(svals), np.log(np.array(errs)), 1)[0]
@@ -236,7 +234,7 @@ def test_quasilinear_duality_and_tensor_consistency(disk4):
     theta = bump_theta()
     lhs, rhs = problem.duality_pair(theta)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-    samples = theta_samples(problem.space, theta, "interpolated")
+    samples = interpolated_samples(problem.space, theta)
     partial = refs.quasilinear_partial_cost(data, problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
@@ -249,8 +247,8 @@ def test_quasilinear_fd_convergence(disk4):
     svals = np.array([0.02, 0.01, 0.005])
     errs = []
     for s in svals:
-        jp = problem.rebuilt(transport_mesh(theta, +s, disk4)).cost()
-        jm = problem.rebuilt(transport_mesh(theta, -s, disk4)).cost()
+        jp = problem.rebuilt(transported(theta, +s, disk4)).cost()
+        jm = problem.rebuilt(transported(theta, -s, disk4)).cost()
         errs.append(abs((jp - jm) / (2 * s) - d))
     errs = np.array(errs)
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
@@ -268,7 +266,7 @@ def test_quasilinear_spatial_m_term(disk4):
     theta = bump_theta()
     lhs, rhs = problem.duality_pair(theta)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-    samples = theta_samples(problem.space, theta, "interpolated")
+    samples = interpolated_samples(problem.space, theta)
     partial = refs.quasilinear_partial_cost(data, problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-12 * (1.0 + abs(total))
@@ -297,7 +295,7 @@ def test_dirichlet_tensor_consistency(disk4):
     problem = DirichletEnergyProblem(disk4, data)
     theta = bump_theta()
     lhs, _ = problem.duality_pair(theta)
-    samples = theta_samples(problem.space, theta, "interpolated")
+    samples = interpolated_samples(problem.space, theta)
     partial = 2.0 * refs.robin_partial_cost(problem.u, samples)
     total = problem.derivative(theta)
     assert abs(total - (lhs + partial)) <= 1e-11 * (1.0 + abs(total))
@@ -310,7 +308,7 @@ def test_dirichlet_volume_vs_boundary_convergence():
     for ref in (3, 4, 5):
         mesh = gen_disk((0.0, 0.0), 1.0, ref)
         problem = DirichletEnergyProblem(mesh, data)
-        samples = theta_samples(problem.space, theta, "interpolated")
+        samples = interpolated_samples(problem.space, theta)
         diffs.append(abs(problem.derivative(theta)
                          - dirichlet_energy_boundary_dJ(data, problem.u, samples)))
         hs.append(2.0 ** -ref)
@@ -326,8 +324,8 @@ def test_dirichlet_fd_convergence(disk4):
     svals = np.array([0.02, 0.01, 0.005])
     errs = []
     for s in svals:
-        jp = problem.rebuilt(transport_mesh(theta, +s, disk4)).cost()
-        jm = problem.rebuilt(transport_mesh(theta, -s, disk4)).cost()
+        jp = problem.rebuilt(transported(theta, +s, disk4)).cost()
+        jm = problem.rebuilt(transported(theta, -s, disk4)).cost()
         errs.append(abs((jp - jm) / (2 * s) - d))
     errs = np.array(errs)
     order = np.polyfit(np.log(svals), np.log(errs), 1)[0]
@@ -351,7 +349,7 @@ def test_dirichlet_material_taylor(disk4):
     svals = np.array([0.16, 0.08, 0.04])
     errs = []
     for s in svals:
-        us = problem.rebuilt(transport_mesh(theta, s, disk4)).u.coefficients
+        us = problem.rebuilt(transported(theta, s, disk4)).u.coefficients
         diff = us - problem.u.coefficients - s * udot.coefficients
         errs.append(problem.state_norm(diff))
     order = np.polyfit(np.log(svals), np.log(np.array(errs)), 1)[0]
@@ -432,7 +430,7 @@ def test_density_kernel_matches_hand_derivation(case, order, disk3):
         else:
             assert _rel(kernel[slot], expected[slot]) <= 1e-13, slot
     for theta in (bump_theta(), catalog_thetas()[1], catalog_thetas()[4]):
-        samples = theta_samples(problem.space, theta, "interpolated")
+        samples = interpolated_samples(problem.space, theta)
         assert _rel(problem._L(samples), L_vector(samples)) <= 1e-13
 
 
@@ -595,7 +593,7 @@ def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypa
     problem = case(disk3, order)[0]
     theta = bump_theta()
     for s in (0.16, 0.01, -0.04):
-        mesh_s = transport_mesh(theta, s, disk3)
+        mesh_s = transported(theta, s, disk3)
         direct = type(problem)(mesh_s, problem.data, order)
         factored = _count_factorizations(monkeypatch)
         resolved = problem.rebuilt(mesh_s, theta, s)
@@ -612,7 +610,7 @@ def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, capl
     factorized, with its bits, and its state line says so; it does not
     raise."""
     theta = bump_theta()
-    mesh_s = transport_mesh(theta, 0.04, disk3)
+    mesh_s = transported(theta, 0.04, disk3)
     for case in (_robin_varying, _quasilinear_varying):
         problem = case(disk3, 1)[0]
         direct = type(problem)(mesh_s, problem.data)
@@ -644,7 +642,7 @@ def test_a_wrong_predictor_converges_to_the_same_state(scale, disk3):
     theta = bump_theta()
     udot = problem.material(theta).coefficients
     for s in (0.16, 0.01, -0.04):
-        mesh_s = transport_mesh(theta, s, disk3)
+        mesh_s = transported(theta, s, disk3)
         right = problem.rebuilt(mesh_s, theta, s)
         wrong = type(problem)(mesh_s, *problem.params)
         wrong.u = wrong.solve(problem, problem.u.coefficients + s * scale * udot)
@@ -660,7 +658,7 @@ def test_a_plain_quasilinear_rebuild_is_the_direct_solve(disk3, monkeypatch):
     solves from u = 0 with each Newton step factorized: the bits of a
     direct solve on that mesh."""
     problem = _quasilinear_varying(disk3, 1)[0]
-    mesh_s = transport_mesh(bump_theta(), 0.04, disk3)
+    mesh_s = transported(bump_theta(), 0.04, disk3)
     direct = QuasilinearProblem(mesh_s, problem.data)
     direct.u
     factored = _count_factorizations(monkeypatch)
@@ -682,7 +680,7 @@ def test_rebuilding_an_unsolved_problem_factorizes_once(cls, data, disk3, monkey
     first, and the re-solve runs GMRES on those factors."""
     factored = _count_factorizations(monkeypatch)
     problem = cls(disk3, data)
-    resolved = problem.rebuilt(transport_mesh(bump_theta(), 0.04, disk3))
+    resolved = problem.rebuilt(transported(bump_theta(), 0.04, disk3))
     assert factored == [problem.dof_count]
     assert "_fact" in vars(problem) and "_fact" not in vars(resolved)
 
@@ -693,7 +691,7 @@ def test_rebuilding_a_rebuilt_problem_uses_the_root_factors(cls, data, disk3, mo
     problem solved directly, the root: it factorizes nothing and gets the
     bits of rebuilding the root itself."""
     theta = bump_theta()
-    mesh_a, mesh_b = (transport_mesh(theta, s, disk3) for s in (0.04, -0.02))
+    mesh_a, mesh_b = (transported(theta, s, disk3) for s in (0.04, -0.02))
     problem = cls(disk3, data)
     resolved = problem.rebuilt(mesh_a)
     factored = _count_factorizations(monkeypatch)
@@ -716,8 +714,8 @@ def test_resolve_logs_its_krylov_statistics(disk3, caplog):
     quasilinear = QuasilinearProblem(disk3, _ql_data())
     quasilinear.material(theta)
     caplog.set_level(logging.INFO, logger="shapegrad")
-    problem.rebuilt(transport_mesh(theta, 0.04, disk3))
-    resolved = quasilinear.rebuilt(transport_mesh(theta, 0.04, disk3), theta, 0.04)
+    problem.rebuilt(transported(theta, 0.04, disk3))
+    resolved = quasilinear.rebuilt(transported(theta, 0.04, disk3), theta, 0.04)
     line, ql_line = [r.getMessage() for r in caplog.records
                      if r.name == "shapegrad.elliptic_problems"]
 

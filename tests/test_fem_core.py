@@ -8,10 +8,9 @@ import scipy.sparse.linalg as spla
 from shapegrad import fem_core as fem
 from shapegrad.data_catalog import parse_rfunction, parse_scalar, time_matrix
 from shapegrad.elliptic_problems import QuasilinearData, QuasilinearProblem
-from shapegrad.flow import transport_mesh
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
-from conftest import bump_theta
+from conftest import bump_theta, transported
 from elliptic_references import eliminate_dirichlet
 
 # frozen by hand: P1 stiffness of the reference triangle (0,0),(1,0),(0,1)
@@ -527,7 +526,7 @@ def test_gmres_solves_an_unsymmetric_jacobian_on_the_factors_of_another(disk4, m
     u1 = space.interpolate(lambda P: 1.2 + np.sin(2.0 * P[..., 0]) * P[..., 1] + 0.3 * P[..., 0])
     b = fem.assemble_load_values(space, 1.0 + space.qpoints[..., 0])
     robin, robin_b = _robin_system(disk4)
-    robin_s, _ = _robin_system(transport_mesh(bump_theta(), 0.04, disk4))
+    robin_s, _ = _robin_system(transported(bump_theta(), 0.04, disk4))
     for J0, J1, b in ((problem.jacobian(u0), problem.jacobian(u1), b),
                       (robin, robin_s, robin_b)):
         fact = fem.Factorized(J0)

@@ -3,12 +3,11 @@ import pytest
 
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
-from shapegrad.flow import (FIELD_CATALOG, FlowDegeneracyError, advect_batch,
-                            make_field, transport_mesh)
-from shapegrad.mesh import gen_disk
-from shapegrad.shape_assembly import material_tensor_rate, theta_samples
+from shapegrad.flow import FIELD_CATALOG, FlowDegeneracyError, make_field, transport_mesh
+from shapegrad.mesh import Mesh, gen_disk
+from shapegrad.shape_assembly import analytic_samples, material_tensor_rate
 
-from conftest import HOLDALL as BOX, THETA_SPECS, catalog_thetas
+from conftest import HOLDALL as BOX, THETA_SPECS, catalog_thetas, transported
 from flow_references import (cutoff_rho, det2, einsum_field, pullback_quotients,
                              transport_jacobian)
 
@@ -20,16 +19,23 @@ RADIAL = make_field("linear", (1.0, 0.0, 0.0, 1.0, 0.0, 0.0))    # theta = x
 
 # ------------------------------------------------------------------ transport
 
+def _point_mesh(P):
+    """The points P as the nodes of a mesh with no triangles: the transport
+    moves each of them, and checks only that they stay in the hold-all."""
+    none = np.zeros((0, 3), dtype=int)
+    return Mesh(P, none, none, holdall_box=[[-10.0, -10.0], [10.0, 10.0]])
+
+
 def test_advect_s_zero_is_identity():
     theta = make_field("rotation", (1.0, 0.0, 0.0))
-    X = advect_batch(theta, 0.0, np.array([[0.3, 0.4]]))
-    assert np.array_equal(X, [[0.3, 0.4]])
+    m = _point_mesh(np.array([[0.3, 0.4]]))
+    assert np.array_equal(transported(theta, 0.0, m).nodes, m.nodes)
 
 
 def test_advect_constant_field_exact_translation():
     theta = make_field("constant", (0.25, -1.5))
     x0 = np.array([[1.0, 2.0]])
-    X = advect_batch(theta, 0.8, x0)
+    X = transported(theta, 0.8, _point_mesh(x0)).nodes
     assert np.abs(X[0] - np.array([1.2, 0.8])).max() < 1e-14
     assert np.array_equal(transport_jacobian(theta, 0.8, x0)[0], np.eye(2))
 
@@ -39,16 +45,17 @@ def test_advect_degenerate_jacobian_raises():
     # mesh folds over
     theta = make_field("bump", (0.0, 200.0, 0.0, 0.0, 0.5))
     with pytest.raises(FlowDegeneracyError, match="inverts triangle"):
-        transport_mesh(theta, 1.0, gen_disk((0.0, 0.0), 1.0, 2))
+        transported(theta, 1.0, gen_disk((0.0, 0.0), 1.0, 2))
 
 
 @pytest.mark.parametrize("theta", CATALOG_FIELDS, ids=lambda t: t.name)
 def test_transport_is_id_plus_s_theta_bit_for_bit(theta):
-    """The transported nodes are x + s theta(x), one evaluation of theta."""
+    """The transported nodes are x + s theta(x), from the nodal values."""
     m = gen_disk((0.0, 0.0), 1.0, 3)
+    nodal = theta.eval(m.nodes)
     for s in (0.16, 0.04, -0.04):
-        moved = transport_mesh(theta, s, m).nodes
-        assert moved.tobytes() == (m.nodes + s * theta.eval(m.nodes)).tobytes()
+        moved = transport_mesh(nodal, s, m).nodes
+        assert moved.tobytes() == (m.nodes + s * nodal).tobytes()
 
 
 @pytest.mark.parametrize("theta", [
@@ -71,8 +78,9 @@ def test_transport_keeps_nodes_where_theta_is_zero(theta):
                      gen_disk((0, 0), 1.0, 3).nodes])
     still = ~theta.eval(pts).any(axis=1)
     assert still.any() == (theta.name != "poly2")
+    mesh = _point_mesh(pts)
     for s in (0.3, -0.05):
-        X = advect_batch(theta, s, pts)
+        X = transported(theta, s, mesh).nodes
         assert X[still].tobytes() == pts[still].tobytes()
         assert (X[~still] != pts[~still]).any(axis=1).all()
 
@@ -80,7 +88,7 @@ def test_transport_keeps_nodes_where_theta_is_zero(theta):
 # ------------------------------------------------------- pullback derivatives
 #
 # The rates the assembly uses (material_tensor_rate and the vol_div and
-# edge_divg of theta_samples) against the pullback factors of T_s = id + s theta,
+# edge_divg of analytic_samples) against the pullback factors of T_s = id + s theta,
 # at the quadrature points of a disk that reaches deep into the cutoff ramp
 # of BOX.
 
@@ -92,12 +100,12 @@ def wide_space():
 def test_xi_radial_field(disk3):
     # theta = x: T_s = (1 + s) id scales every triangle's area by (1 + s)^2
     for s in (0.1, -0.3):
-        ratio = transport_mesh(RADIAL, s, disk3).areas() / disk3.areas()
+        ratio = transported(RADIAL, s, disk3).areas() / disk3.areas()
         assert np.abs(ratio - (1.0 + s) ** 2).max() <= 1e-14
 
 
 def test_m_of_s_symmetric_for_symmetric_Q(wide_space):
-    samples = theta_samples(wide_space, CATALOG_FIELDS[3], "analytic")
+    samples = analytic_samples(wide_space, CATALOG_FIELDS[3])
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])
     R = material_tensor_rate(Q, samples)
     assert np.abs(R - np.swapaxes(R, -1, -2)).max() <= 1e-12 * max(1.0, np.abs(R).max())
@@ -106,14 +114,14 @@ def test_m_of_s_symmetric_for_symmetric_Q(wide_space):
 def test_m_prime0_stretch_example(wide_space):
     # theta = (x1, 0), Q = I  ->  div Q - Dtheta Q - Q Dtheta^T = diag(-1, 1)
     theta = make_field("linear", (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    R = material_tensor_rate(np.eye(2), theta_samples(wide_space, theta, "analytic"))
+    R = material_tensor_rate(np.eye(2), analytic_samples(wide_space, theta))
     assert np.array_equal(R, np.broadcast_to(np.diag([-1.0, 1.0]), R.shape))
 
 
 def test_m_prime0_matches_difference_quotient(wide_space):
     theta = CATALOG_FIELDS[3]
     Q = np.array([[1.5, 0.2], [0.2, 0.8]])
-    R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
+    R = material_tensor_rate(Q, analytic_samples(wide_space, theta))
     # the quotient's O(s^2) truncation error is 1.5e-8 at 1e-4, 1.7e-10 at 1e-5
     fd = pullback_quotients(theta, wide_space, Q, s=1e-5)[0]
     assert np.abs(fd - R).max() <= 1e-8
@@ -127,7 +135,7 @@ def test_m_prime0_fd_all_catalog_fields(wide_space):
     affine = parse_matrix("affine_mat 1.3 -0.2 0.9 0.1 0.2 -0.1 0.05 0.2 0.3")
     Q = affine.value(wide_space.qpoints)
     for theta in CATALOG_FIELDS:
-        R = material_tensor_rate(Q, theta_samples(wide_space, theta, "analytic"))
+        R = material_tensor_rate(Q, analytic_samples(wide_space, theta))
         s = 1e-5 if theta.name == "poly2" else 1e-4
         fd = pullback_quotients(theta, wide_space, Q, s=s)[0]
         scale = np.maximum(1.0, np.abs(R).max(axis=(-2, -1)))
@@ -136,26 +144,26 @@ def test_m_prime0_fd_all_catalog_fields(wide_space):
 
 def test_xi_prime_is_divergence(wide_space):
     for theta in CATALOG_FIELDS:
-        div = theta_samples(wide_space, theta, "analytic").vol_div
+        div = analytic_samples(wide_space, theta).vol_div
         fd = pullback_quotients(theta, wide_space, np.eye(2))[1]
         assert (np.abs(fd - div) <= 1e-6 * np.maximum(1.0, np.abs(div))).all(), theta.name
 
 
 def test_xi_gamma_prime_is_tangential_divergence(wide_space):
     for theta in CATALOG_FIELDS:
-        divg = theta_samples(wide_space, theta, "analytic").edge_divg
+        divg = analytic_samples(wide_space, theta).edge_divg
         fd = pullback_quotients(theta, wide_space, np.eye(2))[2]
         assert (np.abs(fd - divg) <= 1e-6 * np.maximum(1.0, np.abs(divg))).all(), theta.name
 
 
 def test_div_gamma_radial_field(wide_space):
-    divg = theta_samples(wide_space, RADIAL, "analytic").edge_divg
+    divg = analytic_samples(wide_space, RADIAL).edge_divg
     assert np.abs(divg - 1.0).max() <= 1e-12
 
 
 def test_xi_gamma_radial_field(disk3):
     # theta = x: every transported boundary edge is the original scaled by 1 + s
-    moved = transport_mesh(RADIAL, 0.1, disk3)
+    moved = transported(RADIAL, 0.1, disk3)
     a, b = disk3.boundary_edges[:, 0], disk3.boundary_edges[:, 1]
     before = np.hypot(*(disk3.nodes[b] - disk3.nodes[a]).T)
     after = np.hypot(*(moved.nodes[b] - moved.nodes[a]).T)
@@ -167,7 +175,7 @@ def test_xi_gamma_radial_field(disk3):
 def test_transport_mesh_keeps_connectivity():
     m = gen_disk((0, 0), 1.0, 3)
     theta = make_field("bump", (0.3, -0.1, 0.2, 0.0, 0.7), support_box=BOX)
-    mt = transport_mesh(theta, 0.1, m)
+    mt = transported(theta, 0.1, m)
     assert np.array_equal(mt.triangles, m.triangles)
     assert np.array_equal(mt.boundary_edges, m.boundary_edges)
     assert np.array_equal(mt.holdall_box, m.holdall_box)
@@ -184,13 +192,13 @@ def test_transport_mesh_inversion_reports_triangle():
     inverted = np.nonzero(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] <= 0.0)[0]
     assert len(inverted) > 1
     with pytest.raises(FlowDegeneracyError, match=f"inverts triangle {inverted[0]} "):
-        transport_mesh(theta, 0.5, m)
+        transported(theta, 0.5, m)
 
 
 def test_transport_mesh_shares_topology():
     m = gen_disk((0, 0), 1.0, 3)
     theta = make_field("bump", (0.3, -0.1, 0.2, 0.0, 0.7), support_box=BOX)
-    assert transport_mesh(theta, 0.1, m).topology is m.topology
+    assert transported(theta, 0.1, m).topology is m.topology
 
 
 def _cutoff_point_sets():
@@ -251,14 +259,11 @@ def test_advect_matches_einsum_reference_bit_for_bit(name, params, box):
     theta = make_field(name, params, support_box=box)
     ref = einsum_field(name, params, support_box=box)
     sets = _cutoff_point_sets()
-    for P in (sets["plateau"], sets["all"]):
+    for mesh in (_point_mesh(sets["plateau"]), _point_mesh(sets["all"]),
+                 gen_disk((0.2, 0.3), 1.2, 3)):
         for s in (0.04, -0.04, 0.16):
-            X = advect_batch(theta, s, P)
-            assert X.tobytes() == advect_batch(ref, s, P).tobytes()
-    mesh = gen_disk((0.2, 0.3), 1.2, 3)
-    for s in (0.04, -0.04, 0.16):
-        moved = transport_mesh(theta, s, mesh).nodes
-        assert moved.tobytes() == transport_mesh(ref, s, mesh).nodes.tobytes()
+            moved = transported(theta, s, mesh).nodes
+            assert moved.tobytes() == transported(ref, s, mesh).nodes.tobytes()
 
 
 def test_confined_value_on_the_plateau_is_the_base_value():
@@ -363,7 +368,7 @@ def test_xi_matches_triangle_area_ratios():
     s = 0.05
     for ref in (3, 4):
         m = gen_disk((0, 0), 1.0, ref)
-        mt = transport_mesh(theta, s, m)
+        mt = transported(theta, s, m)
         cent = m.nodes[m.triangles].mean(axis=1)
         xi = det2(transport_jacobian(theta, s, cent))
         ratio = mt.areas() / m.areas()

@@ -17,9 +17,8 @@ from shapegrad.elliptic_problems import RobinData, RobinProblem
 from shapegrad.fem_core import FeSpace
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk
-from shapegrad.shape_assembly import theta_samples
 
-from conftest import HOLDALL, bump_theta, catalog_thetas
+from conftest import HOLDALL, bump_theta, catalog_thetas, interpolated_samples
 from sample_references import material_per_point
 from test_nodal_gradient import _area, CASES
 
@@ -29,7 +28,7 @@ MATERIAL_CASES = [case for case in CASES if case is not _area]
 @pytest.mark.parametrize("order", [1, 2])
 def test_interpolated_jacobian_has_one_value_per_element(disk3, order):
     space = FeSpace(disk3, order=order)
-    samples = theta_samples(space, bump_theta(), "interpolated")
+    samples = interpolated_samples(space, bump_theta())
     M, B = space.qweights.shape[0], space.edge_qweights.shape[0]
     assert samples.vol_jac.shape == (M, 1, 2, 2)
     assert samples.edge_jac.shape == (B, 1, 2, 2)

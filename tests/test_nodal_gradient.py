@@ -22,10 +22,9 @@ from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyPro
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
-from shapegrad.shape_assembly import theta_samples
 from shapegrad.validation import AreaProblem
 
-from conftest import HOLDALL, bump_theta, catalog_thetas
+from conftest import HOLDALL, bump_theta, catalog_thetas, interpolated_samples
 import elliptic_references as refs
 from nodal_references import NodalTheta, pair_per_point
 from parabolic_references import shape_tensors_per_step
@@ -94,7 +93,7 @@ def test_nodal_gradient_matches_per_point_pairing(case, order, disk3):
     directions = [NodalTheta(mesh, rng.standard_normal((mesh.n_nodes, 2)))
                   for _ in range(RANDOM_DIRECTIONS)]
     for theta in [bump_theta(), catalog_thetas()[4]] + directions:
-        want = pair_per_point(space, theta_samples(space, theta, "interpolated"), **tensors)
+        want = pair_per_point(space, interpolated_samples(space, theta), **tensors)
         assert {name for name, g in terms.items() if g is not None} == set(want)
         if isinstance(theta, NodalTheta):
             got = {name: fem.dot(terms[name], theta.values) for name in want}

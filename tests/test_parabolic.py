@@ -18,14 +18,15 @@ from shapegrad import tensor_calc as tc
 from shapegrad.data_catalog import (TimeProfile, TimeScalarData, parse_scalar,
                                     time_matrix, time_scalar)
 from shapegrad.fem_core import FeSpace, SolverError
-from shapegrad.flow import make_field, transport_mesh
+from shapegrad.flow import make_field
 from shapegrad.mesh import gen_rectangle
 from shapegrad.parabolic_problem import (ParabolicData, ParabolicProblem, dof_velocities,
                                          initial_rate)
-from shapegrad.shape_assembly import material_tensor_rate, theta_samples
+from shapegrad.shape_assembly import material_tensor_rate
 from shapegrad.validation import fd_shape_check
 
-from conftest import HOLDALL, bump_theta, catalog_thetas
+from conftest import (HOLDALL, bump_theta, catalog_thetas, interpolated_samples,
+                      transported)
 from elliptic_references import eliminate_dirichlet
 from nodal_references import reduce_to_nodes
 from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
@@ -262,9 +263,9 @@ def test_material_zero_theta(rect_unit):
 def test_dof_velocities_p2_midpoints(rect_unit):
     theta = bump_theta()
     space = FeSpace(rect_unit, order=2)
-    vel = dof_velocities(space, theta)
     n = rect_unit.n_nodes
     nodal = theta.eval(rect_unit.nodes)
+    vel = dof_velocities(space, nodal)
     assert np.array_equal(vel[:n], nodal)
     for idx, (a, b) in enumerate(space.mesh.topology.edges):
         assert np.allclose(vel[n + idx], 0.5 * (nodal[a] + nodal[b]))
@@ -302,7 +303,7 @@ def test_tensor_total_matches_duality_path(rect_unit, which):
     prob = ParabolicProblem(rect_unit, _data(nt=10), which=which)
     for theta in catalog_thetas():
         bd = prob.breakdown(theta)
-        samples = theta_samples(prob.space, theta, "interpolated")
+        samples = interpolated_samples(prob.space, theta)
         lhs, _ = prob.duality_pair(theta)
         partial = parabolic_partial_cost(prob, samples)
         assert abs(bd.total - (lhs + partial)) <= 1e-11 * (1.0 + abs(bd.total)), theta.name
@@ -431,13 +432,13 @@ def _reference_tensors(problem):
 
 def _reference_material(data, series, theta, problem):
     space = problem.space
-    samples = theta_samples(space, theta, "interpolated")
+    samples = interpolated_samples(space, theta)
     P = space.qpoints
     dt = problem.dt
     Mdot = fem.assemble_mass_values(space, samples.vol_div)
     ell = np.zeros_like(series.values)
     vals = np.empty_like(series.values)
-    vals[0] = initial_rate(space, data, theta)
+    vals[0] = initial_rate(space, data, theta.eval(space.mesh.nodes))
     udot = vals[0]
     for k in range(1, data.nt + 1):
         t = problem.times[k]
@@ -543,7 +544,8 @@ def test_gram_tensors_and_batched_material_match_per_step_loops(rect_unit, order
     assert _rel(udot.values, vals) < 1e-12
 
     ic = prob.breakdown(theta).terms["ic_pairing"]
-    ic_ref = -float((prob.Mu @ prob.p.values[0]) @ initial_rate(prob.space, data, theta))
+    ic_ref = -float((prob.Mu @ prob.p.values[0])
+                    @ initial_rate(prob.space, data, theta.eval(prob.mesh.nodes)))
     assert abs(ic - ic_ref) <= 1e-12 * abs(ic_ref)
 
 
@@ -602,8 +604,8 @@ def _fd_orders(prob, theta, mesh, s_list):
     j0 = prob.cost()
     central, forward = [], []
     for s in s_list:
-        jp = prob.rebuilt(transport_mesh(theta, +s, mesh)).cost()
-        jm = prob.rebuilt(transport_mesh(theta, -s, mesh)).cost()
+        jp = prob.rebuilt(transported(theta, +s, mesh)).cost()
+        jm = prob.rebuilt(transported(theta, -s, mesh)).cost()
         central.append(abs((jp - jm) / (2.0 * s) - dJ))
         forward.append(abs((jp - j0) / s - dJ))
     scale = 1.0 + abs(dJ)

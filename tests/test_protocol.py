@@ -3,7 +3,9 @@ from its shipped config at a tiny size, re-solving is the same problem on
 new nodes, a re-solve does only the state solve's factorizations and solves
 (a linear one none: it runs GMRES on the reference's factors), the
 capability flags are exactly the checks the CLI writes, and the one duality
-pair of the protocol is each stateful problem's pair as first written."""
+pair of the protocol is each stateful problem's pair as first written.  A
+CLI run evaluates theta at the mesh nodes once, and every consumer reads
+those read-only nodal values."""
 
 import configparser
 import glob
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 from shapegrad import cli, elliptic_problems, fem_core, parabolic_problem, shape_assembly
-from shapegrad.flow import transport_mesh
-from shapegrad.shape_assembly import ShapeGradient, ShapeTensors
+from shapegrad.shape_assembly import ManufacturedProblem, ShapeGradient, ShapeTensors
+from shapegrad.validation import AreaProblem
 
+from conftest import bump_theta, transported
 import elliptic_references
 import parabolic_references
 
@@ -88,14 +91,15 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
         assert np.array_equal(problem.rebuilt(problem.mesh).u.coefficients,
                               problem.u.coefficients)
 
-    # a problem's tensors are of the one type of its theta mode
-    kind = ShapeGradient if problem.theta_mode == "interpolated" else ShapeTensors
+    # the manufactured problems pair per-point tensors with analytic
+    # samples, every other problem a nodal gradient with the nodal values
+    kind = ShapeTensors if isinstance(problem, ManufacturedProblem) else ShapeGradient
     assert isinstance(problem.tensors(), kind)
 
     # a re-solve on a transported mesh does the state solve and nothing more:
     # the adjoint and its factorizations are lazy
     if problem.fd_target == "dJ":
-        mesh_s = transport_mesh(theta, 0.01, problem.mesh)
+        mesh_s = transported(theta, 0.01, problem.mesh)
         if name == "quasilinear":  # one Jacobian factorization per Newton step
             history = problem.rebuilt(mesh_s).newton_history
             expected = (len(history) - 1,) * 3
@@ -205,31 +209,80 @@ def test_validate_solves_the_material_derivative_once(config, tmp_path, monkeypa
                                                 ("prop5-manufactured.cfg", 6)])
 def test_validate_samples_theta_once_and_shares_resolves(config, transports, tmp_path,
                                                           monkeypatch):
-    """One ``validate`` with the default step lists samples its theta once
-    per mode (the material right-hand side reads the interpolated set, while
-    the CLI's zero check and the breakdown read theta at the nodes; prop5's
-    analytic set serves its zero check and dJ, its interpolated set the FD
-    target) and transports the mesh
-    once per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
+    """One ``validate`` with the default step lists builds each kind of
+    theta sample once (the material right-hand side reads the interpolated
+    set, built from the nodal values that the CLI's zero check and dJ read;
+    prop5's analytic set serves its zero check and dJ, its interpolated set
+    the FD target) and transports the mesh once per s: FD at +-0.04, +-0.02, +-0.01 and Taylor at 0.16, 0.08,
     0.04 share the +0.04 re-solve, 8 transports in place of 9.  The
     parabolic FD rows keep no state series, so its Taylor check solves
     +0.04 again; prop5 has no Taylor check."""
     samples, moved = [], []
-    theta_samples, transport = shape_assembly.theta_samples, shape_assembly.transport_mesh
+    transport = shape_assembly.transport_mesh
 
-    def counting_samples(space, theta, mode="interpolated"):
-        samples.append(mode)
-        return theta_samples(space, theta, mode)
+    def counting(kind):
+        build = getattr(shape_assembly, kind)
 
-    def counting_transport(theta, s, mesh):
+        def counted(space, theta_or_nodal):
+            samples.append(kind)
+            return build(space, theta_or_nodal)
+        monkeypatch.setattr(shape_assembly, kind, counted)
+
+    def counting_transport(nodal, s, mesh):
         moved.append(s)
-        return transport(theta, s, mesh)
+        return transport(nodal, s, mesh)
 
-    monkeypatch.setattr(shape_assembly, "theta_samples", counting_samples)
+    counting("theta_samples")
+    counting("analytic_samples")
     monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)
     rc = cli.main(["validate", "--config", os.path.join(CONFIG_DIR, config),
                    "--out", str(tmp_path / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
-    modes = ["analytic", "interpolated"] if config.startswith("prop5") else ["interpolated"]
-    assert sorted(samples) == modes
+    kinds = ["analytic_samples", "theta_samples"] if config.startswith("prop5") \
+        else ["theta_samples"]
+    assert sorted(samples) == kinds
     assert len(moved) == transports, moved
+
+
+@pytest.mark.parametrize("command", ["derive", "validate"])
+@pytest.mark.parametrize("config", sorted(os.path.basename(p) for p in
+                                          glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))))
+def test_theta_is_evaluated_once_at_the_nodes(config, command, tmp_path, monkeypatch):
+    """A CLI run evaluates theta at the reference mesh nodes once: those
+    nodal values feed dJ, the material samples, the parabolic initial rate
+    and every transported mesh of the FD and Taylor rows."""
+    problems, at_nodes = [], []
+    build_problem, build_theta = cli.build_problem, cli.build_theta
+
+    def recording_problem(cfg, mesh):
+        problems.append(build_problem(cfg, mesh))
+        return problems[-1]
+
+    def counting_theta(cfg, required=False):
+        theta = build_theta(cfg, required)
+        evaluate = theta.eval
+
+        def counted(P):
+            nodes = problems[0].mesh.nodes if problems else None
+            if nodes is not None and P.shape == nodes.shape and np.array_equal(P, nodes):
+                at_nodes.append(P)
+            return evaluate(P)
+        theta.eval = counted
+        return theta
+
+    monkeypatch.setattr(cli, "build_problem", recording_problem)
+    monkeypatch.setattr(cli, "build_theta", counting_theta)
+    rc = cli.main([command, "--config", os.path.join(CONFIG_DIR, config),
+                   "--out", str(tmp_path / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert len(problems) == 1
+    assert len(at_nodes) == 1
+
+
+def test_nodal_values_are_read_only(disk3):
+    """No consumer can change the theta that the others read."""
+    problem = AreaProblem(disk3)
+    nodal = problem.nodal(bump_theta())
+    with pytest.raises(ValueError, match="read-only"):
+        nodal[0, 0] = 1.0
+    assert problem.nodal(bump_theta()) is not nodal

@@ -5,16 +5,17 @@ import pytest
 
 from shapegrad.data_catalog import parse_matrix
 from shapegrad.fem_core import FeSpace
-from shapegrad.flow import VectorFieldSpec, make_field, transport_mesh
+from shapegrad.flow import VectorFieldSpec, make_field
 from shapegrad.mesh import gen_disk
 from shapegrad.shape_assembly import (AssembledDerivative, ManufacturedProblem, ShapeTensors,
-                                      assemble_dJ, cost_transport_derivative,
+                                      analytic_samples, assemble_dJ, cost_transport_derivative,
                                       make_manufactured, material_tensor_rate,
                                       prop5_raw_dJ, prop5_tensors, prop6_raw_dJ,
-                                      prop6_tensors, theta_samples)
+                                      prop6_tensors)
 from shapegrad.validation import estimate_order, fd_shape_check
 
-from conftest import HOLDALL, catalog_thetas, bump_theta
+from conftest import (HOLDALL, catalog_thetas, bump_theta, interpolated_samples,
+                      transported)
 from flow_references import edge_stretch_rate
 from manufactured_references import analytic_transport_derivative, written_out
 from sample_references import per_point_samples
@@ -27,8 +28,12 @@ def _sum_fields(a, b):
                            lambda P: a.hess(P) + b.hess(P))
 
 
+#: theta's samples on a space, by the theta it pairs with
+_SAMPLES = {"analytic": analytic_samples, "interpolated": interpolated_samples}
+
+
 def _dJ(tensors, theta, mode):
-    return assemble_dJ(tensors, theta_samples(tensors.space, theta, mode))
+    return assemble_dJ(tensors, _SAMPLES[mode](tensors.space, theta))
 
 
 def _disk_points(n, rmax=0.9, seed=7):
@@ -219,16 +224,11 @@ def test_breakdown_sums_to_total(space4):
     assert abs(br.total - sum(br.terms.values())) < 1e-15
 
 
-def test_assemble_validates_inputs(space4):
-    with pytest.raises(ValueError, match="unknown theta sampling mode"):
-        theta_samples(space4, bump_theta(), "nope")
-
-
 def test_material_tensor_rate_formula(disk4):
     """rate(M) = div M - J M - M J^T, checked entrywise against loops."""
     rng = np.random.default_rng(5)
     space = FeSpace(disk4, order=1)
-    samples = theta_samples(space, bump_theta(), "analytic")
+    samples = analytic_samples(space, bump_theta())
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
     rate = material_tensor_rate(M, samples)
     m, q = 17, 2
@@ -246,7 +246,7 @@ def test_material_tensor_rate_matches_einsum_bit_for_bit(disk4, mode):
     per element: its rate, broadcast to the points, is checked against the
     einsums over Dtheta copied to every point (``per_point_samples``)."""
     space = FeSpace(disk4, order=1)
-    samples = theta_samples(space, bump_theta(), mode)
+    samples = _SAMPLES[mode](space, bump_theta())
     points = samples if mode == "analytic" else per_point_samples(space, bump_theta())
     J = points.vol_jac
     affine = parse_matrix("affine_mat 2 0.3 1.5 0.3 0.1 0.2 -0.2 0.05 0.3")
@@ -264,8 +264,8 @@ def test_interpolated_samples_are_rates_of_the_transported_mesh(disk3, theta):
     against centered FD (s = 1e-4) of the triangle areas and boundary-edge
     lengths of the mesh transported by +-s."""
     s = 1e-4
-    samples = theta_samples(FeSpace(disk3, order=1), theta, "interpolated")
-    plus, minus = transport_mesh(theta, s, disk3), transport_mesh(theta, -s, disk3)
+    samples = interpolated_samples(FeSpace(disk3, order=1), theta)
+    plus, minus = transported(theta, s, disk3), transported(theta, -s, disk3)
     a, b = disk3.boundary_edges[:, 0], disk3.boundary_edges[:, 1]
 
     def lengths(m):
@@ -285,7 +285,7 @@ def test_interpolated_edge_divg_is_the_edge_stretch_rate(disk3, theta, order):
     The bound is rounding relative to the Dtheta entries the trace sums:
     for the rotation both sides are 0 up to rounding."""
     space = FeSpace(disk3, order=order)
-    samples = theta_samples(space, theta, "interpolated")
+    samples = interpolated_samples(space, theta)
     divg, _ = edge_stretch_rate(space, theta)
     scale = np.abs(samples.edge_jac).max()
     assert np.abs(samples.edge_divg - divg[:, None]).max() <= 1e-15 * scale
@@ -296,7 +296,7 @@ def test_interpolated_edge_divg_is_the_edge_stretch_rate(disk3, theta, order):
 def _frozen_cost(fields, space, theta, s):
     """sum_q w_q(s) F(x_q(s), u_q) on the mesh transported node by node,
     u_q the state at the reference quadrature points."""
-    moved = FeSpace(transport_mesh(theta, s, space.mesh), order=space.order)
+    moved = FeSpace(transported(theta, s, space.mesh), order=space.order)
     return float(np.sum(moved.qweights * fields.F(moved.qpoints, fields.u(space.qpoints))))
 
 
@@ -310,7 +310,7 @@ def test_prop5_fd_rows_are_frozen_state_resolved_rows(disk4):
     table = fd_shape_check(problem, theta, (0.02, 0.01))
     assert table.metadata["target"] == "transport_cost"
     assert table.dJ == cost_transport_derivative(problem.fields, problem.space,
-                                                 theta_samples(problem.space, theta))
+                                                 interpolated_samples(problem.space, theta))
     for row in table.rows:
         for s, j in ((row.s, row.j_plus), (-row.s, row.j_minus)):
             assert j == problem.resolved(theta, s)[0] \
@@ -320,7 +320,7 @@ def test_prop5_fd_rows_are_frozen_state_resolved_rows(disk4):
 def test_cost_transport_derivative_matches_fd(space4):
     fields = make_manufactured("disk")
     theta = bump_theta()
-    d = cost_transport_derivative(fields, space4, theta_samples(space4, theta))
+    d = cost_transport_derivative(fields, space4, interpolated_samples(space4, theta))
     svals = np.array([0.04, 0.02, 0.01])
     errs = []
     for s in svals:
@@ -343,7 +343,7 @@ def test_interpolated_transport_target_converges_to_the_analytic_one():
     rows = []
     for refine in (3, 4, 5):
         space = FeSpace(gen_disk((0.0, 0.0), 1.0, refine), order=1)
-        gap = (cost_transport_derivative(fields, space, theta_samples(space, theta))
+        gap = (cost_transport_derivative(fields, space, interpolated_samples(space, theta))
                - analytic_transport_derivative(fields, space, theta))
         rows.append((2.0 ** -refine, abs(gap)))
     assert estimate_order(rows) >= 1.9

@@ -247,9 +247,9 @@ def _count_transports(monkeypatch):
     calls = []
     transport = shape_assembly.transport_mesh
 
-    def counting_transport(theta, s, mesh):
-        calls.append((theta, s))
-        return transport(theta, s, mesh)
+    def counting_transport(nodal, s, mesh):
+        calls.append((nodal, s))
+        return transport(nodal, s, mesh)
 
     monkeypatch.setattr(shape_assembly, "transport_mesh", counting_transport)
     return calls
