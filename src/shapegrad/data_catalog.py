@@ -10,7 +10,8 @@ configuration files can name them; see the ``*_CATALOG`` dicts.
 Conventions: spatial points are arrays of shape (..., 2); scalar values
 come back with shape (...), gradients with (..., 2).  Matrix data returns
 (..., 2, 2) values and a spatial-derivative tensor of shape (..., 2, 2, 2)
-with ``D[..., i, j, k] = d M_ij / d x_k``.
+with ``D[..., i, j, k] = d M_ij / d x_k``; a constant D comes back as a
+read-only broadcast view of its one (2, 2, 2) value.
 """
 
 import numpy as np
@@ -174,12 +175,13 @@ def _sym(m11, m12, m22):
 
 def _mat_const(m11, m12, m22):
     M0 = _sym(m11, m12, m22)
+    D = np.zeros((2, 2, 2))
 
     def value(P):
         return np.broadcast_to(M0, P.shape[:-1] + (2, 2)).copy()
 
     def dspace(P):
-        return np.zeros(P.shape[:-1] + (2, 2, 2))
+        return np.broadcast_to(D, P.shape[:-1] + D.shape)
 
     return value, dspace
 
@@ -194,11 +196,10 @@ def _mat_affine(m11, m12, m22, a11, a12, a22, b11, b12, b22):
         y = P[..., 1, None, None]
         return M0 + x * A + y * B
 
+    D = np.stack([A, B], axis=-1)                 # D[i, j, k] = d M_ij / d x_k
+
     def dspace(P):
-        out = np.empty(P.shape[:-1] + (2, 2, 2))
-        out[..., 0] = A
-        out[..., 1] = B
-        return out
+        return np.broadcast_to(D, P.shape[:-1] + D.shape)
 
     return value, dspace
 

@@ -16,9 +16,10 @@ cost part F(x, u, grad u) with d_u F, d_x F and d_grad u F, and the p-linear
 part, the flux matrix A(x, u) of a = A grad u, the source b(x, u) and, for
 Robin, the boundary part b_G(x, u) = beta u - g, with their partials in u
 (d_u A = A_u I, b_u, b_G_u) or in x (DA = d_x A, b_x, b_G_x); a partial that
-is zero is None.  :class:`_EllipticProblem` derives from it the state
-equation R(u) psi = int A grad u . grad psi + b psi + int_G b_G psi = 0
-and its Jacobian d_u R, which one Newton loop solves from u = 0; the cost
+is zero is None, and so is a part its caller does not read.
+:class:`_EllipticProblem` derives from it the state equation
+R(u) psi = int A grad u . grad psi + b psi + int_G b_G psi = 0 and its
+Jacobian d_u R, which one Newton loop solves from u = 0; the cost
 J = int F, its gradient B_i = int d_u F phi_i + d_grad u F . grad phi_i
 and the adjoint d_u R^T p = -B; and, through the kernel in
 ``shape_assembly`` (whose docstring has the formulas) with
@@ -42,6 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fem_core as fem
+from . import shape_assembly
 from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
 from .shape_assembly import (ShapeGradient, ShapeProblem, flux_rate, jacobian_gradient,
@@ -74,13 +76,17 @@ class _EllipticProblem(ShapeProblem):
     A subclass checks its input, hands its ``space`` to this constructor
     and gives its density: ``_cost_density(uq, gu)`` from the state's values
     and gradients at the quadrature points, and ``_pde_density(u, wrt)`` at
-    a field u with the partials in ``wrt`` = "u" or "x", so that a re-solved
-    cost evaluates only F and a Newton step no x-partial.  The state ``u``
-    is solved on first use, like the adjoint ``p``, by ``solve``: Newton
-    from u = 0 on J = ``jacobian(u)``, recording |R| of each iterate, until
-    |R| <= tol = max(NEWTON_REL_TOL |R(0)|, NEWTON_ABS_TOL) or, no longer
-    halving, |R| <= NEWTON_FLOOR_FACTOR tol (its rounding floor); it raises
-    NewtonError after NEWTON_MAX_ITER steps.  A ``linear`` problem takes
+    a field u, evaluating only the parts its caller reads: with ``wrt``
+    None, A, b and b_G for the residual; with "u", A and the u-partials
+    A_u, b_u and b_G_u for the Jacobian; with "x", A, b, b_G and the
+    x-partials for the material right-hand side and the tensors.  So a
+    re-solved cost evaluates only F, a Newton step no x-partial and a
+    Jacobian no b.  The state ``u`` is solved on first use, like the
+    adjoint ``p``, by ``solve``: Newton from u = 0 on J = ``jacobian(u)``,
+    recording |R| of each iterate, until |R| <= tol = max(NEWTON_REL_TOL
+    |R(0)|, NEWTON_ABS_TOL) or, no longer halving, |R| <= NEWTON_FLOOR_FACTOR
+    tol (its rounding floor); it raises NewtonError after NEWTON_MAX_ITER
+    steps.  A ``linear`` problem takes
     one step and keeps its factors as ``_fact``, the factors of J at the
     state that the adjoint J^T p = -B and the material J udot = -ell use,
     and |J u + R(0)| of that direct solve as ``_state_residual``.  R,
@@ -214,7 +220,7 @@ class _EllipticProblem(ShapeProblem):
 
     def residual(self, u):
         """R(u) on the basis (see the module docstring), 0 in the eliminated rows."""
-        e = self._pde_density(u, "u")
+        e = self._pde_density(u)
         W = None  # the flux of u = 0, every cold start, is 0
         if np.any(u.coefficients):
             W = np.einsum('...ij,...j->...i', e.A, fem.field_qgrads(u))
@@ -297,7 +303,8 @@ class _EllipticProblem(ShapeProblem):
                                        boundary=True))
 
     def _material(self, theta):
-        ell = self._L(self.samples(theta)) * self._keep
+        # the samples live for this one solve; the memo keeps (udot, ell)
+        ell = self._L(shape_assembly.theta_samples(self.space, self.nodal(theta))) * self._keep
         return ScalarField(self.space, self._fact.solve(-ell)), ell
 
 
@@ -337,13 +344,15 @@ class RobinProblem(_EllipticProblem):
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=0.5 * inner(gu, gu), F_gu=gu)
 
-    def _pde_density(self, u, wrt):
+    def _pde_density(self, u, wrt=None):
         data, P, Pe = self.data, self.space.qpoints, self.space.edge_qpoints
-        ue = fem.edge_qvalues(u)
         beta = data.beta.value(Pe)
-        parts = dict(A=data.M, b=-data.f.value(P), bg=beta * ue - data.g.value(Pe))
         if wrt == "u":
-            return _parts(_PDE_PARTS, bg_u=beta, **parts)
+            return _parts(_PDE_PARTS, A=data.M, bg_u=beta)
+        ue = fem.edge_qvalues(u)
+        parts = dict(A=data.M, b=-data.f.value(P), bg=beta * ue - data.g.value(Pe))
+        if wrt is None:
+            return _parts(_PDE_PARTS, **parts)
         return _parts(_PDE_PARTS, b_x=-data.f.grad(P),
                       bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), **parts)
 
@@ -409,13 +418,15 @@ class QuasilinearProblem(_EllipticProblem):
         return _parts(_COST_PARTS, F=0.5 * d * d, F_u=d,
                       F_x=-d[..., None] * self.data.u_d.grad(P))
 
-    def _pde_density(self, u, wrt):
+    def _pde_density(self, u, wrt=None):
         data, P = self.data, self.space.qpoints
         uq = fem.field_qvalues(u)
-        parts = dict(A=data.m.value(P, uq)[..., None, None] * _I2,
-                     b=data.f.value(P, uq) - data.g.value(P))
+        A = data.m.value(P, uq)[..., None, None] * _I2
         if wrt == "u":
-            return _parts(_PDE_PARTS, A_u=data.m.dr(P, uq), b_u=data.f.dr(P, uq), **parts)
+            return _parts(_PDE_PARTS, A=A, A_u=data.m.dr(P, uq), b_u=data.f.dr(P, uq))
+        parts = dict(A=A, b=data.f.value(P, uq) - data.g.value(P))
+        if wrt is None:
+            return _parts(_PDE_PARTS, **parts)
         return _parts(_PDE_PARTS, DA=np.einsum('ij,...k->...ijk', _I2, data.m.dx(P, uq)),
                       b_x=data.f.dx(P, uq) - data.g.grad(P), **parts)
 
@@ -446,7 +457,9 @@ class DirichletEnergyProblem(_EllipticProblem):
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=inner(gu, gu), F_gu=2.0 * gu)
 
-    def _pde_density(self, u, wrt):
+    def _pde_density(self, u, wrt=None):
+        if wrt == "u":
+            return _parts(_PDE_PARTS, A=_I2)
         P = self.space.qpoints
         b_x = -self.data.f.grad(P) if wrt == "x" else None
         return _parts(_PDE_PARTS, A=_I2, b=-self.data.f.value(P), b_x=b_x)

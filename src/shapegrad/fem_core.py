@@ -233,12 +233,17 @@ class FeSpace:
         # quadrature points, and physical gradients (invJ^T applied to the
         # reference gradients), one coordinate at a time and term by term:
         # 2-3x faster than einsum and the same bits (einsum accumulates onto
-        # +0.0, so a sum of zero products is +0.0; "+= 0.0" does the same)
+        # +0.0, so a sum of zero products is +0.0; "+= 0.0" does the same).
+        # A point coordinate is summed in place, left to right, so one
+        # (M, nq) product is alive at a time
         self.qpoints = np.empty((len(tri), len(lmb), 2))
         self.grads = np.empty((len(tri),) + gref.shape)
         for d in range(2):
             x = tri[:, :, d, None]
-            self.qpoints[..., d] = x[:, 0] * lmb[:, 0] + x[:, 1] * lmb[:, 1] + x[:, 2] * lmb[:, 2]
+            qd = self.qpoints[..., d]
+            np.multiply(x[:, 0], lmb[:, 0], out=qd)
+            qd += x[:, 1] * lmb[:, 1]
+            qd += x[:, 2] * lmb[:, 2]
             r = self.invJT[:, d, :, None, None]
             self.grads[..., d] = r[:, 0] * gref[..., 0] + r[:, 1] * gref[..., 1]
         self.qpoints += 0.0
@@ -311,15 +316,20 @@ def field_grads(field):
     """Field gradients with the point axis of ``space.grads``: (M, 1, 2) for
     P1, one per element, and (M, nq, 2) for P2.
 
-    Summed over the local dofs left to right, then ``+= 0.0``: the bits of
-    ``einsum('mqad,ma->mqd')`` (see ``_build_geometry``).
+    The (M, nloc) element coefficients are summed against the gradients
+    over the local dofs left to right, one coordinate at a time, then
+    ``+= 0.0``: the bits of ``einsum('mqad,ma->mqd')`` (see
+    ``_build_geometry``).
     """
     space = field.space
     grads = space.grads
-    coeff = field.coefficients[space.element_dofs][:, None, :, None]
-    out = coeff[:, :, 0] * grads[:, :, 0]
-    for a in range(1, grads.shape[2]):
-        out += coeff[:, :, a] * grads[:, :, a]
+    coeff = field.coefficients[space.element_dofs][:, None, :]
+    out = np.empty(grads.shape[:2] + (2,))
+    for d in range(2):
+        g, od = grads[..., d], out[..., d]
+        np.multiply(coeff[..., 0], g[..., 0], out=od)
+        for a in range(1, g.shape[2]):
+            od += coeff[..., a] * g[..., a]
     out += 0.0
     return out
 
@@ -469,14 +479,17 @@ def _load(space, dofs, wvals, basis):
     return _scatter_vector(space, dofs, wvals @ basis)
 
 
-def assemble_diffusion_values(space, C):
-    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2)
-    or (M, 1, 2, 2) for one value per element, broadcast over the points.
+def _diffusion_local(space, C):
+    """The local stiffness matrices (M, nloc, nloc) of ``assemble_diffusion_values``.
 
     Written out over the two coordinates.  With P1 gradients, constant on
     each element, the weighted coefficient is summed over the quadrature
-    points first, one point at a time, so the local matrices are formed
-    once per element.
+    points first, one point at a time, and each element's 3x3 matrix is
+    formed once, one row at a time: row i is g0_i CG0 + g1_i CG1 with
+    CG = WC grad phi, the products that a batched matmul with one point
+    forms, then ``+= 0.0``, as a matmul accumulates onto +0.0.  For P2 the
+    products are summed over the points by a batched matmul.  The
+    temporaries die when this returns, before the scatter.
     """
     G = space.grads                                       # (M, 1 or nq, nloc, 2)
     w = space.qweights
@@ -487,16 +500,30 @@ def assemble_diffusion_values(space, C):
         WC = w[:, 0, None, None] * C[:, 0]
         for q in range(1, w.shape[1]):
             WC += w[:, q, None, None] * C[:, q]
-        WC = WC[:, None]
-    else:
-        WC = w[..., None, None] * C
+        G0, G1 = G[:, 0, :, 0], G[:, 0, :, 1]             # (M, nloc)
+        CG0 = WC[:, 0, 0, None] * G0 + WC[:, 0, 1, None] * G1
+        CG1 = WC[:, 1, 0, None] * G0 + WC[:, 1, 1, None] * G1
+        local = np.empty(G0.shape + G0.shape[1:])
+        for i in range(G0.shape[1]):
+            row = local[:, i]
+            np.multiply(G0[:, i, None], CG0, out=row)
+            row += G1[:, i, None] * CG1
+        local += 0.0
+        return local
+    WC = w[..., None, None] * C
     G0, G1 = G[..., 0], G[..., 1]
     # the components of C grad phi_j, dotted with grad phi_i and summed
     # over the points by a batched matmul
     CG0 = WC[..., 0, 0, None] * G0 + WC[..., 0, 1, None] * G1
     CG1 = WC[..., 1, 0, None] * G0 + WC[..., 1, 1, None] * G1
-    local = np.swapaxes(G0, 1, 2) @ CG0 + np.swapaxes(G1, 1, 2) @ CG1
-    return _scatter_matrix(space, False, local)
+    return np.swapaxes(G0, 1, 2) @ CG0 + np.swapaxes(G1, 1, 2) @ CG1
+
+
+def assemble_diffusion_values(space, C):
+    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2)
+    or (M, 1, 2, 2) for one value per element, broadcast over the points
+    (local matrices by ``_diffusion_local``)."""
+    return _scatter_matrix(space, False, _diffusion_local(space, C))
 
 
 def assemble_mass_values(space, vals):

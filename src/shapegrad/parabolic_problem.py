@@ -9,9 +9,9 @@ on a fixed time grid t_k = k t0 / nt.  Two cost functionals are carried:
 * ``j2``: final-time tracking        J = 1/2 int (u_nt - u_d(t0))^2
 
 The coefficients are separable: M(t, x) = a_M(t) M(x) and
-f(t, x) = a_f(t) f(x) (``TimeMatrixData`` and ``TimeScalarData``); other
-data is rejected with a ``ValueError``.  The tracked field u_d may be any
-time-scalar entry.
+f(t, x) = a_f(t) f(x) (``TimeMatrixData`` and ``TimeScalarData``), and so
+is the tracked field u_d(t, x) = a(t) u_d(x); other data is rejected with
+a ``ValueError``.
 
 ``ParabolicProblem`` owns the step operators: it assembles the mass
 matrix, the stiffness matrix and the load vector once, rescales the last
@@ -51,6 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem_core as fem
+from . import shape_assembly
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeGradient, ShapeProblem, flux_rate,
@@ -62,9 +63,9 @@ class ParabolicData:
     """Coefficients of the parabolic problem.
 
     ``M`` is a separable time-matrix entry a_M(t) M(x) (uniformly SPD,
-    with the spatial derivative tensor DM) and ``f`` a separable
-    time-scalar entry a_f(t) f(x); ``u_d`` is any time-scalar entry;
-    ``g`` is the (stationary) initial datum with analytic gradient.
+    with the spatial derivative tensor DM), ``f`` and ``u_d`` separable
+    time-scalar entries a(t) s(x); ``g`` is the (stationary) initial datum
+    with analytic gradient.
     """
 
     def __init__(self, M, f, g, u_d, t0=1.0, nt=64):
@@ -77,6 +78,10 @@ class ParabolicData:
                 "parabolic data needs separable coefficients a(t)*s(x): M must be "
                 f"a TimeMatrixData and f a TimeScalarData, got {type(M).__name__} "
                 f"and {type(f).__name__}")
+        if not isinstance(u_d, TimeScalarData):
+            raise ValueError(
+                "parabolic data needs a separable tracked field a(t)*s(x): u_d must be "
+                f"a TimeScalarData, got {type(u_d).__name__}")
         self.M = M
         self.f = f
         self.g = g
@@ -224,15 +229,12 @@ class ParabolicProblem(ShapeProblem):
 
     def _u_d_steps(self, part):
         """k -> ``part`` ("value" or "grad") of u_d(t_k, .) at the quadrature
-        points.  A separable u_d = a(t) s(x) has that part of s evaluated
+        points: that part of the separable u_d = a(t) s(x) has s evaluated
         once and scaled by a(t_k), the product ``u_d.value`` and ``u_d.grad``
         form, so the bits are those of a per-step evaluation."""
-        u_d, P, times = self.data.u_d, self.space.qpoints, self.times
-        if isinstance(u_d, TimeScalarData):
-            spatial = getattr(u_d.spatial, part)(P)
-            return lambda k: u_d.profile.value(times[k]) * spatial
-        per_step = getattr(u_d, part)
-        return lambda k: per_step(times[k], P)
+        u_d, times = self.data.u_d, self.times
+        spatial = getattr(u_d.spatial, part)(self.space.qpoints)
+        return lambda k: u_d.profile.value(times[k]) * spatial
 
     def _misfits(self):
         """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
@@ -281,7 +283,8 @@ class ParabolicProblem(ShapeProblem):
         R and bdot, so one rate matrix and one load rate serve every step.
         """
         space, data = self.space, self.data
-        samples = self.samples(theta)
+        nodal = self.nodal(theta)
+        samples = shape_assembly.theta_samples(space, nodal)
         A, DA, b, b_x = _spatial_density(data, space.qpoints)
         K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
         Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
@@ -295,7 +298,7 @@ class ParabolicProblem(ShapeProblem):
         ell[1:] += w_M[:, None] * (K_R @ U[1:].T).T
         ell[1:] += w_f[:, None] * Bdot
         ell[1:] *= self.keep
-        udot0 = initial_rate(space, data, self.nodal(theta))
+        udot0 = initial_rate(space, data, nodal)
         ell[0] = -(self.Mu @ udot0)
         vals = self.march(udot0, lambda k: -ell[k])
         return TimeSeriesField(space, vals, data.t0), ell

@@ -370,17 +370,19 @@ class ShapeProblem:
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
     every problem (both sides are -<A udot, p>).  ``_build_tensors()`` is a
     ``ShapeGradient``, which ``breakdown`` pairs with theta at the mesh
-    nodes; the manufactured problems override ``breakdown``, ``_sample``
-    and ``theta_vanishes``.
+    nodes; the manufactured problems override ``breakdown`` and
+    ``theta_vanishes``, which read their own once-per-theta
+    ``analytic_samples``.
 
     What a problem computes from a theta it computes once, for the last
     theta object seen (another object, equal or not, starts afresh): the
     read-only ``nodal`` values, the one evaluation of theta that
-    ``breakdown``, the samples, the transport and the CLI read; the
-    ``samples``, ``_sample(theta)``, that the material right-hand side
-    reads; the one ``_material`` solve that ``material`` and
-    ``duality_pair`` share; and the transported re-solves of ``resolved``,
-    which the FD and Taylor checks share.
+    ``breakdown``, the material samples, the transport and the CLI read;
+    the one ``_material`` solve that ``material`` and ``duality_pair``
+    share; and the transported re-solves of ``resolved``, which the FD and
+    Taylor checks share.  The memo keeps only what a later oracle reads:
+    ``_material`` builds ``theta_samples`` of the nodal values itself, and
+    they die with that one solve.
 
     Capability flags name the oracles a problem supports: ``fd_target``
     labels the limit ``fd_value(theta)`` of the FD quotients of the
@@ -421,8 +423,8 @@ class ShapeProblem:
         """The per-theta memo of the last theta object seen."""
         memo = self.__dict__.get("_theta_memo")
         if memo is None or memo.theta is not theta:
-            memo = self._theta_memo = SimpleNamespace(theta=theta, nodal=None, samples=None,
-                                                      material=None, resolved={})
+            memo = self._theta_memo = SimpleNamespace(theta=theta, nodal=None, material=None,
+                                                      resolved={})
         return memo
 
     def nodal(self, theta):
@@ -432,17 +434,6 @@ class ShapeProblem:
             memo.nodal = theta.eval(self.mesh.nodes)
             memo.nodal.flags.writeable = False
         return memo.nodal
-
-    def _sample(self, theta):
-        """The material samples of theta: its vertex interpolant's."""
-        return theta_samples(self.space, self.nodal(theta))
-
-    def samples(self, theta):
-        """``_sample(theta)``, once per theta."""
-        memo = self._memo(theta)
-        if memo.samples is None:
-            memo.samples = self._sample(theta)
-        return memo.samples
 
     def theta_vanishes(self, theta):
         """Whether every sample of theta is zero: the vertex interpolant's
@@ -731,14 +722,15 @@ class ManufacturedProblem(ShapeProblem):
 
     The state and adjoint are analytic, so there is nothing to solve:
     ``derivative`` evaluates the tensor representation against
-    ``analytic_samples``, its ``_sample``, and ``raw_derivative`` the
-    un-grouped display.  The state is carried as a finite-element one is by
-    its dofs: a ``rebuilt`` problem takes this problem's state values at the
-    quadrature points, ``_uq``, so a ``resolved`` cost is the cost with the
-    state frozen, sum_q w_q(s) F(x_q(s), u_q) on the transported mesh, and
-    the FD limit ``fd_value`` is its exact s-derivative,
-    ``cost_transport_derivative`` with the ``theta_samples`` of the nodal
-    values.  This FD table checks the geometric part of dJ on its own.
+    ``analytic_samples``, built once per theta (``_analytic``) for it and
+    the zero check, and ``raw_derivative`` the un-grouped display.  The
+    state is carried as a finite-element one is by its dofs: a ``rebuilt``
+    problem takes this problem's state values at the quadrature points,
+    ``_uq``, so a ``resolved`` cost is the cost with the state frozen,
+    sum_q w_q(s) F(x_q(s), u_q) on the transported mesh, and the FD limit
+    ``fd_value`` is its exact s-derivative, ``cost_transport_derivative``
+    with the ``theta_samples`` of the nodal values.  This FD table checks
+    the geometric part of dJ on its own.
     """
 
     has_state = False
@@ -773,15 +765,19 @@ class ManufacturedProblem(ShapeProblem):
     def _build_tensors(self):
         return self._tensor_form(self.fields, self.space)
 
-    def _sample(self, theta):
-        return analytic_samples(self.space, theta)
+    def _analytic(self, theta):
+        """``analytic_samples`` of theta, once per theta."""
+        memo = self._memo(theta)
+        if "analytic" not in vars(memo):
+            memo.analytic = analytic_samples(self.space, theta)
+        return memo.analytic
 
     def theta_vanishes(self, theta):
-        return not any(map(np.any, vars(self.samples(theta)).values()))
+        return not any(map(np.any, vars(self._analytic(theta)).values()))
 
     def breakdown(self, theta):
         """The per-point tensors paired with the analytic samples of theta."""
-        return assemble_dJ(self.tensors(), self.samples(theta))
+        return assemble_dJ(self.tensors(), self._analytic(theta))
 
     def raw_derivative(self, theta):
         return self._raw_form(self.fields, self.space, theta)

@@ -9,12 +9,14 @@ edge point, (B, nqe, 2, 2).  ``material_per_point`` is the pair
 for a stationary problem the flux rate with A broadcast to the points
 (``per_point_tensor_rate``) times grad u at every point; for the parabolic
 one its own ``_material`` fed the per-point samples, whose kernels take
-per-point arrays as they always did.
+per-point arrays as they always did (``shape_assembly.theta_samples``
+swapped for the per-point builder during that call).
 """
 
 import numpy as np
 
 from shapegrad import fem_core as fem
+from shapegrad import shape_assembly
 from shapegrad import tensor_calc as tc
 from shapegrad.fem_core import ScalarField
 from shapegrad.parabolic_problem import ParabolicProblem
@@ -52,10 +54,12 @@ def material_per_point(problem, theta):
     ``problem`` keeps no theta memo."""
     samples = per_point_samples(problem.space, theta)
     if isinstance(problem, ParabolicProblem):
-        problem._memo(theta).samples = samples
+        build = shape_assembly.theta_samples
+        shape_assembly.theta_samples = lambda space, nodal: samples
         try:
             return problem._material(theta)
         finally:
+            shape_assembly.theta_samples = build
             problem._theta_memo = None
     e = problem._pde_density(problem.u, "x")
     R = per_point_tensor_rate(e.A, samples)

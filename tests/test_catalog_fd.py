@@ -128,3 +128,15 @@ def test_non_finite_parameters_are_refused(parse, spec):
     ``f = const nan`` reported a singular system): each catalog refuses it."""
     with pytest.raises(ValueError, match=f"{spec.split()[0]!r}: parameters must be finite"):
         parse(spec)
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_constant_matrix_derivative_is_a_read_only_view(name):
+    """Both matrix entries have a constant DM: ``dspace`` shows its one
+    (2, 2, 2) value at every point, and a write into that view raises."""
+    P = np.random.default_rng(7).standard_normal((4, 3, 2))
+    D = parse_matrix(MATRICES[name]).dspace(P)
+    assert D.shape == (4, 3, 2, 2, 2)
+    assert np.array_equal(D, np.broadcast_to(D[0, 0], D.shape))
+    with pytest.raises(ValueError, match="read-only"):
+        D[0, 0, 0, 0, 0] = 1.0

@@ -329,6 +329,23 @@ def test_p1_stiffness_point_sum_keeps_the_bits(quad_degree):
                          _stiffness_summed_products(space, C))
 
 
+def test_p1_stiffness_rows_keep_the_matmul_bits():
+    """The P1 local matrices, formed one row at a time, have the bits of
+    the batched matmul, which sums onto +0.0: on one right triangle, whose
+    vertex gradients (0, -1) and (-1, 0) give the entry between them two
+    products of -0.0 under a diagonal C, and on a crossed-triangle mesh."""
+    right = Mesh(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+                 np.array([[0, 1, 1], [1, 2, 1], [2, 0, 1]]))
+    rng = np.random.default_rng(11)
+    for mesh in (right, gen_rectangle(0.0, 0.0, 1.0, 1.0, 6, 5)):
+        space = fem.FeSpace(mesh, order=1)
+        for C in (_const_mat(space, [[2.0, 0.0], [0.0, 1.0]]),
+                  _const_mat(space, [[-1.0, 0.0], [0.0, -3.0]]),
+                  rng.standard_normal(space.qweights.shape + (2, 2))):
+            assert _same_csr(fem.assemble_diffusion_values(space, C),
+                             _stiffness_summed_products(space, C))
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_element_rank_coefficient_keeps_the_bits(order):
     """A coefficient with one value per element, point axis of length 1,
@@ -614,6 +631,9 @@ def test_field_qgrads_matches_einsum_bit_for_bit(order):
     u.coefficients[::5] = -0.0
     # per element for P1, broadcast over the points
     want = np.einsum('mqad,ma->mqd', space.grads, u.coefficients[space.element_dofs])
+    grads = fem.field_grads(u)
+    assert grads.shape == space.grads.shape[:2] + (2,)
+    assert grads.tobytes() == want.tobytes()
     got = fem.field_qgrads(u)
     assert got.shape == space.qpoints.shape
     assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()

@@ -42,7 +42,8 @@ def _data(nt=12, t0=1.0, m_profile="const", f_spec=("sine2 1.5 1 1", "decay 0.4"
 
 class _FrozenUd:
     """Time-scalar data that replays the recorded quadrature snapshots of a
-    problem's state."""
+    problem's state: not separable, so a problem tracks it only through
+    ``_track_per_step``."""
 
     def __init__(self, prob, shift=None, eps=0.0):
         self._q = {k: fem.field_qvalues(prob.u.field(k)) for k in range(prob.data.nt + 1)}
@@ -62,6 +63,15 @@ class _FrozenUd:
 
     def grad(self, t, P):
         return np.zeros(P.shape)
+
+
+def _track_per_step(prob, u_d):
+    """Make ``prob`` read u_d(t_k, .) and its gradient at the quadrature
+    points from ``u_d.value(t_k, P)`` and ``u_d.grad(t_k, P)`` at every step,
+    the evaluation ``_u_d_steps`` gave an entry that is not separable before
+    ``ParabolicData`` refused one."""
+    P = prob.space.qpoints
+    prob._u_d_steps = lambda part: lambda k: getattr(u_d, part)(prob.times[k], P)
 
 
 # ----------------------------------------------------------------- state march
@@ -91,9 +101,18 @@ def test_data_outside_separable_contract():
                       ("f", time_matrix("const_mat 1 0 1"))):
         with pytest.raises(ValueError, match="TimeMatrixData and f a TimeScalarData"):
             ParabolicData(**dict(good, **{slot: bad}))
-    # the tracked field stays any time-scalar entry
+
+
+def test_tracked_field_outside_separable_contract():
+    """u_d must be an a(t)*s(x) entry too: a time-scalar look-alike that
+    replays snapshots, or a bare spatial entry, is refused by name."""
+    good = dict(M=time_matrix("const_mat 1 0 1"), f=time_scalar("const 1"),
+                g=parse_scalar("const 0"), u_d=time_scalar("const 0"))
     prob = ParabolicProblem(gen_rectangle(0.0, 0.0, 1.0, 1.0, 2, 2), ParabolicData(**good))
-    ParabolicData(**dict(good, u_d=_FrozenUd(prob)))
+    for bad in (_FrozenUd(prob), parse_scalar("const 0")):
+        refusal = f"u_d must be a TimeScalarData, got {type(bad).__name__}"
+        with pytest.raises(ValueError, match=refusal):
+            ParabolicData(**dict(good, u_d=bad))
 
 
 def test_solver_failure_names_time_step(rect_unit):
@@ -161,9 +180,12 @@ def test_stability_across_dt_orders(rect_unit):
 def test_adjoint_zero_when_ud_matches(rect_unit):
     data = _data(nt=8)
     prob = ParabolicProblem(rect_unit, data, which="j1")
-    data.u_d = _FrozenUd(prob)
+    frozen = _FrozenUd(prob)
+    _track_per_step(prob, frozen)
     p1 = prob.p
-    p2 = ParabolicProblem(rect_unit, data, which="j2").p
+    prob2 = ParabolicProblem(rect_unit, data, which="j2")
+    _track_per_step(prob2, frozen)
+    p2 = prob2.p
     assert np.abs(p1.values).max() == 0.0
     assert np.abs(p2.values).max() == 0.0
     assert prob.cost() == 0.0
@@ -481,39 +503,21 @@ def test_misfits_match_per_step_evaluation_bit_for_bit(rect_unit, which):
     assert prob.B.tobytes() == B.tobytes()
 
 
-class _PerStepUd:
-    """A time-scalar entry seen only through value(t, P) and grad(t, P), so
-    a problem evaluates it at every step, as it does a non-separable u_d."""
-
-    def __init__(self, entry):
-        self._entry = entry
-
-    def value(self, t, P):
-        return self._entry.value(t, P)
-
-    def grad(self, t, P):
-        return self._entry.grad(t, P)
-
-
 @pytest.mark.parametrize("which", ["j1", "j2"])
 def test_ud_split_matches_per_step_evaluation_bit_for_bit(rect_unit, which):
     """u_d(t_k, .) and its gradient, and the tensors built from them, have
-    the bits of a per-step evaluation: for a separable u_d, whose spatial
-    parts are evaluated once and scaled by a(t_k), and for the
-    non-separable ``_FrozenUd``."""
+    the bits of a per-step evaluation: the separable u_d's spatial parts are
+    evaluated once and scaled by a(t_k)."""
     data = _data(nt=7, ud_spec=("poly2 0.1 0.2 -0.1 0.3 0 0.15", "decay 0.3"))
     prob = ParabolicProblem(rect_unit, data, which=which)
     P = prob.space.qpoints
     split = prob._build_tensors()
-    separable = data.u_d
-    for u_d in (separable, _FrozenUd(prob, shift=lambda P: np.sin(P[..., 0]), eps=1e-3)):
-        data.u_d = u_d
-        for part in ("value", "grad"):
-            at_step = prob._u_d_steps(part)
-            for k in range(1, data.nt + 1):
-                want = getattr(u_d, part)(prob.times[k], P)
-                assert at_step(k).tobytes() == want.tobytes(), (part, k)
-    data.u_d = _PerStepUd(separable)
+    for part in ("value", "grad"):
+        at_step = prob._u_d_steps(part)
+        for k in range(1, data.nt + 1):
+            want = getattr(data.u_d, part)(prob.times[k], P)
+            assert at_step(k).tobytes() == want.tobytes(), (part, k)
+    _track_per_step(prob, data.u_d)
     per_step = prob._build_tensors()
     assert split.terms["S0"].tobytes() == per_step.terms["S0"].tobytes()
     assert split.terms["S1"].tobytes() == per_step.terms["S1"].tobytes()
@@ -591,7 +595,7 @@ def test_cost_quadratic_in_ud_perturbation(rect_unit):
     shift = lambda P: np.sin(P[..., 0] + 2.0 * P[..., 1])
     costs = {}
     for eps in (1e-3, 2e-3):
-        data.u_d = _FrozenUd(prob, shift=shift, eps=eps)
+        _track_per_step(prob, _FrozenUd(prob, shift=shift, eps=eps))
         costs[eps] = prob.cost()
     assert costs[1e-3] > 0.0
     assert abs(costs[2e-3] / costs[1e-3] - 4.0) < 1e-10
