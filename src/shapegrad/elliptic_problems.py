@@ -46,8 +46,8 @@ from . import fem_core as fem
 from . import shape_assembly
 from .data_catalog import box_lattice, check_positive
 from .fem_core import FeSpace, ScalarField
-from .shape_assembly import (ShapeGradient, ShapeProblem, flux_rate, jacobian_gradient,
-                             lagrangian_tensors, point_gradient, source_rate)
+from .shape_assembly import (ShapeGradient, ShapeProblem, flux_rate, lagrangian_tensors,
+                             source_rate)
 from .tensor_calc import inner
 
 log = logging.getLogger(__name__)
@@ -75,11 +75,13 @@ class _EllipticProblem(ShapeProblem):
 
     A subclass checks its input, hands its ``space`` to this constructor
     and gives its density: ``_cost_density(uq, gu)`` from the state's values
-    and gradients at the quadrature points, and ``_pde_density(u, wrt)`` at
-    a field u, evaluating only the parts its caller reads: with ``wrt``
-    None, A, b and b_G for the residual; with "u", A and the u-partials
-    A_u, b_u and b_G_u for the Jacobian; with "x", A, b, b_G and the
-    x-partials for the material right-hand side and the tensors.  So a
+    at the quadrature points and its ``field_grads`` (one per element at
+    P1), and ``_pde_density(u, wrt)`` at a field u, evaluating only the
+    parts its caller reads: with ``wrt`` None, A, b and b_G for the
+    residual, whose flux A grad u keeps the point axis of A and grad u;
+    with "u", A and the u-partials A_u, b_u and b_G_u for the Jacobian;
+    with "x", A, b, b_G and the x-partials for the material right-hand
+    side and the tensors.  So a
     re-solved cost evaluates only F, a Newton step no x-partial and a
     Jacobian no b.  The state ``u`` is solved on first use, like the
     adjoint ``p``, by ``solve``: Newton from u = 0 on J = ``jacobian(u)``,
@@ -223,17 +225,16 @@ class _EllipticProblem(ShapeProblem):
         e = self._pde_density(u)
         W = None  # the flux of u = 0, every cold start, is 0
         if np.any(u.coefficients):
-            W = np.einsum('...ij,...j->...i', e.A, fem.field_qgrads(u))
+            W = np.einsum('...ij,...j->...i', e.A, fem.field_grads(u))
         return self._load(W, e.b, e.bg) * self._keep
 
     def jacobian(self, u):
         """d_u R at u; eliminated rows and columns as ``apply_dirichlet`` leaves them."""
         space = self.space
         e = self._pde_density(u, "u")
-        A = np.broadcast_to(e.A, space.qpoints.shape[:-1] + (2, 2))
-        J = fem.assemble_diffusion_values(space, A)
+        J = fem.assemble_diffusion_values(space, e.A)
         if e.A_u is not None:
-            J = J + fem.assemble_gradscalar_values(space, fem.field_qgrads(u), e.A_u)
+            J = J + fem.assemble_gradscalar_values(space, fem.field_grads(u), e.A_u)
         if e.b_u is not None:
             J = J + fem.assemble_mass_values(space, e.b_u)
         if e.bg_u is not None:
@@ -247,7 +248,7 @@ class _EllipticProblem(ShapeProblem):
         return fem.Factorized(self.jacobian(self.u))
 
     def _state_qpoints(self):
-        return fem.field_qvalues(self.u), fem.field_qgrads(self.u)
+        return fem.field_qvalues(self.u), fem.field_grads(self.u)
 
     def _tensor_adjoint(self):
         return self.p
@@ -297,10 +298,10 @@ class _EllipticProblem(ShapeProblem):
         tangential = _I2 - n[:, :, None] * n[:, None, :]
         return ShapeGradient(
             S0=S0, S1=S1,
-            S0_gamma=point_gradient(space, (pe * e.bg_x[..., 0], pe * e.bg_x[..., 1]),
-                                    boundary=True),
-            S1_gamma=jacobian_gradient(space, edge_sum[:, None, None] * tangential,
-                                       boundary=True))
+            S0_gamma=fem.assemble_vertex_load(space, (pe * e.bg_x[..., 0], pe * e.bg_x[..., 1]),
+                                              boundary=True),
+            S1_gamma=fem.assemble_vertex_grad_load(space, edge_sum[:, None, None] * tangential,
+                                                   boundary=True))
 
     def _material(self, theta):
         # the samples live for this one solve; the memo keeps (udot, ell)

@@ -43,6 +43,12 @@ sum_q w_q C(x_q), and then contracts it with the element's gradients once:
 the same sum regrouped, exact in exact arithmetic and different only in
 the last bits (at most 5.3e-16 of max|K| on the refine-6 disk).
 
+A space also carries the P1 (vertex) basis and its gradients at either
+order, and ``FeSpace.dof_values`` puts a field known at the mesh nodes at
+the dofs.  The nodal shape gradients are P1 assemblies on them, (N, 2)
+with a row per node: ``assemble_vertex_load`` and
+``assemble_vertex_grad_load``, on the vector kernels above.
+
 Every factorization goes through one :class:`Factorized` path: a reverse
 Cuthill-McKee renumbering followed by SuperLU with its ``MMD_AT_PLUS_A``
 ordering.  The renumbering matters because MMD is sensitive to the input
@@ -126,10 +132,6 @@ def edge_rule():
 _REF_GRAD_L = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # grad of (l1,l2,l3)
 
 
-def _basis_p1(lmb):
-    return np.asarray(lmb, dtype=float)
-
-
 def _grad_p1(lmb):
     nq = len(lmb)
     return np.broadcast_to(_REF_GRAD_L, (nq, 3, 2)).copy()
@@ -156,6 +158,17 @@ def _grad_p2(lmb):
     return g
 
 
+def _physical_grads(invJT, gref):
+    """invJ^T ``gref`` (M, nq, nloc, 2), term by term: 2-3x faster than
+    einsum, with its bits (see ``_build_geometry``)."""
+    out = np.empty((len(invJT),) + gref.shape)
+    for d in range(2):
+        r = invJT[:, d, :, None, None]
+        out[..., d] = r[:, 0] * gref[..., 0] + r[:, 1] * gref[..., 1]
+    out += 0.0
+    return out
+
+
 # ----------------------------------------------------------------------- space
 
 class FeSpace:
@@ -172,6 +185,8 @@ class FeSpace:
 
     Attributes
     ----------
+    dof_coords : (dof_count, 2) array
+        ``dof_values(mesh.nodes)``: at P1 the mesh's read-only node array.
     qpoints, qweights : (M, nq, 2) and (M, nq) arrays
         Volume quadrature points and weights (|K| times the rule's).
     basis : (nq, nloc) array
@@ -180,7 +195,11 @@ class FeSpace:
         Physical basis gradients: one set per element for P1, whose
         gradients are constant on an element, one per point for P2.
         Index [m, q, i, d] is d phi_i / dx_d, read at every point when the
-        point axis has length 1; ``field_qgrads`` broadcasts it.
+        point axis has length 1, which the kernels broadcast.
+    vertex_basis, vertex_edge_basis, vertex_grads : (nq, 3), (nqe, 2) and (M, 3, 2)
+        The P1 basis at either order: the barycentric coordinates at the
+        volume points, [1 - t, t] at the edge points, and their gradients;
+        at P1 ``basis``, ``edge_basis`` and ``grads[:, 0]``.
     """
 
     def __init__(self, mesh, order=1, quad_degree=4):
@@ -198,16 +217,17 @@ class FeSpace:
 
     def _build_dofs(self):
         mesh = self.mesh
-        topo = mesh.topology
-        self.element_dofs = topo.dof_layout(self.order)
+        self.element_dofs = mesh.topology.dof_layout(self.order)
+        self.dof_coords = self.dof_values(mesh.nodes)
+        self.dof_count = len(self.dof_coords)
+
+    def dof_values(self, vertex_values):
+        """The dof values of the P1 field with ``vertex_values`` (N, ...) at
+        the nodes: those, and at P2 each midpoint's edge-endpoint average."""
         if self.order == 1:
-            self.dof_count = mesh.n_nodes
-            self.dof_coords = mesh.nodes.copy()
-            return
-        n = mesh.n_nodes
-        e = topo.edges
-        self.dof_count = n + len(e)
-        self.dof_coords = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[e[:, 0]] + mesh.nodes[e[:, 1]])])
+            return vertex_values
+        e = self.mesh.topology.edges
+        return np.vstack([vertex_values, 0.5 * (vertex_values[e[:, 0]] + vertex_values[e[:, 1]])])
 
     def _build_geometry(self):
         mesh = self.mesh
@@ -222,32 +242,30 @@ class FeSpace:
         invJ /= self.detJ[:, None, None]
         self.invJT = np.swapaxes(invJ, 1, 2)
 
-        lmb = self.vol_rule.points
+        lmb = self.vertex_basis = self.vol_rule.points
         self.qweights = 0.5 * self.detJ[:, None] * self.vol_rule.weights[None, :]
+        # the vertex gradients are constant on the element: one "point"
+        vertex = _REF_GRAD_L[None]
         if self.order == 1:
-            self.basis = _basis_p1(lmb)
-            gref = _REF_GRAD_L[None]  # constant on the element: one "point"
+            self.basis, gref = lmb, vertex
         else:
-            self.basis = _basis_p2(lmb)
-            gref = _grad_p2(lmb)
-        # quadrature points, and physical gradients (invJ^T applied to the
-        # reference gradients), one coordinate at a time and term by term:
-        # 2-3x faster than einsum and the same bits (einsum accumulates onto
-        # +0.0, so a sum of zero products is +0.0; "+= 0.0" does the same).
-        # A point coordinate is summed in place, left to right, so one
-        # (M, nq) product is alive at a time
+            self.basis, gref = _basis_p2(lmb), _grad_p2(lmb)
+        # quadrature points, one coordinate at a time and term by term, the
+        # bits of einsum (which accumulates onto +0.0, so a sum of zero
+        # products is +0.0; "+= 0.0" does the same).  A point coordinate is
+        # summed in place, left to right, so one (M, nq) product is alive at
+        # a time
         self.qpoints = np.empty((len(tri), len(lmb), 2))
-        self.grads = np.empty((len(tri),) + gref.shape)
         for d in range(2):
             x = tri[:, :, d, None]
             qd = self.qpoints[..., d]
             np.multiply(x[:, 0], lmb[:, 0], out=qd)
             qd += x[:, 1] * lmb[:, 1]
             qd += x[:, 2] * lmb[:, 2]
-            r = self.invJT[:, d, :, None, None]
-            self.grads[..., d] = r[:, 0] * gref[..., 0] + r[:, 1] * gref[..., 1]
         self.qpoints += 0.0
-        self.grads += 0.0
+        self.grads = _physical_grads(self.invJT, gref)
+        self.vertex_grads = (self.grads if self.order == 1
+                             else _physical_grads(self.invJT, vertex))[:, 0]
 
     def _build_boundary(self):
         mesh = self.mesh
@@ -267,8 +285,9 @@ class FeSpace:
         self.edge_qpoints = a[:, None, :] + t[None, :, None] * tv[:, None, :]
         self.edge_qweights = self.edge_len[:, None] * self.edg_rule.weights[None, :]
         self.edge_dofs = mesh.topology.dof_layout(self.order, boundary=True)
+        self.vertex_edge_basis = np.column_stack([1.0 - t, t])
         if self.order == 1:
-            self.edge_basis = np.column_stack([1.0 - t, t])
+            self.edge_basis = self.vertex_edge_basis
         else:
             self.edge_basis = np.column_stack([(1.0 - t) * (1.0 - 2.0 * t),
                                                t * (2.0 * t - 1.0),
@@ -332,13 +351,6 @@ def field_grads(field):
             od += coeff[..., a] * g[..., a]
     out += 0.0
     return out
-
-
-def field_qgrads(field):
-    """Field gradients at all volume quadrature points, shape (M, nq, 2):
-    ``field_grads``, a P1 gradient as a read-only broadcast view over the
-    points."""
-    return np.broadcast_to(field_grads(field), field.space.qpoints.shape)
 
 
 def edge_qvalues(field):
@@ -462,9 +474,9 @@ def _scatter_matrix(space, boundary, local):
     return plan.matrix(local)
 
 
-def _scatter_vector(space, dofs, local):
-    """Sum local vectors (K, nloc) into a dof vector at ``dofs`` (K, nloc)."""
-    return np.bincount(dofs.ravel(), local.ravel(), minlength=space.dof_count)
+def _scatter_vector(n, dofs, local):
+    """Sum local vectors (K, nloc) into a vector of length n at ``dofs`` (K, nloc)."""
+    return np.bincount(dofs.ravel(), local.ravel(), minlength=n)
 
 
 def _mass(space, boundary, wvals, basis):
@@ -474,9 +486,16 @@ def _mass(space, boundary, wvals, basis):
     return _scatter_matrix(space, boundary, local)
 
 
-def _load(space, dofs, wvals, basis):
-    """int f phi_i from weighted values ``wvals`` (K, nq) on cells or edges."""
-    return _scatter_vector(space, dofs, wvals @ basis)
+def _load(n, dofs, wvals, basis):
+    """int f phi_i from weighted values ``wvals`` (K, nq) on cells or edges,
+    into a vector of length n at ``dofs``."""
+    return _scatter_vector(n, dofs, wvals @ basis)
+
+
+def _grad_local(G, S0, S1):
+    """Local vectors (K, nloc) sum_a G_ia S_a of cell-constant gradients
+    ``G`` (K, nloc, 2) and per-cell sums S_a (K,)."""
+    return G[..., 0] * S0[:, None] + G[..., 1] * S1[:, None]
 
 
 def _diffusion_local(space, C):
@@ -520,9 +539,9 @@ def _diffusion_local(space, C):
 
 
 def assemble_diffusion_values(space, C):
-    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2)
-    or (M, 1, 2, 2) for one value per element, broadcast over the points
-    (local matrices by ``_diffusion_local``)."""
+    """Stiffness matrix int (C grad phi_j) . grad phi_i, C of shape (M, nq, 2, 2),
+    (M, 1, 2, 2) for one value per element or (2, 2) for a constant,
+    broadcast over the points (local matrices by ``_diffusion_local``)."""
     return _scatter_matrix(space, False, _diffusion_local(space, C))
 
 
@@ -556,7 +575,7 @@ def assemble_gradscalar_values(space, W, vals):
 
 def assemble_load_values(space, vals):
     """Load vector int f phi_i, f of shape (M, nq)."""
-    return _load(space, space.element_dofs, space.qweights * vals, space.basis)
+    return _load(space.dof_count, space.element_dofs, space.qweights * vals, space.basis)
 
 
 def assemble_grad_load_values(space, W):
@@ -569,12 +588,11 @@ def assemble_grad_load_values(space, W):
     """
     G = space.grads                                       # (M, 1 or nq, nloc, 2)
     if G.shape[1] == 1:
-        S0 = (space.qweights * W[..., 0]).sum(axis=1)
-        S1 = (space.qweights * W[..., 1]).sum(axis=1)
-        local = G[:, 0, :, 0] * S0[:, None] + G[:, 0, :, 1] * S1[:, None]
+        local = _grad_local(G[:, 0], (space.qweights * W[..., 0]).sum(axis=1),
+                            (space.qweights * W[..., 1]).sum(axis=1))
     else:
         local = np.einsum('mq,mqa,mqia->mi', space.qweights, W, G)
-    return _scatter_vector(space, space.element_dofs, local)
+    return _scatter_vector(space.dof_count, space.element_dofs, local)
 
 
 def assemble_boundary_mass(space, vals):
@@ -584,7 +602,30 @@ def assemble_boundary_mass(space, vals):
 
 def assemble_boundary_load_values(space, vals):
     """Boundary load vector int_G g phi_i, g of shape (B, nqe)."""
-    return _load(space, space.edge_dofs, space.edge_qweights * vals, space.edge_basis)
+    return _load(space.dof_count, space.edge_dofs, space.edge_qweights * vals, space.edge_basis)
+
+
+def assemble_vertex_load(space, X, boundary=False):
+    """The (N, 2) P1 load int X phi_n, or int_G with ``boundary``, of X
+    given as (X_0, X_1) at the volume (edge) points, or a generator of them."""
+    if boundary:
+        w, basis = space.edge_qweights, space.vertex_edge_basis
+    else:
+        w, basis = space.qweights, space.vertex_basis
+    n, dofs = space.mesh.n_nodes, space.mesh.topology.dof_layout(1, boundary)
+    return np.stack([_load(n, dofs, w * x, basis) for x in X], axis=1)
+
+
+def assemble_vertex_grad_load(space, S, boundary=False):
+    """The (N, 2) P1 grad-load sum_K S_K grad phi_n of S (M, 2, 2), summed
+    over each element, or with ``boundary`` (B, 2, 2) on each boundary edge
+    with its owner's gradients."""
+    grads, dofs = space.vertex_grads, space.mesh.triangles
+    if boundary:
+        grads, dofs = grads[space.edge_owner], dofs[space.edge_owner]
+    n = space.mesh.n_nodes
+    return np.stack([_scatter_vector(n, dofs, _grad_local(grads, S[:, i, 0], S[:, i, 1]))
+                     for i in range(2)], axis=1)
 
 
 # ------------------------------------------------------------ constraints

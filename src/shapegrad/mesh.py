@@ -9,7 +9,7 @@ Topology and geometry are separate.  A :class:`MeshTopology` holds the
 connectivity (triangles, boundary edges, the table of triangulation edges
 with their owners and the P2 edge numbering); it is built and checked once,
 when a :class:`Mesh` is constructed, and its arrays are read-only.  The
-geometry is the node array.  :meth:`Mesh.with_nodes`, which every
+geometry is the node array, read-only too.  :meth:`Mesh.with_nodes`, which every
 transported mesh goes through, shares the reference topology and re-runs
 only the checks that depend on node positions: finite coordinates, positive
 triangle orientation and nodes strictly inside the hold-all box.  The
@@ -226,12 +226,13 @@ class Mesh:
         ``[[xlo, ylo], [xhi, yhi]]``.  Defaults to the node bounding box
         inflated by 25% of each extent per side.
 
-    ``triangles`` and ``boundary_edges`` are copied into the read-only
-    arrays of the mesh's :attr:`topology`.
+    ``nodes`` is copied into the mesh's read-only node array, and
+    ``triangles`` and ``boundary_edges`` into the read-only arrays of its
+    :attr:`topology`, so the caller's arrays keep their flags.
     """
 
     def __init__(self, nodes, triangles, boundary_edges, holdall_box=None):
-        nodes = np.ascontiguousarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float, order="C")
         triangles = np.array(triangles, dtype=np.int64)
         boundary_edges = np.array(boundary_edges, dtype=np.int64)
         if holdall_box is None:
@@ -260,7 +261,7 @@ class Mesh:
         self._adopt(nodes, holdall_box, topology, areas)
 
     def _adopt(self, nodes, holdall_box, topology, areas):
-        self.nodes = nodes
+        self.nodes = _read_only(nodes)
         self.holdall_box = holdall_box
         self.topology = topology
         self.triangles = topology.triangles
@@ -286,7 +287,9 @@ class Mesh:
 
         The topology object is shared, not rebuilt: only finite coordinates,
         positive orientation and the hold-all box are checked again.  The
-        node array must have this mesh's shape.
+        node array must have this mesh's shape; a C-contiguous float array,
+        such as the fresh one a transport builds, is adopted as it is and
+        made read-only.
         """
         nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.shape != self.nodes.shape:

@@ -55,7 +55,7 @@ from . import shape_assembly
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
 from .shape_assembly import (AssembledDerivative, ShapeGradient, ShapeProblem, flux_rate,
-                             jacobian_gradient, lagrangian_tensors, source_rate)
+                             lagrangian_tensors, source_rate)
 from .tensor_calc import inner
 
 
@@ -115,23 +115,13 @@ class TimeSeriesField:
         return ScalarField(self.space, self.values[k])
 
 
-def dof_velocities(space, nodal):
-    """Velocities of the degrees of freedom under nodal transport, from
-    theta's values ``nodal`` (N, 2) at the mesh nodes.
-
-    Vertices move with theta; P2 midpoint dofs move with the average of
-    their edge endpoints (the transported midpoint stays a midpoint).
-    """
-    if space.order == 1:
-        return nodal
-    e = space.mesh.topology.edges
-    return np.vstack([nodal, 0.5 * (nodal[e[:, 0]] + nodal[e[:, 1]])])
-
-
 def initial_rate(space, data, nodal):
     """d/ds of the interpolated initial value: dof values of I_h(grad g . theta),
-    from theta's values ``nodal`` at the mesh nodes."""
-    return inner(data.g.grad(space.dof_coords), dof_velocities(space, nodal))
+    from theta's values ``nodal`` at the mesh nodes.  A dof moves with the
+    transport, at ``space.dof_values(nodal)``: a vertex with theta and a P2
+    midpoint with the average of its edge's endpoints, as the transported
+    midpoint stays a midpoint."""
+    return inner(data.g.grad(space.dof_coords), space.dof_values(nodal))
 
 
 def _profile_values(entry, times):
@@ -359,7 +349,7 @@ class ParabolicProblem(ShapeProblem):
         A, DA, b, b_x = _spatial_density(data, space.qpoints)
         S0, S1 = lagrangian_tensors(space, T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
                                     b, b_x, F, np.moveaxis(F_x, 0, -1))
-        dt_pairing = jacobian_gradient(space, dt_sum[:, None, None] * np.eye(2))
+        dt_pairing = fem.assemble_vertex_grad_load(space, dt_sum[:, None, None] * np.eye(2))
         return ShapeGradient(S0=S0, S1=S1, dt_pairing=dt_pairing)
 
     @cached_property

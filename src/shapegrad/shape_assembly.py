@@ -23,13 +23,14 @@ nodal values:
 
     dJ(theta) = sum_n g_n . theta(x_n),
 
-a ``ShapeGradient`` with one (N, 2) nodal gradient g per term.  A term
-paired with theta at the points (S0, S0_G) is summed against the points'
-barycentric weights (``point_gradient``); one paired with Dtheta (S1,
-S1_G) is summed over each element's (edge's) points and contracted with
-the barycentric gradients of the element (the edge's owner)
-(``jacobian_gradient``).  No per-point tensor is formed: the kernel forms
-these sums.
+a ``ShapeGradient`` with one (N, 2) nodal gradient g per term.  The nodal
+gradients are ``fem_core``'s P1 assemblies: a term paired with theta at
+the points (S0, S0_G) is loaded against the points' barycentric weights
+(``fem_core.assemble_vertex_load``); one paired with Dtheta (S1, S1_G) is
+summed over each element's (edge's) points and contracted with the
+barycentric gradients of the element (the edge's owner)
+(``fem_core.assemble_vertex_grad_load``).  No per-point tensor is formed:
+the kernel forms these sums.
 
 So theta enters the interpolated pipeline once, as its values at the
 nodes (``ShapeProblem.nodal``): dJ pairs them, ``theta_samples`` builds
@@ -113,16 +114,15 @@ def theta_samples(space, nodal):
     """
     mesh = space.mesh
     tv = nodal[mesh.triangles]                           # (M, 3, 2)
-    lmb = space.vol_rule.points
-    vol_val = np.einsum('qk,mkd->mqd', lmb, tv)
+    vol_val = np.einsum('qk,mkd->mqd', space.vertex_basis, tv)
     dtheta = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)  # (M, 2, a)
     vol_jac = np.einsum('mia,mja->mij', dtheta, space.invJT)[:, None]
 
     be = mesh.boundary_edges
     ta = nodal[be[:, 0]]
     tb = nodal[be[:, 1]]
-    t = space.edg_rule.points
-    edge_val = ta[:, None, :] * (1.0 - t)[None, :, None] + tb[:, None, :] * t[None, :, None]
+    ends = space.vertex_edge_basis                       # [1 - t, t]
+    edge_val = ta[:, None, :] * ends[None, :, 0, None] + tb[:, None, :] * ends[None, :, 1, None]
     # the owning triangle's Dtheta: along the edge it gives the nodal rate
     return ThetaSamples(space, vol_val, vol_jac, None, edge_val, vol_jac[space.edge_owner])
 
@@ -168,51 +168,6 @@ def source_rate(b, b_x, samples):
     return b * samples.vol_div + tc.inner(b_x, samples.vol_val)
 
 
-def _vertex_grads(space):
-    """(M, 3, 2) gradients of each element's barycentric coordinates, the P1
-    basis gradients, at either order: the Dtheta of theta's vertex
-    interpolant on an element is sum_v theta_v x grad lambda_v."""
-    if space.order == 1:
-        return space.grads[:, 0]
-    return np.einsum('mda,va->mvd', space.invJT, fem._REF_GRAD_L)
-
-
-def _to_nodes(mesh, cells, parts):
-    """(N, 2) nodal gradient from per-cell vertex contributions, one (K, nv)
-    array per coordinate, summed at the node ids ``cells`` (K, nv)."""
-    idx = cells.ravel()
-    return np.stack([np.bincount(idx, part.ravel(), minlength=mesh.n_nodes)
-                     for part in parts], axis=1)
-
-
-def point_gradient(space, X, boundary=False):
-    """The nodal gradient of int X . theta, or with ``boundary`` of
-    int_G X . theta, for the vertex interpolant theta: ``X`` is given one
-    coordinate at a time, (X_0, X_1) at the volume (edge) quadrature points
-    (or a generator of them), and summed against each point's barycentric
-    (edge-endpoint) weights."""
-    mesh = space.mesh
-    if boundary:
-        t = space.edg_rule.points
-        w, lmb, cells = space.edge_qweights, np.column_stack([1.0 - t, t]), mesh.boundary_edges[:, :2]
-    else:
-        w, lmb, cells = space.qweights, space.vol_rule.points, mesh.triangles
-    return _to_nodes(mesh, cells, ((w * x) @ lmb for x in X))
-
-
-def jacobian_gradient(space, S, boundary=False):
-    """The nodal gradient of sum_K S_K : Dtheta_K for the vertex interpolant
-    theta, with S (M, 2, 2) one per element or, with ``boundary``, (B, 2, 2)
-    one per boundary edge, paired with its owner's Dtheta:
-    S : Dtheta = sum_v theta_v . S grad lambda_v."""
-    mesh = space.mesh
-    lam, cells = _vertex_grads(space), mesh.triangles
-    if boundary:
-        lam, cells = lam[space.edge_owner], cells[space.edge_owner]
-    return _to_nodes(mesh, cells, [S[:, i, 0, None] * lam[..., 0] + S[:, i, 1, None] * lam[..., 1]
-                                   for i in range(2)])
-
-
 def lagrangian_tensors(space, T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=None):
     """Nodal gradients (g_S0, g_S1) of the volume tensors of the density
     G = F + A : T + p_b b, S0 = F_x + DA : T + p_b b_x and
@@ -225,9 +180,10 @@ def lagrangian_tensors(space, T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=N
     with the element's Dtheta, so only its weighted sum over each element's
     points is formed, entry by entry: an element-constant factor multiplies
     the point sum of the other.  S0 pairs with theta at the points; it is
-    formed one coordinate at a time and summed against the barycentric
-    weights (``point_gradient``).  The contractions are written out over the
-    two coordinates.
+    formed one coordinate at a time and loaded against the barycentric
+    weights.  The nodal gradients are ``fem_core``'s P1 assemblies
+    (``assemble_vertex_load``, ``assemble_vertex_grad_load``).  The
+    contractions are written out over the two coordinates.
     """
     w = space.qweights
     area = w.sum(axis=1)
@@ -271,8 +227,8 @@ def lagrangian_tensors(space, T, A, DA, p_b, b, b_x, F, F_x, F_gu=None, grad_u=N
     g0 = None
     if not (F_x is None and b_x is None and DA is None):
         # one coordinate alive at a time
-        g0 = point_gradient(space, (S0(i) for i in range(2)))
-    return g0, jacobian_gradient(space, S1)
+        g0 = fem.assemble_vertex_load(space, (S0(i) for i in range(2)))
+    return g0, fem.assemble_vertex_grad_load(space, S1)
 
 
 class ShapeGradient:

@@ -16,9 +16,9 @@ serves every check that needs the same (theta, s) row.
 
 import numpy as np
 
-from .fem_core import FeSpace
+from .fem_core import FeSpace, assemble_vertex_grad_load
 from .flow import FlowDegeneracyError
-from .shape_assembly import ShapeGradient, ShapeProblem, jacobian_gradient
+from .shape_assembly import ShapeGradient, ShapeProblem
 
 
 def estimate_order(errors):
@@ -275,4 +275,4 @@ class AreaProblem(ShapeProblem):
 
     def _build_tensors(self):
         area = self.space.qweights.sum(axis=1)
-        return ShapeGradient(S1=jacobian_gradient(self.space, area[:, None, None] * np.eye(2)))
+        return ShapeGradient(S1=assemble_vertex_grad_load(self.space, area[:, None, None] * np.eye(2)))

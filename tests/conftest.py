@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shapegrad import fem_core as fem
 from shapegrad.flow import make_field, transport_mesh
 from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.shape_assembly import theta_samples
@@ -35,6 +36,27 @@ def transported(theta, s, mesh):
     """``mesh`` moved by T_s = id + s theta: ``transport_mesh`` of theta's
     values at its nodes."""
     return transport_mesh(theta.eval(mesh.nodes), s, mesh)
+
+
+def field_qgrads(field):
+    """Field gradients at every volume quadrature point, (M, nq, 2): ``field_grads``,
+    a P1 gradient as a read-only broadcast view over the points."""
+    return np.broadcast_to(fem.field_grads(field), field.space.qpoints.shape)
+
+
+def basis_p1(lmb):
+    """The P1 basis at barycentric points: the coordinates themselves."""
+    return np.asarray(lmb, dtype=float)
+
+
+def scatter_vector(space, dofs, local):
+    """Local vectors (K, nloc) summed into a dof vector of ``space`` at ``dofs``."""
+    return fem._scatter_vector(space.dof_count, dofs, local)
+
+
+def dof_velocities(space, nodal):
+    """The dof velocities of nodal transport: ``space.dof_values`` of theta at the nodes."""
+    return space.dof_values(nodal)
 
 
 def interpolated_samples(space, theta):

@@ -15,6 +15,8 @@ import numpy as np
 from shapegrad import fem_core as fem
 from shapegrad.shape_assembly import ShapeTensors, material_tensor_rate, theta_samples
 
+from conftest import field_qgrads
+
 _I2 = np.eye(2)
 
 
@@ -56,7 +58,7 @@ def quasilinear_residual(space, data, field):
     """R(u) psi = int m(x, u) grad u . grad psi + (f(x, u) - g) psi."""
     P = space.qpoints
     uq = fem.field_qvalues(field)
-    gu = fem.field_qgrads(field)
+    gu = field_qgrads(field)
     mv = data.m.value(P, uq)
     vec = fem.assemble_grad_load_values(space, mv[..., None] * gu)
     vec += fem.assemble_load_values(space, data.f.value(P, uq) - data.g.value(P))
@@ -69,7 +71,7 @@ def quasilinear_jacobian(space, data, field):
     + d_r f phi_j phi_i."""
     P = space.qpoints
     uq = fem.field_qvalues(field)
-    gu = fem.field_qgrads(field)
+    gu = field_qgrads(field)
     mv = data.m.value(P, uq)
     A = fem.assemble_diffusion_values(space, mv[..., None, None] * _I2)
     A = A + fem.assemble_gradscalar_values(space, gu, data.m.dr(P, uq))
@@ -93,7 +95,7 @@ def robin_L_vector(data, u, samples):
     """
     space = u.space
     P = space.qpoints
-    gu = fem.field_qgrads(u)
+    gu = field_qgrads(u)
     W = np.einsum('mqij,mqj->mqi', material_tensor_rate(data.M, samples), gu)
     vec = fem.assemble_grad_load_values(space, W)
     fv = data.f.value(P)
@@ -116,7 +118,7 @@ def robin_partial_cost(u, samples):
     d/ds [ 1/2 int rate(I) grad u . grad u ] = int 1/2 |grad u|^2 div theta
     - grad u . Dtheta grad u.
     """
-    gu = fem.field_qgrads(u)
+    gu = field_qgrads(u)
     term = 0.5 * samples.vol_div * _dot(gu, gu) \
         - np.einsum('mqi,mqij,mqj->mq', gu, samples.vol_jac, gu)
     return float(np.sum(u.space.qweights * term))
@@ -134,8 +136,8 @@ def robin_shape_tensors(data, u, p):
     """
     space = u.space
     P = space.qpoints
-    gu = fem.field_qgrads(u)
-    gp = fem.field_qgrads(p)
+    gu = field_qgrads(u)
+    gp = field_qgrads(p)
     pv = fem.field_qvalues(p)
     fv = data.f.value(P)
     Mgu = np.einsum('ij,mqj->mqi', data.M, gu)
@@ -176,7 +178,7 @@ def quasilinear_L_vector(data, u, samples):
     space = u.space
     P = space.qpoints
     uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
+    gu = field_qgrads(u)
     mv = data.m.value(P, uq)
     rate = material_tensor_rate(_I2, samples)
     W = mv[..., None] * np.einsum('mqij,mqj->mqi', rate, gu) \
@@ -205,8 +207,8 @@ def quasilinear_shape_tensors(data, u, p):
     space = u.space
     P = space.qpoints
     uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
-    gp = fem.field_qgrads(p)
+    gu = field_qgrads(u)
+    gp = field_qgrads(p)
     pv = fem.field_qvalues(p)
     mv = data.m.value(P, uq)
     fv = data.f.value(P, uq)
@@ -226,7 +228,7 @@ def dirichlet_energy_L_vector(data, u, samples):
     """L(u) psi = int rate(I) grad u . grad psi - div(f theta) psi."""
     space = u.space
     P = space.qpoints
-    gu = fem.field_qgrads(u)
+    gu = field_qgrads(u)
     W = np.einsum('mqij,mqj->mqi', material_tensor_rate(_I2, samples), gu)
     vec = fem.assemble_grad_load_values(space, W)
     vec -= fem.assemble_load_values(
@@ -242,7 +244,7 @@ def dirichlet_energy_tensors(data, u):
     space = u.space
     P = space.qpoints
     uq = fem.field_qvalues(u)
-    gu = fem.field_qgrads(u)
+    gu = field_qgrads(u)
     fv = data.f.value(P)
     S0 = 2.0 * uq[..., None] * data.f.grad(P)
     S1 = 2.0 * _outer(gu, gu) + (2.0 * fv * uq - _dot(gu, gu))[..., None, None] * _I2

@@ -9,11 +9,16 @@ of its rounding).  ``reduce_to_nodes`` reduces per-point tensors to the
 nodal gradients of the vertex interpolant on its own: barycentric
 gradients from inverted element Jacobians, ``einsum`` and ``np.add.at``.
 ``NodalTheta`` is a velocity given by its values at the mesh nodes, which
-is all an ``interpolated`` sample reads.
+is all an ``interpolated`` sample reads.  ``point_gradient`` and
+``jacobian_gradient`` are the nodal sums as ``shape_assembly`` once wrote
+them, before they became ``fem_core``'s P1 assemblies
+``assemble_vertex_load`` and ``assemble_vertex_grad_load``: the reference
+those are checked against bit for bit.
 """
 
 import numpy as np
 
+from shapegrad import fem_core as fem
 from shapegrad import tensor_calc as tc
 
 _I2 = np.eye(2)
@@ -115,3 +120,46 @@ class NodalTheta:
     def eval(self, P):
         assert P is self.mesh.nodes or np.array_equal(P, self.mesh.nodes)
         return self.values
+
+
+def vertex_grads_einsum(space):
+    """(M, 3, 2) barycentric gradients, the P1 basis gradients, at either
+    order: ``grads[:, 0]`` at P1, the einsum of invJ^T with the reference
+    gradients at P2."""
+    if space.order == 1:
+        return space.grads[:, 0]
+    return np.einsum('mda,va->mvd', space.invJT, fem._REF_GRAD_L)
+
+
+def _to_nodes(mesh, cells, parts):
+    """(N, 2) nodal gradient from per-cell vertex contributions, one (K, nv)
+    array per coordinate, summed at the node ids ``cells`` (K, nv)."""
+    idx = cells.ravel()
+    return np.stack([np.bincount(idx, part.ravel(), minlength=mesh.n_nodes)
+                     for part in parts], axis=1)
+
+
+def point_gradient(space, X, boundary=False):
+    """The nodal gradient of int X . theta, or with ``boundary`` of
+    int_G X . theta, for the vertex interpolant theta: ``X`` is given one
+    coordinate at a time at the volume (edge) quadrature points and summed
+    against each point's barycentric (edge-endpoint) weights."""
+    mesh = space.mesh
+    if boundary:
+        t = space.edg_rule.points
+        w, lmb, cells = space.edge_qweights, np.column_stack([1.0 - t, t]), mesh.boundary_edges[:, :2]
+    else:
+        w, lmb, cells = space.qweights, space.vol_rule.points, mesh.triangles
+    return _to_nodes(mesh, cells, ((w * x) @ lmb for x in X))
+
+
+def jacobian_gradient(space, S, boundary=False):
+    """The nodal gradient of sum_K S_K : Dtheta_K for the vertex interpolant
+    theta, with S (M, 2, 2) one per element or, with ``boundary``, (B, 2, 2)
+    one per boundary edge, paired with its owner's Dtheta."""
+    mesh = space.mesh
+    lam, cells = vertex_grads_einsum(space), mesh.triangles
+    if boundary:
+        lam, cells = lam[space.edge_owner], cells[space.edge_owner]
+    return _to_nodes(mesh, cells, [S[:, i, 0, None] * lam[..., 0] + S[:, i, 1, None] * lam[..., 1]
+                                   for i in range(2)])

@@ -15,12 +15,13 @@ swapped for the per-point builder during that call).
 
 import numpy as np
 
-from shapegrad import fem_core as fem
 from shapegrad import shape_assembly
 from shapegrad import tensor_calc as tc
 from shapegrad.fem_core import ScalarField
 from shapegrad.parabolic_problem import ParabolicProblem
 from shapegrad.shape_assembly import ThetaSamples, source_rate
+
+from conftest import field_qgrads
 
 
 def per_point_samples(space, theta):
@@ -65,7 +66,7 @@ def material_per_point(problem, theta):
     R = per_point_tensor_rate(e.A, samples)
     if e.DA is not None:
         R = R + tc.matvec3(e.DA, samples.vol_val)
-    W = np.einsum('mqij,mqj->mqi', R, fem.field_qgrads(problem.u))
+    W = np.einsum('mqij,mqj->mqi', R, field_qgrads(problem.u))
     bg = None if e.bg is None else e.bg * samples.edge_divg + tc.inner(e.bg_x, samples.edge_val)
     ell = problem._load(W, source_rate(e.b, e.b_x, samples), bg) * problem._keep
     return ScalarField(problem.space, problem._fact.solve(-ell)), ell

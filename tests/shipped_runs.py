@@ -13,7 +13,7 @@ reports (``stdout.txt``, ``stderr.txt``, ``exit.txt``); the timing
 sidecars (``*-timings.json``), the only output that varies from run to
 run, are deleted.  Run it in two checkouts and compare with ``diff -r``.  The
 test configs run at larger sizes: ``robin-r8-memory.cfg`` (refine 8) takes
-about 15 s and 0.8 GB.
+about 15 s and 690 MB.
 
 Standard library only; pytest does not collect it (no ``test_`` prefix).
 """

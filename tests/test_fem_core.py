@@ -10,8 +10,9 @@ from shapegrad.data_catalog import parse_rfunction, parse_scalar, time_matrix
 from shapegrad.elliptic_problems import QuasilinearData, QuasilinearProblem
 from shapegrad.mesh import Mesh, gen_disk, gen_rectangle
 
-from conftest import bump_theta, transported
+from conftest import basis_p1, bump_theta, field_qgrads, scatter_vector, transported
 from elliptic_references import eliminate_dirichlet
+from nodal_references import jacobian_gradient, point_gradient
 
 # frozen by hand: P1 stiffness of the reference triangle (0,0),(1,0),(0,1)
 # with unit coefficient: K_ij = area * grad phi_i . grad phi_j
@@ -579,7 +580,7 @@ def test_interpolation_exactness(order, poly):
     for elem in rng.integers(0, m.n_triangles, size=10):
         lam = rng.dirichlet([1, 1, 1])
         p = lam @ m.nodes[m.triangles[elem]]
-        basis = (fem._basis_p1 if order == 1 else fem._basis_p2)(lam[None, :])[0]
+        basis = (basis_p1 if order == 1 else fem._basis_p2)(lam[None, :])[0]
         val = basis @ u.coefficients[space.element_dofs[elem]]
         assert abs(val - f(p[None, :])[0]) <= 1e-13
 
@@ -634,9 +635,63 @@ def test_field_qgrads_matches_einsum_bit_for_bit(order):
     grads = fem.field_grads(u)
     assert grads.shape == space.grads.shape[:2] + (2,)
     assert grads.tobytes() == want.tobytes()
-    got = fem.field_qgrads(u)
+    got = field_qgrads(u)
     assert got.shape == space.qpoints.shape
     assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes()
+
+
+# The P1 (vertex) data of a space, at either order, and the nodal sums of
+# the shape gradient as P1 assemblies on it.
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_vertex_grads_are_the_barycentric_gradients_bit_for_bit(order):
+    space = _perturbed_space(order)
+    got = space.vertex_grads
+    assert got.shape == (space.mesh.n_triangles, 3, 2)
+    if order == 1:
+        assert np.shares_memory(got, space.grads)
+        assert got.tobytes() == space.grads[:, 0].tobytes()
+    else:
+        want = np.einsum('mda,va->mvd', space.invJT, fem._REF_GRAD_L)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("boundary", [False, True], ids=["volume", "boundary"])
+def test_vertex_assemblies_match_the_nodal_sums_bit_for_bit(order, boundary):
+    """The P1 load and grad-load give the bits of the nodal sums they
+    replaced, signed zeros included."""
+    space = _perturbed_space(order)
+    rng = np.random.default_rng(40 + 2 * order + boundary)
+    shape = (2,) + (space.edge_qweights if boundary else space.qweights).shape
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    X[:, ::7] = -0.0
+    S = rng.standard_normal((shape[1], 2, 2))
+    S[::5] = -0.0
+    got = fem.assemble_vertex_load(space, X, boundary)
+    assert got.shape == (space.mesh.n_nodes, 2)
+    assert got.tobytes() == point_gradient(space, X, boundary).tobytes()
+    got = fem.assemble_vertex_grad_load(space, S, boundary)
+    assert got.shape == (space.mesh.n_nodes, 2)
+    assert got.tobytes() == jacobian_gradient(space, S, boundary).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_dof_values_keep_vertices_and_average_midpoints(order, rect_unit):
+    space = fem.FeSpace(rect_unit, order=order)
+    nodal = bump_theta().eval(rect_unit.nodes)
+    vals = space.dof_values(nodal)
+    if order == 1:
+        assert vals is nodal
+        assert space.dof_coords is rect_unit.nodes
+        return
+    n = rect_unit.n_nodes
+    assert vals.shape == (space.dof_count, 2)
+    assert np.array_equal(vals[:n], nodal)
+    for idx, (a, b) in enumerate(rect_unit.topology.edges):
+        assert np.array_equal(vals[n + idx], 0.5 * (nodal[a] + nodal[b]))
+        assert np.array_equal(space.dof_coords[n + idx],
+                              0.5 * (rect_unit.nodes[a] + rect_unit.nodes[b]))
 
 
 # Einsum references of the quadrature kernels: the forms the matrix-product
@@ -734,7 +789,7 @@ def test_bincount_scatter_is_add_at_bit_for_bit(order):
     for dofs in (space.element_dofs, space.edge_dofs):
         local = rng.standard_normal(dofs.shape) * 10.0 ** rng.integers(-8, 8, dofs.shape)
         local[::7] = -0.0
-        got = fem._scatter_vector(space, dofs, local)
+        got = scatter_vector(space, dofs, local)
         assert got.tobytes() == _add_at_scatter(space, dofs, local).tobytes()
 
 

@@ -241,6 +241,24 @@ def test_with_nodes_matches_fresh_mesh(make):
             assert np.array_equal(getattr(a, attr), getattr(b, attr)), (order, attr)
 
 
+def test_nodes_are_read_only_and_a_callers_array_is_copied():
+    m = gen_rectangle(0, 0, 1, 1, 3, 2)
+    X = m.nodes.copy()
+    fresh = Mesh(X, m.triangles, m.boundary_edges)
+    assert X.flags.writeable and not np.shares_memory(fresh.nodes, X)
+    for mesh in (m, fresh, m.with_nodes(m.nodes + 0.01)):
+        with pytest.raises(ValueError):
+            mesh.nodes[0, 0] = 0.5
+
+
+def test_p1_dof_coords_cannot_be_written():
+    m = gen_rectangle(0, 0, 1, 1, 3, 2)
+    space = FeSpace(m, order=1)
+    assert space.dof_coords is m.nodes
+    with pytest.raises(ValueError):
+        space.dof_coords[0, 0] = 0.5
+
+
 def test_with_nodes_rechecks_geometry():
     m = gen_rectangle(0, 0, 1, 1, 3, 2)
     X = m.nodes.copy()

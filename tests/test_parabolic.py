@@ -20,13 +20,12 @@ from shapegrad.data_catalog import (TimeProfile, TimeScalarData, parse_scalar,
 from shapegrad.fem_core import FeSpace, SolverError
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_rectangle
-from shapegrad.parabolic_problem import (ParabolicData, ParabolicProblem, dof_velocities,
-                                         initial_rate)
+from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem, initial_rate
 from shapegrad.shape_assembly import material_tensor_rate
 from shapegrad.validation import fd_shape_check
 
-from conftest import (HOLDALL, bump_theta, catalog_thetas, interpolated_samples,
-                      transported)
+from conftest import (HOLDALL, bump_theta, catalog_thetas, dof_velocities, field_qgrads,
+                      interpolated_samples, transported)
 from elliptic_references import eliminate_dirichlet
 from nodal_references import reduce_to_nodes
 from parabolic_references import (ParabolicOperator, material_loop, parabolic_partial_cost,
@@ -369,8 +368,8 @@ def test_constant_M_tensor_oracle(rect_unit):
     dtp = np.zeros(P.shape[:-1])
     for k in range(1, data.nt + 1):
         t = times[k]
-        gu = fem.field_qgrads(prob.u.field(k))
-        gp = fem.field_qgrads(prob.p.field(k))
+        gu = field_qgrads(prob.u.field(k))
+        gp = field_qgrads(prob.p.field(k))
         pv = fem.field_qvalues(prob.p.field(k))
         uv = fem.field_qvalues(prob.u.field(k))
         um = fem.field_qvalues(prob.u.field(k - 1))
@@ -427,8 +426,8 @@ def _reference_tensors(problem):
         t = times[k]
         uk = series.field(k)
         pk = adjoint.field(k)
-        gu = fem.field_qgrads(uk)
-        gp = fem.field_qgrads(pk)
+        gu = field_qgrads(uk)
+        gp = field_qgrads(pk)
         pv = fem.field_qvalues(pk)
         Mk = data.M.value(t, P)
         DM = data.M.profile.value(t) * data.M.spatial.dspace(P)
@@ -465,7 +464,7 @@ def _reference_material(data, series, theta, problem):
     for k in range(1, data.nt + 1):
         t = problem.times[k]
         uk = series.field(k)
-        gu = fem.field_qgrads(uk)
+        gu = field_qgrads(uk)
         Mk = data.M.value(t, P)
         rate = material_tensor_rate(Mk, samples) \
             + tc.matvec3(data.M.profile.value(t) * data.M.spatial.dspace(P), samples.vol_val)

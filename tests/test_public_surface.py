@@ -185,6 +185,31 @@ def test_member_exceptions_are_current():
     assert stale == []
 
 
+def test_p1_data_has_one_home():
+    """No module but ``fem_core`` reads a private ``fem_core`` name or a
+    space's quadrature rules (``vol_rule``, ``edg_rule``): the vertex basis,
+    its gradients, the dof rule and the nodal assemblies are ``fem_core``'s."""
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "fem_core":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "fem_core"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "fem_core":
+                reads += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            private = isinstance(node.value, ast.Name) and node.value.id in aliases \
+                and node.attr.startswith("_")
+            if private or node.attr in ("vol_rule", "edg_rule"):
+                reads.append(f"{path.stem}:{node.lineno}: {node.attr}")
+    assert reads == []
+
+
 def test_reads_are_matched_to_their_owners():
     """The guard's own rule, on a snippet: ``self`` reads belong to the
     method's class, handler-name reads to the exception class, other reads
