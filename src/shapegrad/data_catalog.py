@@ -192,9 +192,17 @@ def _mat_affine(m11, m12, m22, a11, a12, a22, b11, b12, b22):
     B = _sym(b11, b12, b22)
 
     def value(P):
-        x = P[..., 0, None, None]
-        y = P[..., 1, None, None]
-        return M0 + x * A + y * B
+        # M0 + x A + y B one entry at a time, each a loop over the points
+        # with the bits of the broadcast sum
+        x, y = P[..., 0], P[..., 1]
+        out = np.empty(P.shape[:-1] + (2, 2))
+        t, u = np.empty(x.shape), np.empty(x.shape)
+        for i, j in np.ndindex(2, 2):
+            np.multiply(x, A[i, j], out=t)
+            t += M0[i, j]
+            np.multiply(y, B[i, j], out=u)
+            np.add(t, u, out=out[..., i, j])
+        return out
 
     D = np.stack([A, B], axis=-1)                 # D[i, j, k] = d M_ij / d x_k
 

@@ -158,6 +158,22 @@ def _grad_p2(lmb):
     return g
 
 
+def _vertex_grads(inv):
+    """The P1 gradients (M, 3, 2) from the inverse Jacobian's entries
+    ``inv[a, b]`` (M,): d phi_i / dx_d = invJ_0d g_i0 + invJ_1d g_i1 for the
+    reference gradient g_i, then ``+= 0.0``, each entry over the element
+    axis; the bits of ``_physical_grads`` with one point."""
+    out = np.empty(inv.shape[2:] + _REF_GRAD_L.shape)
+    t, u = np.empty((2,) + inv.shape[2:])
+    for i, (g0, g1) in enumerate(_REF_GRAD_L):
+        for d in range(2):
+            np.multiply(inv[0, d], g0, out=t)
+            np.multiply(inv[1, d], g1, out=u)
+            np.add(t, u, out=out[:, i, d])
+    out += 0.0
+    return out
+
+
 def _physical_grads(invJT, gref):
     """invJ^T ``gref`` (M, nq, nloc, 2), term by term: 2-3x faster than
     einsum, with its bits (see ``_build_geometry``)."""
@@ -230,42 +246,66 @@ class FeSpace:
         return np.vstack([vertex_values, 0.5 * (vertex_values[e[:, 0]] + vertex_values[e[:, 1]])])
 
     def _build_geometry(self):
-        mesh = self.mesh
-        tri = mesh.nodes[mesh.triangles]                       # (M, 3, 2)
-        J = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
-        self.detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJ = np.empty_like(J)
-        invJ[:, 0, 0] = J[:, 1, 1]
-        invJ[:, 0, 1] = -J[:, 0, 1]
-        invJ[:, 1, 0] = -J[:, 1, 0]
-        invJ[:, 1, 1] = J[:, 0, 0]
-        invJ /= self.detJ[:, None, None]
-        self.invJT = np.swapaxes(invJ, 1, 2)
+        """detJ, invJT, the quadrature weights and points and the gradients.
 
+        The element axis is innermost: the vertex coordinates are gathered
+        as (2, 3, M) (``Mesh.corners``), the Jacobian entries are (M,) rows,
+        and each output entry is one long elementwise loop over the
+        elements, written into its column of the (M, ...) array.  Each entry
+        gets the operations of the broadcast forms over trailing axes of
+        length 2, 3 or 6, in the same order, so the same bits, in about
+        half the time.  detJ is ``2.0 * mesh._areas``, bitwise the
+        determinant (the area is exactly half of it), so a mesh computes
+        one.  Sums of products end with ``+= 0.0``: einsum accumulates onto
+        +0.0, so its sum of zero products is +0.0.  ``invJT`` is a
+        ``swapaxes`` view of a C-contiguous (M, 2, 2) array, the strides
+        the einsums that read it were written against.  No product goes
+        through matmul or einsum, whose BLAS bits differ; the P2 gradients,
+        which vary over the points, keep ``_physical_grads``.
+        """
+        mesh = self.mesh
+        X = mesh.corners()                                    # (2, 3, M)
+        M = X.shape[2]
         lmb = self.vertex_basis = self.vol_rule.points
-        self.qweights = 0.5 * self.detJ[:, None] * self.vol_rule.weights[None, :]
-        # the vertex gradients are constant on the element: one "point"
-        vertex = _REF_GRAD_L[None]
-        if self.order == 1:
-            self.basis, gref = lmb, vertex
-        else:
-            self.basis, gref = _basis_p2(lmb), _grad_p2(lmb)
-        # quadrature points, one coordinate at a time and term by term, the
-        # bits of einsum (which accumulates onto +0.0, so a sum of zero
-        # products is +0.0; "+= 0.0" does the same).  A point coordinate is
-        # summed in place, left to right, so one (M, nq) product is alive at
-        # a time
-        self.qpoints = np.empty((len(tri), len(lmb), 2))
+        nq = len(lmb)
+        self.detJ = 2.0 * mesh._areas
+        self.qweights = np.empty((M, nq))
+        half = 0.5 * self.detJ
+        for q, w in enumerate(self.vol_rule.weights):
+            np.multiply(half, w, out=self.qweights[:, q])
+        # quadrature points, one coordinate at a time: x_0 l_0 + x_1 l_1 +
+        # x_2 l_2 left to right into an (nq, M) buffer, copied into the
+        # coordinate's columns
+        self.qpoints = np.empty((M, nq, 2))
+        rows = np.empty((nq, M))
         for d in range(2):
-            x = tri[:, :, d, None]
-            qd = self.qpoints[..., d]
-            np.multiply(x[:, 0], lmb[:, 0], out=qd)
-            qd += x[:, 1] * lmb[:, 1]
-            qd += x[:, 2] * lmb[:, 2]
+            x0, x1, x2 = X[d]
+            for q, (l0, l1, l2) in enumerate(lmb):
+                r = rows[q]
+                np.multiply(x0, l0, out=r)
+                r += x1 * l1
+                r += x2 * l2
+            self.qpoints[..., d] = rows.T
         self.qpoints += 0.0
-        self.grads = _physical_grads(self.invJT, gref)
-        self.vertex_grads = (self.grads if self.order == 1
-                             else _physical_grads(self.invJT, vertex))[:, 0]
+        del rows, x0, x1, x2
+        J = X[:, 1:] - X[:, :1]                               # J[d, k] (M,)
+        del X
+        inv = np.empty_like(J)                                # invJ[a, b] (M,)
+        inv[0, 0] = J[1, 1]
+        inv[0, 1] = -J[0, 1]
+        inv[1, 0] = -J[1, 0]
+        inv[1, 1] = J[0, 0]
+        inv /= self.detJ
+        del J
+        self.invJT = np.swapaxes(np.ascontiguousarray(inv.transpose(2, 0, 1)), 1, 2)
+        vertex = _vertex_grads(inv)
+        del inv
+        if self.order == 1:
+            self.basis, self.grads = lmb, vertex.reshape(M, 1, 3, 2)
+        else:
+            self.basis = _basis_p2(lmb)
+            self.grads = _physical_grads(self.invJT, _grad_p2(lmb))
+        self.vertex_grads = vertex
 
     def _build_boundary(self):
         mesh = self.mesh
@@ -506,27 +546,50 @@ def _diffusion_local(space, C):
     points first, one point at a time, and each element's 3x3 matrix is
     formed once, one row at a time: row i is g0_i CG0 + g1_i CG1 with
     CG = WC grad phi, the products that a batched matmul with one point
-    forms, then ``+= 0.0``, as a matmul accumulates onto +0.0.  For P2 the
+    forms, then ``+= 0.0``, as a matmul accumulates onto +0.0.  At P1 the
+    element axis is innermost: each entry of CG and of the local matrices,
+    and of WC for a constant C, is one long elementwise loop over the
+    elements, reading strided views of the weights and gradients and
+    written into its column at once, with the operations of the broadcast
+    forms over the trailing (2, 2) and (3,) axes in the same order, so the
+    same bits (about half the time for a constant C).  For P2 the
     products are summed over the points by a batched matmul.  The
     temporaries die when this returns, before the scatter.
     """
     G = space.grads                                       # (M, 1 or nq, nloc, 2)
     w = space.qweights
     if G.shape[1] == 1:
+        M, nq = w.shape
         # point by point, w_0 C_0 + w_1 C_1 + ...: the bits of summing the
-        # (M, nq, 2, 2) products over axis 1, without forming them
-        C = np.broadcast_to(C, w.shape + (2, 2))
-        WC = w[:, 0, None, None] * C[:, 0]
-        for q in range(1, w.shape[1]):
-            WC += w[:, q, None, None] * C[:, q]
-        G0, G1 = G[:, 0, :, 0], G[:, 0, :, 1]             # (M, nloc)
-        CG0 = WC[:, 0, 0, None] * G0 + WC[:, 0, 1, None] * G1
-        CG1 = WC[:, 1, 0, None] * G0 + WC[:, 1, 1, None] * G1
-        local = np.empty(G0.shape + G0.shape[1:])
-        for i in range(G0.shape[1]):
-            row = local[:, i]
-            np.multiply(G0[:, i, None], CG0, out=row)
-            row += G1[:, i, None] * CG1
+        # (M, nq, 2, 2) products over axis 1, without forming them.  A C
+        # with an element axis is summed as (2, 2) blocks, which reads it
+        # in one pass, faster than entry by entry
+        if np.ndim(C) == 2:
+            WC = np.empty((2, 2, M))                      # WC[a, b] (M,)
+            t = np.empty(M)
+            for a, b in np.ndindex(2, 2):
+                np.multiply(w[:, 0], C[a, b], out=WC[a, b])
+                for q in range(1, nq):
+                    WC[a, b] += np.multiply(w[:, q], C[a, b], out=t)
+        else:
+            C = np.broadcast_to(C, w.shape + (2, 2))
+            WC = w[:, 0, None, None] * C[:, 0]
+            for q in range(1, nq):
+                WC += w[:, q, None, None] * C[:, q]
+            WC = WC.transpose(1, 2, 0)
+        G0, G1 = G[:, 0, :, 0].T, G[:, 0, :, 1].T         # (nloc, M) views
+        CG = np.empty((2,) + G0.shape)                    # CG[a, j] (M,)
+        t = np.empty(G0.shape)
+        for a in range(2):
+            np.multiply(WC[a, 0], G0, out=CG[a])
+            CG[a] += np.multiply(WC[a, 1], G1, out=t)
+        del WC
+        local = np.empty((M, len(G0), len(G0)))
+        u = np.empty(G0.shape)
+        for i in range(len(G0)):
+            np.multiply(G0[i], CG[0], out=t)
+            np.multiply(G1[i], CG[1], out=u)
+            np.add(t, u, out=local[:, i].T)
         local += 0.0
         return local
     WC = w[..., None, None] * C
@@ -759,8 +822,14 @@ class Factorized:
         basis stays a list of vectors, so no product goes through BLAS.
         Returns (x, iterations, |r|); x is None when the stop was not met in
         KRYLOV_MAX_ITER iterations or when x fails the solve check against A.
+
+        A is multiplied in the format it comes in, the canonical CSR of the
+        assemblies: with sorted indices and no duplicates a CSR matvec adds
+        each row's products in the order the CSC matvec of ``_solve``'s
+        check does, onto the same 0.0, so a direct start's |r_0| has the
+        bits of that check's residual (``tests/test_element_kernels.py``
+        compares the two formats on every problem's Jacobian).
         """
-        A = A.tocsc()  # the format, and so the matvec bits, of ``_solve``'s check
         b = np.asarray(b, dtype=float)
         x = self._apply(b, "N")
         r = b - A @ x

@@ -11,9 +11,16 @@ with ``OPENBLAS_NUM_THREADS=1`` and this checkout's ``src`` on
 ``PYTHONPATH``.  Its stdout, stderr and exit code are stored next to the
 reports (``stdout.txt``, ``stderr.txt``, ``exit.txt``); the timing
 sidecars (``*-timings.json``), the only output that varies from run to
-run, are deleted.  Run it in two checkouts and compare with ``diff -r``.  The
-test configs run at larger sizes: ``robin-r8-memory.cfg`` (refine 8) takes
-about 15 s and 690 MB.
+run, are deleted.  The test configs run at larger sizes:
+``robin-r8-memory.cfg`` (refine 8) takes about 15 s and 690 MB.
+
+Run it in two checkouts, then compare the two output trees::
+
+    python tests/shipped_runs.py OUTDIR --against OTHER
+
+runs nothing: it lists every file that is in only one of the two trees or
+whose bytes differ, and exits 1 if there is any, 0 if the trees are
+identical.
 
 Standard library only; pytest does not collect it (no ``test_`` prefix).
 """
@@ -51,7 +58,35 @@ def run_all(outdir):
                 print(f"{stem} {command}: exit {run.returncode}")
 
 
+def _files(top):
+    return {os.path.relpath(os.path.join(folder, name), top)
+            for folder, _, names in os.walk(top) for name in names}
+
+
+def compare(outdir, other):
+    """The relative paths that differ between two output trees, each with
+    the reason, sorted; prints them and a summary line."""
+    ours, theirs = _files(outdir), _files(other)
+    differing = [(path, f"only in {outdir}") for path in ours - theirs]
+    differing += [(path, f"only in {other}") for path in theirs - ours]
+    for path in ours & theirs:
+        with open(os.path.join(outdir, path), "rb") as a, open(os.path.join(other, path), "rb") as b:
+            if a.read() != b.read():
+                differing.append((path, "bytes differ"))
+    differing.sort()
+    for path, why in differing:
+        print(f"{path}: {why}")
+    print(f"{len(differing)} differing, {len(ours & theirs)} files compared")
+    return differing
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/shipped_runs.py OUTDIR")
-    run_all(os.path.abspath(sys.argv[1]))
+    args = sys.argv[1:]
+    if len(args) == 3 and args[1] == "--against":
+        for tree in (args[0], args[2]):
+            if not os.path.isdir(tree):
+                sys.exit(f"{tree}: not a directory")
+        sys.exit(1 if compare(os.path.abspath(args[0]), os.path.abspath(args[2])) else 0)
+    if len(args) != 1:
+        sys.exit("usage: python tests/shipped_runs.py OUTDIR [--against OTHER]")
+    run_all(os.path.abspath(args[0]))
