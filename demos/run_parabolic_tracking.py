@@ -7,7 +7,9 @@ only looks at the final time.  The adjoint runs backwards reusing the same
 factorized step matrix, and the assembled derivative picks up an extra
 breakdown term ("dt_pairing") from differentiating the time-difference
 quadrature, and the interpolated initial value contributes the nodal
-"ic_pairing" term -- everything else is the familiar S0/S1 contraction.
+"ic_pairing" term; both are terms of the problem's ShapeGradient, so
+tensors() is the whole derivative -- everything else is the familiar S0/S1
+contraction.
 """
 
 import numpy as np

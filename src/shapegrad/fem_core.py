@@ -44,10 +44,10 @@ the same sum regrouped, exact in exact arithmetic and different only in
 the last bits (at most 5.3e-16 of max|K| on the refine-6 disk).
 
 A space also carries the P1 (vertex) basis and its gradients at either
-order, and ``FeSpace.dof_values`` puts a field known at the mesh nodes at
-the dofs.  The nodal shape gradients are P1 assemblies on them, (N, 2)
-with a row per node: ``assemble_vertex_load`` and
-``assemble_vertex_grad_load``, on the vector kernels above.
+order.  ``FeSpace.dof_values`` puts node values at the dofs, and its
+transpose ``vertex_sums`` sums dof rows at the nodes.  The nodal shape
+gradients, (N, 2) with a row per node, are P1 assemblies on the vector
+kernels above: ``assemble_vertex_load`` and ``assemble_vertex_grad_load``.
 
 Every factorization goes through one :class:`Factorized` path: a reverse
 Cuthill-McKee renumbering followed by SuperLU with its ``MMD_AT_PLUS_A``
@@ -244,6 +244,16 @@ class FeSpace:
             return vertex_values
         e = self.mesh.topology.edges
         return np.vstack([vertex_values, 0.5 * (vertex_values[e[:, 0]] + vertex_values[e[:, 1]])])
+
+    def vertex_sums(self, dof_rows):
+        """The transpose of ``dof_values``: (dof_count, 2) rows summed at the
+        nodes, at P2 each midpoint's row half to each endpoint of its edge."""
+        if self.order == 1:
+            return dof_rows
+        n, e = self.mesh.n_nodes, self.mesh.topology.edges
+        idx = np.concatenate([np.arange(n), e[:, 0], e[:, 1]])
+        rows = np.vstack([dof_rows[:n]] + 2 * [0.5 * dof_rows[n:]])
+        return np.stack([np.bincount(idx, rows[:, d], minlength=n) for d in range(2)], axis=1)
 
     def _build_geometry(self):
         """detJ, invJT, the quadrature weights and points and the gradients.

@@ -39,11 +39,11 @@ p_b = sum_k dt a_f(t_k) p_k.  Those sums collapse to per-element Gram
 matrices sum_k w_k p_k^e (u_k^e)^T, summed over blocks of a few steps (one
 row dot over the block's steps per pair of local dofs, so the working
 memory does not grow with nt) and contracted once with the basis
-gradients.  ``_build_tensors`` returns them as a ``ShapeGradient`` whose
-``dt_pairing`` term pairs the mass-rate density with div theta.  The
-initial condition enters through the nodal ``ic_pairing`` term
--(M_u q) . I_h(grad g . theta), the same interpolant the material
-derivative starts from, so the derivative is exact for any initial datum g.
+gradients.  ``_build_tensors`` returns the whole derivative, a
+``ShapeGradient``: ``dt_pairing`` pairs the mass-rate density with div
+theta, and ``ic_pairing`` = -(M_u q) . I_h(grad g . theta) is the initial
+condition, exact for any datum g, as the material derivative starts from
+the same interpolant; ``FeSpace.vertex_sums`` takes its dof rows to the nodes.
 """
 
 from functools import cached_property
@@ -54,8 +54,7 @@ from . import fem_core as fem
 from . import shape_assembly
 from .data_catalog import TimeMatrixData, TimeScalarData, check_spd
 from .fem_core import FeSpace, ScalarField, SolverError
-from .shape_assembly import (AssembledDerivative, ShapeGradient, ShapeProblem, flux_rate,
-                             lagrangian_tensors, source_rate)
+from .shape_assembly import ShapeGradient, ShapeProblem, flux_rate, lagrangian_tensors, source_rate
 from .tensor_calc import inner
 
 
@@ -294,8 +293,8 @@ class ParabolicProblem(ShapeProblem):
         return TimeSeriesField(space, vals, data.t0), ell
 
     def _build_tensors(self):
-        """The ``ShapeGradient`` of the cost: S0, S1 and the mass-rate term
-        ``dt_pairing``.
+        """The ``ShapeGradient`` of the cost: S0, S1, the mass-rate term
+        ``dt_pairing`` and the initial-condition term ``ic_pairing``.
 
         The kernel ``lagrangian_tensors`` gives S0 and S1 from the spatial
         density (``_spatial_density``), the pairing
@@ -307,8 +306,8 @@ class ParabolicProblem(ShapeProblem):
         with the basis once; T keeps the point axis of the basis gradients, of
         length 1 at P1.  The mass-rate density pairs with div theta, so only its
         sum over each element is kept, times I.  F and F_x are summed over the
-        misfits of ``_misfits``, which ``cost`` and ``B`` use too.  The initial
-        condition is paired at the dofs (see ``breakdown``).
+        misfits of ``_misfits``, which ``cost`` and ``B`` use too; ``ic_pairing``
+        weighs grad g at the dofs with M_u q, q = p_1.
         """
         space, data = self.space, self.data
         U, Pv = self.u.values, self.p.values
@@ -350,17 +349,6 @@ class ParabolicProblem(ShapeProblem):
         S0, S1 = lagrangian_tensors(space, T, A, DA, fem.field_qvalues(ScalarField(space, pf)),
                                     b, b_x, F, np.moveaxis(F_x, 0, -1))
         dt_pairing = fem.assemble_vertex_grad_load(space, dt_sum[:, None, None] * np.eye(2))
-        return ShapeGradient(S0=S0, S1=S1, dt_pairing=dt_pairing)
-
-    @cached_property
-    def _ic_weights(self):
-        """M_u q, the initial-condition weights of ``ic_pairing``."""
-        return fem.assemble_load_values(self.space, fem.field_qvalues(self.p.field(0)))
-
-    def breakdown(self, theta):
-        """The ``ShapeGradient``'s breakdown plus the initial-condition pairing
-        ``ic_pairing`` = -(M_u q) . I_h(grad g . theta), nodal."""
-        return AssembledDerivative({
-            **super().breakdown(theta).terms,
-            "ic_pairing": -fem.dot(self._ic_weights,
-                                   initial_rate(self.space, self.data, self.nodal(theta)))})
+        Mq = fem.assemble_load_values(space, fem.field_qvalues(self.p.field(0)))
+        ic_pairing = space.vertex_sums(-Mq[:, None] * data.g.grad(space.dof_coords))
+        return ShapeGradient(S0=S0, S1=S1, dt_pairing=dt_pairing, ic_pairing=ic_pairing)

@@ -236,13 +236,14 @@ class ShapeGradient:
     one (N, 2) nodal gradient per term: dJ(theta) = sum_n g_n . theta(x_n).
 
     The terms are S0, S1, S0_gamma, S1_gamma and any ``more`` (the parabolic
-    ``dt_pairing``); a term that is None contributes zero, and S2 is always
-    None, as the interpolant has no second derivative.  Every term but S0
-    and S0_gamma pairs with Dtheta, so its g sums to zero over the nodes
-    and it pairs with theta - theta(x_r) instead, the same number, at the
-    node x_r of smallest |theta|_1: a translation then pairs to exactly
-    zero, and the shift adds at most eps sum|g| min|theta| of rounding (none
-    for a theta that is zero at some node).
+    ``dt_pairing`` and ``ic_pairing``); a None term contributes zero, and S2
+    is always None, as the interpolant has no second derivative.  S0,
+    S0_gamma and ``ic_pairing`` pair with theta.  Every other term pairs
+    with Dtheta, so its g sums to zero over the nodes and it pairs with
+    theta - theta(x_r) instead, the same number, at the node x_r of smallest
+    |theta|_1: a translation then pairs to exactly zero, and the shift adds
+    at most eps sum|g| min|theta| of rounding (none for a theta that is zero
+    at some node).
     """
 
     def __init__(self, S0=None, S1=None, S0_gamma=None, S1_gamma=None, **more):
@@ -254,7 +255,8 @@ class ShapeGradient:
         mesh nodes, each term g . theta(nodes)."""
         shifted = nodal - nodal[np.argmin(np.abs(nodal).sum(axis=1))]
         return AssembledDerivative({
-            name: 0.0 if g is None else fem.dot(g, nodal if name in ("S0", "S0_gamma") else shifted)
+            name: 0.0 if g is None
+            else fem.dot(g, nodal if name in ("S0", "S0_gamma", "ic_pairing") else shifted)
             for name, g in self.terms.items()})
 
 
@@ -324,11 +326,11 @@ class ShapeProblem:
     ``_material(theta)`` -> (udot, ell), ell = d_s E for the discrete
     state equation E(u) = 0.  With A = d_u E, A udot = -ell and A^T p = -B,
     so the base class's ``duality_pair`` <ell, p> = <B, udot> holds for
-    every problem (both sides are -<A udot, p>).  ``_build_tensors()`` is a
-    ``ShapeGradient``, which ``breakdown`` pairs with theta at the mesh
-    nodes; the manufactured problems override ``breakdown`` and
-    ``theta_vanishes``, which read their own once-per-theta
-    ``analytic_samples``.
+    every problem (both sides are -<A udot, p>).  ``_build_tensors()`` is
+    the whole derivative, a ``ShapeGradient``, which ``breakdown`` pairs
+    with theta at the mesh nodes; only the manufactured problems override
+    ``breakdown`` and ``theta_vanishes``, which read their own
+    once-per-theta ``analytic_samples``.
 
     What a problem computes from a theta it computes once, for the last
     theta object seen (another object, equal or not, starts afresh): the

@@ -5,7 +5,8 @@ kept as the reference they are checked against.
 S1 at every quadrature point, and ``pair_per_point`` contracts per-point
 tensors with theta samples term by term, returning each term's value and
 the sum of the absolute values of its per-point contributions (the scale
-of its rounding).  ``reduce_to_nodes`` reduces per-point tensors to the
+of its rounding); ``pair_initial_condition`` does so for the parabolic
+initial-condition pairing at the dofs.  ``reduce_to_nodes`` reduces per-point tensors to the
 nodal gradients of the vertex interpolant on its own: barycentric
 gradients from inverted element Jacobians, ``einsum`` and ``np.add.at``.
 ``NodalTheta`` is a velocity given by its values at the mesh nodes, which
@@ -20,6 +21,7 @@ import numpy as np
 
 from shapegrad import fem_core as fem
 from shapegrad import tensor_calc as tc
+from shapegrad.parabolic_problem import initial_rate
 
 _I2 = np.eye(2)
 
@@ -58,6 +60,14 @@ def pair_per_point(space, samples, S0=None, S1=None, S0_gamma=None, S1_gamma=Non
     }
     return {name: (float(c.sum()), float(np.abs(c).sum()))
             for name, c in parts.items() if c is not None}
+
+
+def pair_initial_condition(problem, nodal):
+    """(value, sum of |per-dof contributions|) of the parabolic initial-condition
+    pairing -(M_u q) . I_h(grad g . theta) at the dofs, theta given by its
+    values ``nodal`` at the mesh nodes, with q = p_1 in the adjoint's slot 0."""
+    c = -(problem.Mu @ problem.p.values[0]) * initial_rate(problem.space, problem.data, nodal)
+    return float(c.sum()), float(np.abs(c).sum())
 
 
 def barycentric_gradients(mesh):

@@ -8,7 +8,8 @@ For each ``demos/configs/*.cfg`` and each command, and for each
 ``tests/configs/*.cfg`` with ``validate``, ``python -m shapegrad.cli
 COMMAND --config CFG --out OUTDIR/<cfg>-<command>`` runs in a subprocess
 with ``OPENBLAS_NUM_THREADS=1`` and this checkout's ``src`` on
-``PYTHONPATH``.  Its stdout, stderr and exit code are stored next to the
+``PYTHONPATH``: 25 runs today, 8 shipped configs times 2 commands and 9
+test configs.  Its stdout, stderr and exit code are stored next to the
 reports (``stdout.txt``, ``stderr.txt``, ``exit.txt``); the timing
 sidecars (``*-timings.json``), the only output that varies from run to
 run, are deleted.  The test configs run at larger sizes:

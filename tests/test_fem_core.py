@@ -694,6 +694,23 @@ def test_dof_values_keep_vertices_and_average_midpoints(order, rect_unit):
                               0.5 * (rect_unit.nodes[a] + rect_unit.nodes[b]))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_vertex_sums_is_the_transpose_of_dof_values(order, rect_unit):
+    """r . dof_values(v) = vertex_sums(r) . v, checked against the dense
+    matrix of ``dof_values`` built one node and coordinate at a time."""
+    space = fem.FeSpace(rect_unit, order=order)
+    n = rect_unit.n_nodes
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((space.dof_count, 2))
+    sums = space.vertex_sums(rows)
+    if order == 1:
+        assert sums is rows
+        return
+    D = np.stack([space.dof_values(np.eye(n)[:, [i]])[:, 0] for i in range(n)], axis=1)
+    assert sums.shape == (n, 2)
+    assert np.allclose(sums, D.T @ rows, rtol=0.0, atol=1e-13)
+
+
 # Einsum references of the quadrature kernels: the forms the matrix-product
 # kernels replaced, one einsum per form over per-point gradients.
 

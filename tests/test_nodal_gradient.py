@@ -1,19 +1,30 @@
-"""The nodal shape gradient against the per-point pairing it replaced.
+"""The nodal shape gradient against the per-point pairing it replaced, and
+against the re-solved cost in every node direction.
 
 For every problem whose theta is its vertex interpolant, at P1 and P2, each
 term of ``tensors()`` paired with theta at the nodes equals the hand-derived
 per-point tensors of ``elliptic_references`` and ``parabolic_references``
 paired with ``theta_samples`` (``nodal_references.pair_per_point``), to
-1e-12 of the sum of the per-point contributions' magnitudes.  The same
-holds for g . v over seeded random nodal directions v, one dot product
-each.  A last test bounds the memory of the tensors and the pairing.
+1e-12 of the sum of the per-point contributions' magnitudes; the parabolic
+``ic_pairing`` equals -(M_u q) . I_h(grad g . theta) at the dofs
+(``nodal_references.pair_initial_condition``).  The same holds for g . v
+over seeded random nodal directions v, one dot product each.  Every
+interpolated problem pairs through ``ShapeProblem.breakdown`` alone.
+
+The summed terms of ``tensors()`` are the gradient of the discrete cost
+with respect to the node positions: in each of the 2N node directions, one
+Richardson step of the central quotients of re-solved costs at h and h/2
+matches its entry to 1e-10 of max|g|.  A last test bounds the memory of
+the tensors and the pairing.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shapegrad import cli
 from shapegrad import fem_core as fem
 from shapegrad.data_catalog import parse_rfunction, parse_scalar, time_matrix, time_scalar
 from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyProblem,
@@ -22,11 +33,12 @@ from shapegrad.elliptic_problems import (DirichletEnergyData, DirichletEnergyPro
 from shapegrad.flow import make_field
 from shapegrad.mesh import gen_disk, gen_rectangle
 from shapegrad.parabolic_problem import ParabolicData, ParabolicProblem
+from shapegrad.shape_assembly import ShapeProblem
 from shapegrad.validation import AreaProblem
 
 from conftest import HOLDALL, bump_theta, catalog_thetas, interpolated_samples
 import elliptic_references as refs
-from nodal_references import NodalTheta, pair_per_point
+from nodal_references import NodalTheta, pair_initial_condition, pair_per_point
 from parabolic_references import shape_tensors_per_step
 
 RANDOM_DIRECTIONS = 8
@@ -94,6 +106,8 @@ def test_nodal_gradient_matches_per_point_pairing(case, order, disk3):
                   for _ in range(RANDOM_DIRECTIONS)]
     for theta in [bump_theta(), catalog_thetas()[4]] + directions:
         want = pair_per_point(space, interpolated_samples(space, theta), **tensors)
+        if isinstance(problem, ParabolicProblem):
+            want["ic_pairing"] = pair_initial_condition(problem, theta.eval(mesh.nodes))
         assert {name for name, g in terms.items() if g is not None} == set(want)
         if isinstance(theta, NodalTheta):
             got = {name: fem.dot(terms[name], theta.values) for name in want}
@@ -101,6 +115,62 @@ def test_nodal_gradient_matches_per_point_pairing(case, order, disk3):
             got = problem.breakdown(theta).terms
         for name, (value, scale) in want.items():
             assert abs(got[name] - value) <= 1e-12 * scale, (theta.name, name, got[name], value)
+
+
+@pytest.mark.parametrize("cls", [RobinProblem, QuasilinearProblem, DirichletEnergyProblem,
+                                 AreaProblem, ParabolicProblem], ids=lambda c: c.__name__)
+def test_interpolated_problems_pair_in_one_place(cls):
+    """No interpolated problem pairs a term outside its ``ShapeGradient``."""
+    assert cls.breakdown is ShapeProblem.breakdown
+
+
+SHIPPED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "demos", "configs")
+#: the oracle's cases: a shipped config's name, or "area", and its class
+NODE_CASES = {"robin-disk": RobinProblem, "quasilinear-disk": QuasilinearProblem,
+              "dirichlet-energy-disk": DirichletEnergyProblem, "area": AreaProblem,
+              "parabolic-j1-square": ParabolicProblem, "parabolic-j2-square": ParabolicProblem}
+NODE_STEP = 1e-3
+
+
+def _node_case(name, order):
+    """Area on a refine-2 disk, the stationary problems on a refine-1 disk
+    and the parabolic ones (nt = 16) on a 4x4 square, with shipped data."""
+    cls = NODE_CASES[name]
+    if cls is AreaProblem:
+        return AreaProblem(gen_disk((0.0, 0.0), 1.0, 2), order)
+    data = cli.RunConfig(os.path.join(SHIPPED, f"{name}.cfg")).data
+    if cls is ParabolicProblem:
+        assert data.nt == 16
+        return ParabolicProblem(gen_rectangle(0.0, 0.0, 1.0, 1.0, 4, 4), data,
+                                name.split("-")[1], order)
+    return cls(gen_disk((0.0, 0.0), 1.0, 1), data, order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", list(NODE_CASES))
+def test_nodal_gradient_is_the_node_gradient_of_the_cost(name, order):
+    """Entry (n, d) of the summed ``tensors()`` terms against the re-solved
+    costs with node n moved by +-h and +-h/2 in coordinate d: one Richardson
+    step (4 D(h/2) - D(h)) / 3 of the central quotients D, h = 1e-3.  The
+    parabolic ``ic_pairing`` is part of the gradient: without it j1 misses
+    by 2.0e-3 of max|g|."""
+    problem = _node_case(name, order)
+    mesh = problem.mesh
+    g = sum(t for t in problem.tensors().terms.values() if t is not None)
+
+    def cost(n, d, step):
+        nodes = mesh.nodes.copy()
+        nodes[n, d] += step
+        return problem.rebuilt(mesh.with_nodes(nodes)).cost()
+
+    fd = np.empty_like(g)
+    for n in range(mesh.n_nodes):
+        for d in range(2):
+            D = [(cost(n, d, h) - cost(n, d, -h)) / (2.0 * h) for h in (NODE_STEP, NODE_STEP / 2)]
+            fd[n, d] = (4.0 * D[1] - D[0]) / 3.0
+    worst = np.abs(fd - g).max() / np.abs(g).max()
+    assert worst <= 1e-10, worst
 
 
 def test_robin_r6_tensors_and_pairing_memory():
