@@ -15,8 +15,8 @@ A problem gives only its Lagrangian density at the quadrature points: the
 cost part F(x, u, grad u) with d_u F, d_x F and d_grad u F, and the p-linear
 part, the flux matrix A(x, u) of a = A grad u, the source b(x, u) and, for
 Robin, the boundary part b_G(x, u) = beta u - g, with their partials in u
-(d_u A = A_u I, b_u, b_G_u) or in x (DA = d_x A, b_x, b_G_x); a partial that
-is zero is None, and so is a part its caller does not read.
+(d_u A = A_u I, b_u, b_G_u) for the solve or in x (DA = d_x A, b_x, b_G_x)
+for the shape phase; a partial that is zero or of the other phase is None.
 :class:`_EllipticProblem` derives from it the state equation
 R(u) psi = int A grad u . grad psi + b psi + int_G b_G psi = 0 and its
 Jacobian d_u R, which one Newton loop solves from u = 0; the cost
@@ -76,14 +76,13 @@ class _EllipticProblem(ShapeProblem):
     A subclass checks its input, hands its ``space`` to this constructor
     and gives its density: ``_cost_density(uq, gu)`` from the state's values
     at the quadrature points and its ``field_grads`` (one per element at
-    P1), and ``_pde_density(u, wrt)`` at a field u, evaluating only the
-    parts its caller reads: with ``wrt`` None, A, b and b_G for the
-    residual, whose flux A grad u keeps the point axis of A and grad u;
-    with "u", A and the u-partials A_u, b_u and b_G_u for the Jacobian;
-    with "x", A, b, b_G and the x-partials for the material right-hand
-    side and the tensors.  So a
-    re-solved cost evaluates only F, a Newton step no x-partial and a
-    Jacobian no b.  The state ``u`` is solved on first use, like the
+    P1), and ``_pde_density(u, shape=False)`` at a field u, one mode per
+    phase: A, b and b_G with the u-partials A_u, b_u and b_G_u for a Newton
+    iterate, whose residual (its flux A grad u keeps the point axis of A
+    and grad u) and Jacobian read the one evaluation; with ``shape``, A, b,
+    b_G and the x-partials for the material right-hand side and the
+    tensors.  So a re-solved cost evaluates only F and a Newton step no
+    x-partial.  The state ``u`` is solved on first use, like the
     adjoint ``p``, by ``solve``: Newton from u = 0 on J = ``jacobian(u)``,
     recording |R| of each iterate, until |R| <= tol = max(NEWTON_REL_TOL
     |R(0)|, NEWTON_ABS_TOL) or, no longer halving, |R| <= NEWTON_FLOOR_FACTOR
@@ -170,11 +169,13 @@ class _EllipticProblem(ShapeProblem):
         when a Krylov solve did not stop.  The stop is relative to |R(0)| of
         u = 0, so that a start near the state cannot loosen it."""
         u = ScalarField(self.space, np.zeros(self.dof_count))
-        R = self.residual(u)
+        e = self._pde_density(u)  # one density per iterate, for R and J
+        R = self.residual(u, e)
         cold = fem.norm(R)
         if x0 is not None:
             u = ScalarField(self.space, x0)
-            R = self.residual(u)
+            e = self._pde_density(u)
+            R = self.residual(u, e)
         history, notes = [], []
         for _ in range(NEWTON_MAX_ITER):
             history.append(fem.norm(R))
@@ -182,7 +183,8 @@ class _EllipticProblem(ShapeProblem):
             stalled = len(history) > 1 and rn > 0.5 * history[-2]
             if not self.linear and (rn <= tol or stalled and rn <= NEWTON_FLOOR_FACTOR * tol):
                 break
-            J = self.jacobian(u)
+            J = self.jacobian(u, e)
+            e = None  # free the density before the factors or the Krylov basis
             if reference is None:
                 fact = fem.Factorized(J)
                 step = fact.solve(-R)
@@ -201,7 +203,8 @@ class _EllipticProblem(ShapeProblem):
             u = ScalarField(self.space, u.coefficients + step)
             if self.linear:
                 break
-            R = self.residual(u)
+            e = self._pde_density(u)
+            R = self.residual(u, e)
         else:
             raise fem.NewtonError(
                 f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
@@ -220,18 +223,20 @@ class _EllipticProblem(ShapeProblem):
             vec += fem.assemble_boundary_load_values(self.space, bg)
         return vec
 
-    def residual(self, u):
-        """R(u) on the basis (see the module docstring), 0 in the eliminated rows."""
-        e = self._pde_density(u)
+    def residual(self, u, e=None):
+        """R(u) on the basis (see the module docstring), 0 in the eliminated
+        rows, from the density ``e`` at u when given."""
+        e = self._pde_density(u) if e is None else e
         W = None  # the flux of u = 0, every cold start, is 0
         if np.any(u.coefficients):
             W = np.einsum('...ij,...j->...i', e.A, fem.field_grads(u))
         return self._load(W, e.b, e.bg) * self._keep
 
-    def jacobian(self, u):
-        """d_u R at u; eliminated rows and columns as ``apply_dirichlet`` leaves them."""
+    def jacobian(self, u, e=None):
+        """d_u R at u, from the density ``e`` at u when given; eliminated rows
+        and columns as ``apply_dirichlet`` leaves them."""
         space = self.space
-        e = self._pde_density(u, "u")
+        e = self._pde_density(u) if e is None else e
         J = fem.assemble_diffusion_values(space, e.A)
         if e.A_u is not None:
             J = J + fem.assemble_gradscalar_values(space, fem.field_grads(u), e.A_u)
@@ -270,7 +275,7 @@ class _EllipticProblem(ShapeProblem):
     def _L(self, samples):
         """L(u) on the basis; R grad u keeps the point axis of R and grad u,
         so at P1 a constant A gives one flux per element."""
-        e = self._pde_density(self.u, "x")
+        e = self._pde_density(self.u, shape=True)
         W = np.einsum('mqij,mqj->mqi', flux_rate(e.A, e.DA, samples), fem.field_grads(self.u))
         bg = None if e.bg is None else e.bg * samples.edge_divg + inner(e.bg_x, samples.edge_val)
         return self._load(W, source_rate(e.b, e.b_x, samples), bg)
@@ -282,9 +287,9 @@ class _EllipticProblem(ShapeProblem):
         S0_G = p d_x b_G, at the points, and S1_G = b_G p (I - n x n), whose
         sum over an edge is that of b_G p times its constant I - n x n."""
         space = self.space
-        gu = fem.field_grads(self.u)
-        c = self._cost_density(fem.field_qvalues(self.u), gu)
-        e = self._pde_density(self.u, "x")
+        uq, gu = self._state_qpoints()
+        c = self._cost_density(uq, gu)
+        e = self._pde_density(self.u, shape=True)
         p = self._tensor_adjoint()
         gp = fem.field_grads(p)
         T = gp[..., :, None] * gu[..., None, :]
@@ -345,15 +350,12 @@ class RobinProblem(_EllipticProblem):
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=0.5 * inner(gu, gu), F_gu=gu)
 
-    def _pde_density(self, u, wrt=None):
+    def _pde_density(self, u, shape=False):
         data, P, Pe = self.data, self.space.qpoints, self.space.edge_qpoints
-        beta = data.beta.value(Pe)
-        if wrt == "u":
-            return _parts(_PDE_PARTS, A=data.M, bg_u=beta)
-        ue = fem.edge_qvalues(u)
+        beta, ue = data.beta.value(Pe), fem.edge_qvalues(u)
         parts = dict(A=data.M, b=-data.f.value(P), bg=beta * ue - data.g.value(Pe))
-        if wrt is None:
-            return _parts(_PDE_PARTS, **parts)
+        if not shape:
+            return _parts(_PDE_PARTS, bg_u=beta, **parts)
         return _parts(_PDE_PARTS, b_x=-data.f.grad(P),
                       bg_x=ue[..., None] * data.beta.grad(Pe) - data.g.grad(Pe), **parts)
 
@@ -419,15 +421,13 @@ class QuasilinearProblem(_EllipticProblem):
         return _parts(_COST_PARTS, F=0.5 * d * d, F_u=d,
                       F_x=-d[..., None] * self.data.u_d.grad(P))
 
-    def _pde_density(self, u, wrt=None):
+    def _pde_density(self, u, shape=False):
         data, P = self.data, self.space.qpoints
         uq = fem.field_qvalues(u)
-        A = data.m.value(P, uq)[..., None, None] * _I2
-        if wrt == "u":
-            return _parts(_PDE_PARTS, A=A, A_u=data.m.dr(P, uq), b_u=data.f.dr(P, uq))
-        parts = dict(A=A, b=data.f.value(P, uq) - data.g.value(P))
-        if wrt is None:
-            return _parts(_PDE_PARTS, **parts)
+        parts = dict(A=data.m.value(P, uq)[..., None, None] * _I2,
+                     b=data.f.value(P, uq) - data.g.value(P))
+        if not shape:
+            return _parts(_PDE_PARTS, A_u=data.m.dr(P, uq), b_u=data.f.dr(P, uq), **parts)
         return _parts(_PDE_PARTS, DA=np.einsum('ij,...k->...ijk', _I2, data.m.dx(P, uq)),
                       b_x=data.f.dx(P, uq) - data.g.grad(P), **parts)
 
@@ -458,11 +458,9 @@ class DirichletEnergyProblem(_EllipticProblem):
     def _cost_density(self, uq, gu):
         return _parts(_COST_PARTS, F=inner(gu, gu), F_gu=2.0 * gu)
 
-    def _pde_density(self, u, wrt=None):
-        if wrt == "u":
-            return _parts(_PDE_PARTS, A=_I2)
+    def _pde_density(self, u, shape=False):
         P = self.space.qpoints
-        b_x = -self.data.f.grad(P) if wrt == "x" else None
+        b_x = -self.data.f.grad(P) if shape else None
         return _parts(_PDE_PARTS, A=_I2, b=-self.data.f.value(P), b_x=b_x)
 
     def _tensor_adjoint(self):

@@ -51,13 +51,10 @@ kernels above: ``assemble_vertex_load`` and ``assemble_vertex_grad_load``.
 
 Every factorization goes through one :class:`Factorized` path: a reverse
 Cuthill-McKee renumbering followed by SuperLU with its ``MMD_AT_PLUS_A``
-ordering.  The renumbering matters because MMD is sensitive to the input
-numbering: on the Robin matrix in ``gen_disk``'s native node order,
-ordering plus factoring took 1.47 s at 12,481 dofs and about 145 s at
-49,537 dofs, against 0.08 s and 0.28 s after RCM, with less fill.  A
-matrix close to a factored one, symmetric or not (the matrix or a Newton
-Jacobian of the same problem on a transported mesh), is solved on those
-factors with no new factorization, by right-preconditioned GMRES
+ordering (its docstring says why the renumbering matters).  A matrix
+close to a factored one, symmetric or not (the matrix or a Newton Jacobian
+of the same problem on a transported mesh), is solved on those factors
+with no new factorization, by right-preconditioned GMRES
 (``Factorized.gmres``).
 """
 

@@ -62,7 +62,7 @@ def material_per_point(problem, theta):
         finally:
             shape_assembly.theta_samples = build
             problem._theta_memo = None
-    e = problem._pde_density(problem.u, "x")
+    e = problem._pde_density(problem.u, shape=True)
     R = per_point_tensor_rate(e.A, samples)
     if e.DA is not None:
         R = R + tc.matvec3(e.DA, samples.vol_val)

@@ -568,6 +568,45 @@ def test_state_solve_logs_one_line(disk3, caplog):
     assert float(lines[1].rsplit("= ", 1)[1]) <= 1e-11
 
 
+def _count_densities(monkeypatch, cls):
+    """The problem of each ``cls._pde_density`` call from here on."""
+    calls = []
+    density = cls._pde_density
+
+    def counting(self, u, shape=False):
+        calls.append(self)
+        return density(self, u, shape)
+
+    monkeypatch.setattr(cls, "_pde_density", counting)
+    return calls
+
+
+def test_a_newton_iterate_reads_one_density(disk3, monkeypatch, caplog):
+    """R and J of a Newton iterate read one ``_pde_density`` evaluation: a
+    quasilinear solve makes one per iterate, len(newton_history), and a
+    re-solve from the predictor one more, the cold R(0); a Robin solve or
+    re-solve makes one.  At the default log level: SHAPEGRAD_LOG=info adds
+    a linear problem's final residual."""
+    caplog.set_level(logging.WARNING, logger="shapegrad")
+    theta = bump_theta()
+    mesh_s = transported(theta, 0.04, disk3)
+    for cls, data in ((QuasilinearProblem, _ql_data()),
+                      (RobinProblem, _robin_data_nontrivial())):
+        problem = cls(disk3, data)
+        calls = _count_densities(monkeypatch, cls)
+        problem.u
+        solve_calls = calls.count(problem)
+        problem.material(theta)
+        resolved = problem.rebuilt(mesh_s, theta, 0.04)
+        monkeypatch.undo()
+        if cls is QuasilinearProblem:
+            assert len(problem.newton_history) > 2
+            assert solve_calls == len(problem.newton_history)
+            assert calls.count(resolved) == len(resolved.newton_history) + 1
+        else:
+            assert (solve_calls, calls.count(resolved)) == (1, 1)
+
+
 # ================================ re-solves by GMRES on the reference factors
 
 def _count_factorizations(monkeypatch):
