@@ -95,28 +95,27 @@ class _EllipticProblem(ShapeProblem):
     ``_keep``).
 
     Which factors and which start a re-solve uses is decided here alone:
-    ``rebuilt`` solves the new problem at once by ``solve(reference, x0)``
-    with the root ``reference``, this problem or the one it was rebuilt
-    from.  A problem on a mesh of the reference's topology then factorizes
-    nothing: each step, a linear problem's one and every Newton step of a
-    nonlinear one, is ``Factorized.gmres`` on its own J with the factors
-    ``_fact`` of the reference's J at its state and the reference's own
-    ``_state_residual`` as the floor, so that a start as good as the
-    reference's own direct solve takes no step (a zero theta keeps a linear
-    reference's bits); a nonlinear reference has no floor.  A nonlinear
-    problem rebuilt from the root on the root's mesh transported by
-    s theta starts Newton from the material derivative's prediction
-    x0 = u + s udot of the root, which the Taylor check shows is the state
-    to O(s^2).  Its stop stays relative to |R(0)| of u = 0 on the new mesh,
-    so a start near the state cannot loosen it.  With no theta there is no
-    prediction, and it solves directly from u = 0.  A re-solve whose Krylov
-    solve does not stop in ``KRYLOV_MAX_ITER`` iterations is the direct
-    solve: Newton from u = 0 with each J factorized, as the reference's
-    own.
+    the state of a problem ``rebuilt`` from another is, on first use like
+    every state, ``solve(reference, x0)`` with the root ``reference`` that
+    ``ShapeProblem.rebuilt`` gives it.  A problem on a mesh of the
+    reference's topology then factorizes nothing: each step, a linear
+    problem's one and every Newton step of a nonlinear one, is
+    ``Factorized.gmres`` on its own J with the factors ``_fact`` of the
+    reference's J at its state and the reference's own ``_state_residual``
+    as the floor, so that a start as good as the reference's own direct
+    solve takes no step (a zero theta keeps a linear reference's bits); a
+    nonlinear reference has no floor.  A nonlinear problem whose
+    ``_start`` is (theta, s) starts Newton from the material derivative's
+    prediction x0 = u + s udot of the root, which the Taylor check shows is
+    the state to O(s^2).  Its stop stays relative to |R(0)| of u = 0 on the
+    new mesh, so a start near the state cannot loosen it.  With no theta
+    there is no prediction, and it solves directly from u = 0.  A re-solve
+    whose Krylov solve does not stop in ``KRYLOV_MAX_ITER`` iterations is
+    the direct solve: Newton from u = 0 with each J factorized, as the
+    reference's own.
     """
 
     linear = False
-    reference = None
     _state_residual = 0.0
     _bd = np.zeros(0, dtype=np.int64)
     _keep = 1.0
@@ -126,19 +125,13 @@ class _EllipticProblem(ShapeProblem):
         self.data = data
         self.space = space
 
-    def rebuilt(self, mesh_s, theta=None, s=0.0):
-        """The same problem on ``mesh_s``, solved at once (see the class docstring)."""
-        new = super().rebuilt(mesh_s)
-        new.reference = self.reference or self
-        x0 = None
-        if theta is not None and not self.linear and self.reference is None:
-            x0 = self.u.coefficients + s * self.material(theta).coefficients
-        new.u = new.solve(new.reference, x0)
-        return new
-
     @cached_property
     def u(self):
-        return self.solve()
+        root, x0 = self.reference, None
+        if self._start and not self.linear:
+            theta, s = self._start
+            x0 = root.u.coefficients + s * root.material(theta).coefficients
+        return self.solve(root, x0)
 
     def solve(self, reference=None, x0=None):
         """The state by Newton (see the class docstring): on the ``reference``'s

@@ -171,6 +171,28 @@ def _vertex_grads(inv):
     return out
 
 
+def corner_interpolate(X, lmb):
+    """The (M, nq, 2) values at the points of barycentric coordinates
+    ``lmb`` (nq, 3) of the affine interpolant of the corner values ``X``
+    (2, 3, M), [d, k] coordinate d at each triangle's vertex k: one
+    coordinate at a time, x_0 l_0 + x_1 l_1 + x_2 l_2 left to right over the
+    element axis into an (nq, M) buffer, copied into the coordinate's
+    columns, then ``+= 0.0``; the bits of einsum('qk,mkd->mqd', lmb, x) on
+    the (M, 3, 2) gather x."""
+    out = np.empty((X.shape[2], len(lmb), 2))
+    rows = np.empty((len(lmb), X.shape[2]))
+    for d in range(2):
+        x0, x1, x2 = X[d]
+        for q, (l0, l1, l2) in enumerate(lmb):
+            r = rows[q]
+            np.multiply(x0, l0, out=r)
+            r += x1 * l1
+            r += x2 * l2
+        out[..., d] = rows.T
+    out += 0.0
+    return out
+
+
 def _physical_grads(invJT, gref):
     """invJ^T ``gref`` (M, nq, nloc, 2), term by term: 2-3x faster than
     einsum, with its bits (see ``_build_geometry``)."""
@@ -280,21 +302,7 @@ class FeSpace:
         half = 0.5 * self.detJ
         for q, w in enumerate(self.vol_rule.weights):
             np.multiply(half, w, out=self.qweights[:, q])
-        # quadrature points, one coordinate at a time: x_0 l_0 + x_1 l_1 +
-        # x_2 l_2 left to right into an (nq, M) buffer, copied into the
-        # coordinate's columns
-        self.qpoints = np.empty((M, nq, 2))
-        rows = np.empty((nq, M))
-        for d in range(2):
-            x0, x1, x2 = X[d]
-            for q, (l0, l1, l2) in enumerate(lmb):
-                r = rows[q]
-                np.multiply(x0, l0, out=r)
-                r += x1 * l1
-                r += x2 * l2
-            self.qpoints[..., d] = rows.T
-        self.qpoints += 0.0
-        del rows, x0, x1, x2
+        self.qpoints = corner_interpolate(X, lmb)
         J = X[:, 1:] - X[:, :1]                               # J[d, k] (M,)
         del X
         inv = np.empty_like(J)                                # invJ[a, b] (M,)

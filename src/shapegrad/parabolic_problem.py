@@ -123,11 +123,6 @@ def initial_rate(space, data, nodal):
     return inner(data.g.grad(space.dof_coords), space.dof_values(nodal))
 
 
-def _profile_values(entry, times):
-    """The time factor a(t) of a separable entry at each time."""
-    return np.array([entry.profile.value(t) for t in times], dtype=float)
-
-
 def _spatial_density(data, P):
     """A = M(x), DA = DM(x), b = -f(x) and b_x at the points P: the spatial
     parts of the density, whose time factors are a_M(t_k) and a_f(t_k)."""
@@ -143,8 +138,10 @@ _BLOCK = 4
 class ParabolicProblem(ShapeProblem):
     """The parabolic pipeline for one cost flavor.  It owns the step
     operators M_u + dt a_M(t_k) K with Dirichlet rows eliminated, built from
-    ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load).  Its
-    state and adjoint march on first use, not on construction."""
+    ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load), and
+    the time factors ``a_M``, ``a_f`` and ``a_ud`` of the separable entries
+    on the time grid, each a(t_k) evaluated once.  Its state and adjoint
+    march on first use, not on construction."""
 
     def __init__(self, mesh, data, which="j1", order=1):
         if which not in ("j1", "j2"):
@@ -161,15 +158,17 @@ class ParabolicProblem(ShapeProblem):
         self.keep[self.bd] = 0.0
         self.dt = data.t0 / data.nt
         self.times = np.linspace(0.0, data.t0, data.nt + 1)
+        self.a_M, self.a_f, self.a_ud = (
+            np.array([entry.profile.value(t) for t in self.times], dtype=float)
+            for entry in (data.M, data.f, data.u_d))
         self._facts = {}
 
     @cached_property
     def u(self):
         """The state series: ``march`` from u_0 = I_h(g) with loads dt a_f(t_k) F."""
-        f = self.data.f.profile
 
         def load(k):
-            return self.keep * (self.dt * (f.value(self.times[k]) * self.F))
+            return self.keep * (self.dt * (self.a_f[k] * self.F))
 
         vals = self.march(self.space.interpolate(self.data.g.value).coefficients, load)
         return TimeSeriesField(self.space, vals, self.data.t0)
@@ -188,7 +187,7 @@ class ParabolicProblem(ShapeProblem):
         """The factorized step matrix of step k (of step 1 for a static M)."""
         key = k if self.data.M.time_dependent else 1
         if key not in self._facts:
-            stiffness = self.data.M.profile.value(self.times[key]) * self.K
+            stiffness = self.a_M[key] * self.K
             self._facts[key] = fem.Factorized(
                 fem.apply_dirichlet(self.Mu + self.dt * stiffness, self.bd))
         return self._facts[key]
@@ -219,11 +218,10 @@ class ParabolicProblem(ShapeProblem):
     def _u_d_steps(self, part):
         """k -> ``part`` ("value" or "grad") of u_d(t_k, .) at the quadrature
         points: that part of the separable u_d = a(t) s(x) has s evaluated
-        once and scaled by a(t_k), the product ``u_d.value`` and ``u_d.grad``
+        once and scaled by a_ud(t_k), the product ``u_d.value`` and ``u_d.grad``
         form, so the bits are those of a per-step evaluation."""
-        u_d, times = self.data.u_d, self.times
-        spatial = getattr(u_d.spatial, part)(self.space.qpoints)
-        return lambda k: u_d.profile.value(times[k]) * spatial
+        spatial = getattr(self.data.u_d.spatial, part)(self.space.qpoints)
+        return lambda k: self.a_ud[k] * spatial
 
     def _misfits(self):
         """Yield (k, quadrature values of u_k - u_d(t_k)) for the steps the cost uses.
@@ -278,8 +276,8 @@ class ParabolicProblem(ShapeProblem):
         K_R = fem.assemble_diffusion_values(space, flux_rate(A, DA, samples))
         Bdot = fem.assemble_load_values(space, source_rate(b, b_x, samples))
         Mdot = fem.assemble_mass_values(space, samples.vol_div)
-        w_M = self.dt * _profile_values(data.M, self.times[1:])
-        w_f = self.dt * _profile_values(data.f, self.times[1:])
+        w_M = self.dt * self.a_M[1:]
+        w_f = self.dt * self.a_f[1:]
         U = self.u.values
         ell = np.empty_like(U)
         # the step rows summed in place, one series-sized temporary at a time
@@ -313,8 +311,8 @@ class ParabolicProblem(ShapeProblem):
         U, Pv = self.u.values, self.p.values
         dofs = space.element_dofs.T
         nloc, M = dofs.shape
-        w_M = self.dt * _profile_values(data.M, self.times)
-        w_f = self.dt * _profile_values(data.f, self.times)
+        w_M = self.dt * self.a_M
+        w_f = self.dt * self.a_f
 
         G_pu = np.zeros((nloc, nloc, M))                      # [a, c, m]
         G_d = np.zeros((nloc, nloc, M))

@@ -7,8 +7,11 @@ the (M, 3, 2) vertex gather: the determinant, the inverse transposed
 Jacobian, the quadrature weights and points and the physical gradients.
 ``diffusion_local`` is ``fem_core._diffusion_local``'s P1 branch on (M, 2,
 2) coefficient sums and (M, 3) gradient rows, ``signed_areas`` is
-``mesh._signed_areas`` on the same gather, and ``affine_mat_value`` is
-``affine_mat``'s value as one broadcast sum M0 + x A + y B.
+``mesh._signed_areas`` on the same gather, ``affine_mat_value`` is
+``affine_mat``'s value as one broadcast sum M0 + x A + y B, and
+``theta_volume_samples`` is the volume half of
+``shape_assembly.theta_samples`` as two einsums on the (M, 3, 2) gather of
+theta's nodal values.
 """
 
 import numpy as np
@@ -84,3 +87,13 @@ def affine_mat_value(M0, A, B, P):
     x = P[..., 0, None, None]
     y = P[..., 1, None, None]
     return M0 + x * A + y * B
+
+
+def theta_volume_samples(space, nodal):
+    """(vol_val, vol_jac) of theta's vertex interpolant: theta at the points
+    and one Dtheta = D invJ per element, (M, 1, 2, 2)."""
+    tv = nodal[space.mesh.triangles]                     # (M, 3, 2)
+    vol_val = np.einsum('qk,mkd->mqd', space.vertex_basis, tv)
+    dtheta = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)  # (M, 2, a)
+    vol_jac = np.einsum('mia,mja->mij', dtheta, space.invJT)[:, None]
+    return vol_val, vol_jac

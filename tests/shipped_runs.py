@@ -8,13 +8,15 @@ For each ``demos/configs/*.cfg`` and each command, and for each
 ``tests/configs/*.cfg`` with ``validate``, ``python -m shapegrad.cli
 COMMAND --config CFG --out OUTDIR/<cfg>-<command>`` runs in a subprocess
 with ``OPENBLAS_NUM_THREADS=1`` and this checkout's ``src`` on
-``PYTHONPATH``: 26 runs today, 8 shipped configs times 2 commands and 10
+``PYTHONPATH``: 27 runs today, 8 shipped configs times 2 commands and 11
 test configs.  Its stdout, stderr and exit code are stored next to the
 reports (``stdout.txt``, ``stderr.txt``, ``exit.txt``); the timing
 sidecars (``*-timings.json``), the only output that varies from run to
 run, are deleted.  The test configs run at larger sizes:
-``robin-r8-memory.cfg`` (refine 8) takes about 15 s and 690 MB, and
-``quasilinear-r7-memory.cfg`` (refine 7) about 14 s and 470 MB.
+``robin-r8-memory.cfg`` (refine 8) takes about 15 s and 690 MB,
+``quasilinear-r7-memory.cfg`` (refine 7) about 14 s and 470 MB, and
+``parabolic-ramp-memory.cfg`` (48 x 48, nt = 64, a ramp M) about 9 s and
+550 MB.
 
 Run it in two checkouts, then compare the two output trees::
 

@@ -1,9 +1,10 @@
 """The per-element kernels written over the element axis keep the bits of
 their broadcast forms (``kernel_references``): every ``FeSpace`` geometry
 array at P1 and P2, the P1 local stiffness for each shape of C, the signed
-areas and ``affine_mat``'s value, compared with ``tobytes``.  And the
-format-free matvec that ``Factorized.gmres`` relies on: a Jacobian in the
-canonical CSR the problems return multiplies with the bits of its CSC copy.
+areas, ``affine_mat``'s value and the volume theta samples, compared with
+``tobytes``.  And the format-free matvec that ``Factorized.gmres`` relies
+on: a Jacobian in the canonical CSR the problems return multiplies with the
+bits of its CSC copy.
 """
 
 import numpy as np
@@ -14,9 +15,11 @@ from shapegrad import fem_core as fem
 from shapegrad.data_catalog import parse_scalar
 from shapegrad.elliptic_problems import RobinData, RobinProblem
 from shapegrad.fem_core import ScalarField
+from shapegrad.flow import make_field
 from shapegrad.mesh import _signed_areas, gen_disk, gen_rectangle
+from shapegrad.shape_assembly import theta_samples
 
-from conftest import bump_theta, transported
+from conftest import HOLDALL, THETA_SPECS, bump_theta, transported
 import kernel_references as refs
 from test_nodal_gradient import _dirichlet_energy, _quasilinear, _robin
 
@@ -81,6 +84,28 @@ def test_affine_mat_value_matches_broadcast_sum_bit_for_bit(shape):
     M0, A, B = (dc._sym(*params[k:k + 3]) for k in (0, 3, 6))
     P = np.random.default_rng(7).uniform(-1.0, 1.0, shape)
     assert _same(value(P), refs.affine_mat_value(M0, A, B, P))
+
+
+@pytest.mark.parametrize("theta", ["bump", "poly2", "random", "signed zeros"])
+@pytest.mark.parametrize("name", ["disk", "transported", "rectangle"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_theta_samples_match_einsum_forms_bit_for_bit(meshes, name, order, theta):
+    """theta at the points and Dtheta of the element-axis loops against the
+    einsums, for catalog fields, seeded random nodal values and signed
+    zeros, whose einsum sums are +0.0."""
+    space = fem.FeSpace(meshes[name], order)
+    N = len(space.mesh.nodes)
+    if theta == "random":
+        nodal = np.random.default_rng(40).standard_normal((N, 2))
+    elif theta == "signed zeros":
+        nodal = np.where(np.random.default_rng(41).random((N, 2)) < 0.5, -0.0, 0.0)
+    else:
+        nodal = make_field(theta, dict(THETA_SPECS)[theta], support_box=HOLDALL).eval(
+            space.mesh.nodes)
+    samples = theta_samples(space, nodal)
+    vol_val, vol_jac = refs.theta_volume_samples(space, nodal)
+    assert _same(samples.vol_val, vol_val)
+    assert _same(samples.vol_jac, vol_jac)
 
 
 def _matvec_bits_agree(J, rng):

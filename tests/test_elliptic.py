@@ -598,6 +598,7 @@ def test_a_newton_iterate_reads_one_density(disk3, monkeypatch, caplog):
         solve_calls = calls.count(problem)
         problem.material(theta)
         resolved = problem.rebuilt(mesh_s, theta, 0.04)
+        resolved.u
         monkeypatch.undo()
         if cls is QuasilinearProblem:
             assert len(problem.newton_history) > 2
@@ -636,6 +637,7 @@ def test_resolve_by_cg_agrees_with_the_direct_solve(case, order, disk3, monkeypa
         direct = type(problem)(mesh_s, problem.data, order)
         factored = _count_factorizations(monkeypatch)
         resolved = problem.rebuilt(mesh_s, theta, s)
+        resolved.u
         monkeypatch.undo()
         assert factored == [] and "_fact" not in vars(resolved)
         assert abs(resolved.cost() - direct.cost()) <= 1e-12 * abs(direct.cost())
@@ -660,6 +662,7 @@ def test_resolve_that_does_not_stop_factorizes_directly(disk3, monkeypatch, capl
         caplog.set_level(logging.INFO, logger="shapegrad")
         factored = _count_factorizations(monkeypatch)
         resolved = problem.rebuilt(mesh_s, theta, 0.04)
+        resolved.u
         monkeypatch.undo()
         steps = len(direct.newton_history) - 1 + problem.linear
         assert factored == [problem.dof_count] * steps
@@ -702,6 +705,7 @@ def test_a_plain_quasilinear_rebuild_is_the_direct_solve(disk3, monkeypatch):
     direct.u
     factored = _count_factorizations(monkeypatch)
     resolved = problem.rebuilt(mesh_s)
+    resolved.u
     assert factored == [problem.dof_count] * (len(direct.newton_history) - 1)
     assert _same_bits(resolved.u.coefficients, direct.u.coefficients)
 
@@ -714,12 +718,14 @@ LINEAR = pytest.mark.parametrize("cls, data", [
 
 @LINEAR
 def test_rebuilding_an_unsolved_problem_factorizes_once(cls, data, disk3, monkeypatch):
-    """Constructing a linear problem and rebuilding it before its state is
-    solved costs one factorization, the reference's: its state is solved
-    first, and the re-solve runs GMRES on those factors."""
+    """Constructing a linear problem, rebuilding it before its state is
+    solved and reading the rebuilt state costs one factorization, the
+    reference's: its state is solved first, and the re-solve runs GMRES on
+    those factors."""
     factored = _count_factorizations(monkeypatch)
     problem = cls(disk3, data)
     resolved = problem.rebuilt(transported(bump_theta(), 0.04, disk3))
+    resolved.u
     assert factored == [problem.dof_count]
     assert "_fact" in vars(problem) and "_fact" not in vars(resolved)
 
@@ -733,8 +739,10 @@ def test_rebuilding_a_rebuilt_problem_uses_the_root_factors(cls, data, disk3, mo
     mesh_a, mesh_b = (transported(theta, s, disk3) for s in (0.04, -0.02))
     problem = cls(disk3, data)
     resolved = problem.rebuilt(mesh_a)
+    resolved.u
     factored = _count_factorizations(monkeypatch)
     again = resolved.rebuilt(mesh_b)
+    again.u
     monkeypatch.undo()
     assert factored == []
     assert _same_bits(again.u.coefficients, problem.rebuilt(mesh_b).u.coefficients)
@@ -753,8 +761,9 @@ def test_resolve_logs_its_krylov_statistics(disk3, caplog):
     quasilinear = QuasilinearProblem(disk3, _ql_data())
     quasilinear.material(theta)
     caplog.set_level(logging.INFO, logger="shapegrad")
-    problem.rebuilt(transported(theta, 0.04, disk3))
+    problem.rebuilt(transported(theta, 0.04, disk3)).u
     resolved = quasilinear.rebuilt(transported(theta, 0.04, disk3), theta, 0.04)
+    resolved.u
     line, ql_line = [r.getMessage() for r in caplog.records
                      if r.name == "shapegrad.elliptic_problems"]
 

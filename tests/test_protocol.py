@@ -56,9 +56,9 @@ def _tiny_config(tmp_path, name):
 
 def _count_solves(monkeypatch):
     """Count ``Factorized`` constructions, checked solves (transposed ones
-    included) and triangular solve pairs (each checked solve's one and each
-    preconditioner application) from here on."""
-    counts = {"factor": 0, "solve": 0, "apply": 0}
+    included), triangular solve pairs (each checked solve's one and each
+    preconditioner application) and GMRES calls from here on."""
+    counts = {"factor": 0, "solve": 0, "apply": 0, "gmres": 0}
     init = fem_core.Factorized.__init__
 
     def counting_init(self, A):
@@ -72,7 +72,8 @@ def _count_solves(monkeypatch):
         return counting_solve
 
     monkeypatch.setattr(fem_core.Factorized, "__init__", counting_init)
-    for key, name in (("solve", "solve"), ("solve", "solve_transposed"), ("apply", "_apply")):
+    for key, name in (("solve", "solve"), ("solve", "solve_transposed"), ("apply", "_apply"),
+                      ("gmres", "gmres")):
         monkeypatch.setattr(fem_core.Factorized, name,
                             counting(key, getattr(fem_core.Factorized, name)))
     return counts
@@ -101,7 +102,9 @@ def test_problem_protocol(name, tmp_path, monkeypatch):
     if problem.fd_target == "dJ":
         mesh_s = transported(theta, 0.01, problem.mesh)
         if name == "quasilinear":  # one Jacobian factorization per Newton step
-            history = problem.rebuilt(mesh_s).newton_history
+            resolved = problem.rebuilt(mesh_s)
+            resolved.u
+            history = resolved.newton_history
             expected = (len(history) - 1,) * 3
         elif name.startswith("parabolic"):
             # the shipped M is time-independent: one factorization, nt steps
@@ -158,10 +161,61 @@ def test_constructor_solves_nothing(name, tmp_path, monkeypatch):
             return _original(self, *args)
         monkeypatch.setattr(cls, method, counting)
     problem = cli.build_problem(cfg, mesh)
-    assert counts == {"factor": 0, "solve": 0, "apply": 0} and steps == []
+    assert counts == {"factor": 0, "solve": 0, "apply": 0, "gmres": 0} and steps == []
     assert "u" not in vars(problem)
     problem.u
     assert counts["factor"] >= 1 and steps
+
+
+def test_every_problem_rebuilds_through_the_protocol():
+    """One ``rebuilt`` for every problem the CLI knows: the protocol's."""
+    for cls in cli.PROBLEM_CLASSES.values():
+        assert cls.rebuilt is shape_assembly.ShapeProblem.rebuilt, cls
+
+
+@pytest.mark.parametrize("name", ["robin", "quasilinear", "dirichlet_energy", "parabolic_j1"])
+def test_a_rebuilt_problem_solves_on_first_use(name, tmp_path, monkeypatch):
+    """``rebuilt`` on a mesh transported by s theta factorizes nothing and
+    runs no GMRES; reading the new problem's ``u`` then does the re-solve:
+    a linear problem one GMRES call on the root's factors, a quasilinear one
+    one per Newton step from the root's u + s udot, and the parabolic one
+    (a constant M) one factorization of its own step matrix and no GMRES."""
+    cfg = cli.RunConfig(_tiny_config(tmp_path, name))
+    problem = cli.build_problem(cfg, cli.build_mesh(cfg))
+    theta = cli.build_theta(cfg, required=True)
+    problem.u
+    problem.material(theta)
+    counts = _count_solves(monkeypatch)
+    resolved = problem.rebuilt(transported(theta, 0.01, problem.mesh), theta, 0.01)
+    assert counts == {"factor": 0, "solve": 0, "apply": 0, "gmres": 0}
+    assert "u" not in vars(resolved)
+    resolved.u
+    monkeypatch.undo()
+    if name == "quasilinear":
+        expected = (0, len(resolved.newton_history) - 1)
+        assert expected[1] >= 1
+    else:
+        expected = (1, 0) if name.startswith("parabolic") else (0, 1)
+    assert (counts["factor"], counts["gmres"]) == expected, counts
+
+
+@pytest.mark.parametrize("name", cli.PROBLEMS)
+def test_a_rebuilt_problem_carries_its_root(name, tmp_path):
+    """A row's and a row of a row's ``reference`` is the root, the problem
+    that was not itself rebuilt; only a row rebuilt from the root with a
+    theta has a ``_start``.  A manufactured row of a row reads the root's
+    frozen state values, the same array."""
+    cfg = cli.RunConfig(_tiny_config(tmp_path, name))
+    problem = cli.build_problem(cfg, cli.build_mesh(cfg))
+    theta = cli.build_theta(cfg, required=True)
+    mesh_a, mesh_b = (transported(theta, s, problem.mesh) for s in (0.01, -0.01))
+    row = problem.rebuilt(mesh_a, theta, 0.01)
+    again = row.rebuilt(mesh_b, theta, -0.02)
+    assert problem.reference is None and problem._start is None
+    assert row.reference is problem and again.reference is problem
+    assert row._start == (theta, 0.01) and again._start is None
+    if isinstance(problem, ManufacturedProblem):
+        assert again._uq is problem._uq and row._uq is problem._uq
 
 
 @pytest.mark.parametrize("name", STATEFUL)
