@@ -28,11 +28,12 @@ from .mesh import (MeshFormatError, MeshValidationError, gen_disk, gen_rectangle
                    save_mesh)
 from .parabolic_problem import ParabolicData, ParabolicProblem
 from .reports import (FD_CSV_HEADER, TAYLOR_CSV_HEADER, fd_csv_rows,
-                      fd_table_json, mesh_hash, save_field, taylor_csv_rows,
+                      fd_table_json, json_float, mesh_hash, save_field, taylor_csv_rows,
                       taylor_table_json, write_csv, write_json)
 from .shape_assembly import ManufacturedProblem
-from .validation import (AreaProblem, duality_check, fd_shape_check, material_taylor_check,
-                         step_sizes)
+from .validation import (DUAL_FORM_MAX, DUALITY_REL_MAX, FD_ORDER_MIN, TAYLOR_ORDER_MIN,
+                         TAYLOR_S_LIST, AreaProblem, duality_check, fd_shape_check,
+                         material_taylor_check, step_sizes)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,19 +131,16 @@ DATA = {
 }
 PROBLEMS = tuple(DATA)
 #: section -> key -> (parser, default as config text, or None), in
-#: configparser's lower case; [data] is per problem (``DATA``)
+#: configparser's lower case; [data] is per problem (``DATA``).  The bounds
+#: that no config moves are constants in ``validation``
 SCHEMA = {
     "run": {"problem": (_one_of(*PROBLEMS), None), "order": (_one_of(1, 2), "1")},
     "mesh": {"file": (_text, None), "kind": (_one_of("disk", "rect"), None),
              "center": (_numbers(2), "0 0"), "radius": (_number, "1"), "refine": (_integer, None),
              "bounds": (_numbers(4), "0 0 1 1"), "nx": (_integer, None), "ny": (_integer, None)},
     "theta": {"field": (_field, None), "support": (_numbers(4), None)},
-    "validation": {"s_list": (_step_list, "0.04 0.02 0.01"),
-                   "taylor_s_list": (_step_list, "0.16 0.08 0.04"),
-                   "fd_order_min": (_number, "1.9"), "fd_rel_max": (_number, "1e-5"),
-                   "extrapolated_max": (_number, None), "taylor_order_min": (_number, "1.9"),
-                   "duality_rel_max": (_number, "1e-9"), "dual_form_max": (_number, "1e-12")},
-    "output": {"dir": (_text, "out")},
+    "validation": {"s_list": (_step_list, "0.04 0.02 0.01"), "fd_rel_max": (_number, "1e-5"),
+                   "extrapolated_max": (_number, None)},
 }
 
 
@@ -299,18 +297,11 @@ def build_problem(cfg, mesh):
 # ------------------------------------------------------------------- commands
 
 def cmd_mesh(args):
-    if args.disk == (args.rect is not None):
-        raise ConfigError("mesh: give exactly one of --disk or --rect")
+    """Write the mesh that the config's ``[mesh]`` builds to ``-o FILE``."""
+    cfg = RunConfig(args.config)
     # refuse a target that cannot be written before the mesh is built
     _output(args.out_file, _probe_directory, args.out_file)
-    if args.disk:
-        if args.refine is None:
-            raise ConfigError("mesh --disk needs --refine")
-        mesh = _make_mesh(gen_disk, args.center, args.radius, args.refine)
-    else:
-        if args.nx is None or args.ny is None:
-            raise ConfigError("mesh --rect needs --nx and --ny")
-        mesh = _make_mesh(gen_rectangle, *args.rect, args.nx, args.ny)
+    mesh = build_mesh(cfg)
     _output(args.out_file, save_mesh, mesh, args.out_file)
     print(f"wrote {args.out_file}: {mesh.n_nodes} nodes, "
           f"{mesh.n_triangles} triangles, hash {mesh_hash(mesh)}")
@@ -332,10 +323,9 @@ def _probe_directory(path):
         pass
 
 
-def _outdir(args, cfg):
-    out = args.out or cfg.get("output", "dir")
-    _output(out, os.makedirs, out, exist_ok=True)
-    return out
+def _outdir(args):
+    _output(args.out, os.makedirs, args.out, exist_ok=True)
+    return args.out
 
 
 def cmd_solve(args):
@@ -345,7 +335,7 @@ def cmd_solve(args):
     if not PROBLEM_CLASSES[name].has_state:
         raise ConfigError(f"problem {name!r} has no state to solve")
     theta = build_theta(cfg)
-    out = _outdir(args, cfg)
+    out = _outdir(args)
     problem = build_problem(cfg, build_mesh(cfg))
     written = []
     for tag, field in (("u", problem.u), ("p", problem.p)):
@@ -364,8 +354,7 @@ def cmd_solve(args):
 
 def _check(value, limit, op):
     ok = bool(value >= limit) if op == ">=" else bool(value <= limit)
-    return {"value": None if not np.isfinite(value) else float(value),
-            "limit": float(limit), "op": op, "pass": ok}
+    return {"value": json_float(value), "limit": float(limit), "op": op, "pass": ok}
 
 
 def _report_base(cfg, problem, theta):
@@ -410,7 +399,7 @@ def cmd_check(args):
     """
     cfg = RunConfig(args.config)
     theta = build_theta(cfg, required=True)
-    out = _outdir(args, cfg)
+    out = _outdir(args)
     timings = {}
     problem = _timed(timings, "build", lambda: build_problem(cfg, build_mesh(cfg)))
     moves = problem.nodal(theta).any()
@@ -440,8 +429,7 @@ def cmd_check(args):
         table = _timed(timings, "fd", lambda: fd_shape_check(
             problem, theta, cfg.get("validation", "s_list")))
         report["fd"] = fd_table_json(table)
-        checks["fd_order"] = _check(table.observed_order(),
-                                    cfg.get("validation", "fd_order_min"), ">=")
+        checks["fd_order"] = _check(table.observed_order(), FD_ORDER_MIN, ">=")
         checks["fd_rel_gap"] = _check(table.rel_gap, cfg.get("validation", "fd_rel_max"), "<=")
         if cfg.get("validation", "extrapolated_max") is not None:
             checks["fd_extrapolated"] = _check(
@@ -449,23 +437,21 @@ def cmd_check(args):
 
     ttable = None
     if not derive and problem.has_state:
-        ttable = _timed(timings, "taylor", lambda: material_taylor_check(
-            problem, theta, cfg.get("validation", "taylor_s_list")))
+        ttable = _timed(timings, "taylor",
+                        lambda: material_taylor_check(problem, theta, TAYLOR_S_LIST))
         report["taylor"] = taylor_table_json(ttable)
-        checks["taylor_order"] = _check(
-            ttable.observed_order(), cfg.get("validation", "taylor_order_min"), ">=")
+        checks["taylor_order"] = _check(ttable.observed_order(), TAYLOR_ORDER_MIN, ">=")
 
     if problem.has_state:
         rep = duality_check(problem, theta)
         report["duality"] = {"lhs": rep.lhs, "rhs": rep.rhs,
                              "abs_gap": rep.abs_gap, "rel_gap": rep.rel_gap}
-        checks["duality_rel_gap"] = _check(rep.rel_gap, cfg.get("validation", "duality_rel_max"),
-                                           "<=")
+        checks["duality_rel_gap"] = _check(rep.rel_gap, DUALITY_REL_MAX, "<=")
 
     if problem.dual_form:
         gap = problem.dual_form_gap(theta)
         report["dual_form_gap"] = gap
-        checks["dual_form_gap"] = _check(gap, cfg.get("validation", "dual_form_max"), "<=")
+        checks["dual_form_gap"] = _check(gap, DUAL_FORM_MAX, "<=")
 
     report["checks"] = checks
     report["passed"] = all(c["pass"] for c in checks.values())
@@ -492,21 +478,15 @@ def cmd_check(args):
 
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file")
-    common.add_argument("--out", help="output directory (overrides [output] dir)")
+    common.add_argument("--config", required=True, help="INI config file")
 
     p = argparse.ArgumentParser(prog="shapegrad",
                                 description="distributed shape derivatives on triangular meshes")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pm = sub.add_parser("mesh", parents=[common], help="generate a mesh file")
-    pm.add_argument("--disk", action="store_true")
-    pm.add_argument("--rect", nargs=4, type=float, metavar=("X0", "Y0", "X1", "Y1"))
-    pm.add_argument("--center", nargs=2, type=float, default=[0.0, 0.0])
-    pm.add_argument("--radius", type=float, default=1.0)
-    pm.add_argument("--refine", type=int)
-    pm.add_argument("--nx", type=int)
-    pm.add_argument("--ny", type=int)
+    # no abbreviations: mesh would otherwise read a stray --out as --out-file
+    pm = sub.add_parser("mesh", parents=[common], allow_abbrev=False,
+                        help="write the mesh of a config's [mesh] to a file")
     pm.add_argument("-o", "--out-file", required=True)
     pm.set_defaults(func=cmd_mesh)
 
@@ -514,6 +494,7 @@ def _parser():
                               ("derive", cmd_check, "assemble dJ and run the FD check"),
                               ("validate", cmd_check, "run the full validation suite")):
         sp = sub.add_parser(name, parents=[common], help=blurb)
+        sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.set_defaults(func=func)
     return p
 
@@ -525,8 +506,6 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         _setup_logging()
-        if args.command != "mesh" and not args.config:
-            raise ConfigError(f"{args.command} needs --config PATH")
         log.info("command %s starting", args.command)
         return args.func(args)
     except ConfigError as exc:

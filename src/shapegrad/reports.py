@@ -157,16 +157,16 @@ def fd_table_json(table):
     return {
         "metadata": table.metadata,
         "dJ": table.dJ,
-        "extrapolated": _json_float(table.extrapolated),
-        "extrapolated_error": _json_float(table.extrapolated_error),
+        "extrapolated": json_float(table.extrapolated),
+        "extrapolated_error": json_float(table.extrapolated_error),
         "rows": [{
-            "s": r.s, "j_plus": _json_float(r.j_plus),
-            "j_minus": _json_float(r.j_minus),
-            "central_quotient": _json_float(r.central),
-            "error": _json_float(r.error),
-            "observed_order": _json_float(r.order),
-            "forward_quotient": _json_float(r.forward),
-            "forward_error": _json_float(r.forward_error),
+            "s": r.s, "j_plus": json_float(r.j_plus),
+            "j_minus": json_float(r.j_minus),
+            "central_quotient": json_float(r.central),
+            "error": json_float(r.error),
+            "observed_order": json_float(r.order),
+            "forward_quotient": json_float(r.forward),
+            "forward_error": json_float(r.forward_error),
             "flagged": r.flagged, "note": r.note,
         } for r in table.rows],
     }
@@ -174,14 +174,14 @@ def fd_table_json(table):
 
 def taylor_table_json(table):
     return {"metadata": table.metadata,
-            "rows": [{"s": r.s, "remainder": _json_float(r.remainder),
-                      "observed_order": _json_float(r.order),
+            "rows": [{"s": r.s, "remainder": json_float(r.remainder),
+                      "observed_order": json_float(r.order),
                       "flagged": r.flagged}
                      for r in table.rows]}
 
 
-def _json_float(v):
-    # JSON has no NaN; degenerate rows carry null entries instead
+def json_float(v):
+    # JSON has no NaN: degenerate rows and non-finite check values carry null
     return None if not np.isfinite(v) else float(v)
 
 

@@ -20,6 +20,15 @@ from .fem_core import FeSpace, assemble_vertex_grad_load
 from .flow import FlowDegeneracyError
 from .shape_assembly import ShapeGradient, ShapeProblem
 
+# The fixed bounds of the numerical contract, which no config sets: the
+# order of the FD quotients and of the Taylor remainder (2 in exact
+# arithmetic), the duality and dual-form gaps (rounding), and the steps
+# of the Taylor study.
+FD_ORDER_MIN = TAYLOR_ORDER_MIN = 1.9
+DUALITY_REL_MAX = 1e-9
+DUAL_FORM_MAX = 1e-12
+TAYLOR_S_LIST = (0.16, 0.08, 0.04)
+
 
 def estimate_order(errors):
     """Least-squares slope of log(error) against log(step).

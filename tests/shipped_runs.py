@@ -18,13 +18,19 @@ run, are deleted.  The test configs run at larger sizes:
 ``parabolic-ramp-memory.cfg`` (48 x 48, nt = 64, a ramp M) about 9 s and
 550 MB.
 
-Run it in two checkouts, then compare the two output trees::
+Run it in this checkout and in a base checkout, each with its own copy of
+this script, then compare the two output trees::
 
-    python tests/shipped_runs.py OUTDIR --against OTHER
+    python tests/shipped_runs.py OUTDIR --against BASE_OUTDIR
 
 runs nothing: it lists every file that is in only one of the two trees or
-whose bytes differ, and exits 1 if there is any, 0 if the trees are
-identical.
+whose bytes differ.  A difference is allowed only if
+``tests/declared_drift.txt`` declares it, one ``path  reason`` line per
+file (path relative to the output tree, e.g.
+``robin-disk-derive/robin-report.json``).  A run folder that exists only
+in OUTDIR is a new run: it is listed and allowed.  The comparison exits 1
+on a difference that is not declared and on a declared path that does not
+differ, else 0.
 
 Standard library only; pytest does not collect it (no ``test_`` prefix).
 """
@@ -35,6 +41,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DECLARED_DRIFT = os.path.join(ROOT, "tests", "declared_drift.txt")
 #: config folder -> the commands each of its configs runs
 RUNS = {os.path.join("demos", "configs"): ("derive", "validate"),
         os.path.join("tests", "configs"): ("validate",)}
@@ -67,21 +74,50 @@ def _files(top):
             for folder, _, names in os.walk(top) for name in names}
 
 
-def compare(outdir, other):
-    """The relative paths that differ between two output trees, each with
-    the reason, sorted; prints them and a summary line."""
+def declared_drift(path=DECLARED_DRIFT):
+    """The declared differences, ``{path: reason}``, from ``path  reason``
+    lines; blank lines are skipped, and a line without a reason is refused."""
+    declared = {}
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            name, _, reason = line.strip().partition(" ")
+            if not name:
+                continue
+            if not reason.strip():
+                raise ValueError(f"{path}:{number}: expected 'path  reason', got {name!r}")
+            declared[name] = reason.strip()
+    return declared
+
+
+def compare(outdir, other, declared):
+    """The paths at fault in ``outdir`` against the base tree ``other``:
+    each differing file that ``declared`` does not name, then each declared
+    file that does not differ.  Prints every new run of ``outdir``, every
+    difference, every fault and a summary line."""
     ours, theirs = _files(outdir), _files(other)
-    differing = [(path, f"only in {outdir}") for path in ours - theirs]
+    new_runs = {p.split(os.sep)[0] for p in ours} - {p.split(os.sep)[0] for p in theirs}
+    differing = [(path, f"only in {outdir}") for path in ours - theirs
+                 if path.split(os.sep)[0] not in new_runs]
     differing += [(path, f"only in {other}") for path in theirs - ours]
     for path in ours & theirs:
         with open(os.path.join(outdir, path), "rb") as a, open(os.path.join(other, path), "rb") as b:
             if a.read() != b.read():
                 differing.append((path, "bytes differ"))
-    differing.sort()
-    for path, why in differing:
-        print(f"{path}: {why}")
-    print(f"{len(differing)} differing, {len(ours & theirs)} files compared")
-    return differing
+    for run in sorted(new_runs):
+        print(f"{run}: new run, only in {outdir}")
+    failures = []
+    for path, why in sorted(differing):
+        if path in declared:
+            print(f"{path}: {why}, declared: {declared[path]}")
+        else:
+            print(f"FAIL {path}: {why}")
+            failures.append(path)
+    for path in sorted(set(declared) - {path for path, _ in differing}):
+        print(f"FAIL {path}: declared, but does not differ")
+        failures.append(path)
+    print(f"{len(differing)} differing, {len(failures)} not as declared, "
+          f"{len(ours & theirs)} files compared, {len(new_runs)} new runs")
+    return failures
 
 
 if __name__ == "__main__":
@@ -90,7 +126,8 @@ if __name__ == "__main__":
         for tree in (args[0], args[2]):
             if not os.path.isdir(tree):
                 sys.exit(f"{tree}: not a directory")
-        sys.exit(1 if compare(os.path.abspath(args[0]), os.path.abspath(args[2])) else 0)
+        failures = compare(os.path.abspath(args[0]), os.path.abspath(args[2]), declared_drift())
+        sys.exit(1 if failures else 0)
     if len(args) != 1:
-        sys.exit("usage: python tests/shipped_runs.py OUTDIR [--against OTHER]")
+        sys.exit("usage: python tests/shipped_runs.py OUTDIR [--against BASE_OUTDIR]")
     run_all(os.path.abspath(args[0]))

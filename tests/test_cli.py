@@ -13,7 +13,7 @@ from shapegrad.cli import main
 from shapegrad.fem_core import FeSpace, ScalarField
 from shapegrad.mesh import gen_disk, load_mesh
 from shapegrad.parabolic_problem import TimeSeriesField
-from shapegrad.reports import FieldFormatError, load_field, save_field
+from shapegrad.reports import FieldFormatError, load_field, mesh_hash, save_field
 
 ROBIN_CFG = """
 [run]
@@ -37,6 +37,11 @@ s_list = 0.04 0.02 0.01
 """
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: every shipped and test config
+CONFIGS = sorted(ROOT.glob("demos/configs/*.cfg")) + sorted(ROOT.glob("tests/configs/*.cfg"))
+
+
 def _cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -45,42 +50,50 @@ def _cfg(tmp_path, text, name="run.cfg"):
 
 # ------------------------------------------------------------------ mesh
 
+def _mesh(tmp_path, keys, out):
+    """``shapegrad mesh`` on a config whose ``[mesh]`` holds ``keys``."""
+    return main(["mesh", "--config", _cfg(tmp_path, f"[mesh]\n{keys}\n", "mesh.cfg"),
+                 "-o", str(out)])
+
+
 def test_mesh_disk_roundtrip(tmp_path):
     out = tmp_path / "d.mesh"
-    assert main(["mesh", "--disk", "--refine", "2", "-o", str(out)]) == 0
+    assert _mesh(tmp_path, "kind = disk\nrefine = 2", out) == 0
     mesh = load_mesh(str(out))
     assert mesh.n_nodes == 61 and mesh.n_triangles == 96
 
 
 def test_mesh_rect_roundtrip(tmp_path):
     out = tmp_path / "r.mesh"
-    assert main(["mesh", "--rect", "0", "0", "2", "1",
-                 "--nx", "8", "--ny", "4", "-o", str(out)]) == 0
+    assert _mesh(tmp_path, "kind = rect\nbounds = 0 0 2 1\nnx = 8\nny = 4", out) == 0
     mesh = load_mesh(str(out))
     assert mesh.n_nodes == 77 and mesh.n_triangles == 128
 
 
-def test_mesh_requires_exactly_one_generator(tmp_path):
+def test_mesh_requires_exactly_one_generator(tmp_path, capsys):
+    """``[mesh] kind`` names the one generator; a config without it (and
+    without a mesh file) is refused."""
     out = tmp_path / "x.mesh"
-    assert main(["mesh", "--disk", "--rect", "0", "0", "1", "1",
-                 "-o", str(out)]) == 2
-    assert main(["mesh", "-o", str(out)]) == 2
+    assert _mesh(tmp_path, "refine = 2", out) == 2
+    assert capsys.readouterr().err.startswith("config error: missing [mesh] kind ")
     assert not out.exists()
 
 
-def test_mesh_disk_needs_refine(tmp_path):
+def test_mesh_disk_needs_refine(tmp_path, capsys):
     out = tmp_path / "x.mesh"
-    assert main(["mesh", "--disk", "-o", str(out)]) == 2
+    assert _mesh(tmp_path, "kind = disk", out) == 2
+    assert capsys.readouterr().err.startswith("config error: missing [mesh] refine ")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--refine", "-1"], ["--refine", "2", "--radius", "0"],
-                                  ["--refine", "2", "--radius", "nan"]])
-def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, argv):
+@pytest.mark.parametrize("keys", ["kind = disk\nrefine = -1",
+                                  "kind = disk\nrefine = 2\nradius = 0"],
+                         ids=["refine-negative", "radius-0"])
+def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, keys):
     """The generator's refusal of its input, a ValueError or a mesh that
     fails validation, is a config error, not a traceback."""
     out = tmp_path / "x.mesh"
-    assert main(["mesh", "--disk", *argv, "-o", str(out)]) == 2
+    assert _mesh(tmp_path, keys, out) == 2
     assert capsys.readouterr().err.startswith("config error: mesh: ")
     assert not out.exists()
 
@@ -93,9 +106,40 @@ def test_unwritable_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
         raise AssertionError("mesh built")
 
     monkeypatch.setattr(cli, "gen_disk", no_mesh)
-    assert main(["mesh", "--disk", "--refine", "8", "-o", str(out)]) == 2
+    assert _mesh(tmp_path, "kind = disk\nrefine = 8", out) == 2
     assert capsys.readouterr().err.startswith(f"config error: output: cannot write {out}: ")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [["--disk", "--refine", "1"],
+                                  ["--out", "elsewhere"]])   # not read as --out-file
+def test_mesh_takes_only_a_config_and_a_file(tmp_path, capsys, argv):
+    """The retired generator flags and a stray ``--out`` are usage errors,
+    refused before anything is written."""
+    out = tmp_path / "x.mesh"
+    path = _cfg(tmp_path, "[mesh]\nkind = disk\nrefine = 1\n")
+    assert main(["mesh", "--config", path, *argv, "-o", str(out)]) == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mesh_writes_the_mesh_a_config_derives_on(tmp_path):
+    """``mesh`` writes the mesh that ``derive`` builds from the same config:
+    its hash is the report's, and a copy of the config that reads the file
+    derives the same dJ, bit for bit."""
+    import json
+    config = ROOT / "demos" / "configs" / "robin-disk.cfg"
+    mesh_file = tmp_path / "robin.mesh"
+    assert main(["mesh", "--config", str(config), "-o", str(mesh_file)]) == 0
+    assert main(["derive", "--config", str(config), "--out", str(tmp_path / "built")]) == 0
+    text = config.read_text()
+    assert "kind = disk\nrefine = 4\n" in text
+    copy = _cfg(tmp_path, text.replace("kind = disk\nrefine = 4\n", f"file = {mesh_file}\n"))
+    assert main(["derive", "--config", copy, "--out", str(tmp_path / "read")]) == 0
+    built, read = (json.loads((tmp_path / d / "robin-report.json").read_text())
+                   for d in ("built", "read"))
+    assert mesh_hash(load_mesh(str(mesh_file))) == built["mesh"]["hash"] == read["mesh"]["hash"]
+    assert read["dJ"] == built["dJ"]
 
 
 @pytest.mark.parametrize("command", ["solve", "derive", "validate"])
@@ -136,8 +180,10 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_missing_config_flag_exits_2():
+def test_missing_config_flag_exits_2(tmp_path):
     assert main(["derive"]) == 2
+    assert main(["mesh", "-o", str(tmp_path / "x.mesh")]) == 2
+    assert not (tmp_path / "x.mesh").exists()
 
 
 def test_removed_threads_flag_exits_2(tmp_path, capsys):
@@ -185,11 +231,21 @@ def test_unknown_config_key_or_section_exits_2(tmp_path, monkeypatch, capsys, co
 
 
 def test_every_config_file_has_only_known_keys():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    paths = sorted(root.glob("demos/configs/*.cfg")) + sorted(root.glob("tests/configs/*.cfg"))
-    assert len(paths) >= 9
-    for path in paths:
+    assert len(CONFIGS) >= 9
+    for path in CONFIGS:
         cli.RunConfig(str(path))
+
+
+def test_every_validation_key_is_moved_by_a_config():
+    """Each [validation] key is set, by at least one shipped or test config,
+    to a value other than its default.  A bound that no config moves is a
+    constant: it belongs next to the oracles in ``shapegrad.validation``,
+    where no config can loosen it."""
+    configs = [cli.RunConfig(str(path)) for path in CONFIGS]
+    unmoved = [key for key, (parse, default) in cli.SCHEMA["validation"].items()
+               if all(cfg.get("validation", key) == (default and parse(default))
+                      for cfg in configs)]
+    assert unmoved == []
 
 
 def test_known_keys_are_the_keys_the_commands_read():
@@ -221,7 +277,7 @@ def test_invalid_log_level_exits_2(tmp_path, monkeypatch, capsys):
 
 def test_solve_writes_fields_and_roundtrips(tmp_path):
     mesh_file = tmp_path / "d.mesh"
-    assert main(["mesh", "--disk", "--refine", "3", "-o", str(mesh_file)]) == 0
+    assert _mesh(tmp_path, "kind = disk\nrefine = 3", mesh_file) == 0
     cfg = ROBIN_CFG.replace("kind = disk\nrefine = 4",
                             f"file = {mesh_file}")
     path = _cfg(tmp_path, cfg)
@@ -328,7 +384,7 @@ def test_solve_without_state_exits_2_before_the_mesh(tmp_path, monkeypatch, caps
         raise AssertionError("mesh built")
 
     monkeypatch.setattr(cli, "gen_disk", no_mesh)
-    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs" / f"{config}.cfg"
+    path = ROOT / "demos" / "configs" / f"{config}.cfg"
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
     problem = cli.RunConfig(str(path)).get("run", "problem")
@@ -472,8 +528,7 @@ def test_theta_zero_at_every_node_exits_2_with_an_fd_table(tmp_path, capsys, com
     centroid = mesh.nodes[mesh.triangles[100]].mean(axis=0)
     assert np.hypot(*(mesh.nodes - centroid).T).min() > 0.02
     field = f"field = bump 1.0 0.4 {float(centroid[0])!r} {float(centroid[1])!r} 0.02"
-    cfg = (pathlib.Path(__file__).parent.parent / "demos" / "configs"
-           / "prop5-manufactured.cfg").read_text()
+    cfg = (ROOT / "demos" / "configs" / "prop5-manufactured.cfg").read_text()
     cfg = "\n".join(field if line.startswith("field =") else line for line in cfg.splitlines())
     out = tmp_path / "out"
     assert main([command, "--config", _cfg(tmp_path, cfg), "--out", str(out)]) == 2
@@ -567,19 +622,13 @@ def test_timings_sidecar_records_each_phase(tmp_path, command, phases):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("s_list", "0.04 0.04 0.01"), ("s_list", "0.04 0 0.01"), ("s_list", "0.04 nan 0.01"),
-    ("taylor_s_list", "0.16 -0.08 0.04"), ("taylor_s_list", "0.16 0.08 0"),
-    ("taylor_s_list", "0.04 0.08 0.16")])
+    ("s_list", "0.04 0.04 0.01"), ("s_list", "0.04 0 0.01"), ("s_list", "0.04 nan 0.01")])
 def test_validate_bad_validation_inputs_exit_2(tmp_path, capsys, key, value):
     """A [validation] input outside its domain is a config error that names
     its key, raised before any study runs, not a traceback (exit 1) or a
     failed check (exit 4)."""
     cfg = ROBIN_CFG.replace("refine = 4", "refine = 2")
-    if key == "s_list":
-        cfg = cfg.replace("s_list = 0.04 0.02 0.01", f"s_list = {value}")
-    else:
-        cfg += f"{key} = {value}\n"
-    path = _cfg(tmp_path, cfg)
+    path = _cfg(tmp_path, cfg.replace("s_list = 0.04 0.02 0.01", f"{key} = {value}"))
     out = tmp_path / "out"
     assert main(["validate", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -587,8 +636,12 @@ def test_validate_bad_validation_inputs_exit_2(tmp_path, capsys, key, value):
     assert not (out / "robin-fd.csv").exists()
 
 
-GATE_KEYS = ("fd_order_min", "fd_rel_max", "extrapolated_max", "taylor_order_min",
-             "duality_rel_max", "dual_form_max")
+GATE_KEYS = ("fd_rel_max", "extrapolated_max")
+#: the retired [validation] keys, with the value each one had by default:
+#: constants in shapegrad.validation, so no config loosens the contract
+RETIRED_VALIDATION = {"fd_order_min": "1.9", "taylor_order_min": "1.9",
+                      "duality_rel_max": "1e-9", "dual_form_max": "1e-12",
+                      "taylor_s_list": "0.16 0.08 0.04"}
 VALIDATION = "[validation]\n"
 DISK = "kind = disk\nrefine = 2"
 
@@ -627,6 +680,12 @@ def _on(base, *params):
                  id="steps"),
     # the retired cutoff knob: every ramp is the fraction flow.RAMP
     pytest.param("[theta]\n", "[theta]\nramp = 0.15\n", "unknown key [theta] ramp ", id="ramp"),
+    *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n",
+                   f"unknown key [validation] {key} ", id=key)
+      for key, value in RETIRED_VALIDATION.items()),
+    # the retired output section: --out names the output directory
+    pytest.param("[theta]\n", "[output]\ndir = out\n[theta]\n", "unknown section [output] ",
+                 id="output"),
     pytest.param("0.2 -0.1 0.8", "5.0 5.0 0.3", "[theta] field 'bump' is zero", id="theta"),
     *(pytest.param(VALIDATION, VALIDATION + f"{key} = {value}\n", f"[validation] {key} ",
                    id=f"{key}-{value}") for key in GATE_KEYS for value in ("abc", "inf")),
@@ -687,8 +746,9 @@ def test_schema_defaults_parse():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "d.mesh"
+    path = _cfg(tmp_path, "[mesh]\nkind = disk\nrefine = 1\n")
     proc = subprocess.run([sys.executable, "-m", "shapegrad.cli", "mesh",
-                           "--disk", "--refine", "1", "-o", str(out)],
+                           "--config", path, "-o", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "nodes" in proc.stdout
