@@ -87,8 +87,10 @@ def test_mesh_disk_needs_refine(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("keys", ["kind = disk\nrefine = -1",
-                                  "kind = disk\nrefine = 2\nradius = 0"],
-                         ids=["refine-negative", "radius-0"])
+                                  "kind = disk\nrefine = 2\nradius = 0",
+                                  # every triangle's area underflows to zero
+                                  "kind = disk\nrefine = 2\nradius = 1e-300"],
+                         ids=["argv0", "argv1", "argv2"])
 def test_mesh_disk_outside_the_generator_exits_2(tmp_path, capsys, keys):
     """The generator's refusal of its input, a ValueError or a mesh that
     fails validation, is a config error, not a traceback."""
