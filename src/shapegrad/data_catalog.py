@@ -56,10 +56,9 @@ class RFunctionData:
 class TimeProfile:
     """Separable time factor a(t), applied to spatial data."""
 
-    def __init__(self, name, value, time_dependent):
+    def __init__(self, name, value):
         self.name = name
         self.value = value
-        self.time_dependent = time_dependent
 
 
 class TimeScalarData:
@@ -82,7 +81,6 @@ class TimeMatrixData:
     def __init__(self, spatial, profile):
         self.spatial = spatial
         self.profile = profile
-        self.time_dependent = profile.time_dependent
 
     def value(self, t, P):
         return self.profile.value(t) * self.spatial.value(P)
@@ -293,15 +291,15 @@ RFUNC_CATALOG = {
 # --------------------------------------------------------------- time profiles
 
 def _tp_const():
-    return (lambda t: 1.0), False
+    return (lambda t: 1.0),
 
 
 def _tp_decay(lam):
-    return (lambda t: np.exp(-lam * t)), lam != 0.0
+    return (lambda t: np.exp(-lam * t)),
 
 
 def _tp_ramp(alpha):
-    return (lambda t: 1.0 + alpha * t), alpha != 0.0
+    return (lambda t: 1.0 + alpha * t),
 
 
 PROFILE_CATALOG = {

@@ -336,29 +336,23 @@ def gen_rectangle(x0, y0, x1, y1, nx, ny):
     cx, cy = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]), indexing='ij')
     centers = np.column_stack([cx.ravel(), cy.ravel()])
     nodes = np.vstack([grid, centers])
-    ngrid = (nx + 1) * (ny + 1)
+    stride = ny + 1
 
-    def gid(i, j):
-        return i * (ny + 1) + j
+    # cell (i, j) is numbered i*ny + j; its corners run counter-clockwise
+    # from grid node (i, j), and triangle q of the cell is (corner q,
+    # corner q+1, center)
+    v00 = (np.arange(nx)[:, None] * stride + np.arange(ny)).ravel()
+    corners = np.column_stack([v00, v00 + stride, v00 + stride + 1, v00 + 1])
+    center = np.broadcast_to((nx + 1) * stride + np.arange(nx * ny)[:, None], corners.shape)
+    tris = np.stack([corners, np.roll(corners, -1, axis=1), center], axis=-1).reshape(-1, 3)
 
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            c = ngrid + i * ny + j
-            v00, v10 = gid(i, j), gid(i + 1, j)
-            v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
-            tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
-
-    edges = []
-    for i in range(nx):
-        edges.append((gid(i, 0), gid(i + 1, 0), 1))       # bottom, +x
-    for j in range(ny):
-        edges.append((gid(nx, j), gid(nx, j + 1), 1))     # right, +y
-    for i in range(nx, 0, -1):
-        edges.append((gid(i, ny), gid(i - 1, ny), 1))     # top, -x
-    for j in range(ny, 0, -1):
-        edges.append((gid(0, j), gid(0, j - 1), 1))       # left, -y
-    return Mesh(nodes, np.array(tris), np.array(edges))
+    # the boundary nodes counter-clockwise from node (0, 0), each joined to the next
+    loop = np.concatenate([np.arange(nx) * stride,                 # bottom, +x
+                           nx * stride + np.arange(ny),            # right, +y
+                           np.arange(nx, 0, -1) * stride + ny,     # top, -x
+                           np.arange(ny, 0, -1)])                  # left, -y
+    edges = np.column_stack([loop, np.roll(loop, -1), np.ones_like(loop)])
+    return Mesh(nodes, tris, edges)
 
 
 def gen_disk(center, radius, refinement):

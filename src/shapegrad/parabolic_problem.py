@@ -15,8 +15,11 @@ a ``ValueError``.
 
 ``ParabolicProblem`` owns the step operators: it assembles the mass
 matrix, the stiffness matrix and the load vector once, rescales the last
-two per step, and keeps the factorized step operators, one for a
-constant-in-time M and one per step otherwise.  The scheme is one block
+two per step, and keeps the factors of one step operator, the last one it
+built, with its time factor a_M(t_k): a step with the same time factor
+reuses them and any other step replaces them.  So a constant-in-time M is
+factorized once per mesh, and a time-dependent M holds one factorization
+at a time, not one per step.  The scheme is one block
 system over the slots k = 0..nt: row 0 is the initial condition
 M_u u_0 = M_u I_h(g), row k >= 1 the step with Dirichlet rows eliminated.
 Its products are its own methods, as for every problem of the protocol:
@@ -141,7 +144,8 @@ class ParabolicProblem(ShapeProblem):
     ``Mu`` and the spatial stiffness ``K`` (``F`` is the spatial load), and
     the time factors ``a_M``, ``a_f`` and ``a_ud`` of the separable entries
     on the time grid, each a(t_k) evaluated once.  Its state and adjoint
-    march on first use, not on construction."""
+    march on first use, not on construction.  Of the step operators only
+    the factors of the last one built are kept, with its a_M(t_k)."""
 
     def __init__(self, mesh, data, which="j1", order=1):
         if which not in ("j1", "j2"):
@@ -161,7 +165,7 @@ class ParabolicProblem(ShapeProblem):
         self.a_M, self.a_f, self.a_ud = (
             np.array([entry.profile.value(t) for t in self.times], dtype=float)
             for entry in (data.M, data.f, data.u_d))
-        self._facts = {}
+        self._factors = (None, None)
 
     @cached_property
     def u(self):
@@ -184,13 +188,15 @@ class ParabolicProblem(ShapeProblem):
         return fem.assemble_load_values(self.space, self.data.f.spatial.value(P))
 
     def _fact(self, k):
-        """The factorized step matrix of step k (of step 1 for a static M)."""
-        key = k if self.data.M.time_dependent else 1
-        if key not in self._facts:
-            stiffness = self.a_M[key] * self.K
-            self._facts[key] = fem.Factorized(
-                fem.apply_dirichlet(self.Mu + self.dt * stiffness, self.bd))
-        return self._facts[key]
+        """The factorized step matrix of step k: the kept factors if they
+        were built for the same a_M(t_k), else new ones, which replace them.
+        The old factors are freed before the new ones are built."""
+        a = self.a_M[k]
+        if self._factors[0] != a:
+            self._factors = (None, None)
+            step_matrix = self.Mu + self.dt * (a * self.K)
+            self._factors = (a, fem.Factorized(fem.apply_dirichlet(step_matrix, self.bd)))
+        return self._factors[1]
 
     def step(self, k, b):
         try:

@@ -118,9 +118,10 @@ def _matvec_bits_agree(J, rng):
 @pytest.mark.parametrize("case", [_robin, _quasilinear, _dirichlet_energy],
                          ids=lambda c: c.__name__.strip("_"))
 def test_jacobian_csr_and_csc_matvecs_agree_bit_for_bit(case, order, disk3):
-    """``Factorized.gmres`` multiplies the CSR Jacobian, ``_solve``'s check
-    its CSC factor matrix: a scipy whose two matvecs split would split the
-    start residual from the direct solve's."""
+    """``Factorized`` checks a solve with the CSR matrix it keeps and a
+    transposed solve with that matrix's CSC transpose, and ``gmres``
+    multiplies the CSR Jacobian it is given: a scipy whose two matvecs
+    split would make a solve check's residual depend on the format."""
     problem, _ = case(disk3, order)
     rng = np.random.default_rng(3)
     _matvec_bits_agree(problem.jacobian(problem.u), rng)

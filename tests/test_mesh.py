@@ -220,6 +220,41 @@ def test_gen_disk_matches_dict_refinement():
         nodes, tris, bnd = _refine_dict_loop(nodes, tris, bnd, center, radius)
 
 
+def _rectangle_loops(nx, ny):
+    # the triangle and boundary-edge loops gen_rectangle used before its
+    # index arithmetic: the oracle for their order and dtype
+    ngrid = (nx + 1) * (ny + 1)
+
+    def gid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            c = ngrid + i * ny + j
+            v00, v10 = gid(i, j), gid(i + 1, j)
+            v11, v01 = gid(i + 1, j + 1), gid(i, j + 1)
+            tris += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+    edges = []
+    for i in range(nx):
+        edges.append((gid(i, 0), gid(i + 1, 0), 1))
+    for j in range(ny):
+        edges.append((gid(nx, j), gid(nx, j + 1), 1))
+    for i in range(nx, 0, -1):
+        edges.append((gid(i, ny), gid(i - 1, ny), 1))
+    for j in range(ny, 0, -1):
+        edges.append((gid(0, j), gid(0, j - 1), 1))
+    return np.array(tris), np.array(edges)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (5, 2), (7, 7), (48, 48)])
+def test_gen_rectangle_matches_loop_form(nx, ny):
+    m = gen_rectangle(-0.5, 0.25, 1.5, 2.0, nx, ny)
+    tris, edges = _rectangle_loops(nx, ny)
+    for got, ref in ((m.triangles, tris), (m.boundary_edges, edges)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("make", [lambda: gen_disk((0.1, 0.0), 1.0, 3),
                                   lambda: gen_rectangle(0.0, -1.0, 2.0, 0.5, 5, 3)],
                          ids=["disk3", "rectangle"])

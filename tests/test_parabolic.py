@@ -9,6 +9,7 @@ file, their tensors reduced to the nodes.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_tracked_field_outside_separable_contract():
 
 def test_solver_failure_names_time_step(rect_unit):
     data = _data(nt=6)
-    poisoned = TimeProfile("poisoned", lambda t: np.nan if t > 0.4 else 0.0, True)
+    poisoned = TimeProfile("poisoned", lambda t: np.nan if t > 0.4 else 0.0)
     data.f = TimeScalarData(parse_scalar("const 1"), poisoned)
     with pytest.raises(SolverError, match="time step"):
         ParabolicProblem(rect_unit, data).u
@@ -247,29 +248,55 @@ def test_block_operator_transposition(rect_unit):
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
-@pytest.mark.parametrize("m_profile, factorizations", [("ramp 0.5", 7), ("const", 1)])
-def test_step_factorizations_shared_by_every_march(rect_unit, monkeypatch, m_profile,
-                                                    factorizations):
-    """A time-dependent M gives each of the nt step matrices one
-    factorization, a constant profile one for all steps; the adjoint,
-    material and duality marches reuse them."""
-    data = _data(nt=7, m_profile=m_profile)
-    count = [0]
+def _counting_factorizations(monkeypatch):
+    """(count, alive): the number of ``Factorized`` built so far, and the
+    largest number alive at once, kept in a weakref set."""
+    count, alive, live = [0], [0], weakref.WeakSet()
     init = fem.Factorized.__init__
 
     def counting_init(self, A):
         count[0] += 1
+        live.add(self)
+        alive[0] = max(alive[0], len(live))
         init(self, A)
 
     monkeypatch.setattr(fem.Factorized, "__init__", counting_init)
+    return count, alive
+
+
+@pytest.mark.parametrize("m_profile, factorizations", [("ramp 0.5", 19), ("const", 1)])
+def test_step_factorizations_shared_by_every_march(rect_unit, monkeypatch, m_profile,
+                                                    factorizations):
+    """A constant profile factorizes one step matrix, which every step of
+    the state, adjoint, material and duality marches reuses.  A time-dependent
+    M factorizes each step whose a_M(t_k) is not that of the last step
+    matrix built: nt for the state, then nt - 1 each for the backward
+    adjoint and the material march, which start on the step the march
+    before them ended on; the duality pair reuses the material march."""
+    data = _data(nt=7, m_profile=m_profile)
+    count, _ = _counting_factorizations(monkeypatch)
     prob = ParabolicProblem(rect_unit, data, which="j1")
     prob.u
-    assert count[0] == factorizations
+    assert count[0] == (data.nt if m_profile == "ramp 0.5" else 1)
     theta = bump_theta()
     prob.p
     prob.material(theta)
     prob.duality_pair(theta)
     assert count[0] == factorizations
+
+
+def test_time_dependent_m_holds_one_factorization(rect_unit, monkeypatch):
+    """A time-dependent M keeps the factors of the last step matrix only:
+    through the state, adjoint, material and duality marches no more than
+    one ``Factorized`` is alive at a time."""
+    count, alive = _counting_factorizations(monkeypatch)
+    prob = ParabolicProblem(rect_unit, _data(nt=7, m_profile="ramp 0.5"), which="j1")
+    theta = bump_theta()
+    prob.u
+    prob.p
+    prob.material(theta)
+    prob.duality_pair(theta)
+    assert count[0] > 1 and alive[0] == 1
 
 
 # ------------------------------------------------------- material and duality
